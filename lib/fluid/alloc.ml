@@ -43,6 +43,7 @@ type fstate = {
 
 type 'a flow = {
   f_data : 'a;
+  f_owner : int;  (* callback grouping key, >= 0 *)
   f_st : fstate;
   f_path : int array;
   f_slots : int array;  (* index of this flow in each path link's members *)
@@ -86,6 +87,10 @@ type 'a t = {
   mutable t_n : int;
   mutable c_arr : 'a flow array;
   mutable c_n : int;
+  (* per owner: index in [c_arr] of its last changed flow this pass —
+     the one position whose callback fires. Only read for owners with
+     a flow in the current [c_arr], so stale entries never matter. *)
+  mutable o_last : int array;
   (* water-filling scratch: min-heap of candidate bottleneck links
      keyed by (fill level, link id). Entries go stale as freezing
      raises levels; levels only rise within a wave, so a popped entry
@@ -138,6 +143,7 @@ let create ?(eps = 1e-3) ?(max_waves = 3) ~caps ~on_rate () =
     t_n = 0;
     c_arr = [||];
     c_n = 0;
+    o_last = [||];
     h_lvl = Array.make 256 0.;
     h_li = Array.make 256 0;
     h_n = 0;
@@ -206,22 +212,30 @@ let remove_member t ~link_idx ~slot =
   if slot <> last then begin
     let moved = t.l_members.(link_idx).(last) in
     t.l_members.(link_idx).(slot) <- moved;
-    let patched = ref false in
-    Array.iteri
-      (fun j li ->
-        if (not !patched) && li = link_idx && moved.f_slots.(j) = last then begin
-          moved.f_slots.(j) <- slot;
-          patched := true
-        end)
-      moved.f_path
+    let path = moved.f_path in
+    let j = ref 0 in
+    while
+      !j < Array.length path
+      && not (path.(!j) = link_idx && moved.f_slots.(!j) = last)
+    do
+      incr j
+    done;
+    if !j < Array.length path then moved.f_slots.(!j) <- slot
   end;
   t.l_n.(link_idx) <- last
 
-let add t ~weight ~path ~data =
+let add t ~owner ~weight ~path ~data =
   if weight <= 0. then invalid_arg "Alloc.add: weight must be positive";
+  if owner < 0 then invalid_arg "Alloc.add: negative owner";
+  if owner >= Array.length t.o_last then begin
+    let bigger = Array.make (max (owner + 1) (2 * Array.length t.o_last)) 0 in
+    Array.blit t.o_last 0 bigger 0 (Array.length t.o_last);
+    t.o_last <- bigger
+  end;
   let f =
     {
       f_data = data;
+      f_owner = owner;
       f_st = { fs_weight = weight; fs_rate = 0.; fs_newrate = 0. };
       f_path = Array.copy path;
       f_slots = Array.make (Array.length path) 0;
@@ -235,11 +249,12 @@ let add t ~weight ~path ~data =
   if Array.length f.f_path = 0 then f.f_st.fs_rate <- unconstrained_rate
   else begin
     t.s_live <- t.s_live + 1;
-    Array.iteri
-      (fun j li ->
-        f.f_slots.(j) <- push_member t li f;
-        mark_members_dirty t li)
-      f.f_path;
+    let path = f.f_path in
+    for j = 0 to Array.length path - 1 do
+      let li = path.(j) in
+      f.f_slots.(j) <- push_member t li f;
+      mark_members_dirty t li
+    done;
     mark_dirty t f
   end;
   f
@@ -247,14 +262,15 @@ let add t ~weight ~path ~data =
 let remove t ~now f =
   if not f.f_dead then begin
     f.f_dead <- true;
-    if Array.length f.f_path > 0 then t.s_live <- t.s_live - 1;
-    Array.iteri
-      (fun j li ->
-        remove_member t ~link_idx:li ~slot:f.f_slots.(j);
-        advance_integral t li ~now;
-        t.l_alloc.(li) <- t.l_alloc.(li) -. f.f_st.fs_rate;
-        mark_members_dirty t li)
-      f.f_path;
+    let path = f.f_path in
+    if Array.length path > 0 then t.s_live <- t.s_live - 1;
+    for j = 0 to Array.length path - 1 do
+      let li = path.(j) in
+      remove_member t ~link_idx:li ~slot:f.f_slots.(j);
+      advance_integral t li ~now;
+      t.l_alloc.(li) <- t.l_alloc.(li) -. f.f_st.fs_rate;
+      mark_members_dirty t li
+    done;
     f.f_st.fs_rate <- 0.
   end
 
@@ -350,11 +366,24 @@ let push_changed t f =
     t.c_arr <- bigger
   end;
   t.c_arr.(t.c_n) <- f;
+  t.o_last.(f.f_owner) <- t.c_n;
   t.c_n <- t.c_n + 1
 
+(* Callbacks last, after every rate of the pass is committed, so a
+   callback reading a sibling flow sees final values: once per owner,
+   at the position of its last changed flow. That position is where
+   the last of the per-flow callbacks an owner would otherwise get
+   lands, so callbacks that act on the owner as a whole run in the
+   same relative order either way. *)
+let fire_changed t =
+  for i = 0 to t.c_n - 1 do
+    let f = t.c_arr.(i) in
+    if t.o_last.(f.f_owner) = i then t.on_rate f
+  done
+
 (* One wave: water-fill the [n]-prefix of [flows] (all alive) against
-   the rest of the population frozen at its committed rates. Leaves
-   the flows whose committed rate materially changed in [t.c_arr]
+   the rest of the population frozen at its committed rates. Appends
+   the flows whose committed rate materially changed to [t.c_arr]
    (queue order).
 
    The progressive filling runs off the scratch heap: pop the lowest
@@ -460,7 +489,6 @@ let run_wave t ~now flows n =
     t.l_touched.(t.t_arr.(i)) <- false
   done;
   (* Commit: update link sums and report materially-changed rates. *)
-  t.c_n <- 0;
   for i = 0 to n - 1 do
     let f = flows.(i) in
     let nr = f.f_st.fs_newrate and old = f.f_st.fs_rate in
@@ -481,6 +509,7 @@ let run_wave t ~now flows n =
 let flush t ~now =
   if t.d_n > 0 then t.s_flushes <- t.s_flushes + 1;
   t.stamp <- t.stamp + 1;
+  t.c_n <- 0;
   let waves = ref 0 in
   while t.d_n > 0 && !waves < t.max_waves do
     incr waves;
@@ -506,6 +535,7 @@ let flush t ~now =
          history (no hashing anywhere), so the wave runs in insertion
          order — a creation-order sort here cost ~20% of flush at
          population-wide wave sizes and bought no determinism. *)
+      let c0 = t.c_n in
       run_wave t ~now t.w_arr t.w_n;
       (* Ripple: a changed rate frees or claims capacity its link
          neighbours should see. Flows already processed this flush are
@@ -515,8 +545,11 @@ let flush t ~now =
          themselves leave the residual outsiders see unchanged, so
          re-dirtying them would only churn. *)
       t.t_n <- 0;
-      for i = 0 to t.c_n - 1 do
-        Array.iter (fun li -> touch_link t li) t.c_arr.(i).f_path
+      for i = c0 to t.c_n - 1 do
+        let path = t.c_arr.(i).f_path in
+        for j = 0 to Array.length path - 1 do
+          touch_link t path.(j)
+        done
       done;
       for i = 0 to t.t_n - 1 do
         let li = t.t_arr.(i) in
@@ -529,15 +562,10 @@ let flush t ~now =
           done
         end;
         t.l_dalloc.(li) <- 0.
-      done;
-      (* Callbacks last, in queue order, after all rates of the wave are
-         committed — a callback reading a sibling leg sees final
-         values. *)
-      for i = 0 to t.c_n - 1 do
-        t.on_rate t.c_arr.(i)
       done
     end
-  done
+  done;
+  fire_changed t
 
 (* Local pass: level just [flows] against the frozen rest and fire
    their callbacks. No ripple — the mutation that preceded this
@@ -549,13 +577,12 @@ let settle t ~now flows =
   if n > 0 then begin
     t.s_settles <- t.s_settles + 1;
     t.stamp <- t.stamp + 1;
+    t.c_n <- 0;
     run_wave t ~now flows n;
     for i = 0 to t.t_n - 1 do
       t.l_dalloc.(t.t_arr.(i)) <- 0.
     done;
-    for i = 0 to t.c_n - 1 do
-      t.on_rate t.c_arr.(i)
-    done
+    fire_changed t
   end
 
 let pending_dirty t =

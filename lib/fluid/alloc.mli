@@ -24,7 +24,18 @@
     Determinism: worklists run in deterministic queue order (no
     hashing anywhere) and water-filling breaks level ties by link id,
     so allocation and callback order are pure functions of the
-    mutation history. All state lives in ['a t]. *)
+    mutation history. All state lives in ['a t].
+
+    Callbacks are grouped by owner: every flow carries an [owner] key
+    (in the fluid engine, the connection id, so a multipath
+    connection's legs share one). A pass — one [flush] or one [settle]
+    — first commits every rate, then fires [on_rate] exactly once per
+    owner with a materially-changed flow, passing that owner's {e last}
+    changed flow in queue order, and ordering owners by the position
+    of that flow. Firing once at the last position instead of once per
+    changed flow leaves the relative order of owner-wide side effects
+    (a connection re-arming its timer) exactly as per-flow callbacks
+    would leave it. Callbacks must not call [flush] or [settle]. *)
 
 type 'a t
 type 'a flow
@@ -37,17 +48,21 @@ val create :
   unit ->
   'a t
 (** [caps.(id)] is the capacity in bps of link [id] (positive).
-    [on_rate] is invoked from [flush] for every flow whose committed
-    rate changed by more than [eps] (relative, default 1e-3), after
-    the whole wave is committed. [eps] also gates ripple: a link
+    [on_rate] is invoked from [flush] and [settle] once per owner
+    having a flow whose committed rate changed by more than [eps]
+    (relative, default 1e-3), after the whole pass is committed (see
+    above for the order). [eps] also gates ripple: a link
     whose total allocation moved by less than [eps * cap] does not
     re-dirty its members. [max_waves] (default 3) bounds ripple
     propagation per flush; residual dirtiness carries over to the
     next flush. *)
 
-val add : 'a t -> weight:float -> path:int array -> data:'a -> 'a flow
-(** Register a flow. [path] is the link-id array from the topology
-    route oracle (copied). An empty path means unconstrained: the
+val add :
+  'a t -> owner:int -> weight:float -> path:int array -> data:'a -> 'a flow
+(** Register a flow. [owner] (>= 0) groups flows for [on_rate]; the
+    allocator keeps one int per owner id up to the largest seen, so
+    owners should be dense small ints. [path] is the link-id array
+    from the topology route oracle (copied). An empty path means unconstrained: the
     flow gets a practically infinite rate and never enters
     water-filling. Rates materialise at the next [flush]. *)
 
@@ -63,14 +78,14 @@ val set_avail : 'a t -> link:int -> float -> unit
     capacity minus measured packet-level throughput). *)
 
 val flush : 'a t -> now:float -> unit
-(** Recompute rates for everything dirty, firing [on_rate] for
-    material changes. [now] in seconds timestamps utilisation
-    integrals. *)
+(** Recompute rates for everything dirty, firing [on_rate] once per
+    owner with a material change, after the last ripple wave. [now]
+    in seconds timestamps utilisation integrals. *)
 
 val settle : 'a t -> now:float -> 'a flow array -> unit
 (** Water-fill just [flows] (in array order, alive) against the rest of the
-    population frozen at its committed rates, firing their [on_rate]
-    callbacks — the cheap local pass a connection start runs to get
+    population frozen at its committed rates, firing [on_rate] once
+    per owner among them with a material change — the cheap local pass a connection start runs to get
     an accurate initial rate without paying for global ripple.
     Neighbours dirtied by the mutation stay queued for the next
     [flush]. At light load (no competition on the touched links) the

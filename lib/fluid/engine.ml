@@ -38,6 +38,19 @@ type switch_spec = {
 
 type state = Handshake | Running | Draining | Finished
 
+(* All-float, so stored flat and mutated in place: in the mixed
+   [conn] record below every store to one of these would box a fresh
+   float, and they change on every allocator rate callback. *)
+type cstate = {
+  mutable cs_remaining : float;  (* bytes *)
+  mutable cs_done : float;  (* bytes, includes [done_bytes] offset *)
+  mutable cs_rate : float;  (* effective send rate, bytes/s *)
+  mutable cs_alloc_bps : float;  (* aggregate allocation, bits/s *)
+  mutable cs_last_t : float;  (* seconds of last integration *)
+  mutable cs_ss_cap : float;  (* slow-start rate cap, bytes/s *)
+  mutable cs_next_double : float;  (* absolute s; infinity when done *)
+}
+
 type conn = {
   c_id : int;
   c_t : t;
@@ -49,13 +62,7 @@ type conn = {
   mutable c_state : state;
   mutable c_leg_specs : leg_spec array;  (* pending until Running *)
   mutable c_legs : conn Alloc.flow array;
-  mutable c_remaining : float;  (* bytes *)
-  mutable c_done : float;  (* bytes, includes [done_bytes] offset *)
-  mutable c_rate : float;  (* effective send rate, bytes/s *)
-  mutable c_alloc_bps : float;  (* aggregate allocation, bits/s *)
-  mutable c_last_t : float;  (* seconds of last integration *)
-  mutable c_ss_cap : float;  (* slow-start rate cap, bytes/s *)
-  mutable c_next_double : float;  (* absolute s; infinity when done *)
+  c_st : cstate;
   mutable c_switch : switch_spec option;
   mutable c_switched : bool;
   mutable c_timer : Scheduler.Timer.t option;
@@ -82,19 +89,25 @@ let byte_tol = 1.0
 let now_s t = Time.to_sec (Scheduler.now t.sched)
 
 let aggregate_bps c =
-  Array.fold_left (fun acc f -> acc +. Alloc.rate f) 0. c.c_legs
+  let legs = c.c_legs in
+  let acc = ref 0. in
+  for i = 0 to Array.length legs - 1 do
+    acc := !acc +. Alloc.rate legs.(i)
+  done;
+  !acc
 
-let effective_rate c = Float.min (c.c_alloc_bps /. 8.) c.c_ss_cap
+let effective_rate st = Float.min (st.cs_alloc_bps /. 8.) st.cs_ss_cap
 
 let integrate c ~now =
-  if now > c.c_last_t then begin
+  let st = c.c_st in
+  if now > st.cs_last_t then begin
     (match c.c_state with
     | Running ->
-      let sent = Float.min (c.c_rate *. (now -. c.c_last_t)) c.c_remaining in
-      c.c_remaining <- c.c_remaining -. sent;
-      c.c_done <- c.c_done +. sent
+      let sent = Float.min (st.cs_rate *. (now -. st.cs_last_t)) st.cs_remaining in
+      st.cs_remaining <- st.cs_remaining -. sent;
+      st.cs_done <- st.cs_done +. sent
     | Handshake | Draining | Finished -> ());
-    c.c_last_t <- now
+    st.cs_last_t <- now
   end
 
 let the_timer c = match c.c_timer with Some tm -> tm | None -> assert false
@@ -155,13 +168,14 @@ let switch_time_trigger c =
 let re_arm c ~now =
   match c.c_state with
   | Running ->
+    let st = c.c_st in
     let dl = ref infinity in
-    if c.c_rate > 0. then
-      dl := Float.min !dl (now +. (c.c_remaining /. c.c_rate));
-    dl := Float.min !dl c.c_next_double;
+    if st.cs_rate > 0. then
+      dl := Float.min !dl (now +. (st.cs_remaining /. st.cs_rate));
+    dl := Float.min !dl st.cs_next_double;
     (match switch_bytes_trigger c with
-    | Some v when c.c_rate > 0. && c.c_done < v ->
-      dl := Float.min !dl (now +. ((v -. c.c_done) /. c.c_rate))
+    | Some v when st.cs_rate > 0. && st.cs_done < v ->
+      dl := Float.min !dl (now +. ((v -. st.cs_done) /. st.cs_rate))
     | Some _ | None -> ());
     (match switch_time_trigger c with
     | Some at -> dl := Float.min !dl at
@@ -172,14 +186,15 @@ let re_arm c ~now =
 
 let refresh_rate c ~now =
   integrate c ~now;
-  c.c_alloc_bps <- aggregate_bps c;
-  c.c_rate <- effective_rate c
+  c.c_st.cs_alloc_bps <- aggregate_bps c;
+  c.c_st.cs_rate <- effective_rate c.c_st
 
 let add_legs c specs =
   let t = c.c_t in
   c.c_legs <-
     Array.map
-      (fun s -> Alloc.add t.alloc ~weight:s.weight ~path:s.path ~data:c)
+      (fun s ->
+        Alloc.add t.alloc ~owner:c.c_id ~weight:s.weight ~path:s.path ~data:c)
       specs
 
 let remove_legs c ~now =
@@ -229,7 +244,7 @@ let complete c =
 let enter_drain c ~now =
   remove_legs c ~now;
   c.c_state <- Draining;
-  c.c_rate <- 0.;
+  c.c_st.cs_rate <- 0.;
   (* The freed capacity reaches the survivors at the next quantum. *)
   request_flush c.c_t;
   (* Tail: the last byte is in flight for half an RTT. *)
@@ -237,22 +252,23 @@ let enter_drain c ~now =
 
 let step c ~now =
   integrate c ~now;
-  if c.c_remaining <= byte_tol then enter_drain c ~now
+  if c.c_st.cs_remaining <= byte_tol then enter_drain c ~now
   else begin
     (match (switch_bytes_trigger c, switch_time_trigger c) with
-    | Some v, _ when c.c_done +. 0.5 >= v -> do_switch c ~now
+    | Some v, _ when c.c_st.cs_done +. 0.5 >= v -> do_switch c ~now
     | _, Some at when now +. 1e-12 >= at -> do_switch c ~now
     | _ -> ());
     if c.c_state = Running then begin
-      while now +. 1e-12 >= c.c_next_double do
-        c.c_ss_cap <- c.c_ss_cap *. 2.;
-        if c.c_ss_cap >= c.c_alloc_bps /. 8. then begin
-          c.c_ss_cap <- infinity;
-          c.c_next_double <- infinity
+      let st = c.c_st in
+      while now +. 1e-12 >= st.cs_next_double do
+        st.cs_ss_cap <- st.cs_ss_cap *. 2.;
+        if st.cs_ss_cap >= st.cs_alloc_bps /. 8. then begin
+          st.cs_ss_cap <- infinity;
+          st.cs_next_double <- infinity
         end
-        else c.c_next_double <- c.c_next_double +. c.c_rtt
+        else st.cs_next_double <- st.cs_next_double +. c.c_rtt
       done;
-      c.c_rate <- effective_rate c;
+      st.cs_rate <- effective_rate st;
       re_arm c ~now
     end
   end
@@ -261,16 +277,17 @@ let go_running c =
   let t = c.c_t in
   let now = now_s t in
   c.c_state <- Running;
-  c.c_last_t <- now;
+  c.c_st.cs_last_t <- now;
   Sim_obs.Flow_ledger.on_handshake t.ledger ~conn:c.c_id;
   add_legs c c.c_leg_specs;
+  let st = c.c_st in
   (if c.c_slow_start then begin
-     c.c_ss_cap <- float_of_int (t.iw * t.mss) /. c.c_rtt;
-     c.c_next_double <- now +. c.c_rtt
+     st.cs_ss_cap <- float_of_int (t.iw * t.mss) /. c.c_rtt;
+     st.cs_next_double <- now +. c.c_rtt
    end
    else begin
-     c.c_ss_cap <- infinity;
-     c.c_next_double <- infinity
+     st.cs_ss_cap <- infinity;
+     st.cs_next_double <- infinity
    end);
   Alloc.settle t.alloc ~now c.c_legs;
   (* The info list would allocate before [emit]'s own guard ran. *)
@@ -292,8 +309,9 @@ let on_timer c =
   | Draining -> complete c
   | Finished -> ()
 
-(* Allocator rate-change callback: re-integrate at the old rate, then
-   adopt the new aggregate and move the deadlines. *)
+(* Allocator rate-change callback, once per connection per allocator
+   pass however many of its legs changed: re-integrate at the old
+   rate, then adopt the new aggregate and move the deadlines. *)
 let on_leg_rate flow =
   let c = Alloc.data flow in
   match c.c_state with
@@ -372,13 +390,16 @@ let start t ?(done_bytes = 0) ?(slow_start = true) ?(handshake = true) ?switch
       c_state = Handshake;
       c_leg_specs = legs;
       c_legs = [||];
-      c_remaining = float_of_int size;
-      c_done = float_of_int done_bytes;
-      c_rate = 0.;
-      c_alloc_bps = 0.;
-      c_last_t = now_s t;
-      c_ss_cap = infinity;
-      c_next_double = infinity;
+      c_st =
+        {
+          cs_remaining = float_of_int size;
+          cs_done = float_of_int done_bytes;
+          cs_rate = 0.;
+          cs_alloc_bps = 0.;
+          cs_last_t = now_s t;
+          cs_ss_cap = infinity;
+          cs_next_double = infinity;
+        };
       c_switch = switch;
       c_switched = false;
       c_timer = None;
@@ -395,8 +416,8 @@ let start t ?(done_bytes = 0) ?(slow_start = true) ?(handshake = true) ?switch
          ~id:(Printf.sprintf "c%d" conn_id)
          ~name ~units read
      in
-     reg "rate_mbps" "Mb/s" (fun () -> c.c_rate *. 8. /. 1e6);
-     reg "remaining_bytes" "bytes" (fun () -> c.c_remaining);
+     reg "rate_mbps" "Mb/s" (fun () -> c.c_st.cs_rate *. 8. /. 1e6);
+     reg "remaining_bytes" "bytes" (fun () -> c.c_st.cs_remaining);
      reg "legs" "legs" (fun () -> float_of_int (Array.length c.c_legs))
    end);
   (* Legs join the allocator only at [go_running]; registering them
@@ -423,7 +444,7 @@ let conn_fct c =
   | Some at -> Some (Time.diff at c.c_started)
 
 let conn_bytes c =
-  int_of_float (Float.max 0. (float_of_int c.c_size -. c.c_remaining))
+  int_of_float (Float.max 0. (float_of_int c.c_size -. c.c_st.cs_remaining))
 
 let active t = t.active
 let started t = t.started

@@ -50,12 +50,17 @@ let print_case c =
 
 let arb_case = QCheck.make ~print:print_case gen_case
 
+(* Flows are spread over three owners, so the properties hold with
+   callbacks grouped the way the engine groups a connection's legs. *)
 let build case =
   let t = Alloc.create ~caps:case.caps ~on_rate:(fun _ -> ()) () in
   let flows =
-    List.map
-      (fun (w, path, rm) ->
-        (Alloc.add t ~weight:w ~path:(Array.of_list path) ~data:(), path, rm))
+    List.mapi
+      (fun i (w, path, rm) ->
+        ( Alloc.add t ~owner:(i mod 3) ~weight:w ~path:(Array.of_list path)
+            ~data:(),
+          path,
+          rm ))
       case.specs
   in
   (t, flows)
@@ -116,6 +121,62 @@ let prop_maxmin_bottleneck =
               && Alloc.rate f /. Alloc.weight f >= norm_max *. (1. -. tol))
             path)
         flows)
+
+(* The callback contract: one [on_rate] per owner with a changed flow,
+   after the whole pass, passing the owner's last changed flow and
+   ordering owners by its position. Three owners over five 12 Mb/s
+   links; every rate below follows from water-filling by hand. *)
+let test_callback_per_owner () =
+  let fired = ref [] in
+  let t =
+    Alloc.create ~caps:(Array.make 5 12e6)
+      ~on_rate:(fun f -> fired := Alloc.data f :: !fired)
+      ()
+  in
+  (* [List.map] adds in list order (a list literal would not). *)
+  let flows =
+    List.map
+      (fun (owner, name, path) ->
+        (name, Alloc.add t ~owner ~weight:1. ~path ~data:(owner, name)))
+      [
+        (0, "a1", [| 0 |]);
+        (1, "b1", [| 0; 1 |]);
+        (2, "c1", [| 1 |]);
+        (1, "b2", [| 2 |]);
+        (0, "a2", [| 2; 3 |]);
+        (2, "c2", [| 3 |]);
+        (0, "a3", [| 4 |]);
+      ]
+  in
+  let flow name = List.assoc name flows in
+  let expect what want =
+    Alcotest.(check (list (pair int string))) what want (List.rev !fired);
+    fired := []
+  in
+  (* All seven change from 0 in queue (= add) order a1 b1 c1 b2 a2 c2
+     a3: owner 1 last changes at b2, owner 2 at c2, owner 0 at a3.
+     Every link settles at 6 Mb/s a flow, link 4 at 12. *)
+  Alloc.flush t ~now:0.;
+  expect "first flush" [ (1, "b2"); (2, "c2"); (0, "a3") ];
+  Alcotest.(check (float 1.)) "a1 rate" 6e6 (Alloc.rate (flow "a1"));
+  Alcotest.(check (float 1.)) "a3 rate" 12e6 (Alloc.rate (flow "a3"));
+  (* Only a3 crosses link 4: owners 1 and 2 stay silent. *)
+  Alloc.set_avail t ~link:4 3e6;
+  Alloc.flush t ~now:1.;
+  expect "flush touching one owner" [ (0, "a3") ];
+  (* Settle in array order b1 a1 b2 c1 against links 1 and 2 cut to
+     6 Mb/s: b2 drops to 0 (a2 keeps link 2), b1 and c1 to 3, a1
+     rises to 9. Owner 1 changes at b1 and b2, so it fires at b2,
+     after owner 0's a1. *)
+  Alloc.set_avail t ~link:1 6e6;
+  Alloc.set_avail t ~link:2 6e6;
+  Alloc.settle t ~now:2. (Array.map flow [| "b1"; "a1"; "b2"; "c1" |]);
+  expect "settle" [ (0, "a1"); (1, "b2"); (2, "c1") ];
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check (float 1.)) (name ^ " settled") want
+        (Alloc.rate (flow name)))
+    [ ("b1", 3e6); ("a1", 9e6); ("b2", 0.); ("c1", 3e6) ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine: analytic FCT is monotone in flow size when uncontended. *)
@@ -184,12 +245,60 @@ let test_golden_fluid_vs_packet () =
     Alcotest.failf "fluid mean FCT off by %.1f%% (packet %.3fms, fluid %.3fms)"
       (100. *. dev) (mean p) (mean f)
 
+(* Cross-commit golden: an MD5 over every flow's (src, dst, size,
+   start, fct) in two tiny FatTree runs, one under each model that
+   drives the fluid allocator. The values were recorded before the
+   allocator fired its rate callback once per connection instead of
+   once per leg, a change that must not move any simulated outcome.
+   Bytes delivered are left out: they are checked on their own. *)
+let outcome_digest cfg =
+  let r = Scenario.run cfg in
+  let b = Buffer.create 4096 in
+  let flow (f : Scenario.flow_result) =
+    Printf.bprintf b "%d %d %d %d %d\n" f.src f.dst f.flow_size
+      (Time.to_ns f.start)
+      (match f.fct with Some t -> Time.to_ns t | None -> -1)
+  in
+  Array.iter flow r.shorts;
+  Array.iter flow r.longs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let tiny_fattree ~model ~protocol =
+  {
+    Scenario.default_config with
+    Scenario.model;
+    topo = Scenario.Fattree_topo (Scenario.paper_fattree ~k:4 ~oversub:2 ());
+    protocol;
+    seed = 5;
+    short_flows = 200;
+    short_rate = 50.;
+    horizon = Time.of_sec 1.;
+  }
+
+let test_golden_outcomes () =
+  Alcotest.(check string)
+    "fluid, MMPTCP" "cd729f9c48ba0caa79c1a913af72e5b2"
+    (outcome_digest
+       (tiny_fattree ~model:Scenario.Fluid
+          ~protocol:(Scenario.Mmptcp_proto Mmptcp.Strategy.default)));
+  Alcotest.(check string)
+    "hybrid, MPTCP-8" "222a04fbb5e10d6b043a7ff514f8d2c4"
+    (outcome_digest
+       (tiny_fattree
+          ~model:(Scenario.Hybrid { handoff_bytes = 10_000 })
+          ~protocol:(Scenario.Mptcp_proto { subflows = 8; coupled = true })))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "fluid"
     [
       ( "alloc",
-        [ qt prop_conservation; qt prop_maxmin_bottleneck ] );
+        [
+          qt prop_conservation;
+          qt prop_maxmin_bottleneck;
+          Alcotest.test_case "on_rate once per owner" `Quick
+            test_callback_per_owner;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "fct monotone in size" `Quick test_fct_monotone;
@@ -200,5 +309,7 @@ let () =
         [
           Alcotest.test_case "fluid tracks packet (tiny dumbbell)" `Quick
             test_golden_fluid_vs_packet;
+          Alcotest.test_case "per-flow outcomes unchanged (tiny fattree)"
+            `Quick test_golden_outcomes;
         ] );
     ]
