@@ -443,8 +443,14 @@ let conn_fct c =
   | None -> None
   | Some at -> Some (Time.diff at c.c_started)
 
+(* Completion ends the transfer when at most [byte_tol] is left, so a
+   finished stage can carry a sub-byte float residue that truncation
+   would report as one byte missing. *)
 let conn_bytes c =
-  int_of_float (Float.max 0. (float_of_int c.c_size -. c.c_st.cs_remaining))
+  match c.c_state with
+  | Finished -> c.c_size
+  | Handshake | Running | Draining ->
+    int_of_float (Float.max 0. (float_of_int c.c_size -. c.c_st.cs_remaining))
 
 let active t = t.active
 let started t = t.started

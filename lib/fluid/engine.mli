@@ -92,7 +92,8 @@ val conn_is_complete : conn -> bool
 val conn_switched : conn -> bool
 
 val conn_bytes : conn -> int
-(** Bytes delivered so far in this stage (excludes [done_bytes]). *)
+(** Bytes delivered so far in this stage (excludes [done_bytes]);
+    exactly [conn_size] once the connection has completed. *)
 
 (** {1 Engine counters} *)
 

@@ -181,13 +181,16 @@ let test_callback_per_owner () =
 (* ------------------------------------------------------------------ *)
 (* Engine: analytic FCT is monotone in flow size when uncontended. *)
 
-let fct_of_size size =
+let run_alone size =
   let sched = Scheduler.create () in
   let eng = Engine.make ~sched ~cap_bps:[| 1e8 |] () in
   let legs = [| { Engine.path = [| 0 |]; weight = 1.; rtt_s = 1e-4 } |] in
   let conn = Engine.start eng ~legs ~size ~on_complete:(fun _ -> ()) () in
   Scheduler.run sched;
-  match Engine.conn_fct conn with
+  conn
+
+let fct_of_size size =
+  match Engine.conn_fct (run_alone size) with
   | Some fct -> Time.to_sec fct
   | None -> Alcotest.failf "size %d never completed" size
 
@@ -215,6 +218,18 @@ let test_fct_above_serialisation () =
         true
         (fct >= float_of_int (8 * size) /. 1e8))
     [ 10_000; 500_000 ]
+
+(* A completed transfer reports exactly its size. 197,409 bytes alone on
+   the link ends with a sub-byte float residue, which truncating
+   [size - remaining] once reported as one byte missing. *)
+let test_completed_bytes_exact () =
+  List.iter
+    (fun size ->
+      let conn = run_alone size in
+      check_bool "completed" true (Engine.conn_is_complete conn);
+      Alcotest.(check int) (Printf.sprintf "bytes of %d" size) size
+        (Engine.conn_bytes conn))
+    [ 70_000; 197_409 ]
 
 (* ------------------------------------------------------------------ *)
 (* Golden cross-check: tiny dumbbell, fluid within 10% of packet on
@@ -263,13 +278,13 @@ let outcome_digest cfg =
   Array.iter flow r.longs;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let tiny_fattree ~model ~protocol =
+let tiny_fattree ?(seed = 5) ~model ~protocol () =
   {
     Scenario.default_config with
     Scenario.model;
     topo = Scenario.Fattree_topo (Scenario.paper_fattree ~k:4 ~oversub:2 ());
     protocol;
-    seed = 5;
+    seed;
     short_flows = 200;
     short_rate = 50.;
     horizon = Time.of_sec 1.;
@@ -280,13 +295,34 @@ let test_golden_outcomes () =
     "fluid, MMPTCP" "cd729f9c48ba0caa79c1a913af72e5b2"
     (outcome_digest
        (tiny_fattree ~model:Scenario.Fluid
-          ~protocol:(Scenario.Mmptcp_proto Mmptcp.Strategy.default)));
+          ~protocol:(Scenario.Mmptcp_proto Mmptcp.Strategy.default)
+          ()));
   Alcotest.(check string)
     "hybrid, MPTCP-8" "222a04fbb5e10d6b043a7ff514f8d2c4"
     (outcome_digest
        (tiny_fattree
           ~model:(Scenario.Hybrid { handoff_bytes = 10_000 })
-          ~protocol:(Scenario.Mptcp_proto { subflows = 8; coupled = true })))
+          ~protocol:(Scenario.Mptcp_proto { subflows = 8; coupled = true })
+          ()))
+
+(* Every completed short delivers exactly its size: under fluid (seed
+   2 left two sub-byte residues), and under hybrid, where the packet
+   stage's bytes plus the fluid continuation's must add up. *)
+let test_scenario_bytes_exact () =
+  List.iter
+    (fun (what, model, protocol) ->
+      let r = Scenario.run (tiny_fattree ~seed:2 ~model ~protocol ()) in
+      Array.iter
+        (fun (f : Scenario.flow_result) ->
+          if f.fct <> None then
+            Alcotest.(check int) what f.flow_size f.bytes_received)
+        r.shorts)
+    [
+      ("fluid, MMPTCP", Scenario.Fluid,
+       Scenario.Mmptcp_proto Mmptcp.Strategy.default);
+      ("hybrid, MPTCP-8", Scenario.Hybrid { handoff_bytes = 10_000 },
+       Scenario.Mptcp_proto { subflows = 8; coupled = true });
+    ]
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -304,6 +340,10 @@ let () =
           Alcotest.test_case "fct monotone in size" `Quick test_fct_monotone;
           Alcotest.test_case "fct above serialisation" `Quick
             test_fct_above_serialisation;
+          Alcotest.test_case "completed bytes exact" `Quick
+            test_completed_bytes_exact;
+          Alcotest.test_case "scenario bytes exact (tiny fattree)" `Quick
+            test_scenario_bytes_exact;
         ] );
       ( "golden",
         [
