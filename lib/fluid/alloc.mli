@@ -62,9 +62,10 @@ val add :
 (** Register a flow. [owner] (>= 0) groups flows for [on_rate]; the
     allocator keeps one int per owner id up to the largest seen, so
     owners should be dense small ints. [path] is the link-id array
-    from the topology route oracle (copied). An empty path means unconstrained: the
-    flow gets a practically infinite rate and never enters
-    water-filling. Rates materialise at the next [flush]. *)
+    from the topology route oracle (copied). An empty path means
+    unconstrained: the flow gets a practically infinite rate and
+    never enters water-filling. Rates materialise at the next
+    [flush]. *)
 
 val remove : 'a t -> now:float -> 'a flow -> unit
 (** Unregister (idempotent). [now] (seconds) timestamps the capacity
@@ -85,8 +86,9 @@ val flush : 'a t -> now:float -> unit
 val settle : 'a t -> now:float -> 'a flow array -> unit
 (** Water-fill just [flows] (in array order, alive) against the rest of the
     population frozen at its committed rates, firing [on_rate] once
-    per owner among them with a material change — the cheap local pass a connection start runs to get
-    an accurate initial rate without paying for global ripple.
+    per owner among them with a material change — the cheap local
+    pass a connection start runs to get an accurate initial rate
+    without paying for global ripple.
     Neighbours dirtied by the mutation stay queued for the next
     [flush]. At light load (no competition on the touched links) the
     result already is the max-min rate. *)

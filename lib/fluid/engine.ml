@@ -103,7 +103,9 @@ let integrate c ~now =
   if now > st.cs_last_t then begin
     (match c.c_state with
     | Running ->
-      let sent = Float.min (st.cs_rate *. (now -. st.cs_last_t)) st.cs_remaining in
+      let sent =
+        Float.min (st.cs_rate *. (now -. st.cs_last_t)) st.cs_remaining
+      in
       st.cs_remaining <- st.cs_remaining -. sent;
       st.cs_done <- st.cs_done +. sent
     | Handshake | Draining | Finished -> ());
