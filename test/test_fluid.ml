@@ -290,20 +290,22 @@ let tiny_fattree ?(seed = 5) ~model ~protocol () =
     horizon = Time.of_sec 1.;
   }
 
+(* The two allocator-driving setups: (name, model, protocol). *)
+let fluid_setups =
+  [
+    ("fluid, MMPTCP", Scenario.Fluid,
+     Scenario.Mmptcp_proto Mmptcp.Strategy.default);
+    ("hybrid, MPTCP-8", Scenario.Hybrid { handoff_bytes = 10_000 },
+     Scenario.Mptcp_proto { subflows = 8; coupled = true });
+  ]
+
 let test_golden_outcomes () =
-  Alcotest.(check string)
-    "fluid, MMPTCP" "cd729f9c48ba0caa79c1a913af72e5b2"
-    (outcome_digest
-       (tiny_fattree ~model:Scenario.Fluid
-          ~protocol:(Scenario.Mmptcp_proto Mmptcp.Strategy.default)
-          ()));
-  Alcotest.(check string)
-    "hybrid, MPTCP-8" "222a04fbb5e10d6b043a7ff514f8d2c4"
-    (outcome_digest
-       (tiny_fattree
-          ~model:(Scenario.Hybrid { handoff_bytes = 10_000 })
-          ~protocol:(Scenario.Mptcp_proto { subflows = 8; coupled = true })
-          ()))
+  List.iter2
+    (fun (what, model, protocol) want ->
+      Alcotest.(check string) what want
+        (outcome_digest (tiny_fattree ~model ~protocol ())))
+    fluid_setups
+    [ "cd729f9c48ba0caa79c1a913af72e5b2"; "222a04fbb5e10d6b043a7ff514f8d2c4" ]
 
 (* Every completed short delivers exactly its size: under fluid (seed
    2 left two sub-byte residues), and under hybrid, where the packet
@@ -317,12 +319,7 @@ let test_scenario_bytes_exact () =
           if f.fct <> None then
             Alcotest.(check int) what f.flow_size f.bytes_received)
         r.shorts)
-    [
-      ("fluid, MMPTCP", Scenario.Fluid,
-       Scenario.Mmptcp_proto Mmptcp.Strategy.default);
-      ("hybrid, MPTCP-8", Scenario.Hybrid { handoff_bytes = 10_000 },
-       Scenario.Mptcp_proto { subflows = 8; coupled = true });
-    ]
+    fluid_setups
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
