@@ -9,7 +9,6 @@ module Runner = Sim_experiments.Runner
 module Registry = Sim_experiments.Registry
 module Experiment = Sim_experiments.Experiment
 module Scenario = Sim_workload.Scenario
-module Trace = Sim_engine.Trace
 
 (* Virtual-time durations on the command line: a number with an ns,
    us, ms or s suffix, e.g. `--probe-interval 10ms`. *)
@@ -51,34 +50,6 @@ let conns_conv =
         Format.pp_print_string ppf
           (String.concat "," (List.map string_of_int cs)) )
 
-let trace_level_conv =
-  let parse = function
-    | "error" -> Ok Trace.Error
-    | "warn" -> Ok Trace.Warn
-    | "info" -> Ok Trace.Info
-    | "debug" -> Ok Trace.Debug
-    | s -> Error (`Msg (Printf.sprintf "unknown trace level %S" s))
-  in
-  let print ppf l =
-    Format.pp_print_string ppf
-      (match l with
-      | Trace.Error -> "error"
-      | Trace.Warn -> "warn"
-      | Trace.Info -> "info"
-      | Trace.Debug -> "debug")
-  in
-  Arg.conv (parse, print)
-
-let components_conv =
-  let parse s =
-    let parts =
-      String.split_on_char ',' s |> List.map String.trim
-      |> List.filter (fun p -> p <> "")
-    in
-    if parts = [] then Error (`Msg "empty component list") else Ok parts
-  in
-  Arg.conv (parse, fun ppf cs -> Format.pp_print_string ppf (String.concat "," cs))
-
 let obs_term =
   let probe_interval =
     Arg.(
@@ -101,22 +72,6 @@ let obs_term =
              connection ids (default: all connections). Queue and scheduler \
              gauges are always included.")
   in
-  let trace =
-    Arg.(
-      value
-      & opt (some trace_level_conv) None
-      & info [ "trace" ] ~docv:"LEVEL"
-          ~doc:"Enable stderr tracing at error, warn, info or debug level.")
-  in
-  let trace_components =
-    Arg.(
-      value
-      & opt (some components_conv) None
-      & info [ "trace-components" ] ~docv:"COMP,..."
-          ~doc:
-            "Restrict --trace output to these component tags (e.g. \
-             tcp_tx,pktqueue).")
-  in
   let ledger =
     Arg.(
       value & flag
@@ -126,19 +81,12 @@ let obs_term =
              switch, hybrid promotion, RTO/fast-retransmit counts, bytes, \
              completion, FCT) in the flow ledger and export per-flow CSV \
              and JSONL plus an FCT-percentile summary via --out. Identical \
-             across --model, --jobs and --exec-mode.")
+             across --model and --jobs.")
   in
-  let make probe_interval probe_conns trace_level trace_components ledger =
-    {
-      Scenario.probe_interval;
-      probe_conns;
-      trace_level;
-      trace_components;
-      ledger;
-    }
+  let make probe_interval probe_conns ledger =
+    { Scenario.default_obs with probe_interval; probe_conns; ledger }
   in
-  Term.(
-    const make $ probe_interval $ probe $ trace $ trace_components $ ledger)
+  Term.(const make $ probe_interval $ probe $ ledger)
 
 let scale_term =
   let k =
@@ -237,33 +185,10 @@ let jobs_term =
     & opt jobs_conv (Runner.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Run the independent simulations on $(docv) domains. Output is \
-           identical for any value; the default is the recommended domain \
-           count minus one.")
-
-let exec_mode_conv =
-  let parse s =
-    match Registry.exec_mode_of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg "expected domains or processes")
-  in
-  Arg.conv
-    ( parse,
-      fun ppf m -> Format.pp_print_string ppf (Registry.exec_mode_to_string m)
-    )
-
-let exec_mode_term =
-  Arg.(
-    value
-    & opt exec_mode_conv Registry.Processes
-    & info [ "exec-mode" ] ~docv:"MODE"
-        ~doc:
-          "How --jobs fans simulations out: $(b,processes) (the default) \
-           re-executes this binary as worker processes with private heaps — \
-           the mode that actually scales, since domains contend on the \
-           shared major heap — while $(b,domains) keeps everything in one \
-           process on OCaml domains. Output is byte-identical either way; \
-           --jobs 1 runs sequentially in-process in both modes.")
+          "Run the independent simulations on $(docv) worker processes, \
+           each re-executing this binary with a private heap; 1 runs them \
+           sequentially in this process. Output is identical for any \
+           value; the default is the number of cores minus one.")
 
 (* Hidden protocol flag: `mmptcp_sim <cmd> <args> --worker` turns the
    invocation into a Proc_pool worker serving job indices on stdin for
@@ -277,8 +202,8 @@ let prof_term =
     & info [ "prof" ]
         ~doc:
           "Self-profile the run: wrap every experiment point in a \
-           wall-clock + GC allocation span (measured in whichever worker \
-           domain or process ran the point) and write one \
+           wall-clock + GC allocation span (measured in whichever \
+           process ran the point) and write one \
            $(b,prof-EXPERIMENT) artifact per experiment with a TOTAL row. \
            Span values are host measurements, so they only render under \
            --out; without it a fixed note is printed instead.")
@@ -315,26 +240,26 @@ let worker_argv () =
   argv.(0) <- Sys.executable_name;
   Array.append argv [| "--worker" |]
 
-let run_registry experiments jobs exec_mode worker out prof scale =
+let run_registry experiments jobs worker out prof scale =
   if worker then begin
     Registry.worker ~clock:Unix.gettimeofday scale experiments;
     0
   end
   else begin
     Registry.run ~clock:Unix.gettimeofday ?out ?git:(git_describe ())
-      ~exec_mode ~worker_argv:(worker_argv ()) ~prof ~jobs scale experiments;
+      ~worker_argv:(worker_argv ()) ~prof ~jobs scale experiments;
     0
   end
 
 let experiment_cmd e =
-  let run jobs exec_mode worker out prof scale =
-    run_registry [ e ] jobs exec_mode worker out prof scale
+  let run jobs worker out prof scale =
+    run_registry [ e ] jobs worker out prof scale
   in
   Cmd.v
     (Cmd.info (Experiment.name e) ~doc:(Experiment.doc e))
     Term.(
-      const run $ jobs_term $ exec_mode_term $ worker_term $ out_term
-      $ prof_term $ scale_term)
+      const run $ jobs_term $ worker_term $ out_term $ prof_term
+      $ scale_term)
 
 let only_conv =
   let parse s =
@@ -365,7 +290,7 @@ let all_cmd =
             "Restrict to a comma-separated subset of experiments; they run \
              and render in registry order regardless of the order given.")
   in
-  let run only jobs exec_mode worker out prof scale =
+  let run only jobs worker out prof scale =
     let experiments =
       match only with
       | None -> Registry.all
@@ -374,7 +299,7 @@ let all_cmd =
         | Ok es -> es
         | Error _ -> assert false (* validated by only_conv *))
     in
-    run_registry experiments jobs exec_mode worker out prof scale
+    run_registry experiments jobs worker out prof scale
   in
   Cmd.v
     (Cmd.info "all"
@@ -383,8 +308,8 @@ let all_cmd =
           queue: all simulation points fan out together with no barrier \
           between experiments, and results render in registry order.")
     Term.(
-      const run $ only $ jobs_term $ exec_mode_term $ worker_term $ out_term
-      $ prof_term $ scale_term)
+      const run $ only $ jobs_term $ worker_term $ out_term $ prof_term
+      $ scale_term)
 
 let cmds = List.map experiment_cmd Registry.all @ [ all_cmd ]
 

@@ -20,6 +20,8 @@ type worker = {
   mutable inflight : int option;
 }
 
+let recommended_jobs () = max 1 (Domain.recommended_domain_count () - 1)
+
 let rec waitpid_retry pid =
   try snd (Unix.waitpid [] pid)
   with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid

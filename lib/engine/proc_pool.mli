@@ -1,9 +1,10 @@
-(** Fixed pool of worker {e processes}.
+(** Fixed pool of worker {e processes}: the one parallel backend.
 
-    Domains share one major heap, and allocation-heavy simulations
-    contend on it badly enough that adding domains makes the suite
-    slower (ROADMAP item 1). Worker processes each get a private heap,
-    so the same fan-out scales. The pool re-executes the current
+    Simulations are single-threaded and self-contained, so a sweep of
+    them is embarrassingly parallel. Each worker process gets a
+    private heap, so allocation-heavy simulations do not contend on a
+    shared major heap the way OCaml domains do (EXPERIMENTS.md's
+    wall-clock table measured that). The pool re-executes the current
     binary with caller-supplied argv (conventionally the original
     command line plus a hidden [--worker] flag); each worker rebuilds
     the same deterministic job queue from that argv and then serves
@@ -22,6 +23,10 @@
     to surviving workers, or delivered as [Error] if none survive. The
     parent never hangs on a dead worker and always reaps every child
     it spawned. *)
+
+val recommended_jobs : unit -> int
+(** [max 1 (Domain.recommended_domain_count () - 1)]: one worker per
+    core, keeping one core for the coordinating process. *)
 
 val run :
   jobs:int ->

@@ -27,8 +27,8 @@ val now : t -> Sim_time.t
 val ctx : t -> Sim_ctx.t
 (** The simulation's identifier state. One scheduler = one simulation
     instance = one {!Sim_ctx.t}; nothing identifier-related is shared
-    between schedulers, so independent simulations may run on separate
-    domains concurrently. *)
+    between schedulers, so independent simulations in one process
+    cannot perturb each other. *)
 
 val schedule_at : t -> Sim_time.t -> (unit -> unit) -> handle
 (** [schedule_at t time f] runs [f] when the clock reaches [time].

@@ -4,7 +4,6 @@ type t = {
   mutable next_packet_uid : int;
   mutable next_conn_id : int;
   mutable next_queue_id : int;
-  trace : Trace.t;
   metrics : Sim_obs.Metrics.t;
   ledger : Sim_obs.Flow_ledger.t;
   mutable ext : ext option;
@@ -16,7 +15,6 @@ let create () =
     next_packet_uid = 0;
     next_conn_id = 0;
     next_queue_id = 0;
-    trace = Trace.create ();
     metrics = Sim_obs.Metrics.create ();
     ledger = Sim_obs.Flow_ledger.create ();
     ext = None;
@@ -38,7 +36,6 @@ let fresh_queue_id t =
 let pool_live t = t.pool_live
 let pool_track t delta = t.pool_live <- t.pool_live + delta
 
-let trace t = t.trace
 let metrics t = t.metrics
 let ledger t = t.ledger
 let ext t = t.ext

@@ -1,10 +1,10 @@
-(** Per-simulation identifier and tracing state.
+(** Per-simulation identifier and observability state.
 
     One [t] belongs to one simulation instance (the {!Scheduler}
-    carries it), so independent simulations never share counters and
-    can run concurrently on separate domains. Identical runs draw
-    identical id sequences, which keeps results reproducible and
-    independent of whatever ran earlier in the process.
+    carries it), so independent simulations never share counters.
+    Identical runs draw identical id sequences, which keeps results
+    reproducible and independent of whatever ran earlier in the
+    process.
 
     All counters start at 0; the first draw of each kind is 1. *)
 
@@ -42,20 +42,16 @@ val pool_track : t -> int -> unit
     -1 on free). Called by the pool owner under {!Sanitizer_mode.on}
     only. *)
 
-val trace : t -> Trace.t
-(** This simulation's trace configuration. Per-simulation so that
-    enabling debug tracing in one run cannot leak into concurrent runs
-    on sibling domains. *)
-
 val metrics : t -> Sim_obs.Metrics.t
 (** This simulation's metrics registry. Created disabled; {!Probe}
-    turns it on before components are constructed. Per-simulation for
-    the same reason as {!trace}. *)
+    turns it on before components are constructed. Per-simulation so
+    that probing one run cannot leak into another run in the same
+    process. *)
 
 val ledger : t -> Sim_obs.Flow_ledger.t
 (** This simulation's flow-lifecycle ledger. Created disabled;
     [Sim_workload.Scenario] turns it on before flows arrive.
-    Per-simulation for the same reason as {!trace}. *)
+    Per-simulation for the same reason as {!metrics}. *)
 
 val ext : t -> ext option
 (** The extension slot, [None] until {!set_ext}. *)

@@ -1,9 +1,9 @@
 (* Experiments as data: the spec is what a module declares, an
    instance is the spec bound to a scale with slots for its results.
-   The registry flattens many instances' jobs into one par_map call;
-   result and timing slots are written on worker domains and read
-   after the pool join (the join publishes the writes, exactly the
-   argument Runner.par_map makes for its own result array). *)
+   The registry flattens many instances' jobs into one queue; result
+   and timing slots are written by run_job (in-process) or accept_job
+   (a worker process's marshalled reply), and read by finish once the
+   whole queue has drained. *)
 
 type ('p, 'r) spec = {
   name : string;

@@ -20,7 +20,8 @@ type ('p, 'r) spec = {
   points : Scale.t -> 'p list;  (** the sweep, in render order *)
   point_label : 'p -> string;  (** stable label for errors and the manifest *)
   run_point : Scale.t -> 'p -> 'r;
-      (** one independent simulation; runs on a worker domain *)
+      (** one independent simulation; runs in a worker process
+          at [jobs > 1] *)
   render : Scale.t -> ('p * 'r) list -> unit;
       (** print the artefact via {!Report}; called after the whole
           sweep completed, pairs in [points] order *)
@@ -59,9 +60,10 @@ val doc : t -> string
 
     An {!instance} is an experiment bound to a scale: its points have
     become labelled jobs whose results accumulate inside the instance.
-    The caller fans the jobs of any number of instances over one
-    {!Runner.par_map} submission, then calls {!finish} on each
-    instance in registry order. *)
+    The caller runs the jobs of any number of instances as one flat
+    queue — in-process with {!run_job}, or sharded over worker
+    processes with {!run_job_serial}/{!accept_job} — then calls
+    {!finish} on each instance in registry order. *)
 
 type job
 
@@ -72,7 +74,7 @@ val job_experiment : job -> string
     metadata for attributing a worker-process failure. *)
 
 val run_job : job -> unit
-(** Run the point on the calling domain, stashing its result and
+(** Run the point in the calling process, stashing its result and
     duration in the owning instance. Raises {!Runner.Point_failed}
     around any escaping exception. *)
 
@@ -101,9 +103,9 @@ val instantiate : ?clock:(unit -> float) -> t -> Scale.t -> instance
 val instance_name : instance -> string
 
 val instance_jobs : instance -> job list
-(** In [points] order. Jobs may run on any domain in any order; the
-    {!Domain_pool} join gives the happens-before edge that makes
-    their writes visible to {!finish}. *)
+(** In [points] order. Jobs may complete in any order; {!finish}
+    reads their results only once every job has run or been
+    accepted. *)
 
 val finish : instance -> Sink.artifact list
 (** Render the experiment (prints via {!Report}) and return its sink
@@ -119,5 +121,5 @@ val point_seconds : instance -> (string * float) list
 val point_spans : instance -> (string * Prof.span) list
 (** Per-point (label, profiling span) in [points] order — wall time
     plus [Gc] allocation deltas, measured wherever the point ran
-    (worker domain or worker process); meaningful only after the jobs
-    ran. Rendered by {!Registry.run} under [--prof]. *)
+    (coordinating process or worker process); meaningful only after
+    the jobs ran. Rendered by {!Registry.run} under [--prof]. *)

@@ -1,9 +1,9 @@
 (* Host-time self-profiling spans: wall-clock plus Gc allocation
    deltas around each experiment point. A span is measured wherever
-   the point actually ran — in-process on a worker domain, or inside a
+   the point actually ran — in-process at --jobs 1, or inside a
    process-pool worker, whose span marshals back with the result — so
-   the coordinating process can render and total them no matter which
-   exec mode produced them. Values are host-side and therefore not
+   the coordinating process can render and total them at any job
+   count. Values are host-side and therefore not
    deterministic; the CI diff strips them and compares shape only. *)
 
 type span = {

@@ -1,11 +1,12 @@
 (** Host-time self-profiling: wall-clock + [Gc] allocation spans
     around experiment points.
 
-    A {!span} is measured where the point ran — on a worker domain, or
-    inside a process-pool worker (spans are plain data and marshal
-    back with the point result) — and rendered by the coordinating
-    process into one [prof-<experiment>] table per experiment with a
-    TOTAL row aggregated across all points and workers.
+    A {!span} is measured where the point ran — in the coordinating
+    process at [jobs = 1], or inside a process-pool worker (spans are
+    plain data and marshal back with the point result) — and rendered
+    by the coordinating process into one [prof-<experiment>] table per
+    experiment with a TOTAL row aggregated across all points and
+    workers.
 
     Span values are host-side measurements and are {e not}
     deterministic; CI compares the artifact's shape (rows and

@@ -32,21 +32,10 @@ let select requested =
   | None ->
     Ok (List.filter (fun e -> List.mem (Experiment.name e) requested) all)
 
-type exec_mode = Domains | Processes
-
-let exec_mode_to_string = function
-  | Domains -> "domains"
-  | Processes -> "processes"
-
-let exec_mode_of_string = function
-  | "domains" -> Some Domains
-  | "processes" -> Some Processes
-  | _ -> None
-
 (* Fan the flat job queue out to worker processes. Results land in the
    instances via accept_job as replies arrive; failures are collected
-   and the earliest-index one re-raised after the pool drains, exactly
-   par_map's semantics. *)
+   and the earliest-index one re-raised after the pool drains, so the
+   error names the same point whichever worker finished first. *)
 let run_sharded ~jobs ~worker_argv queue =
   let failures = ref [] in
   Sim_engine.Proc_pool.run ~jobs ~worker_argv ~n:(Array.length queue)
@@ -66,23 +55,24 @@ let run_sharded ~jobs ~worker_argv queue =
            exn = Runner.Remote cause;
          })
 
-let run ?clock ?out ?git ?(exec_mode = Domains) ?worker_argv ?(prof = false)
-    ~jobs scale experiments =
+let run ?clock ?out ?git ?worker_argv ?(prof = false) ~jobs scale experiments
+    =
+  if jobs < 1 then invalid_arg "Registry.run: jobs must be >= 1";
+  if jobs > 1 && Option.is_none worker_argv then
+    invalid_arg "Registry.run: jobs > 1 requires worker_argv";
   let now () = match clock with Some c -> c () | None -> 0. in
   let t0 = now () in
   let instances =
     List.map (fun e -> Experiment.instantiate ?clock e scale) experiments
   in
-  (* One flat submission: points of all experiments interleave freely
-     on the shared pool; par_map's join is the barrier that makes
-     every instance's result slots readable. *)
+  (* One flat queue: points of all experiments interleave freely over
+     the workers; the pool draining is the barrier that makes every
+     instance's result slots readable. *)
   let queue = List.concat_map Experiment.instance_jobs instances in
-  (match (exec_mode, worker_argv) with
-   | Processes, Some argv when jobs > 1 && queue <> [] ->
+  (match worker_argv with
+   | Some argv when jobs > 1 ->
      run_sharded ~jobs ~worker_argv:argv (Array.of_list queue)
-   | (Domains | Processes), _ ->
-     (* jobs = 1 stays sequential in-process in either mode. *)
-     ignore (Runner.par_map ~jobs Experiment.run_job queue : unit list));
+   | _ -> List.iter Experiment.run_job queue);
   (* Render in registry order only after everything ran: this is what
      keeps stdout byte-identical at every job count. *)
   let artifacts =

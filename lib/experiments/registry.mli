@@ -17,21 +17,10 @@ val select : string list -> (Experiment.t list, string) result
     (duplicates collapsed), or [Error name] for the first unknown
     name. *)
 
-type exec_mode =
-  | Domains  (** fan out over OCaml domains in this process *)
-  | Processes
-      (** fan out over worker processes, each with a private heap —
-          the scalable mode; allocation-heavy simulations contend on
-          the domains' shared major heap *)
-
-val exec_mode_to_string : exec_mode -> string
-val exec_mode_of_string : string -> exec_mode option
-
 val run :
   ?clock:(unit -> float) ->
   ?out:string ->
   ?git:string ->
-  ?exec_mode:exec_mode ->
   ?worker_argv:string array ->
   ?prof:bool ->
   jobs:int ->
@@ -45,20 +34,20 @@ val run :
     renders in list order. All rendering and artifact writing happens
     here in the coordinating process after every point has finished,
     which is what keeps stdout and [--out] artifacts byte-identical
-    at every [jobs] value and in both exec modes.
+    at every [jobs] value.
 
-    [exec_mode] (default [Domains]) picks the fan-out backend for
-    [jobs > 1]; [jobs = 1] always runs sequentially in-process.
-    [Processes] requires [worker_argv] — the command line of a
+    [jobs = 1] runs every point sequentially in this process. [jobs >
+    1] shards the queue over that many {!Sim_engine.Proc_pool} worker
+    processes and requires [worker_argv] — the command line of a
     process that will call {!worker} with the {e same} scale and
     experiment list (conventionally this process's own argv plus a
-    hidden [--worker] flag) — and falls back to the sequential path
-    when it is missing. A failed point raises {!Runner.Point_failed}
-    (earliest point first) in either mode.
+    hidden [--worker] flag). [Invalid_argument] if [jobs < 1], or if
+    [jobs > 1] without [worker_argv]. A failed point raises
+    {!Runner.Point_failed} (earliest point first) at any job count.
 
     [prof] (default false) appends a [prof-<experiment>] artifact per
     experiment — per-point wall-clock and [Gc] allocation spans with a
-    TOTAL row, measured wherever the point ran (worker domains, or
+    TOTAL row, measured wherever the point ran (this process, or
     worker processes whose spans marshal back with the results).
     Span values are host-side and nondeterministic, so they render
     only under [out]; with [prof] but no [out] a fixed one-line note
@@ -72,7 +61,7 @@ val run :
     itself); without it the manifest's timings are zero. *)
 
 val worker : ?clock:(unit -> float) -> Scale.t -> Experiment.t list -> unit
-(** Worker-process body for [Processes] mode: rebuild the same flat
+(** Worker-process body for [jobs > 1]: rebuild the same flat
     job queue as {!run} (determinism of [instantiate] makes parent
     and worker agree on what index [i] means), then serve job indices
     from stdin until the coordinator closes it. Never renders, never

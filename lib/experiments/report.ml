@@ -45,9 +45,9 @@ let fct_stats r =
 
 (* The one place experiment output touches stdout (simlint rule D004:
    this module is allowlisted, nothing else in lib/ may print). The
-   runner prints results in input order after par_map joins, so going
-   through a single channel here is what keeps `--jobs N` stdout
-   byte-identical. *)
+   registry renders in registry order once every point has finished,
+   so going through a single channel here is what keeps `--jobs N`
+   stdout byte-identical. *)
 
 let printf fmt = Printf.printf fmt
 

@@ -1,5 +1,3 @@
-module Domain_pool = Sim_engine.Domain_pool
-
 exception Point_failed of { experiment : string; point : string; exn : exn }
 exception Remote of string
 
@@ -15,30 +13,4 @@ let () =
     | Remote cause -> Some cause
     | _ -> None)
 
-let default_jobs () = Domain_pool.recommended_jobs ()
-
-let par_map ~jobs f xs =
-  if jobs < 1 then invalid_arg "Runner.par_map: jobs must be >= 1";
-  if jobs = 1 then List.map f xs
-  else begin
-    let arr = Array.of_list xs in
-    let n = Array.length arr in
-    if n = 0 then []
-    else begin
-      let results = Array.make n None in
-      Domain_pool.run ~domains:(min jobs n) (fun pool ->
-          Array.iteri
-            (fun i x ->
-              Domain_pool.submit pool (fun () ->
-                  results.(i) <- Some (try Ok (f x) with e -> Error e)))
-            arr);
-      (* The pool has been joined: every slot is filled and the writes
-         happen-before this read. Results come back in input order; a
-         failed job re-raises here, earliest input first. *)
-      Array.to_list results
-      |> List.map (function
-        | Some (Ok v) -> v
-        | Some (Error e) -> raise e
-        | None -> assert false)
-    end
-  end
+let default_jobs = Sim_engine.Proc_pool.recommended_jobs

@@ -1,18 +1,17 @@
-(** Parallel experiment execution.
+(** Failure attribution and the default job count shared by the
+    registry and the CLI.
 
-    Every paper artefact is regenerated from a sweep of *independent*
-    simulations; since a simulation's whole state hangs off its
-    {!Sim_engine.Scheduler.t}, the sweep is embarrassingly parallel.
-    [par_map] fans the runs out over a fixed {!Sim_engine.Domain_pool}
-    and reassembles results in input order, so an experiment's output
-    is byte-identical whatever the job count. *)
+    Every paper artefact is regenerated from a sweep of {e independent}
+    simulations; {!Registry.run} runs them sequentially at [jobs = 1]
+    and over {!Sim_engine.Proc_pool} worker processes otherwise. *)
 
 exception Point_failed of { experiment : string; point : string; exn : exn }
 (** Wrapper identifying which experiment point died when a job on the
     shared queue raises: without it, a crash deep in a [--full]-scale
     sweep is unattributable. Raised by the jobs built in
-    {!Experiment.instantiate}; re-raised as-is by {!par_map}. A
-    printer is registered, so [Printexc.to_string] renders
+    {!Experiment.instantiate}, and by {!Registry.run} for a point that
+    failed in a worker process. A printer is registered, so
+    [Printexc.to_string] renders
     ["experiment NAME, point [LABEL]: <cause>"]. *)
 
 exception Remote of string
@@ -24,12 +23,5 @@ exception Remote of string
     to the in-process one. *)
 
 val default_jobs : unit -> int
-(** [Domain.recommended_domain_count () - 1], floored at 1. *)
-
-val par_map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [par_map ~jobs f xs] is [List.map f xs] computed on up to [jobs]
-    domains, preserving input order. [jobs = 1] runs sequentially on
-    the calling domain with no pool at all. If any [f x] raises, the
-    whole map raises (the exception of the earliest failed input) —
-    after every worker has been joined, so no domain is left behind.
-    [Invalid_argument] if [jobs < 1]. *)
+(** {!Sim_engine.Proc_pool.recommended_jobs}: one worker process per
+    core, keeping one core for the coordinator; floored at 1. *)

@@ -65,7 +65,7 @@ type experiment_entry = {
   e_name : string;
   e_artifacts : string list;  (** basenames under the out dir *)
   e_points : (string * float) list;
-      (** per-point (label, seconds on its worker domain) *)
+      (** per-point (label, seconds where the point ran) *)
 }
 
 val manifest_string :

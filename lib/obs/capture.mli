@@ -1,7 +1,7 @@
 (** Immutable end-of-run snapshot of a simulation's observability data.
 
     A capture decouples the renderers (CSV/JSON sinks, which run on the
-    collecting domain after all simulations finish) from the live
+    coordinating process after all simulations finish) from the live
     registry, which dies with its simulation. Everything inside is
     plain data in deterministic order: gauge metadata and samples in
     registration/sampling order, histogram dumps in registration

@@ -1,7 +1,7 @@
 (* Per-simulation metrics registry. All state lives inside [t] (one
    per Sim_ctx, hence one per scheduler/simulation): nothing at module
-   level, so probed simulations stay independent under the
-   domain-parallel runner (simlint D001).
+   level, so probed simulations stay independent of each other
+   (simlint D001).
 
    Instruments are kept in reverse registration order as lists —
    registration is a construction-time event, never a hot path — and

@@ -2,11 +2,10 @@
 
     One [t] belongs to one simulation (it hangs off
     [Sim_engine.Sim_ctx]); nothing here is shared between simulations,
-    so probed runs stay safe under the domain-parallel runner. The
-    registry is {e off} by default and components only register
-    instruments when it is active, so an unprobed run pays at most one
-    branch per instrumentation site — the same discipline as
-    [Sim_engine.Trace].
+    so probed runs stay independent of each other. The registry is
+    {e off} by default and components only register instruments when
+    it is active, so an unprobed run pays at most one branch per
+    instrumentation site.
 
     Three instrument kinds:
 

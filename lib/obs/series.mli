@@ -4,7 +4,7 @@
     the registry's gauges in registration order and appends one
     [(t_ns, gauge index, value)] row per gauge, so the row stream is a
     deterministic function of the simulation alone — independent of
-    job count or domain placement. Gauges registered after a tick
+    job count or worker placement. Gauges registered after a tick
     simply start appearing at the next tick. *)
 
 type t

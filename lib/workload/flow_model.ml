@@ -45,18 +45,16 @@ type topology_kind =
 type obs_cfg = {
   probe_interval : Time.t option;
   probe_conns : int list option;
-  trace_level : Sim_engine.Trace.level option;
-  trace_components : string list option;
   ledger : bool;
+  pin : unit;
 }
 
 let default_obs =
   {
     probe_interval = None;
     probe_conns = None;
-    trace_level = None;
-    trace_components = None;
     ledger = false;
+    pin = ();
   }
 
 type config = {

@@ -57,9 +57,11 @@ type topology_kind =
 type obs_cfg = {
   probe_interval : Time.t option;
   probe_conns : int list option;
-  trace_level : Sim_engine.Trace.level option;
-  trace_components : string list option;
   ledger : bool;  (** record per-flow lifecycles in the flow ledger *)
+  pin : unit;
+      (** no switch: keeps [{ obs with ... }] updates that name the
+          other three fields free of warning 23 (useless [with]) until
+          perfbench/measure.ml stops using one — see ROADMAP item 1(e) *)
 }
 
 val default_obs : obs_cfg

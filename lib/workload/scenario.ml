@@ -26,9 +26,8 @@ type topology_kind = Flow_model.topology_kind =
 type obs_cfg = Flow_model.obs_cfg = {
   probe_interval : Time.t option;
   probe_conns : int list option;
-  trace_level : Sim_engine.Trace.level option;
-  trace_components : string list option;
   ledger : bool;
+  pin : unit;
 }
 
 let default_obs = Flow_model.default_obs
@@ -100,16 +99,9 @@ let run ?(progress = fun _ -> ()) (cfg : config) =
   (* The scheduler owns all per-simulation state (clock, event heap,
      and the Sim_ctx identifier counters), so a run is self-contained:
      same [cfg] in, same result out, regardless of what else runs in
-     this process — or concurrently on other domains. *)
+     this process. *)
   let (module B : Flow_model.BACKEND) = backend cfg.model in
   let sched = Scheduler.create () in
-  let trace = Sim_engine.Sim_ctx.trace (Scheduler.ctx sched) in
-  (match cfg.obs.trace_level with
-   | Some _ as l -> Sim_engine.Trace.set_level trace l
-   | None -> ());
-  (match cfg.obs.trace_components with
-   | Some _ as cs -> Sim_engine.Trace.set_components trace cs
-   | None -> ());
   (* The probe must exist before the network: queue and engine gauges
      register at construction, and the registry is consulted only
      then. *)

@@ -30,20 +30,18 @@ type topology_kind = Flow_model.topology_kind =
   | Vl2_topo of Sim_net.Vl2.params
   | Dumbbell_topo of { pairs : int; bottleneck : Sim_net.Topology.link_spec }
 
-(** Observability switches, all off by default. Probing and tracing
-    are read-only taps: they never change flow behaviour, only add
-    sampler timer events to the schedule. *)
+(** Observability switches, all off by default. Probing and the ledger
+    are read-only taps: they never change flow behaviour (probing only
+    adds sampler timer events to the schedule). *)
 type obs_cfg = Flow_model.obs_cfg = {
   probe_interval : Time.t option;
       (** sample registered gauges every this much virtual time *)
   probe_conns : int list option;
       (** restrict connection-scoped instruments to these conn ids *)
-  trace_level : Sim_engine.Trace.level option;
-  trace_components : string list option;
-      (** restrict trace output to these component tags *)
   ledger : bool;
       (** record every flow's lifecycle in the flow ledger
           ({!Sim_obs.Flow_ledger}); the dump lands in [result.ledger] *)
+  pin : unit;  (** no switch; see {!Flow_model.obs_cfg} *)
 }
 
 val default_obs : obs_cfg

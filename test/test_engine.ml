@@ -628,46 +628,6 @@ let test_rng_bad_args () =
   Alcotest.check_raises "exp mean" (Invalid_argument "Rng.exponential: mean must be positive")
     (fun () -> ignore (Rng.exponential r ~mean:0.))
 
-(* ------------------------------------------------------------------ *)
-(* Trace *)
-
-module Trace = Sim_engine.Trace
-
-let test_trace_levels () =
-  let t = Trace.create () in
-  check_bool "disabled by default" false (Trace.enabled t Trace.Error);
-  Trace.set_level t (Some Trace.Warn);
-  check_bool "error visible at warn" true (Trace.enabled t Trace.Error);
-  check_bool "warn visible at warn" true (Trace.enabled t Trace.Warn);
-  check_bool "info hidden at warn" false (Trace.enabled t Trace.Info);
-  check_bool "debug hidden at warn" false (Trace.enabled t Trace.Debug);
-  Trace.set_level t (Some Trace.Debug);
-  check_bool "debug visible at debug" true (Trace.enabled t Trace.Debug);
-  Trace.set_level t None;
-  check_bool "level read back" true (Trace.level t = None)
-
-let test_trace_disabled_is_silent () =
-  let t = Trace.create () in
-  (* Must not raise and must not print (we cannot capture stderr here,
-     but the ifprintf path is exercised). *)
-  Trace.debugf t ~component:"test" "invisible %d" 42;
-  Trace.errorf t ~component:"test" "also invisible %s" "x";
-  check_bool "survived" true true
-
-let test_trace_per_sim_isolation () =
-  (* Two simulations: configuring tracing on one must not affect the
-     other — the exact leak simlint rule D001 guards against. *)
-  let s1 = Scheduler.create () and s2 = Scheduler.create () in
-  let t1 = Sim_engine.Sim_ctx.trace (Scheduler.ctx s1) in
-  let t2 = Sim_engine.Sim_ctx.trace (Scheduler.ctx s2) in
-  Trace.set_level t1 (Some Trace.Debug);
-  check_bool "sim 1 sees its level" true (Trace.enabled t1 Trace.Debug);
-  check_bool "sim 2 unaffected" false (Trace.enabled t2 Trace.Error);
-  Trace.set_level t2 (Some Trace.Warn);
-  Trace.set_level t1 None;
-  check_bool "sim 2 keeps its level" true (Trace.enabled t2 Trace.Warn);
-  check_bool "sim 1 disabled" false (Trace.enabled t1 Trace.Error)
-
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -733,11 +693,5 @@ let () =
           qt prop_rng_float_bounds;
           qt prop_rng_shuffle_permutes;
           qt prop_rng_derangement;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "levels" `Quick test_trace_levels;
-          Alcotest.test_case "disabled silent" `Quick test_trace_disabled_is_silent;
-          Alcotest.test_case "per-sim isolation" `Quick test_trace_per_sim_isolation;
         ] );
     ]

@@ -1,13 +1,13 @@
 (* Tests for the observability stack: the metrics registry, the
    virtual-time probe sampler, capture rendering, and the guarantees
    the rest of the repo relies on — a disabled registry is inert, an
-   enabled probe does not perturb simulation results, the sampler
-   timer does not leak pending events, and probe artifacts are
-   byte-identical at any job count. *)
+   enabled probe does not perturb simulation results, and the sampler
+   timer does not leak pending events. That probe artifacts are
+   byte-identical at any job count is checked in test_runner, whose
+   binary doubles as the worker process. *)
 
 module Time = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler
-module Trace = Sim_engine.Trace
 module Probe = Sim_engine.Probe
 module Metrics = Sim_obs.Metrics
 module Series = Sim_obs.Series
@@ -20,9 +20,6 @@ module Flowmon = Sim_net.Flowmon
 module Flow = Sim_tcp.Flow
 module Scenario = Sim_workload.Scenario
 module Scale = Sim_experiments.Scale
-module Sink = Sim_experiments.Sink
-module Probe_sink = Sim_experiments.Probe_sink
-module Runner = Sim_experiments.Runner
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -212,26 +209,6 @@ let test_queue_gauges_and_drop_events () =
   check_int "stamped by the clock" 123 evs.(0).Metrics.t_ns
 
 (* ------------------------------------------------------------------ *)
-(* Trace component filter *)
-
-let test_trace_component_filter () =
-  let t = Trace.create () in
-  Trace.set_level t (Some Trace.Debug);
-  check_bool "no filter: any component" true
-    (Trace.enabled_for t Trace.Debug ~component:"tcp_tx");
-  Trace.set_components t (Some [ "tcp_tx"; "pktqueue" ]);
-  check_bool "listed component passes" true
-    (Trace.enabled_for t Trace.Info ~component:"pktqueue");
-  check_bool "unlisted component blocked" false
-    (Trace.enabled_for t Trace.Info ~component:"ecmp");
-  check_bool "level still gates" false
-    (Trace.enabled_for t Trace.Debug ~component:"tcp_tx"
-    && Trace.level t = Some Trace.Info);
-  Trace.set_components t None;
-  check_bool "filter removable" true
-    (Trace.enabled_for t Trace.Info ~component:"ecmp")
-
-(* ------------------------------------------------------------------ *)
 (* Co-installation with Flowmon *)
 
 (* The metrics drop tap and Flowmon must observe the same drops
@@ -311,28 +288,6 @@ let test_probe_does_not_perturb () =
     "flow outcomes identical with probing on"
     (flow_fingerprint bare) (flow_fingerprint probed)
 
-(* Render a capture exactly as `--out` would and compare bytes. *)
-let artifact_bytes (r : Scenario.result) =
-  match r.Scenario.obs with
-  | None -> []
-  | Some c ->
-    Probe_sink.artifacts ~experiment:"test" [ ("point", c) ]
-    |> List.map (function
-         | Sink.Table t -> Sink.csv_string t ^ Sink.json_string t
-         | Sink.Raw { basename; contents } -> basename ^ contents)
-
-let test_probe_artifacts_jobs_invariant () =
-  let seeds = [ 11; 12; 13 ] in
-  let at jobs =
-    Runner.par_map ~jobs
-      (fun seed -> artifact_bytes (Scenario.run (scenario_cfg ~seed ~obs:probe_obs)))
-      seeds
-  in
-  let one = at 1 and three = at 3 in
-  check_bool "artifact bytes identical at jobs 1 vs 3" true (one = three);
-  check_bool "artifacts non-empty" true
-    (List.for_all (fun a -> a <> []) one)
-
 let () =
   Alcotest.run "obs"
     [
@@ -367,11 +322,6 @@ let () =
           Alcotest.test_case "gauges and drop events" `Quick
             test_queue_gauges_and_drop_events;
         ] );
-      ( "trace",
-        [
-          Alcotest.test_case "component filter" `Quick
-            test_trace_component_filter;
-        ] );
       ( "flowmon",
         [
           Alcotest.test_case "unaffected by probe" `Quick
@@ -381,7 +331,5 @@ let () =
         [
           Alcotest.test_case "probe does not perturb" `Quick
             test_probe_does_not_perturb;
-          Alcotest.test_case "artifacts invariant under jobs" `Quick
-            test_probe_artifacts_jobs_invariant;
         ] );
     ]

@@ -1,10 +1,12 @@
 (* Tests for the experiment registry and the spec/instance machinery,
-   using a synthetic experiment so they run in microseconds: results
-   and sink rows are identical at any job count, render sees pairs in
-   declaration order, failures carry experiment + point attribution
-   (Runner.Point_failed), and Registry.select re-sorts any subset into
-   canonical order. The real experiments' stdout determinism is
-   enforced end-to-end in CI (all --jobs 1 vs 4 diff). *)
+   using a synthetic experiment so they run in microseconds: jobs
+   carry their labels, the clock prices every point, failures carry
+   experiment + point attribution (Runner.Point_failed), and
+   Registry.select re-sorts any subset into canonical order. That
+   render input and sink rows are identical at any job count is
+   checked in test_runner, whose binary doubles as the worker process;
+   the real experiments' stdout determinism is enforced end-to-end in
+   CI (all --jobs 1 vs 4 diff). *)
 
 module Experiment = Sim_experiments.Experiment
 module Registry = Sim_experiments.Registry
@@ -35,36 +37,11 @@ let synthetic ~log ?(boom = fun _ -> false) () =
       ])
     ()
 
-let run_jobs ~jobs inst =
-  ignore
-    (Runner.par_map ~jobs Experiment.run_job (Experiment.instance_jobs inst)
-      : unit list)
+let run_jobs inst =
+  List.iter Experiment.run_job (Experiment.instance_jobs inst)
 
 (* ------------------------------------------------------------------ *)
 (* Instance machinery *)
-
-let test_jobs_invariant () =
-  let at jobs =
-    let log = ref [] in
-    let inst = Experiment.instantiate (synthetic ~log ()) scale in
-    run_jobs ~jobs inst;
-    let tables =
-      List.filter_map
-        (function Sink.Table t -> Some t | Sink.Raw _ -> None)
-        (Experiment.finish inst)
-    in
-    (!log, List.map Sink.rows tables)
-  in
-  let log1, rows1 = at 1 in
-  let log4, rows4 = at 4 in
-  Alcotest.(check (list (pair int int)))
-    "render pairs in declaration order"
-    (List.init scale.Scale.flows (fun i -> (i, i * scale.Scale.seed)))
-    log1;
-  Alcotest.(check bool) "render input identical at jobs 1 vs 4" true
-    (log1 = log4);
-  Alcotest.(check bool) "sink rows identical at jobs 1 vs 4" true
-    (rows1 = rows4)
 
 let test_finish_requires_run () =
   let log = ref [] in
@@ -91,7 +68,7 @@ let test_point_seconds () =
   in
   let log = ref [] in
   let inst = Experiment.instantiate ~clock (synthetic ~log ()) scale in
-  run_jobs ~jobs:1 inst;
+  run_jobs inst;
   let secs = Experiment.point_seconds inst in
   Alcotest.(check int) "one entry per point" scale.Scale.flows
     (List.length secs);
@@ -103,13 +80,13 @@ let test_point_seconds () =
 
 (* ------------------------------------------------------------------ *)
 (* Failure attribution (every point failure must name its experiment
-   and point, whichever domain it ran on) *)
+   and point; test_runner checks the same across a process boundary) *)
 
 let test_point_failure_attribution () =
   let log = ref [] in
   let e = synthetic ~log ~boom:(fun i -> i = 5) () in
   let inst = Experiment.instantiate e scale in
-  match run_jobs ~jobs:2 inst with
+  match run_jobs inst with
   | () -> Alcotest.fail "expected Point_failed"
   | exception Runner.Point_failed { experiment; point; exn } ->
     Alcotest.(check string) "experiment" "synthetic" experiment;
@@ -164,8 +141,6 @@ let () =
     [
       ( "instance",
         [
-          Alcotest.test_case "results invariant under jobs" `Quick
-            test_jobs_invariant;
           Alcotest.test_case "finish requires run" `Quick
             test_finish_requires_run;
           Alcotest.test_case "job labels" `Quick test_job_labels;

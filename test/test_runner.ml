@@ -1,9 +1,8 @@
 (* Determinism and parallel-runner tests: a simulation is a pure
-   function of its config (no cross-run state), par_map matches
-   List.map element-for-element at any job count, the domain pool
-   shuts down cleanly even when jobs raise, and the process pool
-   matches the sequential path byte-for-byte while surviving worker
-   failures. *)
+   function of its config (no cross-run state), the process pool
+   matches the sequential path byte-for-byte — results, render input,
+   sink rows and probe artifacts — while surviving worker failures,
+   and --jobs > 1 without a worker command line is refused. *)
 
 module Scenario = Sim_workload.Scenario
 module Scale = Sim_experiments.Scale
@@ -12,8 +11,8 @@ module Runner = Sim_experiments.Runner
 module Experiment = Sim_experiments.Experiment
 module Registry = Sim_experiments.Registry
 module Sink = Sim_experiments.Sink
-module Domain_pool = Sim_engine.Domain_pool
 module Proc_pool = Sim_engine.Proc_pool
+module Time = Sim_engine.Sim_time
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -31,13 +30,18 @@ let contains hay needle =
    pipe protocol and never reaches Alcotest. The registry modes
    rebuild the same suites the coordinating test passes to
    [Registry.run] — parent and worker agreeing on what job index [i]
-   means is exactly the [Processes] mode contract. *)
+   means is exactly the [jobs > 1] contract. *)
 
 let worker_argv mode = [| Sys.executable_name; "--proc-worker"; mode |]
 
+(* What Registry.run needs at [jobs]: a worker command line only when
+   it shards. *)
+let registry_argv ~jobs mode =
+  if jobs > 1 then Some (worker_argv mode) else None
+
 (* Two cheap synthetic experiments: the mini-suite exercises the whole
-   Processes pipeline — shared queue, marshalling, render-in-registry-
-   order, artifact sinks — in milliseconds. *)
+   worker-process pipeline — shared queue, marshalling,
+   render-in-registry-order, artifact sinks — in milliseconds. *)
 let mini_suite =
   let squares =
     Experiment.make ~name:"squares" ~doc:"squares of small ints"
@@ -75,6 +79,70 @@ let mini_suite =
   in
   [ squares; negations ]
 
+(* The F1a sweep at tiny scale, cut to two subflow counts; render
+   stashes the completed pairs so the test can compare whole results. *)
+let fig1a_sweep ~log =
+  [
+    Experiment.make ~name:"fig1a-sweep" ~doc:"fig1a at 1..2 subflows"
+      ~points:(fun scale -> Fig1a.configs ~lo:1 ~hi:2 scale)
+      ~point_label:(fun (n, _) -> string_of_int n)
+      ~run_point:(fun _ (_, cfg) -> Scenario.run cfg)
+      ~render:(fun _ pairs -> log := List.map snd pairs)
+      ();
+  ]
+
+(* Three probed packet simulations: each point's capture crosses the
+   pipe inside its marshalled result and is rendered by Probe_sink in
+   the coordinator. *)
+let probed_suite =
+  let obs =
+    {
+      Scenario.default_obs with
+      Scenario.probe_interval = Some (Time.of_ms 50.);
+    }
+  in
+  let scale =
+    { Scale.k = 4; oversub = 2; flows = 10; rate = 50.; seed = 0;
+      horizon_s = 1.; model = Scenario.Packet; obs }
+  in
+  [
+    Experiment.make ~name:"probed" ~doc:"probed MMPTCP runs"
+      ~points:(fun _ -> [ 11; 12; 13 ])
+      ~point_label:string_of_int
+      ~run_point:(fun _ seed ->
+        Scenario.run
+          (Scale.scenario_config { scale with Scale.seed }
+             ~protocol:(Scenario.Mmptcp_proto Mmptcp.Strategy.default)))
+      ~render:(fun _ _ -> ())
+      ~capture:(fun r -> r.Scenario.obs)
+      ();
+  ]
+
+(* Points 0..flows-1, result point * seed: render input and sink rows
+   are both observable, so any reordering or loss on the way back from
+   the workers shows. *)
+let synthetic_scale = { Scale.tiny with Scale.flows = 8; seed = 3 }
+
+let synthetic ~log =
+  [
+    Experiment.make ~name:"synthetic" ~doc:"test experiment"
+      ~points:(fun scale -> List.init scale.Scale.flows Fun.id)
+      ~point_label:(fun i -> Printf.sprintf "p%d" i)
+      ~run_point:(fun scale i -> i * scale.Scale.seed)
+      ~render:(fun _ pairs -> log := pairs)
+      ~sinks:(fun _ pairs ->
+        [
+          Sink.table ~name:"synthetic"
+            ~columns:
+              [
+                ("point", fun (p, _) -> Sink.int p);
+                ("result", fun (_, r) -> Sink.int r);
+              ]
+            pairs;
+        ])
+      ();
+  ]
+
 let failing_suite =
   [
     Experiment.make ~name:"failing" ~doc:"raises on its second point"
@@ -95,6 +163,9 @@ let () =
       Proc_pool.serve ~run:(fun i ->
           if i = 1 then exit 3 else Ok (string_of_int i))
     | "mini" -> Registry.worker Scale.tiny mini_suite
+    | "fig1a-sweep" -> Registry.worker Scale.tiny (fig1a_sweep ~log:(ref []))
+    | "probed" -> Registry.worker Scale.tiny probed_suite
+    | "synthetic" -> Registry.worker synthetic_scale (synthetic ~log:(ref []))
     | "failing" -> Registry.worker Scale.tiny failing_suite
     | m ->
       prerr_endline ("unknown proc worker mode: " ^ m);
@@ -102,13 +173,10 @@ let () =
     exit 0
   | _ -> ()
 
-(* Everything observable about a run except the topology handle, which
-   contains closures and cannot be compared structurally. *)
-let results_identical (a : Scenario.result) (b : Scenario.result) =
-  a.Scenario.shorts = b.Scenario.shorts
-  && a.Scenario.longs = b.Scenario.longs
-  && a.Scenario.events = b.Scenario.events
-  && a.Scenario.duration = b.Scenario.duration
+(* A Scenario.result is plain data (it crosses the worker pipe), so
+   structural comparison covers flows, network stats and event counts
+   alike; [compare] rather than [=] so a NaN statistic equals itself. *)
+let results_identical (a : Scenario.result) b = compare a b = 0
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: same config + seed -> identical flow results. *)
@@ -123,89 +191,6 @@ let test_back_to_back_runs_identical () =
   check_int "same short count" (Array.length r1.Scenario.shorts)
     (Array.length r2.Scenario.shorts);
   check_bool "identical flow results" true (results_identical r1 r2)
-
-(* ------------------------------------------------------------------ *)
-(* par_map semantics *)
-
-let test_par_map_preserves_order () =
-  let xs = List.init 50 Fun.id in
-  Alcotest.(check (list int))
-    "squares in input order"
-    (List.map (fun x -> x * x) xs)
-    (Runner.par_map ~jobs:3 (fun x -> x * x) xs)
-
-let test_par_map_edge_cases () =
-  Alcotest.(check (list int)) "empty" [] (Runner.par_map ~jobs:4 succ []);
-  Alcotest.(check (list int)) "jobs=1" [ 2; 3 ] (Runner.par_map ~jobs:1 succ [ 1; 2 ]);
-  Alcotest.(check (list int))
-    "more jobs than items" [ 2 ]
-    (Runner.par_map ~jobs:8 succ [ 1 ]);
-  Alcotest.check_raises "jobs=0"
-    (Invalid_argument "Runner.par_map: jobs must be >= 1") (fun () ->
-      ignore (Runner.par_map ~jobs:0 succ [ 1 ]))
-
-let test_par_map_matches_sequential_fig1a () =
-  (* The acceptance check from the issue: the F1a sweep fanned over 4
-     domains is element-for-element identical to the sequential map. *)
-  let cfgs = List.map snd (Fig1a.configs ~lo:1 ~hi:2 Scale.tiny) in
-  let seq = Runner.par_map ~jobs:1 Scenario.run cfgs in
-  let par = Runner.par_map ~jobs:4 Scenario.run cfgs in
-  check_int "lengths" (List.length seq) (List.length par);
-  List.iteri
-    (fun i (a, b) ->
-      check_bool
-        (Printf.sprintf "sweep point %d identical" i)
-        true (results_identical a b))
-    (List.combine seq par)
-
-let test_par_map_propagates_exception () =
-  (match
-     Runner.par_map ~jobs:2
-       (fun x -> if x mod 2 = 0 then failwith (string_of_int x) else x)
-       [ 1; 2; 3; 4 ]
-   with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure m ->
-    (* Earliest failed input wins, whatever order the domains ran in. *)
-    Alcotest.(check string) "earliest failure" "2" m);
-  (* The failing map joined its pool; a fresh map works immediately. *)
-  Alcotest.(check (list int))
-    "runner usable after failure" [ 2; 4; 6 ]
-    (Runner.par_map ~jobs:2 (fun x -> 2 * x) [ 1; 2; 3 ])
-
-(* ------------------------------------------------------------------ *)
-(* Domain_pool lifecycle *)
-
-let test_pool_runs_all_jobs () =
-  let n = 100 in
-  let hits = Array.make n false in
-  Domain_pool.run ~domains:3 (fun pool ->
-      for i = 0 to n - 1 do
-        Domain_pool.submit pool (fun () -> hits.(i) <- true)
-      done);
-  check_bool "every job ran" true (Array.for_all Fun.id hits)
-
-let test_pool_clean_shutdown_on_raise () =
-  (* A job that raises must neither kill its worker nor hang shutdown:
-     later jobs still run and [run] returns. *)
-  let survived = ref false in
-  Domain_pool.run ~domains:1 (fun pool ->
-      Domain_pool.submit pool (fun () -> failwith "stray");
-      Domain_pool.submit pool (fun () -> survived := true));
-  check_bool "job after stray exception still ran" true !survived
-
-let test_pool_submit_after_shutdown () =
-  let pool = Domain_pool.create ~domains:2 in
-  Domain_pool.submit pool ignore;
-  Domain_pool.shutdown pool;
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Domain_pool.submit: pool is shut down") (fun () ->
-      Domain_pool.submit pool ignore)
-
-let test_pool_bad_domains () =
-  Alcotest.check_raises "domains=0"
-    (Invalid_argument "Domain_pool.create: domains must be >= 1") (fun () ->
-      ignore (Domain_pool.create ~domains:0))
 
 (* ------------------------------------------------------------------ *)
 (* Proc_pool: the raw pipe protocol *)
@@ -250,7 +235,7 @@ let test_proc_pool_dead_worker_no_hang () =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Registry Processes mode *)
+(* Registry.run over worker processes *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -269,39 +254,94 @@ let rm_rf dir =
     Sys.rmdir dir
   end
 
-let test_processes_artifacts_match_sequential () =
-  let seq_dir = temp_dir_name "mmptcp_seq" in
-  let par_dir = temp_dir_name "mmptcp_par" in
+(* Run [suite] under [Registry.run ~out] and return its artifacts as
+   (basename, bytes), sorted. manifest.json is left out: it legitimately
+   differs between job counts (the jobs field, timings). [jobs > 1]
+   shards over workers serving [mode]. *)
+let run_artifacts ?(scale = Scale.tiny) ~jobs ~mode suite =
+  let dir = temp_dir_name "mmptcp_out" in
   Fun.protect
-    ~finally:(fun () ->
-      rm_rf seq_dir;
-      rm_rf par_dir)
+    ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      Registry.run ~out:seq_dir ~jobs:1 Scale.tiny mini_suite;
-      Registry.run ~out:par_dir ~exec_mode:Registry.Processes
-        ~worker_argv:(worker_argv "mini") ~jobs:2 Scale.tiny mini_suite;
-      (* manifest.json legitimately differs (jobs count, timings);
-         every experiment artifact must match byte-for-byte. *)
-      let files dir =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f -> f <> "manifest.json")
-        |> List.sort compare
-      in
-      Alcotest.(check (list string))
-        "same artifact set" (files seq_dir) (files par_dir);
-      check_bool "suite produced artifacts" true (files seq_dir <> []);
-      List.iter
-        (fun f ->
-          Alcotest.(check string)
-            (f ^ " byte-identical")
-            (read_file (Filename.concat seq_dir f))
-            (read_file (Filename.concat par_dir f)))
-        (files seq_dir))
+      Registry.run ~out:dir ?worker_argv:(registry_argv ~jobs mode) ~jobs
+        scale suite;
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> f <> "manifest.json")
+      |> List.sort compare
+      |> List.map (fun f -> (f, read_file (Filename.concat dir f))))
+
+let check_artifacts_identical seq par =
+  Alcotest.(check (list string))
+    "same artifact set" (List.map fst seq) (List.map fst par);
+  check_bool "suite produced artifacts" true (seq <> []);
+  List.iter2
+    (fun (f, a) (_, b) -> Alcotest.(check string) (f ^ " byte-identical") a b)
+    seq par
+
+let test_processes_artifacts_match_sequential () =
+  check_artifacts_identical
+    (run_artifacts ~jobs:1 ~mode:"mini" mini_suite)
+    (run_artifacts ~jobs:2 ~mode:"mini" mini_suite)
+
+let test_fig1a_sweep_matches_sequential () =
+  (* Every whole Scenario.result of the F1a sweep — flows, events,
+     duration — comes back from a worker process identical to the
+     in-process run. *)
+  let at jobs =
+    let log = ref [] in
+    Registry.run
+      ?worker_argv:(registry_argv ~jobs "fig1a-sweep")
+      ~jobs Scale.tiny (fig1a_sweep ~log);
+    !log
+  in
+  let seq = at 1 and par = at 2 in
+  check_int "both sweep points ran" 2 (List.length seq);
+  check_int "lengths" (List.length seq) (List.length par);
+  List.iteri
+    (fun i (a, b) ->
+      check_bool
+        (Printf.sprintf "sweep point %d identical" i)
+        true (results_identical a b))
+    (List.combine seq par)
+
+let test_probe_artifacts_jobs_invariant () =
+  let seq = run_artifacts ~jobs:1 ~mode:"probed" probed_suite in
+  check_bool "probe artifacts rendered" true
+    (List.exists (fun (f, _) -> String.starts_with ~prefix:"probe-" f) seq);
+  check_artifacts_identical seq
+    (run_artifacts ~jobs:2 ~mode:"probed" probed_suite)
+
+let test_synthetic_jobs_invariant () =
+  let at jobs =
+    let log = ref [] in
+    let arts =
+      run_artifacts ~scale:synthetic_scale ~jobs ~mode:"synthetic"
+        (synthetic ~log)
+    in
+    (!log, arts)
+  in
+  let log1, rows1 = at 1 in
+  let log4, rows4 = at 4 in
+  Alcotest.(check (list (pair int int)))
+    "render pairs in declaration order"
+    (List.init synthetic_scale.Scale.flows (fun i ->
+         (i, i * synthetic_scale.Scale.seed)))
+    log1;
+  Alcotest.(check (list (pair int int)))
+    "render input identical at jobs 1 vs 4" log1 log4;
+  check_artifacts_identical rows1 rows4
+
+let test_missing_worker_argv_rejected () =
+  (* Without a worker command line there is nothing to shard over;
+     running sequentially instead would silently ignore --jobs. *)
+  Alcotest.check_raises "jobs 4, no worker_argv"
+    (Invalid_argument "Registry.run: jobs > 1 requires worker_argv")
+    (fun () -> Registry.run ~jobs:4 Scale.tiny mini_suite)
 
 let test_processes_point_failure_attributed () =
   match
-    Registry.run ~exec_mode:Registry.Processes
-      ~worker_argv:(worker_argv "failing") ~jobs:2 Scale.tiny failing_suite
+    Registry.run ~worker_argv:(worker_argv "failing") ~jobs:2 Scale.tiny
+      failing_suite
   with
   | () -> Alcotest.fail "expected Point_failed"
   | exception Runner.Point_failed { experiment; point; exn } ->
@@ -321,24 +361,6 @@ let () =
           Alcotest.test_case "back-to-back runs identical" `Slow
             test_back_to_back_runs_identical;
         ] );
-      ( "par_map",
-        [
-          Alcotest.test_case "preserves order" `Quick test_par_map_preserves_order;
-          Alcotest.test_case "edge cases" `Quick test_par_map_edge_cases;
-          Alcotest.test_case "matches sequential fig1a sweep" `Slow
-            test_par_map_matches_sequential_fig1a;
-          Alcotest.test_case "propagates exception" `Quick
-            test_par_map_propagates_exception;
-        ] );
-      ( "domain_pool",
-        [
-          Alcotest.test_case "runs all jobs" `Quick test_pool_runs_all_jobs;
-          Alcotest.test_case "clean shutdown on raise" `Quick
-            test_pool_clean_shutdown_on_raise;
-          Alcotest.test_case "submit after shutdown" `Quick
-            test_pool_submit_after_shutdown;
-          Alcotest.test_case "bad domains" `Quick test_pool_bad_domains;
-        ] );
       ( "proc_pool",
         [
           Alcotest.test_case "runs all points" `Quick
@@ -349,5 +371,19 @@ let () =
             test_processes_artifacts_match_sequential;
           Alcotest.test_case "point failure attributed" `Quick
             test_processes_point_failure_attributed;
+          Alcotest.test_case "missing worker argv rejected" `Quick
+            test_missing_worker_argv_rejected;
+          Alcotest.test_case "fig1a sweep matches sequential" `Slow
+            test_fig1a_sweep_matches_sequential;
+        ] );
+      ( "instance",
+        [
+          Alcotest.test_case "results invariant under jobs" `Quick
+            test_synthetic_jobs_invariant;
+        ] );
+      ( "scenario",
+        [
+          Alcotest.test_case "artifacts invariant under jobs" `Quick
+            test_probe_artifacts_jobs_invariant;
         ] );
     ]

@@ -1,11 +1,11 @@
 (* Determinism & parallel-safety lint for the simulator libraries.
 
-   The domain-parallel runner (Runner.par_map) relies on every
-   simulation being a pure function of its inputs: no module-level
-   mutable state, no ambient randomness or wall-clock reads, no
-   unstable polymorphic hashing, console output confined to the
-   report layer, raw concurrency primitives confined to Domain_pool,
-   process spawning confined to Proc_pool, and — D007, Simlint_pool —
+   The worker-process runner (Proc_pool) relies on every simulation
+   being a pure function of its inputs: no module-level mutable
+   state, no ambient randomness or wall-clock reads, no unstable
+   polymorphic hashing, console output confined to the report layer,
+   raw concurrency primitives and process spawning confined to
+   Proc_pool, and — D007, Simlint_pool —
    no pooled packet escaping the handler it was leased to.
 
    Since v2 the pass runs on the *typed* tree: it reads the [.cmt]
@@ -177,8 +177,8 @@ let ident_rule p =
     Some
       ( D005,
         name
-        ^ " is a concurrency primitive; cross-domain coordination lives \
-           only in Sim_engine.Domain_pool" )
+        ^ " is a concurrency primitive; parallel fan-out lives only in \
+           Sim_engine.Proc_pool" )
   | comps
     when (match List.rev comps with
          | ("schedule_at" | "schedule_after") :: "Scheduler" :: _ -> true

@@ -18,7 +18,8 @@
       [prerr_*], [Format.printf], ...) — stdout discipline belongs to
       the report layer (allowlisted in [simlint.allow]).
     - [D005] no [Domain]/[Mutex]/[Condition]/[Atomic] use. Built-in
-      exemption: [domain_pool.ml].
+      exemption: [proc_pool.ml], which reads the core count for the
+      default job count.
     - [D006] no raw process spawning ([Unix.fork],
       [Unix.create_process*], [Unix.open_process*], [Unix.system]) — a
       stray fork duplicates simulation state and bypasses the worker

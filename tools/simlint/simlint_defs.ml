@@ -67,8 +67,7 @@ let exempt file rule =
   match rule with
   | D001 -> base = "sim_ctx.ml"
   | D002 -> base = "rng.ml"
-  | D005 -> base = "domain_pool.ml"
-  | D006 -> base = "proc_pool.ml"
+  | D005 | D006 -> base = "proc_pool.ml"
   | D007 -> base = "packet.ml" || base = "pktqueue.ml" || base = "link.ml"
   | D003 | D004 | D008 -> false
 

@@ -1,4 +1,4 @@
-(* Fixture: raw concurrency primitives outside Domain_pool. *)
+(* Fixture: raw concurrency primitives outside Proc_pool. *)
 let run_both f g =
   let d = Domain.spawn f in
   let y = g () in

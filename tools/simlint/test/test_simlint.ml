@@ -140,11 +140,9 @@ let test_clean_local_state () =
 let test_exempt_sim_ctx () =
   check_rules "sim_ctx.ml may own state" "sim_ctx.ml" []
 
-let test_exempt_domain_pool () =
-  check_rules "domain_pool.ml may use Domain" "domain_pool.ml" []
-
 let test_exempt_proc_pool () =
-  check_rules "proc_pool.ml may spawn processes" "proc_pool.ml" []
+  check_rules "proc_pool.ml may spawn processes and use Domain"
+    "proc_pool.ml" []
 
 let test_clean_file_sink () =
   (* D004 is scoped to console I/O: a file-writing sink (open_out,
@@ -324,7 +322,6 @@ let () =
         [
           Alcotest.test_case "local state clean" `Quick test_clean_local_state;
           Alcotest.test_case "sim_ctx exempt from D001" `Quick test_exempt_sim_ctx;
-          Alcotest.test_case "domain_pool exempt from D005" `Quick test_exempt_domain_pool;
           Alcotest.test_case "proc_pool exempt from D006" `Quick test_exempt_proc_pool;
           Alcotest.test_case "file sinks outside D004" `Quick test_clean_file_sink;
         ] );
