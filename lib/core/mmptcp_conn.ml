@@ -108,7 +108,8 @@ let initial_threshold strategy ~paths =
 
 let start ~src ~dst ~size ~rng ?(strategy = Strategy.default)
     ?(params = Sim_tcp.Tcp_params.default) ?(paths = 1)
-    ?(on_complete = fun _ -> ()) ?(on_switch = fun _ -> ()) () =
+    ?(on_complete = fun _ -> ()) ?(on_switch = fun _ -> ())
+    ?(on_close = fun _ -> ()) () =
   let sched = Host.sched src in
   let conn = Sim_tcp.Conn_id.fresh (Scheduler.ctx sched) in
   let subflows = strategy.Strategy.subflows in
@@ -204,14 +205,24 @@ let start ~src ~dst ~size ~rng ?(strategy = Strategy.default)
       ~on_dsack ~on_first_congestion ()
   in
   t.ps_tx <- Some ps_tx;
-  Host.bind src ~conn (fun pkt ->
+  Host.bind_conn ~src ~dst ~conn
+    ~tx:(fun pkt ->
       let i = pkt.Packet.subflow in
       if i = 0 then Tcp_tx.handle ps_tx pkt
       else if i >= 1 && i <= Array.length t.mp_txs then
-        Tcp_tx.handle t.mp_txs.(i - 1) pkt);
-  Host.bind dst ~conn (fun pkt ->
+        Tcp_tx.handle t.mp_txs.(i - 1) pkt)
+    ~rx:(fun pkt ->
       let i = pkt.Packet.subflow in
-      if i >= 0 && i < Array.length t.rxs then Tcp_rx.handle t.rxs.(i) pkt);
+      if i >= 0 && i < Array.length t.rxs then Tcp_rx.handle t.rxs.(i) pkt)
+    ~timers_pending:(fun () ->
+      Tcp_tx.rto_pending ps_tx
+      || Array.exists Tcp_tx.rto_pending t.mp_txs
+      || Array.exists Tcp_rx.delack_pending t.rxs
+      ||
+      match t.switch_timer with
+      | Some tm -> Scheduler.Timer.is_pending tm
+      | None -> false)
+    ~on_close:(fun () -> on_close t);
   if size = 0 then Dataplane.deliver t.plane ~dsn:0 ~len:0;
   (match splan.Strategy.switch_after_time with
   | Some deadline ->

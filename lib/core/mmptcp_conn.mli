@@ -33,12 +33,15 @@ val start :
   ?paths:int ->
   ?on_complete:(t -> unit) ->
   ?on_switch:(t -> unit) ->
+  ?on_close:(t -> unit) ->
   unit ->
   t
 (** [paths] is the number of equal-cost paths between the endpoints
     (callers get it from [Topology.path_count]); it feeds the
     [Topology_aware] dup-ACK strategy. [rng] drives per-packet source
-    ports. *)
+    ports. [on_close] fires once, when no packet of the connection is
+    alive and no RTO, delayed-ACK or [After_time] switch timer of it is
+    pending (as {!Sim_tcp.Flow.start}'s). *)
 
 val conn : t -> int
 val size : t -> int

@@ -17,7 +17,8 @@ type t = {
 }
 
 let start ~src ~dst ~size ~subflows ?(params = Sim_tcp.Tcp_params.default)
-    ?(coupled = true) ?(on_complete = fun _ -> ()) () =
+    ?(coupled = true) ?(on_complete = fun _ -> ()) ?(on_close = fun _ -> ())
+    () =
   if subflows < 1 then invalid_arg "Mptcp_conn.start: subflows must be >= 1";
   let sched = Host.sched src in
   let conn = Sim_tcp.Conn_id.fresh (Scheduler.ctx sched) in
@@ -79,12 +80,17 @@ let start ~src ~dst ~size ~subflows ?(params = Sim_tcp.Tcp_params.default)
   let pairs = Array.init subflows make_subflow in
   t.txs <- Array.map fst pairs;
   t.rxs <- Array.map snd pairs;
-  Host.bind src ~conn (fun pkt ->
+  Host.bind_conn ~src ~dst ~conn
+    ~tx:(fun pkt ->
       let i = pkt.Packet.subflow in
-      if i >= 0 && i < subflows then Tcp_tx.handle t.txs.(i) pkt);
-  Host.bind dst ~conn (fun pkt ->
+      if i >= 0 && i < subflows then Tcp_tx.handle t.txs.(i) pkt)
+    ~rx:(fun pkt ->
       let i = pkt.Packet.subflow in
-      if i >= 0 && i < subflows then Tcp_rx.handle t.rxs.(i) pkt);
+      if i >= 0 && i < subflows then Tcp_rx.handle t.rxs.(i) pkt)
+    ~timers_pending:(fun () ->
+      Array.exists Tcp_tx.rto_pending t.txs
+      || Array.exists Tcp_rx.delack_pending t.rxs)
+    ~on_close:(fun () -> on_close t);
   if size = 0 then Dataplane.deliver t.plane ~dsn:0 ~len:0;
   Array.iter Tcp_tx.connect t.txs;
   t

@@ -20,10 +20,14 @@ val start :
   ?params:Sim_tcp.Tcp_params.t ->
   ?coupled:bool ->
   ?on_complete:(t -> unit) ->
+  ?on_close:(t -> unit) ->
   unit ->
   t
 (** All subflows open (SYN) immediately. [coupled = false] replaces LIA
-    with uncoupled per-subflow Reno (ablation baseline). *)
+    with uncoupled per-subflow Reno (ablation baseline). [on_close]
+    fires once, when no packet of the connection is alive and no
+    subflow has its RTO or delayed-ACK timer pending (as
+    {!Sim_tcp.Flow.start}'s). *)
 
 val conn : t -> int
 val size : t -> int

@@ -25,12 +25,15 @@ let send t pkt =
 
 (* The host is the end of a packet's life: once the bound handler has
    read it (handlers must not retain packets), the record goes back to
-   the simulation's pool. *)
+   the simulation's pool. Every sender and receiver is back in a
+   steady state here, so this is where idle connections get closed. *)
 let receive t pkt =
   (match Hashtbl.find_opt t.demux pkt.Packet.conn with
    | Some handler -> handler pkt
    | None -> t.unmatched <- t.unmatched + 1);
-  Packet.free ~ctx:(Sim_engine.Scheduler.ctx t.sched) pkt
+  let ctx = Sim_engine.Scheduler.ctx t.sched in
+  Packet.free ~ctx pkt;
+  Packet.run_idle ~ctx
 
 let bind t ~conn handler =
   if Hashtbl.mem t.demux conn then
@@ -38,4 +41,17 @@ let bind t ~conn handler =
   Hashtbl.replace t.demux conn handler
 
 let unbind t ~conn = Hashtbl.remove t.demux conn
+
+let bind_conn ~src ~dst ~conn ~tx ~rx ~timers_pending ~on_close =
+  bind src ~conn tx;
+  bind dst ~conn rx;
+  Packet.on_idle ~ctx:(Sim_engine.Scheduler.ctx src.sched) ~conn (fun () ->
+      if timers_pending () then false
+      else begin
+        unbind src ~conn;
+        unbind dst ~conn;
+        on_close ();
+        true
+      end)
+
 let unmatched t = t.unmatched

@@ -29,5 +29,24 @@ val bind : t -> conn:int -> (Packet.t -> unit) -> unit
 (** Raises [Invalid_argument] if the connection id is already bound. *)
 
 val unbind : t -> conn:int -> unit
+
+val bind_conn :
+  src:t ->
+  dst:t ->
+  conn:int ->
+  tx:(Packet.t -> unit) ->
+  rx:(Packet.t -> unit) ->
+  timers_pending:(unit -> bool) ->
+  on_close:(unit -> unit) ->
+  unit
+(** Bind a transport connection: [tx] on [src], [rx] on [dst]. Then
+    close it as soon as it can never act again — none of its packets
+    is alive ({!Packet.live_packets} is 0) and [timers_pending ()] is
+    false: unbind [conn] on both hosts and call [on_close], once. The
+    check runs from {!receive} (see {!Packet.run_idle}); a connection
+    whose last act is a timer that sends nothing stays bound. *)
+
 val unmatched : t -> int
-(** Packets that arrived for an unbound connection id. *)
+(** Packets that arrived for an unbound connection id. With every
+    connection bound through {!bind_conn}, any such packet reached a
+    connection that was closed while it could still act. *)

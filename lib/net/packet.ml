@@ -79,11 +79,28 @@ let dup_seen t = check_live t ~op:"dup_seen"; t.bits land dup_bit <> 0
    [make] promises. The [dummy] fill element lives in the pool record
    itself (allocated per simulation with the pool), so freed slots
    hold no live packet and no module-level state exists to share
-   across simulations. *)
+   across simulations.
 
-type pool = { mutable items : t array; mutable count : int; dummy : t }
+   The pool also counts live packets per connection id ([live]; ids
+   are dense per simulation, so a flat array) for {!on_idle}: a
+   watched connection whose count drops to 0 in [free] is pushed on
+   [idle], and its check runs later, from {!run_idle}. *)
+
+type pool = {
+  mutable items : t array;
+  mutable count : int;
+  dummy : t;
+  mutable live : int array;  (* live packets, by conn id *)
+  mutable checks : (unit -> bool) array;  (* close checks, by conn id *)
+  mutable idle : int array;  (* watched conns whose count reached 0 *)
+  mutable idle_count : int;
+}
 
 type Sim_engine.Sim_ctx.ext += Pool of pool
+
+(* The [checks] fill: a connection nobody watches. Compared by
+   physical equality, never called. *)
+let unwatched () = false
 
 let pool_of ctx =
   match Sim_engine.Sim_ctx.ext ctx with
@@ -110,15 +127,57 @@ let pool_of ctx =
         gen = 0;
       }
     in
-    let p = { items = Array.make 64 dummy; count = 0; dummy } in
+    let p =
+      {
+        items = Array.make 64 dummy;
+        count = 0;
+        dummy;
+        live = [||];
+        checks = [||];
+        idle = Array.make 16 0;
+        idle_count = 0;
+      }
+    in
     Sim_engine.Sim_ctx.set_ext ctx (Pool p);
     p
+
+(* Make room for conn id [conn] in the per-conn arrays. *)
+let grow_conns p conn =
+  let n = max (conn + 1) (2 * Array.length p.live) in
+  let live = Array.make n 0 and checks = Array.make n unwatched in
+  Array.blit p.live 0 live 0 (Array.length p.live);
+  Array.blit p.checks 0 checks 0 (Array.length p.checks);
+  p.live <- live;
+  p.checks <- checks
+
+let track_make p conn =
+  if conn >= Array.length p.live then grow_conns p conn;
+  p.live.(conn) <- p.live.(conn) + 1
+
+let push_idle p conn =
+  if p.idle_count = Array.length p.idle then begin
+    let idle = Array.make (2 * p.idle_count) 0 in
+    Array.blit p.idle 0 idle 0 p.idle_count;
+    p.idle <- idle
+  end;
+  p.idle.(p.idle_count) <- conn;
+  p.idle_count <- p.idle_count + 1
+
+(* A conn beyond [live] has no packet from this pool's [make]: the
+   record came from another simulation's context (tests do that). *)
+let track_free p conn =
+  if conn < Array.length p.live then begin
+    let n = p.live.(conn) - 1 in
+    p.live.(conn) <- n;
+    if n = 0 && p.checks.(conn) != unwatched then push_idle p conn
+  end
 
 let make ~ctx ~src ~dst ~conn ~subflow ~src_port ~dst_port ~seq ~ack_seq ~len
     ~bits ~dsn =
   let uid = Sim_engine.Sim_ctx.fresh_packet_uid ctx in
   if sanitizer then Sim_engine.Sim_ctx.pool_track ctx 1;
   let p = pool_of ctx in
+  track_make p conn;
   if p.count = 0 then
     {
       uid;
@@ -183,14 +242,17 @@ let copy ~ctx t =
   d
 
 let free ~ctx t =
+  if sanitizer && dead t then
+    invalid_arg
+      (Printf.sprintf
+         "Packet.free: double free of pooled packet uid %d (pool generation \
+          %d; only the packet's final owner — host delivery or queue drop — \
+          frees, exactly once)"
+         t.uid t.gen);
+  let p = pool_of ctx in
+  (* Before the sanitizer poisons [conn]. *)
+  track_free p t.conn;
   if sanitizer then begin
-    if dead t then
-      invalid_arg
-        (Printf.sprintf
-           "Packet.free: double free of pooled packet uid %d (pool \
-            generation %d; only the packet's final owner — host delivery or \
-            queue drop — frees, exactly once)"
-           t.uid t.gen);
     t.gen <- t.gen + 1;
     (* even: pooled *)
     Sim_engine.Sim_ctx.pool_track ctx (-1);
@@ -207,7 +269,6 @@ let free ~ctx t =
     t.sack_count <- 0;
     Array.fill t.sack 0 (Array.length t.sack) poison
   end;
-  let p = pool_of ctx in
   if p.count = Array.length p.items then begin
     let items = Array.make (2 * p.count) p.dummy in
     Array.blit p.items 0 items 0 p.count;
@@ -215,6 +276,26 @@ let free ~ctx t =
   end;
   p.items.(p.count) <- t;
   p.count <- p.count + 1
+
+let live_packets ~ctx ~conn =
+  let p = pool_of ctx in
+  if conn < Array.length p.live then p.live.(conn) else 0
+
+let on_idle ~ctx ~conn check =
+  let p = pool_of ctx in
+  if conn >= Array.length p.live then grow_conns p conn;
+  p.checks.(conn) <- check
+
+let run_idle ~ctx =
+  let p = pool_of ctx in
+  while p.idle_count > 0 do
+    p.idle_count <- p.idle_count - 1;
+    let conn = p.idle.(p.idle_count) in
+    (* A packet sent since the count reached 0 defers the check to its
+       own free; a check already passed has been unregistered. *)
+    if p.live.(conn) = 0 && p.checks.(conn) () then
+      p.checks.(conn) <- unwatched
+  done
 
 let sack_blocks t =
   check_live t ~op:"sack_blocks";

@@ -132,6 +132,34 @@ val free : ctx:Sim_engine.Sim_ctx.t -> t -> unit
     context's {!Sim_engine.Sim_ctx.pool_live} counter is decremented
     (a clean teardown balances it back to 0). *)
 
+(** {2 Connection lifetimes}
+
+    The pool counts the live packets of each connection id: {!make}
+    (and so {!copy}) adds one, {!free} takes one away. A connection
+    acts only when one of its packets arrives or one of its timers
+    fires, so once its count is 0 and no timer of its is pending it
+    can never act again (DESIGN.md §4i). Connection ids must be
+    non-negative; they are dense per simulation. *)
+
+val live_packets : ctx:Sim_engine.Sim_ctx.t -> conn:int -> int
+(** Packets of [conn] issued by {!make} and not yet freed. *)
+
+val on_idle : ctx:Sim_engine.Sim_ctx.t -> conn:int -> (unit -> bool) -> unit
+(** [on_idle ~ctx ~conn check] watches [conn]: each time its last live
+    packet is freed, [check] runs at the next {!run_idle}. [check]
+    returns [true] once the connection has closed, which ends the
+    watch and drops [check]; [false] keeps watching (a timer is still
+    pending, and whatever it sends will bring the count back to 0
+    later). Registering again replaces the check. *)
+
+val run_idle : ctx:Sim_engine.Sim_ctx.t -> unit
+(** Run the checks of the connections whose count reached 0 since the
+    last call and is 0 still. {!Host.receive} calls it after its
+    handler has run and the packet has been freed. It is never run
+    from {!free} itself: a drop at the sender's own first hop frees
+    the packet inside {!Host.send}, before the sender has armed the
+    timer that will retransmit it. *)
+
 val sanitizer : bool
 (** Whether the runtime pool sanitizer is compiled in — equal to
     {!Sim_engine.Sanitizer_mode.on}, i.e. [true] in every profile but

@@ -13,7 +13,8 @@ type t = {
 }
 
 let start ~src ~dst ~size ?(params = Tcp_params.default) ?(cc = Reno.make)
-    ?dupack_threshold ?src_port ?dst_port ?(on_complete = fun _ -> ()) () =
+    ?dupack_threshold ?src_port ?dst_port ?(on_complete = fun _ -> ())
+    ?(on_close = fun _ -> ()) () =
   if size < 0 then invalid_arg "Flow.start: negative size";
   let sched = Host.sched src in
   let conn = Conn_id.fresh (Scheduler.ctx sched) in
@@ -55,8 +56,9 @@ let start ~src ~dst ~size ?(params = Tcp_params.default) ?(cc = Reno.make)
   in
   t.tx <- Some tx;
   t.rx <- Some rx;
-  Host.bind src ~conn (Tcp_tx.handle tx);
-  Host.bind dst ~conn (Tcp_rx.handle rx);
+  Host.bind_conn ~src ~dst ~conn ~tx:(Tcp_tx.handle tx) ~rx:(Tcp_rx.handle rx)
+    ~timers_pending:(fun () -> Tcp_tx.rto_pending tx || Tcp_rx.delack_pending rx)
+    ~on_close:(fun () -> on_close t);
   (* A zero-byte flow completes at establishment; treat it as complete
      immediately for simplicity. *)
   if size = 0 then begin

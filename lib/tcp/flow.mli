@@ -19,12 +19,19 @@ val start :
   ?src_port:int ->
   ?dst_port:int ->
   ?on_complete:(t -> unit) ->
+  ?on_close:(t -> unit) ->
   unit ->
   t
 (** Starts the handshake immediately (schedule the call itself for
     deferred starts). Default congestion control is {!Reno.make};
     default source port is derived from the connection id so distinct
-    flows hash to distinct ECMP paths. *)
+    flows hash to distinct ECMP paths.
+
+    [on_close] fires once, when the flow can never act again: no
+    packet of it is alive and neither its RTO nor its delayed-ACK
+    timer is pending ({!Sim_net.Host.bind_conn}, which also unbinds it
+    from both hosts). Every reading below is final from then on; the
+    record itself stays readable. *)
 
 val conn : t -> int
 val size : t -> int

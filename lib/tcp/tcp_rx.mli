@@ -30,6 +30,9 @@ val create :
 
 val handle : t -> Sim_net.Packet.t -> unit
 val rcv_nxt : t -> int
+val delack_pending : t -> bool
+(** Whether the delayed-ACK timer is armed. *)
+
 val unique_bytes : t -> int
 val acks_sent : t -> int
 val dup_segments : t -> int

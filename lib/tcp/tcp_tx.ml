@@ -123,14 +123,16 @@ let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
     | Some f -> f
     | None -> fun () -> params.Tcp_params.dupack_threshold
   in
+  (* The registry and this subflow's id in it, when probing it. *)
   let metrics =
     let m = Sim_engine.Sim_ctx.metrics (Scheduler.ctx (Host.sched host)) in
-    if Sim_obs.Metrics.want_conn m conn then Some m else None
+    if Sim_obs.Metrics.want_conn m conn then
+      Some (m, Printf.sprintf "c%d.s%d" conn subflow)
+    else None
   in
-  let mid = Printf.sprintf "c%d.s%d" conn subflow in
   let hist_rtt =
     match metrics with
-    | Some m ->
+    | Some (m, mid) ->
       (* Data-centre RTTs: 100 µs per bucket up to 5 ms, overflow
          beyond (queue-buildup and RTO-scale outliers). *)
       Sim_obs.Metrics.histogram m ~component:"tcp_tx" ~id:mid ~name:"rtt"
@@ -182,14 +184,14 @@ let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
           dsacks_received = 0;
           syn_sent = 0;
         };
-      m = metrics;
+      m = Option.map fst metrics;
       hist_rtt;
       ledger = Sim_engine.Sim_ctx.ledger (Scheduler.ctx (Host.sched host));
     }
   in
   t.cc <- cc (window t);
-  (match t.m with
-   | Some m ->
+  (match metrics with
+   | Some (m, mid) ->
      let reg name units read =
        Sim_obs.Metrics.register m ~component:"tcp_tx" ~id:mid ~name ~units read
      in

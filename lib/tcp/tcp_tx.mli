@@ -95,6 +95,9 @@ val snd_nxt : t -> int
 val in_recovery : t -> bool
 val srtt : t -> Time.t option
 val rto : t -> Time.t
+val rto_pending : t -> bool
+(** Whether the retransmission timer is armed. *)
+
 val stats : t -> stats
 val window : t -> Cong.window
 (** The window view handed to congestion control (shared mutable

@@ -145,8 +145,7 @@ module type BACKEND = sig
   type net
 
   val build : sched:Sim_engine.Scheduler.t -> config -> net
-  val host_count : net -> int
-  val name : net -> string
+  val topology : net -> Sim_net.Topology.t
 
   val start_flow :
     config ->

@@ -114,15 +114,15 @@ val build_topology :
 
 (** One flow model. [build] constructs whatever network state the
     model needs (always includes the packet topology — the fluid
-    model reads capacities and delays off it); [start_flow] launches
-    one transfer at the current virtual time and returns its outcome
-    handle; [net_stats] is read once after the horizon. *)
+    model reads capacities and delays off it — which [topology]
+    returns); [start_flow] launches one transfer at the current
+    virtual time and returns its outcome handle; [net_stats] is read
+    once after the horizon. *)
 module type BACKEND = sig
   type net
 
   val build : sched:Sim_engine.Scheduler.t -> config -> net
-  val host_count : net -> int
-  val name : net -> string
+  val topology : net -> Sim_net.Topology.t
 
   val start_flow :
     config ->

@@ -51,8 +51,7 @@ let build ~sched (cfg : Flow_model.config) =
   let engine = Engine.make ~sched ~cap_bps ~params:cfg.Flow_model.params () in
   { topo; oracle; engine }
 
-let host_count net = Topology.host_count net.topo
-let name net = net.topo.Topology.name
+let topology net = net.topo
 
 (* One-way traversal time of [path] for a [bytes]-long frame:
    store-and-forward serialisation plus propagation at every hop. *)

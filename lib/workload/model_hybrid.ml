@@ -102,8 +102,7 @@ let ensure_sampling net =
     Scheduler.Timer.schedule_after t couple_interval
   | _ -> ()
 
-let host_count net = Model_fluid.host_count net.fnet
-let name net = Model_fluid.name net.fnet
+let topology net = net.fnet.Model_fluid.topo
 
 let start_flow (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size
     ~is_long =

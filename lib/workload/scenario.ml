@@ -121,7 +121,8 @@ let run ?(progress = fun _ -> ()) (cfg : config) =
         Time.to_ns (Scheduler.now sched));
   let rng = Rng.create ~seed:cfg.seed in
   let net = B.build ~sched cfg in
-  let n = B.host_count net in
+  let topo = B.topology net in
+  let n = Sim_net.Topology.host_count topo in
   let tm = Traffic_matrix.create ~rng:(Rng.split rng) ~hosts:n cfg.tm in
   (* Role assignment: shuffle, take the first fraction as long hosts.
      Incast matrices constrain short senders to the fan-in set. *)
@@ -188,8 +189,24 @@ let run ?(progress = fun _ -> ()) (cfg : config) =
   end;
   progress
     (Printf.sprintf "scenario: %s on %s, %d hosts (%d long, %d short senders)"
-       (protocol_name cfg.protocol) (B.name net) n long_count num_short);
+       (protocol_name cfg.protocol) topo.Sim_net.Topology.name n long_count
+       num_short);
   Scheduler.run ~until:cfg.horizon sched;
+  (* Lifetime invariant (dev profile): a connection is closed only once
+     it can never act again, so no packet may reach one. A packet for
+     an unbound connection id means one was closed too early. The
+     fluid model sends no packets and passes trivially. *)
+  if Sim_engine.Sanitizer_mode.on then
+    Array.iteri
+      (fun i h ->
+        let n = Sim_net.Host.unmatched h in
+        if n > 0 then
+          failwith
+            (Printf.sprintf
+               "Scenario.run: host %d received %d packet(s) for a closed \
+                connection under --model %s"
+               i n (model_name cfg.model)))
+      topo.Sim_net.Topology.hosts;
   (* A --probe CONN list that matched nothing under this model would
      render perfectly empty per-connection artifacts; fail loudly with
      what the model actually built instead. *)

@@ -1,0 +1,303 @@
+(* Connection lifetimes: a packet-level connection closes — unbinds
+   from both hosts and fires its [on_close] — exactly when it can never
+   act again (no live packet, no pending timer), and not before. *)
+
+module Time = Sim_engine.Sim_time
+module Scheduler = Sim_engine.Scheduler
+module Rng = Sim_engine.Rng
+module Packet = Sim_net.Packet
+module Host = Sim_net.Host
+module Topology = Sim_net.Topology
+module Dumbbell = Sim_net.Dumbbell
+module Fattree = Sim_net.Fattree
+module Tcp_params = Sim_tcp.Tcp_params
+module Tcp_rx = Sim_tcp.Tcp_rx
+module Flow = Sim_tcp.Flow
+module Mptcp_conn = Sim_mptcp.Mptcp_conn
+module Mmptcp_conn = Mmptcp.Mmptcp_conn
+module Strategy = Mmptcp.Strategy
+module Flow_model = Sim_workload.Flow_model
+module Model_packet = Sim_workload.Model_packet
+
+let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
+
+(* [Host.bind] refuses a bound id, so a successful bind (undone at
+   once) shows the connection was unbound. *)
+let bound host ~conn =
+  match Host.bind host ~conn ignore with
+  | () ->
+    Host.unbind host ~conn;
+    false
+  | exception Invalid_argument _ -> true
+
+let live_packets sched ~conn = Packet.live_packets ~ctx:(Scheduler.ctx sched) ~conn
+
+(* One transfer of each transport, started with a close counter. *)
+type transfer = {
+  name : string;
+  start :
+    src:Host.t -> dst:Host.t -> size:int -> on_close:(unit -> unit) -> int;
+      (** returns the conn id *)
+}
+
+let transports =
+  [
+    {
+      name = "tcp";
+      start =
+        (fun ~src ~dst ~size ~on_close ->
+          Flow.conn (Flow.start ~src ~dst ~size ~on_close:(fun _ -> on_close ()) ()));
+    };
+    {
+      name = "mptcp-8";
+      start =
+        (fun ~src ~dst ~size ~on_close ->
+          Mptcp_conn.conn
+            (Mptcp_conn.start ~src ~dst ~size ~subflows:8
+               ~on_close:(fun _ -> on_close ())
+               ()));
+    };
+    {
+      name = "mmptcp";
+      start =
+        (fun ~src ~dst ~size ~on_close ->
+          Mmptcp_conn.conn
+            (Mmptcp_conn.start ~src ~dst ~size ~rng:(Rng.create ~seed:3) ~paths:4
+               ~strategy:
+                 { Strategy.default with Strategy.switch = Strategy.Data_volume 50_000 }
+               ~on_close:(fun _ -> on_close ())
+               ()));
+    };
+  ]
+
+let k4 sched = Fattree.create ~sched (Fattree.default_params ~k:4 ~oversub:2 ())
+
+(* Drained: the transfer completes, the scheduler runs dry, and the
+   connection has closed exactly once on both hosts. The MMPTCP
+   transfer crosses its 50 KB switch, so its multipath subflows must
+   drain too. *)
+let test_drained_closes_once () =
+  List.iter
+    (fun tr ->
+      let sched = Scheduler.create () in
+      let net = k4 sched in
+      let src = Topology.host net 0 and dst = Topology.host net 13 in
+      let closes = ref 0 in
+      let conn = tr.start ~src ~dst ~size:200_000 ~on_close:(fun () -> incr closes) in
+      Scheduler.run sched;
+      check_int (tr.name ^ ": on_close once") 1 !closes;
+      check_bool (tr.name ^ ": src unbound") false (bound src ~conn);
+      check_bool (tr.name ^ ": dst unbound") false (bound dst ~conn);
+      check_int (tr.name ^ ": no live packet") 0 (live_packets sched ~conn);
+      check_int (tr.name ^ ": nothing unmatched") 0
+        (Host.unmatched src + Host.unmatched dst))
+    transports
+
+(* Three flows open at once behind a one-packet NIC queue: the third
+   SYN is dropped inside [Host.send], before [Tcp_tx.connect] arms the
+   RTO. A close check run at that free would find no packet and no
+   timer and close a live connection; deferred to host delivery, it
+   sees the armed RTO. Every outcome matches the values recorded
+   before connections could close. *)
+let test_first_hop_drop_not_closed () =
+  let sched = Scheduler.create () in
+  let spec = { Topology.default_link_spec with Topology.queue_capacity = 1 } in
+  let net = Dumbbell.direct ~sched ~spec () in
+  let src = Topology.host net 0 and dst = Topology.host net 1 in
+  let closed = Array.make 3 None in
+  let flows =
+    Array.init 3 (fun i ->
+        Flow.start ~src ~dst ~size:70_000
+          ~on_close:(fun _ -> closed.(i) <- Some (Scheduler.now sched))
+          ())
+  in
+  Scheduler.run ~until:(Time.of_sec 30.) sched;
+  let syns = (Sim_tcp.Tcp_tx.stats (Flow.tx flows.(2))).Sim_tcp.Tcp_tx.syn_sent in
+  check_int "third SYN retransmitted" 2 syns;
+  Array.iteri
+    (fun i (fct_ns, rtos, frtx) ->
+      let f = flows.(i) in
+      let what = Printf.sprintf "flow %d" i in
+      check_int (what ^ " fct") fct_ns
+        (match Flow.fct f with Some t -> Time.to_ns t | None -> -1);
+      check_int (what ^ " rtos") rtos (Flow.rto_events f);
+      check_int (what ^ " fast rtx") frtx
+        (Sim_tcp.Tcp_tx.stats (Flow.tx f)).Sim_tcp.Tcp_tx.fast_rtx_events;
+      match (closed.(i), Flow.completed_at f) with
+      | Some at, Some done_at ->
+        check_bool (what ^ " closed after completing") true (Time.compare at done_at >= 0)
+      | _ -> Alcotest.failf "%s: not completed and closed" what)
+    [| (206_490_022, 1, 6); (606_408_970, 2, 6); (406_527_769, 1, 6) |];
+  check_int "nothing unmatched" 0 (Host.unmatched src + Host.unmatched dst)
+
+(* The close rule itself, with only a delayed-ACK timer to keep the
+   connection: one data segment reaches a receiver that holds its ACK
+   for 40 ms. No packet is alive meanwhile, but the pending timer keeps
+   the connection bound; once the ACK it sends has been delivered, it
+   closes. *)
+let test_delack_timer_keeps_bound () =
+  let sched = Scheduler.create () in
+  let net = Dumbbell.direct ~sched () in
+  let src = Topology.host net 0 and dst = Topology.host net 1 in
+  let conn = 9 and acks = ref 0 and closed = ref None in
+  let params = { Tcp_params.default with Tcp_params.delayed_ack = 2 } in
+  let rx =
+    Tcp_rx.create ~params ~host:dst ~peer:(Host.addr src) ~conn ~subflow:0
+      ~on_data:(fun ~dsn:_ ~len:_ -> ())
+      ()
+  in
+  Host.bind_conn ~src ~dst ~conn
+    ~tx:(fun _ -> incr acks)
+    ~rx:(Tcp_rx.handle rx)
+    ~timers_pending:(fun () -> Tcp_rx.delack_pending rx)
+    ~on_close:(fun () -> closed := Some (Scheduler.now sched));
+  Host.send src
+    (Packet.make ~ctx:(Scheduler.ctx sched) ~src:(Host.addr src)
+       ~dst:(Host.addr dst) ~conn ~subflow:0 ~src_port:1 ~dst_port:2 ~seq:0
+       ~ack_seq:0 ~len:100 ~bits:Packet.data_bits ~dsn:0);
+  Scheduler.run ~until:(Time.of_ms 20.) sched;
+  check_int "segment delivered, ACK held" 0 (live_packets sched ~conn);
+  check_bool "delack pending" true (Tcp_rx.delack_pending rx);
+  check_bool "still bound" true (bound src ~conn && bound dst ~conn);
+  check_bool "not closed" true (!closed = None);
+  Scheduler.run sched;
+  check_int "delayed ACK delivered" 1 !acks;
+  (match !closed with
+  | Some at -> check_bool "closed after the timer" true (Time.to_ms at >= 40.)
+  | None -> Alcotest.fail "not closed");
+  check_bool "unbound" false (bound src ~conn || bound dst ~conn)
+
+(* The same instant in real transports: a one-segment window meets a
+   delayed ACK, so no packet of the connection is alive while the
+   receiver's timer (and MMPTCP's [After_time] deadline) is pending.
+   The connection stays bound and completes. The sender's RTO is armed
+   at that instant too — in these transports a delayed ACK is always
+   pending alongside it — so the test above isolates the rule. *)
+let test_pending_timers_keep_transports_bound () =
+  let params =
+    { Tcp_params.default with Tcp_params.delayed_ack = 2; initial_window = 1 }
+  in
+  (* [start] returns the conn id, a completion test and whether the
+     timer under test is armed. *)
+  let quiet_instant ~what start =
+    let sched = Scheduler.create () in
+    let net = Dumbbell.direct ~sched () in
+    let src = Topology.host net 0 and dst = Topology.host net 1 in
+    let closes = ref 0 in
+    let conn, complete, timer_pending =
+      start ~src ~dst ~on_close:(fun _ -> incr closes)
+    in
+    (* Handshake plus one segment take well under 1 ms at 100 Mb/s;
+       the held ACK leaves at 40 ms. *)
+    Scheduler.run ~until:(Time.of_ms 10.) sched;
+    check_int (what ^ ": nothing alive") 0 (live_packets sched ~conn);
+    check_bool (what ^ ": timer pending") true (timer_pending ());
+    check_bool (what ^ ": still bound") true (bound src ~conn && bound dst ~conn);
+    check_int (what ^ ": not closed") 0 !closes;
+    Scheduler.run sched;
+    check_bool (what ^ ": complete") true (complete ());
+    check_int (what ^ ": closed once") 1 !closes
+  in
+  quiet_instant ~what:"tcp delayed ACK" (fun ~src ~dst ~on_close ->
+      let f = Flow.start ~src ~dst ~size:3_000 ~params ~on_close () in
+      ( Flow.conn f,
+        (fun () -> Flow.is_complete f),
+        fun () -> Tcp_rx.delack_pending (Flow.rx f) ));
+  (* Before completion and before the deadline, the After_time switch
+     timer is armed. *)
+  quiet_instant ~what:"mmptcp After_time" (fun ~src ~dst ~on_close ->
+      let c =
+        Mmptcp_conn.start ~src ~dst ~size:3_000 ~rng:(Rng.create ~seed:4) ~params
+          ~strategy:
+            {
+              Strategy.default with
+              Strategy.switch = Strategy.After_time (Time.of_sec 1.);
+            }
+          ~on_close ()
+      in
+      ( Mmptcp_conn.conn c,
+        (fun () -> Mmptcp_conn.is_complete c),
+        fun () ->
+          Mmptcp_conn.switched_at c = None && not (Mmptcp_conn.is_complete c) ))
+
+(* Model_packet's handle reads the connection until it closes: a long
+   transfer cut by the horizon still reports its progress, and the same
+   handle reports the final outcome once the transfer has drained. *)
+let test_live_until_close () =
+  let cfg =
+    {
+      Flow_model.default_config with
+      Flow_model.topo =
+        Flow_model.Fattree_topo (Flow_model.paper_fattree ~k:4 ~oversub:2 ());
+      protocol = Flow_model.Mptcp_proto { subflows = 8; coupled = true };
+    }
+  in
+  let sched = Scheduler.create () in
+  let net = Model_packet.build ~sched cfg in
+  let l =
+    Model_packet.start_flow cfg net ~rng:(Rng.create ~seed:1) ~src_id:0
+      ~dst_id:13 ~size:2_000_000 ~is_long:true
+  in
+  Scheduler.run ~until:(Time.of_ms 20.) sched;
+  let b20 = l.Flow_model.l_bytes () in
+  Scheduler.run ~until:(Time.of_ms 40.) sched;
+  let b40 = l.Flow_model.l_bytes () in
+  check_bool "in flight at the horizon" true (l.Flow_model.l_fct () = None);
+  check_bool "bytes are live" true (0 < b20 && b20 < b40 && b40 < 2_000_000);
+  let src = Topology.host net 0 in
+  check_bool "bound while in flight" true (bound src ~conn:l.Flow_model.l_conn);
+  Scheduler.run sched;
+  check_bool "closed once drained" false (bound src ~conn:l.Flow_model.l_conn);
+  check_int "final bytes" 2_000_000 (l.Flow_model.l_bytes ());
+  check_bool "final fct" true (l.Flow_model.l_fct () <> None)
+
+(* Leak regression: sequential MPTCP-8 transfers on a k=4 FatTree,
+   each drained before the next starts, keep no per-transfer state in
+   the simulation. A connection held until the horizon costs about
+   11.5 KB; the bound is 1 KB. The first transfers are warm-up: they
+   grow the packet and event pools toward their high-water marks. *)
+let test_sequential_transfers_no_leak () =
+  let sched = Scheduler.create () in
+  let net = k4 sched in
+  let closes = ref 0 in
+  let transfer i =
+    let src = Topology.host net (i mod 16) in
+    let dst = Topology.host net (16 + (i * 5 mod 16)) in
+    ignore
+      (Mptcp_conn.start ~src ~dst ~size:70_000 ~subflows:8
+         ~on_close:(fun _ -> incr closes)
+         ());
+    Scheduler.run sched
+  in
+  let words () = Obj.reachable_words (Obj.repr (net, sched)) in
+  let warm = 20 and n = 40 in
+  for i = 0 to warm - 1 do
+    transfer i
+  done;
+  let w0 = words () in
+  for i = warm to warm + n - 1 do
+    transfer i
+  done;
+  let per_transfer = (words () - w0) * (Sys.word_size / 8) / n in
+  check_int "every transfer closed" (warm + n) !closes;
+  if per_transfer >= 1024 then
+    Alcotest.failf "simulation grew %d bytes per drained transfer" per_transfer
+
+let () =
+  Alcotest.run "lifetime"
+    [
+      ( "close",
+        [
+          Alcotest.test_case "drained closes once" `Quick test_drained_closes_once;
+          Alcotest.test_case "first-hop drop not closed" `Quick
+            test_first_hop_drop_not_closed;
+          Alcotest.test_case "delack timer keeps bound" `Quick
+            test_delack_timer_keeps_bound;
+          Alcotest.test_case "pending timers keep transports bound" `Quick
+            test_pending_timers_keep_transports_bound;
+          Alcotest.test_case "live until close" `Quick test_live_until_close;
+          Alcotest.test_case "no leak across transfers" `Quick
+            test_sequential_transfers_no_leak;
+        ] );
+    ]

@@ -222,6 +222,52 @@ let test_protocol_names () =
        (Scenario.protocol_name (Scenario.Mmptcp_proto Mmptcp.Strategy.default))
      > 6)
 
+(* Cross-commit golden: an MD5 over every flow's outcome in a tiny
+   FatTree run under each packet path, recorded before a drained
+   connection could close and hand its outcome over as a snapshot —
+   so rtos, fast retransmits and bytes are in the digest. Closing must
+   not move any simulated number. *)
+let outcome_digest cfg =
+  let r = Scenario.run cfg in
+  let b = Buffer.create 4096 in
+  let flow (f : Scenario.flow_result) =
+    Printf.bprintf b "%d %d %d %d %d %d %d %d\n" f.src f.dst f.flow_size
+      (Time.to_ns f.start)
+      (match f.fct with Some t -> Time.to_ns t | None -> -1)
+      f.rtos f.fast_rtxs f.bytes_received
+  in
+  Array.iter flow r.shorts;
+  Array.iter flow r.longs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_packet_outcomes () =
+  List.iter
+    (fun (what, model, protocol, want) ->
+      let cfg =
+        {
+          Scenario.default_config with
+          Scenario.model;
+          topo =
+            Scenario.Fattree_topo (Scenario.paper_fattree ~k:4 ~oversub:2 ());
+          protocol;
+          seed = 5;
+          short_flows = 200;
+          short_rate = 50.;
+          horizon = Time.of_sec 1.;
+        }
+      in
+      Alcotest.(check string) what want (outcome_digest cfg))
+    [
+      ( "packet, MMPTCP", Scenario.Packet,
+        Scenario.Mmptcp_proto Mmptcp.Strategy.default,
+        "a0fe81aebde0d44ece278c99fffd66e5" );
+      ("packet, TCP", Scenario.Packet, Scenario.Tcp_proto,
+       "9575bd0899725d6653c85cdf8dea9360");
+      ( "hybrid, MPTCP-8", Scenario.Hybrid { handoff_bytes = 10_000 },
+        Scenario.Mptcp_proto { subflows = 8; coupled = true },
+        "a64a83aa67165695e1e3191a538667ea" );
+    ]
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -253,5 +299,10 @@ let () =
           Alcotest.test_case "flow metadata" `Slow test_scenario_flow_sizes;
           Alcotest.test_case "long goodput" `Slow test_scenario_long_goodput_positive;
           Alcotest.test_case "protocol names" `Quick test_protocol_names;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "packet-path outcomes unchanged (tiny fattree)"
+            `Slow test_golden_packet_outcomes;
         ] );
     ]
