@@ -3,7 +3,7 @@
 
    Links are capacity buckets indexed by the topology's dense link
    ids; flows are weighted demands over a fixed path (an id array from
-   the topology's route oracle). Rates are in bits per second.
+   [Topology.path]). Rates are in bits per second.
 
    The allocation is progressive filling (water-filling): all unfrozen
    flows grow proportionally to their weight until some link

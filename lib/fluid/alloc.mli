@@ -62,7 +62,7 @@ val add :
 (** Register a flow. [owner] (>= 0) groups flows for [on_rate]; the
     allocator keeps one int per owner id up to the largest seen, so
     owners should be dense small ints. [path] is the link-id array
-    from the topology route oracle (copied). An empty path means
+    from {!Sim_net.Topology.path} (copied). An empty path means
     unconstrained: the flow gets a practically infinite rate and
     never enters water-filling. Rates materialise at the next
     [flush]. *)

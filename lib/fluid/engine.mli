@@ -9,7 +9,7 @@
     wall-clock of a packet-level k=4 run (see DESIGN.md §4k).
 
     The engine is topology-free: callers resolve paths (link-id
-    arrays) and RTTs via {!Sim_net.Topology.route_oracle} and pass
+    arrays, {!Sim_net.Topology.path}) and RTTs and pass
     them as {!leg_spec}s. Multipath couples legs through weights from
     {!Sim_mptcp.Lia.fluid_weights}; MMPTCP's scatter→multipath shape
     reuses {!Mmptcp.Strategy.plan} ([switch_on_congestion] has no
@@ -19,7 +19,7 @@ type t
 type conn
 
 type leg_spec = {
-  path : int array;  (** forward-path link ids (route oracle) *)
+  path : int array;  (** forward-path link ids ({!Sim_net.Topology.path}) *)
   weight : float;  (** allocator weight (LIA-coupled or unit) *)
   rtt_s : float;  (** round-trip time of this leg, seconds *)
 }

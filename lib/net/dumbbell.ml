@@ -12,21 +12,9 @@ let direct ~sched ?(spec = Topology.default_link_spec) () =
   Builder.to_host l10 h0;
   Host.add_nic h0 l01;
   Host.add_nic h1 l10;
-  let ro_paths ~src ~dst = if src = dst then 0 else 1 in
-  let ro_path ~src ~dst ~choice:_ =
-    if src = dst then [||]
-    else if src = 0 then [| Link.id l01 |]
-    else [| Link.id l10 |]
-  in
-  {
-    Topology.sched;
-    name = "direct";
-    hosts = [| h0; h1 |];
-    switches = [||];
-    links = Builder.links b;
-    path_count = no_paths;
-    routes = Some { Topology.ro_paths; ro_path };
-  }
+  Builder.finish b ~name:"direct" ~hosts:[| h0; h1 |] ~switches:[||]
+    ~dests:(Switch.dests ~hosts:2 ~size:1)
+    ~path_count:no_paths
 
 let create ~sched ?(edge_spec = Topology.default_link_spec)
     ?(bottleneck_spec = Topology.default_link_spec) ~pairs () =
@@ -34,83 +22,56 @@ let create ~sched ?(edge_spec = Topology.default_link_spec)
   let b = Builder.create sched in
   let n = 2 * pairs in
   let hosts = Array.init n (fun i -> Host.create ~sched ~addr:(Addr.of_int i)) in
-  let sw_left = Switch.create ~id:0 ~layer:Layer.Edge_layer in
-  let sw_right = Switch.create ~id:1 ~layer:Layer.Edge_layer in
-  let host_down = Array.make n None in
-  let host_up = Array.make n None in
-  let attach sw i =
-    let up = Builder.make_link b ~spec:edge_spec ~layer:Layer.Host_layer in
-    Builder.to_switch up sw;
-    Host.add_nic hosts.(i) up;
-    host_up.(i) <- Some up;
-    let down = Builder.make_link b ~spec:edge_spec ~layer:Layer.Edge_layer in
-    Builder.to_host down hosts.(i);
-    host_down.(i) <- Some down
+  (* Two classes: the left hosts (0) and the right hosts (1). *)
+  let dests = Switch.dests ~hosts:n ~size:pairs in
+  let sw_left = Switch.create ~id:0 ~layer:Layer.Edge_layer ~dests in
+  let sw_right = Switch.create ~id:1 ~layer:Layer.Edge_layer ~dests in
+  let down =
+    Array.init n (fun i ->
+        let up = Builder.make_link b ~spec:edge_spec ~layer:Layer.Host_layer in
+        Builder.to_switch up (if i < pairs then sw_left else sw_right);
+        Host.add_nic hosts.(i) up;
+        let down = Builder.make_link b ~spec:edge_spec ~layer:Layer.Edge_layer in
+        Builder.to_host down hosts.(i);
+        down)
   in
-  for i = 0 to pairs - 1 do
-    attach sw_left i
-  done;
-  for i = pairs to n - 1 do
-    attach sw_right i
-  done;
   let lr = Builder.make_link b ~spec:bottleneck_spec ~layer:Layer.Core_layer in
   let rl = Builder.make_link b ~spec:bottleneck_spec ~layer:Layer.Core_layer in
   Builder.to_switch lr sw_right;
   Builder.to_switch rl sw_left;
-  let down i =
-    match host_down.(i) with Some l -> l | None -> assert false
-  in
-  Switch.set_route sw_left (fun pkt ->
-      let d = Addr.to_int pkt.Packet.dst in
-      if d < pairs then down d else lr);
-  Switch.set_route sw_right (fun pkt ->
-      let d = Addr.to_int pkt.Packet.dst in
-      if d >= pairs then down d else rl);
-  let up i = match host_up.(i) with Some l -> Link.id l | None -> assert false in
-  let ro_paths ~src ~dst = if src = dst then 0 else 1 in
-  let ro_path ~src ~dst ~choice:_ =
-    if src = dst then [||]
-    else begin
-      let left i = i < pairs in
-      if left src = left dst then [| up src; Link.id (down dst) |]
-      else if left src then [| up src; Link.id lr; Link.id (down dst) |]
-      else [| up src; Link.id rl; Link.id (down dst) |]
-    end
-  in
-  {
-    Topology.sched;
-    name = Printf.sprintf "dumbbell-%d" pairs;
-    hosts;
-    switches = [| sw_left; sw_right |];
-    links = Builder.links b;
-    path_count = no_paths;
-    routes = Some { Topology.ro_paths; ro_path };
-  }
+  Switch.set_table sw_left
+    [| Switch.Local (Array.sub down 0 pairs); Switch.group sw_left [| lr |] |];
+  Switch.set_table sw_right
+    [| Switch.group sw_right [| rl |]; Switch.Local (Array.sub down pairs pairs) |];
+  Builder.finish b
+    ~name:(Printf.sprintf "dumbbell-%d" pairs)
+    ~hosts ~switches:[| sw_left; sw_right |] ~dests ~path_count:no_paths
 
 let parking_lot ~sched ?(spec = Topology.default_link_spec) ~hops () =
   if hops < 1 then invalid_arg "Dumbbell.parking_lot: hops must be >= 1";
   let b = Builder.create sched in
-  (* Switches s0 .. s_hops in a chain; sender i attaches to switch i,
-     the single receiver attaches to the last switch. *)
+  (* Switches s0 .. s_hops in a chain; host i attaches to switch i, so
+     the receiver (host [hops]) hangs off the last switch. One class
+     per switch: the host hanging off it. *)
+  let dests = Switch.dests ~hosts:(hops + 1) ~size:1 in
   let switches =
-    Array.init (hops + 1) (fun i -> Switch.create ~id:i ~layer:Layer.Edge_layer)
+    Array.init (hops + 1) (fun i ->
+        Switch.create ~id:i ~layer:Layer.Edge_layer ~dests)
   in
   let hosts =
     Array.init (hops + 1) (fun i -> Host.create ~sched ~addr:(Addr.of_int i))
   in
-  let host_down = Array.make (hops + 1) None in
-  let host_up = Array.make (hops + 1) None in
-  Array.iteri
-    (fun i _ ->
-      let sw = switches.(min i hops) in
-      let up = Builder.make_link b ~spec ~layer:Layer.Host_layer in
-      Builder.to_switch up sw;
-      Host.add_nic hosts.(i) up;
-      host_up.(i) <- Some up;
-      let downl = Builder.make_link b ~spec ~layer:Layer.Edge_layer in
-      Builder.to_host downl hosts.(i);
-      host_down.(i) <- Some downl)
-    hosts;
+  let down =
+    Array.mapi
+      (fun i h ->
+        let up = Builder.make_link b ~spec ~layer:Layer.Host_layer in
+        Builder.to_switch up switches.(i);
+        Host.add_nic h up;
+        let down = Builder.make_link b ~spec ~layer:Layer.Edge_layer in
+        Builder.to_host down h;
+        down)
+      hosts
+  in
   (* Chain links, both directions, tagged Core for easy inspection. *)
   let fwd =
     Array.init hops (fun i ->
@@ -124,36 +85,13 @@ let parking_lot ~sched ?(spec = Topology.default_link_spec) ~hops () =
         Builder.to_switch l switches.(i);
         l)
   in
-  let down i = match host_down.(i) with Some l -> l | None -> assert false in
   Array.iteri
     (fun si sw ->
-      Switch.set_route sw (fun pkt ->
-          let d = Addr.to_int pkt.Packet.dst in
-          let d_switch = min d hops in
-          if d_switch = si then down d
-          else if d_switch > si then fwd.(si)
-          else bwd.(si - 1)))
+      Switch.set_table sw
+        (Array.init (hops + 1) (fun d ->
+             if d = si then Switch.Local [| down.(d) |]
+             else Switch.group sw [| (if d > si then fwd.(si) else bwd.(si - 1)) |])))
     switches;
-  let up i = match host_up.(i) with Some l -> l | None -> assert false in
-  let ro_paths ~src ~dst = if src = dst then 0 else 1 in
-  let ro_path ~src ~dst ~choice:_ =
-    if src = dst then [||]
-    else begin
-      let s = min src hops and d = min dst hops in
-      let chain =
-        if d > s then Array.init (d - s) (fun j -> Link.id fwd.(s + j))
-        else if d < s then Array.init (s - d) (fun j -> Link.id bwd.(s - 1 - j))
-        else [||]
-      in
-      Array.concat [ [| Link.id (up src) |]; chain; [| Link.id (down dst) |] ]
-    end
-  in
-  {
-    Topology.sched;
-    name = Printf.sprintf "parking-lot-%d" hops;
-    hosts;
-    switches;
-    links = Builder.links b;
-    path_count = no_paths;
-    routes = Some { Topology.ro_paths; ro_path };
-  }
+  Builder.finish b
+    ~name:(Printf.sprintf "parking-lot-%d" hops)
+    ~hosts ~switches ~dests ~path_count:no_paths

@@ -23,3 +23,8 @@ let select (p : Packet.t) ~salt ~n =
   hash_fields ~src:(Addr.to_int p.src) ~dst:(Addr.to_int p.dst)
     ~sport:p.src_port ~dport:p.dst_port ~salt
   mod n
+
+let pick p ~salt choices =
+  match Array.length choices with
+  | 1 -> choices.(0)
+  | n -> choices.(select p ~salt ~n)

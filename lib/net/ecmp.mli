@@ -23,3 +23,7 @@ val select : Packet.t -> salt:int -> n:int -> int
     the choice made by different switches on the same flow (real
     switches use distinct hash seeds; without this, hash polarisation
     would collapse path diversity). *)
+
+val pick : Packet.t -> salt:int -> 'a array -> 'a
+(** [pick pkt ~salt xs] is [xs.(select pkt ~salt ~n)] with
+    [n = Array.length xs]; a one-element array needs no hash. *)

@@ -37,8 +37,7 @@ let paths_between p a b =
   else if pa = pb then half
   else half * half
 
-let create ~sched p =
-  validate p;
+let build ~sched p ~homes ~name ~path_count =
   let n_hosts = host_count p in
   let open Topology in
   let b = Builder.create sched in
@@ -48,10 +47,13 @@ let create ~sched p =
   let hosts =
     Array.init n_hosts (fun i -> Host.create ~sched ~addr:(Addr.of_int i))
   in
+  (* One destination class per (pod, home edge), [pod * half + e]
+     (= host / hpe), the slot being the host's index under it. *)
+  let dests = Switch.dests ~hosts:n_hosts ~size:hpe in
   (* Switch ids are globally unique so ECMP salts differ per switch. *)
   let next_sw = ref 0 in
   let fresh_switch layer =
-    let sw = Switch.create ~id:!next_sw ~layer in
+    let sw = Switch.create ~id:!next_sw ~layer ~dests in
     incr next_sw;
     sw
   in
@@ -59,22 +61,30 @@ let create ~sched p =
   let agg = Array.init pods (fun _ -> Array.init half (fun _ -> fresh_switch Layer.Agg_layer)) in
   let core = Array.init (half * half) (fun _ -> fresh_switch Layer.Core_layer) in
 
-  (* Host <-> edge links. The up links are retained for the route
-     oracle; make_link call order (down before up, per host) is id
-     assignment order and must not change. *)
-  let host_up = Array.make n_hosts None in
-  let edge_down = (* edge_down.(pod).(e).(i) : edge -> host i *)
-    Array.init pods (fun pd ->
-        Array.init half (fun e ->
-            Array.init hpe (fun i ->
-                let host_id = (pd * half + e) * hpe + i in
-                let l = Builder.make_link b ~spec:p.host_spec ~layer:Layer.Edge_layer in
-                Builder.to_host l hosts.(host_id);
-                let up = Builder.make_link b ~spec:p.host_spec ~layer:Layer.Host_layer in
-                Builder.to_switch up edge.(pd).(e);
-                Host.add_nic hosts.(host_id) up;
-                host_up.(host_id) <- Some up;
-                l)))
+  (* Host <-> edge links: NIC j of host h goes to edge (e + j) mod
+     half of its pod, e being its home edge, and host_down.(h * homes
+     + j) comes back from it. Link ids seed link jitter, so make_link
+     call order is fixed: down before up on the single-homed tree, up
+     before down on the dual-homed one. *)
+  let down_first = homes = 1 in
+  let host_down =
+    Array.init (n_hosts * homes) (fun i ->
+        let h = i / homes in
+        let first =
+          Builder.make_link b ~spec:p.host_spec
+            ~layer:(if down_first then Layer.Edge_layer else Layer.Host_layer)
+        in
+        let second =
+          Builder.make_link b ~spec:p.host_spec
+            ~layer:(if down_first then Layer.Host_layer else Layer.Edge_layer)
+        in
+        let down = if down_first then first else second in
+        let up = if down_first then second else first in
+        Builder.to_host down hosts.(h);
+        Builder.to_switch up
+          edge.(h / hosts_per_pod p).(((h / hpe) + (i mod homes)) mod half);
+        Host.add_nic hosts.(h) up;
+        down)
   in
   (* Edge <-> agg links (within each pod, full bipartite). *)
   let edge_up = (* edge_up.(pod).(e).(a) : edge e -> agg a *)
@@ -114,79 +124,50 @@ let create ~sched p =
             l))
   in
 
-  (* Routing. *)
-  let pos addr = position p addr in
+  (* Routing: every edge a class is homed to holds it as local; an agg
+     hashes over the same edges. Other upward groups hash too; the
+     core's downward hop is a single link. Class [pd * half + e] is
+     the pod-[pd] hosts homed to edge [e]. *)
+  let classes = pods * half in
   for pd = 0 to pods - 1 do
     for e = 0 to half - 1 do
       let sw = edge.(pd).(e) in
-      let salt = Switch.id sw in
-      Switch.set_route sw (fun pkt ->
-          let dpd, de, di = pos pkt.Packet.dst in
-          if dpd = pd && de = e then edge_down.(pd).(e).(di)
-          else edge_up.(pd).(e).(Ecmp.select pkt ~salt ~n:half))
+      let table = Array.make classes (Switch.group sw edge_up.(pd).(e)) in
+      (* Over NIC j, the hosts homed to edge e - j. *)
+      for j = 0 to homes - 1 do
+        let c = (pd * half) + ((e - j + half) mod half) in
+        table.(c) <-
+          Switch.Local (Array.init hpe (fun i -> host_down.((((c * hpe) + i) * homes) + j)))
+      done;
+      Switch.set_table sw table
     done;
     for a = 0 to half - 1 do
       let sw = agg.(pd).(a) in
-      let salt = Switch.id sw in
-      Switch.set_route sw (fun pkt ->
-          let dpd, de, _ = pos pkt.Packet.dst in
-          if dpd = pd then agg_down.(pd).(a).(de)
-          else agg_up.(pd).(a).(Ecmp.select pkt ~salt ~n:half))
+      let table = Array.make classes (Switch.group sw agg_up.(pd).(a)) in
+      for e = 0 to half - 1 do
+        table.((pd * half) + e) <-
+          Switch.group ~salt:(Switch.id sw + 7919) sw
+            (Array.init homes (fun j -> agg_down.(pd).(a).((e + j) mod half)))
+      done;
+      Switch.set_table sw table
     done
   done;
   Array.iteri
     (fun c sw ->
-      Switch.set_route sw (fun pkt ->
-          let dpd, _, _ = pos pkt.Packet.dst in
-          core_down.(c).(dpd)))
+      let down = Array.map (fun l -> Switch.group sw [| l |]) core_down.(c) in
+      let table = Array.make classes down.(0) in
+      Array.iteri (fun pd g -> Array.fill table (pd * half) half g) down;
+      Switch.set_table sw table)
     core;
 
-  let switches =
-    Array.concat
-      [ Array.concat (Array.to_list edge); Array.concat (Array.to_list agg); core ]
-  in
-  (* Static path enumeration mirroring the ECMP routing above: the
-     per-hop next-link tables are deterministic given the (agg, core
-     uplink) pair a hashed scatter would pick, so [choice] indexes
-     that pair directly. *)
-  let up h = match host_up.(h) with Some l -> Link.id l | None -> assert false in
-  let ro_paths ~src ~dst = paths_between p (Addr.of_int src) (Addr.of_int dst) in
-  let ro_path ~src ~dst ~choice =
-    if src = dst then [||]
-    else begin
-      let spd, se, _ = position p (Addr.of_int src) in
-      let dpd, de, di = position p (Addr.of_int dst) in
-      let down = Link.id edge_down.(dpd).(de).(di) in
-      if spd = dpd && se = de then [| up src; down |]
-      else if spd = dpd then begin
-        let a = choice mod half in
-        [|
-          up src;
-          Link.id edge_up.(spd).(se).(a);
-          Link.id agg_down.(spd).(a).(de);
-          down;
-        |]
-      end
-      else begin
-        let c = choice mod (half * half) in
-        let a = c / half and m = c mod half in
-        [|
-          up src;
-          Link.id edge_up.(spd).(se).(a);
-          Link.id agg_up.(spd).(a).(m);
-          Link.id core_down.((a * half) + m).(dpd);
-          Link.id agg_down.(dpd).(a).(de);
-          down;
-        |]
-      end
-    end
-  in
-  {
-    sched;
-    name = Printf.sprintf "fattree-k%d-oversub%d" p.k p.oversub;
-    hosts;
-    switches;
-    links = Builder.links b;
-    path_count = (fun a bb -> paths_between p a bb);
-    routes = Some { ro_paths; ro_path };
-  }
+  Builder.finish b ~name ~hosts
+    ~switches:
+      (Array.concat
+         [ Array.concat (Array.to_list edge); Array.concat (Array.to_list agg); core ])
+    ~dests ~path_count
+
+let create ~sched p =
+  validate p;
+  build ~sched p ~homes:1
+    ~name:(Printf.sprintf "fattree-k%d-oversub%d" p.k p.oversub)
+    ~path_count:(paths_between p)

@@ -8,9 +8,10 @@
     count is [oversub * k^3/4]. The paper's 512-server 4:1 topology is
     exactly [k = 8, oversub = 4].
 
-    Routing is the standard two-level scheme: upward hops are selected
-    by per-switch-salted ECMP hashing on the packet 5-tuple; downward
-    hops are deterministic from the destination address. The number of
+    Routing is the standard two-level scheme, held as route tables
+    ({!Switch}): upward hops are selected by per-switch-salted ECMP
+    hashing on the packet 5-tuple; downward hops are deterministic
+    from the destination's class (its edge switch). The number of
     equal-cost paths is 1 (same edge), [k/2] (same pod) or [(k/2)^2]
     (different pods); [Topology.path_count] exposes this, which is what
     MMPTCP's topology-aware dup-ACK threshold consumes. *)
@@ -28,6 +29,18 @@ val default_params : ?k:int -> ?oversub:int -> unit -> params
 val host_count : params -> int
 
 val create : sched:Sim_engine.Scheduler.t -> params -> Topology.t
+
+val build :
+  sched:Sim_engine.Scheduler.t ->
+  params ->
+  homes:int ->
+  name:string ->
+  path_count:(Addr.t -> Addr.t -> int) ->
+  Topology.t
+(** The fabric behind {!create} ([homes = 1]) and {!Multihomed}
+    ([homes = 2]), unvalidated: NIC [j] of a host under edge [e] goes
+    to edge [(e + j) mod k/2] of its pod. One destination class per
+    (pod, home edge). *)
 
 (** {1 Address arithmetic} *)
 

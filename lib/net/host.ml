@@ -14,14 +14,11 @@ let sched t = t.sched
 
 let add_nic t link = t.nics <- Array.append t.nics [| link |]
 let nic_count t = Array.length t.nics
+let nics t = t.nics
 
 let send t pkt =
-  match Array.length t.nics with
-  | 0 -> failwith "Host.send: host has no NIC"
-  | 1 -> Link.send t.nics.(0) pkt
-  | n ->
-    let i = Ecmp.select pkt ~salt:(Addr.to_int t.addr + 0x5115) ~n in
-    Link.send t.nics.(i) pkt
+  if Array.length t.nics = 0 then failwith "Host.send: host has no NIC";
+  Link.send (Ecmp.pick pkt ~salt:(Addr.to_int t.addr + 0x5115) t.nics) pkt
 
 (* The host is the end of a packet's life: once the bound handler has
    read it (handlers must not retain packets), the record goes back to

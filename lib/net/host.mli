@@ -18,9 +18,14 @@ val add_nic : t -> Link.t -> unit
 
 val nic_count : t -> int
 
+val nics : t -> Link.t array
+(** The uplinks in registration order: the first hop group of every
+    path out of this host (see {!Topology.paths}). *)
+
 val send : t -> Packet.t -> unit
-(** Transmit via the single NIC, or ECMP-select among NICs when
-    multi-homed. Raises [Failure] if the host has no NIC. *)
+(** Transmit via the single NIC, or {!Ecmp.pick} among NICs (salted
+    with the address plus [0x5115]) when multi-homed. Raises [Failure]
+    if the host has no NIC. *)
 
 val receive : t -> Packet.t -> unit
 (** Deliver an incoming packet to the bound connection handler. *)

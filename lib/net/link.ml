@@ -16,6 +16,7 @@ type t = {
   queue : Pktqueue.t;
   id : int;
   mutable deliver : (Packet.t -> unit) option;
+  mutable peer : int;
   mutable taps : (Packet.t -> unit) list;
   mutable busy : bool;
   mutable last_delivery : Time.t;
@@ -36,7 +37,9 @@ type t = {
   st : stats;
 }
 
-let attach t f = t.deliver <- Some f
+let attach ?(peer = min_int) t f =
+  t.deliver <- Some f;
+  t.peer <- peer
 let add_tap t f = t.taps <- f :: t.taps
 
 (* Packet traffic never starves entirely: the effective rate floors at
@@ -103,6 +106,7 @@ let create ?(jitter = Time.of_us 5.) ~sched ~rate_bps ~delay ~queue ~id () =
       queue;
       id;
       deliver = None;
+      peer = min_int;
       taps = [];
       busy = false;
       last_delivery = Time.zero;
@@ -122,6 +126,7 @@ let send t pkt =
   if accepted && not t.busy then pump t
 
 let id t = t.id
+let peer t = t.peer
 let queue t = t.queue
 let rate_bps t = t.rate_bps
 let delay t = t.delay

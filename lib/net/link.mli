@@ -33,9 +33,14 @@ val create :
     simulation artifact. Delivery order on a link remains FIFO. Pass
     [Sim_time.zero] for exact timing (used by timing unit tests). *)
 
-val attach : t -> (Packet.t -> unit) -> unit
+val attach : ?peer:int -> t -> (Packet.t -> unit) -> unit
 (** Install the receiver-side handler. Must be called before traffic
-    flows; [send] raises [Failure] otherwise. *)
+    flows; [send] raises [Failure] otherwise. [peer] names the
+    receiving node for route walks ({!Topology.paths}): a switch id,
+    or [-1 - a] for the host with address [a]; by default none
+    ([min_int]). *)
+
+val peer : t -> int
 
 val add_tap : t -> (Packet.t -> unit) -> unit
 (** Register a passive observer called for every packet as it starts

@@ -5,9 +5,13 @@
     More parallel paths at the access layer means higher burst
     tolerance: a short-flow burst no longer concentrates on a single
     host uplink / edge downlink. Requires [k >= 4] so each pod has at
-    least two edge switches. *)
+    least two edge switches.
 
-type params = {
+    Built by {!Fattree.build} with two homes. [Topology.path_count]
+    ([2 * k/2] within a pod, [2 * (k/2)^2] across) is not the routed
+    path count, {!Topology.paths}. *)
+
+type params = Fattree.params = {
   k : int;
   oversub : int;
   host_spec : Topology.link_spec;

@@ -1,21 +1,45 @@
+type entry =
+  | Local of Link.t array
+  | Group of { salt : int; links : Link.t array }
+
+type dests = { cls : int array; slot : int array; classes : int }
+
+let dests ~hosts ~size =
+  {
+    cls = Array.init hosts (fun h -> h / size);
+    slot = Array.init hosts (fun h -> h mod size);
+    classes = (hosts + size - 1) / size;
+  }
+
 type t = {
   id : int;
   layer : Layer.t;
-  mutable route : (Packet.t -> Link.t) option;
+  dests : dests;
+  mutable table : entry array;
   mutable forwarded : int;
 }
 
-let create ~id ~layer = { id; layer; route = None; forwarded = 0 }
+let create ~id ~layer ~dests = { id; layer; dests; table = [||]; forwarded = 0 }
 
 let id t = t.id
 let layer t = t.layer
-let set_route t f = t.route <- Some f
+let group ?salt t links = Group { salt = Option.value salt ~default:t.id; links }
+
+let set_table t table =
+  if Array.length table <> t.dests.classes then
+    invalid_arg "Switch.set_table: one entry per destination class";
+  t.table <- table
+
+let entry t c = t.table.(c)
 
 let receive t pkt =
-  match t.route with
-  | None -> failwith "Switch.receive: no routing function installed"
-  | Some route ->
-    t.forwarded <- t.forwarded + 1;
-    Link.send (route pkt) pkt
+  t.forwarded <- t.forwarded + 1;
+  let d = Addr.to_int pkt.Packet.dst in
+  let link =
+    match t.table.(t.dests.cls.(d)) with
+    | Local down -> down.(t.dests.slot.(d))
+    | Group { salt; links } -> Ecmp.pick pkt ~salt links
+  in
+  Link.send link pkt
 
 let forwarded t = t.forwarded

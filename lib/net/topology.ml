@@ -20,9 +20,16 @@ let default_link_spec =
     jitter = Time.of_us 5.;
   }
 
-type route_oracle = {
-  ro_paths : src:int -> dst:int -> int;
-  ro_path : src:int -> dst:int -> choice:int -> int array;
+(* Route-walk state: the destinations' classes; per (switch,
+   destination class), the number of paths below ([memo], [-1] until
+   first asked) and, when every link of the group leads to as many and
+   that is under 256, that per-link number ([each], else 0); a scratch
+   buffer one hop longer than any loop-free path. *)
+type walk = {
+  dests : Switch.dests;
+  mutable memo : int array;
+  mutable each : Bytes.t;
+  buf : int array;
 }
 
 type t = {
@@ -32,7 +39,7 @@ type t = {
   switches : Switch.t array;
   links : Link.t array;
   path_count : Addr.t -> Addr.t -> int;
-  routes : route_oracle option;
+  walk : walk;
 }
 
 let host t i = t.hosts.(i)
@@ -68,6 +75,95 @@ let total_drops t =
     (fun acc l -> acc + (Pktqueue.stats (Link.queue l)).Pktqueue.dropped)
     0 t.links
 
+(* Paths from switch [sw] to any host of class [c]; they depend only
+   on the two, so the memo serves every destination for the run. *)
+let rec count t sw c =
+  let w = t.walk in
+  let k = (sw * w.dests.Switch.classes) + c in
+  if w.memo.(k) < 0 then begin
+    match Switch.entry t.switches.(sw) c with
+    | Switch.Local _ -> w.memo.(k) <- 1
+    | Switch.Group { links; _ } ->
+      let below =
+        Array.map
+          (fun l ->
+            let s = Link.peer l in
+            if s < 0 then invalid_arg "Topology: route group leads to a host";
+            count t s c)
+          links
+      in
+      w.memo.(k) <- Array.fold_left ( + ) 0 below;
+      if below.(0) < 256 && Array.for_all (fun m -> m = below.(0)) below then
+        Bytes.set w.each k (Char.chr below.(0))
+  end;
+  w.memo.(k)
+
+(* Paths to host [dst], of class [c], that start with link [l]. *)
+let reach t l ~dst c =
+  let s = Link.peer l in
+  if s >= 0 then count t s c else if s = -1 - dst then 1 else 0
+
+(* The memo arrays are made on first use: a packet-only run never
+   enumerates. *)
+let prepare t =
+  let w = t.walk in
+  if Array.length w.memo = 0 then begin
+    let n = Array.length t.switches * w.dests.Switch.classes in
+    w.memo <- Array.make n (-1);
+    w.each <- Bytes.make n '\000'
+  end
+
+let paths t ~src ~dst =
+  if src = dst then 0
+  else begin
+    prepare t;
+    let c = t.walk.dests.Switch.cls.(dst) in
+    Array.fold_left (fun n l -> n + reach t l ~dst c) 0 (Host.nics t.hosts.(src))
+  end
+
+(* Write path [choice] among those starting with a link of [links]
+   (from index [i] on) into the walk buffer from position [len]: skip
+   whole subtrees until the one holding [choice] (the last one holds
+   whatever is left), then descend. Returns the path length. *)
+let rec take t ~dst c links i choice len =
+  let l = links.(i) in
+  if i = Array.length links - 1 then follow t ~dst c l choice len
+  else begin
+    let n = reach t l ~dst c in
+    if choice >= n then take t ~dst c links (i + 1) (choice - n) len
+    else follow t ~dst c l choice len
+  end
+
+(* Write path [choice] among those starting with link [l]. A uniform
+   group needs no scan: [choice] divides by its per-link count. *)
+and follow t ~dst c l choice len =
+  let w = t.walk in
+  w.buf.(len) <- Link.id l;
+  let s = Link.peer l in
+  if s < 0 then len + 1
+  else
+    match Switch.entry t.switches.(s) c with
+    | Switch.Local down ->
+      w.buf.(len + 1) <- Link.id down.(w.dests.Switch.slot.(dst));
+      len + 2
+    | Switch.Group { links = [| l |]; _ } -> follow t ~dst c l choice (len + 1)
+    | Switch.Group { links; _ } ->
+      let k = (s * w.dests.Switch.classes) + c in
+      let each = Char.code (Bytes.get w.each k) in
+      if each > 0 then begin
+        let i = choice / each in
+        follow t ~dst c links.(i) (choice - (i * each)) (len + 1)
+      end
+      else take t ~dst c links 0 choice (len + 1)
+
+let path t ~src ~dst ~choice =
+  if src = dst then [||]
+  else begin
+    prepare t;
+    let c = t.walk.dests.Switch.cls.(dst) in
+    Array.sub t.walk.buf 0 (take t ~dst c (Host.nics t.hosts.(src)) 0 choice 0)
+  end
+
 module Builder = struct
   type b = {
     sched : Scheduler.t;
@@ -92,6 +188,31 @@ module Builder = struct
     link
 
   let links b = Array.of_list (List.rev b.links_rev)
-  let to_switch link sw = Link.attach link (Switch.receive sw)
-  let to_host link h = Link.attach link (Host.receive h)
+  let to_switch link sw = Link.attach link ~peer:(Switch.id sw) (Switch.receive sw)
+
+  let to_host link h =
+    Link.attach link ~peer:(-1 - Addr.to_int (Host.addr h)) (Host.receive h)
+
+  let finish b ~name ~hosts ~switches ~dests ~path_count =
+    Array.iteri
+      (fun i sw ->
+        if Switch.id sw <> i then
+          invalid_arg "Topology.Builder.finish: switch ids must be their indices")
+      switches;
+    let n_sw = Array.length switches in
+    {
+      sched = b.sched;
+      name;
+      hosts;
+      switches;
+      links = links b;
+      path_count;
+      walk =
+        {
+          dests;
+          memo = [||];
+          each = Bytes.empty;
+          buf = Array.make (n_sw + 1) 0;
+        };
+    }
 end

@@ -1,9 +1,15 @@
 (** Assembled networks.
 
     A topology bundles the hosts, switches and links of a built network
-    together with a path-count oracle (the number of equal-cost paths
-    ECMP can use between two hosts — the quantity MMPTCP's
-    topology-aware dup-ACK heuristic derives from FatTree addressing). *)
+    with a path-count oracle (the number of equal-cost paths ECMP can
+    use between two hosts — the quantity MMPTCP's topology-aware
+    dup-ACK heuristic derives from FatTree addressing) and the route
+    walk behind {!paths} and {!path}.
+
+    Routes are data: the switches' route tables ({!Switch}) and the
+    hosts' NIC groups. Packets follow them one hop at a time; the flow
+    models, which push no packets, enumerate whole forward paths from
+    the same tables. *)
 
 module Time = Sim_engine.Sim_time
 
@@ -20,32 +26,17 @@ val default_link_spec : link_spec
 (** 100 Mb/s, 20 us delay, 100-packet drop-tail queue, no ECN, 5 us
     propagation jitter — the base data-centre link. *)
 
-(** Static forward-path enumeration over host indices, for transport
-    models that never push packets through the switches (the fluid
-    engine reads link capacities and delays along a path instead).
-    [ro_paths ~src ~dst] is the number of distinct forward paths
-    (matching [path_count]); [ro_path ~src ~dst ~choice] with
-    [choice] in [\[0, ro_paths)] lists the link ids along that path in
-    hop order, starting at the source NIC and ending at the
-    destination's edge-down link. [links.(id)] is the link with that
-    id (builder ids are assigned densely in creation order).
-    Topologies whose routing is only defined packet-by-packet
-    (randomised valiant bounce, per-NIC source routing) leave
-    [routes = None]; model backends that need the oracle report the
-    topology as unsupported rather than guessing. *)
-type route_oracle = {
-  ro_paths : src:int -> dst:int -> int;
-  ro_path : src:int -> dst:int -> choice:int -> int array;
-}
+type walk
+(** The enumeration memo (see {!paths}). *)
 
 type t = {
   sched : Sim_engine.Scheduler.t;
   name : string;
-  hosts : Host.t array;
-  switches : Switch.t array;
-  links : Link.t array;
+  hosts : Host.t array;  (** [hosts.(i)] has address [i] *)
+  switches : Switch.t array;  (** [switches.(i)] has id [i] *)
+  links : Link.t array;  (** [links.(i)] has id [i] *)
   path_count : Addr.t -> Addr.t -> int;
-  routes : route_oracle option;
+  walk : walk;
 }
 
 val host : t -> int -> Host.t
@@ -65,6 +56,29 @@ val layer_utilisation : t -> Layer.t -> float
 
 val total_drops : t -> int
 
+(** {1 Forward paths}
+
+    The paths a packet from host [src] can take to host [dst] are the
+    walks of the route tables: one link of [src]'s NIC group, then at
+    each switch the entry for [dst]'s class — every link of a [Group],
+    or the [Local] down-link of [dst]'s slot, which ends the path.
+    They are numbered depth-first in group-link order, NIC group first;
+    on a FatTree that is [choice = a * k/2 + m] for uplinks [a] (edge)
+    and [m] (agg). A path is decoded by descending with the subtree
+    path counts, which depend only on (switch, destination class) and
+    are memoised in the topology for its whole life (filled on first
+    use). Where every link of a group leads to as many paths, which
+    the memo also records, the descent divides instead of scanning. *)
+
+val paths : t -> src:int -> dst:int -> int
+(** Number of distinct forward paths from host [src] to host [dst]; 0
+    when [src = dst]. *)
+
+val path : t -> src:int -> dst:int -> choice:int -> int array
+(** Link ids of path [choice], in [\[0, paths)], in hop order: the
+    source NIC first, the destination's down-link last. A fresh array;
+    empty when [src = dst]. *)
+
 (** {1 Building blocks for topology constructors} *)
 
 module Builder : sig
@@ -82,4 +96,16 @@ module Builder : sig
   (** Attach the link's receive side to a switch. *)
 
   val to_host : Link.t -> Host.t -> unit
+
+  val finish :
+    b ->
+    name:string ->
+    hosts:Host.t array ->
+    switches:Switch.t array ->
+    dests:Switch.dests ->
+    path_count:(Addr.t -> Addr.t -> int) ->
+    t
+  (** The topology over every link made so far. Every switch must have
+      its table installed over [dests]. Raises [Invalid_argument]
+      unless [switches.(i)] has id [i]. *)
 end

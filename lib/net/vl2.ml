@@ -37,17 +37,17 @@ let create ~sched p =
   let hosts =
     Array.init n_hosts (fun i -> Host.create ~sched ~addr:(Addr.of_int i))
   in
+  (* One destination class per ToR. *)
+  let dests = Switch.dests ~hosts:n_hosts ~size:p.hosts_per_tor in
   let next_sw = ref 0 in
   let fresh_switch layer =
-    let sw = Switch.create ~id:!next_sw ~layer in
+    let sw = Switch.create ~id:!next_sw ~layer ~dests in
     incr next_sw;
     sw
   in
   let tor = Array.init p.tors (fun _ -> fresh_switch Layer.Edge_layer) in
   let agg = Array.init p.aggs (fun _ -> fresh_switch Layer.Agg_layer) in
   let inter = Array.init p.intermediates (fun _ -> fresh_switch Layer.Core_layer) in
-
-  let tor_of_host h = h / p.hosts_per_tor in
 
   (* Host <-> ToR. *)
   let tor_down =
@@ -61,7 +61,7 @@ let create ~sched p =
             Host.add_nic hosts.(h) up;
             down))
   in
-  (* ToR <-> its two aggs. *)
+  (* ToR <-> its two aggs ([validate] keeps them distinct). *)
   let tor_up =
     Array.init p.tors (fun t ->
         let a1, a2 = aggs_of_tor p t in
@@ -72,19 +72,18 @@ let create ~sched p =
             l)
           [| a1; a2 |])
   in
-  let agg_down_to_tor =
-    (* agg_down.(a) : tor -> link option *)
-    Array.init p.aggs (fun _ -> Hashtbl.create 16)
+  let agg_down = (* agg_down.(a).(t) : agg a -> ToR t, if homed there *)
+    Array.make_matrix p.aggs p.tors None
   in
   Array.iteri
-    (fun t _ ->
+    (fun t sw ->
       let a1, a2 = aggs_of_tor p t in
       List.iter
         (fun a ->
           let l = Builder.make_link b ~spec:p.fabric_spec ~layer:Layer.Agg_layer in
-          Builder.to_switch l tor.(t);
-          Hashtbl.replace agg_down_to_tor.(a) t l)
-        (if a1 = a2 then [ a1 ] else [ a1; a2 ]))
+          Builder.to_switch l sw;
+          agg_down.(a).(t) <- Some l)
+        [ a1; a2 ])
     tor;
   (* Agg <-> intermediates: complete bipartite. *)
   let agg_up =
@@ -102,39 +101,30 @@ let create ~sched p =
             l))
   in
 
-  (* Routing. *)
+  (* Routing. An agg homed to the destination ToR goes straight down;
+     any other bounces off an intermediate, which hashes over the
+     destination ToR's two aggs. *)
   Array.iteri
     (fun t sw ->
-      let salt = Switch.id sw in
-      Switch.set_route sw (fun pkt ->
-          let d = Addr.to_int pkt.Packet.dst in
-          let dt = tor_of_host d in
-          if dt = t then tor_down.(t).(d mod p.hosts_per_tor)
-          else tor_up.(t).(Ecmp.select pkt ~salt ~n:2)))
+      let local = Switch.Local tor_down.(t) in
+      let up = Switch.group sw tor_up.(t) in
+      Switch.set_table sw (Array.init p.tors (fun c -> if c = t then local else up)))
     tor;
   Array.iteri
     (fun a sw ->
-      let salt = Switch.id sw in
-      Switch.set_route sw (fun pkt ->
-          let d = Addr.to_int pkt.Packet.dst in
-          let dt = tor_of_host d in
-          match Hashtbl.find_opt agg_down_to_tor.(a) dt with
-          | Some l -> l
-          | None -> agg_up.(a).(Ecmp.select pkt ~salt ~n:p.intermediates)))
+      let up = Switch.group sw agg_up.(a) in
+      Switch.set_table sw
+        (Array.map
+           (function Some l -> Switch.group sw [| l |] | None -> up)
+           agg_down.(a)))
     agg;
   Array.iteri
     (fun i sw ->
-      let salt = Switch.id sw in
-      Switch.set_route sw (fun pkt ->
-          let d = Addr.to_int pkt.Packet.dst in
-          let dt = tor_of_host d in
-          let a1, a2 = aggs_of_tor p dt in
-          let a =
-            if a1 = a2 then a1
-            else if Ecmp.select pkt ~salt:(salt + 31) ~n:2 = 0 then a1
-            else a2
-          in
-          inter_down.(i).(a)))
+      Switch.set_table sw
+        (Array.init p.tors (fun t ->
+             let a1, a2 = aggs_of_tor p t in
+             Switch.group ~salt:(Switch.id sw + 31) sw
+               [| inter_down.(i).(a1); inter_down.(i).(a2) |])))
     inter;
 
   let path_count a bb =
@@ -144,22 +134,16 @@ let create ~sched p =
       and tb = Addr.to_int bb / p.hosts_per_tor in
       if ta = tb then 1
       else begin
-        (* Up-agg choice x intermediate choice x down-agg choice, minus
-           the shortcut when the two ToRs share an agg (2-hop path). *)
+        (* Up-agg choice x intermediate choice x down-agg choice, plus
+           one when the two ToRs share an agg. *)
         let a1, a2 = aggs_of_tor p ta and b1, b2 = aggs_of_tor p tb in
         let shared = List.exists (fun x -> x = b1 || x = b2) [ a1; a2 ] in
-        let up = if a1 = a2 then 1 else 2 in
-        let down = if b1 = b2 then 1 else 2 in
-        (up * p.intermediates * down) + (if shared then 1 else 0)
+        (4 * p.intermediates) + if shared then 1 else 0
       end
     end
   in
-  {
-    sched;
-    name = Printf.sprintf "vl2-a%d-i%d-t%d" p.aggs p.intermediates p.tors;
-    hosts;
-    switches = Array.concat [ tor; agg; inter ];
-    links = Builder.links b;
-    path_count;
-    routes = None;
-  }
+  Builder.finish b
+    ~name:(Printf.sprintf "vl2-a%d-i%d-t%d" p.aggs p.intermediates p.tors)
+    ~hosts
+    ~switches:(Array.concat [ tor; agg; inter ])
+    ~dests ~path_count

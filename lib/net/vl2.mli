@@ -6,12 +6,19 @@
     aggregation tier. Upward hops are ECMP-hashed (ToR picks one of its
     2 aggs, the agg picks any intermediate — the valiant load balancing
     of VL2 realised with per-flow ECMP); downward hops are hashed over
-    the destination ToR's two aggs, then deterministic.
+    the destination ToR's two aggs (salt: intermediate id + 31), then
+    deterministic. An agg homed to the destination ToR goes straight
+    down instead of bouncing.
 
     The paper's §2 notes VL2's centralised directory can provide the
     path-count information MMPTCP's dup-ACK heuristic needs; here
-    [Topology.path_count] answers it directly:
-    2 (up-agg) x intermediates x 2 (down-agg) between distinct ToRs. *)
+    [Topology.path_count] answers it with [4 * intermediates] between
+    distinct ToRs, plus one when they share an agg. That counts the
+    combinations of up-agg, intermediate and down-agg, not the routed
+    paths: an up-agg homed to the destination never bounces, so
+    {!Topology.paths} agrees only when the ToRs share no agg; it is
+    [2 * intermediates + 1] when they share one and 2 when they share
+    both. *)
 
 type params = {
   aggs : int;  (** aggregation switches, even, >= 4 *)

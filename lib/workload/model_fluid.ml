@@ -1,7 +1,7 @@
 (* Fluid flow-level model: flows are rate processes over shared link
    capacities instead of packet exchanges. The packet topology is
    still built — the engine reads link capacities and delays off it,
-   and the route oracle enumerates forward paths — but no packet ever
+   and its route tables enumerate forward paths — but no packet ever
    enters a queue. Each flow costs O(log size) events end to end,
    which is what makes 10^5-flow FatTrees tractable (DESIGN.md §4k).
 
@@ -26,22 +26,11 @@ module Engine = Sim_fluid.Engine
 
 type net = {
   topo : Topology.t;
-  oracle : Topology.route_oracle;
   engine : Engine.t;
 }
 
 let build ~sched (cfg : Flow_model.config) =
   let topo = Flow_model.build_topology ~sched cfg.Flow_model.topo in
-  let oracle =
-    match topo.Topology.routes with
-    | Some o -> o
-    | None ->
-      failwith
-        (Printf.sprintf
-           "flow model fluid/hybrid: topology %s routes packet by packet and \
-            exposes no static path oracle; use --model packet"
-           topo.Topology.name)
-  in
   (* The engine indexes capacity by link id; builder ids are dense in
      creation order, so the links array is the id->capacity map. *)
   Array.iteri
@@ -49,7 +38,7 @@ let build ~sched (cfg : Flow_model.config) =
     topo.Topology.links;
   let cap_bps = Array.map Link.rate_bps topo.Topology.links in
   let engine = Engine.make ~sched ~cap_bps ~params:cfg.Flow_model.params () in
-  { topo; oracle; engine }
+  { topo; engine }
 
 let topology net = net.topo
 
@@ -65,23 +54,6 @@ let path_time net ~bytes path =
     0. path
 
 let ack_bytes = 40
-
-let rtt_s (cfg : Flow_model.config) net ~src ~dst ~choice =
-  let rev_paths = max 1 (net.oracle.Topology.ro_paths ~src:dst ~dst:src) in
-  let fwd = net.oracle.Topology.ro_path ~src ~dst ~choice in
-  let rev =
-    net.oracle.Topology.ro_path ~src:dst ~dst:src ~choice:(choice mod rev_paths)
-  in
-  let data = cfg.Flow_model.params.Sim_tcp.Tcp_params.mss + ack_bytes in
-  path_time net ~bytes:data fwd +. path_time net ~bytes:ack_bytes rev
-
-let leg cfg net ~src ~dst ~choice ~weight =
-  {
-    Engine.path = net.oracle.Topology.ro_path ~src ~dst ~choice;
-    weight;
-    rtt_s = rtt_s cfg net ~src ~dst ~choice;
-  }
-
 let scatter_cap = 8
 
 (* Legs (and the optional scatter->multipath switch) for one transfer
@@ -90,26 +62,32 @@ let scatter_cap = 8
    passes the packet stage's exit phase here. *)
 let transport_plan (cfg : Flow_model.config) net ~rng ~src ~dst ~assume_switched
     =
-  let paths = max 1 (net.oracle.Topology.ro_paths ~src ~dst) in
+  let paths = max 1 (Topology.paths net.topo ~src ~dst) in
+  let rev_paths = max 1 (Topology.paths net.topo ~src:dst ~dst:src) in
+  let data = cfg.Flow_model.params.Sim_tcp.Tcp_params.mss + ack_bytes in
+  (* A leg on forward path [choice]; its ACKs take the reverse path of
+     the same index, wrapped. *)
+  let leg choice ~weight =
+    let path = Topology.path net.topo ~src ~dst ~choice in
+    let rev =
+      Topology.path net.topo ~src:dst ~dst:src ~choice:(choice mod rev_paths)
+    in
+    let rtt_s = path_time net ~bytes:data path +. path_time net ~bytes:ack_bytes rev in
+    { Engine.path; weight; rtt_s }
+  in
   let mptcp_legs ~subflows ~coupled =
-    let choices = Array.init subflows (fun _ -> Rng.int rng paths) in
-    let rtts =
-      Array.map (fun choice -> rtt_s cfg net ~src ~dst ~choice) choices
-    in
-    let weights =
-      if coupled then Sim_mptcp.Lia.fluid_weights ~rtts
-      else Array.make subflows 1.
-    in
-    Array.init subflows (fun i ->
-        {
-          Engine.path = net.oracle.Topology.ro_path ~src ~dst ~choice:choices.(i);
-          weight = weights.(i);
-          rtt_s = rtts.(i);
-        })
+    let legs = Array.init subflows (fun _ -> leg (Rng.int rng paths) ~weight:1.) in
+    if not coupled then legs
+    else begin
+      let rtts = Array.map (fun l -> l.Engine.rtt_s) legs in
+      Array.map2
+        (fun l weight -> { l with Engine.weight })
+        legs (Sim_mptcp.Lia.fluid_weights ~rtts)
+    end
   in
   match cfg.Flow_model.protocol with
   | Flow_model.Tcp_proto | Flow_model.Dctcp_proto ->
-    ([| leg cfg net ~src ~dst ~choice:(Rng.int rng paths) ~weight:1. |], None)
+    ([| leg (Rng.int rng paths) ~weight:1. |], None)
   | Flow_model.Mptcp_proto { subflows; coupled } ->
     (mptcp_legs ~subflows ~coupled, None)
   | Flow_model.Mmptcp_proto strategy ->
@@ -123,7 +101,7 @@ let transport_plan (cfg : Flow_model.config) net ~rng ~src ~dst ~assume_switched
            packet; beyond the cap, sample. *)
         Array.init p (fun i ->
             let choice = if paths <= scatter_cap then i else Rng.int rng paths in
-            leg cfg net ~src ~dst ~choice ~weight:w)
+            leg choice ~weight:w)
       in
       let plan = Mmptcp.Strategy.plan strategy.Mmptcp.Strategy.switch in
       match

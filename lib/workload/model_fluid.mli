@@ -1,11 +1,10 @@
 (** Fluid flow-level model: flows as rate processes over shared link
-    capacities ({!Sim_fluid.Engine}); analytic FCTs, no packets.
-    Requires a topology with a static {!Sim_net.Topology.route_oracle}
-    ([build] fails on valiant/multihomed routing). *)
+    capacities ({!Sim_fluid.Engine}); analytic FCTs, no packets. Legs
+    follow the forward paths {!Sim_net.Topology.path} enumerates from
+    the switches' route tables, on any topology. *)
 
 type net = {
   topo : Sim_net.Topology.t;
-  oracle : Sim_net.Topology.route_oracle;
   engine : Sim_fluid.Engine.t;
 }
 

@@ -262,6 +262,199 @@ let test_parking_lot_delivers () =
   check_bool "middle -> end" true (probe net2 ~src:1 ~dst:3)
 
 (* ------------------------------------------------------------------ *)
+(* Routing goldens. Both digests were recorded on the closure-routed
+   builders that preceded the route tables; they pin that the tables
+   forward every packet, and enumerate every path, exactly as before. *)
+
+let golden_topologies () =
+  let sched () = Scheduler.create () in
+  [
+    ("fattree-k4-2",
+     Fattree.create ~sched:(sched ()) (Fattree.default_params ~k:4 ~oversub:2 ()));
+    ("fattree-k8-4",
+     Fattree.create ~sched:(sched ()) (Fattree.default_params ~k:8 ~oversub:4 ()));
+    ("vl2", Vl2.create ~sched:(sched ()) (Vl2.default_params ()));
+    ("multihomed-k4-2",
+     Multihomed.create ~sched:(sched ())
+       (Multihomed.default_params ~k:4 ~oversub:2 ()));
+    ("direct", Dumbbell.direct ~sched:(sched ()) ());
+    ("dumbbell-3", Dumbbell.create ~sched:(sched ()) ~pairs:3 ());
+    ("parking-lot-3", Dumbbell.parking_lot ~sched:(sched ()) ~hops:3 ());
+  ]
+
+(* Hop sequences (link ids) of one packet per 5-tuple, each sent alone
+   into an idle network so no queue drops it. A packet crossing more
+   than 64 links is in a routing loop: fail instead of hanging. *)
+let forwarding_trace net tuples =
+  let sched = net.Topology.sched in
+  let hops = ref [] and n = ref 0 in
+  Array.iter
+    (fun l ->
+      Sim_net.Link.add_tap l (fun _ ->
+          incr n;
+          if !n > 64 then failwith "routing loop";
+          hops := Sim_net.Link.id l :: !hops))
+    net.Topology.links;
+  List.map
+    (fun (src, dst, sport, dport) ->
+      hops := [];
+      n := 0;
+      let s = Topology.host net src and d = Topology.host net dst in
+      Host.send s
+        (Packet.make ~ctx ~src:(Host.addr s) ~dst:(Host.addr d) ~conn:7
+           ~subflow:0 ~src_port:sport ~dst_port:dport ~seq:0 ~ack_seq:0
+           ~len:100 ~bits:Packet.data_bits ~dsn:(-1));
+      Scheduler.run sched;
+      ((src, dst, sport, dport), List.rev !hops))
+    tuples
+
+let golden_tuples n =
+  List.filter_map
+    (fun i ->
+      let src = i * 7 mod n and dst = ((i * 13) + 5) mod n in
+      if src = dst then None
+      else Some (src, dst, 1000 + (i * 7919 mod 60000), 80 + (i mod 3)))
+    (List.init 400 Fun.id)
+
+let digest_of_lines lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let ints l = String.concat "," (List.map string_of_int l)
+
+let forwarding_digest nets =
+  List.concat_map
+    (fun (name, net) ->
+      forwarding_trace net (golden_tuples (Topology.host_count net))
+      |> List.map (fun ((s, d, sp, dp), hops) ->
+             check_bool "packet crossed a link" true (hops <> []);
+             Printf.sprintf "%s %d %d %d %d: %s" name s d sp dp (ints hops)))
+    nets
+  |> digest_of_lines
+
+let test_forwarding_golden () =
+  Alcotest.(check string) "forwarding digest" "41a19335f7fff7f6aa2bfc827f140ad6"
+    (forwarding_digest (golden_topologies ()))
+
+(* k/2 = 3 edges per pod: the first FatTrees where a dual-homed host's
+   second edge is not also the edge before its home. *)
+let k6_topologies () =
+  [
+    ("multihomed-k6-1",
+     Multihomed.create ~sched:(Scheduler.create ())
+       (Multihomed.default_params ~k:6 ~oversub:1 ()));
+    ("fattree-k6-1",
+     Fattree.create ~sched:(Scheduler.create ())
+       (Fattree.default_params ~k:6 ~oversub:1 ()));
+  ]
+
+let test_forwarding_golden_k6 () =
+  Alcotest.(check string) "forwarding digest" "abe111b31c5ae6ed342c2c20c3185e8c"
+    (forwarding_digest (k6_topologies ()))
+
+let test_enumeration_golden () =
+  (* k=8 at 1:1 (128 hosts) keeps every (src, dst, choice) triple
+     affordable; the forwarding golden covers k=8 at 4:1. *)
+  let nets =
+    ("fattree-k8-1",
+     Fattree.create ~sched:(Scheduler.create ())
+       (Fattree.default_params ~k:8 ~oversub:1 ()))
+    :: List.filter
+         (fun (name, _) ->
+           not (List.mem name [ "fattree-k8-4"; "vl2"; "multihomed-k4-2" ]))
+         (golden_topologies ())
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (name, net) ->
+      let n = Topology.host_count net in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          let paths = Topology.paths net ~src ~dst in
+          Printf.bprintf buf "%s %d %d %d\n" name src dst paths;
+          for choice = 0 to paths - 1 do
+            Printf.bprintf buf "%s\n"
+              (ints (Array.to_list (Topology.path net ~src ~dst ~choice)))
+          done
+        done
+      done)
+    nets;
+  Alcotest.(check string) "enumeration digest" "b4725e42bd6e54bb782622deeb555de4"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Every hop sequence packets between [src] and [dst] actually take,
+   over many source ports, is one of [Topology.path]'s, and together
+   they are all of them. *)
+let prop_routes_are_paths name mk =
+  let n = Topology.host_count (mk ()) in
+  QCheck.Test.make ~count:15
+    ~name:(name ^ ": routed hop sequences are exactly the enumerated paths")
+    QCheck.(pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+    (fun (src, dst) ->
+      QCheck.assume (src <> dst);
+      let net = mk () in
+      let routed =
+        forwarding_trace net (List.init 1000 (fun i -> (src, dst, 1 + (i * 61), 80)))
+        |> List.map snd |> List.sort_uniq compare
+      in
+      let paths = Topology.paths net ~src ~dst in
+      let enumerated =
+        List.init paths (fun choice ->
+            Array.to_list (Topology.path net ~src ~dst ~choice))
+      in
+      List.for_all (fun r -> List.mem r enumerated) routed
+      && List.length routed = paths)
+
+let prop_vl2_routes_are_paths =
+  prop_routes_are_paths "vl2" (fun () ->
+      Vl2.create ~sched:(Scheduler.create ()) (Vl2.default_params ()))
+
+let prop_multihomed_routes_are_paths =
+  prop_routes_are_paths "multihomed k4 2:1" (fun () ->
+      Multihomed.create ~sched:(Scheduler.create ())
+        (Multihomed.default_params ~k:4 ~oversub:2 ()))
+
+let prop_multihomed_k6_routes_are_paths =
+  prop_routes_are_paths "multihomed k6 1:1" (fun () ->
+      Multihomed.create ~sched:(Scheduler.create ())
+        (Multihomed.default_params ~k:6 ~oversub:1 ()))
+
+(* [path_count] feeds MMPTCP's dup-ACK threshold. It is the routed
+   path count on the FatTree and the reference topologies ... *)
+let test_path_count_is_paths () =
+  List.iter
+    (fun (name, net) ->
+      if not (List.mem name [ "vl2"; "multihomed-k4-2" ]) then begin
+        let n = Topology.host_count net in
+        for src = 0 to n - 1 do
+          for dst = 0 to n - 1 do
+            check_int name
+              (Topology.paths net ~src ~dst)
+              (net.Topology.path_count (Addr.of_int src) (Addr.of_int dst))
+          done
+        done
+      end)
+    (golden_topologies ())
+
+(* ... but not on VL2 or the dual-homed FatTree. Pinned as found, so
+   a change to either number is deliberate (see ROADMAP.md). *)
+let test_path_count_off_fattree () =
+  let vl2 = Vl2.create ~sched:(Scheduler.create ()) (Vl2.default_params ()) in
+  let mh =
+    Multihomed.create ~sched:(Scheduler.create ())
+      (Multihomed.default_params ~k:4 ~oversub:2 ())
+  in
+  List.iter
+    (fun (name, net, src, dst, count, paths) ->
+      check_int (name ^ " path_count") count
+        (net.Topology.path_count (Addr.of_int src) (Addr.of_int dst));
+      check_int (name ^ " paths") paths (Topology.paths net ~src ~dst))
+    [
+      ("vl2 0->4", vl2, 0, 4, 17, 9);
+      ("vl2 0->32", vl2, 0, 32, 17, 2);
+      ("multihomed 0->1", mh, 0, 1, 4, 2);
+      ("multihomed 0->9", mh, 0, 9, 8, 16);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Layer statistics *)
 
 let test_layer_loss_rate_counts_drops () =
@@ -327,6 +520,17 @@ let () =
           Alcotest.test_case "dumbbell both ways" `Quick test_dumbbell_delivers_both_ways;
           Alcotest.test_case "bottleneck tagging" `Quick test_dumbbell_bottleneck_layer;
           Alcotest.test_case "parking lot" `Quick test_parking_lot_delivers;
+        ] );
+      ( "routing",
+        [
+          Alcotest.test_case "forwarding golden" `Quick test_forwarding_golden;
+          Alcotest.test_case "forwarding golden k=6" `Quick test_forwarding_golden_k6;
+          Alcotest.test_case "enumeration golden" `Quick test_enumeration_golden;
+          qt prop_vl2_routes_are_paths;
+          qt prop_multihomed_routes_are_paths;
+          qt prop_multihomed_k6_routes_are_paths;
+          Alcotest.test_case "path_count is paths" `Quick test_path_count_is_paths;
+          Alcotest.test_case "path_count off fattree" `Quick test_path_count_off_fattree;
         ] );
       ( "layer-stats",
         [ Alcotest.test_case "loss accounting" `Quick test_layer_loss_rate_counts_drops ] );
