@@ -77,11 +77,13 @@ let obs_term =
       value & flag
       & info [ "ledger" ]
           ~doc:
-            "Record every flow's lifecycle (arrival, handshake, phase \
-             switch, hybrid promotion, RTO/fast-retransmit counts, bytes, \
-             completion, FCT) in the flow ledger and export per-flow CSV \
-             and JSONL plus an FCT-percentile summary via --out. Identical \
-             across --model and --jobs.")
+            "Export the flow ledger: every flow's lifecycle (arrival, \
+             handshake, phase switch, hybrid promotion, RTO/fast-retransmit \
+             counts, bytes, completion, FCT) as per-flow CSV and JSONL plus \
+             an FCT-percentile summary via --out. Every run records the \
+             ledger, since all result tables are read off it; this flag \
+             only exports it, and changes no other output. Identical across \
+             --model and --jobs.")
   in
   let make probe_interval probe_conns ledger =
     { Scenario.default_obs with probe_interval; probe_conns; ledger }

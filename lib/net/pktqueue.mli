@@ -53,9 +53,10 @@ val enqueue : t -> Packet.t -> bool
 
 val add_drop_hook : t -> (Packet.t -> unit) -> unit
 (** Register an observer called for every dropped packet. Multiple
-    observers may coexist (e.g. {!Flowmon} and the metrics layer);
-    they run in installation order, after the drop is counted in
-    {!stats} and after any [queue_drop] metrics event is emitted.
+    observers may coexist (e.g. the metrics layer and a test's own
+    drop counter); they run in installation order, after the drop is
+    counted in {!stats} and after any [queue_drop] metrics event is
+    emitted.
     Hooks cannot be removed — an observer lives as long as its
     queue.
 

@@ -164,10 +164,13 @@ let on_complete t ~conn =
       if c.c_complete_ns < 0 then c.c_complete_ns <- t.clock_ns ()
     end
 
-let note_bytes t ~conn bytes =
+let add_bytes t ~conn bytes =
   if t.on then
     let s = slot t conn in
-    if s >= 0 then t.cells.(s).c_bytes <- bytes
+    if s >= 0 then begin
+      let c = t.cells.(s) in
+      c.c_bytes <- c.c_bytes + bytes
+    end
 
 let count t = t.n
 

@@ -4,10 +4,11 @@
     [Sim_engine.Sim_ctx], next to {!Metrics}), records every flow's
     lifecycle — arrival, handshake, MMPTCP phase switch, hybrid
     promotion, retransmit counts, bytes, completion — and freezes it
-    into an immutable {!dump} at end of run. The ledger is {e off} by
-    default: every hook is one branch when disabled, and the per-flow
-    cells are only allocated while it is on, so an unledgered run pays
-    nothing measurable (see the ledger-off A/B case in bench/micro).
+    into an immutable {!dump} at end of run. It is the only per-flow
+    record of a scenario: [Sim_workload.Scenario.run] enables it for
+    every run and derives each flow's result from the dump. A fresh
+    ledger is disabled, so transports driven outside a scenario (unit
+    tests, bench/micro) pay one branch per hook and allocate nothing.
 
     All three flow models ([packet], [fluid], [hybrid]) drive the same
     hooks, keyed by transport connection id. MPTCP/MMPTCP subflows
@@ -81,9 +82,11 @@ val on_fast_rtx : t -> conn:int -> unit
 val on_complete : t -> conn:int -> unit
 (** The last byte landed. First call wins. *)
 
-val note_bytes : t -> conn:int -> int -> unit
-(** Set the delivered byte count (called at collection time from the
-    model's live handle; overwrites). *)
+val add_bytes : t -> conn:int -> int -> unit
+(** Add one stage's final delivered byte count. Each transport stage
+    calls it exactly once: when its connection closes, or at the end
+    of the run if it is still open then. A hybrid flow's two stages
+    sum onto the one record through the promotion alias. *)
 
 (** {2 Read-out} *)
 

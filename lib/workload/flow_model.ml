@@ -121,19 +121,6 @@ type net_stats = {
   ns_core_utilisation : float;
 }
 
-type live = {
-  l_conn : int;
-  l_src : int;
-  l_dst : int;
-  l_size : int;
-  l_long : bool;
-  l_start : Time.t;
-  l_fct : unit -> Time.t option;
-  l_rtos : unit -> int;
-  l_frtx : unit -> int;
-  l_bytes : unit -> int;
-}
-
 let build_topology ~sched = function
   | Fattree_topo p -> Sim_net.Fattree.create ~sched p
   | Multihomed_topo p -> Sim_net.Multihomed.create ~sched p
@@ -154,8 +141,7 @@ module type BACKEND = sig
     src_id:int ->
     dst_id:int ->
     size:int ->
-    is_long:bool ->
-    live
+    int
 
-  val net_stats : net -> net_stats
+  val finish : net -> net_stats
 end

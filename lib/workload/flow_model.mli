@@ -14,9 +14,10 @@
       they have carried [handoff_bytes]; the two engines share link
       capacity through residual coupling (see DESIGN.md §4k).
 
-    All three models consume the same {!config} and produce the same
-    {!live} handles, so experiments, sinks and probes work unchanged
-    across models. *)
+    All three models consume the same {!config} and report every
+    flow's outcome to the simulation's flow ledger
+    ({!Sim_obs.Flow_ledger}) through the same hooks, so experiments,
+    sinks and probes work unchanged across models. *)
 
 module Time = Sim_engine.Sim_time
 
@@ -57,7 +58,7 @@ type topology_kind =
 type obs_cfg = {
   probe_interval : Time.t option;
   probe_conns : int list option;
-  ledger : bool;  (** record per-flow lifecycles in the flow ledger *)
+  ledger : bool;  (** publish the flow ledger's dump with the result *)
   pin : unit;
       (** no switch: keeps [{ obs with ... }] updates that name the
           other three fields free of warning 23 (useless [with]) until
@@ -93,31 +94,19 @@ type net_stats = {
   ns_core_utilisation : float;
 }
 
-(** A live flow: how to read its outcome after the run. The closures
-    are model-specific; the fluid engine has no retransmissions, so
-    its [l_rtos]/[l_frtx] are constant 0. *)
-type live = {
-  l_conn : int;  (** transport connection id (ledger key) *)
-  l_src : int;
-  l_dst : int;
-  l_size : int;
-  l_long : bool;
-  l_start : Time.t;
-  l_fct : unit -> Time.t option;
-  l_rtos : unit -> int;
-  l_frtx : unit -> int;
-  l_bytes : unit -> int;
-}
-
 val build_topology :
   sched:Sim_engine.Scheduler.t -> topology_kind -> Sim_net.Topology.t
 
 (** One flow model. [build] constructs whatever network state the
     model needs (always includes the packet topology — the fluid
     model reads capacities and delays off it — which [topology]
-    returns); [start_flow] launches one transfer at the current
-    virtual time and returns its outcome handle; [net_stats] is read
-    once after the horizon. *)
+    returns). [start_flow] launches one transfer at the current
+    virtual time and returns its connection id, the flow's key in the
+    ledger; fct, retransmit counts and delivered bytes reach the
+    ledger through its hooks, each transport stage adding its bytes
+    once, when its connection closes. [finish] is called once, after
+    the horizon: it adds the bytes of every stage still open, then
+    reads the network aggregates. *)
 module type BACKEND = sig
   type net
 
@@ -131,8 +120,7 @@ module type BACKEND = sig
     src_id:int ->
     dst_id:int ->
     size:int ->
-    is_long:bool ->
-    live
+    int
 
-  val net_stats : net -> net_stats
+  val finish : net -> net_stats
 end

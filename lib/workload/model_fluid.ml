@@ -19,14 +19,21 @@
      LIA-weighted subflow legs when {!Mmptcp.Strategy.plan} says so. *)
 
 module Time = Sim_engine.Sim_time
+module Scheduler = Sim_engine.Scheduler
 module Rng = Sim_engine.Rng
 module Topology = Sim_net.Topology
 module Link = Sim_net.Link
 module Engine = Sim_fluid.Engine
 
+(* [conns] holds the transfers still open, by conn id. A transfer adds
+   its delivered bytes to the ledger once: at completion, which also
+   drops it from the table, or from [finish] if it is still open
+   then. *)
 type net = {
   topo : Topology.t;
   engine : Engine.t;
+  ledger : Sim_obs.Flow_ledger.t;
+  conns : (int, Engine.conn) Hashtbl.t;
 }
 
 let build ~sched (cfg : Flow_model.config) =
@@ -38,9 +45,15 @@ let build ~sched (cfg : Flow_model.config) =
     topo.Topology.links;
   let cap_bps = Array.map Link.rate_bps topo.Topology.links in
   let engine = Engine.make ~sched ~cap_bps ~params:cfg.Flow_model.params () in
-  { topo; engine }
+  {
+    topo;
+    engine;
+    ledger = Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched);
+    conns = Hashtbl.create 64;
+  }
 
 let topology net = net.topo
+let engine net = net.engine
 
 (* One-way traversal time of [path] for a [bytes]-long frame:
    store-and-forward serialisation plus propagation at every hop. *)
@@ -120,32 +133,30 @@ let transport_plan (cfg : Flow_model.config) net ~rng ~src ~dst ~assume_switched
             } )
     end
 
-let live_of ~src_id ~dst_id ~size ~is_long ~start c =
-  {
-    Flow_model.l_conn = Engine.conn_id c;
-    l_src = src_id;
-    l_dst = dst_id;
-    l_size = size;
-    l_long = is_long;
-    l_start = start;
-    l_fct = (fun () -> Engine.conn_fct c);
-    l_rtos = (fun () -> 0);
-    l_frtx = (fun () -> 0);
-    l_bytes = (fun () -> Engine.conn_bytes c);
-  }
+let add_bytes net c =
+  Sim_obs.Flow_ledger.add_bytes net.ledger ~conn:(Engine.conn_id c)
+    (Engine.conn_bytes c)
 
-let start_flow (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size
-    ~is_long =
-  let start = Sim_engine.Scheduler.now net.topo.Topology.sched in
+let start_conn net ?done_bytes ?slow_start ?handshake ?switch ~legs ~size () =
+  let c =
+    Engine.start net.engine ?done_bytes ?slow_start ?handshake ?switch ~legs
+      ~size
+      ~on_complete:(fun c ->
+        Hashtbl.remove net.conns (Engine.conn_id c);
+        add_bytes net c)
+      ()
+  in
+  Hashtbl.replace net.conns (Engine.conn_id c) c;
+  c
+
+let start_flow (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size =
   let legs, switch =
     transport_plan cfg net ~rng ~src:src_id ~dst:dst_id ~assume_switched:false
   in
-  let c =
-    Engine.start net.engine ?switch ~legs ~size ~on_complete:(fun _ -> ()) ()
-  in
-  live_of ~src_id ~dst_id ~size ~is_long ~start c
+  Engine.conn_id (start_conn net ?switch ~legs ~size ())
 
-let net_stats net =
+let finish net =
+  Hashtbl.iter (fun _ c -> add_bytes net c) net.conns;
   Engine.finalize net.engine;
   let layer_util layer =
     match Topology.layer_links net.topo layer with

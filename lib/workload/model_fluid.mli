@@ -3,12 +3,26 @@
     follow the forward paths {!Sim_net.Topology.path} enumerates from
     the switches' route tables, on any topology. *)
 
-type net = {
-  topo : Sim_net.Topology.t;
-  engine : Sim_fluid.Engine.t;
-}
+include Flow_model.BACKEND
 
-include Flow_model.BACKEND with type net := net
+val engine : net -> Sim_fluid.Engine.t
+(** The model's fluid engine; the hybrid model couples it to the
+    packet links. *)
+
+val start_conn :
+  net ->
+  ?done_bytes:int ->
+  ?slow_start:bool ->
+  ?handshake:bool ->
+  ?switch:Sim_fluid.Engine.switch_spec ->
+  legs:Sim_fluid.Engine.leg_spec array ->
+  size:int ->
+  unit ->
+  Sim_fluid.Engine.conn
+(** {!Sim_fluid.Engine.start} on this model's engine, with the
+    transfer's delivered bytes added to the ledger once: at
+    completion, or from [finish] if it is still open then. The
+    hybrid model starts its fluid continuations here. *)
 
 val transport_plan :
   Flow_model.config ->

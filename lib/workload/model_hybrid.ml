@@ -26,6 +26,7 @@ module Engine = Sim_fluid.Engine
 
 type net = {
   fnet : Model_fluid.net;
+  pnet : Model_packet.net;  (* over [fnet]'s topology *)
   handoff : int;
   (* residual-coupling state, indexed by link id *)
   prev_tx : int array;  (* tx_bytes at the previous sample *)
@@ -51,14 +52,16 @@ let rec build ~sched (cfg : Flow_model.config) =
     | Flow_model.Hybrid { handoff_bytes } -> handoff_bytes
     | Flow_model.Packet | Flow_model.Fluid -> Flow_model.default_handoff_bytes
   in
-  let nlinks = Array.length fnet.Model_fluid.topo.Topology.links in
+  let topo = Model_fluid.topology fnet in
+  let nlinks = Array.length topo.Topology.links in
   let net =
     {
       fnet;
+      pnet = Model_packet.on_topology topo;
       handoff;
       prev_tx = Array.make nlinks 0;
       pkt_rate = Array.make nlinks 0.;
-      avail_set = Array.map Link.rate_bps fnet.Model_fluid.topo.Topology.links;
+      avail_set = Array.map Link.rate_bps topo.Topology.links;
       sampler = None;
     }
   in
@@ -66,8 +69,8 @@ let rec build ~sched (cfg : Flow_model.config) =
   net
 
 and sample net =
-  let topo = net.fnet.Model_fluid.topo in
-  let engine = net.fnet.Model_fluid.engine in
+  let topo = Model_fluid.topology net.fnet in
+  let engine = Model_fluid.engine net.fnet in
   let links = topo.Topology.links in
   for i = 0 to Array.length links - 1 do
     let l = links.(i) in
@@ -102,19 +105,15 @@ let ensure_sampling net =
     Scheduler.Timer.schedule_after t couple_interval
   | _ -> ()
 
-let topology net = net.fnet.Model_fluid.topo
+let topology net = Model_fluid.topology net.fnet
 
-let start_flow (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size
-    ~is_long =
-  let topo = net.fnet.Model_fluid.topo in
-  let start = Scheduler.now topo.Topology.sched in
+let start_flow (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size =
   if size <= net.handoff then
     (* Whole flow fits the packet stage: run it there, untouched. *)
-    Model_packet.start_flow cfg topo ~rng ~src_id ~dst_id ~size ~is_long
+    Model_packet.start_flow cfg net.pnet ~rng ~src_id ~dst_id ~size
   else begin
     let stage1 = net.handoff in
-    let fluid = ref None in
-    let ctx = Scheduler.ctx topo.Topology.sched in
+    let ctx = Scheduler.ctx (topology net).Topology.sched in
     let ledger = Sim_engine.Sim_ctx.ledger ctx in
     (* Set once start_flow_ext returns, read when the packet stage
        completes (always after start: the stage transfers >= 1 byte). *)
@@ -125,18 +124,16 @@ let start_flow (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size
           ~assume_switched:switched
       in
       let c =
-        Engine.start net.fnet.Model_fluid.engine ~done_bytes:stage1
-          ~slow_start:false ~handshake:false ?switch ~legs ~size:(size - stage1)
-          ~on_complete:(fun _ -> ())
-          ()
+        Model_fluid.start_conn net.fnet ~done_bytes:stage1 ~slow_start:false
+          ~handshake:false ?switch ~legs ~size:(size - stage1) ()
       in
-      fluid := Some c;
       (* The fluid continuation's conn id becomes an alias of the
-         packet-stage ledger record, so stage-2 events land on the one
-         flow entry. [Engine.start ~handshake:false] runs [go_running]
-         synchronously, but its handshake hook hits an unaliased conn
-         and is dropped — the record keeps the packet-stage handshake
-         timestamp, which is the real one. *)
+         packet-stage ledger record, so stage-2 events — completion and
+         delivered bytes — land on the one flow entry.
+         [~handshake:false] runs [go_running] synchronously, but its
+         handshake hook hits an unaliased conn and is dropped — the
+         record keeps the packet-stage handshake timestamp, which is
+         the real one. *)
       Sim_obs.Flow_ledger.on_promote ledger ~conn:!pkt_conn
         ~cont:(Engine.conn_id c);
       (let m = Sim_engine.Sim_ctx.metrics ctx in
@@ -152,36 +149,15 @@ let start_flow (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size
            ());
       ensure_sampling net
     in
-    let pl =
-      Model_packet.start_flow_ext cfg topo ~rng ~src_id ~dst_id ~size:stage1
-        ~is_long ~on_complete:(fun ~switched -> promote ~switched)
-    in
-    pkt_conn := pl.Flow_model.l_conn;
-    {
-      Flow_model.l_conn = pl.Flow_model.l_conn;
-      l_src = src_id;
-      l_dst = dst_id;
-      l_size = size;
-      l_long = is_long;
-      l_start = start;
-      l_fct =
-        (fun () ->
-          match !fluid with
-          | Some c ->
-            Option.map (fun at -> Time.diff at start) (Engine.conn_completed c)
-          | None -> None);
-      l_rtos = pl.Flow_model.l_rtos;
-      l_frtx = pl.Flow_model.l_frtx;
-      l_bytes =
-        (fun () ->
-          pl.Flow_model.l_bytes ()
-          + match !fluid with Some c -> Engine.conn_bytes c | None -> 0);
-    }
+    pkt_conn :=
+      Model_packet.start_flow_ext cfg net.pnet ~rng ~src_id ~dst_id ~size:stage1
+        ~on_complete:(fun ~switched -> promote ~switched);
+    !pkt_conn
   end
 
-let net_stats net =
-  let p = Model_packet.net_stats net.fnet.Model_fluid.topo in
-  let f = Model_fluid.net_stats net.fnet in
+let finish net =
+  let p = Model_packet.finish net.pnet in
+  let f = Model_fluid.finish net.fnet in
   {
     p with
     (* Utilisation is additive: the packet side measures transmitter

@@ -1,7 +1,12 @@
 (** Packet-level flow model (reference fidelity): the full
     TCP / DCTCP / MPTCP / MMPTCP stacks over queues and switches. *)
 
-include Flow_model.BACKEND with type net = Sim_net.Topology.t
+include Flow_model.BACKEND
+
+val on_topology : Sim_net.Topology.t -> net
+(** The packet model over an already built topology — the hybrid
+    model's packet stage, which shares its topology with the fluid
+    engine. *)
 
 val start_flow_ext :
   Flow_model.config ->
@@ -10,9 +15,8 @@ val start_flow_ext :
   src_id:int ->
   dst_id:int ->
   size:int ->
-  is_long:bool ->
   on_complete:(switched:bool -> unit) ->
-  Flow_model.live
+  int
 (** [start_flow] plus a completion hook — the hybrid model's handoff
     point. [switched] reports whether an MMPTCP connection finished in
     its multipath phase (always [false] for the other protocols), so

@@ -115,10 +115,11 @@ let run ?(progress = fun _ -> ()) (cfg : config) =
       Some p
     | None -> None
   in
+  (* The ledger is every flow's only record: always on, and the
+     results below are read off its dump. *)
   let ledger = Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched) in
-  if cfg.obs.ledger then
-    Sim_obs.Flow_ledger.enable ledger ~clock_ns:(fun () ->
-        Time.to_ns (Scheduler.now sched));
+  Sim_obs.Flow_ledger.enable ledger ~clock_ns:(fun () ->
+      Time.to_ns (Scheduler.now sched));
   let rng = Rng.create ~seed:cfg.seed in
   let net = B.build ~sched cfg in
   let topo = B.topology net in
@@ -139,23 +140,19 @@ let run ?(progress = fun _ -> ()) (cfg : config) =
       Array.of_list
         (List.filter (fun s -> not (Array.exists (( = ) s) long_hosts)) senders)
   in
-  let lives = ref [] in
-  let note l = lives := l :: !lives in
   let arrivals =
     Scheduler.Event.pool sched ~fire:(fun a ->
         let dst = Traffic_matrix.dest tm ~src:a.ar_host in
-        let l =
+        let conn =
           B.start_flow cfg net ~rng ~src_id:a.ar_host ~dst_id:dst
-            ~size:a.ar_size ~is_long:a.ar_long
+            ~size:a.ar_size
         in
         (* The arrival is the model-agnostic ledger anchor: it knows
            the flow's full size (the hybrid model's packet stage only
            sees its handoff slice) and runs before any transport event
            can fire. *)
-        Sim_obs.Flow_ledger.on_start ledger ~conn:l.Flow_model.l_conn
-          ~src:l.Flow_model.l_src ~dst:l.Flow_model.l_dst
-          ~size:l.Flow_model.l_size ~long:l.Flow_model.l_long;
-        note l)
+        Sim_obs.Flow_ledger.on_start ledger ~conn ~src:a.ar_host ~dst
+          ~size:a.ar_size ~long:a.ar_long)
   in
   (* Long background flows start near t=0 with a little jitter so their
      slow starts do not synchronise. *)
@@ -224,47 +221,54 @@ let run ?(progress = fun _ -> ()) (cfg : config) =
            | [] -> "(none)"
            | cs -> String.concat ", " cs))
   | _ -> ());
-  let collect (l : Flow_model.live) =
-    (* Finalize the ledger's byte counters from the live handle — the
-       transports count bytes in model-specific places; the handle is
-       the one uniform view. *)
-    Sim_obs.Flow_ledger.note_bytes ledger ~conn:l.Flow_model.l_conn
-      (l.Flow_model.l_bytes ());
-    {
-      id = 0;
-      src = l.Flow_model.l_src;
-      dst = l.l_dst;
-      flow_size = l.l_size;
-      is_long = l.l_long;
-      start = l.l_start;
-      fct = l.l_fct ();
-      rtos = l.l_rtos ();
-      fast_rtxs = l.l_frtx ();
-      bytes_received = l.l_bytes ();
-    }
-  in
-  let all = List.rev_map collect !lives in
-  let by_start a b = Time.compare a.start b.start in
-  let shorts =
-    List.filter (fun f -> not f.is_long) all |> List.sort by_start
-    |> List.mapi (fun i f -> { f with id = i })
-    |> Array.of_list
-  in
-  let longs =
-    List.filter (fun f -> f.is_long) all |> List.sort by_start
-    |> List.mapi (fun i f -> { f with id = i })
+  let net_stats = B.finish net in
+  let dump = Sim_obs.Flow_ledger.dump ledger in
+  (* Conservation invariant (dev profile): no flow delivers more than
+     its size, and a completed flow delivers exactly its size. *)
+  if Sim_engine.Sanitizer_mode.on then
+    Array.iter
+      (fun (e : Sim_obs.Flow_ledger.entry) ->
+        if
+          e.e_bytes < 0 || e.e_bytes > e.e_size
+          || (e.e_complete_ns >= 0 && e.e_bytes <> e.e_size)
+        then
+          failwith
+            (Printf.sprintf
+               "Scenario.run: conn %d delivered %d of %d bytes (%s) under \
+                --model %s"
+               e.e_conn e.e_bytes e.e_size
+               (if e.e_complete_ns >= 0 then "completed" else "unfinished")
+               (model_name cfg.model)))
+      dump;
+  (* Dump entries are in arrival order, which is start order, so the
+     ids number each class by start time. *)
+  let flows long =
+    Array.to_list dump
+    |> List.filter (fun (e : Sim_obs.Flow_ledger.entry) -> e.e_long = long)
+    |> List.mapi (fun id (e : Sim_obs.Flow_ledger.entry) ->
+           {
+             id;
+             src = e.e_src;
+             dst = e.e_dst;
+             flow_size = e.e_size;
+             is_long = e.e_long;
+             start = Time.of_ns e.e_start_ns;
+             fct = Option.map Time.of_ns (Sim_obs.Flow_ledger.fct_ns e);
+             rtos = e.e_rtos;
+             fast_rtxs = e.e_fast_rtxs;
+             bytes_received = e.e_bytes;
+           })
     |> Array.of_list
   in
   {
     config = cfg;
-    shorts;
-    longs;
-    net = B.net_stats net;
+    shorts = flows false;
+    longs = flows true;
+    net = net_stats;
     events = Scheduler.events_processed sched;
     duration = Scheduler.now sched;
     obs = Option.map Sim_engine.Probe.capture probe;
-    ledger =
-      (if cfg.obs.ledger then Some (Sim_obs.Flow_ledger.dump ledger) else None);
+    ledger = (if cfg.obs.ledger then Some dump else None);
   }
 
 let short_fcts_ms r =

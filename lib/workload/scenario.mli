@@ -30,17 +30,18 @@ type topology_kind = Flow_model.topology_kind =
   | Vl2_topo of Sim_net.Vl2.params
   | Dumbbell_topo of { pairs : int; bottleneck : Sim_net.Topology.link_spec }
 
-(** Observability switches, all off by default. Probing and the ledger
-    are read-only taps: they never change flow behaviour (probing only
-    adds sampler timer events to the schedule). *)
+(** Observability switches, all off by default. They are read-only
+    taps: they never change flow behaviour (probing only adds sampler
+    timer events to the schedule). *)
 type obs_cfg = Flow_model.obs_cfg = {
   probe_interval : Time.t option;
       (** sample registered gauges every this much virtual time *)
   probe_conns : int list option;
       (** restrict connection-scoped instruments to these conn ids *)
   ledger : bool;
-      (** record every flow's lifecycle in the flow ledger
-          ({!Sim_obs.Flow_ledger}); the dump lands in [result.ledger] *)
+      (** return the flow ledger's dump ({!Sim_obs.Flow_ledger}) in
+          [result.ledger]. Every run records the ledger and reads its
+          flow results off it; this switch changes nothing else. *)
   pin : unit;  (** no switch; see {!Flow_model.obs_cfg} *)
 }
 
@@ -78,6 +79,7 @@ val protocol_name : protocol -> string
 val model_name : model -> string
 (** ["packet"], ["fluid"], ["hybrid:BYTES"]. *)
 
+(** One flow's outcome, read off its flow-ledger entry. *)
 type flow_result = {
   id : int;  (** ordinal by start time within its class *)
   src : int;
@@ -111,15 +113,19 @@ type result = {
   obs : Sim_obs.Capture.t option;
       (** probe capture, when [config.obs.probe_interval] was set *)
   ledger : Sim_obs.Flow_ledger.dump option;
-      (** per-flow lifecycle records in arrival order, when
-          [config.obs.ledger] was set — identical across flow models,
-          job counts and exec modes *)
+      (** per-flow lifecycle records in arrival order — the records
+          [shorts] and [longs] are read from — when [config.obs.ledger]
+          was set; identical across job counts *)
 }
 
 val run : ?progress:(string -> unit) -> config -> result
 (** Raises [Failure] when [config.obs.probe_conns] names only
     connections that never existed under the selected model — the
-    message lists the components the model actually registered. *)
+    message lists the components the model actually registered. In
+    the dev profile it also raises [Failure] when a packet reached a
+    closed connection, or when a flow broke byte conservation
+    (delivered more than its size, or completed without delivering
+    all of it). *)
 
 (** {1 Result accessors} *)
 

@@ -18,6 +18,8 @@ module Mmptcp_conn = Mmptcp.Mmptcp_conn
 module Strategy = Mmptcp.Strategy
 module Flow_model = Sim_workload.Flow_model
 module Model_packet = Sim_workload.Model_packet
+module Scenario = Sim_workload.Scenario
+module Flow_ledger = Sim_obs.Flow_ledger
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -221,10 +223,12 @@ let test_pending_timers_keep_transports_bound () =
         fun () ->
           Mmptcp_conn.switched_at c = None && not (Mmptcp_conn.is_complete c) ))
 
-(* Model_packet's handle reads the connection until it closes: a long
-   transfer cut by the horizon still reports its progress, and the same
-   handle reports the final outcome once the transfer has drained. *)
-let test_live_until_close () =
+(* A flow's outcome reaches the ledger from the connection itself:
+   its bytes when it closes, or from [finish] if it is still open at
+   the horizon. Two runs of one MPTCP-8 transfer: one cut by the
+   horizon reports its progress, one run until drained reports the
+   final outcome and is unbound. *)
+let packet_outcome ~until =
   let cfg =
     {
       Flow_model.default_config with
@@ -234,23 +238,65 @@ let test_live_until_close () =
     }
   in
   let sched = Scheduler.create () in
+  let ledger = Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched) in
+  Flow_ledger.enable ledger ~clock_ns:(fun () ->
+      Time.to_ns (Scheduler.now sched));
   let net = Model_packet.build ~sched cfg in
-  let l =
+  let conn =
     Model_packet.start_flow cfg net ~rng:(Rng.create ~seed:1) ~src_id:0
-      ~dst_id:13 ~size:2_000_000 ~is_long:true
+      ~dst_id:13 ~size:2_000_000
   in
-  Scheduler.run ~until:(Time.of_ms 20.) sched;
-  let b20 = l.Flow_model.l_bytes () in
-  Scheduler.run ~until:(Time.of_ms 40.) sched;
-  let b40 = l.Flow_model.l_bytes () in
-  check_bool "in flight at the horizon" true (l.Flow_model.l_fct () = None);
-  check_bool "bytes are live" true (0 < b20 && b20 < b40 && b40 < 2_000_000);
-  let src = Topology.host net 0 in
-  check_bool "bound while in flight" true (bound src ~conn:l.Flow_model.l_conn);
-  Scheduler.run sched;
-  check_bool "closed once drained" false (bound src ~conn:l.Flow_model.l_conn);
-  check_int "final bytes" 2_000_000 (l.Flow_model.l_bytes ());
-  check_bool "final fct" true (l.Flow_model.l_fct () <> None)
+  Flow_ledger.on_start ledger ~conn ~src:0 ~dst:13 ~size:2_000_000 ~long:true;
+  Scheduler.run ?until sched;
+  let src = Topology.host (Model_packet.topology net) 0 in
+  let bound_at_horizon = bound src ~conn in
+  ignore (Model_packet.finish net);
+  ((Flow_ledger.dump ledger).(0), bound_at_horizon)
+
+let test_live_until_close () =
+  let e, bound = packet_outcome ~until:(Some (Time.of_ms 40.)) in
+  check_bool "cut: in flight at the horizon" true (Flow_ledger.fct_ns e = None);
+  check_bool "cut: bound at the horizon" true bound;
+  check_bool "cut: bytes are partial" true
+    (0 < e.Flow_ledger.e_bytes && e.Flow_ledger.e_bytes < 2_000_000);
+  let e, bound = packet_outcome ~until:None in
+  check_bool "drained: closed" false bound;
+  check_int "drained: final bytes" 2_000_000 e.Flow_ledger.e_bytes;
+  check_bool "drained: final fct" true (Flow_ledger.fct_ns e <> None)
+
+(* A hybrid flow promoted to fluid and cut by the horizon adds both
+   stages' bytes: the packet stage its whole handoff slice when it
+   closes, the fluid continuation its progress from [finish]. *)
+let test_hybrid_stages_sum () =
+  let handoff = 100_000 and size = 1_000_000_000 in
+  let cfg =
+    {
+      Scenario.default_config with
+      Scenario.model = Scenario.Hybrid { handoff_bytes = handoff };
+      topo = Scenario.Fattree_topo (Scenario.paper_fattree ~k:4 ~oversub:2 ());
+      long_size = size;
+      short_flows = 0;
+      horizon = Time.of_ms 200.;
+      obs = { Scenario.default_obs with Scenario.ledger = true };
+    }
+  in
+  let r = Scenario.run cfg in
+  let d = Option.get r.Scenario.ledger in
+  check_int "one record per long" (Array.length r.Scenario.longs) (Array.length d);
+  let promoted = ref 0 in
+  Array.iteri
+    (fun i (e : Flow_ledger.entry) ->
+      let f = r.Scenario.longs.(i) in
+      check_bool "cut by the horizon" true (e.e_complete_ns < 0 && f.Scenario.fct = None);
+      check_int "result reads the ledger" e.e_bytes f.Scenario.bytes_received;
+      if e.e_promote_ns >= 0 then begin
+        incr promoted;
+        check_bool "packet stage plus some fluid progress" true
+          (handoff < e.e_bytes && e.e_bytes < size)
+      end
+      else check_bool "packet stage only" true (e.e_bytes <= handoff))
+    d;
+  check_bool "some longs promoted" true (!promoted > 0)
 
 (* Leak regression: sequential MPTCP-8 transfers on a k=4 FatTree,
    each drained before the next starts, keep no per-transfer state in
@@ -297,6 +343,7 @@ let () =
           Alcotest.test_case "pending timers keep transports bound" `Quick
             test_pending_timers_keep_transports_bound;
           Alcotest.test_case "live until close" `Quick test_live_until_close;
+          Alcotest.test_case "hybrid stages sum" `Quick test_hybrid_stages_sum;
           Alcotest.test_case "no leak across transfers" `Quick
             test_sequential_transfers_no_leak;
         ] );

@@ -439,84 +439,6 @@ let test_host_needs_nic () =
   Alcotest.check_raises "no nic" (Failure "Host.send: host has no NIC") (fun () ->
       Host.send h (mk_pkt ()))
 
-(* ------------------------------------------------------------------ *)
-(* Flow monitor *)
-
-module Flowmon = Sim_net.Flowmon
-module Topology = Sim_net.Topology
-module Dumbbell = Sim_net.Dumbbell
-module Flow = Sim_tcp.Flow
-
-let test_flowmon_accounts_bytes () =
-  let sched = Scheduler.create () in
-  let net = Dumbbell.direct ~sched () in
-  let fm = Flowmon.attach net in
-  let f =
-    Flow.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
-      ~size:70_000 ()
-  in
-  Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "flow complete" true (Flow.is_complete f);
-  match Flowmon.conn_stats fm ~conn:(Flow.conn f) with
-  | None -> Alcotest.fail "no stats for connection"
-  | Some s ->
-    (* 50 segments, one hop, payload + headers. *)
-    check_int "segments" 50 s.Flowmon.tx_packets;
-    check_int "bytes include headers" (70_000 + (50 * 40)) s.Flowmon.tx_bytes;
-    check_int "no drops" 0 s.Flowmon.drops;
-    check_int "no retransmissions" 0 s.Flowmon.retransmitted_segments
-
-let test_flowmon_counts_drops_and_rtx () =
-  let sched = Scheduler.create () in
-  let spec = { Topology.default_link_spec with queue_capacity = 5 } in
-  let net = Dumbbell.direct ~sched ~spec () in
-  let fm = Flowmon.attach net in
-  let f =
-    Flow.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
-      ~size:700_000 ()
-  in
-  Scheduler.run ~until:(Time.of_sec 30.) sched;
-  check_bool "flow complete despite tiny queue" true (Flow.is_complete f);
-  match Flowmon.conn_stats fm ~conn:(Flow.conn f) with
-  | None -> Alcotest.fail "no stats"
-  | Some s ->
-    check_bool "observed drops" true (s.Flowmon.drops > 0);
-    check_bool "observed retransmissions" true (s.Flowmon.retransmitted_segments > 0);
-    check_int "drops equal monitor total" (Flowmon.total_drops fm) s.Flowmon.drops
-
-let test_flowmon_top_talkers () =
-  let sched = Scheduler.create () in
-  let net = Dumbbell.create ~sched ~pairs:2 () in
-  let fm = Flowmon.attach net in
-  let big =
-    Flow.start ~src:(Topology.host net 0) ~dst:(Topology.host net 2)
-      ~size:500_000 ()
-  in
-  let small =
-    Flow.start ~src:(Topology.host net 1) ~dst:(Topology.host net 3)
-      ~size:10_000 ()
-  in
-  Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "both done" true (Flow.is_complete big && Flow.is_complete small);
-  match Flowmon.top_talkers fm ~n:1 with
-  | [ (conn, _) ] -> check_int "big flow leads" (Flow.conn big) conn
-  | _ -> Alcotest.fail "expected exactly one top talker"
-
-let test_flowmon_passive () =
-  (* Attaching a monitor must not change outcomes. *)
-  let run monitored =
-    let sched = Scheduler.create () in
-    let net = Dumbbell.direct ~sched () in
-    if monitored then ignore (Flowmon.attach net);
-    let f =
-      Flow.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
-        ~size:70_000 ()
-    in
-    Scheduler.run ~until:(Time.of_sec 10.) sched;
-    Option.map Time.to_ns (Flow.fct f)
-  in
-  check_bool "same fct" true (run true = run false)
-
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -580,12 +502,5 @@ let () =
           Alcotest.test_case "mark mode" `Quick test_red_mark_mode_marks_instead;
           Alcotest.test_case "average tracks" `Quick test_red_average_tracks;
           Alcotest.test_case "invalid params" `Quick test_red_invalid_params;
-        ] );
-      ( "flowmon",
-        [
-          Alcotest.test_case "accounts bytes" `Quick test_flowmon_accounts_bytes;
-          Alcotest.test_case "drops and rtx" `Quick test_flowmon_counts_drops_and_rtx;
-          Alcotest.test_case "top talkers" `Quick test_flowmon_top_talkers;
-          Alcotest.test_case "passive" `Quick test_flowmon_passive;
         ] );
     ]

@@ -16,7 +16,6 @@ module Pktqueue = Sim_net.Pktqueue
 module Layer = Sim_net.Layer
 module Topology = Sim_net.Topology
 module Dumbbell = Sim_net.Dumbbell
-module Flowmon = Sim_net.Flowmon
 module Flow = Sim_tcp.Flow
 module Scenario = Sim_workload.Scenario
 module Scale = Sim_experiments.Scale
@@ -209,12 +208,13 @@ let test_queue_gauges_and_drop_events () =
   check_int "stamped by the clock" 123 evs.(0).Metrics.t_ns
 
 (* ------------------------------------------------------------------ *)
-(* Co-installation with Flowmon *)
+(* Co-installation of drop observers *)
 
-(* The metrics drop tap and Flowmon must observe the same drops
-   without stealing each other's hook (the failure mode of the old
-   single-slot set_drop_hook). *)
-let flowmon_run ~probe () =
+(* The metrics drop tap and another drop observer must see the same
+   drops without stealing each other's hook (the failure mode of the
+   old single-slot set_drop_hook). The second observer counts the
+   flow's drops on every queue of the topology. *)
+let observed_run ~probe () =
   let sched = Scheduler.create () in
   let p =
     if probe then Some (Probe.create sched ~interval:(Time.of_ms 10.))
@@ -223,24 +223,26 @@ let flowmon_run ~probe () =
   Option.iter Probe.start p;
   let spec = { Topology.default_link_spec with queue_capacity = 5 } in
   let net = Dumbbell.direct ~sched ~spec () in
-  let fm = Flowmon.attach net in
   let f =
     Flow.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
       ~size:700_000 ()
   in
+  let drops = ref 0 in
+  Array.iter
+    (fun link ->
+      Pktqueue.add_drop_hook (Sim_net.Link.queue link) (fun pkt ->
+          if pkt.Sim_net.Packet.conn = Flow.conn f then incr drops))
+    net.Topology.links;
   Scheduler.run ~until:(Time.of_sec 30.) sched;
   check_bool "flow complete" true (Flow.is_complete f);
-  let s = Option.get (Flowmon.conn_stats fm ~conn:(Flow.conn f)) in
-  (s, Option.map Probe.capture p)
+  (!drops, Flow.fct f, Option.map Probe.capture p)
 
-let test_flowmon_unaffected_by_probe () =
-  let bare, _ = flowmon_run ~probe:false () in
-  let probed, capture = flowmon_run ~probe:true () in
-  check_bool "drops observed" true (bare.Flowmon.drops > 0);
-  check_int "same drops with metrics tap installed" bare.Flowmon.drops
-    probed.Flowmon.drops;
-  check_int "same retransmitted segments" bare.Flowmon.retransmitted_segments
-    probed.Flowmon.retransmitted_segments;
+let test_drop_observers_unaffected_by_probe () =
+  let bare, bare_fct, _ = observed_run ~probe:false () in
+  let probed, probed_fct, capture = observed_run ~probe:true () in
+  check_bool "drops observed" true (bare > 0);
+  check_int "same drops with metrics tap installed" bare probed;
+  check_bool "same fct" true (bare_fct = probed_fct);
   match capture with
   | None -> Alcotest.fail "expected a capture"
   | Some c ->
@@ -248,8 +250,7 @@ let test_flowmon_unaffected_by_probe () =
       Array.to_list c.Capture.events
       |> List.filter (fun (e : Metrics.event) -> e.kind = "queue_drop")
     in
-    check_int "metrics saw every drop too" probed.Flowmon.drops
-      (List.length drop_events)
+    check_int "metrics saw every drop too" probed (List.length drop_events)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end scenario guarantees *)
@@ -322,10 +323,10 @@ let () =
           Alcotest.test_case "gauges and drop events" `Quick
             test_queue_gauges_and_drop_events;
         ] );
-      ( "flowmon",
+      ( "observers",
         [
-          Alcotest.test_case "unaffected by probe" `Quick
-            test_flowmon_unaffected_by_probe;
+          Alcotest.test_case "drop observers unaffected by probe" `Quick
+            test_drop_observers_unaffected_by_probe;
         ] );
       ( "scenario",
         [

@@ -224,9 +224,9 @@ let test_protocol_names () =
 
 (* Cross-commit golden: an MD5 over every flow's outcome in a tiny
    FatTree run under each packet path, recorded before a drained
-   connection could close and hand its outcome over as a snapshot —
-   so rtos, fast retransmits and bytes are in the digest. Closing must
-   not move any simulated number. *)
+   connection could close and before outcomes were read off the flow
+   ledger — so rtos, fast retransmits and bytes are in the digest.
+   Neither change may move any simulated number. *)
 let outcome_digest cfg =
   let r = Scenario.run cfg in
   let b = Buffer.create 4096 in
