@@ -123,6 +123,31 @@ let test_dctcp_keeps_queue_short () =
     true
     (dctcp_backlog < reno_backlog)
 
+(* Exact outcome of the ECN dumbbell run under DCTCP and under Reno:
+   [(fct_ns, marked, dropped, max_backlog)]. No experiment exercises
+   DCTCP, so these pins are what catches a change to its window
+   arithmetic. *)
+let test_ecn_dumbbell_pinned () =
+  let run cc =
+    let sched = Scheduler.create () in
+    let net = Dumbbell.direct ~sched ~spec:(ecn_spec 17) () in
+    let f =
+      Flow.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
+        ~size:3_000_000 ~cc ()
+    in
+    Scheduler.run ~until:(Time.of_sec 10.) sched;
+    let st = Pktqueue.stats (Link.queue net.Topology.links.(0)) in
+    ( (match Flow.fct f with Some t -> Time.to_ns t | None -> -1),
+      st.Pktqueue.marked,
+      st.Pktqueue.dropped,
+      st.Pktqueue.max_backlog )
+  in
+  let outcome = Alcotest.(pair int (pair int (pair int int))) in
+  let flat (a, b, c, d) = (a, (b, (c, d))) in
+  Alcotest.check outcome "dctcp" (246_935_492, (874, (0, 70)))
+    (flat (run (fun w -> Dctcp.make w)));
+  Alcotest.check outcome "reno" (249_450_924, (1872, (104, 100))) (flat (run Sim_tcp.Reno.make))
+
 let test_dctcp_avoids_loss_at_bottleneck () =
   let sched = Scheduler.create () in
   let net = Dumbbell.direct ~sched ~spec:(ecn_spec 17) () in
@@ -182,6 +207,7 @@ let () =
           Alcotest.test_case "completes with marking" `Quick test_dctcp_flow_completes_with_marking;
           Alcotest.test_case "keeps queue short" `Quick test_dctcp_keeps_queue_short;
           Alcotest.test_case "avoids loss" `Quick test_dctcp_avoids_loss_at_bottleneck;
+          Alcotest.test_case "ecn dumbbell pinned" `Quick test_ecn_dumbbell_pinned;
           Alcotest.test_case "back-to-back runs identical" `Quick
             test_back_to_back_runs_identical;
         ] );

@@ -369,6 +369,73 @@ let test_burst_loss_recovered () =
   check_bool "complete despite burst loss" true (Flow.is_complete f);
   check_int "all bytes delivered" 70_000 (Flow.bytes_received f)
 
+(* cwnd/ssthresh pins. Each trace records [(now_ns, cwnd, ssthresh)]
+   as every data segment (first transmissions and retransmissions,
+   kept or dropped) reaches the loss filter, and the test pins its
+   MD5: any change to the window arithmetic — slow start, congestion
+   avoidance, the loss response or NewReno/SACK recovery — moves the
+   digest. Floats are printed in hex, so the digest is bit-exact. *)
+let cwnd_trace ?spec ?(params = Tcp_params.default) ~size drop =
+  let tx = ref None and clock = ref None in
+  let samples = ref [] in
+  let keep pkt =
+    (match (!tx, !clock) with
+     | Some tx, Some sched when Packet.is_data pkt ->
+       samples :=
+         (Time.to_ns (Scheduler.now sched), Tcp_tx.cwnd tx, Tcp_tx.ssthresh tx)
+         :: !samples
+     | _ -> ());
+    not (drop pkt)
+  in
+  let rig = make_rig ?spec ~data_filter:keep () in
+  clock := Some rig.sched;
+  let f = Flow.start ~src:rig.src ~dst:rig.dst ~size ~params () in
+  tx := Some (Flow.tx f);
+  Scheduler.run ~until:(Time.of_sec 30.) rig.sched;
+  check_bool "complete" true (Flow.is_complete f);
+  let samples = List.rev !samples in
+  let b = Buffer.create 4096 in
+  List.iter (fun (t, c, s) -> Printf.bprintf b "%d %h %h\n" t c s) samples;
+  (f, samples, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* Drop each listed sequence number once. *)
+let drop_once seqs =
+  let pending = Hashtbl.create 8 in
+  List.iter (fun s -> Hashtbl.replace pending s ()) seqs;
+  fun pkt ->
+    Packet.is_data pkt
+    && Hashtbl.mem pending pkt.Packet.seq
+    && (Hashtbl.remove pending pkt.Packet.seq; true)
+
+let mss_f = float_of_int Tcp_params.default.Tcp_params.mss
+
+let test_cwnd_trace_fast_retransmit () =
+  let f, samples, digest = cwnd_trace ~size:70_000 (drop_once [ 14_000 ]) in
+  check_int "fast rtx" 1 (Tcp_tx.stats (Flow.tx f)).Tcp_tx.fast_rtx_events;
+  check_bool "cwnd = ssthresh + 3 mss in recovery" true
+    (List.exists (fun (_, c, s) -> c = s +. (3. *. mss_f)) samples);
+  Alcotest.(check string) "trace md5" "bf1c29ed874fbb6b7669b934c42c0f4c" digest
+
+let test_cwnd_trace_tail_rto () =
+  let mss = Tcp_params.default.Tcp_params.mss in
+  let f, samples, digest = cwnd_trace ~size:(4 * mss) (drop_once [ 3 * mss ]) in
+  check_int "rto" 1 (Tcp_tx.stats (Flow.tx f)).Tcp_tx.rto_events;
+  check_bool "cwnd = 1 mss after the rto" true
+    (List.exists (fun (_, c, _) -> c = mss_f) samples);
+  Alcotest.(check string) "trace md5" "1972291dc9b13a0c29f429deed134a15" digest
+
+let test_cwnd_trace_sack_burst () =
+  let mss = Tcp_params.default.Tcp_params.mss in
+  let spec = { Topology.default_link_spec with Topology.delay = Time.of_ms 2. } in
+  let f, _, digest =
+    cwnd_trace ~spec
+      ~params:{ Tcp_params.default with Tcp_params.sack = true }
+      ~size:140_000
+      (drop_once (List.map (fun i -> i * mss) [ 10; 11; 12; 13; 14 ]))
+  in
+  check_int "one recovery" 1 (Tcp_tx.stats (Flow.tx f)).Tcp_tx.fast_rtx_events;
+  Alcotest.(check string) "trace md5" "29c2dd00d6c9679015db4252d04276c0" digest
+
 let test_random_loss_delivery =
   QCheck.Test.make ~name:"flow completes under random loss" ~count:25
     QCheck.(pair small_int (int_range 1 15))
@@ -705,6 +772,12 @@ let () =
           Alcotest.test_case "syn loss" `Quick test_syn_loss_recovered;
           Alcotest.test_case "burst loss" `Quick test_burst_loss_recovered;
           qt test_random_loss_delivery;
+        ] );
+      ( "cwnd-trace",
+        [
+          Alcotest.test_case "fast retransmit" `Quick test_cwnd_trace_fast_retransmit;
+          Alcotest.test_case "tail loss rto" `Quick test_cwnd_trace_tail_rto;
+          Alcotest.test_case "sack burst loss" `Quick test_cwnd_trace_sack_burst;
         ] );
       ( "receiver",
         [

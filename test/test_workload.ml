@@ -263,6 +263,12 @@ let test_golden_packet_outcomes () =
         "a0fe81aebde0d44ece278c99fffd66e5" );
       ("packet, TCP", Scenario.Packet, Scenario.Tcp_proto,
        "9575bd0899725d6653c85cdf8dea9360");
+      (* No link of this fattree marks ECN, so DCTCP must match Reno. *)
+      ("packet, DCTCP", Scenario.Packet, Scenario.Dctcp_proto,
+       "9575bd0899725d6653c85cdf8dea9360");
+      ( "packet, MPTCP-4 uncoupled", Scenario.Packet,
+        Scenario.Mptcp_proto { subflows = 4; coupled = false },
+        "c3780b0de88bf715552a98f07ef9e463" );
       ( "hybrid, MPTCP-8", Scenario.Hybrid { handoff_bytes = 10_000 },
         Scenario.Mptcp_proto { subflows = 8; coupled = true },
         "a64a83aa67165695e1e3191a538667ea" );
