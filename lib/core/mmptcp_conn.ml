@@ -6,7 +6,7 @@ module Packet = Sim_net.Packet
 module Tcp_tx = Sim_tcp.Tcp_tx
 module Tcp_rx = Sim_tcp.Tcp_rx
 module Dataplane = Sim_mptcp.Dataplane
-module Lia = Sim_mptcp.Lia
+module Cong = Sim_tcp.Cong
 
 type phase = Packet_scatter | Multipath
 
@@ -27,7 +27,7 @@ type t = {
   rxs : Tcp_rx.t array;  (* index 0 = scatter, 1..subflows = multipath *)
   started_at : Time.t;
   mutable switched_at : Time.t option;
-  group : Lia.group;
+  group : Cong.Lia.group;
   mutable switch_timer : Scheduler.Timer.t option;  (* After_time deadline *)
   mutable dupack_threshold : int;
   dupack_cap : int;
@@ -73,7 +73,7 @@ let rec trigger_switch t =
           Tcp_tx.create ~host:t.src ~peer:(Host.addr t.dst) ~conn:t.conn
             ~subflow:i ~params:t.params
             ~src_port:(fun () -> src_port)
-            ~dst_port:5001 ~source:mp_source ~cc:(Lia.attach t.group) ());
+            ~dst_port:5001 ~source:mp_source ~cc:(Cong.Lia t.group) ());
     Array.iter Tcp_tx.connect t.mp_txs;
     t.on_switch t
   end
@@ -157,7 +157,7 @@ let start ~src ~dst ~size ~rng ?(strategy = Strategy.default)
                 ());
         started_at = Scheduler.now sched;
         switched_at = None;
-        group = Lia.make_group ();
+        group = Cong.Lia.make_group ();
         switch_timer = None;
         dupack_threshold = initial_threshold strategy.Strategy.dupack ~paths;
         dupack_cap;
@@ -200,7 +200,7 @@ let start ~src ~dst ~size ~rng ?(strategy = Strategy.default)
   let ps_tx =
     Tcp_tx.create ~host:src ~peer:(Host.addr dst) ~conn ~subflow:0 ~params
       ~src_port:scatter_port ~dst_port:5001 ~source:(ps_source t)
-      ~cc:Sim_tcp.Reno.make
+      ~cc:Cong.Reno
       ~dupack_threshold:(fun () -> t.dupack_threshold)
       ~on_dsack ~on_first_congestion ()
   in

@@ -16,7 +16,7 @@
    slow-start doublings, optional phase switch, completion, drain.
 
    Multipath: a connection carries several legs with allocator
-   weights from {!Sim_mptcp.Lia.fluid_weights} (coupled) or unit
+   weights from {!Sim_tcp.Cong.Lia.fluid_weights} (coupled) or unit
    weights (uncoupled). MMPTCP's two-phase shape reuses
    {!Mmptcp.Strategy.plan}: the scatter legs are swapped for the
    MPTCP legs when the byte or time trigger fires

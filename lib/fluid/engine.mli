@@ -11,7 +11,7 @@
     The engine is topology-free: callers resolve paths (link-id
     arrays, {!Sim_net.Topology.path}) and RTTs and pass
     them as {!leg_spec}s. Multipath couples legs through weights from
-    {!Sim_mptcp.Lia.fluid_weights}; MMPTCP's scatter→multipath shape
+    {!Sim_tcp.Cong.Lia.fluid_weights}; MMPTCP's scatter→multipath shape
     reuses {!Mmptcp.Strategy.plan} ([switch_on_congestion] has no
     fluid analogue and behaves as [Never]). *)
 

@@ -4,6 +4,7 @@ module Host = Sim_net.Host
 module Packet = Sim_net.Packet
 module Tcp_tx = Sim_tcp.Tcp_tx
 module Tcp_rx = Sim_tcp.Tcp_rx
+module Cong = Sim_tcp.Cong
 
 type t = {
   conn : int;
@@ -13,7 +14,7 @@ type t = {
   mutable txs : Tcp_tx.t array;
   mutable rxs : Tcp_rx.t array;
   started_at : Time.t;
-  group : Lia.group option;
+  group : Cong.Lia.group option;
 }
 
 let start ~src ~dst ~size ~subflows ?(params = Sim_tcp.Tcp_params.default)
@@ -22,7 +23,7 @@ let start ~src ~dst ~size ~subflows ?(params = Sim_tcp.Tcp_params.default)
   if subflows < 1 then invalid_arg "Mptcp_conn.start: subflows must be >= 1";
   let sched = Host.sched src in
   let conn = Sim_tcp.Conn_id.fresh (Scheduler.ctx sched) in
-  let group = if coupled then Some (Lia.make_group ()) else None in
+  let group = if coupled then Some (Cong.Lia.make_group ()) else None in
   let rec t =
     lazy
       {
@@ -60,9 +61,7 @@ let start ~src ~dst ~size ~subflows ?(params = Sim_tcp.Tcp_params.default)
       has_more = (fun () -> Dataplane.unassigned t.plane);
     }
   in
-  let cc =
-    match group with Some g -> Lia.attach g | None -> Sim_tcp.Reno.make
-  in
+  let cc = match group with Some g -> Cong.Lia g | None -> Cong.Reno in
   let make_subflow i =
     let src_port = 10_000 + (conn * 131) + (i * 7) in
     let tx =
@@ -114,8 +113,4 @@ let sum_stats t f =
 
 let rto_events t = sum_stats t (fun s -> s.Tcp_tx.rto_events)
 let fast_rtx_events t = sum_stats t (fun s -> s.Tcp_tx.fast_rtx_events)
-let subflow_tx t i = t.txs.(i)
-let lia_alpha t = Option.map Lia.alpha t.group
-
-let total_cwnd t =
-  Array.fold_left (fun acc tx -> acc +. Tcp_tx.cwnd tx) 0. t.txs
+let lia_alpha t = Option.map Cong.Lia.alpha t.group

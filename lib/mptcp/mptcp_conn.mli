@@ -41,8 +41,5 @@ val rto_events : t -> int
 (** Summed over subflows. *)
 
 val fast_rtx_events : t -> int
-val subflow_tx : t -> int -> Sim_tcp.Tcp_tx.t
 val lia_alpha : t -> float option
 (** [None] when running uncoupled. *)
-
-val total_cwnd : t -> float

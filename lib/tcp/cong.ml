@@ -1,47 +1,177 @@
-type window = {
-  get_cwnd : unit -> float;
-  set_cwnd : float -> unit;
-  get_ssthresh : unit -> float;
-  set_ssthresh : float -> unit;
-  flight : unit -> int;
-  mss : int;
-  srtt : unit -> Sim_engine.Sim_time.t option;
-}
+module Time = Sim_engine.Sim_time
+
+type window = { mutable cwnd : float; mutable ssthresh : float }
 
 type loss_kind = Fast_retransmit | Timeout
 
-type t = {
-  name : string;
-  on_ack : acked:int -> ece:bool -> unit;
-  on_loss : loss_kind -> unit;
-  gauges : (string * (unit -> float)) list;
-}
-
-let gauge t key = Option.map (fun f -> f ()) (List.assoc_opt key t.gauges)
-
-let reno_on_loss w kind =
-  let mss = float_of_int w.mss in
-  (* RFC 5681 FlightSize, clamped to cwnd: NewReno window inflation can
-     leave more data outstanding than cwnd, and halving from that
-     inflated figure would let ssthresh ratchet upwards across
-     consecutive recoveries. *)
-  let flight = Float.min (float_of_int (w.flight ())) (w.get_cwnd ()) in
-  let ssthresh = Float.max (flight /. 2.) (2. *. mss) in
-  w.set_ssthresh ssthresh;
-  match kind with
-  | Fast_retransmit -> w.set_cwnd ssthresh
-  | Timeout -> w.set_cwnd mss
+(* Every controller write to cwnd goes through here: the window never
+   drops below one MSS. *)
+let set_cwnd w ~mss c = w.cwnd <- Float.max c (float_of_int mss)
 
 (* Byte-counted slow start without a per-ACK cap: a cumulative ACK
    covering n segments grows cwnd by n segments, exactly like
    per-segment ACKing would. Capping at one MSS per ACK would stall
    senders whose ACK stream is aggregated by reordering — which is the
    normal regime for the packet-scatter phase. *)
-let slow_start_increase w ~acked = w.set_cwnd (w.get_cwnd () +. float_of_int acked)
+let slow_start_increase w ~mss ~acked =
+  set_cwnd w ~mss (w.cwnd +. float_of_int acked)
 
-let congestion_avoidance_increase w ~acked =
-  let mss = float_of_int w.mss in
-  let cwnd = w.get_cwnd () in
-  let inc = mss *. mss /. cwnd *. (float_of_int acked /. mss) in
-  (* Cap the per-ACK increase at one MSS, as byte-counted AIMD does. *)
-  w.set_cwnd (cwnd +. Float.min inc mss)
+let reno_increase w ~mss ~acked =
+  if w.cwnd < w.ssthresh then slow_start_increase w ~mss ~acked
+  else begin
+    let mss_f = float_of_int mss in
+    let cwnd = w.cwnd in
+    let inc = mss_f *. mss_f /. cwnd *. (float_of_int acked /. mss_f) in
+    (* Cap the per-ACK increase at one MSS, as byte-counted AIMD does. *)
+    set_cwnd w ~mss (cwnd +. Float.min inc mss_f)
+  end
+
+let reno_on_loss w ~mss ~flight kind =
+  let mss_f = float_of_int mss in
+  (* RFC 5681 FlightSize, clamped to cwnd: NewReno window inflation can
+     leave more data outstanding than cwnd, and halving from that
+     inflated figure would let ssthresh ratchet upwards across
+     consecutive recoveries. *)
+  let flight = Float.min (float_of_int flight) w.cwnd in
+  let ssthresh = Float.max (flight /. 2.) (2. *. mss_f) in
+  w.ssthresh <- ssthresh;
+  match kind with
+  | Fast_retransmit -> set_cwnd w ~mss ssthresh
+  | Timeout -> set_cwnd w ~mss mss_f
+
+module Dctcp = struct
+  type state = {
+    mutable alpha : float;
+    mutable bytes_acked : int;
+    mutable bytes_marked : int;
+    mutable window_target : float;
+  }
+
+  let recommended_marking_threshold = 17
+  let g = 1. /. 16.
+
+  let create () =
+    { alpha = 0.; bytes_acked = 0; bytes_marked = 0; window_target = 0. }
+
+  let alpha s = s.alpha
+
+  let on_ack s w ~mss ~acked ~ece =
+    s.bytes_acked <- s.bytes_acked + acked;
+    if ece then s.bytes_marked <- s.bytes_marked + acked;
+    (* Normal growth continues; DCTCP reduces proportionally to the
+       marking fraction once per observation window (~one cwnd of
+       ACKed bytes). *)
+    reno_increase w ~mss ~acked;
+    if s.window_target <= 0. then s.window_target <- w.cwnd;
+    if float_of_int s.bytes_acked >= s.window_target then begin
+      let f = float_of_int s.bytes_marked /. float_of_int (max 1 s.bytes_acked) in
+      s.alpha <- ((1. -. g) *. s.alpha) +. (g *. f);
+      if s.bytes_marked > 0 then begin
+        let reduced = w.cwnd *. (1. -. (s.alpha /. 2.)) in
+        set_cwnd w ~mss (Float.max reduced (float_of_int mss));
+        w.ssthresh <- w.cwnd
+      end;
+      s.bytes_acked <- 0;
+      s.bytes_marked <- 0;
+      s.window_target <- w.cwnd
+    end
+end
+
+module Lia = struct
+  (* Members newest first: every sum below runs in that order, so its
+     float rounding is fixed by the join order. *)
+  type group = { mutable members : member array }
+  and member = { group : group; win : window; rtt : Rtt_estimator.t }
+
+  let make_group () = { members = [||] }
+  let subflow_count g = Array.length g.members
+
+  let join group win rtt =
+    let m = { group; win; rtt } in
+    group.members <- Array.append [| m |] group.members;
+    m
+
+  (* RTT fallback before the first sample; only influences the very
+     first increases of a subflow. *)
+  let default_rtt_s = 1e-3
+
+  let rtt_s m =
+    match Rtt_estimator.srtt m.rtt with
+    | Some t -> Float.max 1e-6 (Time.to_sec t)
+    | None -> default_rtt_s
+
+  let total_cwnd g =
+    let total = ref 0. in
+    for i = 0 to Array.length g.members - 1 do
+      total := !total +. g.members.(i).win.cwnd
+    done;
+    !total
+
+  (* The RFC 6356 coupling factor: the one place it is computed. *)
+  let alpha g =
+    let n = Array.length g.members in
+    let total = total_cwnd g in
+    if n = 0 || total <= 0. then 1.
+    else begin
+      let best = ref 0. and denom = ref 0. in
+      for i = 0 to n - 1 do
+        let m = g.members.(i) in
+        let r = rtt_s m in
+        best := Float.max !best (m.win.cwnd /. (r *. r));
+        denom := !denom +. (m.win.cwnd /. r)
+      done;
+      if !denom <= 0. then 1. else total *. !best /. (!denom *. !denom)
+    end
+
+  let on_ack m w ~mss ~acked =
+    if w.cwnd < w.ssthresh then slow_start_increase w ~mss ~acked
+    else begin
+      let total = total_cwnd m.group in
+      let a = alpha m.group in
+      let mss_f = float_of_int mss in
+      let acked_f = float_of_int acked in
+      let coupled = a *. acked_f *. mss_f /. Float.max total mss_f in
+      let uncoupled = acked_f *. mss_f /. Float.max w.cwnd mss_f in
+      let inc = Float.min coupled uncoupled in
+      (* Same per-ACK cap as byte-counted AIMD. *)
+      set_cwnd w ~mss (w.cwnd +. Float.min inc mss_f)
+    end
+
+  (* Equilibrium rate split of a LIA-coupled connection, for the fluid
+     model. With equal loss rates across paths the coupled increase
+     (alpha * acked * mss / cwnd_total per subflow, halving on loss)
+     drives the windows to equal sizes — [alpha] at that fixed point
+     reduces to best-path fairness — so per-path throughput is
+     proportional to 1/rtt_i. The weights sum to 1: the aggregate
+     claims exactly one TCP-fair share when every leg crosses one
+     bottleneck, and the full aggregate of its shares when the paths
+     are disjoint. *)
+  let fluid_weights ~rtts =
+    let n = Array.length rtts in
+    if n = 0 then [||]
+    else begin
+      let inv = Array.map (fun r -> 1. /. Float.max 1e-6 r) rtts in
+      let sum = Array.fold_left ( +. ) 0. inv in
+      if sum <= 0. then Array.make n (1. /. float_of_int n)
+      else Array.map (fun x -> x /. sum) inv
+    end
+end
+
+type algorithm = Reno | Dctcp | Lia of Lia.group
+type t = Reno_cc | Dctcp_cc of Dctcp.state | Lia_cc of Lia.member
+
+let create algorithm w ~rtt =
+  match algorithm with
+  | Reno -> Reno_cc
+  | Dctcp -> Dctcp_cc (Dctcp.create ())
+  | Lia g -> Lia_cc (Lia.join g w rtt)
+
+let on_ack t w ~mss ~acked ~ece =
+  match t with
+  | Reno_cc -> reno_increase w ~mss ~acked
+  | Dctcp_cc s -> Dctcp.on_ack s w ~mss ~acked ~ece
+  | Lia_cc m -> Lia.on_ack m w ~mss ~acked
+
+let on_loss t w ~mss ~flight kind =
+  match t with
+  | Reno_cc | Dctcp_cc _ | Lia_cc _ -> reno_on_loss w ~mss ~flight kind

@@ -1,56 +1,102 @@
-(** Pluggable congestion control.
+(** Congestion control as data.
 
-    The sender exposes a {!window} view of its mutable state; a
-    congestion-control algorithm is a record of callbacks over that
-    view. This indirection is what lets MPTCP's Linked-Increase
-    algorithm couple the windows of several subflows: the MPTCP
-    connection builds one {!t} per subflow whose callbacks read every
-    subflow's window. *)
+    A sender's congestion state is one all-float {!window}. A
+    controller is a closed variant over the three algorithms in this
+    repository — NewReno, DCTCP and MPTCP's Linked Increases (LIA) —
+    and {!on_ack}/{!on_loss} dispatch on it. The sender passes its
+    window, MSS and flight size as arguments; LIA additionally reads
+    every member's window and RTT estimator through its group. *)
 
 type window = {
-  get_cwnd : unit -> float;  (** congestion window, bytes *)
-  set_cwnd : float -> unit;
-  get_ssthresh : unit -> float;  (** slow-start threshold, bytes *)
-  set_ssthresh : float -> unit;
-  flight : unit -> int;  (** unacknowledged bytes *)
-  mss : int;
-  srtt : unit -> Sim_engine.Sim_time.t option;  (** smoothed RTT *)
+  mutable cwnd : float;  (** congestion window, bytes *)
+  mutable ssthresh : float;  (** slow-start threshold, bytes *)
 }
+(** All-float, so both fields are stored unboxed. *)
 
 type loss_kind = Fast_retransmit | Timeout
 
-type t = {
-  name : string;
-  on_ack : acked:int -> ece:bool -> unit;
-      (** Called for every ACK that advances the cumulative
-          acknowledgement outside of loss recovery. [acked] is the
-          number of newly acknowledged bytes; [ece] is the ECN echo
-          flag (consumed by DCTCP, ignored by Reno/LIA). *)
-  on_loss : loss_kind -> unit;
-      (** Must set ssthresh and the post-loss cwnd. The sender applies
-          NewReno window inflation/deflation mechanics on top. *)
-  gauges : (string * (unit -> float)) list;
-      (** Named introspection probes into the controller's internal
-          state (e.g. DCTCP exposes ["alpha"]). The state itself lives
-          in the controller's closures, so a controller — and
-          everything it can leak — dies with its connection; nothing
-          is registered globally. Empty for controllers with nothing
-          to expose. *)
-}
+(** DCTCP (Alizadeh et al., SIGCOMM 2010): the single-path, ECN-based
+    protocol the paper's introduction positions MMPTCP against. Run it
+    over links built with an [ecn_threshold] in their
+    {!Sim_net.Topology.link_spec} (the switch marking side). The
+    sender keeps the running fraction [alpha] of marked bytes,
+    smoothed with gain 1/16, and once per window cuts cwnd by
+    [alpha/2] if the window saw marks. Loss response and window
+    growth are standard NewReno. *)
+module Dctcp : sig
+  type state
+  (** One sender's marking counters and [alpha]. *)
 
-val gauge : t -> string -> float option
-(** [gauge t key] reads probe [key], [None] if the controller does not
-    expose it. *)
+  val recommended_marking_threshold : int
+  (** ~17 packets for 100 Mb/s links per the DCTCP guideline (K ≈
+      RTT*C/7 rounded up for our defaults). *)
 
-val reno_on_loss : window -> loss_kind -> unit
-(** Standard multiplicative decrease: ssthresh = max(flight/2, 2*mss);
-    cwnd = ssthresh after fast retransmit, 1 MSS after a timeout.
-    Shared by Reno, DCTCP (timeout path) and LIA. *)
+  val alpha : state -> float
+end
 
-val slow_start_increase : window -> acked:int -> unit
-(** cwnd += acked (uncapped byte counting): identical to classic
-    per-ACK slow start when ACKs are not aggregated, and robust to the
-    cumulative-ACK jumps that reordering produces. *)
+(** Linked Increases (RFC 6356), the MPTCP coupled algorithm evaluated
+    in the paper. All subflows of a connection share a {!group}. In
+    congestion avoidance subflow [i] grows by
+    [min(alpha * acked * mss / cwnd_total, acked * mss / w_i)] bytes
+    per ACK, with
 
-val congestion_avoidance_increase : window -> acked:int -> unit
-(** cwnd += mss*mss/cwnd per full-MSS ACK (byte-counted AIMD). *)
+    {v alpha = cwnd_total * max_i(w_i / rtt_i^2) / (sum_i w_i / rtt_i)^2 v}
+
+    — never more aggressive than an uncoupled TCP on its best path, and
+    shifting load away from congested paths. Slow start and the loss
+    response are the standard per-subflow mechanisms. *)
+module Lia : sig
+  type group
+
+  type member
+  (** One subflow's place in its group: its window and RTT
+      estimator. *)
+
+  val make_group : unit -> group
+  val subflow_count : group -> int
+
+  val alpha : group -> float
+  (** The coupling factor over the group's members, newest first; 1.0
+      for an empty group. The per-ACK increase evaluates the same
+      function. *)
+
+  val fluid_weights : rtts:float array -> float array
+  (** Equilibrium per-subflow rate split of a LIA-coupled connection,
+      as weights summing to 1 (proportional to [1/rtt_i]): at the LIA
+      fixed point with equal per-path loss, windows equalise and
+      throughput is inverse in RTT. The fluid engine assigns leg [i]
+      the weight [w_i] so the aggregate takes one TCP-fair share at a
+      shared bottleneck and the sum of its per-path shares on disjoint
+      paths. Empty input yields an empty array. *)
+end
+
+type algorithm = Reno | Dctcp | Lia of Lia.group
+(** What a sender runs. {!Tcp_tx.create} turns it into the sender's
+    controller with {!create}. *)
+
+type t = private
+  | Reno_cc
+  | Dctcp_cc of Dctcp.state
+  | Lia_cc of Lia.member
+
+val create : algorithm -> window -> rtt:Rtt_estimator.t -> t
+(** Fresh DCTCP counters, or the sender's membership of the LIA group
+    (joined now, ahead of the earlier members). [window] and [rtt] are
+    the sender's own; they must be the window later passed to
+    {!on_ack} and {!on_loss}. *)
+
+val on_ack : t -> window -> mss:int -> acked:int -> ece:bool -> unit
+(** Called for every ACK that advances the cumulative acknowledgement,
+    outside fast recovery (in normal operation and during RTO
+    recovery). [acked] is the number of newly acknowledged bytes;
+    [ece] is the ECN echo flag (consumed by DCTCP, ignored by Reno and
+    LIA). Below ssthresh every algorithm grows cwnd by [acked]
+    (uncapped byte-counted slow start); above it Reno and DCTCP add
+    [mss*mss/cwnd] per full-MSS ACK, LIA its coupled increase, each
+    capped at one MSS per ACK. *)
+
+val on_loss : t -> window -> mss:int -> flight:int -> loss_kind -> unit
+(** Standard multiplicative decrease, shared by all three algorithms:
+    ssthresh = max(min(flight, cwnd)/2, 2*mss); cwnd = ssthresh after
+    a fast retransmit, 1 MSS after a timeout. The sender applies the
+    NewReno recovery mechanics on top. *)

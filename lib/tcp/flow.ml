@@ -12,7 +12,7 @@ type t = {
   received : Intervals.t;
 }
 
-let start ~src ~dst ~size ?(params = Tcp_params.default) ?(cc = Reno.make)
+let start ~src ~dst ~size ?(params = Tcp_params.default) ?(cc = Cong.Reno)
     ?dupack_threshold ?src_port ?dst_port ?(on_complete = fun _ -> ())
     ?(on_close = fun _ -> ()) () =
   if size < 0 then invalid_arg "Flow.start: negative size";

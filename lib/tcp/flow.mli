@@ -14,7 +14,7 @@ val start :
   dst:Sim_net.Host.t ->
   size:int ->
   ?params:Tcp_params.t ->
-  ?cc:(Cong.window -> Cong.t) ->
+  ?cc:Cong.algorithm ->
   ?dupack_threshold:(unit -> int) ->
   ?src_port:int ->
   ?dst_port:int ->
@@ -23,7 +23,7 @@ val start :
   unit ->
   t
 (** Starts the handshake immediately (schedule the call itself for
-    deferred starts). Default congestion control is {!Reno.make};
+    deferred starts). Default congestion control is {!Cong.Reno};
     default source port is derived from the connection id so distinct
     flows hash to distinct ECMP paths.
 

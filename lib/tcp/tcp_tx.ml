@@ -61,9 +61,9 @@ type t = {
   dst_port : int;
   source : source;
   rtt : Rtt_estimator.t;
+  win : Cong.window;
+  cc : Cong.t;
   mutable state : state;
-  mutable cwnd : float;
-  mutable ssthresh : float;
   mutable snd_una : int;
   mutable snd_nxt : int;
   segs : seg Queue.t;
@@ -75,7 +75,6 @@ type t = {
   mutable rto_timer : Scheduler.Timer.t option;
   mutable backoff : int;
   mutable syn_retries : int;
-  mutable cc : Cong.t;
   dupack_threshold : unit -> int;
   on_established : unit -> unit;
   on_dsn_acked : dsn:int -> len:int -> unit;
@@ -94,17 +93,6 @@ type t = {
 let noop () = ()
 let noop_dsn ~dsn:_ ~len:_ = ()
 
-let window t =
-  {
-    Cong.get_cwnd = (fun () -> t.cwnd);
-    set_cwnd = (fun c -> t.cwnd <- Float.max c (float_of_int t.params.Tcp_params.mss));
-    get_ssthresh = (fun () -> t.ssthresh);
-    set_ssthresh = (fun s -> t.ssthresh <- s);
-    flight = (fun () -> t.snd_nxt - t.snd_una);
-    mss = t.params.Tcp_params.mss;
-    srtt = (fun () -> Rtt_estimator.srtt t.rtt);
-  }
-
 let mss t = t.params.Tcp_params.mss
 let flight t = t.snd_nxt - t.snd_una
 
@@ -114,6 +102,35 @@ let current_rto t =
     Time.scale base (Float.of_int (1 lsl min t.backoff 16))
   in
   Time.min backed t.params.Tcp_params.max_rto
+
+(* Dev-profile invariants: a violation names the connection and
+   subflow. *)
+let fail t what =
+  failwith (Printf.sprintf "Tcp_tx: conn %d subflow %d: %s" t.conn t.subflow what)
+
+(* After every controller call: a finite cwnd of at least one MSS, and
+   an ssthresh of at least one MSS. *)
+let check_window t =
+  if Sim_engine.Sanitizer_mode.on then begin
+    let w = t.win and mss = float_of_int (mss t) in
+    if
+      not
+        (Float.is_finite w.Cong.cwnd
+        && w.Cong.cwnd >= mss
+        && w.Cong.ssthresh >= mss)
+    then
+      fail t
+        (Printf.sprintf "window out of range (cwnd %h, ssthresh %h, mss %h)"
+           w.Cong.cwnd w.Cong.ssthresh mss)
+  end
+
+let cc_on_ack t ~acked ~ece =
+  Cong.on_ack t.cc t.win ~mss:(mss t) ~acked ~ece;
+  check_window t
+
+let cc_on_loss t kind =
+  Cong.on_loss t.cc t.win ~mss:(mss t) ~flight:(flight t) kind;
+  check_window t
 
 let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
     ?dupack_threshold ?(on_established = noop) ?(on_dsn_acked = noop_dsn)
@@ -139,6 +156,14 @@ let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
         ~units:"us" ~lo:0. ~hi:5000. ~buckets:50
     | None -> None
   in
+  let rtt = Rtt_estimator.create ~params in
+  let win =
+    {
+      Cong.cwnd =
+        float_of_int (params.Tcp_params.initial_window * params.Tcp_params.mss);
+      ssthresh = Float.max_float /. 4.;
+    }
+  in
   let t =
     {
       sched = Host.sched host;
@@ -150,10 +175,10 @@ let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
       src_port;
       dst_port;
       source;
-      rtt = Rtt_estimator.create ~params;
+      rtt;
+      win;
+      cc = Cong.create cc win ~rtt;
       state = Closed;
-      cwnd = float_of_int (params.Tcp_params.initial_window * params.Tcp_params.mss);
-      ssthresh = Float.max_float /. 4.;
       snd_una = 0;
       snd_nxt = 0;
       segs = Queue.create ();
@@ -163,7 +188,6 @@ let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
       rto_timer = None;
       backoff = 0;
       syn_retries = 0;
-      cc = { Cong.name = "uninitialised"; on_ack = (fun ~acked:_ ~ece:_ -> ()); on_loss = (fun _ -> ()); gauges = [] };
       dupack_threshold = threshold;
       on_established;
       on_dsn_acked;
@@ -189,17 +213,16 @@ let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
       ledger = Sim_engine.Sim_ctx.ledger (Scheduler.ctx (Host.sched host));
     }
   in
-  t.cc <- cc (window t);
   (match metrics with
    | Some (m, mid) ->
      let reg name units read =
        Sim_obs.Metrics.register m ~component:"tcp_tx" ~id:mid ~name ~units read
      in
-     reg "cwnd" "bytes" (fun () -> t.cwnd);
+     reg "cwnd" "bytes" (fun () -> t.win.Cong.cwnd);
      reg "ssthresh" "bytes" (fun () ->
          (* The initial "infinite" ssthresh would drown real values in
             any plot; report it as 0 until congestion sets it. *)
-         if t.ssthresh > 1e18 then 0. else t.ssthresh);
+         if t.win.Cong.ssthresh > 1e18 then 0. else t.win.Cong.ssthresh);
      reg "inflight" "bytes" (fun () -> float_of_int (t.snd_nxt - t.snd_una));
      reg "rto" "ns" (fun () -> float_of_int (Time.to_ns (current_rto t)));
      reg "srtt" "ns" (fun () ->
@@ -209,8 +232,6 @@ let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
      reg "bytes_acked" "bytes" (fun () -> float_of_int t.snd_una)
    | None -> ());
   t
-
-let set_cc t factory = t.cc <- factory (window t)
 
 let cancel_rto t =
   match t.rto_timer with
@@ -336,7 +357,7 @@ and on_rto t =
          ()
      | None -> ());
     first_congestion t;
-    t.cc.Cong.on_loss Cong.Timeout;
+    cc_on_loss t Cong.Timeout;
     t.dup_acks <- 0;
     t.recovery <- Rto_recovery;
     t.recover_point <- t.snd_nxt;
@@ -356,11 +377,11 @@ and on_rto t =
    reordered single window from stalling. *)
 let send_allowance t =
   match t.recovery with
-  | Normal -> t.cwnd +. float_of_int (t.dup_acks * t.params.Tcp_params.mss)
+  | Normal -> t.win.Cong.cwnd +. float_of_int (t.dup_acks * t.params.Tcp_params.mss)
   | Fast_recovery when t.params.Tcp_params.sack ->
     (* Pipe accounting: SACKed bytes have left the network. *)
-    t.cwnd +. float_of_int t.sacked_bytes
-  | Fast_recovery | Rto_recovery -> t.cwnd
+    t.win.Cong.cwnd +. float_of_int t.sacked_bytes
+  | Fast_recovery | Rto_recovery -> t.win.Cong.cwnd
 
 let try_send t =
   if t.state = Established then begin
@@ -420,8 +441,8 @@ let enter_fast_recovery t =
        ()
    | None -> ());
   first_congestion t;
-  t.cc.Cong.on_loss Cong.Fast_retransmit;
-  t.cwnd <- t.cwnd +. (3. *. float_of_int (mss t));
+  cc_on_loss t Cong.Fast_retransmit;
+  t.win.Cong.cwnd <- t.win.Cong.cwnd +. (3. *. float_of_int (mss t));
   t.recover_point <- t.snd_nxt;
   t.recovery <- Fast_recovery;
   clear_recovery_marks t;
@@ -462,7 +483,7 @@ let handle_new_ack t a ~ece =
    | Fast_recovery ->
      if a >= t.recover_point then begin
        t.recovery <- Normal;
-       t.cwnd <- Float.max t.ssthresh (float_of_int (mss t));
+       t.win.Cong.cwnd <- Float.max t.win.Cong.ssthresh (float_of_int (mss t));
        t.dup_acks <- 0
      end
      else if t.params.Tcp_params.sack then retransmit_next_hole t
@@ -475,7 +496,7 @@ let handle_new_ack t a ~ece =
           the window lets the pipe drain and recovery terminate. *)
        retransmit_front t
    | Rto_recovery ->
-     t.cc.Cong.on_ack ~acked:newly ~ece;
+     cc_on_ack t ~acked:newly ~ece;
      if a >= t.recover_point then begin
        t.recovery <- Normal;
        t.dup_acks <- 0
@@ -483,7 +504,7 @@ let handle_new_ack t a ~ece =
      else retransmit_front t
    | Normal ->
      t.dup_acks <- 0;
-     t.cc.Cong.on_ack ~acked:newly ~ece);
+     cc_on_ack t ~acked:newly ~ece);
   if flight t = 0 then cancel_rto t else arm_rto t;
   try_send t;
   check_all_acked t
@@ -527,14 +548,17 @@ let handle t pkt =
       t.on_dsack ()
     end;
     process_sack t pkt;
+    let una = t.snd_una in
     let a = pkt.Packet.ack_seq in
-    if a > t.snd_una then handle_new_ack t a ~ece:(Packet.ece pkt)
-    else if a = t.snd_una && flight t > 0 then handle_dup_ack t
+    if a > una then handle_new_ack t a ~ece:(Packet.ece pkt)
+    else if a = una && flight t > 0 then handle_dup_ack t;
+    if Sim_engine.Sanitizer_mode.on && t.snd_una < una then
+      fail t (Printf.sprintf "snd_una moved back (%d -> %d)" una t.snd_una)
   end
 
 let state t = t.state
-let cwnd t = t.cwnd
-let ssthresh t = t.ssthresh
+let cwnd t = t.win.Cong.cwnd
+let ssthresh t = t.win.Cong.ssthresh
 let snd_una t = t.snd_una
 let snd_nxt t = t.snd_nxt
 let in_recovery t = t.recovery <> Normal

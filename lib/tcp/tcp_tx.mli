@@ -13,8 +13,16 @@
 
     Loss recovery: fast retransmit / NewReno fast recovery with partial
     ACKs, and RTO with exponential backoff followed by ACK-clocked
-    retransmission of the remaining holes (no SACK, matching the
-    paper-era ns-3 models). Karn's algorithm guards RTT samples. *)
+    retransmission of the remaining holes. With [params.sack] set, fast
+    recovery instead repairs the holes the receiver's SACK blocks
+    identify (off by default, matching the paper-era ns-3 models). Karn's algorithm guards RTT samples.
+
+    The window lives in one {!Cong.window}, which the sender's
+    {!Cong.t} controller updates. In the dev profile
+    ({!Sim_engine.Sanitizer_mode.on}) every controller call is checked
+    to leave a finite cwnd and an ssthresh of at least one MSS, and
+    every ACK to leave [snd_una] where it was or further on; a
+    violation fails with the connection and subflow named. *)
 
 module Time = Sim_engine.Sim_time
 
@@ -60,7 +68,7 @@ val create :
   src_port:(unit -> int) ->
   dst_port:int ->
   source:source ->
-  cc:(Cong.window -> Cong.t) ->
+  cc:Cong.algorithm ->
   ?dupack_threshold:(unit -> int) ->
   ?on_established:(unit -> unit) ->
   ?on_dsn_acked:(dsn:int -> len:int -> unit) ->
@@ -69,7 +77,9 @@ val create :
   ?on_first_congestion:(unit -> unit) ->
   unit ->
   t
-(** [on_first_congestion] fires on the first fast retransmit or RTO —
+(** [cc] selects the congestion control; [create] builds this sender's
+    controller from it (for {!Cong.Lia}, joining the group).
+    [on_first_congestion] fires on the first fast retransmit or RTO —
     the trigger for MMPTCP's congestion-event switching strategy.
     [dupack_threshold] is sampled on every duplicate ACK, so it may be
     time-varying (adaptive thresholds). *)
@@ -99,10 +109,3 @@ val rto_pending : t -> bool
 (** Whether the retransmission timer is armed. *)
 
 val stats : t -> stats
-val window : t -> Cong.window
-(** The window view handed to congestion control (shared mutable
-    state; used by MPTCP to build coupled controllers). *)
-
-val set_cc : t -> (Cong.window -> Cong.t) -> unit
-(** Swap the congestion controller (MMPTCP re-links subflows when the
-    phase switches). *)

@@ -11,7 +11,7 @@
      vanish; both reduce to a fair-share rate process.
    - MPTCP: [subflows] legs on random ECMP paths. Coupled gets
      LIA-equilibrium weights (sum 1, biased to low-RTT legs,
-     {!Sim_mptcp.Lia.fluid_weights}); uncoupled gets unit weight per
+     {!Sim_tcp.Cong.Lia.fluid_weights}); uncoupled gets unit weight per
      leg, i.e. one fair share each.
    - MMPTCP: phase 1 spreads one aggregate share across min(paths, 8)
      scatter legs (weight 1/P each — packet scatter sprays a single
@@ -95,7 +95,7 @@ let transport_plan (cfg : Flow_model.config) net ~rng ~src ~dst ~assume_switched
       let rtts = Array.map (fun l -> l.Engine.rtt_s) legs in
       Array.map2
         (fun l weight -> { l with Engine.weight })
-        legs (Sim_mptcp.Lia.fluid_weights ~rtts)
+        legs (Sim_tcp.Cong.Lia.fluid_weights ~rtts)
     end
   in
   match cfg.Flow_model.protocol with

@@ -75,7 +75,7 @@ let start_flow_ext (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size
   in
   match cfg.Flow_model.protocol with
   | Flow_model.Tcp_proto -> tcp ()
-  | Flow_model.Dctcp_proto -> tcp ~cc:(fun w -> Sim_dctcp.Dctcp.make w) ()
+  | Flow_model.Dctcp_proto -> tcp ~cc:Sim_tcp.Cong.Dctcp ()
   | Flow_model.Mptcp_proto { subflows; coupled } ->
     track net
       (Mptcp

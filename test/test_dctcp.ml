@@ -8,90 +8,88 @@ module Dumbbell = Sim_net.Dumbbell
 module Pktqueue = Sim_net.Pktqueue
 module Link = Sim_net.Link
 module Cong = Sim_tcp.Cong
-module Dctcp = Sim_dctcp.Dctcp
 module Flow = Sim_tcp.Flow
+module Rtt_estimator = Sim_tcp.Rtt_estimator
+module Tcp_params = Sim_tcp.Tcp_params
 
 let check_bool = Alcotest.(check bool)
 
-let fake_window ?(mss = 1400) ?(cwnd = 14_000.) ?(ssthresh = 1.) () =
-  let c = ref cwnd and s = ref ssthresh in
-  let w =
-    {
-      Cong.get_cwnd = (fun () -> !c);
-      set_cwnd = (fun v -> c := v);
-      get_ssthresh = (fun () -> !s);
-      set_ssthresh = (fun v -> s := v);
-      flight = (fun () -> int_of_float !c);
-      mss;
-      srtt = (fun () -> Some (Time.of_ms 1.));
-    }
-  in
-  (w, c, s)
+(* A synthetic sender for exercising the controller without a TCP
+   stack behind it: a window literal and an RTT estimator primed with
+   one 1 ms sample. The flight size handed to the loss response is the
+   window itself. *)
+let mss = 1400
 
-let feed cc ~acked ~ece n =
+let fake_window ?(cwnd = 14_000.) ?(ssthresh = 1.) () =
+  let w = { Cong.cwnd; ssthresh } in
+  let rtt = Rtt_estimator.create ~params:Tcp_params.default in
+  Rtt_estimator.observe rtt (Time.of_ms 1.);
+  (w, Cong.create Cong.Dctcp w ~rtt)
+
+let feed (w, cc) ~acked ~ece n =
   for _ = 1 to n do
-    cc.Cong.on_ack ~acked ~ece
+    Cong.on_ack cc w ~mss ~acked ~ece
   done
 
+let dctcp_alpha (_, cc) =
+  match cc with
+  | Cong.Dctcp_cc s -> Some (Cong.Dctcp.alpha s)
+  | Cong.Reno_cc | Cong.Lia_cc _ -> None
+
 let test_alpha_starts_zero () =
-  let w, _, _ = fake_window () in
-  let cc = Dctcp.make w in
-  Alcotest.(check (option (float 1e-9))) "alpha 0" (Some 0.) (Dctcp.alpha_of cc)
+  let cc = fake_window () in
+  Alcotest.(check (option (float 1e-9))) "alpha 0" (Some 0.) (dctcp_alpha cc)
 
 let test_alpha_rises_under_marking () =
-  let w, _, _ = fake_window () in
-  let cc = Dctcp.make w in
+  let cc = fake_window () in
   (* Several fully-marked windows: alpha must climb towards 1. *)
   feed cc ~acked:1400 ~ece:true 100;
-  match Dctcp.alpha_of cc with
+  match dctcp_alpha cc with
   | Some a -> check_bool "alpha grew" true (a > 0.3)
   | None -> Alcotest.fail "no alpha"
 
 let test_alpha_decays_when_clean () =
-  let w, _, _ = fake_window () in
-  let cc = Dctcp.make w in
+  let cc = fake_window () in
   feed cc ~acked:1400 ~ece:true 50;
-  let a1 = Option.get (Dctcp.alpha_of cc) in
+  let a1 = Option.get (dctcp_alpha cc) in
   (* Clean traffic: alpha must decay geometrically. The window grows
      while clean, so updates get sparser - allow plenty of acks. *)
   feed cc ~acked:1400 ~ece:false 2_000;
-  let a2 = Option.get (Dctcp.alpha_of cc) in
+  let a2 = Option.get (dctcp_alpha cc) in
   check_bool
     (Printf.sprintf "alpha decayed (%.3f -> %.3f)" a1 a2)
     true
     (a2 < a1 /. 2.)
 
 let test_marked_window_cuts_cwnd () =
-  let w, c, _ = fake_window ~cwnd:28_000. () in
-  let cc = Dctcp.make w in
-  let before = !c in
+  let ((w, _) as cc) = fake_window ~cwnd:28_000. () in
+  let before = w.Cong.cwnd in
   feed cc ~acked:1400 ~ece:true 40;
-  check_bool "cwnd reduced below growth path" true (!c < before +. 40. *. 140.)
+  check_bool "cwnd reduced below growth path" true
+    (w.Cong.cwnd < before +. 40. *. 140.)
 
 let test_clean_window_grows () =
-  let w, c, _ = fake_window ~cwnd:14_000. ~ssthresh:1. () in
-  let cc = Dctcp.make w in
-  let before = !c in
+  let ((w, _) as cc) = fake_window ~cwnd:14_000. ~ssthresh:1. () in
+  let before = w.Cong.cwnd in
   feed cc ~acked:1400 ~ece:false 20;
-  check_bool "grows like reno" true (!c > before)
+  check_bool "grows like reno" true (w.Cong.cwnd > before)
 
 let test_loss_still_halves () =
-  let w, c, s = fake_window ~cwnd:20_000. () in
-  let cc = Dctcp.make w in
-  cc.Cong.on_loss Cong.Fast_retransmit;
-  Alcotest.(check (float 1e-9)) "ssthresh" 10_000. !s;
-  Alcotest.(check (float 1e-9)) "cwnd" 10_000. !c
+  let w, cc = fake_window ~cwnd:20_000. () in
+  Cong.on_loss cc w ~mss ~flight:(int_of_float w.Cong.cwnd) Cong.Fast_retransmit;
+  Alcotest.(check (float 1e-9)) "ssthresh" 10_000. w.Cong.ssthresh;
+  Alcotest.(check (float 1e-9)) "cwnd" 10_000. w.Cong.cwnd
 
 let ecn_spec threshold =
   { Topology.default_link_spec with ecn_threshold = Some threshold }
 
 let test_dctcp_flow_completes_with_marking () =
   let sched = Scheduler.create () in
-  let net = Dumbbell.direct ~sched ~spec:(ecn_spec Dctcp.recommended_marking_threshold) () in
+  let net = Dumbbell.direct ~sched ~spec:(ecn_spec Cong.Dctcp.recommended_marking_threshold) () in
   let f =
     Flow.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
       ~size:2_000_000
-      ~cc:(fun w -> Dctcp.make w)
+      ~cc:Cong.Dctcp
       ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
@@ -115,8 +113,8 @@ let test_dctcp_keeps_queue_short () =
     check_bool "complete" true (Flow.is_complete f);
     (Pktqueue.stats (Link.queue net.Topology.links.(0))).Pktqueue.max_backlog
   in
-  let dctcp_backlog = run (fun w -> Dctcp.make w) in
-  let reno_backlog = run Sim_tcp.Reno.make in
+  let dctcp_backlog = run Cong.Dctcp in
+  let reno_backlog = run Cong.Reno in
   check_bool
     (Printf.sprintf "dctcp backlog (%d) shorter than reno (%d)" dctcp_backlog
        reno_backlog)
@@ -145,8 +143,8 @@ let test_ecn_dumbbell_pinned () =
   let outcome = Alcotest.(pair int (pair int (pair int int))) in
   let flat (a, b, c, d) = (a, (b, (c, d))) in
   Alcotest.check outcome "dctcp" (246_935_492, (874, (0, 70)))
-    (flat (run (fun w -> Dctcp.make w)));
-  Alcotest.check outcome "reno" (249_450_924, (1872, (104, 100))) (flat (run Sim_tcp.Reno.make))
+    (flat (run Cong.Dctcp));
+  Alcotest.check outcome "reno" (249_450_924, (1872, (104, 100))) (flat (run Cong.Reno))
 
 let test_dctcp_avoids_loss_at_bottleneck () =
   let sched = Scheduler.create () in
@@ -154,7 +152,7 @@ let test_dctcp_avoids_loss_at_bottleneck () =
   let f =
     Flow.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
       ~size:2_000_000
-      ~cc:(fun w -> Dctcp.make w)
+      ~cc:Cong.Dctcp
       ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
@@ -173,7 +171,7 @@ let test_back_to_back_runs_identical () =
     let f =
       Flow.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
         ~size:1_000_000
-        ~cc:(fun w -> Dctcp.make w)
+        ~cc:Cong.Dctcp
         ()
     in
     Scheduler.run ~until:(Time.of_sec 10.) sched;

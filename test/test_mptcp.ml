@@ -8,30 +8,31 @@ module Dumbbell = Sim_net.Dumbbell
 module Fattree = Sim_net.Fattree
 module Multihomed = Sim_net.Multihomed
 module Cong = Sim_tcp.Cong
-module Lia = Sim_mptcp.Lia
+module Lia = Sim_tcp.Cong.Lia
+module Rtt_estimator = Sim_tcp.Rtt_estimator
+module Tcp_params = Sim_tcp.Tcp_params
 module Dataplane = Sim_mptcp.Dataplane
 module Mptcp_conn = Sim_mptcp.Mptcp_conn
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* A synthetic window over refs, for exercising controllers without a
-   TCP stack behind them. *)
-let fake_window ?(mss = 1400) ?(cwnd = 14_000.) ?(ssthresh = 7_000.)
-    ?(rtt_ms = 1.) () =
-  let c = ref cwnd and s = ref ssthresh in
-  let w =
-    {
-      Cong.get_cwnd = (fun () -> !c);
-      set_cwnd = (fun v -> c := v);
-      get_ssthresh = (fun () -> !s);
-      set_ssthresh = (fun v -> s := v);
-      flight = (fun () -> int_of_float !c);
-      mss;
-      srtt = (fun () -> Some (Time.of_ms rtt_ms));
-    }
-  in
-  (w, c, s)
+(* A synthetic subflow for exercising controllers without a TCP stack
+   behind it: a window literal and an RTT estimator primed with one
+   sample, joined to a LIA group. The flight size handed to the loss
+   response is the window itself. *)
+let mss = 1400
+
+let fake_subflow ?(cwnd = 14_000.) ?(ssthresh = 7_000.) ?(rtt_ms = 1.) g =
+  let w = { Cong.cwnd; ssthresh } in
+  let rtt = Rtt_estimator.create ~params:Tcp_params.default in
+  Rtt_estimator.observe rtt (Time.of_ms rtt_ms);
+  (w, Cong.create (Cong.Lia g) w ~rtt)
+
+let ack (w, cc) = Cong.on_ack cc w ~mss ~acked:1400 ~ece:false
+
+let loss (w, cc) kind =
+  Cong.on_loss cc w ~mss ~flight:(int_of_float w.Cong.cwnd) kind
 
 (* ------------------------------------------------------------------ *)
 (* LIA *)
@@ -43,9 +44,8 @@ let test_lia_alpha_empty () =
 let test_lia_alpha_symmetric () =
   (* Two identical subflows: alpha = total * (c/r^2) / (2c/r)^2 = 1/2. *)
   let g = Lia.make_group () in
-  let w1, _, _ = fake_window () and w2, _, _ = fake_window () in
-  ignore (Lia.attach g w1);
-  ignore (Lia.attach g w2);
+  ignore (fake_subflow g);
+  ignore (fake_subflow g);
   check_int "count" 2 (Lia.subflow_count g);
   Alcotest.(check (float 1e-9)) "alpha" 0.5 (Lia.alpha g)
 
@@ -54,8 +54,7 @@ let test_lia_alpha_n_symmetric () =
      TCP - the design goal of LIA. *)
   let g = Lia.make_group () in
   for _ = 1 to 8 do
-    let w, _, _ = fake_window () in
-    ignore (Lia.attach g w)
+    ignore (fake_subflow g)
   done;
   Alcotest.(check (float 1e-9)) "alpha 1/8" 0.125 (Lia.alpha g)
 
@@ -63,52 +62,47 @@ let test_lia_increase_capped_by_uncoupled () =
   (* In congestion avoidance the coupled increase can never exceed what
      a standalone TCP would do on the same subflow. *)
   let g = Lia.make_group () in
-  let w1, c1, s1 = fake_window ~cwnd:14_000. ~ssthresh:7_000. () in
-  let w2, _, _ = fake_window ~cwnd:140_000. ~ssthresh:7_000. () in
-  let cc1 = Lia.attach g w1 in
-  ignore (Lia.attach g w2);
-  ignore s1;
-  let before = !c1 in
-  cc1.Cong.on_ack ~acked:1400 ~ece:false;
-  let coupled_inc = !c1 -. before in
+  let ((w1, _) as s1) = fake_subflow ~cwnd:14_000. ~ssthresh:7_000. g in
+  ignore (fake_subflow ~cwnd:140_000. ~ssthresh:7_000. g);
+  let before = w1.Cong.cwnd in
+  ack s1;
+  let coupled_inc = w1.Cong.cwnd -. before in
   (* Standalone byte-counted AIMD would add mss*mss/cwnd = 140 bytes. *)
   check_bool "capped" true (coupled_inc <= 140. +. 1e-9);
   check_bool "positive" true (coupled_inc > 0.)
 
 let test_lia_slow_start_uncoupled () =
   let g = Lia.make_group () in
-  let w, c, _ = fake_window ~cwnd:2_800. ~ssthresh:100_000. () in
-  let cc = Lia.attach g w in
-  cc.Cong.on_ack ~acked:1400 ~ece:false;
-  Alcotest.(check (float 1e-9)) "slow start adds acked" 4_200. !c
+  let ((w, _) as s) = fake_subflow ~cwnd:2_800. ~ssthresh:100_000. g in
+  ack s;
+  Alcotest.(check (float 1e-9)) "slow start adds acked" 4_200. w.Cong.cwnd
 
 let test_lia_loss_halves () =
   let g = Lia.make_group () in
-  let w, c, s = fake_window ~cwnd:14_000. ~ssthresh:100_000. () in
-  let cc = Lia.attach g w in
-  cc.Cong.on_loss Cong.Fast_retransmit;
-  Alcotest.(check (float 1e-9)) "ssthresh = flight/2" 7_000. !s;
-  Alcotest.(check (float 1e-9)) "cwnd = ssthresh" 7_000. !c;
-  cc.Cong.on_loss Cong.Timeout;
-  Alcotest.(check (float 1e-9)) "timeout collapses to 1 mss" 1_400. !c
+  let ((w, _) as s) = fake_subflow ~cwnd:14_000. ~ssthresh:100_000. g in
+  loss s Cong.Fast_retransmit;
+  Alcotest.(check (float 1e-9)) "ssthresh = flight/2" 7_000. w.Cong.ssthresh;
+  Alcotest.(check (float 1e-9)) "cwnd = ssthresh" 7_000. w.Cong.cwnd;
+  loss s Cong.Timeout;
+  Alcotest.(check (float 1e-9)) "timeout collapses to 1 mss" 1_400. w.Cong.cwnd
 
 let test_lia_shifts_away_from_congested () =
   (* A subflow with a much larger RTT (a congested path) should receive
      a smaller coupled increase than the fast subflow. *)
   let g = Lia.make_group () in
-  let wf, cf, _ = fake_window ~cwnd:14_000. ~ssthresh:1. ~rtt_ms:0.5 () in
-  let ws, cs, _ = fake_window ~cwnd:14_000. ~ssthresh:1. ~rtt_ms:10. () in
-  let ccf = Lia.attach g wf and ccs = Lia.attach g ws in
-  let f0 = !cf and s0 = !cs in
+  let ((wf, _) as f) = fake_subflow ~cwnd:14_000. ~ssthresh:1. ~rtt_ms:0.5 g in
+  let ((ws, _) as s) = fake_subflow ~cwnd:14_000. ~ssthresh:1. ~rtt_ms:10. g in
+  let f0 = wf.Cong.cwnd and s0 = ws.Cong.cwnd in
   for _ = 1 to 10 do
-    ccf.Cong.on_ack ~acked:1400 ~ece:false;
-    ccs.Cong.on_ack ~acked:1400 ~ece:false
+    ack f;
+    ack s
   done;
   (* Both windows are equal, so per-ack increases are equal; but the
      fast path gets 20x more ACKs per unit time in reality. Here we
      check the per-ack increase at least does not favour the slow
      path. *)
-  check_bool "no bias to congested path" true (!cf -. f0 >= !cs -. s0 -. 1e-9)
+  check_bool "no bias to congested path" true
+    (wf.Cong.cwnd -. f0 >= ws.Cong.cwnd -. s0 -. 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* Dataplane *)
