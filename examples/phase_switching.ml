@@ -26,8 +26,9 @@ let () =
   Printf.printf "3 MB MMPTCP flow, switch after 200 KB, %d ECMP paths\n\n" paths;
   Printf.printf "%8s  %-14s %10s %12s %10s\n" "time(ms)" "phase" "cwnd(pkts)"
     "received(KB)" "rtos";
-  (* Sample every 2 ms until the flow completes. *)
-  let rec sample () =
+  (* Sample every 2 ms until the flow completes, on one re-armable
+     timer whose state is the timer itself. *)
+  let rec sample timer =
     if not (Conn.is_complete conn) then begin
       let phase =
         match Conn.phase conn with
@@ -40,10 +41,10 @@ let () =
         (Conn.total_cwnd conn /. 1400.)
         (float_of_int (Conn.bytes_received conn) /. 1000.)
         (Conn.rto_events conn);
-      ignore (Scheduler.schedule_after sched (Time.of_ms 2.) sample)
+      Scheduler.Timer.schedule_after (Lazy.force timer) (Time.of_ms 2.)
     end
-  in
-  ignore (Scheduler.schedule_after sched Time.zero sample);
+  and timer = lazy (Scheduler.Timer.create sched sample timer) in
+  Scheduler.Timer.schedule_after (Lazy.force timer) Time.zero;
   Scheduler.run ~until:(Time.of_sec 30.) sched;
   (match Conn.switched_at conn with
    | Some t -> Printf.printf "\nswitched to MPTCP at %s\n" (Time.to_string t)

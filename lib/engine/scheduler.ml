@@ -8,10 +8,8 @@
    heap restores exact (time, seq) order, so the observable firing
    order is identical to a heap-only scheduler. *)
 
-type handle = Timer_wheel.entry
-
 type t = {
-  heap : handle Event_heap.t;
+  heap : Timer_wheel.entry Event_heap.t;
   wheel : Timer_wheel.t;
   mutable now : Sim_time.t;
   mutable next_seq : int;
@@ -59,21 +57,6 @@ let arm t (e : Timer_wheel.entry) time =
     Event_heap.push t.heap ~time:e.time ~seq:e.seq e
   end
 
-(* The generic closure API, kept for cold-path setup code (workload
-   arrival processes, examples). Hot-path modules schedule through
-   {!Timer} or {!Event} instead — simlint rule D008 enforces this. *)
-let call_closure (f : unit -> unit) = f ()
-
-let schedule_at t time action =
-  if Sim_time.(time < t.now) then
-    invalid_arg "Scheduler.schedule_at: time is in the past";
-  let e = Timer_wheel.make_entry call_closure action in
-  arm t e time;
-  e
-
-let schedule_after t delay action =
-  schedule_at t (Sim_time.add t.now delay) action
-
 let cancelled_pending t = t.tombstones
 
 (* A heap cell is live iff its entry is still heap-resident under the
@@ -88,8 +71,8 @@ let maybe_compact t =
     t.tombstones <- 0
   end
 
-(* Detach [e] from wherever it is pending; keeps the action closure so
-   a re-armable timer can reuse it. *)
+(* Detach [e] from wherever it is pending; keeps the fire/state pair
+   so a re-armable timer can reuse it. *)
 let detach t (e : Timer_wheel.entry) =
   if e.state = Timer_wheel.st_wheel then Timer_wheel.cancel t.wheel e
   else if e.state = Timer_wheel.st_heap then begin
@@ -99,19 +82,13 @@ let detach t (e : Timer_wheel.entry) =
     maybe_compact t
   end
 
-let cancel t (e : Timer_wheel.entry) =
-  detach t e;
-  (* One-shot handle: drop the fire/state pair now so captured
-     packets/buffers are collectable before the tombstone is popped. *)
-  e.run <- Timer_wheel.noop_run
-
-let is_pending (e : handle) =
+let is_pending (e : Timer_wheel.entry) =
   e.state = Timer_wheel.st_wheel || e.state = Timer_wheel.st_heap
 
 let run ?until ?max_events t =
   let budget = ref (match max_events with Some n -> n | None -> max_int) in
   let horizon = match until with Some u -> Sim_time.to_ns u | None -> max_int in
-  let emit (e : handle) =
+  let emit (e : Timer_wheel.entry) =
     e.state <- Timer_wheel.st_heap;
     Event_heap.push t.heap ~time:e.time ~seq:e.seq e
   in
@@ -183,9 +160,9 @@ module Timer = struct
   let create sched fire state = { sched; entry = Timer_wheel.make_entry fire state }
   let is_pending tm = is_pending tm.entry
 
-  (* Unlike {!Scheduler.cancel}, keeps the fire/state pair: that is
-     the point of the abstraction — one entry, one pair, reused across
-     every re-arm of an RTO or delayed-ACK timer. *)
+  (* Keeps the fire/state pair: that is the point of the abstraction
+     — one entry, one pair, reused across every re-arm of an RTO or
+     delayed-ACK timer. *)
   let cancel tm = detach tm.sched tm.entry
 
   let schedule_at tm time =

@@ -10,14 +10,15 @@
     output — is identical to a heap-only scheduler. Events scheduled
     for the same instant fire in the order they were scheduled.
 
+    Two ways to schedule, neither allocating per event: a re-armable
+    {!Timer} (RTO, delayed ACK, deadlines) and a pool of one-shot
+    typed {!Event} cells (packets in flight, arrivals).
+
     Cancellation is O(1) in both structures: a wheel entry unlinks
     immediately; a heap entry leaves a tombstone that is skipped when
     popped and compacted away when tombstones dominate. *)
 
 type t
-
-type handle
-(** Identifies a scheduled event so it can be cancelled. *)
 
 val create : unit -> t
 
@@ -29,28 +30,6 @@ val ctx : t -> Sim_ctx.t
     instance = one {!Sim_ctx.t}; nothing identifier-related is shared
     between schedulers, so independent simulations in one process
     cannot perturb each other. *)
-
-val schedule_at : t -> Sim_time.t -> (unit -> unit) -> handle
-(** [schedule_at t time f] runs [f] when the clock reaches [time].
-    Raises [Invalid_argument] if [time] is in the past.
-
-    Allocates a fresh handle and closure per event: fine for cold-path
-    setup code (workload arrival processes, one-off phase changes),
-    wrong for anything on the per-packet or per-re-arm path — those go
-    through {!Timer} (re-armable, one allocation for life) or {!Event}
-    (pooled one-shot cells). simlint rule D008 flags hot-path use. *)
-
-val schedule_after : t -> Sim_time.t -> (unit -> unit) -> handle
-(** [schedule_after t delay f] runs [f] at [now t + delay]. Same
-    allocation caveat as {!schedule_at}. *)
-
-val cancel : t -> handle -> unit
-(** Cancel a pending event and drop its action closure (releasing
-    captured packets/buffers before any tombstone is popped).
-    Cancelling an already-fired or already-cancelled event is a
-    no-op. *)
-
-val is_pending : handle -> bool
 
 val run : ?until:Sim_time.t -> ?max_events:int -> t -> unit
 (** Drain the event queue. Stops when the queue is empty, when the next
@@ -90,9 +69,9 @@ val event_cells_free : t -> int
 (** Re-armable timer: one handle and one fire/state pair allocated at
     [create], reused across every restart. [schedule_*] atomically
     cancels any pending occurrence and re-arms, so at most one
-    occurrence is ever pending; unlike {!cancel}, {!Timer.cancel}
-    keeps the pair for the next re-arm. Each re-arm consumes one
-    scheduling sequence number, exactly like a fresh {!schedule_at}.
+    occurrence is ever pending; {!Timer.cancel} keeps the pair for the
+    next re-arm. Each arm consumes one scheduling sequence number,
+    exactly like an {!Event.schedule_at}.
 
     [create sched fire state] takes the fire function and its state
     separately so call sites pass a statically-allocated function
@@ -110,7 +89,7 @@ module Timer : sig
   val is_pending : t -> bool
 end
 
-(** Pooled one-shot typed events — the closure-free hot path.
+(** Pooled one-shot typed events.
 
     A pool is created once per scheduling site with a fixed fire
     function; each [schedule_*] then fills a pooled cell (entry +
@@ -142,9 +121,9 @@ module Event : sig
   val pool : sched -> fire:('a -> unit) -> 'a pool
 
   val schedule_at : 'a pool -> Sim_time.t -> 'a -> 'a cell
-  (** Arm a pooled cell carrying the payload; fires exactly like a
-      {!schedule_at} closure event armed at the same instant (one seq
-      consumed per arm). Raises [Invalid_argument] on past times. *)
+  (** Arm a pooled cell carrying the payload (one seq consumed per
+      arm, like a {!Timer} arm). Raises [Invalid_argument] on past
+      times. *)
 
   val schedule_after : 'a pool -> Sim_time.t -> 'a -> 'a cell
 

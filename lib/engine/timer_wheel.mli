@@ -44,9 +44,6 @@ val st_wheel : int
 val st_heap : int
 val st_fired : int
 
-val noop_run : erun
-(** Shared no-op used to drop a fire/state pair on cancel. *)
-
 val make_entry : ('a -> unit) -> 'a -> entry
 (** [make_entry fire state] is a fresh idle, self-linked entry whose
     [run] slot holds [Run (fire, state)]. *)

@@ -23,7 +23,7 @@
    ([switch_on_congestion] has no fluid analogue — congestion is
    never a discrete event here — and behaves as [Never]).
 
-   Everything hangs off [t]; per-run timers only (D001/D002/D008
+   Everything hangs off [t]; per-run timers only (D001/D002
    clean by construction). *)
 
 module Time = Sim_engine.Sim_time

@@ -6,7 +6,7 @@ type loss_kind = Fast_retransmit | Timeout
 
 (* Every controller write to cwnd goes through here: the window never
    drops below one MSS. *)
-let set_cwnd w ~mss c = w.cwnd <- Float.max c (float_of_int mss)
+let write_cwnd w ~mss c = w.cwnd <- Float.max c (float_of_int mss)
 
 (* Byte-counted slow start without a per-ACK cap: a cumulative ACK
    covering n segments grows cwnd by n segments, exactly like
@@ -14,7 +14,7 @@ let set_cwnd w ~mss c = w.cwnd <- Float.max c (float_of_int mss)
    senders whose ACK stream is aggregated by reordering — which is the
    normal regime for the packet-scatter phase. *)
 let slow_start_increase w ~mss ~acked =
-  set_cwnd w ~mss (w.cwnd +. float_of_int acked)
+  write_cwnd w ~mss (w.cwnd +. float_of_int acked)
 
 let reno_increase w ~mss ~acked =
   if w.cwnd < w.ssthresh then slow_start_increase w ~mss ~acked
@@ -23,7 +23,7 @@ let reno_increase w ~mss ~acked =
     let cwnd = w.cwnd in
     let inc = mss_f *. mss_f /. cwnd *. (float_of_int acked /. mss_f) in
     (* Cap the per-ACK increase at one MSS, as byte-counted AIMD does. *)
-    set_cwnd w ~mss (cwnd +. Float.min inc mss_f)
+    write_cwnd w ~mss (cwnd +. Float.min inc mss_f)
   end
 
 let reno_on_loss w ~mss ~flight kind =
@@ -36,8 +36,8 @@ let reno_on_loss w ~mss ~flight kind =
   let ssthresh = Float.max (flight /. 2.) (2. *. mss_f) in
   w.ssthresh <- ssthresh;
   match kind with
-  | Fast_retransmit -> set_cwnd w ~mss ssthresh
-  | Timeout -> set_cwnd w ~mss mss_f
+  | Fast_retransmit -> write_cwnd w ~mss ssthresh
+  | Timeout -> write_cwnd w ~mss mss_f
 
 module Dctcp = struct
   type state = {
@@ -68,7 +68,7 @@ module Dctcp = struct
       s.alpha <- ((1. -. g) *. s.alpha) +. (g *. f);
       if s.bytes_marked > 0 then begin
         let reduced = w.cwnd *. (1. -. (s.alpha /. 2.)) in
-        set_cwnd w ~mss (Float.max reduced (float_of_int mss));
+        write_cwnd w ~mss (Float.max reduced (float_of_int mss));
         w.ssthresh <- w.cwnd
       end;
       s.bytes_acked <- 0;
@@ -134,7 +134,7 @@ module Lia = struct
       let uncoupled = acked_f *. mss_f /. Float.max w.cwnd mss_f in
       let inc = Float.min coupled uncoupled in
       (* Same per-ACK cap as byte-counted AIMD. *)
-      set_cwnd w ~mss (w.cwnd +. Float.min inc mss_f)
+      write_cwnd w ~mss (w.cwnd +. Float.min inc mss_f)
     end
 
   (* Equilibrium rate split of a LIA-coupled connection, for the fluid

@@ -196,13 +196,20 @@ let prop_wheel_matches_heap =
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)
 
+(* One-shot actions for these tests: an Event pool whose payload is the
+   action itself. *)
+let actions s = Scheduler.Event.pool s ~fire:(fun f -> f ())
+let after p delay f = ignore (Scheduler.Event.schedule_after p delay f)
+let at p time f = ignore (Scheduler.Event.schedule_at p time f)
+
 let test_scheduler_order_and_clock () =
   let s = Scheduler.create () in
+  let p = actions s in
   let log = ref [] in
   let note tag () = log := (tag, Time.to_ms (Scheduler.now s)) :: !log in
-  ignore (Scheduler.schedule_after s (Time.of_ms 2.) (note "b"));
-  ignore (Scheduler.schedule_after s (Time.of_ms 1.) (note "a"));
-  ignore (Scheduler.schedule_after s (Time.of_ms 3.) (note "c"));
+  after p (Time.of_ms 2.) (note "b");
+  after p (Time.of_ms 1.) (note "a");
+  after p (Time.of_ms 3.) (note "c");
   Scheduler.run s;
   Alcotest.(check (list (pair string (float 1e-6))))
     "events fire in order at their times"
@@ -211,28 +218,31 @@ let test_scheduler_order_and_clock () =
 
 let test_scheduler_same_time_fifo () =
   let s = Scheduler.create () in
+  let p = actions s in
   let log = ref [] in
   for i = 0 to 4 do
-    ignore (Scheduler.schedule_after s (Time.of_ms 1.) (fun () -> log := i :: !log))
+    after p (Time.of_ms 1.) (fun () -> log := i :: !log)
   done;
   Scheduler.run s;
   Alcotest.(check (list int)) "fifo" [ 0; 1; 2; 3; 4 ] (List.rev !log)
 
 let test_scheduler_cancel () =
   let s = Scheduler.create () in
+  let p = actions s in
   let fired = ref false in
-  let h = Scheduler.schedule_after s (Time.of_ms 1.) (fun () -> fired := true) in
-  Scheduler.cancel s h;
+  let c = Scheduler.Event.schedule_after p (Time.of_ms 1.) (fun () -> fired := true) in
+  check_bool "cancel hands the action back" true
+    (Option.is_some (Scheduler.Event.cancel p c));
+  check_bool "not pending" false (Scheduler.Event.is_pending c);
   Scheduler.run s;
-  check_bool "cancelled did not fire" false !fired;
-  check_bool "not pending" false (Scheduler.is_pending h)
+  check_bool "cancelled did not fire" false !fired
 
 let test_scheduler_until () =
   let s = Scheduler.create () in
+  let p = actions s in
   let count = ref 0 in
   for i = 1 to 10 do
-    ignore
-      (Scheduler.schedule_after s (Time.of_ms (float_of_int i)) (fun () -> incr count))
+    after p (Time.of_ms (float_of_int i)) (fun () -> incr count)
   done;
   Scheduler.run ~until:(Time.of_ms 5.) s;
   check_int "only events <= 5ms" 5 !count;
@@ -242,40 +252,39 @@ let test_scheduler_until () =
 
 let test_scheduler_nested_scheduling () =
   let s = Scheduler.create () in
+  let p = actions s in
   let log = ref [] in
-  ignore
-    (Scheduler.schedule_after s (Time.of_ms 1.) (fun () ->
-         log := "outer" :: !log;
-         ignore
-           (Scheduler.schedule_after s (Time.of_ms 1.) (fun () ->
-                log := "inner" :: !log))));
+  after p (Time.of_ms 1.) (fun () ->
+      log := "outer" :: !log;
+      after p (Time.of_ms 1.) (fun () -> log := "inner" :: !log));
   Scheduler.run s;
   Alcotest.(check (list string)) "nested" [ "outer"; "inner" ] (List.rev !log);
   Alcotest.(check (float 1e-6)) "final clock" 2. (Time.to_ms (Scheduler.now s))
 
 let test_scheduler_past_rejected () =
   let s = Scheduler.create () in
-  ignore
-    (Scheduler.schedule_after s (Time.of_ms 5.) (fun () ->
-         Alcotest.check_raises "past"
-           (Invalid_argument "Scheduler.schedule_at: time is in the past")
-           (fun () -> ignore (Scheduler.schedule_at s (Time.of_ms 1.) ignore))));
+  let p = actions s in
+  after p (Time.of_ms 5.) (fun () ->
+      Alcotest.check_raises "past"
+        (Invalid_argument "Scheduler.Event.schedule_at: time is in the past")
+        (fun () -> at p (Time.of_ms 1.) ignore));
   Scheduler.run s
 
 let test_scheduler_max_events () =
   let s = Scheduler.create () in
+  let p = actions s in
   let count = ref 0 in
   for i = 1 to 10 do
-    ignore
-      (Scheduler.schedule_after s (Time.of_ms (float_of_int i)) (fun () -> incr count))
+    after p (Time.of_ms (float_of_int i)) (fun () -> incr count)
   done;
   Scheduler.run ~max_events:3 s;
   check_int "bounded" 3 !count
 
 let test_scheduler_counts () =
   let s = Scheduler.create () in
-  ignore (Scheduler.schedule_after s Time.zero ignore);
-  ignore (Scheduler.schedule_after s Time.zero ignore);
+  let p = actions s in
+  after p Time.zero ignore;
+  after p Time.zero ignore;
   check_int "pending" 2 (Scheduler.pending_events s);
   Scheduler.run s;
   check_int "processed" 2 (Scheduler.events_processed s)
@@ -289,12 +298,13 @@ let prop_scheduler_matches_model =
     QCheck.(list (pair (int_bound 5_000_000) (option (int_bound 4_999_999))))
     (fun trace ->
       let s = Scheduler.create () in
+      let p = actions s in
       let fired = ref [] in
       let handles =
         List.mapi
           (fun i (t_ns, cancel_at) ->
           let h =
-            Scheduler.schedule_at s (Time.of_ns t_ns) (fun () ->
+            Scheduler.Event.schedule_at p (Time.of_ns t_ns) (fun () ->
                 fired := (t_ns, i) :: !fired)
           in
           (h, t_ns, cancel_at, i))
@@ -308,9 +318,8 @@ let prop_scheduler_matches_model =
         (fun (h, t_ns, cancel_at, i) ->
           match cancel_at with
           | Some c_ns when c_ns < t_ns ->
-            ignore
-              (Scheduler.schedule_at s (Time.of_ns c_ns) (fun () ->
-                   Scheduler.cancel s h))
+            at p (Time.of_ns c_ns) (fun () ->
+                ignore (Scheduler.Event.cancel p h))
           | Some _ | None -> expected := (t_ns, i) :: !expected)
         handles;
       Scheduler.run s;
@@ -342,21 +351,18 @@ let test_timer_cancel_rearm () =
   check_int "superseded arm fires once" 2 !count
 
 let test_timer_seq_interleaving () =
-  (* A Timer consumes one seq per arm, exactly like schedule_at: armed
+  (* A Timer consumes one seq per arm, exactly like an Event cell: armed
      before a same-time one-shot, it fires first; re-armed after, it
      fires second. *)
   let s = Scheduler.create () in
+  let p = actions s in
   let log = ref [] in
   let tm = Scheduler.Timer.create s (fun () -> log := "timer" :: !log) () in
   Scheduler.Timer.schedule_at tm (Time.of_ms 1.);
-  ignore
-    (Scheduler.schedule_at s (Time.of_ms 1.) (fun () ->
-         log := "oneshot" :: !log));
+  at p (Time.of_ms 1.) (fun () -> log := "oneshot" :: !log);
   Scheduler.run s;
   Scheduler.Timer.schedule_at tm (Time.of_ms 2.);
-  ignore
-    (Scheduler.schedule_at s (Time.of_ms 2.) (fun () ->
-         log := "oneshot2" :: !log));
+  at p (Time.of_ms 2.) (fun () -> log := "oneshot2" :: !log);
   (* Re-arm after the one-shot: the timer moves behind it. *)
   Scheduler.Timer.schedule_at tm (Time.of_ms 2.);
   Scheduler.run s;
@@ -367,15 +373,16 @@ let test_timer_seq_interleaving () =
 
 let test_scheduler_tombstones_and_compaction () =
   let s = Scheduler.create () in
+  let p = actions s in
   (* 200 events within the level-0 cutoff (< 1024 ns), so they all land
      in the heap; cancelling all but every 10th leaves 180 tombstones,
      which must trip compaction (threshold: > 64 and > half the heap). *)
   let handles =
     List.init 200 (fun i ->
-        Scheduler.schedule_at s (Time.of_ns (i mod 1000)) ignore)
+        Scheduler.Event.schedule_at p (Time.of_ns (i mod 1000)) ignore)
   in
   List.iteri
-    (fun i h -> if i mod 10 <> 0 then Scheduler.cancel s h)
+    (fun i h -> if i mod 10 <> 0 then ignore (Scheduler.Event.cancel p h))
     handles;
   check_int "pending counts live only" 20 (Scheduler.pending_events s);
   check_bool "compaction kept tombstones low" true
@@ -389,12 +396,10 @@ let test_scheduler_far_future () =
   (* An event beyond the wheel's ~9.8 h span takes the clamp path and
      re-dispatches as the cursor reaches it; order is preserved. *)
   let s = Scheduler.create () in
+  let p = actions s in
   let log = ref [] in
-  ignore
-    (Scheduler.schedule_at s (Time.of_sec 50_000.) (fun () ->
-         log := "far" :: !log));
-  ignore
-    (Scheduler.schedule_at s (Time.of_ms 1.) (fun () -> log := "near" :: !log));
+  at p (Time.of_sec 50_000.) (fun () -> log := "far" :: !log);
+  at p (Time.of_ms 1.) (fun () -> log := "near" :: !log);
   Scheduler.run s;
   Alcotest.(check (list string)) "near before far" [ "near"; "far" ]
     (List.rev !log);
@@ -403,63 +408,6 @@ let test_scheduler_far_future () =
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler.Event: pooled typed cells *)
-
-(* The typed event path must be observationally identical to the
-   closure path: same trace of arms and mid-run cancels, same log of
-   (payload, fire-time) — which pins time, (time, seq) tie order and
-   side-effect order all at once. The reference run schedules every
-   event as a closure; the pool run routes the flagged subset through
-   an Event pool. Both runs arm in the same order, and one seq is
-   consumed per arm on either path, so any divergence in the interleaving
-   of typed and closure events shows up as a reordered log. *)
-let prop_event_pool_matches_closures =
-  QCheck.Test.make ~name:"typed event pool matches closure reference"
-    ~count:200
-    QCheck.(
-      list (pair (int_bound 5_000_000) (pair bool (option (int_bound 4_999_999)))))
-    (fun trace ->
-      let run use_pool =
-        let s = Scheduler.create () in
-        let log = ref [] in
-        let record i = log := (i, Time.to_ns (Scheduler.now s)) :: !log in
-        let pool = Scheduler.Event.pool s ~fire:record in
-        let arms =
-          List.mapi
-            (fun i (t_ns, (typed, cancel_at)) ->
-              let cancel =
-                if use_pool && typed then begin
-                  let c = Scheduler.Event.schedule_at pool (Time.of_ns t_ns) i in
-                  fun () -> ignore (Scheduler.Event.cancel pool c)
-                end
-                else begin
-                  let h =
-                    Scheduler.schedule_at s (Time.of_ns t_ns) (fun () ->
-                        record i)
-                  in
-                  fun () -> Scheduler.cancel s h
-                end
-              in
-              (i, t_ns, cancel_at, cancel))
-            trace
-        in
-        (* Cancels that strictly precede the victim's due time count;
-           later ones would race an already-fired event (and, for
-           cells, trip the stale-handle sanitizer by contract). *)
-        let expected = ref [] in
-        List.iter
-          (fun (i, t_ns, cancel_at, cancel) ->
-            match cancel_at with
-            | Some c_ns when c_ns < t_ns ->
-              ignore (Scheduler.schedule_at s (Time.of_ns c_ns) cancel)
-            | Some _ | None -> expected := (t_ns, i) :: !expected)
-          arms;
-        Scheduler.run s;
-        (List.rev !log, List.sort compare (List.rev !expected))
-      in
-      let log_ref, _ = run false in
-      let log_pool, expected = run true in
-      log_ref = log_pool
-      && log_pool = List.map (fun (t, i) -> (i, t)) expected)
 
 let test_event_cell_reuse () =
   (* A fire handler that re-arms into its own pool must reuse the very
@@ -679,7 +627,6 @@ let () =
             test_event_cancel_then_rearm;
           Alcotest.test_case "stale handle cancel" `Quick test_event_stale_cancel;
           Alcotest.test_case "pool accounting" `Quick test_event_pool_accounting;
-          qt prop_event_pool_matches_closures;
         ] );
       ( "rng",
         [

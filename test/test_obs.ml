@@ -82,7 +82,10 @@ let test_sampler_ticks_and_rows () =
   Metrics.register m ~component:"test" ~id:"t" ~name:"count" ~units:"n"
     (fun () -> float_of_int !counter);
   ignore
-    (Scheduler.schedule_at sched (Time.of_ms 25.) (fun () -> counter := 7));
+    (Scheduler.Event.schedule_at
+       (Scheduler.Event.pool sched ~fire:(fun f -> f ()))
+       (Time.of_ms 25.)
+       (fun () -> counter := 7));
   Probe.start p;
   Scheduler.run ~until:(Time.of_ms 100.) sched;
   let c = Probe.capture p in

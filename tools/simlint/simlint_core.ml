@@ -179,16 +179,6 @@ let ident_rule p =
         name
         ^ " is a concurrency primitive; parallel fan-out lives only in \
            Sim_engine.Proc_pool" )
-  | comps
-    when (match List.rev comps with
-         | ("schedule_at" | "schedule_after") :: "Scheduler" :: _ -> true
-         | _ -> false) ->
-    Some
-      ( D008,
-        name
-        ^ " allocates a closure per event; steady-state code must arm a \
-           re-armable Scheduler.Timer or fill a Scheduler.Event pool cell \
-           instead (allowlist genuinely cold setup sites)" )
   | _ -> None
 
 let scan_idents ~emit (str : Typedtree.structure) =

@@ -68,9 +68,7 @@ let test_d006_spawn () =
 
 (* Each bad fixture must produce exactly one D007 finding at the
    escape site (file, line and column all checked), and each good
-   fixture — the sanctioned Packet.copy patterns — none at all.
-   Filtered by rule: the closure-capture fixture legitimately also
-   trips D008 (it schedules a closure), asserted separately below. *)
+   fixture — the sanctioned Packet.copy patterns — none at all. *)
 let check_d007 file ~line ~col () =
   match
     List.filter (fun (f : L.finding) -> f.rule = L.D007) (findings_of file)
@@ -108,29 +106,11 @@ let test_d007_good_drop_hook () =
 let test_d007_payload_arg =
   check_d007 "bad_d007_payload_arg.ml" ~line:10 ~col:7
 
-(* --- D008: closure-per-event scheduling --- *)
-
-(* The bad fixture arms two closure events; both must be flagged at
-   the call identifier (exact line and column), in source order. *)
-let test_d008_closure_event () =
-  match findings_of "bad_d008_closure_event.ml" with
-  | [ a; b ] ->
-    Alcotest.(check (list rule)) "rules" [ L.D008; L.D008 ] [ a.L.rule; b.L.rule ];
-    Alcotest.(check (list int)) "lines" [ 6; 10 ] [ a.L.line; b.L.line ];
-    Alcotest.(check (list int)) "cols" [ 5; 5 ] [ a.L.col; b.L.col ]
-  | fs ->
-    Alcotest.failf "expected exactly two D008 findings, got %d:\n%s"
-      (List.length fs)
-      (String.concat "\n" (List.map L.pp_finding fs))
-
-let test_d008_typed_event_clean () =
-  check_rules "Timer/Event arms do not trip D008" "good_d008_typed_event.ml" []
-
-(* Scheduling a closure that captures a packet is both escapes at
-   once: the D007 capture and the D008 closure arm. *)
-let test_d008_on_capture_fixture () =
-  check_rules "closure capture also arms a closure"
-    "bad_d007_closure_capture.ml" [ L.D008; L.D007 ]
+(* Scheduling a closure that captures a packet trips D007 and nothing
+   else: the Event pool is a deferred sink like any scheduler call. *)
+let test_d007_capture_only () =
+  check_rules "closure capture is D007 only" "bad_d007_closure_capture.ml"
+    [ L.D007 ]
 
 (* --- clean code and built-in exemptions --- *)
 
@@ -248,7 +228,7 @@ let test_allow_rejects_garbage () =
       output_string oc "lib/foo.ml:D999\n";
       close_out oc;
       Alcotest.check_raises "unknown rule"
-        (L.Allow_syntax "line 1: unknown rule \"D999\" (expected D001-D008)")
+        (L.Allow_syntax "line 1: unknown rule \"D999\" (expected D001-D007)")
         (fun () -> ignore (L.parse_allow_file tmp)))
 
 (* --- tree scanning --- *)
@@ -308,15 +288,8 @@ let () =
           Alcotest.test_case "good: drop hook copies" `Quick
             test_d007_good_drop_hook;
           Alcotest.test_case "deferred payload arg" `Quick test_d007_payload_arg;
-        ] );
-      ( "d008",
-        [
-          Alcotest.test_case "closure events flagged" `Quick
-            test_d008_closure_event;
-          Alcotest.test_case "typed arms clean" `Quick
-            test_d008_typed_event_clean;
-          Alcotest.test_case "capture fixture trips both" `Quick
-            test_d008_on_capture_fixture;
+          Alcotest.test_case "capture fixture trips only D007" `Quick
+            test_d007_capture_only;
         ] );
       ( "exemptions",
         [
