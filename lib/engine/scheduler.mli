@@ -10,9 +10,10 @@
     output — is identical to a heap-only scheduler. Events scheduled
     for the same instant fire in the order they were scheduled.
 
-    Two ways to schedule, neither allocating per event: a re-armable
-    {!Timer} (RTO, delayed ACK, deadlines) and a pool of one-shot
-    typed {!Event} cells (packets in flight, arrivals).
+    Two ways to schedule, neither allocating per event in steady
+    state: a re-armable {!Timer} (RTO, delayed ACK, deadlines) and a
+    pool of one-shot typed {!Event} cells (packets in flight,
+    arrivals).
 
     Cancellation is O(1) in both structures: a wheel entry unlinks
     immediately; a heap entry leaves a tombstone that is skipped when

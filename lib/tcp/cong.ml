@@ -64,7 +64,9 @@ module Dctcp = struct
     reno_increase w ~mss ~acked;
     if s.window_target <= 0. then s.window_target <- w.cwnd;
     if float_of_int s.bytes_acked >= s.window_target then begin
-      let f = float_of_int s.bytes_marked /. float_of_int (max 1 s.bytes_acked) in
+      let f =
+        float_of_int s.bytes_marked /. float_of_int (max 1 s.bytes_acked)
+      in
       s.alpha <- ((1. -. g) *. s.alpha) +. (g *. f);
       if s.bytes_marked > 0 then begin
         let reduced = w.cwnd *. (1. -. (s.alpha /. 2.)) in

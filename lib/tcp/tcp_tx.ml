@@ -106,7 +106,8 @@ let current_rto t =
 (* Dev-profile invariants: a violation names the connection and
    subflow. *)
 let fail t what =
-  failwith (Printf.sprintf "Tcp_tx: conn %d subflow %d: %s" t.conn t.subflow what)
+  failwith
+    (Printf.sprintf "Tcp_tx: conn %d subflow %d: %s" t.conn t.subflow what)
 
 (* After every controller call: a finite cwnd of at least one MSS, and
    an ssthresh of at least one MSS. *)
@@ -377,7 +378,8 @@ and on_rto t =
    reordered single window from stalling. *)
 let send_allowance t =
   match t.recovery with
-  | Normal -> t.win.Cong.cwnd +. float_of_int (t.dup_acks * t.params.Tcp_params.mss)
+  | Normal ->
+    t.win.Cong.cwnd +. float_of_int (t.dup_acks * t.params.Tcp_params.mss)
   | Fast_recovery when t.params.Tcp_params.sack ->
     (* Pipe accounting: SACKed bytes have left the network. *)
     t.win.Cong.cwnd +. float_of_int t.sacked_bytes
