@@ -10,6 +10,26 @@ module Registry = Sim_experiments.Registry
 module Experiment = Sim_experiments.Experiment
 module Scenario = Sim_workload.Scenario
 
+(* [base] narrowed to the values [ok] accepts: anything else is a
+   usage error naming the option, [want] saying what was expected. The
+   library checks the same bounds, but a failure there surfaces as an
+   internal error from inside a simulation. *)
+let restrict base ok ~want =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S: must be %s" s want))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+(* A virtual-time span given in (fractional) nanoseconds, if it is at
+   least 1 ns once truncated and fits a [Sim_time.t]. *)
+let sim_time_of_ns ns =
+  if Float.is_finite ns && ns >= 1. && ns < Float.of_int max_int then
+    Some (Sim_engine.Sim_time.of_ns (int_of_float ns))
+  else None
+
 (* Virtual-time durations on the command line: a number with an ns,
    us, ms or s suffix, e.g. `--probe-interval 10ms`. *)
 let duration_conv =
@@ -23,9 +43,14 @@ let duration_conv =
     | Some (suf, mult) -> (
       let num = String.sub s 0 (String.length s - String.length suf) in
       match float_of_string_opt num with
-      | Some v when v > 0. ->
-        Ok (Sim_engine.Sim_time.of_ns (int_of_float (v *. mult)))
-      | Some _ -> Error (`Msg "duration must be positive")
+      | Some v -> (
+        match sim_time_of_ns (v *. mult) with
+        | Some t -> Ok t
+        | None ->
+          Error
+            (`Msg
+               (Printf.sprintf
+                  "bad duration %S: must be at least 1ns and under 2^62ns" s)))
       | None -> Error (`Msg (Printf.sprintf "bad duration %S" s)))
   in
   let print ppf t =
@@ -92,24 +117,29 @@ let obs_term =
 
 let scale_term =
   let k =
-    Arg.(value & opt int Scale.small.Scale.k & info [ "k" ] ~doc:"FatTree arity (even).")
+    Arg.(
+      value
+      & opt (restrict int (fun k -> k >= 2 && k mod 2 = 0) ~want:"even and >= 2")
+          Scale.small.Scale.k
+      & info [ "k" ] ~doc:"FatTree arity (even).")
   in
   let oversub =
     Arg.(
       value
-      & opt int Scale.small.Scale.oversub
+      & opt (restrict int (fun o -> o >= 1) ~want:">= 1") Scale.small.Scale.oversub
       & info [ "oversub" ] ~doc:"Hosts per edge uplink (1 = full bisection).")
   in
   let flows =
     Arg.(
       value
-      & opt int Scale.small.Scale.flows
+      & opt (restrict int (fun n -> n >= 1) ~want:">= 1") Scale.small.Scale.flows
       & info [ "flows" ] ~doc:"Total short flows to schedule.")
   in
   let rate =
     Arg.(
       value
-      & opt float Scale.small.Scale.rate
+      & opt (restrict float (fun r -> Float.is_finite r && r > 0.) ~want:"finite and > 0")
+          Scale.small.Scale.rate
       & info [ "rate" ] ~doc:"Poisson arrival rate per short host (flows/s).")
   in
   let seed =
@@ -118,7 +148,11 @@ let scale_term =
   let horizon =
     Arg.(
       value
-      & opt float Scale.small.Scale.horizon_s
+      & opt
+          (restrict float
+             (fun s -> sim_time_of_ns (s *. 1e9) <> None)
+             ~want:"at least 1ns and under 2^62ns")
+          Scale.small.Scale.horizon_s
       & info [ "horizon" ] ~doc:"Simulated seconds before the hard stop.")
   in
   let full =

@@ -26,7 +26,7 @@ val fresh_conn_id : t -> int
 (** Next transport connection id (host demultiplexing key). *)
 
 val fresh_queue_id : t -> int
-(** Next packet-queue id (seeds per-queue RED randomness). *)
+(** Next packet-queue id (names the queue's metrics). *)
 
 val pool_live : t -> int
 (** Pooled objects currently live (issued and not yet freed) in this

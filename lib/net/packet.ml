@@ -14,7 +14,6 @@ type t = {
   mutable dsn : int;
   mutable sack_count : int;
   sack : int array;
-  mutable ce : bool;
   mutable gen : int;
 }
 
@@ -24,7 +23,6 @@ let max_sack_blocks = 3
 let syn_bit = 1
 let ack_bit = 2
 let fin_bit = 4
-let ece_bit = 8
 let dup_bit = 16
 
 let data_bits = 0
@@ -32,8 +30,7 @@ let pure_ack_bits = ack_bit
 let syn_bits = syn_bit
 let syn_ack_bits = syn_bit lor ack_bit
 
-let ack_bits ~ece ~dup_seen =
-  ack_bit lor (if ece then ece_bit else 0) lor (if dup_seen then dup_bit else 0)
+let ack_bits ~dup_seen = ack_bit lor (if dup_seen then dup_bit else 0)
 
 (* ------------------------------------------------------------------ *)
 (* Pool sanitizer (debug profiles only; [sanitizer] is a compile-time
@@ -68,7 +65,6 @@ let check_live t ~op =
 let syn t = check_live t ~op:"syn"; t.bits land syn_bit <> 0
 let ack t = check_live t ~op:"ack"; t.bits land ack_bit <> 0
 let fin t = check_live t ~op:"fin"; t.bits land fin_bit <> 0
-let ece t = check_live t ~op:"ece"; t.bits land ece_bit <> 0
 let dup_seen t = check_live t ~op:"dup_seen"; t.bits land dup_bit <> 0
 
 (* ------------------------------------------------------------------ *)
@@ -123,7 +119,6 @@ let pool_of ctx =
         dsn = -1;
         sack_count = 0;
         sack = [||];
-        ce = false;
         gen = 0;
       }
     in
@@ -195,7 +190,6 @@ let make ~ctx ~src ~dst ~conn ~subflow ~src_port ~dst_port ~seq ~ack_seq ~len
       dsn;
       sack_count = 0;
       sack = Array.make (2 * max_sack_blocks) 0;
-      ce = false;
       gen = 1;
     }
   else begin
@@ -225,7 +219,6 @@ let make ~ctx ~src ~dst ~conn ~subflow ~src_port ~dst_port ~seq ~ack_seq ~len
     t.bits <- bits;
     t.dsn <- dsn;
     t.sack_count <- 0;
-    t.ce <- false;
     t
   end
 
@@ -236,7 +229,6 @@ let copy ~ctx t =
       ~src_port:t.src_port ~dst_port:t.dst_port ~seq:t.seq ~ack_seq:t.ack_seq
       ~len:t.len ~bits:t.bits ~dsn:t.dsn
   in
-  d.ce <- t.ce;
   d.sack_count <- t.sack_count;
   Array.blit t.sack 0 d.sack 0 (2 * t.sack_count);
   d
@@ -309,11 +301,10 @@ let is_pure_ack t =
 
 let pp ppf t =
   check_live t ~op:"pp";
-  Format.fprintf ppf "#%d %a->%a c%d.%d %s seq=%d ack=%d len=%d%s" t.uid
+  Format.fprintf ppf "#%d %a->%a c%d.%d %s seq=%d ack=%d len=%d" t.uid
     Addr.pp t.src Addr.pp t.dst t.conn t.subflow
     (if syn t && ack t then "SYNACK"
      else if syn t then "SYN"
      else if t.len > 0 then "DATA"
      else "ACK")
     t.seq t.ack_seq t.len
-    (if t.ce then " CE" else "")

@@ -49,7 +49,6 @@ type t = {
           block [i] spanning [sack.(2*i), sack.(2*i+1))]; at most
           {!max_sack_blocks}, none when the receiver holds no
           out-of-order data (or SACK is unused by the sender) *)
-  mutable ce : bool;  (** ECN congestion-experienced mark, set by queues *)
   mutable gen : int;
       (** pool generation: odd while issued by {!make}, even while in
           the freelist. Maintained (and asserted) only when
@@ -73,9 +72,6 @@ val max_sack_blocks : int
 val syn_bit : int
 val ack_bit : int
 val fin_bit : int
-val ece_bit : int
-(** ECN echo (receiver -> sender, for DCTCP). *)
-
 val dup_bit : int
 (** Duplicate-arrival signal, a DSACK stand-in. *)
 
@@ -87,14 +83,13 @@ val pure_ack_bits : int
 val syn_bits : int
 val syn_ack_bits : int
 
-val ack_bits : ece:bool -> dup_seen:bool -> int
+val ack_bits : dup_seen:bool -> int
 (** [ack_bit] plus the requested signal bits — the receiver's ACK
     emission path, computed without allocating. *)
 
 val syn : t -> bool
 val ack : t -> bool
 val fin : t -> bool
-val ece : t -> bool
 val dup_seen : t -> bool
 
 val make :
@@ -111,9 +106,9 @@ val make :
   bits:int ->
   dsn:int ->
   t
-(** Builds a packet; [size] is [header_bytes + len], [ce] is clear and
-    [sack_count] is 0. The record comes from [ctx]'s pool when one is
-    free, otherwise it is allocated (and joins the pool when freed).
+(** Builds a packet; [size] is [header_bytes + len] and [sack_count] is
+    0. The record comes from [ctx]'s pool when one is free, otherwise
+    it is allocated (and joins the pool when freed).
     Either way the [uid] is fresh from {!Sim_engine.Sim_ctx.t}, so uid
     sequences are identical with or without reuse and concurrent
     simulations never share numbering. *)

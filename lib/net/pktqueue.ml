@@ -1,29 +1,14 @@
 type stats = {
   mutable enqueued : int;
   mutable dropped : int;
-  mutable marked : int;
   mutable bytes_enqueued : int;
   mutable max_backlog : int;
 }
-
-type red = {
-  min_th : int;
-  max_th : int;
-  max_p : float;
-  weight : float;
-  mark : bool;
-}
-
-let default_red = { min_th = 5; max_th = 15; max_p = 0.1; weight = 0.002; mark = false }
 
 type t = {
   q : Packet.t Queue.t;
   ctx : Sim_engine.Sim_ctx.t;
   cap : int;
-  ecn_threshold : int option;
-  red : red option;
-  red_rng : Sim_engine.Rng.t;
-  mutable red_avg : float;
   lay : Layer.t;
   qname : string;
   mutable backlog_bytes : int;
@@ -33,17 +18,8 @@ type t = {
   m : Sim_obs.Metrics.t option;  (* [Some] only when the registry is on *)
 }
 
-let create ?ecn_threshold ?red ~ctx ~capacity ~layer () =
+let create ~ctx ~capacity ~layer () =
   if capacity <= 0 then invalid_arg "Pktqueue.create: capacity must be positive";
-  (match red with
-   | Some r ->
-     if r.min_th < 0 || r.max_th <= r.min_th then
-       invalid_arg "Pktqueue.create: bad RED thresholds";
-     if r.max_p < 0. || r.max_p > 1. then
-       invalid_arg "Pktqueue.create: bad RED max_p"
-   | None -> ());
-  (* Deterministic per-queue RED randomness: construction order within
-     the simulation seeds. *)
   let queue_id = Sim_engine.Sim_ctx.fresh_queue_id ctx in
   let metrics = Sim_engine.Sim_ctx.metrics ctx in
   let qname = Printf.sprintf "q%d.%s" queue_id (Layer.to_string layer) in
@@ -52,15 +28,11 @@ let create ?ecn_threshold ?red ~ctx ~capacity ~layer () =
       q = Queue.create ();
       ctx;
       cap = capacity;
-      ecn_threshold = (if red = None then ecn_threshold else None);
-      red;
-      red_rng = Sim_engine.Rng.create ~seed:(0xEED + queue_id);
-      red_avg = 0.;
       lay = layer;
       qname;
       backlog_bytes = 0;
       drop_hooks = [];
-      st = { enqueued = 0; dropped = 0; marked = 0; bytes_enqueued = 0; max_backlog = 0 };
+      st = { enqueued = 0; dropped = 0; bytes_enqueued = 0; max_backlog = 0 };
       m = (if Sim_obs.Metrics.active metrics then Some metrics else None);
     }
   in
@@ -72,34 +44,11 @@ let create ?ecn_threshold ?red ~ctx ~capacity ~layer () =
      in
      reg "depth_pkts" "pkts" (fun () -> float_of_int (Queue.length t.q));
      reg "depth_bytes" "bytes" (fun () -> float_of_int t.backlog_bytes);
-     reg "drops" "pkts" (fun () -> float_of_int t.st.dropped);
-     reg "ecn_marks" "pkts" (fun () -> float_of_int t.st.marked)
+     reg "drops" "pkts" (fun () -> float_of_int t.st.dropped)
    | None -> ());
   t
 
 let add_drop_hook t hook = t.drop_hooks <- t.drop_hooks @ [ hook ]
-
-let red_average t = t.red_avg
-
-(* RED early-drop decision for an arriving packet. Returns [`Accept],
-   [`Mark] or [`Drop]. *)
-let red_verdict t r =
-  t.red_avg <-
-    ((1. -. r.weight) *. t.red_avg)
-    +. (r.weight *. float_of_int (Queue.length t.q));
-  if t.red_avg < float_of_int r.min_th then `Accept
-  else if t.red_avg >= float_of_int r.max_th then
-    if r.mark then `Mark else `Drop
-  else begin
-    let p =
-      r.max_p
-      *. (t.red_avg -. float_of_int r.min_th)
-      /. float_of_int (r.max_th - r.min_th)
-    in
-    if Sim_engine.Rng.float t.red_rng 1.0 < p then
-      if r.mark then `Mark else `Drop
-    else `Accept
-  end
 
 let backlog_pkts t = Queue.length t.q
 let backlog_bytes t = t.backlog_bytes
@@ -109,10 +58,7 @@ let layer t = t.lay
 let stats t = t.st
 
 let enqueue t pkt =
-  let red_decision =
-    match t.red with Some r -> red_verdict t r | None -> `Accept
-  in
-  if Queue.length t.q >= t.cap || red_decision = `Drop then begin
+  if Queue.length t.q >= t.cap then begin
     t.st.dropped <- t.st.dropped + 1;
     (match t.m with
      | Some m ->
@@ -132,15 +78,6 @@ let enqueue t pkt =
     false
   end
   else begin
-    if red_decision = `Mark then begin
-      pkt.Packet.ce <- true;
-      t.st.marked <- t.st.marked + 1
-    end;
-    (match t.ecn_threshold with
-     | Some k when Queue.length t.q >= k ->
-       pkt.Packet.ce <- true;
-       t.st.marked <- t.st.marked + 1
-     | Some _ | None -> ());
     Queue.push pkt t.q;
     t.backlog_bytes <- t.backlog_bytes + pkt.Packet.size;
     t.st.enqueued <- t.st.enqueued + 1;

@@ -5,8 +5,6 @@ type link_spec = {
   rate_bps : float;
   delay : Time.t;
   queue_capacity : int;
-  ecn_threshold : int option;
-  red : Pktqueue.red option;
   jitter : Time.t;
 }
 
@@ -15,8 +13,6 @@ let default_link_spec =
     rate_bps = 100e6;
     delay = Time.of_us 20.;
     queue_capacity = 100;
-    ecn_threshold = None;
-    red = None;
     jitter = Time.of_us 5.;
   }
 
@@ -176,8 +172,8 @@ module Builder = struct
 
   let make_link b ~spec ~layer =
     let queue =
-      Pktqueue.create ?ecn_threshold:spec.ecn_threshold ?red:spec.red
-        ~ctx:(Scheduler.ctx b.sched) ~capacity:spec.queue_capacity ~layer ()
+      Pktqueue.create ~ctx:(Scheduler.ctx b.sched) ~capacity:spec.queue_capacity
+        ~layer ()
     in
     let link =
       Link.create ~jitter:spec.jitter ~sched:b.sched ~rate_bps:spec.rate_bps

@@ -17,13 +17,11 @@ type link_spec = {
   rate_bps : float;
   delay : Time.t;
   queue_capacity : int;  (** packets *)
-  ecn_threshold : int option;  (** packets; [None] disables marking *)
-  red : Pktqueue.red option;  (** RED discipline; [None] = drop tail *)
   jitter : Time.t;  (** per-packet propagation jitter bound, see {!Link.create} *)
 }
 
 val default_link_spec : link_spec
-(** 100 Mb/s, 20 us delay, 100-packet drop-tail queue, no ECN, 5 us
+(** 100 Mb/s, 20 us delay, 100-packet drop-tail queue, 5 us
     propagation jitter — the base data-centre link. *)
 
 type walk

@@ -39,46 +39,6 @@ let reno_on_loss w ~mss ~flight kind =
   | Fast_retransmit -> write_cwnd w ~mss ssthresh
   | Timeout -> write_cwnd w ~mss mss_f
 
-module Dctcp = struct
-  type state = {
-    mutable alpha : float;
-    mutable bytes_acked : int;
-    mutable bytes_marked : int;
-    mutable window_target : float;
-  }
-
-  let recommended_marking_threshold = 17
-  let g = 1. /. 16.
-
-  let create () =
-    { alpha = 0.; bytes_acked = 0; bytes_marked = 0; window_target = 0. }
-
-  let alpha s = s.alpha
-
-  let on_ack s w ~mss ~acked ~ece =
-    s.bytes_acked <- s.bytes_acked + acked;
-    if ece then s.bytes_marked <- s.bytes_marked + acked;
-    (* Normal growth continues; DCTCP reduces proportionally to the
-       marking fraction once per observation window (~one cwnd of
-       ACKed bytes). *)
-    reno_increase w ~mss ~acked;
-    if s.window_target <= 0. then s.window_target <- w.cwnd;
-    if float_of_int s.bytes_acked >= s.window_target then begin
-      let f =
-        float_of_int s.bytes_marked /. float_of_int (max 1 s.bytes_acked)
-      in
-      s.alpha <- ((1. -. g) *. s.alpha) +. (g *. f);
-      if s.bytes_marked > 0 then begin
-        let reduced = w.cwnd *. (1. -. (s.alpha /. 2.)) in
-        write_cwnd w ~mss (Float.max reduced (float_of_int mss));
-        w.ssthresh <- w.cwnd
-      end;
-      s.bytes_acked <- 0;
-      s.bytes_marked <- 0;
-      s.window_target <- w.cwnd
-    end
-end
-
 module Lia = struct
   (* Members newest first: every sum below runs in that order, so its
      float rounding is fixed by the join order. *)
@@ -159,21 +119,17 @@ module Lia = struct
     end
 end
 
-type algorithm = Reno | Dctcp | Lia of Lia.group
-type t = Reno_cc | Dctcp_cc of Dctcp.state | Lia_cc of Lia.member
+type algorithm = Reno | Lia of Lia.group
+type t = Reno_cc | Lia_cc of Lia.member
 
 let create algorithm w ~rtt =
   match algorithm with
   | Reno -> Reno_cc
-  | Dctcp -> Dctcp_cc (Dctcp.create ())
   | Lia g -> Lia_cc (Lia.join g w rtt)
 
-let on_ack t w ~mss ~acked ~ece =
+let on_ack t w ~mss ~acked =
   match t with
   | Reno_cc -> reno_increase w ~mss ~acked
-  | Dctcp_cc s -> Dctcp.on_ack s w ~mss ~acked ~ece
   | Lia_cc m -> Lia.on_ack m w ~mss ~acked
 
-let on_loss t w ~mss ~flight kind =
-  match t with
-  | Reno_cc | Dctcp_cc _ | Lia_cc _ -> reno_on_loss w ~mss ~flight kind
+let on_loss (_ : t) w ~mss ~flight kind = reno_on_loss w ~mss ~flight kind

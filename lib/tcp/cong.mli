@@ -1,11 +1,12 @@
 (** Congestion control as data.
 
     A sender's congestion state is one all-float {!window}. A
-    controller is a closed variant over the three algorithms in this
-    repository — NewReno, DCTCP and MPTCP's Linked Increases (LIA) —
-    and {!on_ack}/{!on_loss} dispatch on it. The sender passes its
-    window, MSS and flight size as arguments; LIA additionally reads
-    every member's window and RTT estimator through its group. *)
+    controller is a closed variant over the two algorithms in this
+    repository — NewReno and MPTCP's Linked Increases (LIA) — and
+    {!on_ack} dispatches on it; both share one loss response. The
+    sender passes its window, MSS and flight size as arguments; LIA
+    additionally reads every member's window and RTT estimator through
+    its group. *)
 
 type window = {
   mutable cwnd : float;  (** congestion window, bytes *)
@@ -14,25 +15,6 @@ type window = {
 (** All-float, so both fields are stored unboxed. *)
 
 type loss_kind = Fast_retransmit | Timeout
-
-(** DCTCP (Alizadeh et al., SIGCOMM 2010): the single-path, ECN-based
-    protocol the paper's introduction positions MMPTCP against. Run it
-    over links built with an [ecn_threshold] in their
-    {!Sim_net.Topology.link_spec} (the switch marking side). The
-    sender keeps the running fraction [alpha] of marked bytes,
-    smoothed with gain 1/16, and once per window cuts cwnd by
-    [alpha/2] if the window saw marks. Loss response and window
-    growth are standard NewReno. *)
-module Dctcp : sig
-  type state
-  (** One sender's marking counters and [alpha]. *)
-
-  val recommended_marking_threshold : int
-  (** ~17 packets for 100 Mb/s links per the DCTCP guideline (K ≈
-      RTT*C/7 rounded up for our defaults). *)
-
-  val alpha : state -> float
-end
 
 (** Linked Increases (RFC 6356), the MPTCP coupled algorithm evaluated
     in the paper. All subflows of a connection share a {!group}. In
@@ -70,33 +52,29 @@ module Lia : sig
       paths. Empty input yields an empty array. *)
 end
 
-type algorithm = Reno | Dctcp | Lia of Lia.group
+type algorithm = Reno | Lia of Lia.group
 (** What a sender runs. {!Tcp_tx.create} turns it into the sender's
     controller with {!create}. *)
 
-type t = private
-  | Reno_cc
-  | Dctcp_cc of Dctcp.state
-  | Lia_cc of Lia.member
+type t = private Reno_cc | Lia_cc of Lia.member
 
 val create : algorithm -> window -> rtt:Rtt_estimator.t -> t
-(** Fresh DCTCP counters, or the sender's membership of the LIA group
+(** Reno's empty state, or the sender's membership of the LIA group
     (joined now, ahead of the earlier members). [window] and [rtt] are
     the sender's own; they must be the window later passed to
     {!on_ack} and {!on_loss}. *)
 
-val on_ack : t -> window -> mss:int -> acked:int -> ece:bool -> unit
+val on_ack : t -> window -> mss:int -> acked:int -> unit
 (** Called for every ACK that advances the cumulative acknowledgement,
     outside fast recovery (in normal operation and during RTO
-    recovery). [acked] is the number of newly acknowledged bytes;
-    [ece] is the ECN echo flag (consumed by DCTCP, ignored by Reno and
-    LIA). Below ssthresh every algorithm grows cwnd by [acked]
-    (uncapped byte-counted slow start); above it Reno and DCTCP add
-    [mss*mss/cwnd] per full-MSS ACK, LIA its coupled increase, each
-    capped at one MSS per ACK. *)
+    recovery). [acked] is the number of newly acknowledged bytes.
+    Below ssthresh both algorithms grow cwnd by [acked] (uncapped
+    byte-counted slow start); above it Reno adds [mss*mss/cwnd] per
+    full-MSS ACK, LIA its coupled increase, each capped at one MSS per
+    ACK. *)
 
 val on_loss : t -> window -> mss:int -> flight:int -> loss_kind -> unit
-(** Standard multiplicative decrease, shared by all three algorithms:
+(** Standard multiplicative decrease, shared by both algorithms:
     ssthresh = max(min(flight, cwnd)/2, 2*mss); cwnd = ssthresh after
     a fast retransmit, 1 MSS after a timeout. The sender applies the
     NewReno recovery mechanics on top. *)

@@ -12,7 +12,7 @@ type t = {
   received : Intervals.t;
 }
 
-let start ~src ~dst ~size ?(params = Tcp_params.default) ?(cc = Cong.Reno)
+let start ~src ~dst ~size ?(params = Tcp_params.default)
     ?dupack_threshold ?src_port ?dst_port ?(on_complete = fun _ -> ())
     ?(on_close = fun _ -> ()) () =
   if size < 0 then invalid_arg "Flow.start: negative size";
@@ -52,7 +52,7 @@ let start ~src ~dst ~size ?(params = Tcp_params.default) ?(cc = Cong.Reno)
       ~src_port:(fun () -> src_port)
       ~dst_port
       ~source:(Tcp_tx.fixed_size_source size)
-      ~cc ?dupack_threshold ()
+      ~cc:Cong.Reno ?dupack_threshold ()
   in
   t.tx <- Some tx;
   t.rx <- Some rx;

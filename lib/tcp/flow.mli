@@ -14,7 +14,6 @@ val start :
   dst:Sim_net.Host.t ->
   size:int ->
   ?params:Tcp_params.t ->
-  ?cc:Cong.algorithm ->
   ?dupack_threshold:(unit -> int) ->
   ?src_port:int ->
   ?dst_port:int ->
@@ -23,7 +22,7 @@ val start :
   unit ->
   t
 (** Starts the handshake immediately (schedule the call itself for
-    deferred starts). Default congestion control is {!Cong.Reno};
+    deferred starts). Congestion control is {!Cong.Reno}; the
     default source port is derived from the connection id so distinct
     flows hash to distinct ECMP paths.
 

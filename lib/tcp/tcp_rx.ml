@@ -17,7 +17,6 @@ type t = {
   mutable dup_segments : int;
   (* Delayed-ACK state. *)
   mutable pending : int;  (* in-order segments not yet acknowledged *)
-  mutable pending_ece : bool;
   mutable reply_ports : (int * int) option;  (* (src, dst) of our ACKs *)
   (* Re-armable delayed-ACK timer, allocated on first arm and reused. *)
   mutable delack_timer : Scheduler.Timer.t option;
@@ -36,7 +35,6 @@ let create ?(params = Tcp_params.default) ~host ~peer ~conn ~subflow ~on_data ()
     acks_sent = 0;
     dup_segments = 0;
     pending = 0;
-    pending_ece = false;
     reply_ports = None;
     delack_timer = None;
   }
@@ -67,17 +65,16 @@ let emit_ack t ~src_port ~dst_port ~bits =
       ~max_blocks:Packet.max_sack_blocks ~dst:pkt.Packet.sack;
   Host.send t.host pkt
 
-let flush_ack t ~ece ~dup_seen =
+let flush_ack t ~dup_seen =
   match t.reply_ports with
   | None -> ()
   | Some (src_port, dst_port) ->
     cancel_delack t;
     t.pending <- 0;
-    t.pending_ece <- false;
-    emit_ack t ~src_port ~dst_port ~bits:(Packet.ack_bits ~ece ~dup_seen)
+    emit_ack t ~src_port ~dst_port ~bits:(Packet.ack_bits ~dup_seen)
 
 let on_delack_timeout t =
-  if t.pending > 0 then flush_ack t ~ece:t.pending_ece ~dup_seen:false
+  if t.pending > 0 then flush_ack t ~dup_seen:false
 
 let arm_delack t =
   let tm =
@@ -111,17 +108,15 @@ let handle t pkt =
     if in_order_advance && Intervals.span_count t.received = 1 then begin
       (* Clean in-order progress: eligible for coalescing. *)
       t.pending <- t.pending + 1;
-      t.pending_ece <- t.pending_ece || pkt.Packet.ce;
       if t.pending >= t.params.Tcp_params.delayed_ack then
-        flush_ack t ~ece:t.pending_ece ~dup_seen:false
+        flush_ack t ~dup_seen:false
       else if not (delack_pending t) then arm_delack t
     end
     else begin
       (* Out-of-order, duplicate, or hole-filling arrival: acknowledge
          immediately (duplicate-ACK generation must not be delayed). *)
       t.pending <- t.pending + 1;
-      t.pending_ece <- t.pending_ece || pkt.Packet.ce;
-      flush_ack t ~ece:t.pending_ece ~dup_seen:dup
+      flush_ack t ~dup_seen:dup
     end
   end
 

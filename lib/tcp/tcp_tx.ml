@@ -125,8 +125,8 @@ let check_window t =
            w.Cong.cwnd w.Cong.ssthresh mss)
   end
 
-let cc_on_ack t ~acked ~ece =
-  Cong.on_ack t.cc t.win ~mss:(mss t) ~acked ~ece;
+let cc_on_ack t ~acked =
+  Cong.on_ack t.cc t.win ~mss:(mss t) ~acked;
   check_window t
 
 let cc_on_loss t kind =
@@ -453,7 +453,7 @@ let enter_fast_recovery t =
   t.backoff <- 0;
   arm_rto t
 
-let handle_new_ack t a ~ece =
+let handle_new_ack t a =
   let newly = a - t.snd_una in
   (* Pop fully acknowledged segments, keeping the freshest candidate
      RTT sample from a never-retransmitted segment (Karn). *)
@@ -498,7 +498,7 @@ let handle_new_ack t a ~ece =
           the window lets the pipe drain and recovery terminate. *)
        retransmit_front t
    | Rto_recovery ->
-     cc_on_ack t ~acked:newly ~ece;
+     cc_on_ack t ~acked:newly;
      if a >= t.recover_point then begin
        t.recovery <- Normal;
        t.dup_acks <- 0
@@ -506,7 +506,7 @@ let handle_new_ack t a ~ece =
      else retransmit_front t
    | Normal ->
      t.dup_acks <- 0;
-     cc_on_ack t ~acked:newly ~ece);
+     cc_on_ack t ~acked:newly);
   if flight t = 0 then cancel_rto t else arm_rto t;
   try_send t;
   check_all_acked t
@@ -552,7 +552,7 @@ let handle t pkt =
     process_sack t pkt;
     let una = t.snd_una in
     let a = pkt.Packet.ack_seq in
-    if a > una then handle_new_ack t a ~ece:(Packet.ece pkt)
+    if a > una then handle_new_ack t a
     else if a = una && flight t > 0 then handle_dup_ack t;
     if Sim_engine.Sanitizer_mode.on && t.snd_una < una then
       fail t (Printf.sprintf "snd_una moved back (%d -> %d)" una t.snd_una)

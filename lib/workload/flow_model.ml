@@ -32,7 +32,6 @@ let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
 
 type protocol =
   | Tcp_proto
-  | Dctcp_proto
   | Mptcp_proto of { subflows : int; coupled : bool }
   | Mmptcp_proto of Mmptcp.Strategy.t
 
@@ -108,7 +107,6 @@ let default_config =
 
 let protocol_name = function
   | Tcp_proto -> "tcp"
-  | Dctcp_proto -> "dctcp"
   | Mptcp_proto { subflows; coupled } ->
     Printf.sprintf "mptcp-%d%s" subflows (if coupled then "" else "-uncoupled")
   | Mmptcp_proto s ->

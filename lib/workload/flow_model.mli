@@ -5,8 +5,8 @@
     result collection) is model-agnostic; everything transport- and
     network-mechanics-specific sits behind {!BACKEND}:
 
-    - {b packet} — the full packet-level stacks (TCP / DCTCP / MPTCP /
-      MMPTCP over queues and switches). Reference fidelity.
+    - {b packet} — the full packet-level stacks (TCP / MPTCP / MMPTCP
+      over queues and switches). Reference fidelity.
     - {b fluid} — flows as rate processes over shared link capacities
       ({!Sim_fluid.Engine}); analytic FCTs, O(log size) events per
       flow. Orders of magnitude faster at large scale.
@@ -44,7 +44,6 @@ val pp_kind : Format.formatter -> kind -> unit
 
 type protocol =
   | Tcp_proto
-  | Dctcp_proto  (** requires ECN-enabled link specs in the topology *)
   | Mptcp_proto of { subflows : int; coupled : bool }
   | Mmptcp_proto of Mmptcp.Strategy.t
 

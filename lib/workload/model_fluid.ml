@@ -6,9 +6,8 @@
    which is what makes 10^5-flow FatTrees tractable (DESIGN.md §4k).
 
    Protocol mapping:
-   - TCP / DCTCP: one leg, unit weight, on a random ECMP path. The
-     fluid abstraction has no queues, so ECN-vs-loss differences
-     vanish; both reduce to a fair-share rate process.
+   - TCP: one leg, unit weight, on a random ECMP path — a fair-share
+     rate process.
    - MPTCP: [subflows] legs on random ECMP paths. Coupled gets
      LIA-equilibrium weights (sum 1, biased to low-RTT legs,
      {!Sim_tcp.Cong.Lia.fluid_weights}); uncoupled gets unit weight per
@@ -99,7 +98,7 @@ let transport_plan (cfg : Flow_model.config) net ~rng ~src ~dst ~assume_switched
     end
   in
   match cfg.Flow_model.protocol with
-  | Flow_model.Tcp_proto | Flow_model.Dctcp_proto ->
+  | Flow_model.Tcp_proto ->
     ([| leg (Rng.int rng paths) ~weight:1. |], None)
   | Flow_model.Mptcp_proto { subflows; coupled } ->
     (mptcp_legs ~subflows ~coupled, None)

@@ -1,4 +1,4 @@
-(* Packet-level flow model: the full TCP/DCTCP/MPTCP/MMPTCP stacks
+(* Packet-level flow model: the full TCP/MPTCP/MMPTCP stacks
    over queues and switches. This is the reference-fidelity backend. *)
 
 module Scheduler = Sim_engine.Scheduler
@@ -65,17 +65,14 @@ let start_flow_ext (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size
   let src = Topology.host net.topo src_id
   and dst = Topology.host net.topo dst_id in
   let params = cfg.Flow_model.params in
-  let tcp ?cc () =
+  match cfg.Flow_model.protocol with
+  | Flow_model.Tcp_proto ->
     track net
       (Tcp
-         (Sim_tcp.Flow.start ~src ~dst ~size ~params ?cc
+         (Sim_tcp.Flow.start ~src ~dst ~size ~params
             ~on_complete:(fun _ -> on_complete ~switched:false)
             ~on_close:(fun f -> close net (Tcp f))
             ()))
-  in
-  match cfg.Flow_model.protocol with
-  | Flow_model.Tcp_proto -> tcp ()
-  | Flow_model.Dctcp_proto -> tcp ~cc:Sim_tcp.Cong.Dctcp ()
   | Flow_model.Mptcp_proto { subflows; coupled } ->
     track net
       (Mptcp

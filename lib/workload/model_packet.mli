@@ -1,5 +1,5 @@
 (** Packet-level flow model (reference fidelity): the full
-    TCP / DCTCP / MPTCP / MMPTCP stacks over queues and switches. *)
+    TCP / MPTCP / MMPTCP stacks over queues and switches. *)
 
 include Flow_model.BACKEND
 

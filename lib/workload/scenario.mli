@@ -20,7 +20,6 @@ type model = Flow_model.kind =
 
 type protocol = Flow_model.protocol =
   | Tcp_proto
-  | Dctcp_proto  (** requires ECN-enabled link specs in the topology *)
   | Mptcp_proto of { subflows : int; coupled : bool }
   | Mmptcp_proto of Mmptcp.Strategy.t
 

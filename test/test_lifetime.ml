@@ -78,7 +78,9 @@ let k4 sched = Fattree.create ~sched (Fattree.default_params ~k:4 ~oversub:2 ())
 (* Drained: the transfer completes, the scheduler runs dry, and the
    connection has closed exactly once on both hosts. The MMPTCP
    transfer crosses its 50 KB switch, so its multipath subflows must
-   drain too. *)
+   drain too. The simulation is then quiescent: no packet is live in
+   its pool (0 in release, where the pool does not count) and every
+   event cell is back on its freelist. *)
 let test_drained_closes_once () =
   List.iter
     (fun tr ->
@@ -93,7 +95,12 @@ let test_drained_closes_once () =
       check_bool (tr.name ^ ": dst unbound") false (bound dst ~conn);
       check_int (tr.name ^ ": no live packet") 0 (live_packets sched ~conn);
       check_int (tr.name ^ ": nothing unmatched") 0
-        (Host.unmatched src + Host.unmatched dst))
+        (Host.unmatched src + Host.unmatched dst);
+      check_int (tr.name ^ ": pool empty") 0
+        (Sim_engine.Sim_ctx.pool_live (Scheduler.ctx sched));
+      check_int (tr.name ^ ": event cells all free")
+        (Scheduler.event_cells_allocated sched)
+        (Scheduler.event_cells_free sched))
     transports
 
 (* Three flows open at once behind a one-packet NIC queue: the third

@@ -29,7 +29,7 @@ let fake_subflow ?(cwnd = 14_000.) ?(ssthresh = 7_000.) ?(rtt_ms = 1.) g =
   Rtt_estimator.observe rtt (Time.of_ms rtt_ms);
   (w, Cong.create (Cong.Lia g) w ~rtt)
 
-let ack (w, cc) = Cong.on_ack cc w ~mss ~acked:1400 ~ece:false
+let ack (w, cc) = Cong.on_ack cc w ~mss ~acked:1400
 
 let loss (w, cc) kind =
   Cong.on_loss cc w ~mss ~flight:(int_of_float w.Cong.cwnd) kind

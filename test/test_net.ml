@@ -263,17 +263,6 @@ let test_queue_backlog_accounting () =
   ignore (Pktqueue.dequeue q);
   check_int "empty bytes" 0 (Pktqueue.backlog_bytes q)
 
-let test_queue_ecn_marks () =
-  let q = Pktqueue.create ~ctx ~ecn_threshold:2 ~capacity:10 ~layer:Layer.Core_layer () in
-  let p1 = mk_pkt () and p2 = mk_pkt () and p3 = mk_pkt () in
-  ignore (Pktqueue.enqueue q p1);
-  ignore (Pktqueue.enqueue q p2);
-  ignore (Pktqueue.enqueue q p3);
-  check_bool "below threshold unmarked" false p1.Packet.ce;
-  check_bool "below threshold unmarked 2" false p2.Packet.ce;
-  check_bool "at threshold marked" true p3.Packet.ce;
-  check_int "marked count" 1 (Pktqueue.stats q).Pktqueue.marked
-
 let prop_queue_never_exceeds_capacity =
   QCheck.Test.make ~name:"queue backlog <= capacity" ~count:200
     QCheck.(pair (int_range 1 20) (list bool))
@@ -285,57 +274,6 @@ let prop_queue_never_exceeds_capacity =
           else ignore (Pktqueue.dequeue q))
         ops;
       Pktqueue.backlog_pkts q <= cap)
-
-(* ------------------------------------------------------------------ *)
-(* RED *)
-
-let test_red_accepts_below_min () =
-  let q =
-    Pktqueue.create ~ctx ~red:Pktqueue.default_red ~capacity:100
-      ~layer:Layer.Core_layer ()
-  in
-  for _ = 1 to 4 do
-    check_bool "accepted below min_th" true (Pktqueue.enqueue q (mk_pkt ()))
-  done;
-  check_int "no drops" 0 (Pktqueue.stats q).Pktqueue.dropped
-
-let test_red_drops_early () =
-  (* Hold the instantaneous queue above max_th with a fast EWMA: RED
-     must drop long before the physical capacity. *)
-  let red = { Pktqueue.default_red with Pktqueue.weight = 1.0 } in
-  let q = Pktqueue.create ~ctx ~red ~capacity:1_000 ~layer:Layer.Core_layer () in
-  let accepted = ref 0 in
-  for _ = 1 to 100 do
-    if Pktqueue.enqueue q (mk_pkt ()) then incr accepted
-  done;
-  check_bool "dropped early" true ((Pktqueue.stats q).Pktqueue.dropped > 0);
-  check_bool "backlog held near max_th" true (Pktqueue.backlog_pkts q < 30)
-
-let test_red_mark_mode_marks_instead () =
-  let red = { Pktqueue.default_red with Pktqueue.weight = 1.0; mark = true } in
-  let q = Pktqueue.create ~ctx ~red ~capacity:1_000 ~layer:Layer.Core_layer () in
-  for _ = 1 to 100 do
-    ignore (Pktqueue.enqueue q (mk_pkt ()))
-  done;
-  check_int "nothing dropped" 0 (Pktqueue.stats q).Pktqueue.dropped;
-  check_bool "packets marked" true ((Pktqueue.stats q).Pktqueue.marked > 0)
-
-let test_red_average_tracks () =
-  let red = { Pktqueue.default_red with Pktqueue.weight = 0.5 } in
-  let q = Pktqueue.create ~ctx ~red ~capacity:1_000 ~layer:Layer.Core_layer () in
-  check_bool "starts at zero" true (Pktqueue.red_average q = 0.);
-  for _ = 1 to 5 do
-    ignore (Pktqueue.enqueue q (mk_pkt ()))
-  done;
-  check_bool "average rose" true (Pktqueue.red_average q > 0.)
-
-let test_red_invalid_params () =
-  Alcotest.check_raises "bad thresholds"
-    (Invalid_argument "Pktqueue.create: bad RED thresholds") (fun () ->
-      ignore
-        (Pktqueue.create ~ctx
-           ~red:{ Pktqueue.default_red with Pktqueue.min_th = 10; max_th = 10 }
-           ~capacity:100 ~layer:Layer.Core_layer ()))
 
 (* ------------------------------------------------------------------ *)
 (* Link *)
@@ -477,7 +415,6 @@ let () =
           Alcotest.test_case "fifo" `Quick test_queue_fifo;
           Alcotest.test_case "drop tail" `Quick test_queue_drop_tail;
           Alcotest.test_case "backlog accounting" `Quick test_queue_backlog_accounting;
-          Alcotest.test_case "ecn marking" `Quick test_queue_ecn_marks;
           qt prop_queue_never_exceeds_capacity;
         ] );
       ( "link",
@@ -494,13 +431,5 @@ let () =
           Alcotest.test_case "double bind rejected" `Quick test_host_double_bind_rejected;
           Alcotest.test_case "unbind" `Quick test_host_unbind;
           Alcotest.test_case "needs nic" `Quick test_host_needs_nic;
-        ] );
-      ( "red",
-        [
-          Alcotest.test_case "accepts below min" `Quick test_red_accepts_below_min;
-          Alcotest.test_case "drops early" `Quick test_red_drops_early;
-          Alcotest.test_case "mark mode" `Quick test_red_mark_mode_marks_instead;
-          Alcotest.test_case "average tracks" `Quick test_red_average_tracks;
-          Alcotest.test_case "invalid params" `Quick test_red_invalid_params;
         ] );
     ]

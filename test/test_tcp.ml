@@ -7,8 +7,10 @@ module Scheduler = Sim_engine.Scheduler
 module Packet = Sim_net.Packet
 module Host = Sim_net.Host
 module Link = Sim_net.Link
+module Pktqueue = Sim_net.Pktqueue
 module Topology = Sim_net.Topology
 module Dumbbell = Sim_net.Dumbbell
+module Cong = Sim_tcp.Cong
 module Intervals = Sim_tcp.Intervals
 module Rtt_estimator = Sim_tcp.Rtt_estimator
 module Tcp_params = Sim_tcp.Tcp_params
@@ -183,6 +185,31 @@ let test_fixed_source_respects_max () =
   Alcotest.(check (option (pair int int))) "clipped" (Some (0, 100)) (s.Tcp_tx.pull ~max:100)
 
 (* ------------------------------------------------------------------ *)
+(* Reno on a synthetic window: a window literal and an RTT estimator
+   primed with one 1 ms sample, no TCP stack behind them. The flight
+   size handed to the loss response is the window itself. *)
+
+let reno_window ~cwnd ~ssthresh =
+  let w = { Cong.cwnd; ssthresh } in
+  let rtt = Rtt_estimator.create ~params:Tcp_params.default in
+  Rtt_estimator.observe rtt (Time.of_ms 1.);
+  (w, Cong.create Cong.Reno w ~rtt)
+
+let test_clean_window_grows () =
+  let w, cc = reno_window ~cwnd:14_000. ~ssthresh:1. in
+  let before = w.Cong.cwnd in
+  for _ = 1 to 20 do
+    Cong.on_ack cc w ~mss:1400 ~acked:1400
+  done;
+  check_bool "congestion avoidance grows" true (w.Cong.cwnd > before)
+
+let test_loss_halves () =
+  let w, cc = reno_window ~cwnd:20_000. ~ssthresh:1. in
+  Cong.on_loss cc w ~mss:1400 ~flight:20_000 Cong.Fast_retransmit;
+  Alcotest.(check (float 1e-9)) "ssthresh" 10_000. w.Cong.ssthresh;
+  Alcotest.(check (float 1e-9)) "cwnd" 10_000. w.Cong.cwnd
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end over an instrumented direct link *)
 
 (* The direct topology's links: index 0 delivers to host 1 (data
@@ -261,6 +288,24 @@ let test_slow_start_growth () =
   check_bool "cwnd grew beyond IW" true
     (Tcp_tx.cwnd tx
      > float_of_int (Tcp_params.default.Tcp_params.initial_window * mss))
+
+(* Exact outcome of one 3 MB Reno flow through the default drop-tail
+   bottleneck: [(fct_ns, dropped, max_backlog)] of the data link's
+   queue. The flow overruns the 100-packet queue, so this pins the
+   drop-tail path and the loss response end to end. *)
+let test_drop_tail_dumbbell_pinned () =
+  let sched = Scheduler.create () in
+  let net = Dumbbell.direct ~sched ~spec:Topology.default_link_spec () in
+  let f =
+    Flow.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
+      ~size:3_000_000 ()
+  in
+  Scheduler.run ~until:(Time.of_sec 10.) sched;
+  let st = Pktqueue.stats (Link.queue net.Topology.links.(0)) in
+  Alcotest.(check (pair int (pair int int)))
+    "fct_ns, dropped, max_backlog" (249_450_924, (104, 100))
+    ( (match Flow.fct f with Some t -> Time.to_ns t | None -> -1),
+      (st.Pktqueue.dropped, st.Pktqueue.max_backlog) )
 
 let test_fast_retransmit_on_single_loss () =
   (* Drop exactly one mid-stream data segment once; the window around
@@ -509,27 +554,6 @@ let test_receiver_reordering () =
   Alcotest.(check (list int)) "cumulative acks" [ 100; 100; 300 ] (List.rev !acks);
   check_int "rcv_nxt" 300 (Tcp_rx.rcv_nxt rx)
 
-let test_receiver_echoes_ecn () =
-  let sched = Scheduler.create () in
-  let net = Dumbbell.direct ~sched () in
-  let src = Topology.host net 0 and dst = Topology.host net 1 in
-  let ece = ref None in
-  Host.bind src ~conn:44 (fun pkt -> ece := Some (Packet.ece pkt));
-  let rx =
-    Tcp_rx.create ~host:dst ~peer:(Host.addr src) ~conn:44 ~subflow:0
-      ~on_data:(fun ~dsn:_ ~len:_ -> ())
-      ()
-  in
-  Host.bind dst ~conn:44 (Tcp_rx.handle rx);
-  let seg =
-    mk_seg ~src:(Host.addr src) ~dst:(Host.addr dst) ~conn:44 ~dsn:0 ()
-  in
-  seg.Packet.ce <- true;
-  Host.send src seg;
-  Scheduler.run sched;
-  Alcotest.(check (option bool)) "ECE echoed" (Some true) !ece
-
-
 (* ------------------------------------------------------------------ *)
 (* SACK *)
 
@@ -754,6 +778,11 @@ let () =
           Alcotest.test_case "sequential" `Quick test_fixed_source_sequential;
           Alcotest.test_case "respects max" `Quick test_fixed_source_respects_max;
         ] );
+      ( "window",
+        [
+          Alcotest.test_case "clean window grows" `Quick test_clean_window_grows;
+          Alcotest.test_case "loss halves" `Quick test_loss_halves;
+        ] );
       ( "flow",
         [
           Alcotest.test_case "completes" `Quick test_flow_completes;
@@ -762,6 +791,8 @@ let () =
           Alcotest.test_case "zero bytes" `Quick test_flow_zero_bytes;
           Alcotest.test_case "one byte" `Quick test_flow_one_byte;
           Alcotest.test_case "slow start growth" `Quick test_slow_start_growth;
+          Alcotest.test_case "drop-tail dumbbell pinned" `Quick
+            test_drop_tail_dumbbell_pinned;
         ] );
       ( "loss-recovery",
         [
@@ -783,7 +814,6 @@ let () =
         [
           Alcotest.test_case "dup_seen flag" `Quick test_receiver_dup_seen_flag;
           Alcotest.test_case "reordering" `Quick test_receiver_reordering;
-          Alcotest.test_case "echoes ECN" `Quick test_receiver_echoes_ecn;
         ] );
       ( "sack",
         [

@@ -263,9 +263,6 @@ let test_golden_packet_outcomes () =
         "a0fe81aebde0d44ece278c99fffd66e5" );
       ("packet, TCP", Scenario.Packet, Scenario.Tcp_proto,
        "9575bd0899725d6653c85cdf8dea9360");
-      (* No link of this fattree marks ECN, so DCTCP must match Reno. *)
-      ("packet, DCTCP", Scenario.Packet, Scenario.Dctcp_proto,
-       "9575bd0899725d6653c85cdf8dea9360");
       ( "packet, MPTCP-4 uncoupled", Scenario.Packet,
         Scenario.Mptcp_proto { subflows = 4; coupled = false },
         "c3780b0de88bf715552a98f07ef9e463" );
