@@ -10,6 +10,7 @@ module Topology = Sim_net.Topology
 module Fattree = Sim_net.Fattree
 module Host = Sim_net.Host
 module Summary = Sim_stats.Summary
+module Flow = Sim_tcp.Flow
 
 let fanin = 24
 let reply_size = 70_000
@@ -19,11 +20,8 @@ let pick_senders net =
   let n = Topology.host_count net in
   List.init fanin (fun i -> 1 + (i * (n - 1) / fanin))
 
-type starter = {
-  start : Sim_net.Host.t -> Sim_net.Host.t -> int -> (unit -> Time.t option) * (unit -> int);
-}
-
-let run_burst name { start } =
+(* [start src dst size] starts one reply under the protocol compared. *)
+let run_burst name start =
   let sched = Scheduler.create () in
   let spec = Sim_workload.Scenario.paper_link_spec in
   let net =
@@ -40,52 +38,32 @@ let run_burst name { start } =
   in
   Scheduler.run ~until:(Time.of_sec 30.) sched;
   let fcts =
-    List.filter_map (fun (fct, _) -> Option.map Time.to_ms (fct ())) flows
+    List.filter_map (fun f -> Option.map Time.to_ms (Flow.fct f)) flows
   in
-  let rtos = List.fold_left (fun a (_, r) -> a + r ()) 0 flows in
+  let rtos = List.fold_left (fun a f -> a + Flow.rto_events f) 0 flows in
   let s = Summary.of_list fcts in
   Printf.printf
     "%-22s %d/%d done | mean %7.1f ms | p99 %8.1f ms | worst %8.1f ms | rtos %d\n"
     name (List.length fcts) fanin s.Summary.mean s.Summary.p99 s.Summary.max
     rtos
 
-let tcp_starter =
-  {
-    start =
-      (fun src dst size ->
-        let f = Sim_tcp.Flow.start ~src ~dst ~size () in
-        ( (fun () -> Sim_tcp.Flow.fct f),
-          fun () -> Sim_tcp.Flow.rto_events f ));
-  }
+let tcp src dst size = Flow.start ~src ~dst ~size ()
+let mptcp src dst size = Flow.start_mptcp ~src ~dst ~size ~subflows:8 ()
 
-let mptcp_starter =
-  {
-    start =
-      (fun src dst size ->
-        let c = Sim_mptcp.Mptcp_conn.start ~src ~dst ~size ~subflows:8 () in
-        ( (fun () -> Sim_mptcp.Mptcp_conn.fct c),
-          fun () -> Sim_mptcp.Mptcp_conn.rto_events c ));
-  }
-
-let mmptcp_starter =
+let mmptcp =
   let seeds = ref 0 in
-  {
-    start =
-      (fun src dst size ->
-        incr seeds;
-        let rng = Sim_engine.Rng.create ~seed:(1000 + !seeds) in
-        let paths = 4 in
-        let c = Mmptcp.Mmptcp_conn.start ~src ~dst ~size ~rng ~paths () in
-        ( (fun () -> Mmptcp.Mmptcp_conn.fct c),
-          fun () -> Mmptcp.Mmptcp_conn.rto_events c ));
-  }
+  fun src dst size ->
+    incr seeds;
+    let rng = Sim_engine.Rng.create ~seed:(1000 + !seeds) in
+    Mmptcp.Mmptcp_conn.flow
+      (Mmptcp.Mmptcp_conn.start ~src ~dst ~size ~rng ~paths:4 ())
 
 let () =
   Printf.printf "incast: %d senders -> 1 aggregator, %d KB each, all at t=0\n\n"
     fanin (reply_size / 1000);
-  run_burst "tcp" tcp_starter;
-  run_burst "mptcp-8" mptcp_starter;
-  run_burst "mmptcp" mmptcp_starter;
+  run_burst "tcp" tcp;
+  run_burst "mptcp-8" mptcp;
+  run_burst "mmptcp" mmptcp;
   print_endline
     "\nThe scatter phase spreads each response over every available path\n\
      under one congestion window, so the synchronized burst does not\n\

@@ -10,6 +10,7 @@ module Topology = Sim_net.Topology
 module Fattree = Sim_net.Fattree
 module Host = Sim_net.Host
 module Conn = Mmptcp.Mmptcp_conn
+module Flow = Sim_tcp.Flow
 module Strategy = Mmptcp.Strategy
 
 let () =
@@ -23,13 +24,14 @@ let () =
       ~strategy:{ Strategy.default with Strategy.switch = Strategy.Data_volume 200_000 }
       ()
   in
+  let flow = Conn.flow conn in
   Printf.printf "3 MB MMPTCP flow, switch after 200 KB, %d ECMP paths\n\n" paths;
   Printf.printf "%8s  %-14s %10s %12s %10s\n" "time(ms)" "phase" "cwnd(pkts)"
     "received(KB)" "rtos";
   (* Sample every 2 ms until the flow completes, on one re-armable
      timer whose state is the timer itself. *)
   let rec sample timer =
-    if not (Conn.is_complete conn) then begin
+    if not (Flow.is_complete flow) then begin
       let phase =
         match Conn.phase conn with
         | Conn.Packet_scatter -> "packet-scatter"
@@ -39,8 +41,8 @@ let () =
         (Time.to_ms (Scheduler.now sched))
         phase
         (Conn.total_cwnd conn /. 1400.)
-        (float_of_int (Conn.bytes_received conn) /. 1000.)
-        (Conn.rto_events conn);
+        (float_of_int (Flow.bytes_received flow) /. 1000.)
+        (Flow.rto_events flow);
       Scheduler.Timer.schedule_after (Lazy.force timer) (Time.of_ms 2.)
     end
   and timer = lazy (Scheduler.Timer.create sched sample timer) in
@@ -49,6 +51,6 @@ let () =
   (match Conn.switched_at conn with
    | Some t -> Printf.printf "\nswitched to MPTCP at %s\n" (Time.to_string t)
    | None -> print_endline "\nnever switched");
-  match Conn.fct conn with
+  match Flow.fct flow with
   | Some t -> Printf.printf "completed in %s\n" (Time.to_string t)
   | None -> print_endline "did not complete"

@@ -46,10 +46,11 @@ let () =
 
   (* 5. Run the simulation and report. *)
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  (match Mmptcp.Mmptcp_conn.fct conn with
+  let flow = Mmptcp.Mmptcp_conn.flow conn in
+  (match Sim_tcp.Flow.fct flow with
    | Some t ->
      Printf.printf "flow completed in %s (%d bytes received)\n"
        (Time.to_string t)
-       (Mmptcp.Mmptcp_conn.bytes_received conn)
+       (Sim_tcp.Flow.bytes_received flow)
    | None -> print_endline "flow did not complete (raise the horizon?)");
   Printf.printf "events processed: %d\n" (Scheduler.events_processed sched)

@@ -15,7 +15,10 @@
 
     Short flows complete inside phase 1 and enjoy scatter's burst
     tolerance; long flows spend their life in phase 2 and enjoy
-    MPTCP's throughput — the "battle that both can win". *)
+    MPTCP's throughput — the "battle that both can win".
+
+    The connection itself is a {!Sim_tcp.Flow}; this module adds only
+    the phase logic: when to switch, and which subflows to open. *)
 
 module Time = Sim_engine.Sim_time
 
@@ -43,17 +46,13 @@ val start :
     alive and no RTO, delayed-ACK or [After_time] switch timer of it is
     pending (as {!Sim_tcp.Flow.start}'s). *)
 
-val conn : t -> int
-val size : t -> int
+val flow : t -> Sim_tcp.Flow.t
+(** The underlying connection: id, size, completion, bytes received
+    and loss-recovery counts summed over every subflow. Subflow 0 is the
+    scatter subflow; 1 to [subflows] are the multipath ones. *)
+
 val phase : t -> phase
-val started_at : t -> Time.t
-val completed_at : t -> Time.t option
 val switched_at : t -> Time.t option
-val fct : t -> Time.t option
-val is_complete : t -> bool
-val bytes_received : t -> int
-val rto_events : t -> int
-val fast_rtx_events : t -> int
 val spurious_rtx_signals : t -> int
 (** DSACK-style duplicate-arrival signals received by the scatter
     sender — a measure of how often reordering was mistaken for loss. *)

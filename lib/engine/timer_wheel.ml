@@ -41,10 +41,8 @@
    state it runs on. Packing the pair behind one existential keeps the
    entry monomorphic (the heap and the slot lists need that) while
    letting a re-armable timer or a pooled event cell install a
-   *static* fire function once and never allocate per arm — the old
-   [unit -> unit] representation forced a fresh closure on anything
-   that wanted per-event state. The generic closure API still exists:
-   it wraps the closure as [Run (call, f)] (see Scheduler). *)
+   *static* fire function once and never allocate per arm. Those two
+   are the only things the scheduler arms (see Scheduler). *)
 type erun = Run : ('a -> unit) * 'a -> erun
 
 type entry = {

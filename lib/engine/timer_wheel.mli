@@ -15,10 +15,9 @@
 type erun = Run : ('a -> unit) * 'a -> erun
 (** Typed fire slot: a static fire function paired with the state it
     runs on, packed behind an existential so [entry] stays
-    monomorphic. A re-armable timer or pooled event cell installs its
-    pair once and re-arms forever after without allocating; the
-    generic closure API wraps a [unit -> unit] as
-    [Run ((fun f -> f ()), f)]. *)
+    monomorphic. A re-armable timer or pooled event cell (the only
+    things the scheduler arms) installs its pair once and re-arms
+    forever after without allocating. *)
 
 type entry = {
   mutable time : int;    (** absolute due time, ns — exact, not rounded *)

@@ -30,8 +30,8 @@ let run_bottleneck scale =
     Sim_tcp.Flow.start ~src:(Topology.host net 0) ~dst:(Topology.host net 3)
       ~size ()
   in
-  let mptcp_conn =
-    Sim_mptcp.Mptcp_conn.start ~src:(Topology.host net 1)
+  let mptcp_flow =
+    Sim_tcp.Flow.start_mptcp ~src:(Topology.host net 1)
       ~dst:(Topology.host net 4) ~size ~subflows:8 ()
   in
   let mmptcp_conn =
@@ -41,11 +41,13 @@ let run_bottleneck scale =
       ()
   in
   Scheduler.run ~until:(Time.of_sec duration) sched;
-  let goodput bytes = float_of_int bytes *. 8. /. duration /. 1e6 in
+  let goodput f =
+    float_of_int (Sim_tcp.Flow.bytes_received f) *. 8. /. duration /. 1e6
+  in
   [|
-    goodput (Sim_tcp.Flow.bytes_received tcp_flow);
-    goodput (Sim_mptcp.Mptcp_conn.bytes_received mptcp_conn);
-    goodput (Mmptcp.Mmptcp_conn.bytes_received mmptcp_conn);
+    goodput tcp_flow;
+    goodput mptcp_flow;
+    goodput (Mmptcp.Mmptcp_conn.flow mmptcp_conn);
   |]
 
 let render _scale pairs =

@@ -30,11 +30,4 @@ let to_string ~header rows =
     rows;
   Buffer.contents buf
 
-let write ~path ~header rows =
-  (* Render before opening so an arity error cannot truncate an
-     existing file. *)
-  let contents = to_string ~header rows in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
 let float_cell v = Printf.sprintf "%.6g" v

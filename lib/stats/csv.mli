@@ -1,5 +1,6 @@
-(** Minimal CSV writing (RFC 4180 quoting) for exporting figure data
-    series to external plotting tools. *)
+(** Minimal CSV rendering (RFC 4180 quoting) for exporting figure data
+    series to external plotting tools; the experiment sinks write the
+    rendered text to files. *)
 
 val escape : string -> string
 (** Quote a cell if it contains commas, quotes or newlines. *)
@@ -7,10 +8,6 @@ val escape : string -> string
 val to_string : header:string list -> string list list -> string
 (** Raises [Invalid_argument] if any row's arity differs from the
     header's. *)
-
-val write : path:string -> header:string list -> string list list -> unit
-(** Raises [Sys_error] on unwritable paths, [Invalid_argument] on a
-    header/row arity mismatch. *)
 
 val float_cell : float -> string
 (** [%.6g]; non-finite values render as [nan], [inf] and [-inf]. *)

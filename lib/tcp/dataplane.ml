@@ -1,6 +1,5 @@
 module Time = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler
-module Intervals = Sim_tcp.Intervals
 
 type t = {
   sched : Scheduler.t;

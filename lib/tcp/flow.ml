@@ -1,91 +1,156 @@
 module Time = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler
 module Host = Sim_net.Host
+module Packet = Sim_net.Packet
 
 type t = {
   conn : int;
-  size : int;
-  mutable tx : Tcp_tx.t option;
-  mutable rx : Tcp_rx.t option;
+  src : Host.t;
+  dst : Host.t;
+  params : Tcp_params.t;
+  plane : Dataplane.t;
+  pull : Tcp_tx.source;  (* [Dataplane.pull plane], shared by subflows *)
+  group : Cong.Lia.group option;  (* [Some] when coupled *)
+  mutable txs : Tcp_tx.t array;  (* by subflow id *)
+  mutable rxs : Tcp_rx.t array;
+  mutable deadline : Scheduler.Timer.t option;
   started_at : Time.t;
-  mutable completed_at : Time.t option;
-  received : Intervals.t;
 }
 
-let start ~src ~dst ~size ?(params = Tcp_params.default)
-    ?dupack_threshold ?src_port ?dst_port ?(on_complete = fun _ -> ())
-    ?(on_close = fun _ -> ()) () =
-  if size < 0 then invalid_arg "Flow.start: negative size";
+let create ~src ~dst ~size ~params ~coupled ~on_complete ~on_close =
+  if size < 0 then invalid_arg "Flow.create: negative size";
   let sched = Host.sched src in
   let conn = Conn_id.fresh (Scheduler.ctx sched) in
-  let t =
-    {
-      conn;
-      size;
-      tx = None;
-      rx = None;
-      started_at = Scheduler.now sched;
-      completed_at = None;
-      received = Intervals.create ();
-    }
+  let rec t =
+    lazy
+      (let plane =
+         Dataplane.create ~sched ~size ~on_complete:(fun () ->
+             let t = Lazy.force t in
+             (* A still-armed deadline must not outlive the transfer:
+                cancel releases the timer's wheel slot. *)
+             Option.iter Scheduler.Timer.cancel t.deadline;
+             Sim_obs.Flow_ledger.on_complete
+               (Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched))
+               ~conn;
+             on_complete t)
+       in
+       {
+         conn;
+         src;
+         dst;
+         params;
+         plane;
+         pull = Dataplane.pull plane;
+         group = (if coupled then Some (Cong.Lia.make_group ()) else None);
+         txs = [||];
+         rxs = [||];
+         deadline = None;
+         started_at = Scheduler.now sched;
+       })
   in
-  let src_port = match src_port with Some p -> p | None -> 10_000 + conn in
-  let dst_port = match dst_port with Some p -> p | None -> 5001 in
-  let on_data ~dsn ~len =
-    if dsn >= 0 && t.completed_at = None then begin
-      ignore (Intervals.add t.received ~start:dsn ~stop:(dsn + len));
-      if Intervals.total t.received >= size then begin
-        t.completed_at <- Some (Scheduler.now sched);
-        Sim_obs.Flow_ledger.on_complete
-          (Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched))
-          ~conn;
-        on_complete t
-      end
-    end
-  in
+  let t = Lazy.force t in
+  Host.bind_conn ~src ~dst ~conn
+    ~tx:(fun pkt ->
+      let i = pkt.Packet.subflow in
+      if i >= 0 && i < Array.length t.txs then Tcp_tx.handle t.txs.(i) pkt)
+    ~rx:(fun pkt ->
+      let i = pkt.Packet.subflow in
+      if i >= 0 && i < Array.length t.rxs then Tcp_rx.handle t.rxs.(i) pkt)
+    ~timers_pending:(fun () ->
+      Array.exists Tcp_tx.rto_pending t.txs
+      || Array.exists Tcp_rx.delack_pending t.rxs
+      ||
+      match t.deadline with
+      | Some tm -> Scheduler.Timer.is_pending tm
+      | None -> false)
+    ~on_close:(fun () -> on_close t);
+  t
+
+let add_sender t make =
+  let i = Array.length t.txs in
+  let tx = make i in
   let rx =
-    Tcp_rx.create ~params ~host:dst ~peer:(Host.addr src) ~conn ~subflow:0
-      ~on_data ()
+    Tcp_rx.create ~params:t.params ~host:t.dst ~peer:(Host.addr t.src)
+      ~conn:t.conn ~subflow:i
+      ~on_data:(fun ~dsn ~len -> Dataplane.deliver t.plane ~dsn ~len)
+      ()
+  in
+  t.txs <- Array.append t.txs [| tx |];
+  t.rxs <- Array.append t.rxs [| rx |];
+  tx
+
+let sender ?dupack_threshold t ~port i =
+  let cc = match t.group with Some g -> Cong.Lia g | None -> Cong.Reno in
+  Tcp_tx.create ~host:t.src ~peer:(Host.addr t.dst) ~conn:t.conn ~subflow:i
+    ~params:t.params
+    ~src_port:(fun () -> port)
+    ~dst_port:5001 ~source:t.pull ~cc ?dupack_threshold ()
+
+let add_subflow t ~port = add_sender t (sender t ~port)
+
+(* A zero-byte transfer has nothing to wait for. *)
+let complete_if_empty t =
+  if Dataplane.size t.plane = 0 then Dataplane.deliver t.plane ~dsn:0 ~len:0
+
+let set_deadline t tm = t.deadline <- Some tm
+
+let start ~src ~dst ~size ?(params = Tcp_params.default) ?dupack_threshold
+    ?(on_complete = fun _ -> ()) ?(on_close = fun _ -> ()) () =
+  let t =
+    create ~src ~dst ~size ~params ~coupled:false ~on_complete ~on_close
   in
   let tx =
-    Tcp_tx.create ~host:src ~peer:(Host.addr dst) ~conn ~subflow:0 ~params
-      ~src_port:(fun () -> src_port)
-      ~dst_port
-      ~source:(Tcp_tx.fixed_size_source size)
-      ~cc:Cong.Reno ?dupack_threshold ()
+    add_sender t (sender ?dupack_threshold t ~port:(10_000 + t.conn))
   in
-  t.tx <- Some tx;
-  t.rx <- Some rx;
-  Host.bind_conn ~src ~dst ~conn ~tx:(Tcp_tx.handle tx) ~rx:(Tcp_rx.handle rx)
-    ~timers_pending:(fun () -> Tcp_tx.rto_pending tx || Tcp_rx.delack_pending rx)
-    ~on_close:(fun () -> on_close t);
-  (* A zero-byte flow completes at establishment; treat it as complete
-     immediately for simplicity. *)
-  if size = 0 then begin
-    t.completed_at <- Some (Scheduler.now sched);
-    Sim_obs.Flow_ledger.on_complete
-      (Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched))
-      ~conn;
-    on_complete t
-  end;
+  complete_if_empty t;
   Tcp_tx.connect tx;
   t
 
+let start_mptcp ~src ~dst ~size ~subflows ?(params = Tcp_params.default)
+    ?(coupled = true) ?(on_complete = fun _ -> ()) ?(on_close = fun _ -> ())
+    () =
+  if subflows < 1 then invalid_arg "Flow.start_mptcp: subflows must be >= 1";
+  let t = create ~src ~dst ~size ~params ~coupled ~on_complete ~on_close in
+  (let m = Sim_engine.Sim_ctx.metrics (Scheduler.ctx (Host.sched src)) in
+   if Sim_obs.Metrics.want_conn m t.conn then begin
+     let reg name units read =
+       Sim_obs.Metrics.register m ~component:"mptcp"
+         ~id:(Printf.sprintf "c%d" t.conn)
+         ~name ~units read
+     in
+     reg "subflows_active" "subflows" (fun () ->
+         float_of_int (Array.length t.txs));
+     reg "bytes_received" "bytes" (fun () ->
+         float_of_int (Dataplane.received_bytes t.plane))
+   end);
+  for i = 0 to subflows - 1 do
+    ignore (add_subflow t ~port:(10_000 + (t.conn * 131) + (i * 7)))
+  done;
+  complete_if_empty t;
+  Array.iter Tcp_tx.connect t.txs;
+  t
+
 let conn t = t.conn
-let size t = t.size
+let size t = Dataplane.size t.plane
+let plane t = t.plane
 let started_at t = t.started_at
-let completed_at t = t.completed_at
+let completed_at t = Dataplane.completed_at t.plane
 
 let fct t =
-  match t.completed_at with
+  match completed_at t with
   | None -> None
   | Some c -> Some (Time.diff c t.started_at)
 
-let is_complete t = t.completed_at <> None
-let bytes_received t = Intervals.total t.received
+let is_complete t = Dataplane.is_complete t.plane
+let bytes_received t = Dataplane.received_bytes t.plane
+let subflow_count t = Array.length t.txs
+let txs t = t.txs
+let tx t = t.txs.(0)
+let rx t = t.rxs.(0)
 
-let get_tx t = match t.tx with Some x -> x | None -> assert false
-let get_rx t = match t.rx with Some x -> x | None -> assert false
-let tx = get_tx
-let rx = get_rx
-let rto_events t = (Tcp_tx.stats (get_tx t)).Tcp_tx.rto_events
+let sum_stats t f =
+  Array.fold_left (fun acc tx -> acc + f (Tcp_tx.stats tx)) 0 t.txs
+
+let rto_events t = sum_stats t (fun s -> s.Tcp_tx.rto_events)
+let fast_rtx_events t = sum_stats t (fun s -> s.Tcp_tx.fast_rtx_events)
+let lia_alpha t = Option.map Cong.Lia.alpha t.group

@@ -4,26 +4,7 @@ module Packet = Sim_net.Packet
 module Host = Sim_net.Host
 module Addr = Sim_net.Addr
 
-type source = {
-  pull : max:int -> (int * int) option;
-  has_more : unit -> bool;
-}
-
-let fixed_size_source n =
-  if n < 0 then invalid_arg "Tcp_tx.fixed_size_source: negative size";
-  let next = ref 0 in
-  {
-    pull =
-      (fun ~max ->
-        if !next >= n then None
-        else begin
-          let len = min max (n - !next) in
-          let dsn = !next in
-          next := !next + len;
-          Some (dsn, len)
-        end);
-    has_more = (fun () -> !next < n);
-  }
+type source = max:int -> (int * int) option
 
 type stats = {
   mutable segments_sent : int;
@@ -76,13 +57,9 @@ type t = {
   mutable backoff : int;
   mutable syn_retries : int;
   dupack_threshold : unit -> int;
-  on_established : unit -> unit;
-  on_dsn_acked : dsn:int -> len:int -> unit;
-  on_all_acked : unit -> unit;
   on_dsack : unit -> unit;
   on_first_congestion : unit -> unit;
   mutable congestion_seen : bool;
-  mutable all_acked_fired : bool;
   mutable sacked_bytes : int;  (* bytes in [segs] currently SACKed *)
   st : stats;
   m : Sim_obs.Metrics.t option;  (* [Some] only when probing this conn *)
@@ -91,7 +68,6 @@ type t = {
 }
 
 let noop () = ()
-let noop_dsn ~dsn:_ ~len:_ = ()
 
 let mss t = t.params.Tcp_params.mss
 let flight t = t.snd_nxt - t.snd_una
@@ -134,8 +110,7 @@ let cc_on_loss t kind =
   check_window t
 
 let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
-    ?dupack_threshold ?(on_established = noop) ?(on_dsn_acked = noop_dsn)
-    ?(on_all_acked = noop) ?(on_dsack = noop) ?(on_first_congestion = noop) () =
+    ?dupack_threshold ?(on_dsack = noop) ?(on_first_congestion = noop) () =
   let threshold =
     match dupack_threshold with
     | Some f -> f
@@ -190,13 +165,9 @@ let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
       backoff = 0;
       syn_retries = 0;
       dupack_threshold = threshold;
-      on_established;
-      on_dsn_acked;
-      on_all_acked;
       on_dsack;
       on_first_congestion;
       congestion_seen = false;
-      all_acked_fired = false;
       sacked_bytes = 0;
       st =
         {
@@ -391,7 +362,7 @@ let try_send t =
     while !continue do
       if float_of_int (flight t) >= send_allowance t then continue := false
       else
-        match t.source.pull ~max:(mss t) with
+        match t.source ~max:(mss t) with
         | None -> continue := false
         | Some (dsn, len) ->
           assert (len > 0 && len <= mss t);
@@ -413,24 +384,11 @@ let try_send t =
     done
   end
 
-let notify_source_ready t = try_send t
-
 let connect t =
   if t.state <> Closed then invalid_arg "Tcp_tx.connect: already started";
   t.state <- Syn_sent;
   send_syn t;
   arm_rto t
-
-let check_all_acked t =
-  if
-    (not t.all_acked_fired)
-    && t.state = Established
-    && (not (t.source.has_more ()))
-    && t.snd_una = t.snd_nxt
-  then begin
-    t.all_acked_fired <- true;
-    t.on_all_acked ()
-  end
 
 let enter_fast_recovery t =
   t.st.fast_rtx_events <- t.st.fast_rtx_events + 1;
@@ -464,8 +422,7 @@ let handle_new_ack t a =
     | Some seg when seg.ssn + seg.len <= a ->
       ignore (Queue.pop t.segs);
       if seg.sacked then t.sacked_bytes <- t.sacked_bytes - seg.len;
-      if seg.rtx = 0 then sample := Some seg.sent_at;
-      t.on_dsn_acked ~dsn:seg.dsn ~len:seg.len
+      if seg.rtx = 0 then sample := Some seg.sent_at
     | Some _ | None -> continue := false
   done;
   t.snd_una <- a;
@@ -508,8 +465,7 @@ let handle_new_ack t a =
      t.dup_acks <- 0;
      cc_on_ack t ~acked:newly);
   if flight t = 0 then cancel_rto t else arm_rto t;
-  try_send t;
-  check_all_acked t
+  try_send t
 
 let handle_dup_ack t =
   match t.recovery with
@@ -537,10 +493,7 @@ let handle t pkt =
       t.backoff <- 0;
       cancel_rto t;
       Sim_obs.Flow_ledger.on_handshake t.ledger ~conn:t.conn;
-      t.on_established ();
-      try_send t;
-      (* A zero-length flow completes immediately. *)
-      check_all_acked t
+      try_send t
     | Closed | Established | Failed -> ()
   end
   else if Packet.ack pkt && t.state = Established then begin

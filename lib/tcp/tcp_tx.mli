@@ -1,15 +1,13 @@
 (** TCP sender endpoint (one subflow).
 
-    A NewReno sender over an abstract data source. The source
-    abstraction is what makes the sender reusable across the three
-    stacks in this repository:
-
-    - plain TCP pulls a fixed-size sequential byte range;
-    - each MPTCP subflow pulls data-level chunks from the connection
-      scheduler and carries the DSN mapping in its segments;
-    - MMPTCP's packet-scatter subflow additionally randomises the
-      source port per transmitted packet (via [src_port]) and uses a
-      topology-derived dup-ACK threshold (via [dupack_threshold]).
+    A NewReno sender over an abstract data source: a pull function
+    that hands the sender its next data-level chunk. Every subflow of a
+    {!Flow} pulls from the connection's {!Dataplane} and carries the
+    DSN mapping in its segments (a single-subflow TCP flow's DSNs equal
+    its sequence numbers). MMPTCP's packet-scatter subflow wraps that
+    pull with its phase logic, randomises the source port per
+    transmitted packet (via [src_port]) and uses a topology-derived
+    dup-ACK threshold (via [dupack_threshold]).
 
     Loss recovery: fast retransmit / NewReno fast recovery with partial
     ACKs, and RTO with exponential backoff followed by ACK-clocked
@@ -28,19 +26,10 @@ module Time = Sim_engine.Sim_time
 
 (** {1 Data sources} *)
 
-type source = {
-  pull : max:int -> (int * int) option;
-      (** [pull ~max] allocates the next chunk to this subflow as
-          [(dsn, len)] with [0 < len <= max], or [None] when nothing is
-          available right now. *)
-  has_more : unit -> bool;
-      (** Whether the source may ever yield data again; [false] means
-          the subflow is done once everything in flight is ACKed. *)
-}
-
-val fixed_size_source : int -> source
-(** Sequential source of exactly [n] bytes (plain TCP: DSN = sequence
-    number). *)
+type source = max:int -> (int * int) option
+(** [source ~max] allocates the next chunk to this subflow as
+    [(dsn, len)] with [0 < len <= max], or [None] when nothing is
+    available right now. *)
 
 (** {1 Sender} *)
 
@@ -70,9 +59,6 @@ val create :
   source:source ->
   cc:Cong.algorithm ->
   ?dupack_threshold:(unit -> int) ->
-  ?on_established:(unit -> unit) ->
-  ?on_dsn_acked:(dsn:int -> len:int -> unit) ->
-  ?on_all_acked:(unit -> unit) ->
   ?on_dsack:(unit -> unit) ->
   ?on_first_congestion:(unit -> unit) ->
   unit ->
@@ -89,10 +75,6 @@ val connect : t -> unit
 
 val handle : t -> Sim_net.Packet.t -> unit
 (** Process an incoming (SYN-)ACK for this subflow. *)
-
-val notify_source_ready : t -> unit
-(** Poke the sender after its source gained data (multipath schedulers
-    call this when capacity frees up elsewhere). *)
 
 (** {1 Introspection} *)
 

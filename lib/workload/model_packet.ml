@@ -6,21 +6,8 @@ module Rng = Sim_engine.Rng
 module Topology = Sim_net.Topology
 module Host = Sim_net.Host
 module Flow_ledger = Sim_obs.Flow_ledger
-
-type transport =
-  | Tcp of Sim_tcp.Flow.t
-  | Mptcp of Sim_mptcp.Mptcp_conn.t
-  | Mmptcp of Mmptcp.Mmptcp_conn.t
-
-let conn_of = function
-  | Tcp f -> Sim_tcp.Flow.conn f
-  | Mptcp c -> Sim_mptcp.Mptcp_conn.conn c
-  | Mmptcp c -> Mmptcp.Mmptcp_conn.conn c
-
-let bytes_of = function
-  | Tcp f -> Sim_tcp.Flow.bytes_received f
-  | Mptcp c -> Sim_mptcp.Mptcp_conn.bytes_received c
-  | Mmptcp c -> Mmptcp.Mmptcp_conn.bytes_received c
+module Flow = Sim_tcp.Flow
+module Mmptcp_conn = Mmptcp.Mmptcp_conn
 
 (* [conns] holds the connections still open, by conn id. A connection
    adds its delivered bytes to the ledger once: when it closes, which
@@ -30,7 +17,7 @@ let bytes_of = function
 type net = {
   topo : Topology.t;
   ledger : Flow_ledger.t;
-  conns : (int, transport) Hashtbl.t;
+  conns : (int, Flow.t) Hashtbl.t;
 }
 
 let on_topology topo =
@@ -47,15 +34,15 @@ let topology net = net.topo
 
 (* Transports close only from host delivery, never inside their own
    [start], so a connection is in the table before it can close. *)
-let track net t =
-  let conn = conn_of t in
-  Hashtbl.replace net.conns conn t;
+let track net f =
+  let conn = Flow.conn f in
+  Hashtbl.replace net.conns conn f;
   conn
 
-let close net t =
-  let conn = conn_of t in
+let close net f =
+  let conn = Flow.conn f in
   Hashtbl.remove net.conns conn;
-  Flow_ledger.add_bytes net.ledger ~conn (bytes_of t)
+  Flow_ledger.add_bytes net.ledger ~conn (Flow.bytes_received f)
 
 (* [on_complete] additionally reports whether an MMPTCP connection had
    already switched to its multipath phase when it finished — the
@@ -65,33 +52,29 @@ let start_flow_ext (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size
   let src = Topology.host net.topo src_id
   and dst = Topology.host net.topo dst_id in
   let params = cfg.Flow_model.params in
-  match cfg.Flow_model.protocol with
-  | Flow_model.Tcp_proto ->
-    track net
-      (Tcp
-         (Sim_tcp.Flow.start ~src ~dst ~size ~params
-            ~on_complete:(fun _ -> on_complete ~switched:false)
-            ~on_close:(fun f -> close net (Tcp f))
-            ()))
-  | Flow_model.Mptcp_proto { subflows; coupled } ->
-    track net
-      (Mptcp
-         (Sim_mptcp.Mptcp_conn.start ~src ~dst ~size ~subflows ~params ~coupled
-            ~on_complete:(fun _ -> on_complete ~switched:false)
-            ~on_close:(fun c -> close net (Mptcp c))
-            ()))
-  | Flow_model.Mmptcp_proto strategy ->
-    let paths = net.topo.Topology.path_count (Host.addr src) (Host.addr dst) in
-    track net
-      (Mmptcp
-         (Mmptcp.Mmptcp_conn.start ~src ~dst ~size ~rng:(Rng.split rng)
-            ~strategy ~params ~paths
-            ~on_complete:(fun c ->
-              on_complete
-                ~switched:
-                  (Mmptcp.Mmptcp_conn.phase c = Mmptcp.Mmptcp_conn.Multipath))
-            ~on_close:(fun c -> close net (Mmptcp c))
-            ()))
+  let on_close = close net in
+  track net
+    (match cfg.Flow_model.protocol with
+    | Flow_model.Tcp_proto ->
+      Flow.start ~src ~dst ~size ~params
+        ~on_complete:(fun _ -> on_complete ~switched:false)
+        ~on_close ()
+    | Flow_model.Mptcp_proto { subflows; coupled } ->
+      Flow.start_mptcp ~src ~dst ~size ~subflows ~params ~coupled
+        ~on_complete:(fun _ -> on_complete ~switched:false)
+        ~on_close ()
+    | Flow_model.Mmptcp_proto strategy ->
+      let paths =
+        net.topo.Topology.path_count (Host.addr src) (Host.addr dst)
+      in
+      Mmptcp_conn.flow
+        (Mmptcp_conn.start ~src ~dst ~size ~rng:(Rng.split rng) ~strategy
+           ~params ~paths
+           ~on_complete:(fun c ->
+             on_complete
+               ~switched:(Mmptcp_conn.phase c = Mmptcp_conn.Multipath))
+           ~on_close:(fun c -> on_close (Mmptcp_conn.flow c))
+           ()))
 
 let start_flow cfg net ~rng ~src_id ~dst_id ~size =
   start_flow_ext cfg net ~rng ~src_id ~dst_id ~size
@@ -99,7 +82,8 @@ let start_flow cfg net ~rng ~src_id ~dst_id ~size =
 
 let finish net =
   Hashtbl.iter
-    (fun conn t -> Flow_ledger.add_bytes net.ledger ~conn (bytes_of t))
+    (fun conn f ->
+      Flow_ledger.add_bytes net.ledger ~conn (Flow.bytes_received f))
     net.conns;
   {
     Flow_model.ns_core_loss =

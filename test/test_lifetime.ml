@@ -13,7 +13,6 @@ module Fattree = Sim_net.Fattree
 module Tcp_params = Sim_tcp.Tcp_params
 module Tcp_rx = Sim_tcp.Tcp_rx
 module Flow = Sim_tcp.Flow
-module Mptcp_conn = Sim_mptcp.Mptcp_conn
 module Mmptcp_conn = Mmptcp.Mmptcp_conn
 module Strategy = Mmptcp.Strategy
 module Flow_model = Sim_workload.Flow_model
@@ -55,8 +54,8 @@ let transports =
       name = "mptcp-8";
       start =
         (fun ~src ~dst ~size ~on_close ->
-          Mptcp_conn.conn
-            (Mptcp_conn.start ~src ~dst ~size ~subflows:8
+          Flow.conn
+            (Flow.start_mptcp ~src ~dst ~size ~subflows:8
                ~on_close:(fun _ -> on_close ())
                ()));
     };
@@ -64,12 +63,14 @@ let transports =
       name = "mmptcp";
       start =
         (fun ~src ~dst ~size ~on_close ->
-          Mmptcp_conn.conn
-            (Mmptcp_conn.start ~src ~dst ~size ~rng:(Rng.create ~seed:3) ~paths:4
-               ~strategy:
-                 { Strategy.default with Strategy.switch = Strategy.Data_volume 50_000 }
-               ~on_close:(fun _ -> on_close ())
-               ()));
+          let c =
+            Mmptcp_conn.start ~src ~dst ~size ~rng:(Rng.create ~seed:3) ~paths:4
+              ~strategy:
+                { Strategy.default with Strategy.switch = Strategy.Data_volume 50_000 }
+              ~on_close:(fun _ -> on_close ())
+              ()
+          in
+          Flow.conn (Mmptcp_conn.flow c));
     };
   ]
 
@@ -102,6 +103,43 @@ let test_drained_closes_once () =
         (Scheduler.event_cells_allocated sched)
         (Scheduler.event_cells_free sched))
     transports
+
+(* A zero-byte transfer under every protocol completes at once (fct
+   0), reports completion and close once each, and delivers nothing. *)
+let test_zero_byte_transfer () =
+  let protocols =
+    [
+      ("tcp", fun ~src ~dst ~on_complete ~on_close ->
+          Flow.start ~src ~dst ~size:0 ~on_complete ~on_close ());
+      ("mptcp-4", fun ~src ~dst ~on_complete ~on_close ->
+          Flow.start_mptcp ~src ~dst ~size:0 ~subflows:4 ~on_complete ~on_close
+            ());
+      ("mmptcp", fun ~src ~dst ~on_complete ~on_close ->
+          Mmptcp_conn.flow
+            (Mmptcp_conn.start ~src ~dst ~size:0 ~rng:(Rng.create ~seed:16)
+               ~on_complete:(fun c -> on_complete (Mmptcp_conn.flow c))
+               ~on_close:(fun c -> on_close (Mmptcp_conn.flow c))
+               ()));
+    ]
+  in
+  List.iter
+    (fun (name, start) ->
+      let sched = Scheduler.create () in
+      let net = Dumbbell.direct ~sched () in
+      let src = Topology.host net 0 and dst = Topology.host net 1 in
+      let completions = ref 0 and closes = ref 0 in
+      let f =
+        start ~src ~dst
+          ~on_complete:(fun _ -> incr completions)
+          ~on_close:(fun _ -> incr closes)
+      in
+      Scheduler.run ~until:(Time.of_sec 1.) sched;
+      check_bool (name ^ ": complete") true (Flow.is_complete f);
+      check_bool (name ^ ": fct 0") true (Flow.fct f = Some Time.zero);
+      check_int (name ^ ": on_complete once") 1 !completions;
+      check_int (name ^ ": on_close once") 1 !closes;
+      check_int (name ^ ": no bytes") 0 (Flow.bytes_received f))
+    protocols
 
 (* Three flows open at once behind a one-packet NIC queue: the third
    SYN is dropped inside [Host.send], before [Tcp_tx.connect] arms the
@@ -225,10 +263,10 @@ let test_pending_timers_keep_transports_bound () =
             }
           ~on_close ()
       in
-      ( Mmptcp_conn.conn c,
-        (fun () -> Mmptcp_conn.is_complete c),
-        fun () ->
-          Mmptcp_conn.switched_at c = None && not (Mmptcp_conn.is_complete c) ))
+      let f = Mmptcp_conn.flow c in
+      ( Flow.conn f,
+        (fun () -> Flow.is_complete f),
+        fun () -> Mmptcp_conn.switched_at c = None && not (Flow.is_complete f) ))
 
 (* A flow's outcome reaches the ledger from the connection itself:
    its bytes when it closes, or from [finish] if it is still open at
@@ -318,7 +356,7 @@ let test_sequential_transfers_no_leak () =
     let src = Topology.host net (i mod 16) in
     let dst = Topology.host net (16 + (i * 5 mod 16)) in
     ignore
-      (Mptcp_conn.start ~src ~dst ~size:70_000 ~subflows:8
+      (Flow.start_mptcp ~src ~dst ~size:70_000 ~subflows:8
          ~on_close:(fun _ -> incr closes)
          ());
     Scheduler.run sched
@@ -343,6 +381,7 @@ let () =
       ( "close",
         [
           Alcotest.test_case "drained closes once" `Quick test_drained_closes_once;
+          Alcotest.test_case "zero-byte transfer" `Quick test_zero_byte_transfer;
           Alcotest.test_case "first-hop drop not closed" `Quick
             test_first_hop_drop_not_closed;
           Alcotest.test_case "delack timer keeps bound" `Quick

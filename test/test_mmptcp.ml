@@ -12,9 +12,12 @@ module Dumbbell = Sim_net.Dumbbell
 module Fattree = Sim_net.Fattree
 module Strategy = Mmptcp.Strategy
 module Conn = Mmptcp.Mmptcp_conn
+module Flow = Sim_tcp.Flow
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let is_complete c = Flow.is_complete (Conn.flow c)
+let bytes_received c = Flow.bytes_received (Conn.flow c)
 
 let default_strategy = Strategy.default
 
@@ -59,7 +62,7 @@ let test_short_flow_stays_in_ps () =
       ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (Conn.is_complete c);
+  check_bool "complete" true (is_complete c);
   check_bool "never switched" true (Conn.switched_at c = None);
   check_bool "still scatter phase" true (Conn.phase c = Conn.Packet_scatter);
   check_int "no multipath subflows" 0 (Array.length (Conn.multipath_txs c))
@@ -72,11 +75,11 @@ let test_long_flow_switches_at_volume () =
       ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (Conn.is_complete c);
+  check_bool "complete" true (is_complete c);
   check_bool "switched" true (Conn.switched_at c <> None);
   check_bool "multipath phase" true (Conn.phase c = Conn.Multipath);
   check_int "opened 8 subflows" 8 (Array.length (Conn.multipath_txs c));
-  check_int "all bytes" 500_000 (Conn.bytes_received c)
+  check_int "all bytes" 500_000 (bytes_received c)
 
 let test_switch_callback_and_volume_bound () =
   let sched, _net, src, dst = direct_rig () in
@@ -85,11 +88,11 @@ let test_switch_callback_and_volume_bound () =
     Conn.start ~src ~dst ~size:500_000 ~rng:(Rng.create ~seed:3)
       ~strategy:{ default_strategy with Strategy.switch = Strategy.Data_volume 100_000 }
       ~on_switch:(fun c ->
-        assigned_at_switch := Conn.bytes_received c)
+        assigned_at_switch := bytes_received c)
       ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (Conn.is_complete c);
+  check_bool "complete" true (is_complete c);
   check_bool "switch observed" true (!assigned_at_switch >= 0);
   (* At the moment of switching at most ~threshold (+ one window) bytes
      can have been received. *)
@@ -107,7 +110,7 @@ let test_after_time_switches_at_deadline () =
       ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (Conn.is_complete c);
+  check_bool "complete" true (is_complete c);
   (match Conn.switched_at c with
    | None -> Alcotest.fail "deadline switch did not happen"
    | Some t ->
@@ -125,7 +128,7 @@ let test_after_time_short_flow_completes_first () =
       ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (Conn.is_complete c);
+  check_bool "complete" true (is_complete c);
   check_bool "no switch before deadline" true (Conn.switched_at c = None)
 
 let test_never_strategy_stays_ps () =
@@ -136,7 +139,7 @@ let test_never_strategy_stays_ps () =
       ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (Conn.is_complete c);
+  check_bool "complete" true (is_complete c);
   check_bool "no switch" true (Conn.switched_at c = None);
   check_int "no subflows" 0 (Array.length (Conn.multipath_txs c))
 
@@ -159,10 +162,10 @@ let test_congestion_event_switches () =
       ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (Conn.is_complete c);
+  check_bool "complete" true (is_complete c);
   check_bool "dropped" true !dropped;
   check_bool "switched on congestion" true (Conn.switched_at c <> None);
-  check_int "all bytes" 500_000 (Conn.bytes_received c)
+  check_int "all bytes" 500_000 (bytes_received c)
 
 let test_congestion_event_no_loss_no_switch () =
   (* Small enough (50 segments) that slow start cannot overflow the
@@ -174,7 +177,7 @@ let test_congestion_event_no_loss_no_switch () =
       ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (Conn.is_complete c);
+  check_bool "complete" true (is_complete c);
   check_bool "clean run stays in PS" true (Conn.switched_at c = None)
 
 (* ------------------------------------------------------------------ *)
@@ -237,7 +240,7 @@ let test_adaptive_threshold_grows_on_dsack () =
       ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (Conn.is_complete c);
+  check_bool "complete" true (is_complete c);
   check_bool "duplicate injected" true !duplicated;
   check_bool "dsack observed" true (Conn.spurious_rtx_signals c >= 1);
   check_int "threshold grew" 4 (Conn.current_dupack_threshold c)
@@ -266,7 +269,7 @@ let test_adaptive_threshold_capped () =
       ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (Conn.is_complete c);
+  check_bool "complete" true (is_complete c);
   check_int "capped" 6 (Conn.current_dupack_threshold c)
 
 (* ------------------------------------------------------------------ *)
@@ -285,7 +288,7 @@ let test_ps_randomises_source_ports () =
     Conn.start ~src ~dst ~size:70_000 ~rng:(Rng.create ~seed:12) ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (Conn.is_complete c);
+  check_bool "complete" true (is_complete c);
   (* 50 segments: virtually all should carry distinct random ports. *)
   check_bool "many distinct ports" true (Hashtbl.length ports > 30)
 
@@ -306,7 +309,7 @@ let test_mp_phase_uses_fixed_ports () =
       ()
   in
   Scheduler.run ~until:(Time.of_sec 20.) sched;
-  check_bool "complete" true (Conn.is_complete c);
+  check_bool "complete" true (is_complete c);
   check_bool "scatter randomised" true (Hashtbl.length ps_ports > 20);
   (* 8 subflows, one fixed port each. *)
   check_int "multipath ports fixed" 8 (Hashtbl.length mp_ports)
@@ -319,7 +322,7 @@ let test_ps_deactivates_after_switch () =
       ()
   in
   Scheduler.run ~until:(Time.of_sec 20.) sched;
-  check_bool "complete" true (Conn.is_complete c);
+  check_bool "complete" true (is_complete c);
   let ps = Conn.scatter_tx c in
   (* The scatter flow must have carried roughly the volume threshold,
      not the whole transfer. *)
@@ -348,7 +351,7 @@ let test_mmptcp_random_loss_property =
           ()
       in
       Scheduler.run ~until:(Time.of_sec 300.) sched;
-      Conn.is_complete c && Conn.bytes_received c = 300_000)
+      is_complete c && bytes_received c = 300_000)
 
 let test_mmptcp_on_fattree_with_paths () =
   let sched = Scheduler.create () in
@@ -359,7 +362,7 @@ let test_mmptcp_on_fattree_with_paths () =
     Conn.start ~src ~dst ~size:300_000 ~rng:(Rng.create ~seed:15) ~paths ()
   in
   Scheduler.run ~until:(Time.of_sec 20.) sched;
-  check_bool "complete" true (Conn.is_complete c);
+  check_bool "complete" true (is_complete c);
   check_int "threshold from fattree paths" (max 3 paths)
     (Conn.current_dupack_threshold c)
 
@@ -367,7 +370,7 @@ let test_zero_size () =
   let sched, _net, src, dst = direct_rig () in
   let c = Conn.start ~src ~dst ~size:0 ~rng:(Rng.create ~seed:16) () in
   Scheduler.run ~until:(Time.of_sec 1.) sched;
-  check_bool "complete" true (Conn.is_complete c)
+  check_bool "complete" true (is_complete c)
 
 let qt = QCheck_alcotest.to_alcotest
 

@@ -1,5 +1,5 @@
-(* MPTCP tests: LIA coupling maths, the shared dataplane, and full
-   multipath connections over reference topologies. *)
+(* MPTCP tests: LIA coupling maths and full multipath connections
+   ({!Flow.start_mptcp}) over reference topologies. *)
 
 module Time = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler
@@ -11,8 +11,7 @@ module Cong = Sim_tcp.Cong
 module Lia = Sim_tcp.Cong.Lia
 module Rtt_estimator = Sim_tcp.Rtt_estimator
 module Tcp_params = Sim_tcp.Tcp_params
-module Dataplane = Sim_mptcp.Dataplane
-module Mptcp_conn = Sim_mptcp.Mptcp_conn
+module Flow = Sim_tcp.Flow
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -105,93 +104,51 @@ let test_lia_shifts_away_from_congested () =
     (wf.Cong.cwnd -. f0 >= ws.Cong.cwnd -. s0 -. 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* Dataplane *)
-
-let test_dataplane_sequential_pull () =
-  let sched = Scheduler.create () in
-  let p = Dataplane.create ~sched ~size:3_000 ~on_complete:(fun () -> ()) in
-  Alcotest.(check (option (pair int int))) "first" (Some (0, 1400)) (Dataplane.pull p ~max:1400);
-  Alcotest.(check (option (pair int int))) "second" (Some (1400, 1400)) (Dataplane.pull p ~max:1400);
-  Alcotest.(check (option (pair int int))) "tail" (Some (2800, 200)) (Dataplane.pull p ~max:1400);
-  Alcotest.(check (option (pair int int))) "drained" None (Dataplane.pull p ~max:1400);
-  check_bool "nothing unassigned" false (Dataplane.unassigned p);
-  check_int "assigned" 3_000 (Dataplane.assigned p)
-
-let test_dataplane_completion_once () =
-  let sched = Scheduler.create () in
-  let fired = ref 0 in
-  let p = Dataplane.create ~sched ~size:1_000 ~on_complete:(fun () -> incr fired) in
-  Dataplane.deliver p ~dsn:0 ~len:500;
-  check_int "not yet" 0 !fired;
-  Dataplane.deliver p ~dsn:500 ~len:500;
-  check_int "fired" 1 !fired;
-  Dataplane.deliver p ~dsn:0 ~len:1000;
-  check_int "idempotent" 1 !fired;
-  check_bool "complete" true (Dataplane.is_complete p)
-
-let test_dataplane_duplicates_ignored () =
-  let sched = Scheduler.create () in
-  let p = Dataplane.create ~sched ~size:2_000 ~on_complete:(fun () -> ()) in
-  Dataplane.deliver p ~dsn:0 ~len:1000;
-  Dataplane.deliver p ~dsn:0 ~len:1000;
-  check_int "unique bytes only" 1000 (Dataplane.received_bytes p);
-  check_bool "incomplete" false (Dataplane.is_complete p)
-
-let test_dataplane_out_of_order_delivery () =
-  let sched = Scheduler.create () in
-  let done_ = ref false in
-  let p = Dataplane.create ~sched ~size:3_000 ~on_complete:(fun () -> done_ := true) in
-  Dataplane.deliver p ~dsn:2_000 ~len:1_000;
-  Dataplane.deliver p ~dsn:0 ~len:1_000;
-  Dataplane.deliver p ~dsn:1_000 ~len:1_000;
-  check_bool "completes out of order" true !done_
-
-(* ------------------------------------------------------------------ *)
 (* Connections *)
 
 let test_mptcp_completes_direct () =
   let sched = Scheduler.create () in
   let net = Dumbbell.direct ~sched () in
   let c =
-    Mptcp_conn.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
+    Flow.start_mptcp ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
       ~size:70_000 ~subflows:4 ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (Mptcp_conn.is_complete c);
-  check_int "bytes" 70_000 (Mptcp_conn.bytes_received c);
-  check_int "subflows" 4 (Mptcp_conn.subflow_count c)
+  check_bool "complete" true (Flow.is_complete c);
+  check_int "bytes" 70_000 (Flow.bytes_received c);
+  check_int "subflows" 4 (Flow.subflow_count c)
 
 let test_mptcp_completes_fattree () =
   let sched = Scheduler.create () in
   let net = Fattree.create ~sched (Fattree.default_params ~k:4 ~oversub:2 ()) in
   let c =
-    Mptcp_conn.start ~src:(Topology.host net 0) ~dst:(Topology.host net 20)
+    Flow.start_mptcp ~src:(Topology.host net 0) ~dst:(Topology.host net 20)
       ~size:200_000 ~subflows:8 ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (Mptcp_conn.is_complete c);
-  check_int "bytes" 200_000 (Mptcp_conn.bytes_received c)
+  check_bool "complete" true (Flow.is_complete c);
+  check_int "bytes" 200_000 (Flow.bytes_received c)
 
 let test_mptcp_single_subflow_close_to_tcp () =
   let run_mptcp () =
     let sched = Scheduler.create () in
     let net = Dumbbell.direct ~sched () in
     let c =
-      Mptcp_conn.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
+      Flow.start_mptcp ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
         ~size:100_000 ~subflows:1 ()
     in
     Scheduler.run ~until:(Time.of_sec 10.) sched;
-    Option.get (Mptcp_conn.fct c)
+    Option.get (Flow.fct c)
   in
   let run_tcp () =
     let sched = Scheduler.create () in
     let net = Dumbbell.direct ~sched () in
     let f =
-      Sim_tcp.Flow.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
+      Flow.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
         ~size:100_000 ()
     in
     Scheduler.run ~until:(Time.of_sec 10.) sched;
-    Option.get (Sim_tcp.Flow.fct f)
+    Option.get (Flow.fct f)
   in
   let tm = Time.to_ms (run_mptcp ()) and tt = Time.to_ms (run_tcp ()) in
   check_bool "within 10%" true (Float.abs (tm -. tt) /. tt < 0.1)
@@ -207,11 +164,11 @@ let test_mptcp_multihomed_beats_tcp () =
       Multihomed.create ~sched (Multihomed.default_params ~k:4 ~oversub:1 ())
     in
     let c =
-      Mptcp_conn.start ~src:(Topology.host net 0) ~dst:(Topology.host net 12)
+      Flow.start_mptcp ~src:(Topology.host net 0) ~dst:(Topology.host net 12)
         ~size ~subflows:n_subflows ()
     in
     Scheduler.run ~until:(Time.of_sec 30.) sched;
-    (Mptcp_conn.is_complete c, Option.map Time.to_ms (Mptcp_conn.fct c))
+    (Flow.is_complete c, Option.map Time.to_ms (Flow.fct c))
   in
   let ok8, t8 = run_proto 8 in
   let ok1, t1 = run_proto 1 in
@@ -224,12 +181,12 @@ let test_mptcp_uncoupled_runs () =
   let sched = Scheduler.create () in
   let net = Dumbbell.direct ~sched () in
   let c =
-    Mptcp_conn.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
+    Flow.start_mptcp ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
       ~size:50_000 ~subflows:4 ~coupled:false ()
   in
   Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (Mptcp_conn.is_complete c);
-  check_bool "no lia alpha" true (Mptcp_conn.lia_alpha c = None)
+  check_bool "complete" true (Flow.is_complete c);
+  check_bool "no lia alpha" true (Flow.lia_alpha c = None)
 
 let test_mptcp_random_loss_property =
   QCheck.Test.make ~name:"mptcp completes under random loss" ~count:15
@@ -246,25 +203,25 @@ let test_mptcp_random_loss_property =
             || Sim_engine.Rng.int rng 100 >= percent
           then Sim_net.Host.receive (Topology.host net 1) pkt);
       let c =
-        Mptcp_conn.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
+        Flow.start_mptcp ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
           ~size:50_000 ~subflows:4 ()
       in
       Scheduler.run ~until:(Time.of_sec 200.) sched;
-      Mptcp_conn.is_complete c && Mptcp_conn.bytes_received c = 50_000)
+      Flow.is_complete c && Flow.bytes_received c = 50_000)
 
 let test_mptcp_invalid_subflows () =
   let sched = Scheduler.create () in
   let net = Dumbbell.direct ~sched () in
   Alcotest.check_raises "zero subflows"
-    (Invalid_argument "Mptcp_conn.start: subflows must be >= 1") (fun () ->
+    (Invalid_argument "Flow.start_mptcp: subflows must be >= 1") (fun () ->
       ignore
-        (Mptcp_conn.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
+        (Flow.start_mptcp ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
            ~size:1 ~subflows:0 ()))
 
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
-  Alcotest.run "sim_mptcp"
+  Alcotest.run "mptcp"
     [
       ( "lia",
         [
@@ -275,13 +232,6 @@ let () =
           Alcotest.test_case "slow start" `Quick test_lia_slow_start_uncoupled;
           Alcotest.test_case "loss response" `Quick test_lia_loss_halves;
           Alcotest.test_case "no bias to congested" `Quick test_lia_shifts_away_from_congested;
-        ] );
-      ( "dataplane",
-        [
-          Alcotest.test_case "sequential pull" `Quick test_dataplane_sequential_pull;
-          Alcotest.test_case "completion once" `Quick test_dataplane_completion_once;
-          Alcotest.test_case "duplicates" `Quick test_dataplane_duplicates_ignored;
-          Alcotest.test_case "out of order" `Quick test_dataplane_out_of_order_delivery;
         ] );
       ( "connection",
         [

@@ -186,36 +186,6 @@ let test_csv_arity_mismatch () =
   Alcotest.check_raises "long row" arity_error (fun () ->
       ignore (Csv.to_string ~header:[ "a"; "b" ] [ [ "1"; "2" ]; [ "1"; "2"; "3" ] ]))
 
-let test_csv_write_arity_error_keeps_file () =
-  (* write renders before open_out, so a bad row cannot truncate an
-     artifact that already exists. *)
-  let path = Filename.temp_file "simstats" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Csv.write ~path ~header:[ "a" ] [ [ "old" ] ];
-      (try Csv.write ~path ~header:[ "a" ] [ [ "x"; "y" ] ]
-       with Invalid_argument _ -> ());
-      let ic = open_in path in
-      let l1 = input_line ic in
-      let l2 = input_line ic in
-      close_in ic;
-      Alcotest.(check string) "header intact" "a" l1;
-      Alcotest.(check string) "row intact" "old" l2)
-
-let test_csv_round_trip_file () =
-  let path = Filename.temp_file "simstats" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Csv.write ~path ~header:[ "a" ] [ [ "hello, world" ] ];
-      let ic = open_in path in
-      let l1 = input_line ic in
-      let l2 = input_line ic in
-      close_in ic;
-      Alcotest.(check string) "header" "a" l1;
-      Alcotest.(check string) "quoted row" "\"hello, world\"" l2)
-
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -254,8 +224,5 @@ let () =
           Alcotest.test_case "to_string" `Quick test_csv_to_string;
           Alcotest.test_case "float cells" `Quick test_csv_float_cell;
           Alcotest.test_case "arity mismatch" `Quick test_csv_arity_mismatch;
-          Alcotest.test_case "arity error keeps file" `Quick
-            test_csv_write_arity_error_keeps_file;
-          Alcotest.test_case "file round trip" `Quick test_csv_round_trip_file;
         ] );
     ]

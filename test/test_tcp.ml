@@ -1,4 +1,4 @@
-(* TCP stack tests: interval sets, RTT estimation, sources, and full
+(* TCP stack tests: interval sets, RTT estimation, the data plane, and full
    sender/receiver behaviour over an instrumented two-host link with
    deterministic loss injection. *)
 
@@ -16,6 +16,7 @@ module Rtt_estimator = Sim_tcp.Rtt_estimator
 module Tcp_params = Sim_tcp.Tcp_params
 module Tcp_tx = Sim_tcp.Tcp_tx
 module Tcp_rx = Sim_tcp.Tcp_rx
+module Dataplane = Sim_tcp.Dataplane
 module Flow = Sim_tcp.Flow
 
 let check_int = Alcotest.(check int)
@@ -170,19 +171,46 @@ let test_rtt_var_tracks_jitter () =
   | None -> Alcotest.fail "expected variance"
 
 (* ------------------------------------------------------------------ *)
-(* Sources *)
+(* Dataplane *)
 
-let test_fixed_source_sequential () =
-  let s = Tcp_tx.fixed_size_source 3000 in
-  Alcotest.(check (option (pair int int))) "first" (Some (0, 1400)) (s.Tcp_tx.pull ~max:1400);
-  Alcotest.(check (option (pair int int))) "second" (Some (1400, 1400)) (s.Tcp_tx.pull ~max:1400);
-  Alcotest.(check (option (pair int int))) "tail" (Some (2800, 200)) (s.Tcp_tx.pull ~max:1400);
-  Alcotest.(check (option (pair int int))) "exhausted" None (s.Tcp_tx.pull ~max:1400);
-  check_bool "has_more false" false (s.Tcp_tx.has_more ())
+let test_dataplane_sequential_pull () =
+  let sched = Scheduler.create () in
+  let p = Dataplane.create ~sched ~size:3_000 ~on_complete:(fun () -> ()) in
+  Alcotest.(check (option (pair int int))) "first" (Some (0, 1400)) (Dataplane.pull p ~max:1400);
+  Alcotest.(check (option (pair int int))) "second" (Some (1400, 1400)) (Dataplane.pull p ~max:1400);
+  Alcotest.(check (option (pair int int))) "tail" (Some (2800, 200)) (Dataplane.pull p ~max:1400);
+  Alcotest.(check (option (pair int int))) "drained" None (Dataplane.pull p ~max:1400);
+  check_bool "nothing unassigned" false (Dataplane.unassigned p);
+  check_int "assigned" 3_000 (Dataplane.assigned p)
 
-let test_fixed_source_respects_max () =
-  let s = Tcp_tx.fixed_size_source 1000 in
-  Alcotest.(check (option (pair int int))) "clipped" (Some (0, 100)) (s.Tcp_tx.pull ~max:100)
+let test_dataplane_completion_once () =
+  let sched = Scheduler.create () in
+  let fired = ref 0 in
+  let p = Dataplane.create ~sched ~size:1_000 ~on_complete:(fun () -> incr fired) in
+  Dataplane.deliver p ~dsn:0 ~len:500;
+  check_int "not yet" 0 !fired;
+  Dataplane.deliver p ~dsn:500 ~len:500;
+  check_int "fired" 1 !fired;
+  Dataplane.deliver p ~dsn:0 ~len:1000;
+  check_int "idempotent" 1 !fired;
+  check_bool "complete" true (Dataplane.is_complete p)
+
+let test_dataplane_duplicates_ignored () =
+  let sched = Scheduler.create () in
+  let p = Dataplane.create ~sched ~size:2_000 ~on_complete:(fun () -> ()) in
+  Dataplane.deliver p ~dsn:0 ~len:1000;
+  Dataplane.deliver p ~dsn:0 ~len:1000;
+  check_int "unique bytes only" 1000 (Dataplane.received_bytes p);
+  check_bool "incomplete" false (Dataplane.is_complete p)
+
+let test_dataplane_out_of_order_delivery () =
+  let sched = Scheduler.create () in
+  let done_ = ref false in
+  let p = Dataplane.create ~sched ~size:3_000 ~on_complete:(fun () -> done_ := true) in
+  Dataplane.deliver p ~dsn:2_000 ~len:1_000;
+  Dataplane.deliver p ~dsn:0 ~len:1_000;
+  Dataplane.deliver p ~dsn:1_000 ~len:1_000;
+  check_bool "completes out of order" true !done_
 
 (* ------------------------------------------------------------------ *)
 (* Reno on a synthetic window: a window literal and an RTT estimator
@@ -773,10 +801,12 @@ let () =
           Alcotest.test_case "floor and cap" `Quick test_rtt_floor_and_cap;
           Alcotest.test_case "variance tracks jitter" `Quick test_rtt_var_tracks_jitter;
         ] );
-      ( "source",
+      ( "dataplane",
         [
-          Alcotest.test_case "sequential" `Quick test_fixed_source_sequential;
-          Alcotest.test_case "respects max" `Quick test_fixed_source_respects_max;
+          Alcotest.test_case "sequential pull" `Quick test_dataplane_sequential_pull;
+          Alcotest.test_case "completion once" `Quick test_dataplane_completion_once;
+          Alcotest.test_case "duplicates" `Quick test_dataplane_duplicates_ignored;
+          Alcotest.test_case "out of order" `Quick test_dataplane_out_of_order_delivery;
         ] );
       ( "window",
         [
