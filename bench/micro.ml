@@ -1,9 +1,8 @@
-(* Engine micro-benchmarks: the three hot paths the timer-wheel work
-   targets, measured in isolation so a regression shows up here before
-   it shows up as minutes on the full fig1a run.
+(* Engine micro-benchmarks: the engine's hot paths measured in
+   isolation, so a regression shows up here before it shows up as
+   minutes on the full fig1a run.
 
-   - churn:*      schedule/cancel/re-arm cost of the timer population,
-                  heap-only (tombstones) vs scheduler (wheel + Timer)
+   - churn:sched  schedule/re-arm/cancel cost of the timer population
    - packet:*     one serialise-then-deliver hop through a Link, and a
                   complete short TCP transfer
    - fig1a:inner  one tiny-scale MMPTCP scenario — the inner loop the
@@ -16,7 +15,6 @@
 
 module Stime = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler
-module Event_heap = Sim_engine.Event_heap
 module Scale = Sim_experiments.Scale
 module Scenario = Sim_workload.Scenario
 
@@ -30,27 +28,10 @@ open Toolkit
 let timers = 512
 let rounds = 8
 
-(* Heap-only churn: every cancel leaves a tombstone behind, every
-   re-arm is a fresh push; this is what the scheduler did before the
-   wheel, minus closure allocation. *)
-let churn_heap () =
-  let h = Event_heap.create () in
-  let seq = ref 0 in
-  for round = 0 to rounds - 1 do
-    for i = 0 to timers - 1 do
-      let due = ((round * timers) + i + 200) * 1_000 in
-      Event_heap.push h ~time:due ~seq:!seq i;
-      incr seq
-    done
-  done;
-  (* Drain: all but the last round's cells are stale. *)
-  while Event_heap.top_time h <> max_int do
-    Event_heap.drop h
-  done
-
-(* Scheduler churn: same pattern through the real API — one re-armable
-   Timer per flow, re-armed [rounds] times; cancels unlink from the
-   wheel in O(1) instead of leaving tombstones. *)
+(* One re-armable Timer per flow, re-armed [rounds] times at a later
+   due time and cancelled at the end: every re-arm re-keys a pending
+   heap entry in place and the final cancels remove them, so nothing
+   fires. *)
 let churn_sched () =
   let sched = Scheduler.create () in
   let tms =
@@ -265,7 +246,6 @@ let hybrid_handoff () =
 
 let benchmarks =
   [
-    ("churn:heap-4k-arms", churn_heap);
     ("churn:sched-4k-arms", churn_sched);
     ("packet:link-hop-64", packet_hop);
     ("packet:tcp-70KB", tcp_transfer);

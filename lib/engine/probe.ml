@@ -21,11 +21,8 @@ let create ?conns sched ~interval =
     ~clock_ns:(fun () -> Sim_time.to_ns (Scheduler.now sched))
     ();
   Sim_obs.Metrics.register m ~component:"scheduler" ~id:"sched"
-    ~name:"heap_pending" ~units:"events" (fun () ->
-      float_of_int (Scheduler.heap_pending sched));
-  Sim_obs.Metrics.register m ~component:"scheduler" ~id:"sched"
-    ~name:"wheel_pending" ~units:"timers" (fun () ->
-      float_of_int (Scheduler.wheel_pending sched));
+    ~name:"pending_events" ~units:"events" (fun () ->
+      float_of_int (Scheduler.pending_events sched));
   Sim_obs.Metrics.register m ~component:"scheduler" ~id:"sched"
     ~name:"events_processed" ~units:"events" (fun () ->
       float_of_int (Scheduler.events_processed sched));

@@ -21,8 +21,9 @@ val create : ?conns:int list -> Scheduler.t -> interval:Sim_time.t -> t
 (** Enable the scheduler's metrics registry ([conns] filters
     connection-scoped instruments and events) and build a sampler that
     will tick every [interval] of virtual time. Also registers the
-    scheduler's self-profiling gauges ([heap_pending],
-    [wheel_pending], [events_processed]) as the first columns.
+    scheduler's self-profiling gauges ([pending_events],
+    [events_processed], [event_cells], [event_cells_free]) as the
+    first columns.
     Raises [Invalid_argument] if [interval] is not positive. *)
 
 val start : t -> unit

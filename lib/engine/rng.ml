@@ -39,12 +39,6 @@ let exponential t ~mean =
   while !u = 0. do u := float t 1.0 done;
   -.mean *. log !u
 
-let pareto t ~shape ~scale =
-  if shape <= 0. || scale <= 0. then invalid_arg "Rng.pareto: bad parameters";
-  let u = ref (float t 1.0) in
-  while !u = 0. do u := float t 1.0 done;
-  scale /. (!u ** (1. /. shape))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

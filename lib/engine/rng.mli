@@ -18,8 +18,6 @@ val copy : t -> t
 
 (** {1 Draws} *)
 
-val bits64 : t -> int64
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument]
     if [bound <= 0]. *)
@@ -35,9 +33,6 @@ val bool : t -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean (for Poisson
     inter-arrival times). *)
-
-val pareto : t -> shape:float -> scale:float -> float
-(** Bounded-shape Pareto draw (for heavy-tailed flow sizes). *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -1,26 +1,34 @@
-(* Discrete-event scheduler: binary heap for the near-future event
-   stream, hierarchical timing wheel for the far-future timer
-   population. See DESIGN.md §4e.
+(* Discrete-event scheduler: one binary min-heap of intrusive entries,
+   ordered by (time, seq). See DESIGN.md §4e.
 
    Every armed event carries a unique (time, seq) key; seq is a single
-   monotone counter consumed once per arm. The wheel never fires
-   anything itself: [run] drains due wheel slots into the heap, and the
-   heap restores exact (time, seq) order, so the observable firing
-   order is identical to a heap-only scheduler. *)
+   monotone counter consumed once per arm, so events due at the same
+   instant fire in the order they were armed. Each entry records its
+   own heap index in [pos], so cancelling or re-arming a pending entry
+   removes or re-keys it in place in O(log n) and nothing stale is left
+   for the run loop to skip. *)
+
+(* What to do when the entry fires: a fire function paired with the
+   state it runs on. Packing the pair behind one existential keeps the
+   entry monomorphic (the heap array needs that) while letting a
+   re-armable timer or a pooled event cell install a *static* fire
+   function once and never allocate per arm. *)
+type erun = Run : ('a -> unit) * 'a -> erun
+
+type entry = {
+  mutable time : int;  (* due time, ns *)
+  mutable seq : int;   (* insertion counter at last arm *)
+  mutable run : erun;
+  mutable pos : int;   (* heap index while pending, -1 otherwise *)
+}
 
 type t = {
-  heap : Timer_wheel.entry Event_heap.t;
-  wheel : Timer_wheel.t;
+  mutable heap : entry array;
+  mutable size : int;
+  idle : entry;  (* fills heap slots at index >= size *)
   mutable now : Sim_time.t;
   mutable next_seq : int;
   mutable processed : int;
-  mutable tombstones : int;  (* cancelled cells still buried in the heap *)
-  (* Cached Timer_wheel.next_due_ns, valid while the wheel generation
-     is unchanged — the run loop consults the wheel before every pop,
-     and in the common case (draining heap events between timer
-     activity) the wheel has not moved. *)
-  mutable wheel_due : int;
-  mutable wheel_gen : int;
   (* Event-cell pool accounting across every {!Event.pool} of this
      scheduler, exposed to the Probe's self-profiling gauges. *)
   mutable cells_allocated : int;
@@ -28,16 +36,17 @@ type t = {
   ctx : Sim_ctx.t;
 }
 
+let make_entry fire state = { time = 0; seq = 0; run = Run (fire, state); pos = -1 }
+
 let create () =
+  let idle = make_entry ignore () in
   {
-    heap = Event_heap.create ();
-    wheel = Timer_wheel.create ();
+    heap = Array.make 64 idle;
+    size = 0;
+    idle;
     now = Sim_time.zero;
     next_seq = 0;
     processed = 0;
-    tombstones = 0;
-    wheel_due = max_int;
-    wheel_gen = -1;
     cells_allocated = 0;
     cells_free = 0;
     ctx = Sim_ctx.create ();
@@ -46,108 +55,98 @@ let create () =
 let now t = t.now
 let ctx t = t.ctx
 
-(* Arm [e] at [time], consuming exactly one seq. Entries due within one
-   level-0 wheel slot skip the wheel and go straight onto the heap. *)
-let arm t (e : Timer_wheel.entry) time =
+let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+(* Move [e] up from the free slot [i] past every later parent, then
+   store it. *)
+let sift_up t e i =
+  let heap = t.heap in
+  let i = ref i in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let p = heap.(parent) in
+    if before e p then begin
+      heap.(!i) <- p;
+      p.pos <- !i;
+      i := parent
+    end
+    else continue := false
+  done;
+  heap.(!i) <- e;
+  e.pos <- !i
+
+(* Fill the free slot [i] from below: walk the hole down to a leaf
+   along the earlier child, then sift [e] up from there. [e] usually
+   belongs near the bottom (a popped root's replacement, a timer pushed
+   later), so this costs one comparison per level instead of two. *)
+let sift_down t e i =
+  let heap = t.heap and n = t.size in
+  let i = ref i in
+  let l = ref ((2 * !i) + 1) in
+  while !l < n do
+    let c = !l in
+    let c = if c + 1 < n && before heap.(c + 1) heap.(c) then c + 1 else c in
+    let ce = heap.(c) in
+    heap.(!i) <- ce;
+    ce.pos <- !i;
+    i := c;
+    l := (2 * c) + 1
+  done;
+  sift_up t e !i
+
+(* Restore the heap property for [e], whose key changed while it sat
+   in slot [i]. *)
+let resift t e i =
+  if i > 0 && before e t.heap.((i - 1) / 2) then sift_up t e i
+  else sift_down t e i
+
+let insert t e =
+  if t.size = Array.length t.heap then begin
+    let a = Array.make (2 * t.size) t.idle in
+    Array.blit t.heap 0 a 0 t.size;
+    t.heap <- a
+  end;
+  t.size <- t.size + 1;
+  sift_up t e (t.size - 1)
+
+(* Unlink pending [e]: the last entry takes its slot and is re-sifted
+   from there. The vacated tail slot is reset so the heap pins no
+   entry (and, through its fire state, no connection) after it fires. *)
+let remove t e =
+  let i = e.pos in
+  e.pos <- -1;
+  t.size <- t.size - 1;
+  let last = t.heap.(t.size) in
+  t.heap.(t.size) <- t.idle;
+  if i < t.size then resift t last i
+
+(* Key [e] at [time] with the next seq — exactly one consumed per
+   arm — and place it: re-keyed in its slot when already pending. *)
+let arm t e time =
   e.time <- Sim_time.to_ns time;
   e.seq <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  if not (Timer_wheel.schedule t.wheel e) then begin
-    e.state <- Timer_wheel.st_heap;
-    Event_heap.push t.heap ~time:e.time ~seq:e.seq e
-  end
+  if e.pos >= 0 then resift t e e.pos else insert t e
 
-let cancelled_pending t = t.tombstones
-
-(* A heap cell is live iff its entry is still heap-resident under the
-   same seq; anything else (cancelled, or re-armed since) is a
-   tombstone. Compact once tombstones dominate: O(n) filter+heapify,
-   amortised against the >= n/2 pops the tombstones would otherwise
-   cost, keyed only on exact (time, seq) so drain order is unchanged. *)
-let maybe_compact t =
-  if t.tombstones > 64 && t.tombstones * 2 > Event_heap.length t.heap then begin
-    Event_heap.compact t.heap ~keep:(fun ~time:_ ~seq e ->
-        e.state = Timer_wheel.st_heap && e.seq = seq);
-    t.tombstones <- 0
-  end
-
-(* Detach [e] from wherever it is pending; keeps the fire/state pair
-   so a re-armable timer can reuse it. *)
-let detach t (e : Timer_wheel.entry) =
-  if e.state = Timer_wheel.st_wheel then Timer_wheel.cancel t.wheel e
-  else if e.state = Timer_wheel.st_heap then begin
-    (* The heap cell stays behind as a tombstone. *)
-    e.state <- Timer_wheel.st_idle;
-    t.tombstones <- t.tombstones + 1;
-    maybe_compact t
-  end
-
-let is_pending (e : Timer_wheel.entry) =
-  e.state = Timer_wheel.st_wheel || e.state = Timer_wheel.st_heap
-
-let run ?until ?max_events t =
-  let budget = ref (match max_events with Some n -> n | None -> max_int) in
+let run ?until t =
   let horizon = match until with Some u -> Sim_time.to_ns u | None -> max_int in
-  let emit (e : Timer_wheel.entry) =
-    e.state <- Timer_wheel.st_heap;
-    Event_heap.push t.heap ~time:e.time ~seq:e.seq e
-  in
-  let continue = ref true in
-  while !continue && !budget > 0 do
-    let wheel_due =
-      let g = Timer_wheel.generation t.wheel in
-      if g = t.wheel_gen then t.wheel_due
-      else begin
-        let d = Timer_wheel.next_due_ns t.wheel in
-        t.wheel_gen <- g;
-        t.wheel_due <- d;
-        d
-      end
-    in
-    let heap_due = Event_heap.top_time t.heap in
-    if wheel_due <= heap_due && wheel_due <> max_int then
-      (* Wheel slots due at or before the heap top must drain first:
-         [wheel_due] is a lower bound, so a resident entry could key
-         below the heap top. Draining moves them into the heap, which
-         then decides the true order. *)
-      if wheel_due > horizon then continue := false
-      else Timer_wheel.advance t.wheel ~upto:wheel_due ~emit
-    else if heap_due = max_int || heap_due > horizon then
-      (* Empty (max_int sentinel) or next event beyond the horizon. *)
-      continue := false
-    else begin
-      let e = Event_heap.top_value t.heap in
-      let seq = Event_heap.top_seq t.heap in
-      Event_heap.drop t.heap;
-      if e.state = Timer_wheel.st_heap && e.seq = seq then begin
-        t.now <- Sim_time.of_ns heap_due;
-        e.state <- Timer_wheel.st_fired;
-        t.processed <- t.processed + 1;
-        decr budget;
-        let (Timer_wheel.Run (fire, state)) = e.run in
-        fire state
-      end
-      else
-        (* Stale cell of a cancelled or re-armed event. Skipping it
-           consumes neither budget nor clock. *)
-        t.tombstones <- t.tombstones - 1
-    end
+  while t.size > 0 && t.heap.(0).time <= horizon do
+    let e = t.heap.(0) in
+    remove t e;
+    t.now <- Sim_time.of_ns e.time;
+    t.processed <- t.processed + 1;
+    let (Run (fire, state)) = e.run in
+    fire state
   done;
   (* When the queue drained (or only holds events beyond the horizon)
      advance the clock to the horizon, so repeated bounded runs make
-     progress. A stop caused by [max_events] leaves the clock alone. *)
-  if !budget > 0 then
-    match until with
-    | Some u when Sim_time.(u > t.now) -> t.now <- u
-    | Some _ | None -> ()
+     progress. *)
+  match until with
+  | Some u when Sim_time.(u > t.now) -> t.now <- u
+  | Some _ | None -> ()
 
-(* Live work only: heap cells net of tombstones, plus wheel residents.
-   A backlog of cancelled-only cells reports zero. *)
-let pending_events t =
-  Event_heap.length t.heap - t.tombstones + Timer_wheel.live t.wheel
-
-let heap_pending t = Event_heap.length t.heap - t.tombstones
-let wheel_pending t = Timer_wheel.live t.wheel
+let pending_events t = t.size
 let events_processed t = t.processed
 let event_cells_allocated t = t.cells_allocated
 let event_cells_free t = t.cells_free
@@ -155,18 +154,17 @@ let event_cells_free t = t.cells_free
 module Timer = struct
   type sched = t
 
-  type t = { sched : sched; entry : Timer_wheel.entry }
+  type t = { sched : sched; entry : entry }
 
-  let create sched fire state = { sched; entry = Timer_wheel.make_entry fire state }
-  let is_pending tm = is_pending tm.entry
+  let create sched fire state = { sched; entry = make_entry fire state }
+  let is_pending tm = tm.entry.pos >= 0
 
   (* Keeps the fire/state pair: that is the point of the abstraction
      — one entry, one pair, reused across every re-arm of an RTO or
      delayed-ACK timer. *)
-  let cancel tm = detach tm.sched tm.entry
+  let cancel tm = if tm.entry.pos >= 0 then remove tm.sched tm.entry
 
   let schedule_at tm time =
-    cancel tm;
     if Sim_time.(time < tm.sched.now) then
       invalid_arg "Scheduler.Timer.schedule_at: time is in the past";
     arm tm.sched tm.entry time
@@ -178,10 +176,10 @@ module Event = struct
   type sched = t
 
   (* A pool of one-shot typed event cells sharing one fire function.
-     Each cell owns its wheel/heap entry and a payload slot; the
-     entry's [run] points back at the cell, so the steady-state path
-     — acquire, fill payload, arm — allocates nothing. Cells return
-     to the pool's freelist the moment they fire or are cancelled.
+     Each cell owns its heap entry and a payload slot; the entry's
+     [run] points back at the cell, so the steady-state path —
+     acquire, fill payload, arm — allocates nothing. Cells return to
+     the pool's freelist the moment they fire or are cancelled.
 
      The freelist is a plain array stack (the Packet pool's idiom);
      it starts empty and takes its first backing array from the first
@@ -199,7 +197,7 @@ module Event = struct
      check and must be avoided by contract (DESIGN.md §4j): only the
      scheduling site may hold a cell, and only until fire/cancel. *)
   type 'a cell = {
-    c_entry : Timer_wheel.entry;
+    c_entry : entry;
     mutable c_payload : 'a;
     mutable c_gen : int;
     c_pool : 'a pool;
@@ -247,10 +245,9 @@ module Event = struct
     end
     else begin
       let c =
-        { c_entry = Timer_wheel.make_entry ignore (); c_payload = v;
-          c_gen = 1; c_pool = p }
+        { c_entry = make_entry ignore (); c_payload = v; c_gen = 1; c_pool = p }
       in
-      c.c_entry.run <- Timer_wheel.Run (fire_cell, c);
+      c.c_entry.run <- Run (fire_cell, c);
       p.p_sched.cells_allocated <- p.p_sched.cells_allocated + 1;
       c
     end
@@ -265,7 +262,7 @@ module Event = struct
   let schedule_after p delay v =
     schedule_at p (Sim_time.add p.p_sched.now delay) v
 
-  let is_pending c = is_pending c.c_entry
+  let is_pending c = c.c_entry.pos >= 0
 
   let cancel p c =
     if Sanitizer_mode.on && c.c_gen land 1 = 0 then
@@ -273,7 +270,7 @@ module Event = struct
         "Scheduler.Event.cancel: cell is not armed (already fired or \
          cancelled — stale cell handle)";
     if is_pending c then begin
-      detach p.p_sched c.c_entry;
+      remove p.p_sched c.c_entry;
       let v = c.c_payload in
       release p c;
       Some v

@@ -1,23 +1,19 @@
 (** Discrete-event scheduler.
 
-    The scheduler owns the virtual clock and two pending-event
-    structures: a binary heap for the near-future event stream and a
-    hierarchical timing wheel ({!Timer_wheel}) for the far-future timer
-    population (RTO, delayed ACK) that is almost always cancelled or
-    re-armed before firing. [run] drains [min(heap-peek, wheel-peek)]:
-    due wheel slots are handed to the heap, which restores exact
-    [(time, seq)] order, so firing order — and therefore experiment
-    output — is identical to a heap-only scheduler. Events scheduled
-    for the same instant fire in the order they were scheduled.
+    The scheduler owns the virtual clock and one pending-event
+    structure: a binary min-heap of intrusive entries ordered by
+    [(time, seq)], where [seq] is consumed once per arm. Events
+    scheduled for the same instant fire in the order they were
+    scheduled.
 
     Two ways to schedule, neither allocating per event in steady
     state: a re-armable {!Timer} (RTO, delayed ACK, deadlines) and a
     pool of one-shot typed {!Event} cells (packets in flight,
     arrivals).
 
-    Cancellation is O(1) in both structures: a wheel entry unlinks
-    immediately; a heap entry leaves a tombstone that is skipped when
-    popped and compacted away when tombstones dominate. *)
+    Each entry records its own heap index, so cancelling removes it
+    and re-arming a pending timer re-keys it in place, both in
+    O(log n); the heap never holds a cancelled event. *)
 
 type t
 
@@ -32,27 +28,14 @@ val ctx : t -> Sim_ctx.t
     between schedulers, so independent simulations in one process
     cannot perturb each other. *)
 
-val run : ?until:Sim_time.t -> ?max_events:int -> t -> unit
-(** Drain the event queue. Stops when the queue is empty, when the next
-    event lies strictly beyond [until], or after [max_events] events. *)
+val run : ?until:Sim_time.t -> t -> unit
+(** Drain the event queue. Stops when the queue is empty or when the
+    next event lies strictly beyond [until]; the clock then advances
+    to [until] if that is later. *)
 
 val pending_events : t -> int
-(** Events that will still fire: heap entries net of cancelled
-    tombstones, plus wheel residents. A backlog consisting only of
-    cancelled events reports zero. *)
-
-val heap_pending : t -> int
-(** Live events resident in the near-future heap (net of tombstones).
-    With {!wheel_pending} this splits {!pending_events} by structure —
-    exposed for the {!Probe} sampler's scheduler self-profiling. *)
-
-val wheel_pending : t -> int
-(** Live timers resident in the far-future wheel. *)
-
-val cancelled_pending : t -> int
-(** Cancelled events still buried in the heap as tombstones (the
-    compaction heuristic's input). Excludes wheel cancellations, which
-    unlink immediately. *)
+(** Events that will still fire. Cancelled events are gone from the
+    heap at once, so they never count. *)
 
 val events_processed : t -> int
 
@@ -68,8 +51,8 @@ val event_cells_free : t -> int
     events armed right now. *)
 
 (** Re-armable timer: one handle and one fire/state pair allocated at
-    [create], reused across every restart. [schedule_*] atomically
-    cancels any pending occurrence and re-arms, so at most one
+    [create], reused across every restart. [schedule_*] on a pending
+    timer moves that occurrence to the new time, so at most one
     occurrence is ever pending; {!Timer.cancel} keeps the pair for the
     next re-arm. Each arm consumes one scheduling sequence number,
     exactly like an {!Event.schedule_at}.

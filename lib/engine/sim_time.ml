@@ -1,8 +1,7 @@
 (* Nanoseconds since simulation start, as a native int. A 63-bit int
    holds ~146 years of nanoseconds, and unlike [int64] it is unboxed:
-   time values in records, timer-wheel slots and heap cells are
-   immediate words, and arithmetic in the event hot path allocates
-   nothing. *)
+   time values in records and scheduler entries are immediate words,
+   and arithmetic in the event hot path allocates nothing. *)
 
 type t = int
 

@@ -3,11 +3,11 @@
     Time is an absolute count of nanoseconds since the start of the
     simulation, stored as a native [int] (63 bits holds ~146 years of
     nanoseconds). The native representation is deliberate: unlike
-    [int64] it is unboxed, so times held in heap cells, timer-wheel
-    entries and packet records are immediate words and hot-path
-    arithmetic does not allocate. All public constructors and
-    accessors go through this module so that the unit is impossible to
-    confuse at call sites. *)
+    [int64] it is unboxed, so times held in scheduler entries and
+    packet records are immediate words and hot-path arithmetic does
+    not allocate. All public constructors and accessors go through
+    this module so that the unit is impossible to confuse at call
+    sites. *)
 
 type t = private int
 

@@ -36,7 +36,7 @@
 
 (* All-float: stored flat, mutated in place without boxing. *)
 type fstate = {
-  mutable fs_weight : float;
+  fs_weight : float;
   mutable fs_rate : float;  (* committed allocation, bps *)
   mutable fs_newrate : float;  (* water-filling scratch *)
 }
@@ -57,7 +57,6 @@ type 'a flow = {
 
 type 'a t = {
   on_rate : 'a flow -> unit;
-  eps : float;  (* relative rate-change threshold for commit/callback *)
   max_waves : int;
   nlinks : int;
   (* per-link state, parallel arrays indexed by dense link id *)
@@ -111,7 +110,11 @@ type 'a t = {
    constrained; it gets this rate and never enters water-filling. *)
 let unconstrained_rate = 1e15
 
-let create ?(eps = 1e-3) ?(max_waves = 3) ~caps ~on_rate () =
+(* Relative rate-change threshold for commit/callback; also gates
+   ripple (see [create] in the interface). *)
+let eps = 1e-3
+
+let create ?(max_waves = 3) ~caps ~on_rate () =
   Array.iter
     (fun cap ->
       if cap <= 0. then invalid_arg "Alloc.create: non-positive capacity")
@@ -119,7 +122,6 @@ let create ?(eps = 1e-3) ?(max_waves = 3) ~caps ~on_rate () =
   let n = Array.length caps in
   {
     on_rate;
-    eps;
     max_waves;
     nlinks = n;
     l_cap = Array.copy caps;
@@ -157,10 +159,8 @@ let create ?(eps = 1e-3) ?(max_waves = 3) ~caps ~on_rate () =
 let data f = f.f_data
 let rate f = f.f_st.fs_rate
 let weight f = f.f_st.fs_weight
-let link_cap t ~link = t.l_cap.(link)
 let link_avail t ~link = t.l_avail.(link)
 let link_alloc t ~link = t.l_alloc.(link)
-let link_count t = t.nlinks
 
 let advance_integral t li ~now =
   if now > t.l_last.(li) then begin
@@ -272,14 +272,6 @@ let remove t ~now f =
       mark_members_dirty t li
     done;
     f.f_st.fs_rate <- 0.
-  end
-
-let set_weight t f w =
-  if w <= 0. then invalid_arg "Alloc.set_weight: weight must be positive";
-  if (not f.f_dead) && f.f_st.fs_weight <> w then begin
-    f.f_st.fs_weight <- w;
-    Array.iter (fun li -> mark_members_dirty t li) f.f_path;
-    mark_dirty t f
   end
 
 let set_avail t ~link bps =
@@ -492,7 +484,7 @@ let run_wave t ~now flows n =
   for i = 0 to n - 1 do
     let f = flows.(i) in
     let nr = f.f_st.fs_newrate and old = f.f_st.fs_rate in
-    if Float.abs (nr -. old) > t.eps *. Float.max 1. (Float.max nr old)
+    if Float.abs (nr -. old) > eps *. Float.max 1. (Float.max nr old)
     then begin
       let path = f.f_path in
       for p = 0 to Array.length path - 1 do
@@ -554,7 +546,7 @@ let flush t ~now =
       for i = 0 to t.t_n - 1 do
         let li = t.t_arr.(i) in
         t.l_touched.(li) <- false;
-        if Float.abs t.l_dalloc.(li) > t.eps *. t.l_cap.(li) then begin
+        if Float.abs t.l_dalloc.(li) > eps *. t.l_cap.(li) then begin
           let members = t.l_members.(li) in
           for j = 0 to t.l_n.(li) - 1 do
             let m = members.(j) in

@@ -6,10 +6,10 @@
     rate (bits/second) by progressive filling — the weighted max-min
     fair allocation when run over the whole population.
 
-    Mutations ([add], [remove], [set_weight], [set_avail]) are cheap:
-    they only mark the flows sharing a link with the mutation as
-    dirty. [flush] then water-fills the dirty set against the rest of
-    the population frozen at its committed rates, propagating
+    Mutations ([add], [remove], [set_avail]) are cheap: they only
+    mark the flows sharing a link with the mutation as dirty. [flush]
+    then water-fills the dirty set against the rest of the population
+    frozen at its committed rates, propagating
     second-order effects through bounded ripple waves. From an
     all-dirty start a single flush is exact weighted max-min; under
     incremental churn the allocation tracks it to within the ripple
@@ -41,7 +41,6 @@ type 'a t
 type 'a flow
 
 val create :
-  ?eps:float ->
   ?max_waves:int ->
   caps:float array ->
   on_rate:('a flow -> unit) ->
@@ -49,13 +48,12 @@ val create :
   'a t
 (** [caps.(id)] is the capacity in bps of link [id] (positive).
     [on_rate] is invoked from [flush] and [settle] once per owner
-    having a flow whose committed rate changed by more than [eps]
-    (relative, default 1e-3), after the whole pass is committed (see
-    above for the order). [eps] also gates ripple: a link
-    whose total allocation moved by less than [eps * cap] does not
-    re-dirty its members. [max_waves] (default 3) bounds ripple
-    propagation per flush; residual dirtiness carries over to the
-    next flush. *)
+    having a flow whose committed rate changed by more than 1e-3
+    (relative), after the whole pass is committed (see above for the
+    order). The same threshold gates ripple: a link whose total
+    allocation moved by less than [1e-3 * cap] does not re-dirty its
+    members. [max_waves] (default 3) bounds ripple propagation per
+    flush; residual dirtiness carries over to the next flush. *)
 
 val add :
   'a t -> owner:int -> weight:float -> path:int array -> data:'a -> 'a flow
@@ -70,8 +68,6 @@ val add :
 val remove : 'a t -> now:float -> 'a flow -> unit
 (** Unregister (idempotent). [now] (seconds) timestamps the capacity
     release for the utilisation integrals. *)
-
-val set_weight : 'a t -> 'a flow -> float -> unit
 
 val set_avail : 'a t -> link:int -> float -> unit
 (** Capacity visible to the allocator on one link, clamped to
@@ -98,14 +94,11 @@ val rate : 'a flow -> float
 (** Committed allocation, bps (0 until the first flush). *)
 
 val weight : 'a flow -> float
-val link_cap : 'a t -> link:int -> float
 val link_avail : 'a t -> link:int -> float
 
 val link_alloc : 'a t -> link:int -> float
 (** Sum of committed member rates — what the hybrid model writes back
     into {!Sim_net.Link.set_reserved_bps}. *)
-
-val link_count : 'a t -> int
 
 val finalize : 'a t -> now:float -> unit
 (** Advance every link's utilisation integral to [now] (call once at

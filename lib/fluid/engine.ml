@@ -76,7 +76,6 @@ and t = {
   ledger : Sim_obs.Flow_ledger.t;  (* per-sim flow ledger; same discipline *)
   mss : int;
   iw : int;
-  flush_interval : float;  (* rate-rebalance quantum, seconds *)
   mutable flush_timer : Scheduler.Timer.t option;
   mutable active : int;
   mutable started : int;
@@ -114,6 +113,9 @@ let integrate c ~now =
 
 let the_timer c = match c.c_timer with Some tm -> tm | None -> assert false
 
+(* Rate-rebalance quantum, seconds of virtual time. *)
+let flush_interval = 2e-3
+
 (* Global rebalances are quantised: mutations mark the allocator
    dirty and this timer drains it every [flush_interval] of virtual
    time, so a burst of arrivals/departures pays for one ripple pass
@@ -124,7 +126,7 @@ let the_timer c = match c.c_timer with Some tm -> tm | None -> assert false
 let request_flush t =
   let tm = match t.flush_timer with Some tm -> tm | None -> assert false in
   if not (Scheduler.Timer.is_pending tm) then
-    Scheduler.Timer.schedule_after tm (Time.of_sec t.flush_interval)
+    Scheduler.Timer.schedule_after tm (Time.of_sec flush_interval)
 
 let on_flush_timer t =
   let dirty = Alloc.pending_dirty t.alloc in
@@ -323,8 +325,7 @@ let on_leg_rate flow =
     re_arm c ~now
   | Handshake | Draining | Finished -> ()
 
-let make ~sched ~cap_bps ?(params = Sim_tcp.Tcp_params.default)
-    ?(flush_interval = 2e-3) () =
+let make ~sched ~cap_bps ?(params = Sim_tcp.Tcp_params.default) () =
   let t =
     {
       sched;
@@ -336,7 +337,6 @@ let make ~sched ~cap_bps ?(params = Sim_tcp.Tcp_params.default)
       ledger = Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched);
       mss = params.Sim_tcp.Tcp_params.mss;
       iw = params.Sim_tcp.Tcp_params.initial_window;
-      flush_interval;
       flush_timer = None;
       active = 0;
       started = 0;
@@ -434,11 +434,7 @@ let finalize t = Alloc.finalize t.alloc ~now:(now_s t)
 let link_utilisation t ~link = Alloc.link_utilisation t.alloc ~link ~now:(now_s t)
 
 let conn_id c = c.c_id
-let conn_size c = c.c_size
-let conn_started c = c.c_started
-let conn_completed c = c.c_completed
 let conn_is_complete c = c.c_state = Finished
-let conn_switched c = c.c_switched
 
 let conn_fct c =
   match c.c_completed with

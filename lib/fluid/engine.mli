@@ -33,18 +33,16 @@ val make :
   sched:Sim_engine.Scheduler.t ->
   cap_bps:float array ->
   ?params:Sim_tcp.Tcp_params.t ->
-  ?flush_interval:float ->
   unit ->
   t
 (** [cap_bps.(id)] is link [id]'s capacity. [params] supplies the
-    slow-start model's [mss] and [initial_window]. [flush_interval]
-    (seconds of virtual time, default 2 ms) is the rate-rebalance
-    quantum: arrivals and departures mark the allocator dirty and a
-    single engine timer drains it once per quantum, so event bursts
-    share one global ripple pass. A starting connection still gets
-    its initial rate immediately from a local water-fill. Registers
-    engine-level gauges (component ["fluid"]) when the metrics
-    registry is enabled. *)
+    slow-start model's [mss] and [initial_window]. The rate-rebalance
+    quantum is 2 ms of virtual time: arrivals and departures mark the
+    allocator dirty and a single engine timer drains it once per
+    quantum, so event bursts share one global ripple pass. A starting
+    connection still gets its initial rate immediately from a local
+    water-fill. Registers engine-level gauges (component ["fluid"])
+    when the metrics registry is enabled. *)
 
 val start :
   t ->
@@ -84,16 +82,12 @@ val link_utilisation : t -> link:int -> float
 (** {1 Connection accessors} *)
 
 val conn_id : conn -> int
-val conn_size : conn -> int
-val conn_started : conn -> Sim_engine.Sim_time.t
-val conn_completed : conn -> Sim_engine.Sim_time.t option
 val conn_fct : conn -> Sim_engine.Sim_time.t option
 val conn_is_complete : conn -> bool
-val conn_switched : conn -> bool
 
 val conn_bytes : conn -> int
 (** Bytes delivered so far in this stage (excludes [done_bytes]);
-    exactly [conn_size] once the connection has completed. *)
+    exactly the connection's size once it has completed. *)
 
 (** {1 Engine counters} *)
 

@@ -16,8 +16,7 @@ let direct ~sched ?(spec = Topology.default_link_spec) () =
     ~dests:(Switch.dests ~hosts:2 ~size:1)
     ~path_count:no_paths
 
-let create ~sched ?(edge_spec = Topology.default_link_spec)
-    ?(bottleneck_spec = Topology.default_link_spec) ~pairs () =
+let create ~sched ?(bottleneck_spec = Topology.default_link_spec) ~pairs () =
   if pairs < 1 then invalid_arg "Dumbbell.create: pairs must be >= 1";
   let b = Builder.create sched in
   let n = 2 * pairs in
@@ -26,12 +25,13 @@ let create ~sched ?(edge_spec = Topology.default_link_spec)
   let dests = Switch.dests ~hosts:n ~size:pairs in
   let sw_left = Switch.create ~id:0 ~layer:Layer.Edge_layer ~dests in
   let sw_right = Switch.create ~id:1 ~layer:Layer.Edge_layer ~dests in
+  let spec = Topology.default_link_spec in
   let down =
     Array.init n (fun i ->
-        let up = Builder.make_link b ~spec:edge_spec ~layer:Layer.Host_layer in
+        let up = Builder.make_link b ~spec ~layer:Layer.Host_layer in
         Builder.to_switch up (if i < pairs then sw_left else sw_right);
         Host.add_nic hosts.(i) up;
-        let down = Builder.make_link b ~spec:edge_spec ~layer:Layer.Edge_layer in
+        let down = Builder.make_link b ~spec ~layer:Layer.Edge_layer in
         Builder.to_host down hosts.(i);
         down)
   in

@@ -6,7 +6,6 @@ val direct :
 
 val create :
   sched:Sim_engine.Scheduler.t ->
-  ?edge_spec:Topology.link_spec ->
   ?bottleneck_spec:Topology.link_spec ->
   pairs:int ->
   unit ->

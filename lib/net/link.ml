@@ -135,8 +135,6 @@ let stats t = t.st
 let set_reserved_bps t bps =
   t.reserved_bps <- Float.max 0. (Float.min bps t.rate_bps)
 
-let reserved_bps t = t.reserved_bps
-
 let utilisation t ~now =
   let n = Time.to_ns now in
   if n = 0 then 0. else float_of_int t.st.busy_ns /. float_of_int n

@@ -63,10 +63,5 @@ val set_reserved_bps : t -> float -> unit
     always drains. Clamped to [\[0, rate_bps\]]; 0 (the initial value)
     restores exact nominal-rate timing. *)
 
-val reserved_bps : t -> float
-
 val utilisation : t -> now:Sim_engine.Sim_time.t -> float
 (** Fraction of wall-clock time the transmitter has been busy. *)
-
-val tx_time : t -> bytes:int -> Sim_engine.Sim_time.t
-(** Serialisation delay for a packet of [bytes] bytes. *)

@@ -65,15 +65,10 @@ val max_sack_blocks : int
 
 (** {2 Header bits}
 
-    [bits] is the OR of the masks below. The [*_bits] constants are
-    the common whole-header values, mirroring the flag-record
-    constants the pooled representation replaced. *)
-
-val syn_bit : int
-val ack_bit : int
-val fin_bit : int
-val dup_bit : int
-(** Duplicate-arrival signal, a DSACK stand-in. *)
+    [bits] is an OR of SYN, ACK, FIN and DUP masks (DUP is a
+    duplicate-arrival signal, a DSACK stand-in). The [*_bits]
+    constants are the common whole-header values, mirroring the
+    flag-record constants the pooled representation replaced. *)
 
 val data_bits : int
 (** No flags: a plain data segment. *)
@@ -84,7 +79,7 @@ val syn_bits : int
 val syn_ack_bits : int
 
 val ack_bits : dup_seen:bool -> int
-(** [ack_bit] plus the requested signal bits — the receiver's ACK
+(** The ACK mask plus the requested signal bits — the receiver's ACK
     emission path, computed without allocating. *)
 
 val syn : t -> bool

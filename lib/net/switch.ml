@@ -16,10 +16,9 @@ type t = {
   layer : Layer.t;
   dests : dests;
   mutable table : entry array;
-  mutable forwarded : int;
 }
 
-let create ~id ~layer ~dests = { id; layer; dests; table = [||]; forwarded = 0 }
+let create ~id ~layer ~dests = { id; layer; dests; table = [||] }
 
 let id t = t.id
 let layer t = t.layer
@@ -33,7 +32,6 @@ let set_table t table =
 let entry t c = t.table.(c)
 
 let receive t pkt =
-  t.forwarded <- t.forwarded + 1;
   let d = Addr.to_int pkt.Packet.dst in
   let link =
     match t.table.(t.dests.cls.(d)) with
@@ -41,5 +39,3 @@ let receive t pkt =
     | Group { salt; links } -> Ecmp.pick pkt ~salt links
   in
   Link.send link pkt
-
-let forwarded t = t.forwarded

@@ -47,5 +47,3 @@ val entry : t -> int -> entry
 val receive : t -> Packet.t -> unit
 (** Forward a packet. Raises [Invalid_argument] if no table is
     installed. *)
-
-val forwarded : t -> int

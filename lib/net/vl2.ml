@@ -7,11 +7,10 @@ type params = {
   fabric_spec : Topology.link_spec;
 }
 
-let default_params ?(aggs = 4) ?(intermediates = 4) ?(tors = 16)
-    ?(hosts_per_tor = 4) () =
+let default_params ?(tors = 16) ?(hosts_per_tor = 4) () =
   {
-    aggs;
-    intermediates;
+    aggs = 4;
+    intermediates = 4;
     tors;
     hosts_per_tor;
     host_spec = Topology.default_link_spec;

@@ -29,7 +29,7 @@ type params = {
   fabric_spec : Topology.link_spec;
 }
 
-val default_params : ?aggs:int -> ?intermediates:int -> ?tors:int -> ?hosts_per_tor:int -> unit -> params
+val default_params : ?tors:int -> ?hosts_per_tor:int -> unit -> params
 (** Defaults: 4 aggs, 4 intermediates, 16 ToRs, 4 hosts/ToR = 64 hosts,
     matching the default FatTree scale. *)
 

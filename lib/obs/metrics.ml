@@ -65,7 +65,6 @@ let want_conn t conn =
     if hit then t.filter_matched <- true;
     hit
 
-let conn_filter t = if t.on then t.conns else None
 let conn_filter_matched t = t.filter_matched
 
 let note_component t component =

@@ -59,10 +59,6 @@ val want_conn : t -> int -> bool
 val now_ns : t -> int
 (** The registry's clock ([0] before {!enable}). *)
 
-val conn_filter : t -> int list option
-(** The [conns] restriction passed to {!enable} ([None] when the
-    registry is disabled or unrestricted). *)
-
 val conn_filter_matched : t -> bool
 (** Whether any {!want_conn} query (or conn-scoped {!emit}) matched
     while a [conns] filter was set. Lets callers detect a filter that

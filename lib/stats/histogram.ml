@@ -45,14 +45,14 @@ let bucket_bounds t i =
     (t.lo +. (float_of_int i *. w), t.lo +. (float_of_int (i + 1) *. w))
   end
 
-let render ?(width = 50) t =
+let render t =
   let buf = Buffer.create 256 in
   let maxc = Array.fold_left max 1 t.counts in
   Array.iteri
     (fun i c ->
       if c > 0 then begin
         let lo, hi = bucket_bounds t i in
-        let bar = String.make (max 1 (c * width / maxc)) '#' in
+        let bar = String.make (max 1 (c * 50 / maxc)) '#' in
         if i = t.buckets then
           Buffer.add_string buf (Printf.sprintf "%10.1f+      %6d %s\n" lo c bar)
         else

@@ -24,5 +24,6 @@ val merge : t -> t -> t
     [hi] or [buckets] — bucket-wise addition is only meaningful over
     an identical layout. *)
 
-val render : ?width:int -> t -> string
-(** ASCII rendering, one line per non-empty bucket. *)
+val render : t -> string
+(** ASCII rendering, one line per non-empty bucket; the fullest
+    bucket's bar is 50 characters wide. *)

@@ -33,6 +33,5 @@ let render t =
 
 
 let fms v = Printf.sprintf "%.1f" v
-let fnum v = Printf.sprintf "%.2f" v
 let pct v = Printf.sprintf "%.3f%%" (v *. 100.)
 let mbps v = Printf.sprintf "%.1f" (v /. 1e6)

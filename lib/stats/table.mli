@@ -15,7 +15,6 @@ val render : t -> string
 val fms : float -> string
 (** Milliseconds with 1 decimal. *)
 
-val fnum : float -> string
 val pct : float -> string
 (** Fraction rendered as a percentage with 3 decimals. *)
 

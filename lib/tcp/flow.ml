@@ -27,7 +27,7 @@ let create ~src ~dst ~size ~params ~coupled ~on_complete ~on_close =
          Dataplane.create ~sched ~size ~on_complete:(fun () ->
              let t = Lazy.force t in
              (* A still-armed deadline must not outlive the transfer:
-                cancel releases the timer's wheel slot. *)
+                cancel takes it off the scheduler's heap. *)
              Option.iter Scheduler.Timer.cancel t.deadline;
              Sim_obs.Flow_ledger.on_complete
                (Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched))
@@ -133,7 +133,6 @@ let start_mptcp ~src ~dst ~size ~subflows ?(params = Tcp_params.default)
 let conn t = t.conn
 let size t = Dataplane.size t.plane
 let plane t = t.plane
-let started_at t = t.started_at
 let completed_at t = Dataplane.completed_at t.plane
 
 let fct t =

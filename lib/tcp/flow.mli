@@ -101,7 +101,6 @@ val set_deadline : t -> Sim_engine.Scheduler.Timer.t -> unit
 val conn : t -> int
 val size : t -> int
 val plane : t -> Dataplane.t
-val started_at : t -> Time.t
 val completed_at : t -> Time.t option
 val fct : t -> Time.t option
 (** Completion time minus start time, once complete. *)

@@ -121,7 +121,6 @@ let handle t pkt =
   end
 
 let rcv_nxt t = t.rcv_nxt
-let unique_bytes t = Intervals.total t.received
 let acks_sent t = t.acks_sent
 let dup_segments t = t.dup_segments
 let reorder_spans t = Intervals.span_count t.received

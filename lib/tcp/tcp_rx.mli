@@ -33,7 +33,6 @@ val rcv_nxt : t -> int
 val delack_pending : t -> bool
 (** Whether the delayed-ACK timer is armed. *)
 
-val unique_bytes : t -> int
 val acks_sent : t -> int
 val dup_segments : t -> int
 val reorder_spans : t -> int

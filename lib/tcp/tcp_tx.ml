@@ -515,8 +515,6 @@ let state t = t.state
 let cwnd t = t.win.Cong.cwnd
 let ssthresh t = t.win.Cong.ssthresh
 let snd_una t = t.snd_una
-let snd_nxt t = t.snd_nxt
-let in_recovery t = t.recovery <> Normal
 let srtt t = Rtt_estimator.srtt t.rtt
 let rto t = current_rto t
 let stats t = t.st

@@ -83,8 +83,6 @@ val cwnd : t -> float
 val ssthresh : t -> float
 val flight : t -> int
 val snd_una : t -> int
-val snd_nxt : t -> int
-val in_recovery : t -> bool
 val srtt : t -> Time.t option
 val rto : t -> Time.t
 val rto_pending : t -> bool

@@ -28,8 +28,6 @@ let kind_of_string s =
     Error
       (Printf.sprintf "unknown flow model %S (expected packet|fluid|hybrid[:BYTES])" s)
 
-let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
-
 type protocol =
   | Tcp_proto
   | Mptcp_proto of { subflows : int; coupled : bool }

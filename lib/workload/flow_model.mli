@@ -40,8 +40,6 @@ val kind_of_string : string -> (kind, string) result
 (** Accepts ["packet"], ["fluid"], ["hybrid"] (default handoff) and
     ["hybrid:BYTES"]. *)
 
-val pp_kind : Format.formatter -> kind -> unit
-
 type protocol =
   | Tcp_proto
   | Mptcp_proto of { subflows : int; coupled : bool }

@@ -94,7 +94,7 @@ let backend : model -> (module Flow_model.BACKEND) = function
    per-event closures this pool replaced did. *)
 type arrival = { ar_host : int; ar_size : int; ar_long : bool }
 
-let run ?(progress = fun _ -> ()) (cfg : config) =
+let run (cfg : config) =
   (* The scheduler owns all per-simulation state (clock, event heap,
      and the Sim_ctx identifier counters), so a run is self-contained:
      same [cfg] in, same result out, regardless of what else runs in
@@ -183,10 +183,6 @@ let run ?(progress = fun _ -> ()) (cfg : config) =
         done)
       short_hosts
   end;
-  progress
-    (Printf.sprintf "scenario: %s on %s, %d hosts (%d long, %d short senders)"
-       (protocol_name cfg.protocol) topo.Sim_net.Topology.name n long_count
-       num_short);
   Scheduler.run ~until:cfg.horizon sched;
   (* Lifetime invariant (dev profile): a connection is closed only once
      it can never act again, so no packet may reach one. A packet for

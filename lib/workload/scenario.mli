@@ -117,7 +117,7 @@ type result = {
           was set; identical across job counts *)
 }
 
-val run : ?progress:(string -> unit) -> config -> result
+val run : config -> result
 (** Raises [Failure] when [config.obs.probe_conns] names only
     connections that never existed under the selected model — the
     message lists the components the model actually registered. In

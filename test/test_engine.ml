@@ -1,7 +1,6 @@
 (* Unit and property tests for the discrete-event engine. *)
 
 module Time = Sim_engine.Sim_time
-module Event_heap = Sim_engine.Event_heap
 module Scheduler = Sim_engine.Scheduler
 module Rng = Sim_engine.Rng
 
@@ -40,158 +39,6 @@ let test_time_negative_rejected () =
 let test_time_pp () =
   Alcotest.(check string) "ns" "500ns" (Time.to_string (Time.of_ns 500));
   Alcotest.(check string) "ms" "1.500ms" (Time.to_string (Time.of_ms 1.5))
-
-(* ------------------------------------------------------------------ *)
-(* Event_heap *)
-
-let test_heap_ordering () =
-  let h = Event_heap.create () in
-  Event_heap.push h ~time:30 ~seq:0 "c";
-  Event_heap.push h ~time:10 ~seq:1 "a";
-  Event_heap.push h ~time:20 ~seq:2 "b";
-  let pop () =
-    match Event_heap.pop h with Some (_, _, v) -> v | None -> "?"
-  in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ]
-
-let test_heap_fifo_ties () =
-  let h = Event_heap.create () in
-  for i = 0 to 9 do
-    Event_heap.push h ~time:5 ~seq:i i
-  done;
-  let order = List.init 10 (fun _ ->
-      match Event_heap.pop h with Some (_, _, v) -> v | None -> -1)
-  in
-  Alcotest.(check (list int)) "insertion order on tie" (List.init 10 Fun.id) order
-
-let test_heap_empty () =
-  let h = Event_heap.create () in
-  check_bool "empty" true (Event_heap.is_empty h);
-  check_bool "pop none" true (Event_heap.pop h = None);
-  check_bool "peek none" true (Event_heap.peek_time h = None)
-
-let test_heap_clear () =
-  let h = Event_heap.create () in
-  Event_heap.push h ~time:1 ~seq:0 ();
-  Event_heap.clear h;
-  check_int "cleared" 0 (Event_heap.length h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in (time, seq) order" ~count:200
-    QCheck.(list (int_bound 1000))
-    (fun times ->
-      let h = Event_heap.create () in
-      List.iteri (fun i t -> Event_heap.push h ~time:t ~seq:i t) times;
-      let rec drain acc =
-        match Event_heap.pop h with
-        | None -> List.rev acc
-        | Some (t, _, _) -> drain (t :: acc)
-      in
-      let popped = drain [] in
-      popped = List.sort compare popped
-      && List.length popped = List.length times)
-
-let test_heap_compact () =
-  let h = Event_heap.create () in
-  for i = 0 to 99 do
-    Event_heap.push h ~time:((i * 7919) mod 1000) ~seq:i i
-  done;
-  Event_heap.compact h ~keep:(fun ~time:_ ~seq:_ v -> v mod 3 = 0);
-  check_int "survivors" 34 (Event_heap.length h);
-  let rec drain acc =
-    match Event_heap.pop h with
-    | None -> List.rev acc
-    | Some (t, s, _) -> drain ((t, s) :: acc)
-  in
-  let keys = drain [] in
-  check_bool "still sorted after compact" true (keys = List.sort compare keys)
-
-(* ------------------------------------------------------------------ *)
-(* Timer_wheel: equivalence with a plain sorted structure *)
-
-module Timer_wheel = Sim_engine.Timer_wheel
-
-(* Drive a wheel (with the scheduler's heap-handoff protocol) and a
-   reference list through the same random schedule/cancel/advance
-   trace; both must fire the same events in the same (time, seq)
-   order. Times are spread across wheel levels by shifting, so the
-   trace exercises cascades, clamping and the level-0 cutoff. *)
-let prop_wheel_matches_heap =
-  QCheck.Test.make ~name:"wheel + handoff heap matches sorted reference"
-    ~count:200
-    QCheck.(list (pair (int_bound 4000) bool))
-    (fun trace ->
-      let wheel = Timer_wheel.create () in
-      let heap = Event_heap.create () in
-      let fired_wheel = ref [] in
-      let emit (e : Timer_wheel.entry) =
-        (* Late emission would be a wheel bug: the slot containing the
-           entry must not start after the entry's exact due time. *)
-        assert (Timer_wheel.cursor_ns wheel <= e.time);
-        e.state <- Timer_wheel.st_heap;
-        Event_heap.push heap ~time:e.time ~seq:e.seq e
-      in
-      let reference = ref [] in
-      let entries =
-        List.mapi
-          (fun i (t0, cancel) ->
-            (* Spread times across levels: every other event is shifted
-               up 8 bits so some land beyond level 0's span. *)
-            let time = 2048 + (t0 lsl (8 * (i mod 2))) in
-            let e = Timer_wheel.make_entry ignore () in
-            e.time <- time;
-            e.seq <- i;
-            if not (Timer_wheel.schedule wheel e) then begin
-              e.state <- Timer_wheel.st_heap;
-              Event_heap.push heap ~time ~seq:i e
-            end;
-            (e, time, cancel))
-          trace
-      in
-      (* Cancel the marked ones: wheel residents unlink in O(1);
-         heap residents become tombstones exactly as in the
-         scheduler's [detach]. *)
-      List.iter
-        (fun ((e : Timer_wheel.entry), time, cancel) ->
-          if cancel then begin
-            if e.state = Timer_wheel.st_wheel then Timer_wheel.cancel wheel e
-            else if e.state = Timer_wheel.st_heap then
-              e.state <- Timer_wheel.st_idle
-          end
-          else reference := (time, e.seq) :: !reference)
-        entries;
-      (* Advance in uneven steps well past the largest time. *)
-      let horizon = 2048 + (4000 lsl 8) + 10_000 in
-      let step = ref 0 in
-      while Timer_wheel.cursor_ns wheel < horizon do
-        let upto =
-          min horizon (Timer_wheel.cursor_ns wheel + 700 + (!step * 1013))
-        in
-        incr step;
-        Timer_wheel.advance wheel ~upto ~emit;
-        (* Drain everything the heap holds up to the cursor, as the
-           scheduler's run loop would. *)
-        while
-          Event_heap.top_time heap <> max_int
-          && Event_heap.top_time heap <= Timer_wheel.cursor_ns wheel
-        do
-          let t = Event_heap.top_time heap in
-          let s = Event_heap.top_seq heap in
-          let (e : Timer_wheel.entry) = Event_heap.top_value heap in
-          Event_heap.drop heap;
-          if e.state = Timer_wheel.st_heap && e.seq = s then begin
-            e.state <- Timer_wheel.st_fired;
-            fired_wheel := (t, s) :: !fired_wheel
-          end
-        done
-      done;
-      (* Anything still in the heap is due after the horizon — but the
-         horizon exceeds every event time, so both sides must be done. *)
-      let expected = List.sort compare (List.rev !reference) in
-      List.rev !fired_wheel = expected)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)
@@ -270,16 +117,6 @@ let test_scheduler_past_rejected () =
         (fun () -> at p (Time.of_ms 1.) ignore));
   Scheduler.run s
 
-let test_scheduler_max_events () =
-  let s = Scheduler.create () in
-  let p = actions s in
-  let count = ref 0 in
-  for i = 1 to 10 do
-    after p (Time.of_ms (float_of_int i)) (fun () -> incr count)
-  done;
-  Scheduler.run ~max_events:3 s;
-  check_int "bounded" 3 !count
-
 let test_scheduler_counts () =
   let s = Scheduler.create () in
   let p = actions s in
@@ -289,41 +126,126 @@ let test_scheduler_counts () =
   Scheduler.run s;
   check_int "processed" 2 (Scheduler.events_processed s)
 
-(* Random schedule/cancel trace against a sorted-list model: the
-   scheduler (wheel + heap + tombstones underneath) must fire exactly
-   the non-cancelled events in (time, insertion) order. Cancels happen
-   during the run, from an event scheduled earlier than the victim. *)
+(* Reference for the scheduler property: pending events in a map
+   sorted by (time, seq), fired by repeatedly taking the least key.
+   [arm] consumes one seq per call, like every scheduler arm. *)
+module Model = struct
+  module M = Map.Make (struct
+    type t = int * int
+
+    let compare (a, b) (c, d) = if a <> c then Int.compare a c else Int.compare b d
+  end)
+
+  type what = Fire of int | Do of (unit -> unit)
+
+  type t = {
+    mutable pending : what M.t;
+    mutable seq : int;
+    keys : (int, int * int) Hashtbl.t;  (* label -> key while pending *)
+    mutable log : (int * int) list;     (* (time, label), latest first *)
+  }
+
+  let create () = { pending = M.empty; seq = 0; keys = Hashtbl.create 16; log = [] }
+
+  let arm m time what =
+    let k = (time, m.seq) in
+    m.seq <- m.seq + 1;
+    m.pending <- M.add k what m.pending;
+    match what with Fire l -> Hashtbl.replace m.keys l k | Do _ -> ()
+
+  let unarm m l =
+    match Hashtbl.find_opt m.keys l with
+    | Some k ->
+      m.pending <- M.remove k m.pending;
+      Hashtbl.remove m.keys l
+    | None -> ()
+
+  let rec run m =
+    match M.min_binding_opt m.pending with
+    | None -> ()
+    | Some (((time, _) as k), what) ->
+      m.pending <- M.remove k m.pending;
+      (match what with
+      | Fire l ->
+        Hashtbl.remove m.keys l;
+        m.log <- (time, l) :: m.log
+      | Do f -> f ());
+      run m
+end
+
+type timer_op = Rearm_earlier | Rearm_later | Cancel_timer
+
+(* Random trace against the sorted reference: the scheduler must fire
+   exactly the events the model fires, at the same times and in the
+   same order. Two input kinds, each armed in the same order on both
+   sides:
+   - one-shot Event cells, some cancelled during the run by an event
+     due strictly earlier than the victim;
+   - re-armable Timers, each moved earlier, moved later or cancelled
+     by an event due before it fires. This removes and re-keys entries
+     in the middle of the heap; the re-arm takes the next seq when the
+     moving event fires, on both sides. *)
 let prop_scheduler_matches_model =
   QCheck.Test.make ~name:"scheduler matches sorted-list model" ~count:200
-    QCheck.(list (pair (int_bound 5_000_000) (option (int_bound 4_999_999))))
-    (fun trace ->
+    QCheck.(
+      pair
+        (list (pair (int_bound 5_000_000) (option (int_bound 4_999_999))))
+        (list
+           (triple (int_range 2 5_000_000) (int_bound 4_999_999)
+              (oneofl [ Rearm_earlier; Rearm_later; Cancel_timer ]))))
+    (fun (trace, timers) ->
       let s = Scheduler.create () in
       let p = actions s in
-      let fired = ref [] in
-      let handles =
-        List.mapi
-          (fun i (t_ns, cancel_at) ->
-          let h =
-            Scheduler.Event.schedule_at p (Time.of_ns t_ns) (fun () ->
-                fired := (t_ns, i) :: !fired)
-          in
-          (h, t_ns, cancel_at, i))
-          trace
+      let m = Model.create () in
+      let log = ref [] in
+      let note l = log := (Time.to_ns (Scheduler.now s), l) :: !log in
+      (* [f] runs at [time] on the scheduler, [g] at [time] in the model. *)
+      let act time f g =
+        at p (Time.of_ns time) f;
+        Model.arm m time (Model.Do g)
       in
-      (* A cancel only counts when it strictly precedes the victim's
-         due time; otherwise the victim fires first and the cancel is
-         a no-op on an already-fired event. *)
-      let expected = ref [] in
-      List.iter
-        (fun (h, t_ns, cancel_at, i) ->
+      List.iteri
+        (fun i (t_ns, cancel_at) ->
+          let c =
+            Scheduler.Event.schedule_at p (Time.of_ns t_ns) (fun () -> note i)
+          in
+          Model.arm m t_ns (Model.Fire i);
+          (* A cancel at or after the victim's due time would hit a
+             fired (possibly reissued) cell, so only earlier ones run. *)
           match cancel_at with
           | Some c_ns when c_ns < t_ns ->
-            at p (Time.of_ns c_ns) (fun () ->
-                ignore (Scheduler.Event.cancel p h))
-          | Some _ | None -> expected := (t_ns, i) :: !expected)
-        handles;
+            act c_ns
+              (fun () -> ignore (Scheduler.Event.cancel p c))
+              (fun () -> Model.unarm m i)
+          | Some _ | None -> ())
+        trace;
+      let n = List.length trace in
+      List.iteri
+        (fun j (t_ns, act_at, op) ->
+          let l = n + j in
+          let tm = Scheduler.Timer.create s note l in
+          Scheduler.Timer.schedule_at tm (Time.of_ns t_ns);
+          Model.arm m t_ns (Model.Fire l);
+          let act_ns = act_at mod t_ns in
+          match op with
+          | Cancel_timer ->
+            act act_ns
+              (fun () -> Scheduler.Timer.cancel tm)
+              (fun () -> Model.unarm m l)
+          | Rearm_earlier | Rearm_later ->
+            let t' =
+              if op = Rearm_earlier then act_ns + ((t_ns - act_ns) / 2)
+              else t_ns + 1 + act_ns
+            in
+            act act_ns
+              (fun () -> Scheduler.Timer.schedule_at tm (Time.of_ns t'))
+              (fun () ->
+                Model.unarm m l;
+                Model.arm m t' (Model.Fire l)))
+        timers;
       Scheduler.run s;
-      List.rev !fired = List.sort compare (List.rev !expected))
+      Model.run m;
+      List.rev !log = List.rev m.log)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler.Timer *)
@@ -371,30 +293,31 @@ let test_timer_seq_interleaving () =
     [ "timer"; "oneshot"; "oneshot2"; "timer" ]
     (List.rev !log)
 
-let test_scheduler_tombstones_and_compaction () =
+let test_scheduler_mass_cancel () =
+  (* Cancelling all but every 10th of 200 pending events removes the
+     cancelled ones from the heap at once: only the survivors count as
+     pending, and they still fire in order. *)
   let s = Scheduler.create () in
   let p = actions s in
-  (* 200 events within the level-0 cutoff (< 1024 ns), so they all land
-     in the heap; cancelling all but every 10th leaves 180 tombstones,
-     which must trip compaction (threshold: > 64 and > half the heap). *)
+  let fired = ref [] in
   let handles =
     List.init 200 (fun i ->
-        Scheduler.Event.schedule_at p (Time.of_ns (i mod 1000)) ignore)
+        Scheduler.Event.schedule_at p (Time.of_ns (i mod 1000)) (fun () ->
+            fired := i :: !fired))
   in
   List.iteri
     (fun i h -> if i mod 10 <> 0 then ignore (Scheduler.Event.cancel p h))
     handles;
   check_int "pending counts live only" 20 (Scheduler.pending_events s);
-  check_bool "compaction kept tombstones low" true
-    (Scheduler.cancelled_pending s <= 100);
   Scheduler.run s;
   check_int "survivors fired" 20 (Scheduler.events_processed s);
-  check_int "no pending after run" 0 (Scheduler.pending_events s);
-  check_int "no tombstones after run" 0 (Scheduler.cancelled_pending s)
+  Alcotest.(check (list int))
+    "survivors in order" (List.init 20 (fun i -> 10 * i)) (List.rev !fired);
+  check_int "no pending after run" 0 (Scheduler.pending_events s)
 
 let test_scheduler_far_future () =
-  (* An event beyond the wheel's ~9.8 h span takes the clamp path and
-     re-dispatches as the cursor reaches it; order is preserved. *)
+  (* An event ~14 h of virtual time out, armed before a near one,
+     still fires after it and moves the clock all the way there. *)
   let s = Scheduler.create () in
   let p = actions s in
   let log = ref [] in
@@ -589,16 +512,6 @@ let () =
           Alcotest.test_case "negative rejected" `Quick test_time_negative_rejected;
           Alcotest.test_case "pretty printing" `Quick test_time_pp;
         ] );
-      ( "event_heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "compact" `Quick test_heap_compact;
-          qt prop_heap_sorts;
-        ] );
-      ("timer_wheel", [ qt prop_wheel_matches_heap ]);
       ( "scheduler",
         [
           Alcotest.test_case "order and clock" `Quick test_scheduler_order_and_clock;
@@ -607,10 +520,9 @@ let () =
           Alcotest.test_case "run until" `Quick test_scheduler_until;
           Alcotest.test_case "nested scheduling" `Quick test_scheduler_nested_scheduling;
           Alcotest.test_case "past rejected" `Quick test_scheduler_past_rejected;
-          Alcotest.test_case "max events" `Quick test_scheduler_max_events;
           Alcotest.test_case "counters" `Quick test_scheduler_counts;
           Alcotest.test_case "tombstones and compaction" `Quick
-            test_scheduler_tombstones_and_compaction;
+            test_scheduler_mass_cancel;
           Alcotest.test_case "far-future clamp" `Quick test_scheduler_far_future;
           qt prop_scheduler_matches_model;
         ] );

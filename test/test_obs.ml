@@ -90,8 +90,8 @@ let test_sampler_ticks_and_rows () =
   Scheduler.run ~until:(Time.of_ms 100.) sched;
   let c = Probe.capture p in
   check_int "10 ticks over 100ms" 10 (Probe.ticks p);
-  (* 5 scheduler self-profiling gauges + ours, one row each per tick. *)
-  check_int "rows = ticks * gauges" (10 * 6) (Array.length c.Capture.samples);
+  (* 4 scheduler self-profiling gauges + ours, one row each per tick. *)
+  check_int "rows = ticks * gauges" (10 * 5) (Array.length c.Capture.samples);
   let our_rows =
     Array.to_list c.Capture.samples
     |> List.filter (fun (_, i, _) ->
