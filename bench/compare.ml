@@ -5,10 +5,10 @@
 
    Exits 1 if any benchmark present in both files regressed by more
    than the time threshold (default 10%) in ns/run, or by more than
-   the allocation threshold (default 10%) in minor words/run.
-   Benchmarks that exist in only one file are reported but never fail
-   the gate, so adding or retiring a benchmark does not need a
-   baseline refresh in the same commit.
+   the allocation threshold (default 10%) in minor words/run, or if a
+   baseline benchmark is missing from the current run: retiring a
+   benchmark deletes its baseline row in the same commit. A benchmark
+   only in the current run is reported as new and passes.
 
    Minor words are gated as well as printed: the typed event path
    exists to hold allocation down, and a "faster but allocates more"
@@ -130,16 +130,15 @@ let () =
         Printf.printf "%-32s %12.1f %12.1f %+7.1f%%%s  (mw %.0f, %+.1f%%)\n"
           name base_ns cur_ns delta flag cur_mw mw_delta)
     current;
-  List.iter
-    (fun (name, _) ->
-      if not (List.mem_assoc name current) then
-        Printf.printf "%-32s (removed)\n" name)
-    baseline;
-  if !regressions > 0 then begin
+  let missing =
+    List.filter (fun (name, _) -> not (List.mem_assoc name current)) baseline
+  in
+  List.iter (fun (name, _) -> Printf.printf "%-32s  MISSING\n" name) missing;
+  if !regressions > 0 || missing <> [] then begin
     Printf.printf
       "\n%d benchmark(s) regressed more than %.0f%% (time) / %.0f%% (minor \
-       words)\n"
-      !regressions threshold mw_threshold;
+       words), %d baseline benchmark(s) missing\n"
+      !regressions threshold mw_threshold (List.length missing);
     exit 1
   end
   else

@@ -5,8 +5,11 @@
    - churn:sched  schedule/re-arm/cancel cost of the timer population
    - packet:*     one serialise-then-deliver hop through a Link, and a
                   complete short TCP transfer
-   - fig1a:inner  one tiny-scale MMPTCP scenario — the inner loop the
-                  fig1a experiment repeats per (size, protocol) point
+   - obs:*        the same transfer probed, and with the ledger
+                  recording (A/B against packet:tcp-70KB)
+
+   End-to-end workloads are perfbench's (perfbench/README.md), whose
+   work counters CI pins.
 
    Default mode runs bechamel and writes per-benchmark estimates to
    BENCH_engine.json (override with --out FILE). --smoke executes every
@@ -15,8 +18,6 @@
 
 module Stime = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler
-module Scale = Sim_experiments.Scale
-module Scenario = Sim_workload.Scenario
 
 open Bechamel
 open Toolkit
@@ -136,113 +137,6 @@ let tcp_transfer_ledgered () =
   assert (Sim_obs.Flow_ledger.count ledger = 1)
 
 (* ------------------------------------------------------------------ *)
-(* fig1a inner loop: one MMPTCP scenario at tiny scale — what the
-   fig1a experiment runs once per (flow-size, protocol) point. *)
-
-let fig1a_inner () =
-  let cfg =
-    Scale.scenario_config Scale.tiny
-      ~protocol:(Scenario.Mmptcp_proto Mmptcp.Strategy.default)
-  in
-  ignore (Scenario.run cfg)
-
-(* ------------------------------------------------------------------ *)
-(* fluid path: the flow-level engine end to end — 10k short transfers
-   over 64 shared links, staggered arrivals, light load. Exercises the
-   allocator's incremental water-fill, the quantum-batched flush timer
-   and the closed-form byte integration; this is the per-flow cost the
-   ext-scale experiment multiplies by 10^5. *)
-
-let fluid_flows () =
-  let sched = Scheduler.create () in
-  let eng = Sim_fluid.Engine.make ~sched ~cap_bps:(Array.make 64 1e9) () in
-  let completed = ref 0 in
-  let arrivals =
-    Scheduler.Event.pool sched ~fire:(fun i ->
-        ignore
-          (Sim_fluid.Engine.start eng
-             ~legs:
-               [|
-                 {
-                   Sim_fluid.Engine.path = [| i mod 32; 32 + (i * 7 mod 32) |];
-                   weight = 1.;
-                   rtt_s = 1e-4;
-                 };
-               |]
-             ~size:70_000
-             ~on_complete:(fun _ -> incr completed)
-             ()))
-  in
-  for i = 0 to 9_999 do
-    ignore
-      (Scheduler.Event.schedule_at arrivals
-         (Stime.of_us (float_of_int i *. 100.))
-         i)
-  done;
-  Scheduler.run sched;
-  assert (!completed = 10_000)
-
-(* The same 10k-flow fluid drive with the ledger recording every
-   lifecycle: per-flow cost of a ledger cell plus the hook writes the
-   engine makes (handshake, completion) — what `--ledger` adds to an
-   ext-scale-sized run. *)
-let ledger_fluid_flows () =
-  let sched = Scheduler.create () in
-  let ledger = Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched) in
-  Sim_obs.Flow_ledger.enable ledger ~clock_ns:(fun () ->
-      Stime.to_ns (Scheduler.now sched));
-  let eng = Sim_fluid.Engine.make ~sched ~cap_bps:(Array.make 64 1e9) () in
-  let completed = ref 0 in
-  let arrivals =
-    Scheduler.Event.pool sched ~fire:(fun i ->
-        let c =
-          Sim_fluid.Engine.start eng
-            ~legs:
-              [|
-                {
-                  Sim_fluid.Engine.path = [| i mod 32; 32 + (i * 7 mod 32) |];
-                  weight = 1.;
-                  rtt_s = 1e-4;
-                };
-              |]
-            ~size:70_000
-            ~on_complete:(fun _ -> incr completed)
-            ()
-        in
-        Sim_obs.Flow_ledger.on_start ledger
-          ~conn:(Sim_fluid.Engine.conn_id c) ~src:(i mod 32)
-          ~dst:(32 + (i * 7 mod 32))
-          ~size:70_000 ~long:false)
-  in
-  for i = 0 to 9_999 do
-    ignore
-      (Scheduler.Event.schedule_at arrivals
-         (Stime.of_us (float_of_int i *. 100.))
-         i)
-  done;
-  Scheduler.run sched;
-  assert (!completed = 10_000);
-  assert (Sim_obs.Flow_ledger.count ledger = 10_000)
-
-(* hybrid path: a tiny-scale FatTree scenario where every 70 KB short
-   flow starts packet-level and promotes to fluid at 10 KB — the
-   handoff machinery (byte-threshold watch, leg re-resolution,
-   residual-capacity coupling) exercised 1000 times. *)
-
-let hybrid_handoff () =
-  let cfg =
-    {
-      (Scale.scenario_config Scale.tiny
-         ~protocol:(Scenario.Mptcp_proto { subflows = 8; coupled = true }))
-      with
-      Scenario.model = Scenario.Hybrid { handoff_bytes = 10_000 };
-      short_flows = 1_000;
-    }
-  in
-  let r = Scenario.run cfg in
-  assert (Array.length r.Scenario.shorts = 1_000)
-
-(* ------------------------------------------------------------------ *)
 
 let benchmarks =
   [
@@ -251,25 +145,6 @@ let benchmarks =
     ("packet:tcp-70KB", tcp_transfer);
     ("obs:tcp-70KB-probed", tcp_transfer_probed);
     ("obs:tcp-70KB-ledgered", tcp_transfer_ledgered);
-    ("fig1a:inner-loop", fig1a_inner);
-    ("fluid:10k-flows", fluid_flows);
-    ("obs:ledger-10k-flows", ledger_fluid_flows);
-    ("hybrid:handoff-1k", hybrid_handoff);
-  ]
-
-(* Benchmarks whose single run is heavyweight (hundreds of ms and up).
-   Under the adaptive sampler a ~2 s body gets one or two samples
-   whose iteration counts differ run to run, which alone moved
-   fig1a:inner-loop ~15% between otherwise identical invocations.
-   These get a pinned config instead: every sample executes the body
-   exactly once ([~start:1 ~sampling:(`Linear 0)]), a fixed number of
-   times, so two invocations of the suite do identical work. *)
-let heavy =
-  [
-    "fig1a:inner-loop";
-    "fluid:10k-flows";
-    "obs:ledger-10k-flows";
-    "hybrid:handoff-1k";
   ]
 
 (* Per benchmark: (name, ns/run, minor words/run). Minor words are the
@@ -283,48 +158,31 @@ let run_bechamel () =
   let instances = Instance.[ monotonic_clock; minor_allocated ] in
   (* Warmup: run every body once before any measurement so lazy
      initialisation, code page-in and heap growth land outside the
-     measured window, then start each group from a compacted heap. *)
+     measured window, then start from a compacted heap. *)
   List.iter (fun (_, f) -> f ()) benchmarks;
-  let measure cfg tests_list =
-    match tests_list with
-    | [] -> []
-    | _ ->
-      Gc.compact ();
-      let tests =
-        List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) tests_list
-      in
-      let grouped = Test.make_grouped ~name:"engine" ~fmt:"%s/%s" tests in
-      let raw = Benchmark.all cfg instances grouped in
-      let estimates instance =
-        let results = Analyze.all ols instance raw in
-        Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-        |> List.sort compare
-        |> List.filter_map (fun (name, ols) ->
-               match Analyze.OLS.estimates ols with
-               | Some (est :: _) -> Some (name, est)
-               | Some [] | None -> None)
-      in
-      let ns = estimates Instance.monotonic_clock in
-      let mw = estimates Instance.minor_allocated in
-      List.map
-        (fun (name, t) ->
-          (name, t, Option.value ~default:0. (List.assoc_opt name mw)))
-        ns
-  in
-  let light_cfg =
+  Gc.compact ();
+  let cfg =
     Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) ~kde:None ~stabilize:false
       ()
   in
-  let heavy_cfg =
-    Benchmark.cfg ~start:1 ~sampling:(`Linear 0) ~limit:4
-      ~quota:(Time.second 15.0) ~kde:None ~stabilize:false ()
+  let tests =
+    List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) benchmarks
   in
-  let is_heavy (name, _) = List.mem name heavy in
-  let rows =
-    measure light_cfg (List.filter (fun b -> not (is_heavy b)) benchmarks)
-    @ measure heavy_cfg (List.filter is_heavy benchmarks)
+  let grouped = Test.make_grouped ~name:"engine" ~fmt:"%s/%s" tests in
+  let raw = Benchmark.all cfg instances grouped in
+  let estimates instance =
+    let results = Analyze.all ols instance raw in
+    Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
+    |> List.sort compare
+    |> List.filter_map (fun (name, ols) ->
+           match Analyze.OLS.estimates ols with
+           | Some (est :: _) -> Some (name, est)
+           | Some [] | None -> None)
   in
-  List.sort compare rows
+  let mw = estimates Instance.minor_allocated in
+  List.map
+    (fun (name, t) -> (name, t, Option.value ~default:0. (List.assoc_opt name mw)))
+    (estimates Instance.monotonic_clock)
 
 let pretty ns =
   if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
@@ -344,22 +202,6 @@ let write_json path rows =
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "}\n";
-  close_out oc
-
-(* One JSONL line per invocation, appended to the committed
-   BENCH_history.jsonl. Commit and date arrive as arguments — sampling
-   them here would make reruns of the same tree disagree — so the line
-   is a pure function of (tree, machine). *)
-let append_history path ~commit ~date rows =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  Printf.fprintf oc "{\"commit\": %S, \"date\": %S, \"results\": {" commit date;
-  List.iteri
-    (fun i (name, ns, mw) ->
-      Printf.fprintf oc "%s%S: {\"ns_per_run\": %.1f, \"mw_per_run\": %.1f}"
-        (if i = 0 then "" else ", ")
-        name ns mw)
-    rows;
-  output_string oc "}}\n";
   close_out oc
 
 let () =
@@ -391,12 +233,5 @@ let () =
         Printf.printf "%-32s %16s %16.0f\n" name (pretty ns) mw)
       rows;
     write_json out rows;
-    Printf.printf "\nwrote %s\n" out;
-    match opt "--history" with
-    | None -> ()
-    | Some path ->
-      let commit = Option.value ~default:"unknown" (opt "--commit") in
-      let date = Option.value ~default:"unknown" (opt "--date") in
-      append_history path ~commit ~date rows;
-      Printf.printf "appended %s\n" path
+    Printf.printf "\nwrote %s\n" out
   end
