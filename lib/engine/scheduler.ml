@@ -4,7 +4,7 @@
    Every armed event carries a unique (time, seq) key; seq is a single
    monotone counter consumed once per arm, so events due at the same
    instant fire in the order they were armed. Each entry records its
-   own heap index in [pos], so cancelling or re-arming a pending entry
+   own heap index in [pos], so cancelling or re-arming a pending timer
    removes or re-keys it in place in O(log n) and nothing stale is left
    for the run loop to skip. *)
 
@@ -179,27 +179,17 @@ module Event = struct
      Each cell owns its heap entry and a payload slot; the entry's
      [run] points back at the cell, so the steady-state path —
      acquire, fill payload, arm — allocates nothing. Cells return to
-     the pool's freelist the moment they fire or are cancelled.
+     the pool's freelist the moment they fire.
 
      The freelist is a plain array stack (the Packet pool's idiom);
      it starts empty and takes its first backing array from the first
      released cell, so no dummy payload value is ever needed. Freed
      slots above [free_count] keep stale cell pointers alive — cells
      are pool members for the scheduler's lifetime, so this pins no
-     memory that was not already pinned.
-
-     Cell generation parity mirrors the packet-pool sanitizer: odd
-     while armed, even while pooled. [cancel] on an even-generation
-     cell is a use-after-free (the event already fired, or was
-     cancelled) and raises when the sanitizer is compiled in. Like
-     the packet pool, ABA reuse — cancelling a stale handle after the
-     cell was re-acquired for a new event — is outside the parity
-     check and must be avoided by contract (DESIGN.md §4j): only the
-     scheduling site may hold a cell, and only until fire/cancel. *)
+     memory that was not already pinned. *)
   type 'a cell = {
     c_entry : entry;
     mutable c_payload : 'a;
-    mutable c_gen : int;
     c_pool : 'a pool;
   }
 
@@ -214,7 +204,6 @@ module Event = struct
     { p_sched = sched; p_fire = fire; p_free = [||]; p_free_count = 0 }
 
   let release p c =
-    c.c_gen <- c.c_gen + 1;  (* armed (odd) -> pooled (even) *)
     if p.p_free_count = Array.length p.p_free then begin
       let a = Array.make (max 8 (2 * p.p_free_count)) c in
       Array.blit p.p_free 0 a 0 p.p_free_count;
@@ -239,14 +228,11 @@ module Event = struct
       p.p_free_count <- p.p_free_count - 1;
       let c = p.p_free.(p.p_free_count) in
       p.p_sched.cells_free <- p.p_sched.cells_free - 1;
-      c.c_gen <- c.c_gen + 1;  (* pooled (even) -> armed (odd) *)
       c.c_payload <- v;
       c
     end
     else begin
-      let c =
-        { c_entry = make_entry ignore (); c_payload = v; c_gen = 1; c_pool = p }
-      in
+      let c = { c_entry = make_entry ignore (); c_payload = v; c_pool = p } in
       c.c_entry.run <- Run (fire_cell, c);
       p.p_sched.cells_allocated <- p.p_sched.cells_allocated + 1;
       c
@@ -255,25 +241,8 @@ module Event = struct
   let schedule_at p time v =
     if Sim_time.(time < p.p_sched.now) then
       invalid_arg "Scheduler.Event.schedule_at: time is in the past";
-    let c = acquire p v in
-    arm p.p_sched c.c_entry time;
-    c
+    arm p.p_sched (acquire p v).c_entry time
 
   let schedule_after p delay v =
     schedule_at p (Sim_time.add p.p_sched.now delay) v
-
-  let is_pending c = c.c_entry.pos >= 0
-
-  let cancel p c =
-    if Sanitizer_mode.on && c.c_gen land 1 = 0 then
-      invalid_arg
-        "Scheduler.Event.cancel: cell is not armed (already fired or \
-         cancelled — stale cell handle)";
-    if is_pending c then begin
-      remove p.p_sched c.c_entry;
-      let v = c.c_payload in
-      release p c;
-      Some v
-    end
-    else None
 end

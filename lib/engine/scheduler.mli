@@ -11,9 +11,9 @@
     pool of one-shot typed {!Event} cells (packets in flight,
     arrivals).
 
-    Each entry records its own heap index, so cancelling removes it
-    and re-arming a pending timer re-keys it in place, both in
-    O(log n); the heap never holds a cancelled event. *)
+    Each entry records its own heap index, so cancelling a timer
+    removes it and re-arming a pending one re-keys it in place, both
+    in O(log n); the heap never holds a cancelled event. *)
 
 type t
 
@@ -78,17 +78,15 @@ end
     A pool is created once per scheduling site with a fixed fire
     function; each [schedule_*] then fills a pooled cell (entry +
     payload slot) and arms it, allocating nothing in steady state.
-    Cells return to the pool when they fire or are cancelled, so the
-    pool's size is the high-water mark of simultaneously in-flight
-    events (a link's pool holds about bandwidth-delay-product cells).
+    Events are fire-and-forget: nothing cancels one, and its cell
+    returns to the pool when it fires, so the pool's size is the
+    high-water mark of simultaneously in-flight events (a link's pool
+    holds about bandwidth-delay-product cells). Work that may need
+    cancelling (RTO, delayed ACK, deadlines) is a {!Timer}.
 
     Ownership contract (DESIGN.md §4j): scheduling a payload moves
     ownership into the pending event; the fire function receives it
-    back. Only the scheduling site may hold the returned cell, and
-    only until the event fires or is cancelled — a cell handle kept
-    past that is a use-after-free (the cell is reissued to a later
-    event), caught by generation parity when the sanitizer profile is
-    compiled in. For [Packet.t] payloads this is the same single-owner
+    back. For [Packet.t] payloads this is the same single-owner
     contract D007 enforces: handing a raw pooled packet to
     [Event.schedule_*] is flagged outside pool-implementation
     modules. *)
@@ -98,25 +96,12 @@ module Event : sig
   type 'a pool
   (** A pool of event cells sharing one fire function. *)
 
-  type 'a cell
-  (** A cell armed by [schedule_*]; valid until its event fires or is
-      cancelled, then owned by the pool again. *)
-
   val pool : sched -> fire:('a -> unit) -> 'a pool
 
-  val schedule_at : 'a pool -> Sim_time.t -> 'a -> 'a cell
+  val schedule_at : 'a pool -> Sim_time.t -> 'a -> unit
   (** Arm a pooled cell carrying the payload (one seq consumed per
       arm, like a {!Timer} arm). Raises [Invalid_argument] on past
       times. *)
 
-  val schedule_after : 'a pool -> Sim_time.t -> 'a -> 'a cell
-
-  val cancel : 'a pool -> 'a cell -> 'a option
-  (** [cancel p c] unlinks a pending event and hands the payload back
-      to the caller (who owns it again — for a packet that means
-      freeing or re-scheduling it). [None] if the event already fired.
-      Raises [Invalid_argument] under the sanitizer profile when [c]
-      is a stale handle (its event already fired or was cancelled). *)
-
-  val is_pending : 'a cell -> bool
+  val schedule_after : 'a pool -> Sim_time.t -> 'a -> unit
 end

@@ -78,7 +78,7 @@ let rec tx_done t pkt =
   let target = Time.add (Time.add (Scheduler.now t.sched) t.delay) extra in
   let when_ = Time.max target t.last_delivery in
   t.last_delivery <- when_;
-  ignore (Scheduler.Event.schedule_at (the_pool t.rx_pool) when_ pkt);
+  Scheduler.Event.schedule_at (the_pool t.rx_pool) when_ pkt;
   pump t
 
 and pump t =
@@ -91,7 +91,7 @@ and pump t =
     t.st.tx_bytes <- t.st.tx_bytes + pkt.Packet.size;
     t.st.busy_ns <- t.st.busy_ns + Time.to_ns tx;
     List.iter (fun tap -> tap pkt) t.taps;
-    ignore (Scheduler.Event.schedule_after (the_pool t.tx_pool) tx pkt)
+    Scheduler.Event.schedule_after (the_pool t.tx_pool) tx pkt
 
 let create ?(jitter = Time.of_us 5.) ~sched ~rate_bps ~delay ~queue ~id () =
   if rate_bps <= 0. then invalid_arg "Link.create: rate must be positive";

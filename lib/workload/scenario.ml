@@ -158,9 +158,8 @@ let run (cfg : config) =
   Array.iter
     (fun h ->
       let jitter = Time.of_us (Rng.float rng 10_000.) in
-      ignore
-        (Scheduler.Event.schedule_after arrivals jitter
-           { ar_host = h; ar_size = cfg.long_size; ar_long = true }))
+      Scheduler.Event.schedule_after arrivals jitter
+        { ar_host = h; ar_size = cfg.long_size; ar_long = true })
     long_hosts;
   (* Short flows: Poisson process per short host; the global flow
      budget is spread evenly across hosts. *)
@@ -177,9 +176,8 @@ let run (cfg : config) =
         for _ = 1 to flows do
           let gap = Rng.exponential rng ~mean:(1. /. cfg.short_rate) in
           t := Time.add !t (Time.of_sec gap);
-          ignore
-            (Scheduler.Event.schedule_at arrivals !t
-               { ar_host = h; ar_size = cfg.short_size; ar_long = false })
+          Scheduler.Event.schedule_at arrivals !t
+            { ar_host = h; ar_size = cfg.short_size; ar_long = false }
         done)
       short_hosts
   end;

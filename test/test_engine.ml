@@ -46,8 +46,8 @@ let test_time_pp () =
 (* One-shot actions for these tests: an Event pool whose payload is the
    action itself. *)
 let actions s = Scheduler.Event.pool s ~fire:(fun f -> f ())
-let after p delay f = ignore (Scheduler.Event.schedule_after p delay f)
-let at p time f = ignore (Scheduler.Event.schedule_at p time f)
+let after p delay f = Scheduler.Event.schedule_after p delay f
+let at p time f = Scheduler.Event.schedule_at p time f
 
 let test_scheduler_order_and_clock () =
   let s = Scheduler.create () in
@@ -72,17 +72,6 @@ let test_scheduler_same_time_fifo () =
   done;
   Scheduler.run s;
   Alcotest.(check (list int)) "fifo" [ 0; 1; 2; 3; 4 ] (List.rev !log)
-
-let test_scheduler_cancel () =
-  let s = Scheduler.create () in
-  let p = actions s in
-  let fired = ref false in
-  let c = Scheduler.Event.schedule_after p (Time.of_ms 1.) (fun () -> fired := true) in
-  check_bool "cancel hands the action back" true
-    (Option.is_some (Scheduler.Event.cancel p c));
-  check_bool "not pending" false (Scheduler.Event.is_pending c);
-  Scheduler.run s;
-  check_bool "cancelled did not fire" false !fired
 
 let test_scheduler_until () =
   let s = Scheduler.create () in
@@ -179,8 +168,7 @@ type timer_op = Rearm_earlier | Rearm_later | Cancel_timer
    exactly the events the model fires, at the same times and in the
    same order. Two input kinds, each armed in the same order on both
    sides:
-   - one-shot Event cells, some cancelled during the run by an event
-     due strictly earlier than the victim;
+   - one-shot Event cells;
    - re-armable Timers, each moved earlier, moved later or cancelled
      by an event due before it fires. This removes and re-keys entries
      in the middle of the heap; the re-arm takes the next seq when the
@@ -189,7 +177,7 @@ let prop_scheduler_matches_model =
   QCheck.Test.make ~name:"scheduler matches sorted-list model" ~count:200
     QCheck.(
       pair
-        (list (pair (int_bound 5_000_000) (option (int_bound 4_999_999))))
+        (list (int_bound 5_000_000))
         (list
            (triple (int_range 2 5_000_000) (int_bound 4_999_999)
               (oneofl [ Rearm_earlier; Rearm_later; Cancel_timer ]))))
@@ -205,19 +193,9 @@ let prop_scheduler_matches_model =
         Model.arm m time (Model.Do g)
       in
       List.iteri
-        (fun i (t_ns, cancel_at) ->
-          let c =
-            Scheduler.Event.schedule_at p (Time.of_ns t_ns) (fun () -> note i)
-          in
-          Model.arm m t_ns (Model.Fire i);
-          (* A cancel at or after the victim's due time would hit a
-             fired (possibly reissued) cell, so only earlier ones run. *)
-          match cancel_at with
-          | Some c_ns when c_ns < t_ns ->
-            act c_ns
-              (fun () -> ignore (Scheduler.Event.cancel p c))
-              (fun () -> Model.unarm m i)
-          | Some _ | None -> ())
+        (fun i t_ns ->
+          at p (Time.of_ns t_ns) (fun () -> note i);
+          Model.arm m t_ns (Model.Fire i))
         trace;
       let n = List.length trace in
       List.iteri
@@ -294,20 +272,20 @@ let test_timer_seq_interleaving () =
     (List.rev !log)
 
 let test_scheduler_mass_cancel () =
-  (* Cancelling all but every 10th of 200 pending events removes the
+  (* Cancelling all but every 10th of 200 pending timers removes the
      cancelled ones from the heap at once: only the survivors count as
      pending, and they still fire in order. *)
   let s = Scheduler.create () in
-  let p = actions s in
   let fired = ref [] in
-  let handles =
+  let timers =
     List.init 200 (fun i ->
-        Scheduler.Event.schedule_at p (Time.of_ns (i mod 1000)) (fun () ->
-            fired := i :: !fired))
+        let tm = Scheduler.Timer.create s (fun i -> fired := i :: !fired) i in
+        Scheduler.Timer.schedule_at tm (Time.of_ns i);
+        tm)
   in
   List.iteri
-    (fun i h -> if i mod 10 <> 0 then ignore (Scheduler.Event.cancel p h))
-    handles;
+    (fun i tm -> if i mod 10 <> 0 then Scheduler.Timer.cancel tm)
+    timers;
   check_int "pending counts live only" 20 (Scheduler.pending_events s);
   Scheduler.run s;
   check_int "survivors fired" 20 (Scheduler.events_processed s);
@@ -343,53 +321,16 @@ let test_event_cell_reuse () =
     incr count;
     if n > 0 then
       match !pool_ref with
-      | Some p -> ignore (Scheduler.Event.schedule_after p (Time.of_ms 1.) (n - 1))
+      | Some p -> Scheduler.Event.schedule_after p (Time.of_ms 1.) (n - 1)
       | None -> assert false
   in
   let p = Scheduler.Event.pool s ~fire in
   pool_ref := Some p;
-  ignore (Scheduler.Event.schedule_after p (Time.of_ms 1.) 5);
+  Scheduler.Event.schedule_after p (Time.of_ms 1.) 5;
   Scheduler.run s;
   check_int "whole chain fired" 6 !count;
   check_int "one cell ever allocated" 1 (Scheduler.event_cells_allocated s);
   check_int "cell back in the pool" 1 (Scheduler.event_cells_free s)
-
-let test_event_cancel_then_rearm () =
-  let s = Scheduler.create () in
-  let got = ref [] in
-  let p = Scheduler.Event.pool s ~fire:(fun v -> got := v :: !got) in
-  let c = Scheduler.Event.schedule_after p (Time.of_ms 1.) 42 in
-  check_bool "pending after arm" true (Scheduler.Event.is_pending c);
-  (match Scheduler.Event.cancel p c with
-  | Some v -> check_int "cancel hands the payload back" 42 v
-  | None -> Alcotest.fail "cancel of an armed cell must return its payload");
-  check_bool "idle after cancel" false (Scheduler.Event.is_pending c);
-  Scheduler.run s;
-  check_bool "cancelled event never fired" true (!got = []);
-  (* The cancelled cell is pool property again: the next arm reuses it. *)
-  ignore (Scheduler.Event.schedule_after p (Time.of_ms 1.) 7);
-  check_int "cancelled cell reused" 1 (Scheduler.event_cells_allocated s);
-  Scheduler.run s;
-  Alcotest.(check (list int)) "re-arm fires with the new payload" [ 7 ] !got
-
-let test_event_stale_cancel () =
-  (* Cancelling a cell whose event already fired is a use-after-free
-     on the cell: the pool may have reissued it. Generation parity
-     catches it in the sanitizer profile; compiled out, the cancel is
-     a silent no-op (the entry is idle). *)
-  let s = Scheduler.create () in
-  let p = Scheduler.Event.pool s ~fire:(fun (_ : int) -> ()) in
-  let c = Scheduler.Event.schedule_after p (Time.of_ms 1.) 0 in
-  Scheduler.run s;
-  if Sim_engine.Sanitizer_mode.on then
-    Alcotest.check_raises "stale handle trips the sanitizer"
-      (Invalid_argument
-         "Scheduler.Event.cancel: cell is not armed (already fired or \
-          cancelled — stale cell handle)")
-      (fun () -> ignore (Scheduler.Event.cancel p c))
-  else
-    check_bool "stale cancel is a no-op without the sanitizer" true
-      (Scheduler.Event.cancel p c = None)
 
 let test_event_pool_accounting () =
   (* Cells allocate at the high-water mark of in-flight events and
@@ -398,7 +339,7 @@ let test_event_pool_accounting () =
   let fired = ref 0 in
   let p = Scheduler.Event.pool s ~fire:(fun (_ : int) -> incr fired) in
   for i = 1 to 8 do
-    ignore (Scheduler.Event.schedule_after p (Time.of_ms (float_of_int i)) i)
+    Scheduler.Event.schedule_after p (Time.of_ms (float_of_int i)) i
   done;
   check_int "eight cells at the high-water mark" 8
     (Scheduler.event_cells_allocated s);
@@ -408,7 +349,7 @@ let test_event_pool_accounting () =
   check_int "all back in the pool" 8 (Scheduler.event_cells_free s);
   (* A second wave of the same width allocates nothing new. *)
   for i = 1 to 8 do
-    ignore (Scheduler.Event.schedule_after p (Time.of_ms (float_of_int i)) i)
+    Scheduler.Event.schedule_after p (Time.of_ms (float_of_int i)) i
   done;
   Scheduler.run s;
   check_int "steady state allocates no cells" 8
@@ -516,7 +457,6 @@ let () =
         [
           Alcotest.test_case "order and clock" `Quick test_scheduler_order_and_clock;
           Alcotest.test_case "same-time fifo" `Quick test_scheduler_same_time_fifo;
-          Alcotest.test_case "cancel" `Quick test_scheduler_cancel;
           Alcotest.test_case "run until" `Quick test_scheduler_until;
           Alcotest.test_case "nested scheduling" `Quick test_scheduler_nested_scheduling;
           Alcotest.test_case "past rejected" `Quick test_scheduler_past_rejected;
@@ -535,9 +475,6 @@ let () =
         [
           Alcotest.test_case "fire releases before handler (reuse)" `Quick
             test_event_cell_reuse;
-          Alcotest.test_case "cancel then re-arm" `Quick
-            test_event_cancel_then_rearm;
-          Alcotest.test_case "stale handle cancel" `Quick test_event_stale_cancel;
           Alcotest.test_case "pool accounting" `Quick test_event_pool_accounting;
         ] );
       ( "rng",

@@ -81,11 +81,10 @@ let test_sampler_ticks_and_rows () =
   let counter = ref 0 in
   Metrics.register m ~component:"test" ~id:"t" ~name:"count" ~units:"n"
     (fun () -> float_of_int !counter);
-  ignore
-    (Scheduler.Event.schedule_at
-       (Scheduler.Event.pool sched ~fire:(fun f -> f ()))
-       (Time.of_ms 25.)
-       (fun () -> counter := 7));
+  Scheduler.Event.schedule_at
+    (Scheduler.Event.pool sched ~fire:(fun f -> f ()))
+    (Time.of_ms 25.)
+    (fun () -> counter := 7);
   Probe.start p;
   Scheduler.run ~until:(Time.of_ms 100.) sched;
   let c = Probe.capture p in
@@ -146,7 +145,7 @@ let test_events_jsonl_golden () =
   check_string "jsonl"
     ("{\"t_ns\":1500,\"kind\":\"rto_fired\",\"conn\":3,\"subflow\":1,\"backoff\":\"2\"}\n"
    ^ "{\"t_ns\":2500,\"kind\":\"note\",\"msg\":\"a \\\"quoted\\\"\\nline\"}\n")
-    (Capture.events_jsonl c)
+    (Sim_experiments.Probe_sink.events_jsonl c)
 
 let test_histogram_through_registry () =
   let m = Metrics.create () in
