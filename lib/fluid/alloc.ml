@@ -16,8 +16,7 @@
    at its current rates. Second-order effects (a rate change freeing
    capacity a 2-hop neighbour could claim) propagate through the
    ripple pass: committing a materially-changed rate re-dirties the
-   flow's link neighbours, which are processed in a later wave of the
-   same flush (bounded by [max_waves]) or at the next flush. From an
+   flow's link neighbours, which are processed at the next flush. From an
    all-dirty start — every [add] dirties the new flow — one flush is
    exact weighted max-min, which is what the qcheck properties pin.
 
@@ -57,7 +56,6 @@ type 'a flow = {
 
 type 'a t = {
   on_rate : 'a flow -> unit;
-  max_waves : int;
   nlinks : int;
   (* per-link state, parallel arrays indexed by dense link id *)
   l_cap : float array;
@@ -114,7 +112,7 @@ let unconstrained_rate = 1e15
    ripple (see [create] in the interface). *)
 let eps = 1e-3
 
-let create ?(max_waves = 3) ~caps ~on_rate () =
+let create ~caps ~on_rate () =
   Array.iter
     (fun cap ->
       if cap <= 0. then invalid_arg "Alloc.create: non-positive capacity")
@@ -122,7 +120,6 @@ let create ?(max_waves = 3) ~caps ~on_rate () =
   let n = Array.length caps in
   {
     on_rate;
-    max_waves;
     nlinks = n;
     l_cap = Array.copy caps;
     l_avail = Array.copy caps;
@@ -499,12 +496,10 @@ let run_wave t ~now flows n =
   done
 
 let flush t ~now =
-  if t.d_n > 0 then t.s_flushes <- t.s_flushes + 1;
   t.stamp <- t.stamp + 1;
   t.c_n <- 0;
-  let waves = ref 0 in
-  while t.d_n > 0 && !waves < t.max_waves do
-    incr waves;
+  if t.d_n > 0 then begin
+    t.s_flushes <- t.s_flushes + 1;
     (* Drain the dirty queue into the wave scratch: drop dead flows,
        sort by id. The queue is duplicate-free by the [f_dirty] flag. *)
     t.w_n <- 0;
@@ -531,7 +526,7 @@ let flush t ~now =
       run_wave t ~now t.w_arr t.w_n;
       (* Ripple: a changed rate frees or claims capacity its link
          neighbours should see. Flows already processed this flush are
-         settled; only outsiders re-enter (next wave or next flush).
+         settled; only outsiders re-enter, at the next flush.
          Deduplicate by link, and only links whose *total* allocation
          moved materially propagate — members swapping shares among
          themselves leave the residual outsiders see unchanged, so
@@ -556,7 +551,7 @@ let flush t ~now =
         t.l_dalloc.(li) <- 0.
       done
     end
-  done;
+  end;
   fire_changed t
 
 (* Local pass: level just [flows] against the frozen rest and fire

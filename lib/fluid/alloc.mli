@@ -41,7 +41,6 @@ type 'a t
 type 'a flow
 
 val create :
-  ?max_waves:int ->
   caps:float array ->
   on_rate:('a flow -> unit) ->
   unit ->
@@ -52,8 +51,8 @@ val create :
     (relative), after the whole pass is committed (see above for the
     order). The same threshold gates ripple: a link whose total
     allocation moved by less than [1e-3 * cap] does not re-dirty its
-    members. [max_waves] (default 3) bounds ripple propagation per
-    flush; residual dirtiness carries over to the next flush. *)
+    members. Each flush water-fills its dirty set once; the
+    neighbours that ripple re-dirties wait for the next flush. *)
 
 val add :
   'a t -> owner:int -> weight:float -> path:int array -> data:'a -> 'a flow

@@ -332,7 +332,7 @@ let make ~sched ~cap_bps ?(params = Sim_tcp.Tcp_params.default) () =
       (* One relaxation wave per quantum: under churn the ripple
          re-dirties the population anyway, so extra waves per flush
          redo the same work; convergence continues next quantum. *)
-      alloc = Alloc.create ~max_waves:1 ~caps:cap_bps ~on_rate:on_leg_rate ();
+      alloc = Alloc.create ~caps:cap_bps ~on_rate:on_leg_rate ();
       metrics = Sim_engine.Sim_ctx.metrics (Scheduler.ctx sched);
       ledger = Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched);
       mss = params.Sim_tcp.Tcp_params.mss;
