@@ -67,6 +67,27 @@ let hist_table ~prefix (c : Capture.t) =
            ]
          rows)
 
+let events_jsonl (c : Capture.t) =
+  let buf = Buffer.create 1024 in
+  Array.iter
+    (fun (e : Metrics.event) ->
+      Buffer.add_string buf (Printf.sprintf "{\"t_ns\":%d,\"kind\":" e.t_ns);
+      Buffer.add_string buf (Sink.json_escape e.kind);
+      if e.conn >= 0 then
+        Buffer.add_string buf (Printf.sprintf ",\"conn\":%d" e.conn);
+      if e.subflow >= 0 then
+        Buffer.add_string buf (Printf.sprintf ",\"subflow\":%d" e.subflow);
+      List.iter
+        (fun (k, v) ->
+          Buffer.add_char buf ',';
+          Buffer.add_string buf (Sink.json_escape k);
+          Buffer.add_char buf ':';
+          Buffer.add_string buf (Sink.json_escape v))
+        e.info;
+      Buffer.add_string buf "}\n")
+    c.events;
+  Buffer.contents buf
+
 let capture_artifacts ~experiment ~label (c : Capture.t) =
   let prefix = Printf.sprintf "probe-%s-%s" experiment (sanitize label) in
   let tables =
@@ -74,7 +95,7 @@ let capture_artifacts ~experiment ~label (c : Capture.t) =
       (List.map (gauge_table ~prefix c) (components c) @ [ hist_table ~prefix c ])
   in
   let events =
-    match Capture.events_jsonl c with
+    match events_jsonl c with
     | "" -> []
     | contents -> [ Sink.Raw { basename = prefix ^ "-events.jsonl"; contents } ]
   in

@@ -15,6 +15,12 @@
     registration and emission order inside the simulation, so the
     rendered bytes are independent of job count. *)
 
+val events_jsonl : Sim_obs.Capture.t -> string
+(** Render the capture's events as one JSON object per line:
+    [{"t_ns":..,"kind":"..","conn":..,"subflow":..,"k":"v",..}].
+    [conn]/[subflow] are omitted when negative; [info] pairs become
+    top-level string fields. Returns [""] when there are no events. *)
+
 val artifacts :
   experiment:string ->
   (string * Sim_obs.Capture.t) list ->

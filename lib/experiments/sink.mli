@@ -39,6 +39,9 @@ val csv_string : table -> string
 val json_string : table -> string
 (** [{ "name": ..., "columns": [...], "rows": [[...], ...] }] *)
 
+val json_escape : string -> string
+(** [s] as a quoted JSON string literal. *)
+
 val write : dir:string -> table -> string list
 (** Write [name.csv] and [name.json] under [dir] (created if
     missing); returns the basenames written, CSV first. Raises

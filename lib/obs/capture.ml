@@ -36,45 +36,3 @@ let is_empty t =
   Array.length t.samples = 0
   && Array.length t.events = 0
   && Array.length t.hists = 0
-
-(* Hand-rolled JSON: the repo has no JSON dependency and the event
-   stream only needs objects of scalars. *)
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let events_jsonl t =
-  if Array.length t.events = 0 then ""
-  else begin
-    let buf = Buffer.create 1024 in
-    Array.iter
-      (fun (e : Metrics.event) ->
-        Buffer.add_string buf (Printf.sprintf "{\"t_ns\":%d,\"kind\":" e.t_ns);
-        add_json_string buf e.kind;
-        if e.conn >= 0 then
-          Buffer.add_string buf (Printf.sprintf ",\"conn\":%d" e.conn);
-        if e.subflow >= 0 then
-          Buffer.add_string buf (Printf.sprintf ",\"subflow\":%d" e.subflow);
-        List.iter
-          (fun (k, v) ->
-            Buffer.add_char buf ',';
-            add_json_string buf k;
-            Buffer.add_char buf ':';
-            add_json_string buf v)
-          e.info;
-        Buffer.add_string buf "}\n")
-      t.events;
-    Buffer.contents buf
-  end

@@ -28,9 +28,3 @@ val of_series : Series.t -> t
     simulation has finished. *)
 
 val is_empty : t -> bool
-
-val events_jsonl : t -> string
-(** Render [events] as one JSON object per line:
-    [{"t_ns":..,"kind":"..","conn":..,"subflow":..,"k":"v",..}].
-    [conn]/[subflow] are omitted when negative; [info] pairs become
-    top-level string fields. Returns [""] when there are no events. *)
