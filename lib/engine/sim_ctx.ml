@@ -7,7 +7,6 @@ type t = {
   metrics : Sim_obs.Metrics.t;
   ledger : Sim_obs.Flow_ledger.t;
   mutable ext : ext option;
-  mutable pool_live : int;
 }
 
 let create () =
@@ -18,7 +17,6 @@ let create () =
     metrics = Sim_obs.Metrics.create ();
     ledger = Sim_obs.Flow_ledger.create ();
     ext = None;
-    pool_live = 0;
   }
 
 let fresh_packet_uid t =
@@ -32,9 +30,6 @@ let fresh_conn_id t =
 let fresh_queue_id t =
   t.next_queue_id <- t.next_queue_id + 1;
   t.next_queue_id
-
-let pool_live t = t.pool_live
-let pool_track t delta = t.pool_live <- t.pool_live + delta
 
 let metrics t = t.metrics
 let ledger t = t.ledger

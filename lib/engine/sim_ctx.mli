@@ -28,20 +28,6 @@ val fresh_conn_id : t -> int
 val fresh_queue_id : t -> int
 (** Next packet-queue id (names the queue's metrics). *)
 
-val pool_live : t -> int
-(** Pooled objects currently live (issued and not yet freed) in this
-    simulation — the packet-pool sanitizer's leak counter. Maintained
-    by {!Sim_net.Packet} only when {!Sanitizer_mode.on}; always 0 in
-    release builds. A finished simulation whose transport tore down
-    cleanly reports 0: anything positive is a retained (leaked)
-    packet, anything negative a double-free that slipped past the
-    per-record generation check. *)
-
-val pool_track : t -> int -> unit
-(** [pool_track t delta] adjusts {!pool_live} by [delta] (+1 on issue,
-    -1 on free). Called by the pool owner under {!Sanitizer_mode.on}
-    only. *)
-
 val metrics : t -> Sim_obs.Metrics.t
 (** This simulation's metrics registry. Created disabled; {!Probe}
     turns it on before components are constructed. Per-simulation so

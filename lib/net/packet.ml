@@ -170,7 +170,6 @@ let track_free p conn =
 let make ~ctx ~src ~dst ~conn ~subflow ~src_port ~dst_port ~seq ~ack_seq ~len
     ~bits ~dsn =
   let uid = Sim_engine.Sim_ctx.fresh_packet_uid ctx in
-  if sanitizer then Sim_engine.Sim_ctx.pool_track ctx 1;
   let p = pool_of ctx in
   track_make p conn;
   if p.count = 0 then
@@ -247,7 +246,6 @@ let free ~ctx t =
   if sanitizer then begin
     t.gen <- t.gen + 1;
     (* even: pooled *)
-    Sim_engine.Sim_ctx.pool_track ctx (-1);
     (* Poison the header so a stale direct field read (which no
        accessor guard can intercept) yields values outside any valid
        segment. [uid] is kept for the diagnostic above. *)
@@ -272,6 +270,8 @@ let free ~ctx t =
 let live_packets ~ctx ~conn =
   let p = pool_of ctx in
   if conn < Array.length p.live then p.live.(conn) else 0
+
+let live_total ~ctx = Array.fold_left ( + ) 0 (pool_of ctx).live
 
 let on_idle ~ctx ~conn check =
   let p = pool_of ctx in

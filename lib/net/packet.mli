@@ -118,9 +118,7 @@ val free : ctx:Sim_engine.Sim_ctx.t -> t -> unit
     packet's final owner (host delivery, queue drop) may call this,
     exactly once; the caller must hold no reference afterwards. Under
     {!sanitizer}, a second [free] of the same record raises
-    [Invalid_argument], the header fields are poisoned, and the
-    context's {!Sim_engine.Sim_ctx.pool_live} counter is decremented
-    (a clean teardown balances it back to 0). *)
+    [Invalid_argument] and the header fields are poisoned. *)
 
 (** {2 Connection lifetimes}
 
@@ -133,6 +131,12 @@ val free : ctx:Sim_engine.Sim_ctx.t -> t -> unit
 
 val live_packets : ctx:Sim_engine.Sim_ctx.t -> conn:int -> int
 (** Packets of [conn] issued by {!make} and not yet freed. *)
+
+val live_total : ctx:Sim_engine.Sim_ctx.t -> int
+(** {!live_packets} summed over every connection: packets issued by
+    {!make} and not yet freed. A finished simulation whose transports
+    tore down cleanly reports 0; anything positive is a leaked
+    packet. *)
 
 val on_idle : ctx:Sim_engine.Sim_ctx.t -> conn:int -> (unit -> bool) -> unit
 (** [on_idle ~ctx ~conn check] watches [conn]: each time its last live

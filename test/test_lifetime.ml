@@ -98,7 +98,7 @@ let test_drained_closes_once () =
       check_int (tr.name ^ ": nothing unmatched") 0
         (Host.unmatched src + Host.unmatched dst);
       check_int (tr.name ^ ": pool empty") 0
-        (Sim_engine.Sim_ctx.pool_live (Scheduler.ctx sched));
+        (Packet.live_total ~ctx:(Scheduler.ctx sched));
       check_int (tr.name ^ ": event cells all free")
         (Scheduler.event_cells_allocated sched)
         (Scheduler.event_cells_free sched))

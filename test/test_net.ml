@@ -108,22 +108,19 @@ let test_pool_sanitizer_catches_uaf () =
   end
 
 let test_pool_live_counter () =
-  if Packet.sanitizer then begin
-    let ctx = Sim_engine.Sim_ctx.create () in
-    let mk () =
-      Packet.make ~ctx ~src:(Addr.of_int 0) ~dst:(Addr.of_int 1) ~conn:1
-        ~subflow:0 ~src_port:1 ~dst_port:2 ~seq:0 ~ack_seq:0 ~len:0
-        ~bits:Packet.data_bits ~dsn:(-1)
-    in
-    check_int "starts balanced" 0 (Sim_engine.Sim_ctx.pool_live ctx);
-    let a = mk () in
-    let b = mk () in
-    check_int "two live" 2 (Sim_engine.Sim_ctx.pool_live ctx);
-    Packet.free ~ctx a;
-    Packet.free ~ctx b;
-    check_int "clean teardown balances to zero" 0
-      (Sim_engine.Sim_ctx.pool_live ctx)
-  end
+  let ctx = Sim_engine.Sim_ctx.create () in
+  let mk conn =
+    Packet.make ~ctx ~src:(Addr.of_int 0) ~dst:(Addr.of_int 1) ~conn
+      ~subflow:0 ~src_port:1 ~dst_port:2 ~seq:0 ~ack_seq:0 ~len:0
+      ~bits:Packet.data_bits ~dsn:(-1)
+  in
+  check_int "starts balanced" 0 (Packet.live_total ~ctx);
+  let a = mk 1 in
+  let b = mk 2 in
+  check_int "two live" 2 (Packet.live_total ~ctx);
+  Packet.free ~ctx a;
+  Packet.free ~ctx b;
+  check_int "clean teardown balances to zero" 0 (Packet.live_total ~ctx)
 
 let test_addr () =
   check_int "round trip" 5 (Addr.to_int (Addr.of_int 5));
