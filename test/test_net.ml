@@ -107,7 +107,7 @@ let test_pool_sanitizer_catches_uaf () =
       | exception Invalid_argument _ -> true)
   end
 
-let test_pool_live_counter () =
+let test_pool_live_total () =
   let ctx = Sim_engine.Sim_ctx.create () in
   let mk conn =
     Packet.make ~ctx ~src:(Addr.of_int 0) ~dst:(Addr.of_int 1) ~conn
@@ -393,7 +393,7 @@ let () =
           Alcotest.test_case "sanitizer catches use-after-free" `Quick
             test_pool_sanitizer_catches_uaf;
           Alcotest.test_case "pool live counter balances" `Quick
-            test_pool_live_counter;
+            test_pool_live_total;
           Alcotest.test_case "addresses" `Quick test_addr;
         ] );
       ( "ecmp",
