@@ -175,7 +175,7 @@ let scale_term =
     let model_conv =
       Arg.conv
         ( (fun s ->
-            match Sim_workload.Flow_model.kind_of_string s with
+            match Scenario.model_of_string s with
             | Ok m -> Ok m
             | Error e -> Error (`Msg e)),
           fun ppf m -> Format.pp_print_string ppf (Scenario.model_name m) )

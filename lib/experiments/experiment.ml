@@ -11,8 +11,7 @@ type ('p, 'r) spec = {
   points : Scale.t -> 'p list;
   point_label : 'p -> string;
   run_point : Scale.t -> 'p -> 'r;
-  render : Scale.t -> ('p * 'r) list -> unit;
-  sinks : Scale.t -> ('p * 'r) list -> Sink.table list;
+  render : Scale.t -> ('p * 'r) list -> Sink.table list;
   capture : 'r -> Sim_obs.Capture.t option;
   ledger : 'r -> Sim_obs.Flow_ledger.dump option;
 }
@@ -20,10 +19,17 @@ type ('p, 'r) spec = {
 type t = E : ('p, 'r) spec -> t
 
 let make ~name ~doc ~points ~point_label ~run_point ~render
-    ?(sinks = fun _ _ -> []) ?(capture = fun _ -> None)
-    ?(ledger = fun _ -> None) () =
-  E
-    { name; doc; points; point_label; run_point; render; sinks; capture; ledger }
+    ?(capture = fun _ -> None) ?(ledger = fun _ -> None) () =
+  E { name; doc; points; point_label; run_point; render; capture; ledger }
+
+let scenario ~name ~doc ~points ~point_label ~config ~render =
+  let module Scenario = Sim_workload.Scenario in
+  make ~name ~doc ~points ~point_label
+    ~run_point:(fun scale p -> Scenario.run (config scale p))
+    ~render
+    ~capture:(fun r -> r.Scenario.obs)
+    ~ledger:(fun r -> r.Scenario.ledger)
+    ()
 
 let name (E s) = s.name
 let doc (E s) = s.doc
@@ -123,8 +129,7 @@ let instantiate ?(clock = fun () -> 0.) (E s) scale =
     i_finish =
       (fun () ->
         let prs = pairs () in
-        s.render scale prs;
-        let tables = List.map (fun t -> Sink.Table t) (s.sinks scale prs) in
+        let tables = List.map (fun t -> Sink.Table t) (s.render scale prs) in
         let captures =
           List.filter_map
             (fun (p, r) ->

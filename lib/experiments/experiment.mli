@@ -11,8 +11,9 @@
     every point of an experiment has finished.
 
     A new experiment is its own module exposing a [t] built with
-    {!make}, plus one line in {!Registry.all}; the CLI, [all], [--list]
-    and the sink artifacts all derive from the registry. *)
+    {!scenario} (or {!make}, for points that are not scenario runs),
+    plus one line in {!Registry.all}; the CLI, [all], [--list] and the
+    sink artifacts all derive from the registry. *)
 
 type ('p, 'r) spec = {
   name : string;  (** CLI subcommand and artifact basename, e.g. ["fig1a"] *)
@@ -22,12 +23,12 @@ type ('p, 'r) spec = {
   run_point : Scale.t -> 'p -> 'r;
       (** one independent simulation; runs in a worker process
           at [jobs > 1] *)
-  render : Scale.t -> ('p * 'r) list -> unit;
-      (** print the artefact via {!Report}; called after the whole
-          sweep completed, pairs in [points] order *)
-  sinks : Scale.t -> ('p * 'r) list -> Sink.table list;
-      (** declarative artifact tables for [--out DIR]; [fun _ _ -> []]
-          if the experiment exports nothing *)
+  render : Scale.t -> ('p * 'r) list -> Sink.table list;
+      (** print the artefact via {!Report} and return its artifact
+          tables for [--out DIR] — a printed table is returned as is,
+          so stdout and the artifact come from one column list.
+          Called after the whole sweep completed, pairs in [points]
+          order. *)
   capture : 'r -> Sim_obs.Capture.t option;
       (** extract the probe capture from a point result, if the result
           type carries one ([Scenario.result.obs]); rendered by
@@ -46,12 +47,23 @@ val make :
   points:(Scale.t -> 'p list) ->
   point_label:('p -> string) ->
   run_point:(Scale.t -> 'p -> 'r) ->
-  render:(Scale.t -> ('p * 'r) list -> unit) ->
-  ?sinks:(Scale.t -> ('p * 'r) list -> Sink.table list) ->
+  render:(Scale.t -> ('p * 'r) list -> Sink.table list) ->
   ?capture:('r -> Sim_obs.Capture.t option) ->
   ?ledger:('r -> Sim_obs.Flow_ledger.dump option) ->
   unit ->
   t
+
+val scenario :
+  name:string ->
+  doc:string ->
+  points:(Scale.t -> 'p list) ->
+  point_label:('p -> string) ->
+  config:(Scale.t -> 'p -> Sim_workload.Scenario.config) ->
+  render:(Scale.t -> ('p * Sim_workload.Scenario.result) list -> Sink.table list) ->
+  t
+(** {!make} for points that are scenario runs: each point runs
+    [Scenario.run (config scale point)], and the result's probe
+    capture and flow ledger become artifacts. *)
 
 val name : t -> string
 val doc : t -> string
@@ -109,9 +121,9 @@ val instance_jobs : instance -> job list
 
 val finish : instance -> Sink.artifact list
 (** Render the experiment (prints via {!Report}) and return its sink
-    artifacts: the declared tables, any probe time-series artifacts
-    extracted via [capture], and any flow-ledger artifacts extracted
-    via [ledger]. Must be called after every job of the instance has
+    artifacts: the tables [render] returned, any probe time-series
+    artifacts extracted via [capture], and any flow-ledger artifacts
+    extracted via [ledger]. Must be called after every job of the instance has
     run — [Invalid_argument] otherwise. *)
 
 val point_seconds : instance -> (string * float) list

@@ -2,7 +2,6 @@ module Time = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler
 module Topology = Sim_net.Topology
 module Dumbbell = Sim_net.Dumbbell
-module Table = Sim_stats.Table
 
 let jain_index xs =
   let n = float_of_int (Array.length xs) in
@@ -50,42 +49,33 @@ let run_bottleneck scale =
     goodput (Mmptcp.Mmptcp_conn.flow mmptcp_conn);
   |]
 
+let columns total =
+  [
+    Sink.column "protocol" Sink.str fst;
+    Sink.column ~heading:"goodput(Mb/s)" ~text:(Printf.sprintf "%.1f") "goodput_mbps"
+      Sink.float snd;
+    Sink.column
+      ~text:(fun share -> Printf.sprintf "%.1f%%" (100. *. share))
+      "share" Sink.float
+      (fun (_, rate) -> rate /. Float.max total 1e-9);
+  ]
+
 let render _scale pairs =
   let rates = match pairs with [ ((), r) ] -> r | _ -> assert false in
   Report.header "E5: co-existence of TCP, MPTCP and MMPTCP on one bottleneck";
-  let table = Table.create ~columns:[ "protocol"; "goodput(Mb/s)"; "share" ] in
   let total = Array.fold_left ( +. ) 0. rates in
-  List.iteri
-    (fun i name ->
-      Table.add_row table
-        [
-          name;
-          Printf.sprintf "%.1f" rates.(i);
-          Printf.sprintf "%.1f%%" (100. *. rates.(i) /. Float.max total 1e-9);
-        ])
-    names;
-  Report.table table;
+  let t =
+    Report.table
+      (Sink.table ~name:"ext-coexist" ~columns:(columns total)
+         (List.mapi (fun i name -> (name, rates.(i))) names))
+  in
   Report.printf "Jain fairness index: %.3f (1.0 = perfectly fair)\n"
-    (jain_index rates)
-
-let sinks _scale pairs =
-  let rates = match pairs with [ ((), r) ] -> r | _ -> assert false in
-  let total = Array.fold_left ( +. ) 0. rates in
-  [
-    Sink.table ~name:"ext-coexist"
-      ~columns:
-        [
-          ("protocol", fun (name, _) -> Sink.str name);
-          ("goodput_mbps", fun (_, rate) -> Sink.float rate);
-          ( "share",
-            fun (_, rate) -> Sink.float (rate /. Float.max total 1e-9) );
-        ]
-      (List.mapi (fun i name -> (name, rates.(i))) names);
-  ]
+    (jain_index rates);
+  [ t ]
 
 let experiment =
   Experiment.make ~name:"ext-coexist" ~doc:"E5: co-existence fairness."
     ~points:(fun _scale -> [ () ])
     ~point_label:(fun () -> "bottleneck")
     ~run_point:(fun scale () -> run_bottleneck scale)
-    ~render ~sinks ()
+    ~render ()

@@ -1,6 +1,5 @@
 module Scenario = Sim_workload.Scenario
 module Strategy = Mmptcp.Strategy
-module Table = Sim_stats.Table
 
 let variants =
   [
@@ -13,59 +12,24 @@ let variants =
 let fast_rtxs r =
   Array.fold_left (fun a f -> a + f.Scenario.fast_rtxs) 0 r.Scenario.shorts
 
+let columns =
+  (Report.label "threshold" fst :: Report.fct ())
+  @ [
+      Sink.column ~heading:"fast-rtx(total)" "fast_rtx_total" Sink.int (fun r ->
+          fast_rtxs r.Report.result);
+    ]
+
 let render scale pairs =
   Report.header "E6: scatter-phase dup-ACK threshold ablation";
-  Report.printf "workload: %s\n" (Format.asprintf "%a" Scale.pp scale);
-  let table =
-    Table.create
-      ~columns:
-        [
-          "threshold";
-          "mean(ms)";
-          "sd(ms)";
-          "p99(ms)";
-          "rto-flows";
-          "fast-rtx(total)";
-        ]
-  in
-  List.iter
-    (fun ((name, _), r) ->
-      let s = Report.fct_stats r in
-      Table.add_row table
-        [
-          name;
-          Table.fms s.Report.mean_ms;
-          Table.fms s.Report.sd_ms;
-          Table.fms s.Report.p99_ms;
-          string_of_int s.Report.flows_with_rto;
-          string_of_int (fast_rtxs r);
-        ])
-    pairs;
-  Report.table table
-
-let sinks _scale pairs =
-  [
-    Sink.table ~name:"ext-dupack"
-      ~columns:
-        [
-          ("threshold", fun ((name, _), _) -> Sink.str name);
-          ("mean_ms", fun (_, (s, _)) -> Sink.float s.Report.mean_ms);
-          ("sd_ms", fun (_, (s, _)) -> Sink.float s.Report.sd_ms);
-          ("p99_ms", fun (_, (s, _)) -> Sink.float s.Report.p99_ms);
-          ("rto_flows", fun (_, (s, _)) -> Sink.int s.Report.flows_with_rto);
-          ("fast_rtx_total", fun (_, (_, r)) -> Sink.int (fast_rtxs r));
-        ]
-      (List.map (fun (p, r) -> (p, (Report.fct_stats r, r))) pairs);
-  ]
+  Report.workload scale;
+  [ Report.table (Sink.table ~name:"ext-dupack" ~columns (Report.rows pairs)) ]
 
 let experiment =
-  Experiment.make ~name:"ext-dupack"
+  Experiment.scenario ~name:"ext-dupack"
     ~doc:"E6: dup-ACK threshold ablation."
     ~points:(fun _scale -> variants)
-    ~point_label:(fun (name, _) -> name)
-    ~run_point:(fun scale (_, dupack) ->
+    ~point_label:fst
+    ~config:(fun scale (_, dupack) ->
       let strategy = { Strategy.default with Strategy.dupack } in
-      Scenario.run
-        (Scale.scenario_config scale ~protocol:(Scenario.Mmptcp_proto strategy)))
-    ~render ~sinks ~capture:(fun r -> r.Scenario.obs)
-    ~ledger:(fun r -> r.Scenario.ledger) ()
+      Scale.scenario_config scale ~protocol:(Scenario.Mmptcp_proto strategy))
+    ~render

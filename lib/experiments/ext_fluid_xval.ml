@@ -13,10 +13,9 @@
    DESIGN.md §4k). *)
 
 module Scenario = Sim_workload.Scenario
-module Table = Sim_stats.Table
 
 let models = [ Scenario.Packet; Scenario.Fluid;
-               Scenario.Hybrid { handoff_bytes = Sim_workload.Flow_model.default_handoff_bytes } ]
+               Scenario.Hybrid { handoff_bytes = Scenario.default_handoff_bytes } ]
 
 (* The two comparison scenarios from the issue: a tiny dumbbell under
    TCP and a k=8 permutation FatTree under MPTCP-8, plus the same
@@ -46,25 +45,17 @@ let scenarios scale =
           short_rate = dumbbell_rate;
           horizon = Sim_engine.Sim_time.of_sec dumbbell_horizon;
         } );
-    ( "fattree8-mptcp",
-      light
-        {
-          (Scale.scenario_config scale
-             ~protocol:(Scenario.Mptcp_proto { subflows = 8; coupled = true }))
-          with
-          Scenario.topo =
-            Scenario.Fattree_topo (Scenario.paper_fattree ~k:8 ~oversub:4 ());
-        } );
-    ( "fattree8-mmptcp",
-      light
-        {
-          (Scale.scenario_config scale
-             ~protocol:(Scenario.Mmptcp_proto Mmptcp.Strategy.default))
-          with
-          Scenario.topo =
-            Scenario.Fattree_topo (Scenario.paper_fattree ~k:8 ~oversub:4 ());
-        } );
   ]
+  @ List.map
+      (fun (name, protocol) ->
+        ( name,
+          light
+            {
+              (Scale.scenario_config scale ~protocol) with
+              Scenario.topo =
+                Scenario.Fattree_topo (Scenario.paper_fattree ~k:8 ~oversub:4 ());
+            } ))
+      [ ("fattree8-mptcp", Scale.mptcp_8); ("fattree8-mmptcp", Scale.mmptcp) ]
 
 let points scale =
   List.concat_map
@@ -112,57 +103,40 @@ let rows pairs =
       })
     stats
 
+let pct heading key proj =
+  Sink.column ~heading ~text:(fun v -> Printf.sprintf "%+.1f%%" (100. *. v)) key
+    Sink.float proj
+
+let columns =
+  [
+    Sink.column "scenario" Sink.str (fun r -> r.r_scenario);
+    Sink.column "model" Sink.str (fun r -> r.r_model);
+    Report.ms "mean(ms)" "mean_ms" (fun r -> r.r_mean);
+    Report.ms "p99(ms)" "p99_ms" (fun r -> r.r_p99);
+    pct "d-mean" "rel_mean" (fun r -> r.r_dmean);
+    pct "d-p99" "rel_p99" (fun r -> r.r_dp99);
+    Sink.column ~heading:"<=10%"
+      ~text:(fun ok -> if ok then "ok" else "DIVERGES")
+      "within_tolerance"
+      (fun ok -> Sink.int (if ok then 1 else 0))
+      (fun r -> r.r_ok);
+  ]
+
 let render scale pairs =
   Report.header
     "EXT: fluid/hybrid cross-validation against packet-level (short-flow FCT)";
-  Report.printf "workload: %s\n" (Format.asprintf "%a" Scale.pp scale);
-  let table =
-    Table.create
-      ~columns:
-        [ "scenario"; "model"; "mean(ms)"; "p99(ms)"; "d-mean"; "d-p99"; "<=10%" ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row table
-        [
-          r.r_scenario;
-          r.r_model;
-          Table.fms r.r_mean;
-          Table.fms r.r_p99;
-          Printf.sprintf "%+.1f%%" (100. *. r.r_dmean);
-          Printf.sprintf "%+.1f%%" (100. *. r.r_dp99);
-          (if r.r_ok then "ok" else "DIVERGES");
-        ])
-    (rows pairs);
-  Report.table table;
+  Report.workload scale;
+  let t = Report.table (Sink.table ~name:"ext-fluid-xval" ~columns (rows pairs)) in
   Report.printf
     "deviations are vs the packet row of the same scenario; light-load \
-     scenarios, where the fluid rate model is expected to track.\n"
-
-let sinks _scale pairs =
-  [
-    Sink.table ~name:"ext-fluid-xval"
-      ~columns:
-        [
-          ("scenario", fun r -> Sink.str r.r_scenario);
-          ("model", fun r -> Sink.str r.r_model);
-          ("mean_ms", fun r -> Sink.float r.r_mean);
-          ("p99_ms", fun r -> Sink.float r.r_p99);
-          ("rel_mean", fun r -> Sink.float r.r_dmean);
-          ("rel_p99", fun r -> Sink.float r.r_dp99);
-          ("within_tolerance", fun r -> Sink.int (if r.r_ok then 1 else 0));
-        ]
-      (rows pairs);
-  ]
+     scenarios, where the fluid rate model is expected to track.\n";
+  [ t ]
 
 let experiment =
-  Experiment.make ~name:"ext-fluid-xval"
+  Experiment.scenario ~name:"ext-fluid-xval"
     ~doc:"EXT: fluid/hybrid FCT cross-validation vs packet-level."
     ~points
     ~point_label:(fun (s, m, _) ->
       Printf.sprintf "%s/%s" s (Scenario.model_name m))
-    ~run_point:(fun _scale (_, _, cfg) -> Scenario.run cfg)
-    ~render ~sinks
-    ~capture:(fun r -> r.Scenario.obs)
-    ~ledger:(fun r -> r.Scenario.ledger)
-    ()
+    ~config:(fun _scale (_, _, cfg) -> cfg)
+    ~render

@@ -1,60 +1,20 @@
 module Scenario = Sim_workload.Scenario
 module Traffic_matrix = Sim_workload.Traffic_matrix
-module Table = Sim_stats.Table
-
-let protocols =
-  [
-    ("tcp", Scenario.Tcp_proto);
-    ("mptcp-8", Scenario.Mptcp_proto { subflows = 8; coupled = true });
-    ("mmptcp", Scenario.Mmptcp_proto Mmptcp.Strategy.default);
-  ]
 
 let tm = Traffic_matrix.Hotspot { targets = 4; fraction = 0.5 }
 
+let columns =
+  (Report.label "protocol" fst :: Report.fct ()) @ [ Report.incomplete () ]
+
 let render scale pairs =
   Report.header "E3: hotspot traffic matrices";
-  Report.printf "workload: %s, 4 hot targets, 50%% hot senders\n"
-    (Format.asprintf "%a" Scale.pp scale);
-  let table =
-    Table.create
-      ~columns:
-        [ "protocol"; "mean(ms)"; "sd(ms)"; "p99(ms)"; "rto-flows"; "incomplete" ]
-  in
-  List.iter
-    (fun ((name, _), r) ->
-      let s = Report.fct_stats r in
-      Table.add_row table
-        [
-          name;
-          Table.fms s.Report.mean_ms;
-          Table.fms s.Report.sd_ms;
-          Table.fms s.Report.p99_ms;
-          string_of_int s.Report.flows_with_rto;
-          string_of_int s.Report.incomplete;
-        ])
-    pairs;
-  Report.table table
-
-let sinks _scale pairs =
-  [
-    Sink.table ~name:"ext-hotspot"
-      ~columns:
-        [
-          ("protocol", fun ((name, _), _) -> Sink.str name);
-          ("mean_ms", fun (_, s) -> Sink.float s.Report.mean_ms);
-          ("sd_ms", fun (_, s) -> Sink.float s.Report.sd_ms);
-          ("p99_ms", fun (_, s) -> Sink.float s.Report.p99_ms);
-          ("rto_flows", fun (_, s) -> Sink.int s.Report.flows_with_rto);
-          ("incomplete", fun (_, s) -> Sink.int s.Report.incomplete);
-        ]
-      (List.map (fun (p, r) -> (p, Report.fct_stats r)) pairs);
-  ]
+  Report.workload ~note:", 4 hot targets, 50% hot senders" scale;
+  [ Report.table (Sink.table ~name:"ext-hotspot" ~columns (Report.rows pairs)) ]
 
 let experiment =
-  Experiment.make ~name:"ext-hotspot" ~doc:"E3: hotspot traffic matrices."
-    ~points:(fun _scale -> protocols)
-    ~point_label:(fun (name, _) -> name)
-    ~run_point:(fun scale (_, protocol) ->
-      Scenario.run { (Scale.scenario_config scale ~protocol) with Scenario.tm })
-    ~render ~sinks ~capture:(fun r -> r.Scenario.obs)
-    ~ledger:(fun r -> r.Scenario.ledger) ()
+  Experiment.scenario ~name:"ext-hotspot" ~doc:"E3: hotspot traffic matrices."
+    ~points:(fun _scale -> ("tcp", Scenario.Tcp_proto) :: Scale.protocols)
+    ~point_label:fst
+    ~config:(fun scale (_, protocol) ->
+      { (Scale.scenario_config scale ~protocol) with Scenario.tm })
+    ~render

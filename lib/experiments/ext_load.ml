@@ -1,68 +1,23 @@
-module Scenario = Sim_workload.Scenario
-module Table = Sim_stats.Table
-
 let rates = [ 10.; 25.; 50.; 100. ]
 
-let points _scale =
-  List.concat_map
-    (fun rate ->
-      List.map
-        (fun (name, protocol) -> (rate, name, protocol))
-        [
-          ("mptcp-8", Scenario.Mptcp_proto { subflows = 8; coupled = true });
-          ("mmptcp", Scenario.Mmptcp_proto Mmptcp.Strategy.default);
-        ])
-    rates
+let columns =
+  Sink.column ~heading:"rate(flows/s/host)" ~text:(Printf.sprintf "%.0f") "rate"
+    Sink.float (fun r ->
+      let _, rate, _, _ = r.Report.point in
+      rate)
+  :: Report.label "protocol" (fun (_, _, pname, _) -> pname)
+  :: Report.fct ()
 
 let render scale pairs =
   Report.header "E2: effect of network load (short-flow arrival rate)";
-  Report.printf "workload: %s (rate swept)\n" (Format.asprintf "%a" Scale.pp scale);
-  let table =
-    Table.create
-      ~columns:
-        [
-          "rate(flows/s/host)";
-          "protocol";
-          "mean(ms)";
-          "sd(ms)";
-          "p99(ms)";
-          "rto-flows";
-        ]
-  in
-  List.iter
-    (fun ((rate, name, _), r) ->
-      let s = Report.fct_stats r in
-      Table.add_row table
-        [
-          Printf.sprintf "%.0f" rate;
-          name;
-          Table.fms s.Report.mean_ms;
-          Table.fms s.Report.sd_ms;
-          Table.fms s.Report.p99_ms;
-          string_of_int s.Report.flows_with_rto;
-        ])
-    pairs;
-  Report.table table
-
-let sinks _scale pairs =
-  [
-    Sink.table ~name:"ext-load"
-      ~columns:
-        [
-          ("rate", fun ((rate, _, _), _) -> Sink.float rate);
-          ("protocol", fun ((_, name, _), _) -> Sink.str name);
-          ("mean_ms", fun (_, s) -> Sink.float s.Report.mean_ms);
-          ("sd_ms", fun (_, s) -> Sink.float s.Report.sd_ms);
-          ("p99_ms", fun (_, s) -> Sink.float s.Report.p99_ms);
-          ("rto_flows", fun (_, s) -> Sink.int s.Report.flows_with_rto);
-        ]
-      (List.map (fun (p, r) -> (p, Report.fct_stats r)) pairs);
-  ]
+  Report.workload ~note:" (rate swept)" scale;
+  [ Report.table (Sink.table ~name:"ext-load" ~columns (Report.rows pairs)) ]
 
 let experiment =
-  Experiment.make ~name:"ext-load" ~doc:"E2: network-load sweep." ~points
-    ~point_label:(fun (rate, name, _) -> Printf.sprintf "rate=%.0f %s" rate name)
-    ~run_point:(fun scale (rate, _, protocol) ->
-      Scenario.run (Scale.scenario_config { scale with Scale.rate } ~protocol))
-    ~render ~sinks ~capture:(fun r -> r.Scenario.obs)
-    ~ledger:(fun r -> r.Scenario.ledger) ()
+  Experiment.scenario ~name:"ext-load" ~doc:"E2: network-load sweep."
+    ~points:(fun _scale ->
+      Scale.versus (List.map (fun rate -> (Printf.sprintf "%.0f" rate, rate)) rates))
+    ~point_label:(fun p -> "rate=" ^ Scale.versus_label p)
+    ~config:(fun scale (_, rate, _, protocol) ->
+      Scale.scenario_config { scale with Scale.rate } ~protocol)
+    ~render

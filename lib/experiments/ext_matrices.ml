@@ -1,6 +1,5 @@
 module Scenario = Sim_workload.Scenario
 module Traffic_matrix = Sim_workload.Traffic_matrix
-module Table = Sim_stats.Table
 
 let matrices hosts =
   [
@@ -14,57 +13,18 @@ let points scale =
     Sim_net.Fattree.host_count
       (Scenario.paper_fattree ~k:scale.Scale.k ~oversub:scale.Scale.oversub ())
   in
-  List.concat_map
-    (fun (mname, tm) ->
-      List.map
-        (fun (pname, protocol) -> (mname, tm, pname, protocol))
-        [
-          ("mptcp-8", Scenario.Mptcp_proto { subflows = 8; coupled = true });
-          ("mmptcp", Scenario.Mmptcp_proto Mmptcp.Strategy.default);
-        ])
-    (matrices hosts)
+  Scale.versus (matrices hosts)
+
+let columns = Report.versus "matrix" @ Report.fct ()
 
 let render scale pairs =
   Report.header "E8: traffic matrices";
-  Report.printf "workload: %s\n" (Format.asprintf "%a" Scale.pp scale);
-  let table =
-    Table.create
-      ~columns:[ "matrix"; "protocol"; "mean(ms)"; "sd(ms)"; "p99(ms)"; "rto-flows" ]
-  in
-  List.iter
-    (fun ((mname, _, pname, _), r) ->
-      let s = Report.fct_stats r in
-      Table.add_row table
-        [
-          mname;
-          pname;
-          Table.fms s.Report.mean_ms;
-          Table.fms s.Report.sd_ms;
-          Table.fms s.Report.p99_ms;
-          string_of_int s.Report.flows_with_rto;
-        ])
-    pairs;
-  Report.table table
-
-let sinks _scale pairs =
-  [
-    Sink.table ~name:"ext-matrices"
-      ~columns:
-        [
-          ("matrix", fun ((mname, _, _, _), _) -> Sink.str mname);
-          ("protocol", fun ((_, _, pname, _), _) -> Sink.str pname);
-          ("mean_ms", fun (_, s) -> Sink.float s.Report.mean_ms);
-          ("sd_ms", fun (_, s) -> Sink.float s.Report.sd_ms);
-          ("p99_ms", fun (_, s) -> Sink.float s.Report.p99_ms);
-          ("rto_flows", fun (_, s) -> Sink.int s.Report.flows_with_rto);
-        ]
-      (List.map (fun (p, r) -> (p, Report.fct_stats r)) pairs);
-  ]
+  Report.workload scale;
+  [ Report.table (Sink.table ~name:"ext-matrices" ~columns (Report.rows pairs)) ]
 
 let experiment =
-  Experiment.make ~name:"ext-matrices" ~doc:"E8: traffic matrices." ~points
-    ~point_label:(fun (mname, _, pname, _) -> mname ^ " " ^ pname)
-    ~run_point:(fun scale (_, tm, _, protocol) ->
-      Scenario.run { (Scale.scenario_config scale ~protocol) with Scenario.tm })
-    ~render ~sinks ~capture:(fun r -> r.Scenario.obs)
-    ~ledger:(fun r -> r.Scenario.ledger) ()
+  Experiment.scenario ~name:"ext-matrices" ~doc:"E8: traffic matrices." ~points
+    ~point_label:Scale.versus_label
+    ~config:(fun scale (_, tm, _, protocol) ->
+      { (Scale.scenario_config scale ~protocol) with Scenario.tm })
+    ~render

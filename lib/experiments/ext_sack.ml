@@ -1,65 +1,21 @@
 module Scenario = Sim_workload.Scenario
-module Table = Sim_stats.Table
 
-let points _scale =
-  List.concat_map
-    (fun (rname, sack) ->
-      List.map
-        (fun (pname, protocol) -> (rname, sack, pname, protocol))
-        [
-          ("mptcp-8", Scenario.Mptcp_proto { subflows = 8; coupled = true });
-          ("mmptcp", Scenario.Mmptcp_proto Mmptcp.Strategy.default);
-        ])
-    [ ("newreno", false); ("sack", true) ]
+let columns = Report.versus "recovery" @ Report.fct ()
 
 let render scale pairs =
   Report.header "E9: NewReno vs SACK loss recovery (extension)";
-  Report.printf "workload: %s\n" (Format.asprintf "%a" Scale.pp scale);
-  let table =
-    Table.create
-      ~columns:
-        [ "recovery"; "protocol"; "mean(ms)"; "sd(ms)"; "p99(ms)"; "rto-flows" ]
-  in
-  List.iter
-    (fun ((rname, _, pname, _), r) ->
-      let s = Report.fct_stats r in
-      Table.add_row table
-        [
-          rname;
-          pname;
-          Table.fms s.Report.mean_ms;
-          Table.fms s.Report.sd_ms;
-          Table.fms s.Report.p99_ms;
-          string_of_int s.Report.flows_with_rto;
-        ])
-    pairs;
-  Report.table table
-
-let sinks _scale pairs =
-  [
-    Sink.table ~name:"ext-sack"
-      ~columns:
-        [
-          ("recovery", fun ((rname, _, _, _), _) -> Sink.str rname);
-          ("protocol", fun ((_, _, pname, _), _) -> Sink.str pname);
-          ("mean_ms", fun (_, s) -> Sink.float s.Report.mean_ms);
-          ("sd_ms", fun (_, s) -> Sink.float s.Report.sd_ms);
-          ("p99_ms", fun (_, s) -> Sink.float s.Report.p99_ms);
-          ("rto_flows", fun (_, s) -> Sink.int s.Report.flows_with_rto);
-        ]
-      (List.map (fun (p, r) -> (p, Report.fct_stats r)) pairs);
-  ]
+  Report.workload scale;
+  [ Report.table (Sink.table ~name:"ext-sack" ~columns (Report.rows pairs)) ]
 
 let experiment =
-  Experiment.make ~name:"ext-sack"
-    ~doc:"E9: NewReno vs SACK loss recovery." ~points
-    ~point_label:(fun (rname, _, pname, _) -> rname ^ " " ^ pname)
-    ~run_point:(fun scale (_, sack, _, protocol) ->
+  Experiment.scenario ~name:"ext-sack"
+    ~doc:"E9: NewReno vs SACK loss recovery."
+    ~points:(fun _scale -> Scale.versus [ ("newreno", false); ("sack", true) ])
+    ~point_label:Scale.versus_label
+    ~config:(fun scale (_, sack, _, protocol) ->
       let base = Scale.scenario_config scale ~protocol in
-      Scenario.run
-        {
-          base with
-          Scenario.params = { base.Scenario.params with Sim_tcp.Tcp_params.sack };
-        })
-    ~render ~sinks ~capture:(fun r -> r.Scenario.obs)
-    ~ledger:(fun r -> r.Scenario.ledger) ()
+      {
+        base with
+        Scenario.params = { base.Scenario.params with Sim_tcp.Tcp_params.sack };
+      })
+    ~render

@@ -8,18 +8,17 @@
    The model is pinned to fluid: at this scale the packet stages of
    the other models are exactly the cost being avoided. The derived
    workload (k, flow count, horizon) is printed through Scale.pp and
-   carried per point into the manifest and sink tables, so artifacts
-   record what actually ran rather than the command-line base scale. *)
+   recorded per point in the manifest's labels, so artifacts record
+   what actually ran rather than the command-line base scale. *)
 
 module Scenario = Sim_workload.Scenario
-module Table = Sim_stats.Table
 
 let flow_factor = 200
 let k = 16
 let oversub = 4
 
 (* The base scale with the fluid-scale overrides applied — this is
-   what runs, renders and lands in the sink tables. *)
+   what runs, renders and labels the points. *)
 let derived scale =
   {
     scale with
@@ -29,82 +28,34 @@ let derived scale =
     model = Scenario.Fluid;
   }
 
-let protocols =
+let columns =
   [
-    ("mptcp-8", Scenario.Mptcp_proto { subflows = 8; coupled = true });
-    ("mmptcp", Scenario.Mmptcp_proto Mmptcp.Strategy.default);
+    Report.label "protocol" (fun (name, _, _) -> name);
+    Sink.column "flows" Sink.int (fun r ->
+        let _, _, d = r.Report.point in
+        d.Scale.flows);
+    Report.mean ();
+    Report.p50 ();
+    Report.p99 ();
+    Report.incomplete ();
+    Report.long_goodput ~heading:"long-goodput(Mb/s)" ();
+    Sink.column ~heading:"core-util" ~text:(Printf.sprintf "%.3f") "core_util"
+      Sink.float (fun r -> Scenario.core_utilisation r.Report.result);
+    Sink.column "events" Sink.int (fun r -> r.Report.result.Scenario.events);
   ]
-
-let points scale =
-  let d = derived scale in
-  List.map
-    (fun (name, protocol) ->
-      (name, d, Scale.scenario_config d ~protocol))
-    protocols
 
 let render scale pairs =
   Report.header "EXT: fluid-model scale sweep (k=16 FatTree, 200x short flows)";
-  Report.printf "workload: %s\n"
-    (Format.asprintf "%a" Scale.pp (derived scale));
-  let table =
-    Table.create
-      ~columns:
-        [
-          "protocol"; "flows"; "mean(ms)"; "p50(ms)"; "p99(ms)"; "incomplete";
-          "long-goodput(Mb/s)"; "core-util"; "events";
-        ]
-  in
-  List.iter
-    (fun ((name, d, _), r) ->
-      let s = Report.fct_stats r in
-      Table.add_row table
-        [
-          name;
-          string_of_int d.Scale.flows;
-          Table.fms s.Report.mean_ms;
-          Table.fms s.Report.p50_ms;
-          Table.fms s.Report.p99_ms;
-          string_of_int s.Report.incomplete;
-          Printf.sprintf "%.1f" (Report.long_mean_mbps r);
-          Printf.sprintf "%.3f" (Scenario.core_utilisation r);
-          string_of_int r.Scenario.events;
-        ])
-    pairs;
-  Report.table table
-
-let sinks _scale pairs =
-  [
-    Sink.table ~name:"ext-scale"
-      ~columns:
-        [
-          ("protocol", fun ((name, _, _), _) -> Sink.str name);
-          ("k", fun ((_, d, _), _) -> Sink.int d.Scale.k);
-          ("flows", fun ((_, d, _), _) -> Sink.int d.Scale.flows);
-          ("horizon_s", fun ((_, d, _), _) -> Sink.float d.Scale.horizon_s);
-          ( "model",
-            fun ((_, d, _), _) -> Sink.str (Scenario.model_name d.Scale.model) );
-          ("mean_ms", fun (_, r) -> Sink.float (Report.fct_stats r).Report.mean_ms);
-          ("p50_ms", fun (_, r) -> Sink.float (Report.fct_stats r).Report.p50_ms);
-          ("p99_ms", fun (_, r) -> Sink.float (Report.fct_stats r).Report.p99_ms);
-          ( "incomplete",
-            fun (_, r) -> Sink.int (Report.fct_stats r).Report.incomplete );
-          ( "long_goodput_mbps",
-            fun (_, r) -> Sink.float (Report.long_mean_mbps r) );
-          ("core_util", fun (_, r) -> Sink.float (Scenario.core_utilisation r));
-          ("events", fun (_, r) -> Sink.int r.Scenario.events);
-        ]
-      pairs;
-  ]
+  Report.workload (derived scale);
+  [ Report.table (Sink.table ~name:"ext-scale" ~columns (Report.rows pairs)) ]
 
 let experiment =
-  Experiment.make ~name:"ext-scale"
+  Experiment.scenario ~name:"ext-scale"
     ~doc:"EXT: fluid-model k=16 FatTree at 200x short-flow scale."
-    ~points
-    ~point_label:(fun (name, d, _) ->
+    ~points:(fun scale ->
+      List.map (fun (name, protocol) -> (name, protocol, derived scale)) Scale.protocols)
+    ~point_label:(fun (name, _, d) ->
       Printf.sprintf "%s k=%d flows=%d horizon=%gs" name d.Scale.k
         d.Scale.flows d.Scale.horizon_s)
-    ~run_point:(fun _scale (_, _, cfg) -> Scenario.run cfg)
-    ~render ~sinks
-    ~capture:(fun r -> r.Scenario.obs)
-    ~ledger:(fun r -> r.Scenario.ledger)
-    ()
+    ~config:(fun _scale (_, protocol, d) -> Scale.scenario_config d ~protocol)
+    ~render

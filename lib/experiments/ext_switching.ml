@@ -1,6 +1,5 @@
 module Scenario = Sim_workload.Scenario
 module Strategy = Mmptcp.Strategy
-module Table = Sim_stats.Table
 
 let strategies =
   [
@@ -12,57 +11,26 @@ let strategies =
     ("never (pure PS)", Strategy.Never);
   ]
 
-let render scale pairs =
-  Report.header "E1: MMPTCP phase-switching strategies";
-  Report.printf "workload: %s\n" (Format.asprintf "%a" Scale.pp scale);
-  let table =
-    Table.create
-      ~columns:
-        [
-          "switching";
-          "short mean(ms)";
-          "short sd(ms)";
-          "rto-flows";
-          "long goodput(Mb/s)";
-        ]
-  in
-  List.iter
-    (fun ((name, _), r) ->
-      let s = Report.fct_stats r in
-      Table.add_row table
-        [
-          name;
-          Table.fms s.Report.mean_ms;
-          Table.fms s.Report.sd_ms;
-          string_of_int s.Report.flows_with_rto;
-          Printf.sprintf "%.1f" (Report.long_mean_mbps r);
-        ])
-    pairs;
-  Report.table table
-
-let sinks _scale pairs =
+let columns =
   [
-    Sink.table ~name:"ext-switching"
-      ~columns:
-        [
-          ("switching", fun ((name, _), _) -> Sink.str name);
-          ("mean_ms", fun (_, (s, _)) -> Sink.float s.Report.mean_ms);
-          ("sd_ms", fun (_, (s, _)) -> Sink.float s.Report.sd_ms);
-          ("rto_flows", fun (_, (s, _)) -> Sink.int s.Report.flows_with_rto);
-          ( "long_goodput_mbps",
-            fun (_, (_, r)) -> Sink.float (Report.long_mean_mbps r) );
-        ]
-      (List.map (fun (p, r) -> (p, (Report.fct_stats r, r))) pairs);
+    Report.label "switching" fst;
+    Report.mean ~heading:"short mean(ms)" ();
+    Report.sd ~heading:"short sd(ms)" ();
+    Report.rto_flows ();
+    Report.long_goodput ();
   ]
 
+let render scale pairs =
+  Report.header "E1: MMPTCP phase-switching strategies";
+  Report.workload scale;
+  [ Report.table (Sink.table ~name:"ext-switching" ~columns (Report.rows pairs)) ]
+
 let experiment =
-  Experiment.make ~name:"ext-switching"
+  Experiment.scenario ~name:"ext-switching"
     ~doc:"E1: phase-switching strategies."
     ~points:(fun _scale -> strategies)
-    ~point_label:(fun (name, _) -> name)
-    ~run_point:(fun scale (_, switch) ->
+    ~point_label:fst
+    ~config:(fun scale (_, switch) ->
       let strategy = { Strategy.default with Strategy.switch } in
-      Scenario.run
-        (Scale.scenario_config scale ~protocol:(Scenario.Mmptcp_proto strategy)))
-    ~render ~sinks ~capture:(fun r -> r.Scenario.obs)
-    ~ledger:(fun r -> r.Scenario.ledger) ()
+      Scale.scenario_config scale ~protocol:(Scenario.Mmptcp_proto strategy))
+    ~render

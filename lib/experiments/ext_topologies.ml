@@ -1,5 +1,4 @@
 module Scenario = Sim_workload.Scenario
-module Table = Sim_stats.Table
 
 (* A VL2 Clos with the same host count as the FatTree at this scale:
    k^3/4 * oversub hosts spread over ToRs of the same radix as the
@@ -17,14 +16,7 @@ let vl2_params scale =
   }
 
 let points scale =
-  List.concat_map
-    (fun (tname, topo) ->
-      List.map
-        (fun (pname, protocol) -> (tname, topo, pname, protocol))
-        [
-          ("mptcp-8", Scenario.Mptcp_proto { subflows = 8; coupled = true });
-          ("mmptcp", Scenario.Mmptcp_proto Mmptcp.Strategy.default);
-        ])
+  Scale.versus
     [
       ( "fattree",
         Scenario.Fattree_topo
@@ -32,49 +24,17 @@ let points scale =
       ("vl2", Scenario.Vl2_topo (vl2_params scale));
     ]
 
+let columns = Report.versus "topology" @ Report.fct ()
+
 let render scale pairs =
   Report.header "E7: FatTree vs VL2-style Clos, same workload";
-  Report.printf "workload: %s\n" (Format.asprintf "%a" Scale.pp scale);
-  let table =
-    Table.create
-      ~columns:
-        [ "topology"; "protocol"; "mean(ms)"; "sd(ms)"; "p99(ms)"; "rto-flows" ]
-  in
-  List.iter
-    (fun ((tname, _, pname, _), r) ->
-      let s = Report.fct_stats r in
-      Table.add_row table
-        [
-          tname;
-          pname;
-          Table.fms s.Report.mean_ms;
-          Table.fms s.Report.sd_ms;
-          Table.fms s.Report.p99_ms;
-          string_of_int s.Report.flows_with_rto;
-        ])
-    pairs;
-  Report.table table
-
-let sinks _scale pairs =
-  [
-    Sink.table ~name:"ext-topologies"
-      ~columns:
-        [
-          ("topology", fun ((tname, _, _, _), _) -> Sink.str tname);
-          ("protocol", fun ((_, _, pname, _), _) -> Sink.str pname);
-          ("mean_ms", fun (_, s) -> Sink.float s.Report.mean_ms);
-          ("sd_ms", fun (_, s) -> Sink.float s.Report.sd_ms);
-          ("p99_ms", fun (_, s) -> Sink.float s.Report.p99_ms);
-          ("rto_flows", fun (_, s) -> Sink.int s.Report.flows_with_rto);
-        ]
-      (List.map (fun (p, r) -> (p, Report.fct_stats r)) pairs);
-  ]
+  Report.workload scale;
+  [ Report.table (Sink.table ~name:"ext-topologies" ~columns (Report.rows pairs)) ]
 
 let experiment =
-  Experiment.make ~name:"ext-topologies"
+  Experiment.scenario ~name:"ext-topologies"
     ~doc:"E7: FatTree vs VL2-style Clos." ~points
-    ~point_label:(fun (tname, _, pname, _) -> tname ^ " " ^ pname)
-    ~run_point:(fun scale (_, topo, _, protocol) ->
-      Scenario.run { (Scale.scenario_config scale ~protocol) with Scenario.topo })
-    ~render ~sinks ~capture:(fun r -> r.Scenario.obs)
-    ~ledger:(fun r -> r.Scenario.ledger) ()
+    ~point_label:Scale.versus_label
+    ~config:(fun scale (_, topo, _, protocol) ->
+      { (Scale.scenario_config scale ~protocol) with Scenario.topo })
+    ~render

@@ -1,5 +1,4 @@
 module Scenario = Sim_workload.Scenario
-module Table = Sim_stats.Table
 
 let configs ?(lo = 1) ?(hi = 9) scale =
   List.init
@@ -10,55 +9,28 @@ let configs ?(lo = 1) ?(hi = 9) scale =
         Scale.scenario_config scale
           ~protocol:(Scenario.Mptcp_proto { subflows = n; coupled = true }) ))
 
+let columns =
+  Sink.column ~heading:"#subflows" "subflows" Sink.int (fun r -> fst r.Report.point)
+  :: Report.fct ~sd_heading:"stddev(ms)" ()
+  @ [ Report.incomplete () ]
+
 let render scale pairs =
   Report.header "Figure 1(a): MPTCP short-flow FCT vs number of subflows";
-  Report.printf "workload: %s\n" (Format.asprintf "%a" Scale.pp scale);
-  let table =
-    Table.create
-      ~columns:
-        [ "#subflows"; "mean(ms)"; "stddev(ms)"; "p99(ms)"; "rto-flows"; "incomplete" ]
-  in
-  let rows =
-    List.map
-      (fun ((n, _), r) ->
-        let s = Report.fct_stats r in
-        Table.add_row table
-          [
-            string_of_int n;
-            Table.fms s.Report.mean_ms;
-            Table.fms s.Report.sd_ms;
-            Table.fms s.Report.p99_ms;
-            string_of_int s.Report.flows_with_rto;
-            string_of_int s.Report.incomplete;
-          ];
-        (n, s))
-      pairs
-  in
-  Report.table table;
+  Report.workload scale;
+  let rows = Report.rows pairs in
+  let t = Report.table (Sink.table ~name:"fig1a" ~columns rows) in
   Report.sub_header "embedded panel (mean only)";
   List.iter
-    (fun (n, s) -> Report.printf "  %d subflows: %6.1f ms\n" n s.Report.mean_ms)
-    rows
-
-let sinks _scale pairs =
-  [
-    Sink.table ~name:"fig1a"
-      ~columns:
-        [
-          ("subflows", fun ((n, _), _) -> Sink.int n);
-          ("mean_ms", fun (_, s) -> Sink.float s.Report.mean_ms);
-          ("sd_ms", fun (_, s) -> Sink.float s.Report.sd_ms);
-          ("p99_ms", fun (_, s) -> Sink.float s.Report.p99_ms);
-          ("rto_flows", fun (_, s) -> Sink.int s.Report.flows_with_rto);
-        ]
-      (List.map (fun (p, r) -> (p, Report.fct_stats r)) pairs);
-  ]
+    (fun r ->
+      Report.printf "  %d subflows: %6.1f ms\n" (fst r.Report.point)
+        r.Report.fct.Report.mean_ms)
+    rows;
+  [ t ]
 
 let experiment =
-  Experiment.make ~name:"fig1a"
+  Experiment.scenario ~name:"fig1a"
     ~doc:"Figure 1(a): MPTCP short-flow FCT vs subflow count."
     ~points:(fun scale -> configs scale)
     ~point_label:(fun (n, _) -> Printf.sprintf "subflows=%d" n)
-    ~run_point:(fun _scale (_, cfg) -> Scenario.run cfg)
-    ~render ~sinks ~capture:(fun r -> r.Scenario.obs)
-    ~ledger:(fun r -> r.Scenario.ledger) ()
+    ~config:(fun _scale (_, cfg) -> cfg)
+    ~render

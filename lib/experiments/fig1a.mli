@@ -14,4 +14,5 @@ val configs :
 
 val experiment : Experiment.t
 (** Points are subflow counts 1–9; the sink exports the swept series
-    (subflows, mean, sd, p99, rto-flows). *)
+    (subflows, mean, sd, p99, rto-flows, incomplete) from the column
+    list its stdout table prints. *)

@@ -20,7 +20,7 @@ let scatter r ~max_series =
 
 let render_one ~title scale r =
   Report.header title;
-  Report.printf "workload: %s\n" (Format.asprintf "%a" Scale.pp scale);
+  Report.workload scale;
   let s = Report.fct_stats r in
   Report.printf
     "shorts: %d completed, %d incomplete | mean=%.1fms sd=%.1fms p50=%.1fms p99=%.1fms max=%.1fms\n"
@@ -39,8 +39,7 @@ let render_one ~title scale r =
     (scatter r ~max_series:40)
 
 (* The per-flow series the paper's scatter plots are drawn from. *)
-let sinks ~tag _scale pairs =
-  let r = match pairs with [ ((), r) ] -> r | _ -> assert false in
+let flow_table ~tag r =
   let completed =
     Array.to_list r.Scenario.shorts
     |> List.filter_map (fun f ->
@@ -48,38 +47,35 @@ let sinks ~tag _scale pairs =
         | Some t -> Some (f.Scenario.id, Time.to_ms t, f.Scenario.rtos)
         | None -> None)
   in
-  [
-    Sink.table ~name:tag
-      ~columns:
-        [
-          ("flow_id", fun (id, _, _) -> Sink.int id);
-          ("fct_ms", fun (_, ms, _) -> Sink.float ms);
-          ("rtos", fun (_, _, rtos) -> Sink.int rtos);
-        ]
-      completed;
-  ]
+  Sink.table ~name:tag
+    ~columns:
+      [
+        Sink.column "flow_id" Sink.int (fun (id, _, _) -> id);
+        Sink.column "fct_ms" Sink.float (fun (_, ms, _) -> ms);
+        Sink.column "rtos" Sink.int (fun (_, _, rtos) -> rtos);
+      ]
+    completed
 
 let make ~tag ~title ~doc ~protocol =
-  Experiment.make ~name:tag ~doc
+  Experiment.scenario ~name:tag ~doc
     ~points:(fun _scale -> [ () ])
     ~point_label:(fun () -> "scenario")
-    ~run_point:(fun scale () ->
-      Scenario.run (Scale.scenario_config scale ~protocol))
+    ~config:(fun scale () -> Scale.scenario_config scale ~protocol)
     ~render:(fun scale pairs ->
       match pairs with
-      | [ ((), r) ] -> render_one ~title scale r
+      | [ ((), r) ] ->
+        render_one ~title scale r;
+        [ flow_table ~tag r ]
       | _ -> assert false)
-    ~sinks:(sinks ~tag) ~capture:(fun r -> r.Scenario.obs)
-    ~ledger:(fun r -> r.Scenario.ledger) ()
 
 let fig1b =
   make ~tag:"fig1b"
     ~title:"Figure 1(b): short-flow completion times, MPTCP (8 subflows)"
     ~doc:"Figure 1(b): per-flow FCT scatter, MPTCP 8 subflows."
-    ~protocol:(Scenario.Mptcp_proto { subflows = 8; coupled = true })
+    ~protocol:Scale.mptcp_8
 
 let fig1c =
   make ~tag:"fig1c"
     ~title:"Figure 1(c): short-flow completion times, MMPTCP (PS + 8 subflows)"
     ~doc:"Figure 1(c): per-flow FCT scatter, MMPTCP."
-    ~protocol:(Scenario.Mmptcp_proto Mmptcp.Strategy.default)
+    ~protocol:Scale.mmptcp

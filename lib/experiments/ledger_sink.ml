@@ -6,34 +6,27 @@
 
 module L = Sim_obs.Flow_ledger
 
-let sanitize label =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' -> c
-      | _ -> '-')
-    label
-
 let flow_table ~prefix (d : L.dump) =
+  let int key proj = Sink.column key Sink.int proj in
   Sink.table ~name:prefix
     ~columns:
       [
-        ("conn", fun (e : L.entry) -> Sink.int e.L.e_conn);
-        ("src", fun e -> Sink.int e.L.e_src);
-        ("dst", fun e -> Sink.int e.L.e_dst);
-        ("size", fun e -> Sink.int e.L.e_size);
-        ("class", fun e -> Sink.str (if e.L.e_long then "long" else "short"));
-        ("start_ns", fun e -> Sink.int e.L.e_start_ns);
-        ("handshake_ns", fun e -> Sink.int e.L.e_handshake_ns);
-        ("switch_ns", fun e -> Sink.int e.L.e_switch_ns);
-        ("promote_ns", fun e -> Sink.int e.L.e_promote_ns);
-        ("complete_ns", fun e -> Sink.int e.L.e_complete_ns);
-        ( "fct_ns",
-          fun e ->
-            Sink.int (match L.fct_ns e with Some v -> v | None -> -1) );
-        ("rtos", fun e -> Sink.int e.L.e_rtos);
-        ("fast_rtxs", fun e -> Sink.int e.L.e_fast_rtxs);
-        ("bytes", fun e -> Sink.int e.L.e_bytes);
+        int "conn" (fun (e : L.entry) -> e.L.e_conn);
+        int "src" (fun e -> e.L.e_src);
+        int "dst" (fun e -> e.L.e_dst);
+        int "size" (fun e -> e.L.e_size);
+        Sink.column "class" Sink.str (fun e ->
+            if e.L.e_long then "long" else "short");
+        int "start_ns" (fun e -> e.L.e_start_ns);
+        int "handshake_ns" (fun e -> e.L.e_handshake_ns);
+        int "switch_ns" (fun e -> e.L.e_switch_ns);
+        int "promote_ns" (fun e -> e.L.e_promote_ns);
+        int "complete_ns" (fun e -> e.L.e_complete_ns);
+        int "fct_ns" (fun e ->
+            match L.fct_ns e with Some v -> v | None -> -1);
+        int "rtos" (fun e -> e.L.e_rtos);
+        int "fast_rtxs" (fun e -> e.L.e_fast_rtxs);
+        int "bytes" (fun e -> e.L.e_bytes);
       ]
     (Array.to_list d)
 
@@ -90,22 +83,23 @@ let summary_table ~prefix (d : L.dump) =
         end)
       classes
   in
+  let pct key q = Sink.column key Sink.float (fun (_, _, _, pct) -> pct q) in
   Sink.table
     ~name:(prefix ^ "-summary")
     ~columns:
       [
-        ("class", fun (cls, _, _, _) -> Sink.str cls);
-        ("flows", fun (_, n, _, _) -> Sink.int n);
-        ("completed", fun (_, _, c, _) -> Sink.int c);
-        ("fct_p50_ms", fun (_, _, _, pct) -> Sink.float (pct 50.));
-        ("fct_p90_ms", fun (_, _, _, pct) -> Sink.float (pct 90.));
-        ("fct_p99_ms", fun (_, _, _, pct) -> Sink.float (pct 99.));
-        ("fct_max_ms", fun (_, _, _, pct) -> Sink.float (pct 100.));
+        Sink.column "class" Sink.str (fun (cls, _, _, _) -> cls);
+        Sink.column "flows" Sink.int (fun (_, n, _, _) -> n);
+        Sink.column "completed" Sink.int (fun (_, _, c, _) -> c);
+        pct "fct_p50_ms" 50.;
+        pct "fct_p90_ms" 90.;
+        pct "fct_p99_ms" 99.;
+        pct "fct_max_ms" 100.;
       ]
     rows
 
 let dump_artifacts ~experiment ~label (d : L.dump) =
-  let prefix = Printf.sprintf "ledger-%s-%s" experiment (sanitize label) in
+  let prefix = Printf.sprintf "ledger-%s-%s" experiment (Sink.sanitize label) in
   [
     Sink.Table (flow_table ~prefix d);
     Sink.Raw { basename = prefix ^ ".jsonl"; contents = jsonl d };

@@ -1,14 +1,6 @@
 module Capture = Sim_obs.Capture
 module Metrics = Sim_obs.Metrics
 
-let sanitize label =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' -> c
-      | _ -> '-')
-    label
-
 (* Component names in first-gauge-registration order: determined by
    simulation construction order, not by hashing. *)
 let components (c : Capture.t) =
@@ -30,11 +22,13 @@ let gauge_table ~prefix (c : Capture.t) comp =
          ~name:(Printf.sprintf "%s-%s" prefix comp)
          ~columns:
            [
-             ("t_ns", fun (t, _, _) -> Sink.int t);
-             ("id", fun (_, i, _) -> Sink.str c.gauges.(i).Metrics.id);
-             ("metric", fun (_, i, _) -> Sink.str c.gauges.(i).Metrics.name);
-             ("units", fun (_, i, _) -> Sink.str c.gauges.(i).Metrics.units);
-             ("value", fun (_, _, v) -> Sink.float v);
+             Sink.column "t_ns" Sink.int (fun (t, _, _) -> t);
+             Sink.column "id" Sink.str (fun (_, i, _) -> c.gauges.(i).Metrics.id);
+             Sink.column "metric" Sink.str (fun (_, i, _) ->
+                 c.gauges.(i).Metrics.name);
+             Sink.column "units" Sink.str (fun (_, i, _) ->
+                 c.gauges.(i).Metrics.units);
+             Sink.column "value" Sink.float (fun (_, _, v) -> v);
            ]
          rows)
 
@@ -56,14 +50,16 @@ let hist_table ~prefix (c : Capture.t) =
       (Sink.table ~name:(prefix ^ "-hist")
          ~columns:
            [
-             ( "component",
-               fun ((m : Metrics.meta), _, _, _) -> Sink.str m.component );
-             ("id", fun ((m : Metrics.meta), _, _, _) -> Sink.str m.id);
-             ("metric", fun ((m : Metrics.meta), _, _, _) -> Sink.str m.name);
-             ("units", fun ((m : Metrics.meta), _, _, _) -> Sink.str m.units);
-             ("bucket_lo", fun (_, lo, _, _) -> Sink.float lo);
-             ("bucket_hi", fun (_, _, hi, _) -> Sink.float hi);
-             ("count", fun (_, _, _, n) -> Sink.int n);
+             Sink.column "component" Sink.str
+               (fun ((m : Metrics.meta), _, _, _) -> m.component);
+             Sink.column "id" Sink.str (fun ((m : Metrics.meta), _, _, _) -> m.id);
+             Sink.column "metric" Sink.str
+               (fun ((m : Metrics.meta), _, _, _) -> m.name);
+             Sink.column "units" Sink.str
+               (fun ((m : Metrics.meta), _, _, _) -> m.units);
+             Sink.column "bucket_lo" Sink.float (fun (_, lo, _, _) -> lo);
+             Sink.column "bucket_hi" Sink.float (fun (_, _, hi, _) -> hi);
+             Sink.column "count" Sink.int (fun (_, _, _, n) -> n);
            ]
          rows)
 
@@ -89,7 +85,7 @@ let events_jsonl (c : Capture.t) =
   Buffer.contents buf
 
 let capture_artifacts ~experiment ~label (c : Capture.t) =
-  let prefix = Printf.sprintf "probe-%s-%s" experiment (sanitize label) in
+  let prefix = Printf.sprintf "probe-%s-%s" experiment (Sink.sanitize label) in
   let tables =
     List.filter_map Fun.id
       (List.map (gauge_table ~prefix c) (components c) @ [ hist_table ~prefix c ])

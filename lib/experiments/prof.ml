@@ -62,12 +62,13 @@ let artifact ~experiment spans =
        ~name:(Printf.sprintf "prof-%s" experiment)
        ~columns:
          [
-           ("point", fun (l, _) -> Sink.str l);
-           ("wall_s", fun (_, s) -> Sink.float s.sp_wall_s);
-           ("minor_words", fun (_, s) -> Sink.float s.sp_minor_words);
-           ("promoted_words", fun (_, s) -> Sink.float s.sp_promoted_words);
-           ("major_words", fun (_, s) -> Sink.float s.sp_major_words);
-           ("minor_gcs", fun (_, s) -> Sink.int s.sp_minor_gcs);
-           ("major_gcs", fun (_, s) -> Sink.int s.sp_major_gcs);
+           Sink.column "point" Sink.str fst;
+           Sink.column "wall_s" Sink.float (fun (_, s) -> s.sp_wall_s);
+           Sink.column "minor_words" Sink.float (fun (_, s) -> s.sp_minor_words);
+           Sink.column "promoted_words" Sink.float (fun (_, s) ->
+               s.sp_promoted_words);
+           Sink.column "major_words" Sink.float (fun (_, s) -> s.sp_major_words);
+           Sink.column "minor_gcs" Sink.int (fun (_, s) -> s.sp_minor_gcs);
+           Sink.column "major_gcs" Sink.int (fun (_, s) -> s.sp_major_gcs);
          ]
        rows)

@@ -45,3 +45,15 @@ let scenario_config t ~protocol =
     horizon = Time.of_sec t.horizon_s;
     obs = t.obs;
   }
+
+let mptcp_8 = Scenario.Mptcp_proto { subflows = 8; coupled = true }
+let mmptcp = Scenario.Mmptcp_proto Mmptcp.Strategy.default
+let protocols = [ ("mptcp-8", mptcp_8); ("mmptcp", mmptcp) ]
+
+let versus variants =
+  List.concat_map
+    (fun (vname, v) ->
+      List.map (fun (pname, protocol) -> (vname, v, pname, protocol)) protocols)
+    variants
+
+let versus_label (vname, _, pname, _) = vname ^ " " ^ pname

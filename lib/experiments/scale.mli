@@ -36,3 +36,24 @@ val scenario_config :
   t -> protocol:Sim_workload.Scenario.protocol -> Sim_workload.Scenario.config
 (** The paper workload (permutation TM, 1/3 long hosts, 70 KB shorts)
     at this scale. *)
+
+val mptcp_8 : Sim_workload.Scenario.protocol
+(** MPTCP with 8 coupled (LIA) subflows. *)
+
+val mmptcp : Sim_workload.Scenario.protocol
+(** MMPTCP with the default strategy. *)
+
+val protocols : (string * Sim_workload.Scenario.protocol) list
+(** The paper's comparison: [[("mptcp-8", mptcp_8); ("mmptcp",
+    mmptcp)]]. *)
+
+val versus :
+  (string * 'a) list ->
+  (string * 'a * string * Sim_workload.Scenario.protocol) list
+(** [versus variants]: each named variant under each of {!protocols},
+    variant-major — [(variant name, variant, protocol name,
+    protocol)]. *)
+
+val versus_label : string * 'a * string * 'b -> string
+(** ["<variant name> <protocol name>"], the point label of a
+    {!versus} point. *)

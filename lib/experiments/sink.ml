@@ -1,6 +1,6 @@
-(* Structured result sinks: one declarative column spec per
-   experiment, rendered as CSV + JSON artifacts plus a per-run
-   manifest. File I/O only — stdout stays the Report module's
+(* Structured result sinks: one column list per result table,
+   rendered as Report's aligned text and as CSV + JSON artifacts, plus
+   a per-run manifest. File I/O only — stdout stays the Report module's
    monopoly (simlint D004), which is what keeps the parallel runner's
    byte-identical-output guarantee intact whatever artifacts a run
    also writes. *)
@@ -39,6 +39,14 @@ let json_escape s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
+let sanitize label =
+  String.map
+    (fun c ->
+      match c with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' -> c
+      | _ -> '-')
+    label
+
 let json_float f =
   if Float.is_nan f || Float.abs f = Float.infinity then "null"
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
@@ -52,33 +60,53 @@ let json_cell = function
 (* ------------------------------------------------------------------ *)
 (* Tables *)
 
-type table = {
-  t_name : string;
-  t_columns : string list;
-  t_rows : cell list list;
+type 'a column = {
+  heading : string;
+  key : string;
+  text : 'a -> string;
+  cell : 'a -> cell;
 }
 
-let table ~name ~columns rows =
+let column ?heading ?text key cell proj =
   {
-    t_name = name;
-    t_columns = List.map fst columns;
-    t_rows = List.map (fun r -> List.map (fun (_, proj) -> proj r) columns) rows;
+    heading = Option.value heading ~default:key;
+    key;
+    text =
+      (match text with
+      | Some f -> fun a -> f (proj a)
+      | None -> fun a -> csv_cell (cell (proj a)));
+    cell = (fun a -> cell (proj a));
   }
 
-let name t = t.t_name
-let columns t = t.t_columns
-let rows t = t.t_rows
+(* Rows stay unprojected until a rendering asks for them: the text
+   form is only built for tables Report prints. *)
+type table =
+  | T : { t_name : string; t_columns : 'a column list; t_rows : 'a list } -> table
+
+let table ~name ~columns rows =
+  T { t_name = name; t_columns = columns; t_rows = rows }
+
+let name (T t) = t.t_name
+let columns (T t) = List.map (fun c -> c.key) t.t_columns
+
+let rows (T t) =
+  List.map (fun r -> List.map (fun c -> c.cell r) t.t_columns) t.t_rows
+
+let text (T t) =
+  Sim_stats.Table.render
+    ~header:(List.map (fun c -> c.heading) t.t_columns)
+    (List.map (fun r -> List.map (fun c -> c.text r) t.t_columns) t.t_rows)
 
 let csv_string t =
-  Sim_stats.Csv.to_string ~header:t.t_columns
-    (List.map (List.map csv_cell) t.t_rows)
+  Sim_stats.Csv.to_string ~header:(columns t)
+    (List.map (List.map csv_cell) (rows t))
 
 let json_string t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n  \"name\": ";
-  Buffer.add_string buf (json_escape t.t_name);
+  Buffer.add_string buf (json_escape (name t));
   Buffer.add_string buf ",\n  \"columns\": [";
-  Buffer.add_string buf (String.concat ", " (List.map json_escape t.t_columns));
+  Buffer.add_string buf (String.concat ", " (List.map json_escape (columns t)));
   Buffer.add_string buf "],\n  \"rows\": [";
   List.iteri
     (fun i row ->
@@ -86,7 +114,7 @@ let json_string t =
       Buffer.add_string buf "\n    [";
       Buffer.add_string buf (String.concat ", " (List.map json_cell row));
       Buffer.add_char buf ']')
-    t.t_rows;
+    (rows t);
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
 
@@ -105,8 +133,8 @@ let write_file ~dir ~basename contents =
 
 let write ~dir t =
   [
-    write_file ~dir ~basename:(t.t_name ^ ".csv") (csv_string t);
-    write_file ~dir ~basename:(t.t_name ^ ".json") (json_string t);
+    write_file ~dir ~basename:(name t ^ ".csv") (csv_string t);
+    write_file ~dir ~basename:(name t ^ ".json") (json_string t);
   ]
 
 (* ------------------------------------------------------------------ *)

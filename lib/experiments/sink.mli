@@ -1,9 +1,10 @@
 (** Structured result sinks for the experiment registry.
 
-    An experiment declares its artifact as a list of named columns
-    over its result rows; the sink layer renders that one declaration
-    as both a CSV file (RFC 4180, via {!Sim_stats.Csv}) and a JSON
-    file, and writes a run manifest describing every artifact of an
+    An experiment declares each result table once, as a list of
+    columns over its rows. That one declaration renders twice: as the
+    aligned text table {!Report} prints, and as a CSV file (RFC 4180,
+    via {!Sim_stats.Csv}) plus a JSON file under [--out DIR]. The sink
+    layer also writes a run manifest describing every artifact of an
     invocation. Sinks write files only — they never touch stdout, so
     they cannot perturb the byte-identical-output guarantee of the
     parallel runner (simlint rule D004 covers console I/O; file
@@ -23,16 +24,35 @@ val str : string -> cell
 
 (** {2 Tables} *)
 
-type table
-(** A materialised artifact: a name plus columns of cells. *)
+type 'a column
+(** One column over rows of type ['a]: a stdout heading and text
+    cell, an artifact key and cell. *)
 
-val table : name:string -> columns:(string * ('a -> cell)) list -> 'a list -> table
-(** [table ~name ~columns rows] applies each column's projection to
-    every row. [name] becomes the artifact basename ([name.csv],
-    [name.json]). *)
+val column :
+  ?heading:string ->
+  ?text:('v -> string) ->
+  string ->
+  ('v -> cell) ->
+  ('a -> 'v) ->
+  'a column
+(** [column ~heading ~text key cell proj] projects each row to a value
+    with [proj]; [text] formats it for stdout under [heading], [cell]
+    encodes it for the artifact under [key]. [heading] defaults to
+    [key] and [text] to the cell's CSV rendering. *)
+
+type table
+(** A named column list over its rows. *)
+
+val table : name:string -> columns:'a column list -> 'a list -> table
+(** [name] becomes the artifact basename ([name.csv], [name.json]). *)
+
+val text : table -> string
+(** The aligned text table: headings over text cells. *)
 
 val name : table -> string
 val columns : table -> string list
+(** The artifact keys. *)
+
 val rows : table -> cell list list
 
 val csv_string : table -> string
@@ -41,6 +61,10 @@ val json_string : table -> string
 
 val json_escape : string -> string
 (** [s] as a quoted JSON string literal. *)
+
+val sanitize : string -> string
+(** A point label as a file-name fragment: every character outside
+    [[A-Za-z0-9._-]] becomes ['-']. *)
 
 val write : dir:string -> table -> string list
 (** Write [name.csv] and [name.json] under [dir] (created if

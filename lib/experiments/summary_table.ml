@@ -1,75 +1,35 @@
 module Scenario = Sim_workload.Scenario
-module Table = Sim_stats.Table
 
-let row name r =
-  let s = Report.fct_stats r in
-  [
-    name;
-    Table.fms s.Report.mean_ms;
-    Table.fms s.Report.sd_ms;
-    string_of_int s.Report.flows_with_rto;
-    Table.pct (Scenario.core_loss r);
-    Table.pct (Scenario.agg_loss r);
-    Printf.sprintf "%.1f" (Report.long_mean_mbps r);
-    Table.pct (Scenario.core_utilisation r);
-  ]
+let pct heading key f =
+  Sink.column ~heading ~text:Sim_stats.Table.pct key Sink.float (fun r ->
+      f r.Report.result)
 
-let entries =
+let columns =
   [
-    ("mptcp-8", Scenario.Mptcp_proto { subflows = 8; coupled = true });
-    ("mmptcp", Scenario.Mmptcp_proto Mmptcp.Strategy.default);
+    Report.label "protocol" fst;
+    Report.mean ~heading:"short mean(ms)" ();
+    Report.sd ~heading:"short sd(ms)" ();
+    Report.rto_flows ();
+    pct "core loss" "core_loss" Scenario.core_loss;
+    pct "agg loss" "agg_loss" Scenario.agg_loss;
+    Report.long_goodput ();
+    pct "core util" "core_utilisation" Scenario.core_utilisation;
   ]
 
 let render scale pairs =
   Report.header
     "Table 1: MMPTCP vs MPTCP on the paper workload (identical seed)";
-  Report.printf "workload: %s\n" (Format.asprintf "%a" Scale.pp scale);
+  Report.workload scale;
   Report.printf
     "paper reports: MMPTCP 116ms (sd 101) vs MPTCP 126ms (sd 425); loss at\n\
      core/agg slightly lower for MMPTCP; equal long-flow throughput and\n\
      utilisation.\n";
-  let table =
-    Table.create
-      ~columns:
-        [
-          "protocol";
-          "short mean(ms)";
-          "short sd(ms)";
-          "rto-flows";
-          "core loss";
-          "agg loss";
-          "long goodput(Mb/s)";
-          "core util";
-        ]
-  in
-  List.iter (fun ((name, _), r) -> Table.add_row table (row name r)) pairs;
-  Report.table table
-
-let sinks _scale pairs =
-  [
-    Sink.table ~name:"table1"
-      ~columns:
-        [
-          ("protocol", fun ((name, _), _) -> Sink.str name);
-          ("mean_ms", fun (_, (s, _)) -> Sink.float s.Report.mean_ms);
-          ("sd_ms", fun (_, (s, _)) -> Sink.float s.Report.sd_ms);
-          ("rto_flows", fun (_, (s, _)) -> Sink.int s.Report.flows_with_rto);
-          ("core_loss", fun (_, (_, r)) -> Sink.float (Scenario.core_loss r));
-          ("agg_loss", fun (_, (_, r)) -> Sink.float (Scenario.agg_loss r));
-          ( "long_goodput_mbps",
-            fun (_, (_, r)) -> Sink.float (Report.long_mean_mbps r) );
-          ( "core_utilisation",
-            fun (_, (_, r)) -> Sink.float (Scenario.core_utilisation r) );
-        ]
-      (List.map (fun (p, r) -> (p, (Report.fct_stats r, r))) pairs);
-  ]
+  [ Report.table (Sink.table ~name:"table1" ~columns (Report.rows pairs)) ]
 
 let experiment =
-  Experiment.make ~name:"table1"
+  Experiment.scenario ~name:"table1"
     ~doc:"Text claims: MMPTCP vs MPTCP summary table."
-    ~points:(fun _scale -> entries)
-    ~point_label:(fun (name, _) -> name)
-    ~run_point:(fun scale (_, protocol) ->
-      Scenario.run (Scale.scenario_config scale ~protocol))
-    ~render ~sinks ~capture:(fun r -> r.Scenario.obs)
-    ~ledger:(fun r -> r.Scenario.ledger) ()
+    ~points:(fun _scale -> Scale.protocols)
+    ~point_label:fst
+    ~config:(fun scale (_, protocol) -> Scale.scenario_config scale ~protocol)
+    ~render

@@ -1,21 +1,12 @@
-type t = { columns : string list; mutable rows : string list list }
-
-let create ~columns = { columns; rows = [] }
-
-let add_row t row =
-  if List.length row <> List.length t.columns then
-    invalid_arg "Table.add_row: arity mismatch";
-  t.rows <- row :: t.rows
-
-let render t =
-  let rows = List.rev t.rows in
-  let all = t.columns :: rows in
-  let ncols = List.length t.columns in
+let render ~header rows =
+  let ncols = List.length header in
+  if List.exists (fun r -> List.length r <> ncols) rows then
+    invalid_arg "Table.render: arity mismatch";
   let widths = Array.make ncols 0 in
   List.iter
     (fun row ->
       List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell)) row)
-    all;
+    (header :: rows);
   let buf = Buffer.create 256 in
   let emit row =
     List.iteri
@@ -26,12 +17,10 @@ let render t =
       row;
     Buffer.add_char buf '\n'
   in
-  emit t.columns;
-  emit (List.mapi (fun i _ -> String.make widths.(i) '-') t.columns);
+  emit header;
+  emit (List.map (fun w -> String.make w '-') (Array.to_list widths));
   List.iter emit rows;
   Buffer.contents buf
 
-
 let fms v = Printf.sprintf "%.1f" v
 let pct v = Printf.sprintf "%.3f%%" (v *. 100.)
-let mbps v = Printf.sprintf "%.1f" (v /. 1e6)

@@ -1,14 +1,11 @@
-(** Aligned-column text tables for benchmark output. *)
+(** Aligned-column text tables for experiment output. *)
 
-type t
-
-val create : columns:string list -> t
-val add_row : t -> string list -> unit
-(** Raises [Invalid_argument] on arity mismatch. *)
-
-val render : t -> string
-(** The stats layer never prints (simlint rule D004): render to a
-    string and emit through the experiments' [Report] channel. *)
+val render : header:string list -> string list list -> string
+(** [render ~header rows]: the header, a dashed rule and the rows,
+    each column padded to its widest cell. Raises [Invalid_argument]
+    when a row's arity differs from the header's. The stats layer
+    never prints (simlint rule D004): the experiments' [Report]
+    channel emits the string. *)
 
 (** {1 Cell formatting helpers} *)
 
@@ -17,6 +14,3 @@ val fms : float -> string
 
 val pct : float -> string
 (** Fraction rendered as a percentage with 3 decimals. *)
-
-val mbps : float -> string
-(** Bits/s rendered as Mb/s. *)

@@ -1,6 +1,6 @@
 module Time = Sim_engine.Sim_time
 
-type kind =
+type model =
   | Packet
   | Fluid
   | Hybrid of { handoff_bytes : int }
@@ -9,12 +9,12 @@ type kind =
    shortly after slow-start has filled their window. *)
 let default_handoff_bytes = 100_000
 
-let kind_to_string = function
+let model_name = function
   | Packet -> "packet"
   | Fluid -> "fluid"
   | Hybrid { handoff_bytes } -> Printf.sprintf "hybrid:%d" handoff_bytes
 
-let kind_of_string s =
+let model_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "packet" -> Ok Packet
   | "fluid" -> Ok Fluid
@@ -55,7 +55,7 @@ let default_obs =
   }
 
 type config = {
-  model : kind;
+  model : model;
   topo : topology_kind;
   protocol : protocol;
   seed : int;

@@ -22,9 +22,9 @@
 module Time = Sim_engine.Sim_time
 
 (** Which engine serves the flows. *)
-type kind =
-  | Packet
-  | Fluid
+type model =
+  | Packet  (** full packet-level stacks (reference fidelity) *)
+  | Fluid  (** flows as rate processes, analytic FCTs *)
   | Hybrid of { handoff_bytes : int }
       (** packet until [handoff_bytes] delivered, fluid after *)
 
@@ -32,11 +32,11 @@ val default_handoff_bytes : int
 (** 100 KB: paper-sized short flows (70 KB) stay fully packet-level,
     long flows promote shortly after slow-start. *)
 
-val kind_to_string : kind -> string
+val model_name : model -> string
 (** ["packet"], ["fluid"], ["hybrid:BYTES"] — inverse of
-    {!kind_of_string}. *)
+    {!model_of_string}. *)
 
-val kind_of_string : string -> (kind, string) result
+val model_of_string : string -> (model, string) result
 (** Accepts ["packet"], ["fluid"], ["hybrid"] (default handoff) and
     ["hybrid:BYTES"]. *)
 
@@ -51,11 +51,18 @@ type topology_kind =
   | Vl2_topo of Sim_net.Vl2.params
   | Dumbbell_topo of { pairs : int; bottleneck : Sim_net.Topology.link_spec }
 
-(** Observability switches, all off by default. *)
+(** Observability switches, all off by default. They are read-only
+    taps: they never change flow behaviour (probing only adds sampler
+    timer events to the schedule). *)
 type obs_cfg = {
   probe_interval : Time.t option;
+      (** sample registered gauges every this much virtual time *)
   probe_conns : int list option;
-  ledger : bool;  (** publish the flow ledger's dump with the result *)
+      (** restrict connection-scoped instruments to these conn ids *)
+  ledger : bool;
+      (** return the flow ledger's dump ({!Sim_obs.Flow_ledger}) with
+          the result. Every run records the ledger and reads its flow
+          results off it; this switch changes nothing else. *)
   pin : unit;
       (** no switch: keeps [{ obs with ... }] updates that name the
           other three fields free of warning 23 (useless [with]) until
@@ -65,24 +72,32 @@ type obs_cfg = {
 val default_obs : obs_cfg
 
 type config = {
-  model : kind;
+  model : model;  (** which engine serves the flows *)
   topo : topology_kind;
   protocol : protocol;
   seed : int;
   tm : Traffic_matrix.kind;
-  long_fraction : float;
-  long_size : int;
-  short_size : int;
-  short_flows : int;
-  short_rate : float;
-  horizon : Time.t;
+  long_fraction : float;  (** fraction of hosts running background flows *)
+  long_size : int;  (** bytes; large enough never to finish *)
+  short_size : int;  (** bytes per short flow (paper: 70 KB) *)
+  short_flows : int;  (** total short flows to schedule *)
+  short_rate : float;  (** Poisson arrival rate per short host, flows/s *)
+  horizon : Time.t;  (** hard stop *)
   params : Sim_tcp.Tcp_params.t;
   obs : obs_cfg;
 }
 
 val paper_link_spec : Sim_net.Topology.link_spec
+(** 100 Mb/s, 20 us delay, 50-packet drop-tail queues — the calibrated
+    configuration all paper experiments run on. *)
+
 val paper_fattree : ?k:int -> ?oversub:int -> unit -> Sim_net.Fattree.params
+(** FatTree parameters using {!paper_link_spec} everywhere. *)
+
 val default_config : config
+(** k=4 oversub=4 FatTree on {!paper_link_spec}, packet model, MPTCP 8
+    subflows, permutation TM, 1/3 long hosts, 70 KB shorts. *)
+
 val protocol_name : protocol -> string
 
 type net_stats = {
@@ -90,6 +105,11 @@ type net_stats = {
   ns_agg_loss : float;
   ns_core_utilisation : float;
 }
+(** Network-side aggregates, read off the topology before it is
+    discarded. Precomputed (rather than keeping the topology handle in
+    the result) so a scenario result is pure data end to end —
+    process-mode workers marshal results back to the coordinating
+    process. *)
 
 val build_topology :
   sched:Sim_engine.Scheduler.t -> topology_kind -> Sim_net.Topology.t

@@ -1,57 +1,10 @@
-module Time = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler
 module Rng = Sim_engine.Rng
 
-(* The flow-mechanics types live in {!Flow_model}; re-exported here by
-   equation so experiment code keeps writing [Scenario.Tcp_proto] and
-   [{ default_config with ... }] unchanged. *)
-
-type model = Flow_model.kind =
-  | Packet
-  | Fluid
-  | Hybrid of { handoff_bytes : int }
-
-type protocol = Flow_model.protocol =
-  | Tcp_proto
-  | Mptcp_proto of { subflows : int; coupled : bool }
-  | Mmptcp_proto of Mmptcp.Strategy.t
-
-type topology_kind = Flow_model.topology_kind =
-  | Fattree_topo of Sim_net.Fattree.params
-  | Multihomed_topo of Sim_net.Multihomed.params
-  | Vl2_topo of Sim_net.Vl2.params
-  | Dumbbell_topo of { pairs : int; bottleneck : Sim_net.Topology.link_spec }
-
-type obs_cfg = Flow_model.obs_cfg = {
-  probe_interval : Time.t option;
-  probe_conns : int list option;
-  ledger : bool;
-  pin : unit;
-}
-
-let default_obs = Flow_model.default_obs
-
-type config = Flow_model.config = {
-  model : model;
-  topo : topology_kind;
-  protocol : protocol;
-  seed : int;
-  tm : Traffic_matrix.kind;
-  long_fraction : float;
-  long_size : int;
-  short_size : int;
-  short_flows : int;
-  short_rate : float;
-  horizon : Time.t;
-  params : Sim_tcp.Tcp_params.t;
-  obs : obs_cfg;
-}
-
-let paper_link_spec = Flow_model.paper_link_spec
-let paper_fattree = Flow_model.paper_fattree
-let default_config = Flow_model.default_config
-let protocol_name = Flow_model.protocol_name
-let model_name = Flow_model.kind_to_string
+(* The flow-mechanics types live in {!Flow_model}; re-exported here
+   so experiment code keeps writing [Scenario.Tcp_proto] and
+   [{ default_config with ... }]. *)
+include Flow_model
 
 type flow_result = {
   id : int;
@@ -64,12 +17,6 @@ type flow_result = {
   rtos : int;
   fast_rtxs : int;
   bytes_received : int;
-}
-
-type net_stats = Flow_model.net_stats = {
-  ns_core_loss : float;
-  ns_agg_loss : float;
-  ns_core_utilisation : float;
 }
 
 type result = {

@@ -10,73 +10,14 @@
     or the hybrid handoff — see {!Flow_model}), and results carry the
     same shape for all three. *)
 
-module Time = Sim_engine.Sim_time
-
-type model = Flow_model.kind =
-  | Packet  (** full packet-level stacks (reference fidelity) *)
-  | Fluid  (** flows as rate processes, analytic FCTs *)
-  | Hybrid of { handoff_bytes : int }
-      (** packet until the threshold, fluid after *)
-
-type protocol = Flow_model.protocol =
-  | Tcp_proto
-  | Mptcp_proto of { subflows : int; coupled : bool }
-  | Mmptcp_proto of Mmptcp.Strategy.t
-
-type topology_kind = Flow_model.topology_kind =
-  | Fattree_topo of Sim_net.Fattree.params
-  | Multihomed_topo of Sim_net.Multihomed.params
-  | Vl2_topo of Sim_net.Vl2.params
-  | Dumbbell_topo of { pairs : int; bottleneck : Sim_net.Topology.link_spec }
-
-(** Observability switches, all off by default. They are read-only
-    taps: they never change flow behaviour (probing only adds sampler
-    timer events to the schedule). *)
-type obs_cfg = Flow_model.obs_cfg = {
-  probe_interval : Time.t option;
-      (** sample registered gauges every this much virtual time *)
-  probe_conns : int list option;
-      (** restrict connection-scoped instruments to these conn ids *)
-  ledger : bool;
-      (** return the flow ledger's dump ({!Sim_obs.Flow_ledger}) in
-          [result.ledger]. Every run records the ledger and reads its
-          flow results off it; this switch changes nothing else. *)
-  pin : unit;  (** no switch; see {!Flow_model.obs_cfg} *)
-}
-
-val default_obs : obs_cfg
-
-type config = Flow_model.config = {
-  model : model;  (** which engine serves the flows *)
-  topo : topology_kind;
-  protocol : protocol;
-  seed : int;
-  tm : Traffic_matrix.kind;
-  long_fraction : float;  (** fraction of hosts running background flows *)
-  long_size : int;  (** bytes; large enough never to finish *)
-  short_size : int;  (** bytes per short flow (paper: 70 KB) *)
-  short_flows : int;  (** total short flows to schedule *)
-  short_rate : float;  (** Poisson arrival rate per short host, flows/s *)
-  horizon : Time.t;  (** hard stop *)
-  params : Sim_tcp.Tcp_params.t;
-  obs : obs_cfg;
-}
-
-val paper_link_spec : Sim_net.Topology.link_spec
-(** 100 Mb/s, 20 us delay, 50-packet drop-tail queues — the calibrated
-    configuration all paper experiments run on. *)
-
-val paper_fattree : ?k:int -> ?oversub:int -> unit -> Sim_net.Fattree.params
-(** FatTree parameters using {!paper_link_spec} everywhere. *)
-
-val default_config : config
-(** k=4 oversub=4 FatTree on {!paper_link_spec}, packet model, MPTCP 8
-    subflows, permutation TM, 1/3 long hosts, 70 KB shorts. *)
-
-val protocol_name : protocol -> string
-
-val model_name : model -> string
-(** ["packet"], ["fluid"], ["hybrid:BYTES"]. *)
+include module type of struct
+  include Flow_model
+end
+(** The flow-mechanics types and values — {!model}, {!protocol},
+    {!topology_kind}, {!obs_cfg}, {!config}, {!net_stats}, the paper
+    presets — are {!Flow_model}'s, re-exported so experiment code
+    writes [Scenario.Tcp_proto] and [{ Scenario.default_config with
+    ... }]. *)
 
 (** One flow's outcome, read off its flow-ledger entry. *)
 type flow_result = {
@@ -91,16 +32,6 @@ type flow_result = {
   fast_rtxs : int;
   bytes_received : int;
 }
-
-type net_stats = Flow_model.net_stats = {
-  ns_core_loss : float;
-  ns_agg_loss : float;
-  ns_core_utilisation : float;
-}
-(** Network-side aggregates, read off the topology before it is
-    discarded. Precomputed (rather than keeping the topology handle in
-    the result) so a [result] is pure data end to end — process-mode
-    workers marshal results back to the coordinating process. *)
 
 type result = {
   config : config;

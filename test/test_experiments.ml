@@ -55,6 +55,43 @@ let test_fct_stats_consistent () =
   check_bool "within_100ms is a fraction" true
     (s.Report.within_100ms >= 0. && s.Report.within_100ms <= 1.)
 
+(* Every short stalled: none completed, one of them on an RTO. The
+   RTO-hit count covers incomplete shorts too, so it must not drop to
+   0 just because no FCT exists. *)
+let test_fct_stats_all_incomplete () =
+  let short id rtos =
+    {
+      Scenario.id;
+      src = 0;
+      dst = 1;
+      flow_size = 70_000;
+      is_long = false;
+      start = Time.zero;
+      fct = None;
+      rtos;
+      fast_rtxs = 0;
+      bytes_received = 0;
+    }
+  in
+  let r =
+    {
+      Scenario.config = Scenario.default_config;
+      shorts = [| short 0 0; short 1 2; short 2 0 |];
+      longs = [||];
+      net = { Scenario.ns_core_loss = 0.; ns_agg_loss = 0.; ns_core_utilisation = 0. };
+      events = 0;
+      duration = Time.of_sec 1.;
+      obs = None;
+      ledger = None;
+    }
+  in
+  let s = Report.fct_stats r in
+  check_int "completed" 0 s.Report.completed;
+  check_int "incomplete" 3 s.Report.incomplete;
+  check_int "rto flows" (Scenario.shorts_with_rto r) s.Report.flows_with_rto;
+  check_int "rto flows counts the stalled short" 1 s.Report.flows_with_rto;
+  check_bool "no mean" true (Float.is_nan s.Report.mean_ms)
+
 let test_scatter_decimation () =
   let r = tiny_result () in
   let series = Fig1bc.scatter r ~max_series:5 in
@@ -100,7 +137,11 @@ let () =
           Alcotest.test_case "config carries scale" `Quick test_scenario_config_carries_scale;
         ] );
       ( "report",
-        [ Alcotest.test_case "fct stats consistent" `Slow test_fct_stats_consistent ] );
+        [
+          Alcotest.test_case "fct stats consistent" `Slow test_fct_stats_consistent;
+          Alcotest.test_case "fct stats with no completed short" `Quick
+            test_fct_stats_all_incomplete;
+        ] );
       ( "fig1bc",
         [ Alcotest.test_case "scatter decimation" `Slow test_scatter_decimation ] );
       ( "coexist",

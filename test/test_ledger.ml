@@ -185,8 +185,12 @@ let test_render_deterministic () =
       | Sim_experiments.Sink.Raw r1, Sim_experiments.Sink.Raw r2 ->
         Alcotest.(check string) "jsonl basename" r1.basename r2.basename;
         Alcotest.(check string) "jsonl bytes" r1.contents r2.contents
-      | Sim_experiments.Sink.Table _, Sim_experiments.Sink.Table _ ->
-        Alcotest.(check bool) "tables equal" true (x = y)
+      | Sim_experiments.Sink.Table t1, Sim_experiments.Sink.Table t2 ->
+        let module Sink = Sim_experiments.Sink in
+        Alcotest.(check bool) "tables equal" true
+          (Sink.name t1 = Sink.name t2
+          && Sink.columns t1 = Sink.columns t2
+          && Sink.rows t1 = Sink.rows t2)
       | _ -> Alcotest.fail "artifact shape changed between runs")
     a b
 

@@ -24,14 +24,14 @@ let synthetic ~log ?(boom = fun _ -> false) () =
     ~run_point:(fun scale i ->
       if boom i then failwith "kaboom";
       i * scale.Scale.seed)
-    ~render:(fun _ pairs -> log := pairs)
-    ~sinks:(fun _ pairs ->
+    ~render:(fun _ pairs ->
+      log := pairs;
       [
         Sink.table ~name:"synthetic"
           ~columns:
             [
-              ("point", fun (p, _) -> Sink.int p);
-              ("result", fun (_, r) -> Sink.int r);
+              Sink.column "point" Sink.int fst;
+              Sink.column "result" Sink.int snd;
             ]
           pairs;
       ])

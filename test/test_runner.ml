@@ -49,15 +49,11 @@ let mini_suite =
       ~point_label:string_of_int
       ~run_point:(fun _ i -> i * i)
       ~render:(fun _ pairs ->
-        List.iter (fun (p, r) -> Printf.printf "%d^2 = %d\n" p r) pairs)
-      ~sinks:(fun _ pairs ->
+        List.iter (fun (p, r) -> Printf.printf "%d^2 = %d\n" p r) pairs;
         [
           Sink.table ~name:"squares"
             ~columns:
-              [
-                ("x", fun (p, _) -> Sink.int p);
-                ("x_squared", fun (_, r) -> Sink.int r);
-              ]
+              [ Sink.column "x" Sink.int fst; Sink.column "x_squared" Sink.int snd ]
             pairs;
         ])
       ()
@@ -68,13 +64,8 @@ let mini_suite =
       ~point_label:string_of_int
       ~run_point:(fun _ i -> -i)
       ~render:(fun _ pairs ->
-        List.iter (fun (p, r) -> Printf.printf "-%d = %d\n" p r) pairs)
-      ~sinks:(fun _ pairs ->
-        [
-          Sink.table ~name:"negations"
-            ~columns:[ ("neg", fun (_, r) -> Sink.int r) ]
-            pairs;
-        ])
+        List.iter (fun (p, r) -> Printf.printf "-%d = %d\n" p r) pairs;
+        [ Sink.table ~name:"negations" ~columns:[ Sink.column "neg" Sink.int snd ] pairs ])
       ()
   in
   [ squares; negations ]
@@ -87,7 +78,9 @@ let fig1a_sweep ~log =
       ~points:(fun scale -> Fig1a.configs ~lo:1 ~hi:2 scale)
       ~point_label:(fun (n, _) -> string_of_int n)
       ~run_point:(fun _ (_, cfg) -> Scenario.run cfg)
-      ~render:(fun _ pairs -> log := List.map snd pairs)
+      ~render:(fun _ pairs ->
+        log := List.map snd pairs;
+        [])
       ();
   ]
 
@@ -113,7 +106,7 @@ let probed_suite =
         Scenario.run
           (Scale.scenario_config { scale with Scale.seed }
              ~protocol:(Scenario.Mmptcp_proto Mmptcp.Strategy.default)))
-      ~render:(fun _ _ -> ())
+      ~render:(fun _ _ -> [])
       ~capture:(fun r -> r.Scenario.obs)
       ();
   ]
@@ -129,15 +122,12 @@ let synthetic ~log =
       ~points:(fun scale -> List.init scale.Scale.flows Fun.id)
       ~point_label:(fun i -> Printf.sprintf "p%d" i)
       ~run_point:(fun scale i -> i * scale.Scale.seed)
-      ~render:(fun _ pairs -> log := pairs)
-      ~sinks:(fun _ pairs ->
+      ~render:(fun _ pairs ->
+        log := pairs;
         [
           Sink.table ~name:"synthetic"
             ~columns:
-              [
-                ("point", fun (p, _) -> Sink.int p);
-                ("result", fun (_, r) -> Sink.int r);
-              ]
+              [ Sink.column "point" Sink.int fst; Sink.column "result" Sink.int snd ]
             pairs;
         ])
       ();
@@ -150,7 +140,7 @@ let failing_suite =
       ~point_label:string_of_int
       ~run_point:(fun _ i ->
         if i = 1 then failwith "synthetic point failure" else i)
-      ~render:(fun _ _ -> ())
+      ~render:(fun _ _ -> [])
       ()
   ]
 

@@ -20,9 +20,9 @@ let sample_table () =
   Sink.table ~name:"sample"
     ~columns:
       [
-        ("id", fun (i, _, _) -> Sink.int i);
-        ("value", fun (_, v, _) -> Sink.float v);
-        ("tag", fun (_, _, t) -> Sink.str t);
+        Sink.column "id" Sink.int (fun (i, _, _) -> i);
+        Sink.column "value" Sink.float (fun (_, v, _) -> v);
+        Sink.column "tag" Sink.str (fun (_, _, t) -> t);
       ]
     [ (1, 1.5, "plain"); (2, Float.nan, "a,b") ]
 
@@ -50,7 +50,7 @@ let test_json_rendering () =
 let test_json_escaping () =
   let t =
     Sink.table ~name:"esc"
-      ~columns:[ ("s", fun s -> Sink.str s) ]
+      ~columns:[ Sink.column "s" Sink.str Fun.id ]
       [ "he said \"hi\"\nbye\\" ]
   in
   check_has "escaped string" (Sink.json_string t)
@@ -58,7 +58,7 @@ let test_json_escaping () =
   (* Infinities are as unrepresentable as NaN. *)
   let inf =
     Sink.table ~name:"inf"
-      ~columns:[ ("v", fun v -> Sink.float v) ]
+      ~columns:[ Sink.column "v" Sink.float Fun.id ]
       [ Float.infinity; Float.neg_infinity ]
   in
   check_has "inf rows" (Sink.json_string inf) "[null],\n    [null]"
