@@ -41,10 +41,13 @@ let rows pairs =
   List.map (fun (point, result) -> { point; result; fct = fct_stats result }) pairs
 
 let label key f = Sink.column key Sink.str (fun r -> f r.point)
+
 let versus heading =
   [ label heading (fun (v, _, _, _) -> v); label "protocol" (fun (_, _, p, _) -> p) ]
 
-let ms heading key proj = Sink.column ~heading ~text:Sim_stats.Table.fms key Sink.float proj
+let ms heading key proj =
+  Sink.column ~heading ~text:Sim_stats.Table.fms key Sink.float proj
+
 let mean ?(heading = "mean(ms)") () = ms heading "mean_ms" (fun r -> r.fct.mean_ms)
 let sd ?(heading = "sd(ms)") () = ms heading "sd_ms" (fun r -> r.fct.sd_ms)
 let p50 () = ms "p50(ms)" "p50_ms" (fun r -> r.fct.p50_ms)
