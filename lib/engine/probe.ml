@@ -56,7 +56,6 @@ let stop t =
   Scheduler.Timer.cancel t.timer
 
 let ticks t = t.ticks
-let series t = t.series
 
 let capture t =
   stop t;

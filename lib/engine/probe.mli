@@ -35,8 +35,6 @@ val stop : t -> unit
 val ticks : t -> int
 (** Sampling ticks fired so far. *)
 
-val series : t -> Sim_obs.Series.t
-
 val capture : t -> Sim_obs.Capture.t
 (** Immutable snapshot of everything collected (gauge samples,
     histograms, events). Call after the run; implies {!stop}. *)

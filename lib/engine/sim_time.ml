@@ -48,11 +48,9 @@ let ( >= ) : t -> t -> bool = Stdlib.( >= )
 let min : t -> t -> t = Stdlib.min
 let max : t -> t -> t = Stdlib.max
 
-let pp ppf t =
+let to_string t =
   let ns = float_of_int t in
-  if Stdlib.( < ) ns 1e3 then Format.fprintf ppf "%.0fns" ns
-  else if Stdlib.( < ) ns 1e6 then Format.fprintf ppf "%.2fus" (ns /. 1e3)
-  else if Stdlib.( < ) ns 1e9 then Format.fprintf ppf "%.3fms" (ns /. 1e6)
-  else Format.fprintf ppf "%.4fs" (ns /. 1e9)
-
-let to_string t = Format.asprintf "%a" pp t
+  if Stdlib.( < ) ns 1e3 then Printf.sprintf "%.0fns" ns
+  else if Stdlib.( < ) ns 1e6 then Printf.sprintf "%.2fus" (ns /. 1e3)
+  else if Stdlib.( < ) ns 1e9 then Printf.sprintf "%.3fms" (ns /. 1e6)
+  else Printf.sprintf "%.4fs" (ns /. 1e9)

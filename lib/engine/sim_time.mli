@@ -49,7 +49,5 @@ val ( >= ) : t -> t -> bool
 val min : t -> t -> t
 val max : t -> t -> t
 
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering with an adaptive unit (ns/us/ms/s). *)
-
 val to_string : t -> string
+(** Human-readable rendering with an adaptive unit (ns/us/ms/s). *)

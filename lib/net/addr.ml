@@ -8,4 +8,3 @@ let to_int t = t
 let equal = Int.equal
 let compare = Int.compare
 let hash t = t
-let pp ppf t = Format.fprintf ppf "h%d" t

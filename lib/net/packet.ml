@@ -298,13 +298,3 @@ let is_data t = check_live t ~op:"is_data"; t.len > 0
 let is_pure_ack t =
   check_live t ~op:"is_pure_ack";
   t.len = 0 && t.bits land ack_bit <> 0 && t.bits land syn_bit = 0
-
-let pp ppf t =
-  check_live t ~op:"pp";
-  Format.fprintf ppf "#%d %a->%a c%d.%d %s seq=%d ack=%d len=%d" t.uid
-    Addr.pp t.src Addr.pp t.dst t.conn t.subflow
-    (if syn t && ack t then "SYNACK"
-     else if syn t then "SYN"
-     else if t.len > 0 then "DATA"
-     else "ACK")
-    t.seq t.ack_seq t.len

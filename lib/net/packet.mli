@@ -167,4 +167,3 @@ val sack_blocks : t -> (int * int) list
 
 val is_data : t -> bool
 val is_pure_ack : t -> bool
-val pp : Format.formatter -> t -> unit

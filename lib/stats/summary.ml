@@ -51,8 +51,3 @@ let of_array a =
   }
 
 let of_list l = of_array (Array.of_list l)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f" t.n
-    t.mean t.stddev t.min t.p50 t.p90 t.p99 t.max

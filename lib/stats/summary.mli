@@ -23,4 +23,3 @@ val percentile : float array -> float -> float
 val mean : float array -> float
 val stddev : float array -> float
 
-val pp : Format.formatter -> t -> unit

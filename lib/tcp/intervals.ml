@@ -101,7 +101,6 @@ let is_covered t ~start ~stop =
   else if has_head t && t.lo <= start && stop <= t.hi then true
   else List.exists (fun (s, e) -> s <= start && stop <= e) t.rest
 
-let spans t = to_spans t
 let span_count t = (if has_head t then 1 else 0) + List.length t.rest
 
 let fill_above t ~above ~max_blocks ~dst =

@@ -20,9 +20,6 @@ val contiguous_from : t -> int -> int
     covered ([x] itself if [x] is uncovered). *)
 
 val is_covered : t -> start:int -> stop:int -> bool
-val spans : t -> (int * int) list
-(** The normalised ranges, sorted. *)
-
 val span_count : t -> int
 
 val fill_above : t -> above:int -> max_blocks:int -> dst:int array -> int

@@ -26,8 +26,3 @@ let default =
     delack_timeout = Time.of_ms 40.;
     sack = false;
   }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "mss=%d iw=%d min_rto=%a initial_rto=%a dupack=%d" t.mss t.initial_window
-    Time.pp t.min_rto Time.pp t.initial_rto t.dupack_threshold

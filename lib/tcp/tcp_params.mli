@@ -31,4 +31,3 @@ type t = {
 
 val default : t
 
-val pp : Format.formatter -> t -> unit

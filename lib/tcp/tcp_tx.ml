@@ -514,7 +514,6 @@ let handle t pkt =
 let state t = t.state
 let cwnd t = t.win.Cong.cwnd
 let ssthresh t = t.win.Cong.ssthresh
-let snd_una t = t.snd_una
 let srtt t = Rtt_estimator.srtt t.rtt
 let rto t = current_rto t
 let stats t = t.st

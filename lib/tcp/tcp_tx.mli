@@ -82,7 +82,6 @@ val state : t -> state
 val cwnd : t -> float
 val ssthresh : t -> float
 val flight : t -> int
-val snd_una : t -> int
 val srtt : t -> Time.t option
 val rto : t -> Time.t
 val rto_pending : t -> bool
