@@ -222,15 +222,9 @@ let jobs_term =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Run the independent simulations on $(docv) worker processes, \
-           each re-executing this binary with a private heap; 1 runs them \
+           each forked from this one with a private heap; 1 runs them \
            sequentially in this process. Output is identical for any \
            value; the default is the number of cores minus one.")
-
-(* Hidden protocol flag: `mmptcp_sim <cmd> <args> --worker` turns the
-   invocation into a Proc_pool worker serving job indices on stdin for
-   the identical parent command line. *)
-let worker_term =
-  Arg.(value & flag & info [ "worker" ] ~docs:Manpage.s_none)
 
 let prof_term =
   Arg.(
@@ -267,34 +261,16 @@ let git_describe () =
     | _ -> None
   with _ -> None
 
-(* The command line workers are spawned with: this invocation's argv
-   (so they re-derive the same experiments, scale and seeds) plus the
-   hidden --worker flag. argv.(0) is replaced by the executable's
-   resolved path because Proc_pool does not search $PATH. *)
-let worker_argv () =
-  let argv = Array.copy Sys.argv in
-  argv.(0) <- Sys.executable_name;
-  Array.append argv [| "--worker" |]
-
-let run_registry experiments jobs worker out prof scale =
-  if worker then begin
-    Registry.worker ~clock:Unix.gettimeofday scale experiments;
-    0
-  end
-  else begin
-    Registry.run ~clock:Unix.gettimeofday ?out ?git:(git_describe ())
-      ~worker_argv:(worker_argv ()) ~prof ~jobs scale experiments;
-    0
-  end
+let run_registry experiments jobs out prof scale =
+  Registry.run ~clock:Unix.gettimeofday ?out ?git:(git_describe ()) ~prof
+    ~jobs scale experiments;
+  0
 
 let experiment_cmd e =
-  let run jobs worker out prof scale =
-    run_registry [ e ] jobs worker out prof scale
-  in
   Cmd.v
     (Cmd.info (Experiment.name e) ~doc:(Experiment.doc e))
     Term.(
-      const run $ jobs_term $ worker_term $ out_term $ prof_term
+      const (run_registry [ e ]) $ jobs_term $ out_term $ prof_term
       $ scale_term)
 
 let only_conv =
@@ -326,7 +302,7 @@ let all_cmd =
             "Restrict to a comma-separated subset of experiments; they run \
              and render in registry order regardless of the order given.")
   in
-  let run only jobs worker out prof scale =
+  let run only jobs out prof scale =
     let experiments =
       match only with
       | None -> Registry.all
@@ -335,7 +311,7 @@ let all_cmd =
         | Ok es -> es
         | Error _ -> assert false (* validated by only_conv *))
     in
-    run_registry experiments jobs worker out prof scale
+    run_registry experiments jobs out prof scale
   in
   Cmd.v
     (Cmd.info "all"
@@ -344,7 +320,7 @@ let all_cmd =
           queue: all simulation points fan out together with no barrier \
           between experiments, and results render in registry order.")
     Term.(
-      const run $ only $ jobs_term $ worker_term $ out_term $ prof_term
+      const run $ only $ jobs_term $ out_term $ prof_term
       $ scale_term)
 
 let cmds = List.map experiment_cmd Registry.all @ [ all_cmd ]

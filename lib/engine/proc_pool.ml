@@ -2,13 +2,15 @@
    liveness facts the code below relies on:
 
    - strict request/reply: a worker holds at most one assigned index,
-     so between replies its stdout pipe (and our buffered in_channel
+     so between replies its reply pipe (and our buffered in_channel
      on it) is empty. [Unix.select] on the raw fds is therefore an
      accurate "a reply has started arriving" signal, and the blocking
      [Marshal.from_channel] that follows only waits for the tail of a
      message the worker is already flushing.
-   - parent-side pipe ends are close-on-exec, so a worker never holds
-     a sibling's pipe open; a dead worker's stdout always reads EOF.
+   - a forked child closes every parent-side pipe end it inherited,
+     so a worker never holds a sibling's pipe open; a dead worker's
+     reply pipe always reads EOF, and closing a worker's request pipe
+     always reaches it.
    - every child is reaped exactly once ([reap] removes it from
      [live]; the [Fun.protect] finaliser only sees survivors). *)
 
@@ -31,37 +33,72 @@ let rec select_retry fds =
   | ready, _, _ -> ready
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> select_retry fds
 
-let spawn worker_argv =
-  let in_read, in_write = Unix.pipe () in
-  let out_read, out_write = Unix.pipe () in
-  (* Keep our ends out of future workers: an inherited write end would
-     hold a dead sibling's pipe open and hide its EOF. *)
-  Unix.set_close_on_exec in_write;
-  Unix.set_close_on_exec out_read;
-  let pid =
-    Unix.create_process worker_argv.(0) worker_argv in_read out_write
-      Unix.stderr
+(* Child side: answer index requests on [req] until the parent closes
+   it. Whatever [job] raises goes back as its printed form. *)
+let serve ~job req rep =
+  let ic = Unix.in_channel_of_descr req in
+  let oc = Unix.out_channel_of_descr rep in
+  set_binary_mode_in ic true;
+  set_binary_mode_out oc true;
+  let rec loop () =
+    match input_line ic with
+    | exception End_of_file -> ()
+    | line ->
+      let i = int_of_string line in
+      let outcome =
+        match job i with
+        | payload -> Ok payload
+        | exception e -> Error (Printexc.to_string e)
+      in
+      Marshal.to_channel oc (i, (outcome : (string, string) result)) [];
+      flush oc;
+      loop ()
   in
-  Unix.close in_read;
-  Unix.close out_write;
-  let to_worker = Unix.out_channel_of_descr in_write in
-  let from_worker = Unix.in_channel_of_descr out_read in
-  set_binary_mode_out to_worker true;
-  set_binary_mode_in from_worker true;
-  { pid; to_worker; from_worker; from_fd = out_read; inflight = None }
+  loop ()
+
+(* Fork one worker. [live] are the workers forked before it, whose
+   parent-side ends the child inherits and must close. The child never
+   returns: it leaves with [_exit], skipping the [at_exit] handlers
+   (buffered channels included) that belong to the parent. *)
+let spawn ~job live =
+  let req_read, req_write = Unix.pipe ~cloexec:true () in
+  let rep_read, rep_write = Unix.pipe ~cloexec:true () in
+  (* Unflushed output would otherwise be written twice if the child
+     ever flushed it. *)
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+    List.iter
+      (fun w ->
+        Unix.close (Unix.descr_of_out_channel w.to_worker);
+        Unix.close w.from_fd)
+      live;
+    Unix.close req_write;
+    Unix.close rep_read;
+    Unix._exit
+      (match serve ~job req_read rep_write with () -> 0 | exception _ -> 2)
+  | pid ->
+    Unix.close req_read;
+    Unix.close rep_write;
+    let to_worker = Unix.out_channel_of_descr req_write in
+    let from_worker = Unix.in_channel_of_descr rep_read in
+    set_binary_mode_out to_worker true;
+    set_binary_mode_in from_worker true;
+    { pid; to_worker; from_worker; from_fd = rep_read; inflight = None }
 
 let describe_status = function
   | Unix.WEXITED c -> Printf.sprintf "exited with code %d" c
   | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
   | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
 
-let run ~jobs ~worker_argv ~n ~deliver =
+let run ~jobs ~n ~job ~deliver =
   if jobs < 1 then invalid_arg "Proc_pool.run: jobs must be >= 1";
   if n > 0 then begin
     (* A worker dying between assignment and flush must surface as a
        delivered Error, not kill us with SIGPIPE. *)
     let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-    let live = ref (List.init (min jobs n) (fun _ -> spawn worker_argv)) in
+    let live = ref [] in
     let next = ref 0 in
     let delivered = ref 0 in
     let deliver i outcome =
@@ -82,7 +119,7 @@ let run ~jobs ~worker_argv ~n ~deliver =
              (Printf.sprintf "worker process died mid-point (%s)"
                 (describe_status status)))
     in
-    (* Hand [w] the next pending index, or close its stdin when none
+    (* Hand [w] the next pending index, or close its pipe when none
        remain. A send failure means the worker is already dead: reap
        it without consuming the index, so a survivor picks it up. *)
     let assign w =
@@ -127,6 +164,9 @@ let run ~jobs ~worker_argv ~n ~deliver =
         live := [];
         Sys.set_signal Sys.sigpipe old_sigpipe)
       (fun () ->
+        for _ = 1 to min jobs n do
+          live := spawn ~job !live :: !live
+        done;
         List.iter assign (List.rev !live);
         while !delivered < n do
           if !live = [] then begin
@@ -146,17 +186,3 @@ let run ~jobs ~worker_argv ~n ~deliver =
           end
         done)
   end
-
-let serve ~run =
-  set_binary_mode_in stdin true;
-  set_binary_mode_out stdout true;
-  let rec loop () =
-    match input_line stdin with
-    | exception End_of_file -> ()
-    | line ->
-      let i = int_of_string (String.trim line) in
-      Marshal.to_channel stdout (i, (run i : (string, string) result)) [];
-      flush stdout;
-      loop ()
-  in
-  loop ()

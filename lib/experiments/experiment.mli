@@ -21,8 +21,9 @@ type ('p, 'r) spec = {
   points : Scale.t -> 'p list;  (** the sweep, in render order *)
   point_label : 'p -> string;  (** stable label for errors and the manifest *)
   run_point : Scale.t -> 'p -> 'r;
-      (** one independent simulation; runs in a worker process
-          at [jobs > 1] *)
+      (** one independent simulation; runs in a forked worker
+          process at [jobs > 1]. Its result is marshalled at every job
+          count, so it must hold no closure. *)
   render : Scale.t -> ('p * 'r) list -> Sink.table list;
       (** print the artefact via {!Report} and return its artifact
           tables for [--out DIR] — a printed table is returned as is,
@@ -48,10 +49,9 @@ val make :
   point_label:('p -> string) ->
   run_point:(Scale.t -> 'p -> 'r) ->
   render:(Scale.t -> ('p * 'r) list -> Sink.table list) ->
-  ?capture:('r -> Sim_obs.Capture.t option) ->
-  ?ledger:('r -> Sim_obs.Flow_ledger.dump option) ->
-  unit ->
   t
+(** An experiment whose results carry no probe capture or flow
+    ledger. *)
 
 val scenario :
   name:string ->
@@ -61,7 +61,7 @@ val scenario :
   config:(Scale.t -> 'p -> Sim_workload.Scenario.config) ->
   render:(Scale.t -> ('p * Sim_workload.Scenario.result) list -> Sink.table list) ->
   t
-(** {!make} for points that are scenario runs: each point runs
+(** An experiment whose points are scenario runs: each point runs
     [Scenario.run (config scale point)], and the result's probe
     capture and flow ledger become artifacts. *)
 
@@ -73,8 +73,8 @@ val doc : t -> string
     An {!instance} is an experiment bound to a scale: its points have
     become labelled jobs whose results accumulate inside the instance.
     The caller runs the jobs of any number of instances as one flat
-    queue — in-process with {!run_job}, or sharded over worker
-    processes with {!run_job_serial}/{!accept_job} — then calls
+    queue — each job's {!run_job} in this process or in a forked
+    worker process, and its {!accept_job} in this process — then calls
     {!finish} on each instance in registry order. *)
 
 type job
@@ -83,26 +83,18 @@ val job_label : job -> string
 
 val job_experiment : job -> string
 (** Name of the experiment the job belongs to — the coordinator's
-    metadata for attributing a worker-process failure. *)
+    metadata for attributing a point failure. *)
 
-val run_job : job -> unit
-(** Run the point in the calling process, stashing its result and
-    duration in the owning instance. Raises {!Runner.Point_failed}
-    around any escaping exception. *)
-
-val run_job_serial : job -> (string, string) result
-(** Worker-process side: run the point and return its result (and
-    [clock] duration) as marshalled bytes instead of stashing them —
-    nothing is written into the instance. [Error] is
-    [Printexc.to_string] of whatever the point raised. *)
+val run_job : job -> string
+(** Run the point under {!Prof.measure} and return its span and
+    result as marshalled bytes; nothing is written into the instance,
+    so this may run in a forked worker. Whatever the point raises
+    escapes unchanged. *)
 
 val accept_job : job -> string -> unit
-(** Coordinator side: store a payload produced by {!run_job_serial}
-    for the {e same} job (same experiment list, scale and point index)
-    into the instance, as if {!run_job} had run locally. The identical
-    job must have produced the bytes — [instantiate] builds both
-    closures over the same result type, which is what makes the
-    unmarshal well-typed. *)
+(** Store the bytes {!run_job} returned for the {e same} job into the
+    instance. [instantiate] builds both closures over the same result
+    type, which is what makes the unmarshal well-typed. *)
 
 type instance
 
@@ -116,8 +108,7 @@ val instance_name : instance -> string
 
 val instance_jobs : instance -> job list
 (** In [points] order. Jobs may complete in any order; {!finish}
-    reads their results only once every job has run or been
-    accepted. *)
+    reads their results only once every job has been accepted. *)
 
 val finish : instance -> Sink.artifact list
 (** Render the experiment (prints via {!Report}) and return its sink
@@ -126,12 +117,9 @@ val finish : instance -> Sink.artifact list
     extracted via [ledger]. Must be called after every job of the instance has
     run — [Invalid_argument] otherwise. *)
 
-val point_seconds : instance -> (string * float) list
-(** Per-point (label, duration) as measured by [clock], in [points]
-    order; meaningful only after the jobs ran. *)
-
 val point_spans : instance -> (string * Prof.span) list
 (** Per-point (label, profiling span) in [points] order — wall time
-    plus [Gc] allocation deltas, measured wherever the point ran
-    (coordinating process or worker process); meaningful only after
-    the jobs ran. Rendered by {!Registry.run} under [--prof]. *)
+    from [clock] plus [Gc] allocation deltas, measured wherever the
+    point ran (coordinating process or worker process); meaningful
+    only after the jobs were accepted. Rendered by {!Registry.run}
+    under [--prof], and its wall times are the manifest's. *)

@@ -78,4 +78,4 @@ let experiment =
     ~points:(fun _scale -> [ () ])
     ~point_label:(fun () -> "bottleneck")
     ~run_point:(fun scale () -> run_bottleneck scale)
-    ~render ()
+    ~render

@@ -32,34 +32,47 @@ let select requested =
   | None ->
     Ok (List.filter (fun e -> List.mem (Experiment.name e) requested) all)
 
-(* Fan the flat job queue out to worker processes. Results land in the
-   instances via accept_job as replies arrive; failures are collected
-   and the earliest-index one re-raised after the pool drains, so the
-   error names the same point whichever worker finished first. *)
-let run_sharded ~jobs ~worker_argv queue =
+let point_failed j exn =
+  Runner.Point_failed
+    {
+      experiment = Experiment.job_experiment j;
+      point = Experiment.job_label j;
+      exn;
+    }
+
+(* jobs = 1: run and accept every point here, in queue order, so the
+   first failure is the earliest point's and keeps its backtrace. *)
+let run_here queue =
+  Array.iter
+    (fun j ->
+      match Experiment.run_job j with
+      | payload -> Experiment.accept_job j payload
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Printexc.raise_with_backtrace (point_failed j e) bt)
+    queue
+
+(* jobs > 1: fan the queue out to forked workers, which run the same
+   job closures. Results are accepted as replies arrive; failures are
+   collected and the earliest-index one re-raised after the pool
+   drains, so the error names the same point as at jobs = 1. *)
+let run_forked ~jobs queue =
   let failures = ref [] in
-  Sim_engine.Proc_pool.run ~jobs ~worker_argv ~n:(Array.length queue)
+  Sim_engine.Proc_pool.run ~jobs ~n:(Array.length queue)
+    ~job:(fun i -> Experiment.run_job queue.(i))
     ~deliver:(fun i outcome ->
       match outcome with
       | Ok payload -> Experiment.accept_job queue.(i) payload
       | Error cause -> failures := (i, cause) :: !failures);
   match List.sort compare !failures with
   | [] -> ()
-  | (i, cause) :: _ ->
-    let j = queue.(i) in
-    raise
-      (Runner.Point_failed
-         {
-           experiment = Experiment.job_experiment j;
-           point = Experiment.job_label j;
-           exn = Runner.Remote cause;
-         })
+  | (i, cause) :: _ -> raise (point_failed queue.(i) (Runner.Remote cause))
 
-let run ?clock ?out ?git ?worker_argv ?(prof = false) ~jobs scale experiments
-    =
+let run ?clock ?out ?git ?(prof = false) ~jobs scale experiments =
   if jobs < 1 then invalid_arg "Registry.run: jobs must be >= 1";
-  if jobs > 1 && Option.is_none worker_argv then
-    invalid_arg "Registry.run: jobs > 1 requires worker_argv";
+  (* Before any point runs: an unusable --out fails now, not after
+     the whole sweep. *)
+  Option.iter Sink.ensure_dir out;
   let now () = match clock with Some c -> c () | None -> 0. in
   let t0 = now () in
   let instances =
@@ -68,11 +81,10 @@ let run ?clock ?out ?git ?worker_argv ?(prof = false) ~jobs scale experiments
   (* One flat queue: points of all experiments interleave freely over
      the workers; the pool draining is the barrier that makes every
      instance's result slots readable. *)
-  let queue = List.concat_map Experiment.instance_jobs instances in
-  (match worker_argv with
-   | Some argv when jobs > 1 ->
-     run_sharded ~jobs ~worker_argv:argv (Array.of_list queue)
-   | _ -> List.iter Experiment.run_job queue);
+  let queue =
+    Array.of_list (List.concat_map Experiment.instance_jobs instances)
+  in
+  if jobs = 1 then run_here queue else run_forked ~jobs queue;
   (* Render in registry order only after everything ran: this is what
      keeps stdout byte-identical at every job count. *)
   let artifacts =
@@ -106,7 +118,10 @@ let run ?clock ?out ?git ?worker_argv ?(prof = false) ~jobs scale experiments
             Sink.e_name = Experiment.instance_name inst;
             e_artifacts =
               List.concat_map (fun a -> Sink.write_artifact ~dir a) arts;
-            e_points = Experiment.point_seconds inst;
+            e_points =
+              List.map
+                (fun (label, sp) -> (label, sp.Prof.sp_wall_s))
+                (Experiment.point_spans inst);
           })
         artifacts
     in
@@ -115,15 +130,3 @@ let run ?clock ?out ?git ?worker_argv ?(prof = false) ~jobs scale experiments
         ~total_seconds:(now () -. t0) entries
     in
     Report.printf "[artifacts + %s written to %s]\n" manifest dir
-
-let worker ?clock scale experiments =
-  let instances =
-    List.map (fun e -> Experiment.instantiate ?clock e scale) experiments
-  in
-  let queue =
-    Array.of_list (List.concat_map Experiment.instance_jobs instances)
-  in
-  Sim_engine.Proc_pool.serve ~run:(fun i ->
-      if i < 0 || i >= Array.length queue then
-        Error (Printf.sprintf "worker: job index %d out of range" i)
-      else Experiment.run_job_serial queue.(i))

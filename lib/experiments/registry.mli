@@ -21,7 +21,6 @@ val run :
   ?clock:(unit -> float) ->
   ?out:string ->
   ?git:string ->
-  ?worker_argv:string array ->
   ?prof:bool ->
   jobs:int ->
   Scale.t ->
@@ -38,31 +37,24 @@ val run :
 
     [jobs = 1] runs every point sequentially in this process. [jobs >
     1] shards the queue over that many {!Sim_engine.Proc_pool} worker
-    processes and requires [worker_argv] — the command line of a
-    process that will call {!worker} with the {e same} scale and
-    experiment list (conventionally this process's own argv plus a
-    hidden [--worker] flag). [Invalid_argument] if [jobs < 1], or if
-    [jobs > 1] without [worker_argv]. A failed point raises
-    {!Runner.Point_failed} (earliest point first) at any job count.
+    processes, forked from this one, which run the same jobs; results
+    come back marshalled either way. [Invalid_argument] if [jobs < 1].
+    A failed point raises {!Runner.Point_failed} (earliest point
+    first) at any job count, with the same printed form.
 
     [prof] (default false) appends a [prof-<experiment>] artifact per
     experiment — per-point wall-clock and [Gc] allocation spans with a
-    TOTAL row, measured wherever the point ran (this process, or
-    worker processes whose spans marshal back with the results).
+    TOTAL row, measured wherever the point ran (spans marshal back
+    with the results).
     Span values are host-side and nondeterministic, so they render
     only under [out]; with [prof] but no [out] a fixed one-line note
     is printed instead and stdout stays deterministic.
 
     [out] writes each experiment's sink tables (CSV + JSON) and a
     [manifest.json] (scale, jobs, [git], per-point timings from
-    [clock], total wall-clock) into the directory, creating it if
-    missing, and prints a final one-line note. [clock] should be the
-    executable's wall-clock (library code must not read the clock
-    itself); without it the manifest's timings are zero. *)
-
-val worker : ?clock:(unit -> float) -> Scale.t -> Experiment.t list -> unit
-(** Worker-process body for [jobs > 1]: rebuild the same flat
-    job queue as {!run} (determinism of [instantiate] makes parent
-    and worker agree on what index [i] means), then serve job indices
-    from stdin until the coordinator closes it. Never renders, never
-    writes artifacts; stdout carries only the reply protocol. *)
+    [clock], total wall-clock) into the directory and prints a final
+    one-line note. The directory and any missing parents are created
+    before the first point runs, so a path that cannot be created
+    raises [Sys_error] naming it before any simulation. [clock] should
+    be the executable's wall-clock (library code must not read the
+    clock itself); without it the manifest's timings are zero. *)

@@ -8,10 +8,9 @@
 exception Point_failed of { experiment : string; point : string; exn : exn }
 (** Wrapper identifying which experiment point died when a job on the
     shared queue raises: without it, a crash deep in a [--full]-scale
-    sweep is unattributable. Raised by the jobs built in
-    {!Experiment.instantiate}, and by {!Registry.run} for a point that
-    failed in a worker process. A printer is registered, so
-    [Printexc.to_string] renders
+    sweep is unattributable. Raised by {!Registry.run} for the
+    earliest failed point, whichever process ran it. A printer is
+    registered, so [Printexc.to_string] renders
     ["experiment NAME, point [LABEL]: <cause>"]. *)
 
 exception Remote of string

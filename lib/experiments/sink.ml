@@ -121,7 +121,13 @@ let json_string t =
 (* ------------------------------------------------------------------ *)
 (* File output *)
 
-let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+let rec ensure_dir dir =
+  if not (Sys.file_exists dir) then begin
+    ensure_dir (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+  else if not (Sys.is_directory dir) then
+    raise (Sys_error (dir ^ ": Not a directory"))
 
 let write_file ~dir ~basename contents =
   ensure_dir dir;

@@ -66,10 +66,15 @@ val sanitize : string -> string
 (** A point label as a file-name fragment: every character outside
     [[A-Za-z0-9._-]] becomes ['-']. *)
 
+val ensure_dir : string -> unit
+(** Create [dir] and any missing parents. Raises [Sys_error] naming
+    the path if one cannot be created, or if [dir] exists and is not
+    a directory. *)
+
 val write : dir:string -> table -> string list
-(** Write [name.csv] and [name.json] under [dir] (created if
-    missing); returns the basenames written, CSV first. Raises
-    [Sys_error] on unwritable paths. *)
+(** Write [name.csv] and [name.json] under [dir] (created with its
+    parents if missing); returns the basenames written, CSV first.
+    Raises [Sys_error] on unwritable paths. *)
 
 (** {2 Artifacts}
 

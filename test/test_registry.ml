@@ -1,12 +1,12 @@
 (* Tests for the experiment registry and the spec/instance machinery,
    using a synthetic experiment so they run in microseconds: jobs
    carry their labels, the clock prices every point, failures carry
-   experiment + point attribution (Runner.Point_failed), and
+   experiment + point attribution (Runner.Point_failed), --out is
+   created (parents included) before any point runs, and
    Registry.select re-sorts any subset into canonical order. That
    render input and sink rows are identical at any job count is
-   checked in test_runner, whose binary doubles as the worker process;
-   the real experiments' stdout determinism is enforced end-to-end in
-   CI (all --jobs 1 vs 4 diff). *)
+   checked in test_runner; the real experiments' stdout determinism
+   is enforced end-to-end in CI (all --jobs 1 vs 4 diff). *)
 
 module Experiment = Sim_experiments.Experiment
 module Registry = Sim_experiments.Registry
@@ -35,10 +35,11 @@ let synthetic ~log ?(boom = fun _ -> false) () =
             ]
           pairs;
       ])
-    ()
 
 let run_jobs inst =
-  List.iter Experiment.run_job (Experiment.instance_jobs inst)
+  List.iter
+    (fun j -> Experiment.accept_job j (Experiment.run_job j))
+    (Experiment.instance_jobs inst)
 
 (* ------------------------------------------------------------------ *)
 (* Instance machinery *)
@@ -69,14 +70,14 @@ let test_point_seconds () =
   let log = ref [] in
   let inst = Experiment.instantiate ~clock (synthetic ~log ()) scale in
   run_jobs inst;
-  let secs = Experiment.point_seconds inst in
+  let spans = Experiment.point_spans inst in
   Alcotest.(check int) "one entry per point" scale.Scale.flows
-    (List.length secs);
+    (List.length spans);
   List.iteri
-    (fun i (label, s) ->
+    (fun i (label, sp) ->
       Alcotest.(check string) "label" (Printf.sprintf "p%d" i) label;
-      Alcotest.(check (float 1e-9)) "one tick" 1. s)
-    secs
+      Alcotest.(check (float 1e-9)) "one tick" 1. sp.Sim_experiments.Prof.sp_wall_s)
+    spans
 
 (* ------------------------------------------------------------------ *)
 (* Failure attribution (every point failure must name its experiment
@@ -85,8 +86,7 @@ let test_point_seconds () =
 let test_point_failure_attribution () =
   let log = ref [] in
   let e = synthetic ~log ~boom:(fun i -> i = 5) () in
-  let inst = Experiment.instantiate e scale in
-  match run_jobs inst with
+  match Registry.run ~jobs:1 scale [ e ] with
   | () -> Alcotest.fail "expected Point_failed"
   | exception Runner.Point_failed { experiment; point; exn } ->
     Alcotest.(check string) "experiment" "synthetic" experiment;
@@ -97,6 +97,53 @@ let test_point_failure_attribution () =
     Alcotest.(check string) "registered printer"
       "experiment synthetic, point [p5]: Failure(\"kaboom\")"
       (Printexc.to_string (Runner.Point_failed { experiment; point; exn }))
+
+(* ------------------------------------------------------------------ *)
+(* --out DIR *)
+
+let temp_path prefix =
+  let f = Filename.temp_file prefix "" in
+  Sys.remove f;
+  f
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let test_out_nested () =
+  let base = temp_path "mmptcp_nested" in
+  let out = Filename.concat (Filename.concat base "a") "b" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists base then rm_rf base)
+    (fun () ->
+      Registry.run ~out ~jobs:1 scale [ synthetic ~log:(ref []) () ];
+      Alcotest.(check bool) "manifest written" true
+        (Sys.file_exists (Filename.concat out "manifest.json")))
+
+let test_out_under_file () =
+  let file = Filename.temp_file "mmptcp_file" "" in
+  let out = Filename.concat file "sub" in
+  (* [boom] is asked once per point run: it counts them here. *)
+  let ran = ref 0 in
+  let e =
+    synthetic ~log:(ref [])
+      ~boom:(fun _ ->
+        incr ran;
+        false)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      match Registry.run ~out ~jobs:1 scale [ e ] with
+      | () -> Alcotest.fail "expected Sys_error"
+      | exception Sys_error msg ->
+        Alcotest.(check bool) ("names the file: " ^ msg) true
+          (String.starts_with ~prefix:(file ^ ": ") msg);
+        Alcotest.(check int) "no point ran" 0 !ran)
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -150,6 +197,12 @@ let () =
         [
           Alcotest.test_case "attribution" `Quick
             test_point_failure_attribution;
+        ] );
+      ( "out",
+        [
+          Alcotest.test_case "nested dir created" `Quick test_out_nested;
+          Alcotest.test_case "under a file fails first" `Quick
+            test_out_under_file;
         ] );
       ( "registry",
         [

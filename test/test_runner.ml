@@ -1,8 +1,8 @@
 (* Determinism and parallel-runner tests: a simulation is a pure
-   function of its config (no cross-run state), the process pool
+   function of its config (no cross-run state), and the process pool
    matches the sequential path byte-for-byte — results, render input,
-   sink rows and probe artifacts — while surviving worker failures,
-   and --jobs > 1 without a worker command line is refused. *)
+   sink rows, probe artifacts and failure text — while surviving
+   worker failures. *)
 
 module Scenario = Sim_workload.Scenario
 module Scale = Sim_experiments.Scale
@@ -23,21 +23,8 @@ let contains hay needle =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Process-pool fixtures.
-
-   The test binary doubles as its own worker: spawned with the hidden
-   [--proc-worker MODE] flag it serves the named job function over the
-   pipe protocol and never reaches Alcotest. The registry modes
-   rebuild the same suites the coordinating test passes to
-   [Registry.run] — parent and worker agreeing on what job index [i]
-   means is exactly the [jobs > 1] contract. *)
-
-let worker_argv mode = [| Sys.executable_name; "--proc-worker"; mode |]
-
-(* What Registry.run needs at [jobs]: a worker command line only when
-   it shards. *)
-let registry_argv ~jobs mode =
-  if jobs > 1 then Some (worker_argv mode) else None
+(* Process-pool fixtures. Workers are forked from the test binary and
+   run these suites' own job closures. *)
 
 (* Two cheap synthetic experiments: the mini-suite exercises the whole
    worker-process pipeline — shared queue, marshalling,
@@ -56,7 +43,6 @@ let mini_suite =
               [ Sink.column "x" Sink.int fst; Sink.column "x_squared" Sink.int snd ]
             pairs;
         ])
-      ()
   in
   let negations =
     Experiment.make ~name:"negations" ~doc:"negations of small ints"
@@ -66,7 +52,6 @@ let mini_suite =
       ~render:(fun _ pairs ->
         List.iter (fun (p, r) -> Printf.printf "-%d = %d\n" p r) pairs;
         [ Sink.table ~name:"negations" ~columns:[ Sink.column "neg" Sink.int snd ] pairs ])
-      ()
   in
   [ squares; negations ]
 
@@ -80,8 +65,7 @@ let fig1a_sweep ~log =
       ~run_point:(fun _ (_, cfg) -> Scenario.run cfg)
       ~render:(fun _ pairs ->
         log := List.map snd pairs;
-        [])
-      ();
+        []);
   ]
 
 (* Three probed packet simulations: each point's capture crosses the
@@ -99,16 +83,13 @@ let probed_suite =
       horizon_s = 1.; model = Scenario.Packet; obs }
   in
   [
-    Experiment.make ~name:"probed" ~doc:"probed MMPTCP runs"
+    Experiment.scenario ~name:"probed" ~doc:"probed MMPTCP runs"
       ~points:(fun _ -> [ 11; 12; 13 ])
       ~point_label:string_of_int
-      ~run_point:(fun _ seed ->
-        Scenario.run
-          (Scale.scenario_config { scale with Scale.seed }
-             ~protocol:(Scenario.Mmptcp_proto Mmptcp.Strategy.default)))
-      ~render:(fun _ _ -> [])
-      ~capture:(fun r -> r.Scenario.obs)
-      ();
+      ~config:(fun _ seed ->
+        Scale.scenario_config { scale with Scale.seed }
+          ~protocol:(Scenario.Mmptcp_proto Mmptcp.Strategy.default))
+      ~render:(fun _ _ -> []);
   ]
 
 (* Points 0..flows-1, result point * seed: render input and sink rows
@@ -129,8 +110,7 @@ let synthetic ~log =
             ~columns:
               [ Sink.column "point" Sink.int fst; Sink.column "result" Sink.int snd ]
             pairs;
-        ])
-      ();
+        ]);
   ]
 
 let failing_suite =
@@ -140,28 +120,8 @@ let failing_suite =
       ~point_label:string_of_int
       ~run_point:(fun _ i ->
         if i = 1 then failwith "synthetic point failure" else i)
-      ~render:(fun _ _ -> [])
-      ()
+      ~render:(fun _ _ -> []);
   ]
-
-let () =
-  match Sys.argv with
-  | [| _; "--proc-worker"; mode |] ->
-    (match mode with
-    | "square" -> Proc_pool.serve ~run:(fun i -> Ok (string_of_int (i * i)))
-    | "die-at-1" ->
-      Proc_pool.serve ~run:(fun i ->
-          if i = 1 then exit 3 else Ok (string_of_int i))
-    | "mini" -> Registry.worker Scale.tiny mini_suite
-    | "fig1a-sweep" -> Registry.worker Scale.tiny (fig1a_sweep ~log:(ref []))
-    | "probed" -> Registry.worker Scale.tiny probed_suite
-    | "synthetic" -> Registry.worker synthetic_scale (synthetic ~log:(ref []))
-    | "failing" -> Registry.worker Scale.tiny failing_suite
-    | m ->
-      prerr_endline ("unknown proc worker mode: " ^ m);
-      exit 2);
-    exit 0
-  | _ -> ()
 
 (* A Scenario.result is plain data (it crosses the worker pipe), so
    structural comparison covers flows, network stats and event counts
@@ -188,7 +148,8 @@ let test_back_to_back_runs_identical () =
 let test_proc_pool_runs_all_points () =
   let n = 20 in
   let results = Array.make n None in
-  Proc_pool.run ~jobs:2 ~worker_argv:(worker_argv "square") ~n
+  Proc_pool.run ~jobs:2 ~n
+    ~job:(fun i -> string_of_int (i * i))
     ~deliver:(fun i r ->
       check_bool (Printf.sprintf "point %d delivered once" i) true
         (results.(i) = None);
@@ -211,7 +172,8 @@ let test_proc_pool_dead_worker_no_hang () =
      and return — a hang here fails the suite by timeout. *)
   let n = 6 in
   let results = Array.make n None in
-  Proc_pool.run ~jobs:2 ~worker_argv:(worker_argv "die-at-1") ~n
+  Proc_pool.run ~jobs:2 ~n
+    ~job:(fun i -> if i = 1 then Unix._exit 3 else string_of_int i)
     ~deliver:(fun i r -> results.(i) <- Some r);
   Array.iteri
     (fun i r ->
@@ -246,15 +208,13 @@ let rm_rf dir =
 
 (* Run [suite] under [Registry.run ~out] and return its artifacts as
    (basename, bytes), sorted. manifest.json is left out: it legitimately
-   differs between job counts (the jobs field, timings). [jobs > 1]
-   shards over workers serving [mode]. *)
-let run_artifacts ?(scale = Scale.tiny) ~jobs ~mode suite =
+   differs between job counts (the jobs field, timings). *)
+let run_artifacts ?(scale = Scale.tiny) ~jobs suite =
   let dir = temp_dir_name "mmptcp_out" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      Registry.run ~out:dir ?worker_argv:(registry_argv ~jobs mode) ~jobs
-        scale suite;
+      Registry.run ~out:dir ~jobs scale suite;
       Sys.readdir dir |> Array.to_list
       |> List.filter (fun f -> f <> "manifest.json")
       |> List.sort compare
@@ -270,8 +230,8 @@ let check_artifacts_identical seq par =
 
 let test_processes_artifacts_match_sequential () =
   check_artifacts_identical
-    (run_artifacts ~jobs:1 ~mode:"mini" mini_suite)
-    (run_artifacts ~jobs:2 ~mode:"mini" mini_suite)
+    (run_artifacts ~jobs:1 mini_suite)
+    (run_artifacts ~jobs:2 mini_suite)
 
 let test_fig1a_sweep_matches_sequential () =
   (* Every whole Scenario.result of the F1a sweep — flows, events,
@@ -279,9 +239,7 @@ let test_fig1a_sweep_matches_sequential () =
      in-process run. *)
   let at jobs =
     let log = ref [] in
-    Registry.run
-      ?worker_argv:(registry_argv ~jobs "fig1a-sweep")
-      ~jobs Scale.tiny (fig1a_sweep ~log);
+    Registry.run ~jobs Scale.tiny (fig1a_sweep ~log);
     !log
   in
   let seq = at 1 and par = at 2 in
@@ -295,18 +253,17 @@ let test_fig1a_sweep_matches_sequential () =
     (List.combine seq par)
 
 let test_probe_artifacts_jobs_invariant () =
-  let seq = run_artifacts ~jobs:1 ~mode:"probed" probed_suite in
+  let seq = run_artifacts ~jobs:1 probed_suite in
   check_bool "probe artifacts rendered" true
     (List.exists (fun (f, _) -> String.starts_with ~prefix:"probe-" f) seq);
   check_artifacts_identical seq
-    (run_artifacts ~jobs:2 ~mode:"probed" probed_suite)
+    (run_artifacts ~jobs:2 probed_suite)
 
 let test_synthetic_jobs_invariant () =
   let at jobs =
     let log = ref [] in
     let arts =
-      run_artifacts ~scale:synthetic_scale ~jobs ~mode:"synthetic"
-        (synthetic ~log)
+      run_artifacts ~scale:synthetic_scale ~jobs (synthetic ~log)
     in
     (!log, arts)
   in
@@ -321,27 +278,23 @@ let test_synthetic_jobs_invariant () =
     "render input identical at jobs 1 vs 4" log1 log4;
   check_artifacts_identical rows1 rows4
 
-let test_missing_worker_argv_rejected () =
-  (* Without a worker command line there is nothing to shard over;
-     running sequentially instead would silently ignore --jobs. *)
-  Alcotest.check_raises "jobs 4, no worker_argv"
-    (Invalid_argument "Registry.run: jobs > 1 requires worker_argv")
-    (fun () -> Registry.run ~jobs:4 Scale.tiny mini_suite)
-
 let test_processes_point_failure_attributed () =
-  match
-    Registry.run ~worker_argv:(worker_argv "failing") ~jobs:2 Scale.tiny
-      failing_suite
-  with
-  | () -> Alcotest.fail "expected Point_failed"
-  | exception Runner.Point_failed { experiment; point; exn } ->
+  let failure jobs =
+    match Registry.run ~jobs Scale.tiny failing_suite with
+    | () -> Alcotest.fail "expected Point_failed"
+    | exception e -> e
+  in
+  let forked = failure 2 in
+  (match forked with
+  | Runner.Point_failed { experiment; point; exn = Runner.Remote cause } ->
     Alcotest.(check string) "experiment attributed" "failing" experiment;
     Alcotest.(check string) "point attributed" "1" point;
-    let cause =
-      match exn with Runner.Remote c -> c | e -> Printexc.to_string e
-    in
     check_bool "cause carries the worker's exception" true
       (contains cause "synthetic point failure")
+  | e -> Alcotest.failf "unexpected %s" (Printexc.to_string e));
+  Alcotest.(check string) "same text at jobs 1 and 2"
+    (Printexc.to_string (failure 1))
+    (Printexc.to_string forked)
 
 let () =
   Alcotest.run "runner"
@@ -361,8 +314,6 @@ let () =
             test_processes_artifacts_match_sequential;
           Alcotest.test_case "point failure attributed" `Quick
             test_processes_point_failure_attributed;
-          Alcotest.test_case "missing worker argv rejected" `Quick
-            test_missing_worker_argv_rejected;
           Alcotest.test_case "fig1a sweep matches sequential" `Slow
             test_fig1a_sweep_matches_sequential;
         ] );
