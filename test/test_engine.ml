@@ -440,6 +440,41 @@ let test_rng_bad_args () =
   Alcotest.check_raises "exp mean" (Invalid_argument "Rng.exponential: mean must be positive")
     (fun () -> ignore (Rng.exponential r ~mean:0.))
 
+(* Pinned draws at seeds 1 and 42, generated before the generator's
+   state moved into an unboxed representation: the first [Rng.int]
+   values (at [max_int], so all 62 kept bits show), the bits of the
+   next [Rng.float] draws, then the first draws of a [split] child.
+   Every experiment's arrivals, ports and jitter come from these
+   streams; a change here re-routes and re-times every figure. *)
+let rng_golden_draws seed =
+  let r = Rng.create ~seed in
+  let ints = List.init 4 (fun _ -> Rng.int r max_int) in
+  let floats = List.init 3 (fun _ -> Int64.bits_of_float (Rng.float r 1.0)) in
+  let child = Rng.split r in
+  let child_ints = List.init 3 (fun _ -> Rng.int child max_int) in
+  (ints, floats, child_ints)
+
+let test_rng_golden () =
+  List.iter
+    (fun (seed, (ints, floats, child_ints)) ->
+      let got_ints, got_floats, got_child = rng_golden_draws seed in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check (list int)) (name "int") ints got_ints;
+      Alcotest.(check (list int64)) (name "float bits") floats got_floats;
+      Alcotest.(check (list int)) (name "split child int") child_ints got_child)
+    [
+      ( 1,
+        ( [ 4607041891190626162; 2257760148157278791; 3473225032429459623;
+            3765288819495509292 ],
+          [ 0x3fc9dd1794f3e0b4L; 0x3fe31087e915296fL; 0x3fdd2b5309350688L ],
+          [ 3377271897212342752; 2415591997452748145; 3957461074510102088 ] ) );
+      ( 42,
+        ( [ 1773080229305530473; 2958219263312191191; 3069497704473277141;
+            885919558081284366 ],
+          [ 0x3fef62d40dca5d82L; 0x3fce187e2fea8348L; 0x3fd1e0b12d313f7cL ],
+          [ 1162821432783061918; 3015038079686930769; 1061252013998382209 ] ) );
+    ]
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -485,6 +520,7 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "int_in range" `Quick test_rng_int_in;
           Alcotest.test_case "bad arguments" `Quick test_rng_bad_args;
+          Alcotest.test_case "rng golden values" `Quick test_rng_golden;
           qt prop_rng_int_bounds;
           qt prop_rng_float_bounds;
           qt prop_rng_shuffle_permutes;
