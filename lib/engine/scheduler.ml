@@ -1,31 +1,44 @@
-(* Discrete-event scheduler: one binary min-heap of intrusive entries,
-   ordered by (time, seq). See DESIGN.md §4e.
+(* Discrete-event scheduler: one binary min-heap ordered by
+   (time, seq), kept in parallel int arrays. See DESIGN.md §4e.
 
    Every armed event carries a unique (time, seq) key; seq is a single
    monotone counter consumed once per arm, so events due at the same
-   instant fire in the order they were armed. Each entry records its
-   own heap index in [pos], so cancelling or re-arming a pending timer
-   removes or re-keys it in place in O(log n) and nothing stale is left
-   for the run loop to skip. *)
+   instant fire in the order they were armed.
+
+   The heap holds no pointers. Slot [i] is the key [time.(i)],
+   [seq.(i)] and the registry id [ids.(i)] of a pending entry; the
+   entry itself sits at [reg.(id)], and [pos.(id)] is its heap slot.
+   A sift therefore moves immediate ints only: no write barrier per
+   level. An entry takes a free id when it is armed and gives it back
+   when it fires or is cancelled; that arm and that release are the
+   only pointer stores into the scheduler. Free ids are chained
+   through [pos] ([-1] ends the list). Cancelling or re-arming a
+   pending timer removes or re-keys its slot in place in O(log n), so
+   nothing stale is left for the run loop to skip. *)
 
 (* What to do when the entry fires: a fire function paired with the
    state it runs on. Packing the pair behind one existential keeps the
-   entry monomorphic (the heap array needs that) while letting a
+   entry monomorphic (the registry array needs that) while letting a
    re-armable timer or a pooled event cell install a *static* fire
    function once and never allocate per arm. *)
 type erun = Run : ('a -> unit) * 'a -> erun
 
 type entry = {
-  mutable time : int;  (* due time, ns *)
-  mutable seq : int;   (* insertion counter at last arm *)
   mutable run : erun;
-  mutable pos : int;   (* heap index while pending, -1 otherwise *)
+  mutable id : int;  (* registry id while pending, -1 otherwise *)
 }
 
 type t = {
-  mutable heap : entry array;
+  (* By heap slot, for slots below [size]. *)
+  mutable time : int array;  (* due time, ns *)
+  mutable seq : int array;   (* insertion counter at last arm *)
+  mutable ids : int array;   (* registry id of the slot's entry *)
+  (* By registry id. *)
+  mutable pos : int array;   (* heap slot if pending, else next free id *)
+  mutable reg : entry array; (* the pending entry, [idle] when free *)
+  mutable free : int;        (* first free id, -1 when none *)
   mutable size : int;
-  idle : entry;  (* fills heap slots at index >= size *)
+  idle : entry;
   mutable now : Sim_time.t;
   mutable next_seq : int;
   mutable processed : int;
@@ -36,12 +49,29 @@ type t = {
   ctx : Sim_ctx.t;
 }
 
-let make_entry fire state = { time = 0; seq = 0; run = Run (fire, state); pos = -1 }
+let make_entry fire state = { run = Run (fire, state); id = -1 }
+
+let initial_capacity = 64
+
+(* Chain the fresh ids [lo, hi) into the free list, in order. *)
+let chain_free pos lo hi =
+  for i = lo to hi - 2 do
+    pos.(i) <- i + 1
+  done;
+  pos.(hi - 1) <- -1
 
 let create () =
+  let n = initial_capacity in
+  let pos = Array.make n 0 in
+  chain_free pos 0 n;
   let idle = make_entry ignore () in
   {
-    heap = Array.make 64 idle;
+    time = Array.make n 0;
+    seq = Array.make n 0;
+    ids = Array.make n 0;
+    pos;
+    reg = Array.make n idle;
+    free = 0;
     size = 0;
     idle;
     now = Sim_time.zero;
@@ -55,86 +85,119 @@ let create () =
 let now t = t.now
 let ctx t = t.ctx
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Store key [(tm, sq)] with id [id] in slot [i]. *)
+let place t i tm sq id =
+  t.time.(i) <- tm;
+  t.seq.(i) <- sq;
+  t.ids.(i) <- id;
+  t.pos.(id) <- i
 
-(* Move [e] up from the free slot [i] past every later parent, then
-   store it. *)
-let sift_up t e i =
-  let heap = t.heap in
+(* Move key [(tm, sq)] of id [id] up from the free slot [i] past every
+   later parent, then store it. *)
+let sift_up t i tm sq id =
+  let time = t.time and seq = t.seq in
   let i = ref i in
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    let p = heap.(parent) in
-    if before e p then begin
-      heap.(!i) <- p;
-      p.pos <- !i;
+    let pt = time.(parent) in
+    if tm < pt || (tm = pt && sq < seq.(parent)) then begin
+      place t !i pt seq.(parent) t.ids.(parent);
       i := parent
     end
     else continue := false
   done;
-  heap.(!i) <- e;
-  e.pos <- !i
+  place t !i tm sq id
 
 (* Fill the free slot [i] from below: walk the hole down to a leaf
-   along the earlier child, then sift [e] up from there. [e] usually
-   belongs near the bottom (a popped root's replacement, a timer pushed
-   later), so this costs one comparison per level instead of two. *)
-let sift_down t e i =
-  let heap = t.heap and n = t.size in
+   along the earlier child, then sift the key up from there. The key
+   usually belongs near the bottom (a popped root's replacement, a
+   timer pushed later), so this costs one comparison per level instead
+   of two. *)
+let sift_down t i tm sq id =
+  let time = t.time and seq = t.seq and n = t.size in
   let i = ref i in
   let l = ref ((2 * !i) + 1) in
   while !l < n do
     let c = !l in
-    let c = if c + 1 < n && before heap.(c + 1) heap.(c) then c + 1 else c in
-    let ce = heap.(c) in
-    heap.(!i) <- ce;
-    ce.pos <- !i;
+    let c =
+      if c + 1 < n then begin
+        let tl = time.(c) and tr = time.(c + 1) in
+        if tr < tl || (tr = tl && seq.(c + 1) < seq.(c)) then c + 1 else c
+      end
+      else c
+    in
+    place t !i time.(c) seq.(c) t.ids.(c);
     i := c;
     l := (2 * c) + 1
   done;
-  sift_up t e !i
+  sift_up t !i tm sq id
 
-(* Restore the heap property for [e], whose key changed while it sat
-   in slot [i]. *)
-let resift t e i =
-  if i > 0 && before e t.heap.((i - 1) / 2) then sift_up t e i
-  else sift_down t e i
+(* Restore the heap property for key [(tm, sq)] of id [id], placed in
+   slot [i]. *)
+let resift t i tm sq id =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    let pt = t.time.(parent) in
+    if tm < pt || (tm = pt && sq < t.seq.(parent)) then sift_up t i tm sq id
+    else sift_down t i tm sq id
+  end
+  else sift_down t i tm sq id
 
-let insert t e =
-  if t.size = Array.length t.heap then begin
-    let a = Array.make (2 * t.size) t.idle in
-    Array.blit t.heap 0 a 0 t.size;
-    t.heap <- a
-  end;
-  t.size <- t.size + 1;
-  sift_up t e (t.size - 1)
+(* Double every array. Only called with every id in use, so the new
+   ids are the whole free list. *)
+let grow t =
+  let n = t.size in
+  let extend a fill =
+    let b = Array.make (2 * n) fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.time <- extend t.time 0;
+  t.seq <- extend t.seq 0;
+  t.ids <- extend t.ids 0;
+  t.pos <- extend t.pos 0;
+  t.reg <- extend t.reg t.idle;
+  chain_free t.pos n (2 * n);
+  t.free <- n
 
-(* Unlink pending [e]: the last entry takes its slot and is re-sifted
-   from there. The vacated tail slot is reset so the heap pins no
-   entry (and, through its fire state, no connection) after it fires. *)
+(* Unlink pending [e] and return its id to the free list: the last
+   slot takes its slot and is re-sifted from there. The registry slot
+   is reset so the scheduler pins no entry (and, through its fire
+   state, no connection) after it fires. *)
 let remove t e =
-  let i = e.pos in
-  e.pos <- -1;
-  t.size <- t.size - 1;
-  let last = t.heap.(t.size) in
-  t.heap.(t.size) <- t.idle;
-  if i < t.size then resift t last i
+  let id = e.id in
+  let i = t.pos.(id) in
+  e.id <- -1;
+  t.reg.(id) <- t.idle;
+  t.pos.(id) <- t.free;
+  t.free <- id;
+  let last = t.size - 1 in
+  t.size <- last;
+  if i < last then resift t i t.time.(last) t.seq.(last) t.ids.(last)
 
 (* Key [e] at [time] with the next seq — exactly one consumed per
    arm — and place it: re-keyed in its slot when already pending. *)
 let arm t e time =
-  e.time <- Sim_time.to_ns time;
-  e.seq <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  if e.pos >= 0 then resift t e e.pos else insert t e
+  let tm = Sim_time.to_ns time and sq = t.next_seq in
+  t.next_seq <- sq + 1;
+  if e.id >= 0 then resift t t.pos.(e.id) tm sq e.id
+  else begin
+    if t.size = Array.length t.time then grow t;
+    let id = t.free in
+    t.free <- t.pos.(id);
+    e.id <- id;
+    t.reg.(id) <- e;
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1) tm sq id
+  end
 
 let run ?until t =
   let horizon = match until with Some u -> Sim_time.to_ns u | None -> max_int in
-  while t.size > 0 && t.heap.(0).time <= horizon do
-    let e = t.heap.(0) in
+  while t.size > 0 && t.time.(0) <= horizon do
+    let e = t.reg.(t.ids.(0)) in
+    t.now <- Sim_time.of_ns t.time.(0);
     remove t e;
-    t.now <- Sim_time.of_ns e.time;
     t.processed <- t.processed + 1;
     let (Run (fire, state)) = e.run in
     fire state
@@ -157,12 +220,12 @@ module Timer = struct
   type t = { sched : sched; entry : entry }
 
   let create sched fire state = { sched; entry = make_entry fire state }
-  let is_pending tm = tm.entry.pos >= 0
+  let is_pending tm = tm.entry.id >= 0
 
   (* Keeps the fire/state pair: that is the point of the abstraction
      — one entry, one pair, reused across every re-arm of an RTO or
      delayed-ACK timer. *)
-  let cancel tm = if tm.entry.pos >= 0 then remove tm.sched tm.entry
+  let cancel tm = if tm.entry.id >= 0 then remove tm.sched tm.entry
 
   let schedule_at tm time =
     if Sim_time.(time < tm.sched.now) then

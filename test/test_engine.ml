@@ -129,37 +129,47 @@ module Model = struct
 
   type t = {
     mutable pending : what M.t;
+    mutable size : int;
     mutable seq : int;
     keys : (int, int * int) Hashtbl.t;  (* label -> key while pending *)
     mutable log : (int * int) list;     (* (time, label), latest first *)
   }
 
-  let create () = { pending = M.empty; seq = 0; keys = Hashtbl.create 16; log = [] }
-
-  let arm m time what =
-    let k = (time, m.seq) in
-    m.seq <- m.seq + 1;
-    m.pending <- M.add k what m.pending;
-    match what with Fire l -> Hashtbl.replace m.keys l k | Do _ -> ()
+  let create () =
+    { pending = M.empty; size = 0; seq = 0; keys = Hashtbl.create 16; log = [] }
 
   let unarm m l =
     match Hashtbl.find_opt m.keys l with
     | Some k ->
       m.pending <- M.remove k m.pending;
+      m.size <- m.size - 1;
       Hashtbl.remove m.keys l
     | None -> ()
 
-  let rec run m =
+  (* Like a Timer arm: a pending label is moved, not duplicated. *)
+  let arm m time what =
+    (match what with Fire l -> unarm m l | Do _ -> ());
+    let k = (time, m.seq) in
+    m.seq <- m.seq + 1;
+    m.pending <- M.add k what m.pending;
+    m.size <- m.size + 1;
+    match what with Fire l -> Hashtbl.replace m.keys l k | Do _ -> ()
+
+  (* Fire every event due at or before [until]. *)
+  let rec run ?(until = max_int) m =
     match M.min_binding_opt m.pending with
-    | None -> ()
-    | Some (((time, _) as k), what) ->
+    | Some (((time, _) as k), what) when time <= until ->
       m.pending <- M.remove k m.pending;
+      m.size <- m.size - 1;
       (match what with
       | Fire l ->
         Hashtbl.remove m.keys l;
         m.log <- (time, l) :: m.log
       | Do f -> f ());
-      run m
+      run ~until m
+    | Some _ | None -> ()
+
+  let next_time m = Option.map (fun ((time, _), _) -> time) (M.min_binding_opt m.pending)
 end
 
 type timer_op = Rearm_earlier | Rearm_later | Cancel_timer
@@ -224,6 +234,100 @@ let prop_scheduler_matches_model =
       Scheduler.run s;
       Model.run m;
       List.rev !log = List.rev m.log)
+
+(* Thousands of timers against the model, one due instant at a time.
+   3 000 timers armed up front grow the heap arrays from 64 slots six
+   times over. Between instants a fixed-seed stream of operations
+   cancels timers (most from the middle of the heap), re-arms pending
+   ones earlier or later (an in-place re-key), and re-arms fired or
+   cancelled ones, which takes a recycled registry id. After every
+   instant and every operation the firing log and [pending_events]
+   must equal the model's. *)
+let test_scheduler_stress () =
+  let n = 3_000 in
+  let s = Scheduler.create () and m = Model.create () in
+  let rng = Rng.create ~seed:2026 in
+  let log = ref [] in
+  let note l = log := (Time.to_ns (Scheduler.now s), l) :: !log in
+  let timers = Array.init n (fun l -> Scheduler.Timer.create s note l) in
+  let check what =
+    check_int (what ^ ": pending") m.Model.size (Scheduler.pending_events s);
+    if !log <> m.Model.log then Alcotest.failf "%s: firing log differs" what
+  in
+  let arm l time =
+    Scheduler.Timer.schedule_at timers.(l) (Time.of_ns time);
+    Model.arm m time (Model.Fire l)
+  in
+  for l = 0 to n - 1 do
+    arm l (Rng.int rng 1_000_000)
+  done;
+  check "armed";
+  let counts = Array.make 4 0 in
+  let op () =
+    let l = Rng.int rng n and now = Time.to_ns (Scheduler.now s) in
+    match (Hashtbl.find_opt m.Model.keys l, Rng.int rng 3) with
+    | Some _, 0 ->
+      counts.(0) <- counts.(0) + 1;
+      Scheduler.Timer.cancel timers.(l);
+      Model.unarm m l
+    | Some (due, _), 1 ->
+      counts.(1) <- counts.(1) + 1;
+      arm l (now + Rng.int rng (due - now + 1))
+    | Some (due, _), _ ->
+      counts.(2) <- counts.(2) + 1;
+      arm l (due + Rng.int rng 200_000)
+    | None, _ ->
+      counts.(3) <- counts.(3) + 1;
+      arm l (now + Rng.int rng 300_000)
+  in
+  let steps = ref 0 in
+  let rec loop () =
+    match Model.next_time m with
+    | None -> ()
+    | Some due ->
+      Scheduler.run ~until:(Time.of_ns due) s;
+      Model.run ~until:due m;
+      incr steps;
+      check (Printf.sprintf "instant %d" !steps);
+      if !steps <= 4_000 then
+        for _ = 1 to Rng.int rng 4 do
+          op ();
+          check (Printf.sprintf "op after instant %d" !steps)
+        done;
+      loop ()
+  in
+  loop ();
+  check_int "drained" 0 (Scheduler.pending_events s);
+  Array.iteri
+    (fun i c ->
+      if c < 100 then Alcotest.failf "operation kind %d ran only %d times" i c)
+    counts
+
+(* A fired or cancelled timer leaves nothing of itself in the
+   scheduler: once the caller drops it, its state can be collected. A
+   pending one stays reachable through the scheduler until it fires. *)
+let test_scheduler_releases_state () =
+  let s = Scheduler.create () in
+  let w = Weak.create 3 in
+  let timer i =
+    let state = ref i in
+    Weak.set w i (Some state);
+    Scheduler.Timer.create s incr state
+  in
+  let arm_and_drop i cancel =
+    let tm = timer i in
+    Scheduler.Timer.schedule_at tm (Time.of_ms (if i = 2 then 10. else 1.));
+    if cancel then Scheduler.Timer.cancel tm
+  in
+  arm_and_drop 0 false;
+  arm_and_drop 1 true;
+  arm_and_drop 2 false;
+  Scheduler.run ~until:(Time.of_ms 5.) s;
+  Gc.full_major ();
+  check_bool "fired timer's state collected" false (Weak.check w 0);
+  check_bool "cancelled timer's state collected" false (Weak.check w 1);
+  check_bool "pending timer's state kept" true (Weak.check w 2);
+  check_int "one still pending" 1 (Scheduler.pending_events s)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler.Timer *)
@@ -500,6 +604,10 @@ let () =
             test_scheduler_mass_cancel;
           Alcotest.test_case "far-future clamp" `Quick test_scheduler_far_future;
           qt prop_scheduler_matches_model;
+          Alcotest.test_case "stress: growth, cancels, id reuse" `Quick
+            test_scheduler_stress;
+          Alcotest.test_case "fired and cancelled timers pin nothing" `Quick
+            test_scheduler_releases_state;
         ] );
       ( "timer",
         [
