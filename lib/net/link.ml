@@ -45,13 +45,21 @@ let add_tap t f = t.taps <- f :: t.taps
 (* Packet traffic never starves entirely: the effective rate floors at
    5% of nominal even when the fluid side claims the whole link, so a
    hybrid run's packet phase always makes progress. *)
-let effective_rate t =
+let[@inline] effective_rate t =
   if t.reserved_bps <= 0. then t.rate_bps
   else Float.max (t.rate_bps -. t.reserved_bps) (0.05 *. t.rate_bps)
 
 let tx_time t ~bytes =
   Time.of_ns
     (int_of_float (float_of_int (bytes * 8) /. effective_rate t *. 1e9))
+
+(* A recursive walk rather than [List.iter] with a closure over [pkt]:
+   this runs on every hop. *)
+let rec run_taps pkt = function
+  | [] -> ()
+  | tap :: rest ->
+    tap pkt;
+    run_taps pkt rest
 
 let the_pool = function Some p -> p | None -> assert false
 
@@ -82,16 +90,17 @@ let rec tx_done t pkt =
   pump t
 
 and pump t =
-  match Pktqueue.dequeue t.queue with
-  | None -> t.busy <- false
-  | Some pkt ->
+  if Pktqueue.is_empty t.queue then t.busy <- false
+  else begin
+    let pkt = Pktqueue.take t.queue in
     t.busy <- true;
     let tx = tx_time t ~bytes:pkt.Packet.size in
     t.st.tx_packets <- t.st.tx_packets + 1;
     t.st.tx_bytes <- t.st.tx_bytes + pkt.Packet.size;
     t.st.busy_ns <- t.st.busy_ns + Time.to_ns tx;
-    List.iter (fun tap -> tap pkt) t.taps;
+    run_taps pkt t.taps;
     Scheduler.Event.schedule_after (the_pool t.tx_pool) tx pkt
+  end
 
 let create ?(jitter = Time.of_us 5.) ~sched ~rate_bps ~delay ~queue ~id () =
   if rate_bps <= 0. then invalid_arg "Link.create: rate must be positive";

@@ -5,8 +5,18 @@ type stats = {
   mutable max_backlog : int;
 }
 
+(* A ring of packets: [len] of them, the oldest at [ring.(head)],
+   wrapping at the ring's length. The ring starts empty, takes its
+   first backing array (filled with the first packet) at the first
+   enqueue, and doubles up to [cap] when full, so a queue that never
+   builds a backlog never holds [cap] slots. Slots outside the live
+   span keep stale pointers to pool-owned packets, which the pool pins
+   for the simulation's life anyway; clearing them would cost a store
+   per dequeue. *)
 type t = {
-  q : Packet.t Queue.t;
+  mutable ring : Packet.t array;
+  mutable head : int;
+  mutable len : int;
   ctx : Sim_engine.Sim_ctx.t;
   cap : int;
   lay : Layer.t;
@@ -25,7 +35,9 @@ let create ~ctx ~capacity ~layer () =
   let qname = Printf.sprintf "q%d.%s" queue_id (Layer.to_string layer) in
   let t =
     {
-      q = Queue.create ();
+      ring = [||];
+      head = 0;
+      len = 0;
       ctx;
       cap = capacity;
       lay = layer;
@@ -42,7 +54,7 @@ let create ~ctx ~capacity ~layer () =
        Sim_obs.Metrics.register m ~component:"pktqueue" ~id:qname ~name ~units
          read
      in
-     reg "depth_pkts" "pkts" (fun () -> float_of_int (Queue.length t.q));
+     reg "depth_pkts" "pkts" (fun () -> float_of_int t.len);
      reg "depth_bytes" "bytes" (fun () -> float_of_int t.backlog_bytes);
      reg "drops" "pkts" (fun () -> float_of_int t.st.dropped)
    | None -> ());
@@ -50,15 +62,27 @@ let create ~ctx ~capacity ~layer () =
 
 let add_drop_hook t hook = t.drop_hooks <- t.drop_hooks @ [ hook ]
 
-let backlog_pkts t = Queue.length t.q
+let backlog_pkts t = t.len
 let backlog_bytes t = t.backlog_bytes
-let is_empty t = Queue.is_empty t.q
+let is_empty t = t.len = 0
 let capacity t = t.cap
 let layer t = t.lay
 let stats t = t.st
 
+(* Room for one more packet, the ring full below [cap]: copy the live
+   span, oldest first, into a ring twice as long (at most [cap]). *)
+let grow t pkt =
+  let n = Array.length t.ring in
+  let ring = Array.make (if n = 0 then min t.cap 8 else min t.cap (2 * n)) pkt in
+  for i = 0 to t.len - 1 do
+    let j = t.head + i in
+    ring.(i) <- t.ring.(if j >= n then j - n else j)
+  done;
+  t.ring <- ring;
+  t.head <- 0
+
 let enqueue t pkt =
-  if Queue.length t.q >= t.cap then begin
+  if t.len >= t.cap then begin
     t.st.dropped <- t.st.dropped + 1;
     (match t.m with
      | Some m ->
@@ -78,17 +102,23 @@ let enqueue t pkt =
     false
   end
   else begin
-    Queue.push pkt t.q;
+    if t.len = Array.length t.ring then grow t pkt;
+    let n = Array.length t.ring in
+    let tail = t.head + t.len in
+    t.ring.(if tail >= n then tail - n else tail) <- pkt;
+    t.len <- t.len + 1;
     t.backlog_bytes <- t.backlog_bytes + pkt.Packet.size;
     t.st.enqueued <- t.st.enqueued + 1;
     t.st.bytes_enqueued <- t.st.bytes_enqueued + pkt.Packet.size;
-    if Queue.length t.q > t.st.max_backlog then t.st.max_backlog <- Queue.length t.q;
+    if t.len > t.st.max_backlog then t.st.max_backlog <- t.len;
     true
   end
 
-let dequeue t =
-  match Queue.take_opt t.q with
-  | None -> None
-  | Some pkt ->
-    t.backlog_bytes <- t.backlog_bytes - pkt.Packet.size;
-    Some pkt
+let take t =
+  if t.len = 0 then invalid_arg "Pktqueue.take: empty queue";
+  let pkt = t.ring.(t.head) in
+  let h = t.head + 1 in
+  t.head <- (if h = Array.length t.ring then 0 else h);
+  t.len <- t.len - 1;
+  t.backlog_bytes <- t.backlog_bytes - pkt.Packet.size;
+  pkt

@@ -45,7 +45,10 @@ val add_drop_hook : t -> (Packet.t -> unit) -> unit
     turns a violation into [Invalid_argument]; simlint rule D007
     rejects it statically. *)
 
-val dequeue : t -> Packet.t option
+val take : t -> Packet.t
+(** Remove and return the oldest packet. Raises [Invalid_argument] on
+    an empty queue: test {!is_empty} first. *)
+
 val backlog_pkts : t -> int
 val backlog_bytes : t -> int
 val is_empty : t -> bool

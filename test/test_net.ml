@@ -236,11 +236,12 @@ let test_queue_fifo () =
   let a = mk_pkt () and b = mk_pkt () in
   check_bool "enq a" true (Pktqueue.enqueue q a);
   check_bool "enq b" true (Pktqueue.enqueue q b);
-  check_bool "fifo order" true
-    (match Pktqueue.dequeue q with Some p -> p == a | None -> false);
-  check_bool "fifo order 2" true
-    (match Pktqueue.dequeue q with Some p -> p == b | None -> false);
-  check_bool "drained" true (Pktqueue.dequeue q = None)
+  check_bool "fifo order" true (Pktqueue.take q == a);
+  check_bool "fifo order 2" true (Pktqueue.take q == b);
+  check_bool "drained" true (Pktqueue.is_empty q);
+  Alcotest.check_raises "take on empty"
+    (Invalid_argument "Pktqueue.take: empty queue") (fun () ->
+      ignore (Pktqueue.take q))
 
 let test_queue_drop_tail () =
   let q = Pktqueue.create ~ctx ~capacity:2 ~layer:Layer.Core_layer () in
@@ -257,8 +258,79 @@ let test_queue_backlog_accounting () =
   ignore (Pktqueue.enqueue q p);
   check_int "backlog pkts" 1 (Pktqueue.backlog_pkts q);
   check_int "backlog bytes" 1000 (Pktqueue.backlog_bytes q);
-  ignore (Pktqueue.dequeue q);
+  ignore (Pktqueue.take q);
   check_int "empty bytes" 0 (Pktqueue.backlog_bytes q)
+
+(* The queue against a Stdlib.Queue of uids, over a fixed sequence of
+   bursts and drains that wraps the ring far more than three times its
+   capacity. Taken packets go back to the pool, so records are reused
+   under new uids. The opening grows the ring while its live span
+   wraps: five packets in and out move the head to slot 5 of the
+   initial ring of 8, eight more fill it across the end, and the ninth
+   grows it. Drops happen at capacity only, each hook sees the packet
+   still live (its conn still counts it), and the free follows the
+   last hook. *)
+let test_queue_ring_wraps () =
+  let cap = 20 and conn = 77 in
+  let q = Pktqueue.create ~ctx ~capacity:cap ~layer:Layer.Agg_layer () in
+  let model = Queue.create () in
+  let hooked = ref [] in
+  Pktqueue.add_drop_hook q (fun p ->
+      hooked := (p.Packet.uid, Packet.live_packets ~ctx ~conn) :: !hooked);
+  let taken = ref 0 and drops = ref 0 and high = ref 0 and bytes = ref 0 in
+  let enq len =
+    let p = mk_pkt ~conn ~len () in
+    let uid = p.Packet.uid in
+    let live = Packet.live_packets ~ctx ~conn in
+    let full = Queue.length model = cap in
+    let accepted = Pktqueue.enqueue q p in
+    check_bool "drops exactly at capacity" full (not accepted);
+    if accepted then begin
+      Queue.push (uid, len) model;
+      bytes := !bytes + len + Packet.header_bytes;
+      high := max !high (Queue.length model)
+    end
+    else begin
+      incr drops;
+      (match !hooked with
+       | (u, l) :: _ ->
+         check_int "hook saw the dropped packet" uid u;
+         check_int "hook ran before the free" live l
+       | [] -> Alcotest.fail "drop hook not called");
+      check_int "freed after the hooks" (live - 1)
+        (Packet.live_packets ~ctx ~conn)
+    end
+  in
+  let deq () =
+    let uid, len = Queue.pop model in
+    let p = Pktqueue.take q in
+    check_int "fifo order" uid p.Packet.uid;
+    check_int "fifo payload" len p.Packet.len;
+    bytes := !bytes - len - Packet.header_bytes;
+    Packet.free ~ctx p;
+    incr taken
+  in
+  for i = 1 to 5 do enq i done;
+  for _ = 1 to 5 do deq () done;
+  for i = 1 to 12 do enq (100 + i) done;
+  let i = ref 0 in
+  while !taken < 4 * cap do
+    incr i;
+    (* Bursts of up to 25 (past capacity), drains of up to 17. *)
+    for _ = 1 to (!i * 7) mod 26 do enq (!i mod 1000) done;
+    for _ = 1 to min (Queue.length model) ((!i * 5) mod 18) do deq () done;
+    check_int "backlog pkts" (Queue.length model) (Pktqueue.backlog_pkts q);
+    check_int "backlog bytes" !bytes (Pktqueue.backlog_bytes q)
+  done;
+  while not (Queue.is_empty model) do deq () done;
+  check_bool "empty" true (Pktqueue.is_empty q);
+  check_int "no bytes left" 0 (Pktqueue.backlog_bytes q);
+  let st = Pktqueue.stats q in
+  check_bool "some drops" true (!drops > 0);
+  check_int "drops counted" !drops st.Pktqueue.dropped;
+  check_int "every hook ran" !drops (List.length !hooked);
+  check_int "max backlog" !high st.Pktqueue.max_backlog;
+  check_int "max backlog at capacity" cap st.Pktqueue.max_backlog
 
 let prop_queue_never_exceeds_capacity =
   QCheck.Test.make ~name:"queue backlog <= capacity" ~count:200
@@ -268,7 +340,7 @@ let prop_queue_never_exceeds_capacity =
       List.iter
         (fun enq ->
           if enq then ignore (Pktqueue.enqueue q (mk_pkt ()))
-          else ignore (Pktqueue.dequeue q))
+          else if not (Pktqueue.is_empty q) then ignore (Pktqueue.take q))
         ops;
       Pktqueue.backlog_pkts q <= cap)
 
@@ -412,6 +484,8 @@ let () =
           Alcotest.test_case "fifo" `Quick test_queue_fifo;
           Alcotest.test_case "drop tail" `Quick test_queue_drop_tail;
           Alcotest.test_case "backlog accounting" `Quick test_queue_backlog_accounting;
+          Alcotest.test_case "ring wraps, grows and drops" `Quick
+            test_queue_ring_wraps;
           qt prop_queue_never_exceeds_capacity;
         ] );
       ( "link",
