@@ -1,20 +1,31 @@
-type t = { mutable state : int64 }
+(* The 64-bit SplitMix state lives in an 8-byte buffer, read and
+   written with [Bytes.{get,set}_int64_le]: a [mutable state : int64]
+   field would box a fresh [Int64] on every draw. With [mix64] and
+   [bits64] inlined, a draw consumed as an int or a float allocates
+   nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create ~seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
-let copy t = { state = t.state }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix64 s
+
+let split t = of_state (bits64 t)
+let copy t = Bytes.copy t
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -27,11 +38,11 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
+let bool t = Int64.logand (bits64 t) 1L <> 0L
 
 let exponential t ~mean =
   if mean <= 0. then invalid_arg "Rng.exponential: mean must be positive";

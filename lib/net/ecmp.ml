@@ -1,7 +1,9 @@
 (* SplitMix64-style finaliser over the packed 5-tuple. Cheap, and good
-   enough avalanche behaviour that per-switch salts decorrelate. *)
+   enough avalanche behaviour that per-switch salts decorrelate.
+   Inlined, so its [Int64] intermediates stay in registers: a call
+   would box its result on every hop of every packet. *)
 
-let mix64 z =
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
