@@ -35,7 +35,8 @@ let diff a b =
   if b > a then invalid_arg "Sim_time.diff: negative result";
   a - b
 
-let scale t f =
+(* Inlined so a caller's float factor is not boxed for the call. *)
+let[@inline] scale t f =
   if f < 0. then invalid_arg "Sim_time.scale: negative factor";
   int_of_float (float_of_int t *. f)
 

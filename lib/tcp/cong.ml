@@ -5,8 +5,9 @@ type window = { mutable cwnd : float; mutable ssthresh : float }
 type loss_kind = Fast_retransmit | Timeout
 
 (* Every controller write to cwnd goes through here: the window never
-   drops below one MSS. *)
-let write_cwnd w ~mss c = w.cwnd <- Float.max c (float_of_int mss)
+   drops below one MSS. Inlined, so the new value is not boxed to be
+   passed in. *)
+let[@inline] write_cwnd w ~mss c = w.cwnd <- Float.max c (float_of_int mss)
 
 (* Byte-counted slow start without a per-ACK cap: a cumulative ACK
    covering n segments grows cwnd by n segments, exactly like

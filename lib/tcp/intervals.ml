@@ -84,17 +84,19 @@ let add t ~start ~stop =
     end
   else add_slow t ~start ~stop
 
+(* A top-level function, not a local closure over [x]: this runs once
+   per data segment. *)
+let rec contiguous_in x = function
+  | [] -> x
+  | (s, e) :: rest ->
+    if s <= x && x < e then e
+    else if s > x then x
+    else contiguous_in x rest
+
 let contiguous_from t x =
-  let rec find = function
-    | [] -> x
-    | (s, e) :: rest ->
-      if s <= x && x < e then e
-      else if s > x then x
-      else find rest
-  in
   if not (has_head t) || x < t.lo then x
   else if x < t.hi then t.hi (* non-adjacency: coverage stops at the head's end *)
-  else find t.rest
+  else contiguous_in x t.rest
 
 let is_covered t ~start ~stop =
   if stop <= start then true

@@ -17,7 +17,10 @@ type t = {
   mutable dup_segments : int;
   (* Delayed-ACK state. *)
   mutable pending : int;  (* in-order segments not yet acknowledged *)
-  mutable reply_ports : (int * int) option;  (* (src, dst) of our ACKs *)
+  (* Source and destination ports of our ACKs, -1 until the first
+     SYN or data segment names them. *)
+  mutable reply_src_port : int;
+  mutable reply_dst_port : int;
   (* Re-armable delayed-ACK timer, allocated on first arm and reused. *)
   mutable delack_timer : Scheduler.Timer.t option;
 }
@@ -35,7 +38,8 @@ let create ?(params = Tcp_params.default) ~host ~peer ~conn ~subflow ~on_data ()
     acks_sent = 0;
     dup_segments = 0;
     pending = 0;
-    reply_ports = None;
+    reply_src_port = -1;
+    reply_dst_port = -1;
     delack_timer = None;
   }
 
@@ -66,12 +70,16 @@ let emit_ack t ~src_port ~dst_port ~bits =
   Host.send t.host pkt
 
 let flush_ack t ~dup_seen =
-  match t.reply_ports with
-  | None -> ()
-  | Some (src_port, dst_port) ->
+  if t.reply_src_port >= 0 then begin
     cancel_delack t;
     t.pending <- 0;
-    emit_ack t ~src_port ~dst_port ~bits:(Packet.ack_bits ~dup_seen)
+    emit_ack t ~src_port:t.reply_src_port ~dst_port:t.reply_dst_port
+      ~bits:(Packet.ack_bits ~dup_seen)
+  end
+
+let note_reply_ports t pkt =
+  t.reply_src_port <- pkt.Packet.dst_port;
+  t.reply_dst_port <- pkt.Packet.src_port
 
 let on_delack_timeout t =
   if t.pending > 0 then flush_ack t ~dup_seen:false
@@ -90,7 +98,7 @@ let arm_delack t =
 let handle t pkt =
   if Packet.syn pkt && not (Packet.ack pkt) then begin
     (* Passive open (or duplicate SYN): always answer. *)
-    t.reply_ports <- Some (pkt.Packet.dst_port, pkt.Packet.src_port);
+    note_reply_ports t pkt;
     emit_ack t ~src_port:pkt.Packet.dst_port ~dst_port:pkt.Packet.src_port
       ~bits:Packet.syn_ack_bits
   end
@@ -103,7 +111,7 @@ let handle t pkt =
     let dup = added = 0 in
     if dup then t.dup_segments <- t.dup_segments + 1;
     t.on_data ~dsn:pkt.Packet.dsn ~len:pkt.Packet.len;
-    t.reply_ports <- Some (pkt.Packet.dst_port, pkt.Packet.src_port);
+    note_reply_ports t pkt;
     let in_order_advance = (not dup) && t.rcv_nxt > before in
     if in_order_advance && Intervals.span_count t.received = 1 then begin
       (* Clean in-order progress: eligible for coalescing. *)

@@ -346,8 +346,9 @@ and on_rto t =
    the ACK clock keeps running through reordering runs. With the
    standard threshold of 3 this is plain limited transmit; with the
    scatter phase's topology-derived threshold it is what keeps a
-   reordered single window from stalling. *)
-let send_allowance t =
+   reordered single window from stalling. Inlined into [try_send],
+   so the float it returns is not boxed. *)
+let[@inline] send_allowance t =
   match t.recovery with
   | Normal ->
     t.win.Cong.cwnd +. float_of_int (t.dup_acks * t.params.Tcp_params.mss)
@@ -414,30 +415,29 @@ let enter_fast_recovery t =
 let handle_new_ack t a =
   let newly = a - t.snd_una in
   (* Pop fully acknowledged segments, keeping the freshest candidate
-     RTT sample from a never-retransmitted segment (Karn). *)
-  let sample = ref None in
+     RTT sample from a never-retransmitted segment (Karn), as its
+     send time in ns, -1 for none. *)
+  let sample = ref (-1) in
   let continue = ref true in
   while !continue do
     match Queue.peek_opt t.segs with
     | Some seg when seg.ssn + seg.len <= a ->
       ignore (Queue.pop t.segs);
       if seg.sacked then t.sacked_bytes <- t.sacked_bytes - seg.len;
-      if seg.rtx = 0 then sample := Some seg.sent_at
+      if seg.rtx = 0 then sample := Time.to_ns seg.sent_at
     | Some _ | None -> continue := false
   done;
   t.snd_una <- a;
   t.backoff <- 0;
-  (match !sample with
-   | Some sent_at ->
-     let now = Scheduler.now t.sched in
-     let rtt_sample = Time.diff now sent_at in
-     Rtt_estimator.observe t.rtt rtt_sample;
-     (match t.hist_rtt with
-      | Some h ->
-        Sim_stats.Histogram.add h
-          (float_of_int (Time.to_ns rtt_sample) /. 1e3)
-      | None -> ())
-   | None -> ());
+  if !sample >= 0 then begin
+    let now = Scheduler.now t.sched in
+    let rtt_sample = Time.diff now (Time.of_ns !sample) in
+    Rtt_estimator.observe t.rtt rtt_sample;
+    match t.hist_rtt with
+    | Some h ->
+      Sim_stats.Histogram.add h (float_of_int (Time.to_ns rtt_sample) /. 1e3)
+    | None -> ()
+  end;
   (match t.recovery with
    | Fast_recovery ->
      if a >= t.recover_point then begin
