@@ -1,9 +1,9 @@
-(* The 64-bit SplitMix state lives in an 8-byte buffer, read and
-   written with [Bytes.{get,set}_int64_le]: a [mutable state : int64]
-   field would box a fresh [Int64] on every draw. With [mix64] and
-   [bits64] inlined, a draw consumed as an int or a float allocates
-   nothing. *)
-type t = Bytes.t
+(* The 64-bit SplitMix state is kept as two 32-bit halves in int
+   fields: a [mutable state : int64] field would box a fresh [Int64] on
+   every draw, and an 8-byte [Bytes] costs a C call to create (one per
+   link at set-up). With [state], [mix64], [bits64] and [float]
+   inlined, a draw consumed as an int or a float allocates nothing. *)
+type t = { mutable hi : int; mutable lo : int }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -12,20 +12,27 @@ let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+let[@inline] state t =
+  Int64.logor (Int64.shift_left (Int64.of_int t.hi) 32) (Int64.of_int t.lo)
+
+let[@inline] set_state t s =
+  t.hi <- Int64.to_int (Int64.shift_right_logical s 32);
+  t.lo <- Int64.to_int s land 0xFFFF_FFFF
+
 let of_state s =
-  let t = Bytes.create 8 in
-  Bytes.set_int64_le t 0 s;
+  let t = { hi = 0; lo = 0 } in
+  set_state t s;
   t
 
 let create ~seed = of_state (mix64 (Int64.of_int seed))
 
 let[@inline] bits64 t =
-  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
-  Bytes.set_int64_le t 0 s;
+  let s = Int64.add (state t) golden_gamma in
+  set_state t s;
   mix64 s
 
 let split t = of_state (bits64 t)
-let copy t = Bytes.copy t
+let copy t = { hi = t.hi; lo = t.lo }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
