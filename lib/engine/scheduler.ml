@@ -51,29 +51,17 @@ type t = {
 
 let make_entry fire state = { run = Run (fire, state); id = -1 }
 
-let initial_capacity = 64
-
-(* Chain the fresh ids [lo, hi) into the free list, in order. *)
-let chain_free pos lo hi =
-  for i = lo to hi - 2 do
-    pos.(i) <- i + 1
-  done;
-  pos.(hi - 1) <- -1
-
+(* The arrays start empty and take 64 slots at the first arm. *)
 let create () =
-  let n = initial_capacity in
-  let pos = Array.make n 0 in
-  chain_free pos 0 n;
-  let idle = make_entry ignore () in
   {
-    time = Array.make n 0;
-    seq = Array.make n 0;
-    ids = Array.make n 0;
-    pos;
-    reg = Array.make n idle;
-    free = 0;
+    time = [||];
+    seq = [||];
+    ids = [||];
+    pos = [||];
+    reg = [||];
+    free = -1;
     size = 0;
-    idle;
+    idle = make_entry ignore ();
     now = Sim_time.zero;
     next_seq = 0;
     processed = 0;
@@ -145,11 +133,12 @@ let resift t i tm sq id =
   else sift_down t i tm sq id
 
 (* Double every array. Only called with every id in use, so the new
-   ids are the whole free list. *)
+   ids, chained in order, are the whole free list. *)
 let grow t =
   let n = t.size in
+  let n' = max 64 (2 * n) in
   let extend a fill =
-    let b = Array.make (2 * n) fill in
+    let b = Array.make n' fill in
     Array.blit a 0 b 0 n;
     b
   in
@@ -158,7 +147,10 @@ let grow t =
   t.ids <- extend t.ids 0;
   t.pos <- extend t.pos 0;
   t.reg <- extend t.reg t.idle;
-  chain_free t.pos n (2 * n);
+  for id = n to n' - 2 do
+    t.pos.(id) <- id + 1
+  done;
+  t.pos.(n' - 1) <- -1;
   t.free <- n
 
 (* Unlink pending [e] and return its id to the free list: the last
