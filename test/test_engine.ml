@@ -227,9 +227,7 @@ let prop_scheduler_matches_model =
             in
             act act_ns
               (fun () -> Scheduler.Timer.schedule_at tm (Time.of_ns t'))
-              (fun () ->
-                Model.unarm m l;
-                Model.arm m t' (Model.Fire l)))
+              (fun () -> Model.arm m t' (Model.Fire l)))
         timers;
       Scheduler.run s;
       Model.run m;
