@@ -271,6 +271,51 @@ let test_golden_packet_outcomes () =
         "a64a83aa67165695e1e3191a538667ea" );
     ]
 
+(* Cross-commit golden for same-instant arrivals. At 2e9 flows/s per
+   host the mean gap is 0.5 ns, so most gaps round to 0 ns: arrivals
+   of one host, and of every short host, tie at a few instants, and
+   only their scheduling order separates them. The digest covers the
+   ledger's (conn, src, dst, start) rows in arrival order, long flows
+   included, so any change to that order moves it. *)
+let test_golden_tied_arrivals () =
+  List.iter
+    (fun (what, model, want) ->
+      let cfg =
+        {
+          Scenario.default_config with
+          Scenario.model;
+          topo =
+            Scenario.Fattree_topo (Scenario.paper_fattree ~k:4 ~oversub:2 ());
+          protocol = Scenario.Mmptcp_proto Mmptcp.Strategy.default;
+          seed = 3;
+          short_flows = 60;
+          short_rate = 2e9;
+          horizon = Time.of_ms 20.;
+          obs = { Scenario.default_obs with Scenario.ledger = true };
+        }
+      in
+      let dump = Option.get (Scenario.run cfg).Scenario.ledger in
+      let b = Buffer.create 2048 and ties = ref 0 and longs = ref 0 in
+      Array.iteri
+        (fun i (e : Sim_obs.Flow_ledger.entry) ->
+          if i > 0 && dump.(i - 1).Sim_obs.Flow_ledger.e_start_ns = e.e_start_ns
+          then incr ties;
+          if e.e_long then incr longs;
+          Printf.bprintf b "%d %d %d %d\n" e.e_conn e.e_src e.e_dst e.e_start_ns)
+        dump;
+      check_int (what ^ ": every flow arrived") (60 + !longs) (Array.length dump);
+      check_bool (what ^ ": long flows") true (!longs > 0);
+      check_bool (what ^ ": most arrivals tie") true (2 * !ties > 60);
+      Alcotest.(check string)
+        what want
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    [
+      ("packet", Scenario.Packet, "cbed2a817e6bfc58cc16e3e79b223c6a");
+      ("fluid", Scenario.Fluid, "cbed2a817e6bfc58cc16e3e79b223c6a");
+      ("hybrid", Scenario.Hybrid { handoff_bytes = 10_000 },
+        "a88aad7cf844c3b143db63731776b940" );
+    ]
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -307,5 +352,7 @@ let () =
         [
           Alcotest.test_case "packet-path outcomes unchanged (tiny fattree)"
             `Slow test_golden_packet_outcomes;
+          Alcotest.test_case "same-instant arrival order unchanged" `Quick
+            test_golden_tied_arrivals;
         ] );
     ]
