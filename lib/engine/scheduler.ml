@@ -41,6 +41,7 @@ type t = {
   idle : entry;
   mutable now : Sim_time.t;
   mutable next_seq : int;
+  mutable fired_seq : int;  (* seq of the last event fired at [now], or -1 *)
   mutable processed : int;
   (* Event-cell pool accounting across every {!Event.pool} of this
      scheduler, exposed to the Probe's self-profiling gauges. *)
@@ -64,6 +65,7 @@ let create () =
     idle = make_entry ignore ();
     now = Sim_time.zero;
     next_seq = 0;
+    fired_seq = -1;
     processed = 0;
     cells_allocated = 0;
     cells_free = 0;
@@ -168,11 +170,10 @@ let remove t e =
   t.size <- last;
   if i < last then resift t i t.time.(last) t.seq.(last) t.ids.(last)
 
-(* Key [e] at [time] with the next seq — exactly one consumed per
-   arm — and place it: re-keyed in its slot when already pending. *)
-let arm t e time =
-  let tm = Sim_time.to_ns time and sq = t.next_seq in
-  t.next_seq <- sq + 1;
+(* Key [e] at [time] with seq [sq] and place it: re-keyed in its slot
+   when already pending. Inlined into both arms below. *)
+let[@inline] arm_seq t e time sq =
+  let tm = Sim_time.to_ns time in
   if e.id >= 0 then resift t t.pos.(e.id) tm sq e.id
   else begin
     if t.size = Array.length t.time then grow t;
@@ -184,11 +185,24 @@ let arm t e time =
     sift_up t (t.size - 1) tm sq id
   end
 
+(* Arm with the next seq: exactly one consumed per arm. *)
+let arm t e time =
+  let sq = t.next_seq in
+  t.next_seq <- sq + 1;
+  arm_seq t e time sq
+
+let reserve t n =
+  if n < 0 then invalid_arg "Scheduler.reserve: negative count";
+  let first = t.next_seq in
+  t.next_seq <- first + n;
+  first
+
 let run ?until t =
   let horizon = match until with Some u -> Sim_time.to_ns u | None -> max_int in
   while t.size > 0 && t.time.(0) <= horizon do
     let e = t.reg.(t.ids.(0)) in
     t.now <- Sim_time.of_ns t.time.(0);
+    t.fired_seq <- t.seq.(0);
     remove t e;
     t.processed <- t.processed + 1;
     let (Run (fire, state)) = e.run in
@@ -198,7 +212,9 @@ let run ?until t =
      advance the clock to the horizon, so repeated bounded runs make
      progress. *)
   match until with
-  | Some u when Sim_time.(u > t.now) -> t.now <- u
+  | Some u when Sim_time.(u > t.now) ->
+    t.now <- u;
+    t.fired_seq <- -1
   | Some _ | None -> ()
 
 let pending_events t = t.size
@@ -300,4 +316,22 @@ module Event = struct
 
   let schedule_after p delay v =
     schedule_at p (Sim_time.add p.p_sched.now delay) v
+
+  (* The key must still lie ahead of every key that has fired: a
+     reserved arm made after its key's turn would fire out of order.
+     The dev profile checks that the seq was handed out by {!reserve}
+     and that the key is not behind the event firing now. *)
+  let schedule_at_reserved p time ~seq v =
+    let s = p.p_sched in
+    if Sim_time.(time < s.now) then
+      invalid_arg "Scheduler.Event.schedule_at_reserved: time is in the past";
+    if Sanitizer_mode.on then begin
+      if seq < 0 || seq >= s.next_seq then
+        invalid_arg "Scheduler.Event.schedule_at_reserved: seq was never reserved";
+      if Sim_time.equal time s.now && seq <= s.fired_seq then
+        invalid_arg
+          "Scheduler.Event.schedule_at_reserved: key is behind the event \
+           firing now"
+    end;
+    arm_seq s (acquire p v).c_entry time seq
 end

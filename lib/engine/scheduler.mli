@@ -33,6 +33,13 @@ val run : ?until:Sim_time.t -> t -> unit
     next event lies strictly beyond [until]; the clock then advances
     to [until] if that is later. *)
 
+val reserve : t -> int -> int
+(** [reserve t n] takes the next [n] scheduling sequence numbers and
+    returns the first. They are used later, one per
+    {!Event.schedule_at_reserved}, so an event armed late keeps the
+    same-instant order it would have had if armed now. Raises
+    [Invalid_argument] if [n] is negative. *)
+
 val pending_events : t -> int
 (** Events that will still fire. Cancelled events are gone from the
     heap at once, so they never count. *)
@@ -104,4 +111,13 @@ module Event : sig
       times. *)
 
   val schedule_after : 'a pool -> Sim_time.t -> 'a -> unit
+
+  val schedule_at_reserved : 'a pool -> Sim_time.t -> seq:int -> 'a -> unit
+  (** Arm a pooled cell with a seq taken earlier by {!reserve} instead
+      of the next one. The caller arms it before its [(time, seq)] key
+      could be the least pending one; it then fires exactly where it
+      would have had it been armed when the seq was reserved. Raises
+      [Invalid_argument] on past times and, in the dev profile, on a
+      seq that was never reserved or a key behind the event firing
+      now. *)
 end

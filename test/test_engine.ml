@@ -115,9 +115,75 @@ let test_scheduler_counts () =
   Scheduler.run s;
   check_int "processed" 2 (Scheduler.events_processed s)
 
+(* A reserved seq keeps the same-instant order of the moment it was
+   reserved, however late its event is armed: "b" is armed from an
+   event at t=0 and arms "c" when it fires, yet both fire between "a"
+   and "d", which were armed either side of the [reserve]. *)
+let test_scheduler_reserved_order () =
+  let s = Scheduler.create () in
+  let p = actions s in
+  let log = ref [] in
+  let note tag () = log := tag :: !log in
+  let ms1 = Time.of_ms 1. in
+  at p ms1 (note "a");
+  let first = Scheduler.reserve s 2 in
+  at p ms1 (note "d");
+  at p Time.zero (fun () ->
+      note "z" ();
+      Scheduler.Event.schedule_at_reserved p ms1 ~seq:first (fun () ->
+          note "b" ();
+          Scheduler.Event.schedule_at_reserved p ms1 ~seq:(first + 1)
+            (note "c")));
+  at p ms1 (fun () ->
+      note "e" ();
+      (* Seq [first] at this instant belongs before "e" itself. *)
+      if Sim_engine.Sanitizer_mode.on then
+        Alcotest.check_raises "key behind the firing event"
+          (Invalid_argument
+             "Scheduler.Event.schedule_at_reserved: key is behind the event \
+              firing now")
+          (fun () ->
+            Scheduler.Event.schedule_at_reserved p ms1 ~seq:first ignore));
+  Scheduler.run s;
+  Alcotest.(check (list string)) "reserved seqs order same-instant events"
+    [ "z"; "a"; "b"; "c"; "d"; "e" ] (List.rev !log)
+
+(* [schedule_at_reserved] refuses a past time in every profile, and in
+   the dev profile a seq that [reserve] never handed out. *)
+let test_scheduler_reserved_rejects () =
+  let s = Scheduler.create () in
+  let p = actions s in
+  let first = Scheduler.reserve s 2 in
+  check_int "first block starts at seq 0" 0 first;
+  if Sim_engine.Sanitizer_mode.on then
+    Alcotest.check_raises "seq never reserved"
+      (Invalid_argument "Scheduler.Event.schedule_at_reserved: seq was never reserved")
+      (fun () ->
+        Scheduler.Event.schedule_at_reserved p (Time.of_ms 1.) ~seq:(first + 2)
+          ignore);
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Scheduler.reserve: negative count") (fun () ->
+      ignore (Scheduler.reserve s (-1)));
+  after p (Time.of_ms 5.) (fun () ->
+      Alcotest.check_raises "past"
+        (Invalid_argument "Scheduler.Event.schedule_at_reserved: time is in the past")
+        (fun () ->
+          Scheduler.Event.schedule_at_reserved p (Time.of_ms 1.) ~seq:first ignore));
+  Scheduler.run s;
+  check_int "nothing left pending" 0 (Scheduler.pending_events s);
+  (* Nothing has fired at an instant the clock only advanced to, so
+     any reserved seq may still be armed there. *)
+  Scheduler.run ~until:(Time.of_ms 6.) s;
+  let fired = ref false in
+  Scheduler.Event.schedule_at_reserved p (Time.of_ms 6.) ~seq:(first + 1)
+    (fun () -> fired := true);
+  Scheduler.run s;
+  check_bool "armed at the horizon instant" true !fired
+
 (* Reference for the scheduler property: pending events in a map
    sorted by (time, seq), fired by repeatedly taking the least key.
-   [arm] consumes one seq per call, like every scheduler arm. *)
+   [arm] consumes one seq per call, like every scheduler arm;
+   [reserve] takes a block of seqs that [arm_seq] uses later. *)
 module Model = struct
   module M = Map.Make (struct
     type t = int * int
@@ -133,10 +199,20 @@ module Model = struct
     mutable seq : int;
     keys : (int, int * int) Hashtbl.t;  (* label -> key while pending *)
     mutable log : (int * int) list;     (* (time, label), latest first *)
+    mutable now : int;                  (* time of the last fired key *)
   }
 
   let create () =
-    { pending = M.empty; size = 0; seq = 0; keys = Hashtbl.create 16; log = [] }
+    {
+      pending = M.empty;
+      size = 0;
+      seq = 0;
+      keys = Hashtbl.create 16;
+      log = [];
+      now = 0;
+    }
+
+  let note m l = m.log <- (m.now, l) :: m.log
 
   let unarm m l =
     match Hashtbl.find_opt m.keys l with
@@ -146,14 +222,24 @@ module Model = struct
       Hashtbl.remove m.keys l
     | None -> ()
 
+  let add m k what =
+    m.pending <- M.add k what m.pending;
+    m.size <- m.size + 1;
+    match what with Fire l -> Hashtbl.replace m.keys l k | Do _ -> ()
+
   (* Like a Timer arm: a pending label is moved, not duplicated. *)
   let arm m time what =
     (match what with Fire l -> unarm m l | Do _ -> ());
     let k = (time, m.seq) in
     m.seq <- m.seq + 1;
-    m.pending <- M.add k what m.pending;
-    m.size <- m.size + 1;
-    match what with Fire l -> Hashtbl.replace m.keys l k | Do _ -> ()
+    add m k what
+
+  let reserve m n =
+    let first = m.seq in
+    m.seq <- first + n;
+    first
+
+  let arm_seq m time seq what = add m (time, seq) what
 
   (* Fire every event due at or before [until]. *)
   let rec run ?(until = max_int) m =
@@ -161,10 +247,11 @@ module Model = struct
     | Some (((time, _) as k), what) when time <= until ->
       m.pending <- M.remove k m.pending;
       m.size <- m.size - 1;
+      m.now <- time;
       (match what with
       | Fire l ->
         Hashtbl.remove m.keys l;
-        m.log <- (time, l) :: m.log
+        note m l
       | Do f -> f ());
       run ~until m
     | Some _ | None -> ()
@@ -176,22 +263,31 @@ type timer_op = Rearm_earlier | Rearm_later | Cancel_timer
 
 (* Random trace against the sorted reference: the scheduler must fire
    exactly the events the model fires, at the same times and in the
-   same order. Two input kinds, each armed in the same order on both
+   same order. Three input kinds, each armed in the same order on both
    sides:
    - one-shot Event cells;
    - re-armable Timers, each moved earlier, moved later or cancelled
      by an event due before it fires. This removes and re-keys entries
      in the middle of the heap; the re-arm takes the next seq when the
-     moving event fires, on both sides. *)
+     moving event fires, on both sides;
+   - blocks of seqs reserved between the one-shot arms. Each member is
+     armed later with its reserved seq: by an event due strictly
+     before it, so members go in in random order, or, when chained, by
+     the firing of the member before it, at the same time or later
+     (how a short host's next arrival is armed). *)
 let prop_scheduler_matches_model =
   QCheck.Test.make ~name:"scheduler matches sorted-list model" ~count:200
     QCheck.(
-      pair
+      triple
         (list (int_bound 5_000_000))
         (list
            (triple (int_range 2 5_000_000) (int_bound 4_999_999)
-              (oneofl [ Rearm_earlier; Rearm_later; Cancel_timer ]))))
-    (fun (trace, timers) ->
+              (oneofl [ Rearm_earlier; Rearm_later; Cancel_timer ])))
+        (small_list
+           (pair small_nat
+              (small_list
+                 (triple (int_range 1 5_000_000) (int_bound 4_999_999) bool)))))
+    (fun (trace, timers, blocks) ->
       let s = Scheduler.create () in
       let p = actions s in
       let m = Model.create () in
@@ -202,12 +298,52 @@ let prop_scheduler_matches_model =
         at p (Time.of_ns time) f;
         Model.arm m time (Model.Do g)
       in
+      let n = List.length trace and n_timers = List.length timers in
+      let next_label = ref (n + n_timers) in
+      let reserve_block members =
+        let members = Array.of_list members in
+        let k = Array.length members in
+        let first = Scheduler.reserve s k in
+        if Model.reserve m k <> first then failwith "reserve: seq differs";
+        let label = Array.init k (fun j -> !next_label + j) in
+        next_label := !next_label + k;
+        let chained j = j > 0 && (fun (_, _, c) -> c) members.(j) in
+        let time = Array.make k 0 in
+        Array.iteri
+          (fun j (t_ns, _, _) ->
+            time.(j) <- (if chained j then max t_ns time.(j - 1) else t_ns))
+          members;
+        let rec arm_s j =
+          Scheduler.Event.schedule_at_reserved p (Time.of_ns time.(j))
+            ~seq:(first + j) (fun () ->
+              note label.(j);
+              if j + 1 < k && chained (j + 1) then arm_s (j + 1))
+        in
+        let rec arm_m j =
+          Model.arm_seq m time.(j) (first + j)
+            (Model.Do
+               (fun () ->
+                 Model.note m label.(j);
+                 if j + 1 < k && chained (j + 1) then arm_m (j + 1)))
+        in
+        Array.iteri
+          (fun j (_, act_at, _) ->
+            if not (chained j) then
+              act (act_at mod time.(j)) (fun () -> arm_s j) (fun () -> arm_m j))
+          members
+      in
+      let reserve_at i =
+        List.iter
+          (fun (pos, members) -> if pos mod (n + 1) = i then reserve_block members)
+          blocks
+      in
       List.iteri
         (fun i t_ns ->
+          reserve_at i;
           at p (Time.of_ns t_ns) (fun () -> note i);
           Model.arm m t_ns (Model.Fire i))
         trace;
-      let n = List.length trace in
+      reserve_at n;
       List.iteri
         (fun j (t_ns, act_at, op) ->
           let l = n + j in
@@ -601,6 +737,10 @@ let () =
           Alcotest.test_case "tombstones and compaction" `Quick
             test_scheduler_mass_cancel;
           Alcotest.test_case "far-future clamp" `Quick test_scheduler_far_future;
+          Alcotest.test_case "reserved seqs keep their order" `Quick
+            test_scheduler_reserved_order;
+          Alcotest.test_case "reserved seqs: bad arms rejected" `Quick
+            test_scheduler_reserved_rejects;
           qt prop_scheduler_matches_model;
           Alcotest.test_case "stress: growth, cancels, id reuse" `Quick
             test_scheduler_stress;
