@@ -440,6 +440,41 @@ let test_host_unbind () =
   Host.bind h ~conn:1 ignore;
   check_int "no unmatched" 0 (Host.unmatched h)
 
+(* Binds, unbinds and deliveries in any conn-id order against a
+   hashtable: each packet reaches the handler bound last to its conn,
+   or counts as unmatched; a second bind is refused and changes
+   nothing. *)
+type host_op = Bind | Unbind | Deliver
+
+let prop_host_demux_matches_table =
+  QCheck.Test.make ~name:"host demux matches a table" ~count:200
+    QCheck.(list (pair (int_bound 40) (oneofl [ Bind; Unbind; Deliver ])))
+    (fun ops ->
+      let sched = Scheduler.create () in
+      let h = Host.create ~sched ~addr:(Addr.of_int 1) in
+      let model = Hashtbl.create 16 and unmatched = ref 0 in
+      let got = ref [] and want = ref [] in
+      List.iteri
+        (fun tag (conn, op) ->
+          match op with
+          | Bind -> (
+            match Host.bind h ~conn (fun p -> got := (p.Packet.conn, tag) :: !got) with
+            | () ->
+              if Hashtbl.mem model conn then failwith "bound twice";
+              Hashtbl.replace model conn tag
+            | exception Invalid_argument _ ->
+              if not (Hashtbl.mem model conn) then failwith "refused a free id")
+          | Unbind ->
+            Host.unbind h ~conn;
+            Hashtbl.remove model conn
+          | Deliver -> (
+            Host.receive h (mk_pkt ~dst:1 ~conn ());
+            match Hashtbl.find_opt model conn with
+            | Some t -> want := (conn, t) :: !want
+            | None -> incr unmatched))
+        ops;
+      !got = !want && Host.unmatched h = !unmatched)
+
 let test_host_needs_nic () =
   let sched = Scheduler.create () in
   let h = Host.create ~sched ~addr:(Addr.of_int 1) in
@@ -502,5 +537,6 @@ let () =
           Alcotest.test_case "double bind rejected" `Quick test_host_double_bind_rejected;
           Alcotest.test_case "unbind" `Quick test_host_unbind;
           Alcotest.test_case "needs nic" `Quick test_host_needs_nic;
+          qt prop_host_demux_matches_table;
         ] );
     ]
