@@ -58,12 +58,13 @@ module Lia = struct
      first increases of a subflow. *)
   let default_rtt_s = 1e-3
 
-  let rtt_s m =
-    match Rtt_estimator.srtt m.rtt with
-    | Some t -> Float.max 1e-6 (Time.to_sec t)
-    | None -> default_rtt_s
+  (* These three run on every LIA ACK, once per member. Inlined into
+     [on_ack], their floats stay unboxed: no allocation per ACK. *)
+  let[@inline] rtt_s m =
+    let ns = Rtt_estimator.srtt_ns m.rtt in
+    if ns < 0 then default_rtt_s else Float.max 1e-6 (Time.to_sec (Time.of_ns ns))
 
-  let total_cwnd g =
+  let[@inline] total_cwnd g =
     let total = ref 0. in
     for i = 0 to Array.length g.members - 1 do
       total := !total +. g.members.(i).win.cwnd
@@ -71,7 +72,7 @@ module Lia = struct
     !total
 
   (* The RFC 6356 coupling factor: the one place it is computed. *)
-  let alpha g =
+  let[@inline] alpha g =
     let n = Array.length g.members in
     let total = total_cwnd g in
     if n = 0 || total <= 0. then 1.

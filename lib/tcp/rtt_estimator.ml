@@ -26,6 +26,9 @@ let observe t sample =
   end;
   t.samples <- t.samples + 1
 
+let[@inline] srtt_ns t =
+  if t.samples = 0 then -1 else int_of_float t.est.srtt_ns
+
 let srtt t =
   if t.samples = 0 then None else Some (Time.of_ns (int_of_float t.est.srtt_ns))
 

@@ -17,6 +17,10 @@ val observe : t -> Time.t -> unit
 val srtt : t -> Time.t option
 (** Smoothed RTT; [None] before the first sample. *)
 
+val srtt_ns : t -> int
+(** {!srtt} in whole ns, [-1] before the first sample: the per-ACK
+    read, which allocates nothing. *)
+
 val rttvar : t -> Time.t option
 val rto : t -> Time.t
 (** Current retransmission timeout (before backoff), clamped to

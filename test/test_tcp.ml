@@ -131,9 +131,11 @@ let prop_intervals_contiguous_matches_reference =
 let test_rtt_first_sample () =
   let e = Rtt_estimator.create ~params:Tcp_params.default in
   check_bool "no estimate" true (Rtt_estimator.srtt e = None);
+  check_int "no estimate in ns" (-1) (Rtt_estimator.srtt_ns e);
   Alcotest.(check (float 1e-6)) "initial rto is param" 200.
     (Time.to_ms (Rtt_estimator.rto e));
   Rtt_estimator.observe e (Time.of_ms 10.);
+  check_int "srtt in ns" 10_000_000 (Rtt_estimator.srtt_ns e);
   (match Rtt_estimator.srtt e with
    | Some s -> Alcotest.(check (float 1e-6)) "srtt = first sample" 10. (Time.to_ms s)
    | None -> Alcotest.fail "expected estimate");
