@@ -35,12 +35,6 @@ let backend : model -> (module Flow_model.BACKEND) = function
   | Fluid -> (module Model_fluid)
   | Hybrid _ -> (module Model_hybrid)
 
-(* Payload of one pooled arrival event: which host fires, how much it
-   sends. The destination is drawn from the traffic matrix at fire
-   time (so it reflects matrix state in arrival order), exactly as the
-   per-event closures this pool replaced did. *)
-type arrival = { ar_host : int; ar_size : int; ar_long : bool }
-
 let run (cfg : config) =
   (* The scheduler owns all per-simulation state (clock, event heap,
      and the Sim_ctx identifier counters), so a run is self-contained:
@@ -86,48 +80,74 @@ let run (cfg : config) =
       Array.of_list
         (List.filter (fun s -> not (Array.exists (( = ) s) long_hosts)) senders)
   in
-  let arrivals =
-    Scheduler.Event.pool sched ~fire:(fun a ->
-        let dst = Traffic_matrix.dest tm ~src:a.ar_host in
-        let conn =
-          B.start_flow cfg net ~rng ~src_id:a.ar_host ~dst_id:dst
-            ~size:a.ar_size
-        in
-        (* The arrival is the model-agnostic ledger anchor: it knows
-           the flow's full size (the hybrid model's packet stage only
-           sees its handoff slice) and runs before any transport event
-           can fire. *)
-        Sim_obs.Flow_ledger.on_start ledger ~conn ~src:a.ar_host ~dst
-          ~size:a.ar_size ~long:a.ar_long)
+  (* One flow arrival. The destination is drawn from the traffic
+     matrix at fire time, so it reflects matrix state in arrival order.
+     The arrival is the model-agnostic ledger anchor: it knows the
+     flow's full size (the hybrid model's packet stage only sees its
+     handoff slice) and runs before any transport event can fire. *)
+  let start src ~size ~long =
+    let dst = Traffic_matrix.dest tm ~src in
+    let conn = B.start_flow cfg net ~rng ~src_id:src ~dst_id:dst ~size in
+    Sim_obs.Flow_ledger.on_start ledger ~conn ~src ~dst ~size ~long
   in
   (* Long background flows start near t=0 with a little jitter so their
-     slow starts do not synchronise. *)
+     slow starts do not synchronise. The payload is the host. *)
+  let longs =
+    Scheduler.Event.pool sched ~fire:(fun h ->
+        start h ~size:cfg.long_size ~long:true)
+  in
   Array.iter
     (fun h ->
       let jitter = Time.of_us (Rng.float rng 10_000.) in
-      Scheduler.Event.schedule_after arrivals jitter
-        { ar_host = h; ar_size = cfg.long_size; ar_long = true })
+      Scheduler.Event.schedule_after longs jitter h)
     long_hosts;
-  (* Short flows: Poisson process per short host; the global flow
-     budget is spread evenly across hosts. *)
+  (* Short flows: a Poisson process per short host; the global flow
+     budget is spread evenly across hosts. Every gap is drawn here,
+     host by host, into [arrival_ns]: short host [k]'s arrivals are
+     slots [next.(k)] to [stop.(k) - 1]. *)
   let num_short = Array.length short_hosts in
   if cfg.short_flows > 0 && num_short = 0 then
     invalid_arg "Scenario.run: no short hosts available";
+  let arrival_ns = Array.make cfg.short_flows 0 in
+  let next = Array.make num_short 0 and stop = Array.make num_short 0 in
   if cfg.short_flows > 0 then begin
     let base = cfg.short_flows / num_short in
     let extra = cfg.short_flows mod num_short in
-    Array.iteri
-      (fun idx h ->
-        let flows = base + (if idx < extra then 1 else 0) in
-        let t = ref Time.zero in
-        for _ = 1 to flows do
-          let gap = Rng.exponential rng ~mean:(1. /. cfg.short_rate) in
-          t := Time.add !t (Time.of_sec gap);
-          Scheduler.Event.schedule_at arrivals !t
-            { ar_host = h; ar_size = cfg.short_size; ar_long = false }
-        done)
-      short_hosts
+    let j = ref 0 in
+    for k = 0 to num_short - 1 do
+      next.(k) <- !j;
+      let t = ref Time.zero in
+      for _ = 1 to base + if k < extra then 1 else 0 do
+        let gap = Rng.exponential rng ~mean:(1. /. cfg.short_rate) in
+        t := Time.add !t (Time.of_sec gap);
+        arrival_ns.(!j) <- Time.to_ns !t;
+        incr j
+      done;
+      stop.(k) <- !j
+    done
   end;
+  (* Arrival [j] takes seq [first_seq + j]: the seq it would take if
+     every arrival were armed now, host by host. Only each host's next
+     arrival is pending (the payload is [k]). Firing it arms the one
+     after, whose key is not behind any key that has fired, so every
+     arrival fires exactly where it would have among the others. *)
+  let first_seq = Scheduler.reserve sched cfg.short_flows in
+  let rec arm_next k =
+    let j = next.(k) in
+    if j < stop.(k) then begin
+      next.(k) <- j + 1;
+      Scheduler.Event.schedule_at_reserved (Lazy.force shorts)
+        (Time.of_ns arrival_ns.(j)) ~seq:(first_seq + j) k
+    end
+  and shorts =
+    lazy
+      (Scheduler.Event.pool sched ~fire:(fun k ->
+           arm_next k;
+           start short_hosts.(k) ~size:cfg.short_size ~long:false))
+  in
+  for k = 0 to num_short - 1 do
+    arm_next k
+  done;
   Scheduler.run ~until:cfg.horizon sched;
   (* Lifetime invariant (dev profile): a connection is closed only once
      it can never act again, so no packet may reach one. A packet for
