@@ -30,7 +30,8 @@ let[@inline] srtt_ns t =
   if t.samples = 0 then -1 else int_of_float t.est.srtt_ns
 
 let srtt t =
-  if t.samples = 0 then None else Some (Time.of_ns (int_of_float t.est.srtt_ns))
+  let ns = srtt_ns t in
+  if ns < 0 then None else Some (Time.of_ns ns)
 
 let rttvar t =
   if t.samples = 0 then None
