@@ -307,7 +307,10 @@ let prop_scheduler_matches_model =
         if Model.reserve m k <> first then failwith "reserve: seq differs";
         let label = Array.init k (fun j -> !next_label + j) in
         next_label := !next_label + k;
-        let chained j = j > 0 && (fun (_, _, c) -> c) members.(j) in
+        let chained j =
+          let _, _, c = members.(j) in
+          j > 0 && c
+        in
         let time = Array.make k 0 in
         Array.iteri
           (fun j (t_ns, _, _) ->
