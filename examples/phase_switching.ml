@@ -8,7 +8,6 @@ module Time = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler
 module Topology = Sim_net.Topology
 module Fattree = Sim_net.Fattree
-module Host = Sim_net.Host
 module Conn = Mmptcp.Mmptcp_conn
 module Flow = Sim_tcp.Flow
 module Strategy = Mmptcp.Strategy
@@ -17,7 +16,7 @@ let () =
   let sched = Scheduler.create () in
   let net = Fattree.create ~sched (Fattree.default_params ~k:4 ~oversub:2 ()) in
   let src = Topology.host net 0 and dst = Topology.host net 28 in
-  let paths = net.Topology.path_count (Host.addr src) (Host.addr dst) in
+  let paths = Topology.paths net ~src:0 ~dst:28 in
   let rng = Sim_engine.Rng.create ~seed:9 in
   let conn =
     Conn.start ~src ~dst ~size:3_000_000 ~rng ~paths

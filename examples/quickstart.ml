@@ -7,7 +7,6 @@ module Time = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler
 module Topology = Sim_net.Topology
 module Fattree = Sim_net.Fattree
-module Host = Sim_net.Host
 
 let () =
   (* 1. A scheduler owns virtual time; every component hangs off it. *)
@@ -23,10 +22,10 @@ let () =
     (Array.length net.Topology.links);
 
   (* 3. Pick two hosts in different pods and ask the topology how many
-     equal-cost paths ECMP has between them: MMPTCP's topology-aware
-     dup-ACK threshold is derived from this number. *)
+     equal-cost paths its route tables hold between them: MMPTCP's
+     topology-aware dup-ACK threshold is derived from this number. *)
   let src = Topology.host net 0 and dst = Topology.host net 60 in
-  let paths = net.Topology.path_count (Host.addr src) (Host.addr dst) in
+  let paths = Topology.paths net ~src:0 ~dst:60 in
   Printf.printf "host 0 -> host 60: %d equal-cost paths\n" paths;
 
   (* 4. Start a 2 MB MMPTCP connection. It begins in the packet-scatter

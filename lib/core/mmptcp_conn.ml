@@ -79,11 +79,13 @@ let start ~src ~dst ~size ~rng ?(strategy = Strategy.default)
   if strategy.Strategy.subflows < 1 then
     invalid_arg "Mmptcp_conn.start: subflows must be >= 1";
   let sched = Host.sched src in
+  let dupack_threshold = initial_threshold strategy.Strategy.dupack ~paths in
+  (* Only [Adaptive] raises its threshold; the others stay where they
+     start. *)
   let dupack_cap =
     match strategy.Strategy.dupack with
     | Strategy.Adaptive { cap; _ } -> cap
-    | Strategy.Static k -> max 1 k
-    | Strategy.Topology_aware -> max 3 paths
+    | Strategy.Static _ | Strategy.Topology_aware -> dupack_threshold
   in
   let splan = Strategy.plan strategy.Strategy.switch in
   let rec t =
@@ -100,7 +102,7 @@ let start ~src ~dst ~size ~rng ?(strategy = Strategy.default)
         phase = Packet_scatter;
         switched_at = None;
         switch_timer = None;
-        dupack_threshold = initial_threshold strategy.Strategy.dupack ~paths;
+        dupack_threshold;
         dupack_cap;
         on_switch;
       }

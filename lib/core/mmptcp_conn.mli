@@ -39,8 +39,8 @@ val start :
   ?on_close:(t -> unit) ->
   unit ->
   t
-(** [paths] is the number of equal-cost paths between the endpoints
-    (callers get it from [Topology.path_count]); it feeds the
+(** [paths] is the number of routed paths between the endpoints
+    (callers get it from [Topology.paths]); it feeds the
     [Topology_aware] dup-ACK strategy. [rng] drives per-packet source
     ports. [on_close] fires once, when no packet of the connection is
     alive and no RTO, delayed-ACK or [After_time] switch timer of it is

@@ -12,8 +12,9 @@ type dupack_strategy =
           protection" baseline. *)
   | Topology_aware
       (** Paper approach (1): derive the threshold from the number of
-          equal-cost paths between the endpoints, computable from
-          FatTree's addressing scheme. With [p] paths the threshold is
+          equal-cost paths between the endpoints, which the paper
+          computes from FatTree's addressing scheme and the simulator
+          reads off the route tables. With [p] paths the threshold is
           [max 3 p]: a packet can be overtaken by at most one
           queue-full of packets per alternative path, so path count
           bounds plausible reorder depth. *)

@@ -1,7 +1,5 @@
 module Builder = Topology.Builder
 
-let no_paths a b = if Addr.equal a b then 0 else 1
-
 let direct ~sched ?(spec = Topology.default_link_spec) () =
   let b = Builder.create sched in
   let h0 = Host.create ~sched ~addr:(Addr.of_int 0) in
@@ -14,7 +12,6 @@ let direct ~sched ?(spec = Topology.default_link_spec) () =
   Host.add_nic h1 l10;
   Builder.finish b ~name:"direct" ~hosts:[| h0; h1 |] ~switches:[||]
     ~dests:(Switch.dests ~hosts:2 ~size:1)
-    ~path_count:no_paths
 
 let create ~sched ?(bottleneck_spec = Topology.default_link_spec) ~pairs () =
   if pairs < 1 then invalid_arg "Dumbbell.create: pairs must be >= 1";
@@ -45,7 +42,7 @@ let create ~sched ?(bottleneck_spec = Topology.default_link_spec) ~pairs () =
     [| Switch.group sw_right [| rl |]; Switch.Local (Array.sub down pairs pairs) |];
   Builder.finish b
     ~name:(Printf.sprintf "dumbbell-%d" pairs)
-    ~hosts ~switches:[| sw_left; sw_right |] ~dests ~path_count:no_paths
+    ~hosts ~switches:[| sw_left; sw_right |] ~dests
 
 let parking_lot ~sched ?(spec = Topology.default_link_spec) ~hops () =
   if hops < 1 then invalid_arg "Dumbbell.parking_lot: hops must be >= 1";
@@ -94,4 +91,4 @@ let parking_lot ~sched ?(spec = Topology.default_link_spec) ~hops () =
     switches;
   Builder.finish b
     ~name:(Printf.sprintf "parking-lot-%d" hops)
-    ~hosts ~switches ~dests ~path_count:no_paths
+    ~hosts ~switches ~dests

@@ -22,22 +22,7 @@ let hosts_per_edge p = p.k / 2 * p.oversub
 let hosts_per_pod p = p.k / 2 * hosts_per_edge p
 let host_count p = p.k * hosts_per_pod p
 
-let position p addr =
-  let h = Addr.to_int addr in
-  let hpe = hosts_per_edge p and hpp = hosts_per_pod p in
-  let pod = h / hpp in
-  let rem = h mod hpp in
-  (pod, rem / hpe, rem mod hpe)
-
-let paths_between p a b =
-  let pa, ea, _ = position p a and pb, eb, _ = position p b in
-  let half = p.k / 2 in
-  if Addr.equal a b then 0
-  else if pa = pb && ea = eb then 1
-  else if pa = pb then half
-  else half * half
-
-let build ~sched p ~homes ~name ~path_count =
+let build ~sched p ~homes ~name =
   let n_hosts = host_count p in
   let open Topology in
   let b = Builder.create sched in
@@ -164,10 +149,9 @@ let build ~sched p ~homes ~name ~path_count =
     ~switches:
       (Array.concat
          [ Array.concat (Array.to_list edge); Array.concat (Array.to_list agg); core ])
-    ~dests ~path_count
+    ~dests
 
 let create ~sched p =
   validate p;
   build ~sched p ~homes:1
     ~name:(Printf.sprintf "fattree-k%d-oversub%d" p.k p.oversub)
-    ~path_count:(paths_between p)

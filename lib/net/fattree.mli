@@ -11,10 +11,10 @@
     Routing is the standard two-level scheme, held as route tables
     ({!Switch}): upward hops are selected by per-switch-salted ECMP
     hashing on the packet 5-tuple; downward hops are deterministic
-    from the destination's class (its edge switch). The number of
-    equal-cost paths is 1 (same edge), [k/2] (same pod) or [(k/2)^2]
-    (different pods); [Topology.path_count] exposes this, which is what
-    MMPTCP's topology-aware dup-ACK threshold consumes. *)
+    from the destination's class (its edge switch). The tables route 1
+    path between hosts under one edge, [k/2] within a pod and
+    [(k/2)^2] across pods; {!Topology.paths} counts them, and that
+    count is MMPTCP's topology-aware dup-ACK threshold. *)
 
 type params = {
   k : int;  (** even, >= 2 *)
@@ -35,16 +35,8 @@ val build :
   params ->
   homes:int ->
   name:string ->
-  path_count:(Addr.t -> Addr.t -> int) ->
   Topology.t
 (** The fabric behind {!create} ([homes = 1]) and {!Multihomed}
     ([homes = 2]), unvalidated: NIC [j] of a host under edge [e] goes
     to edge [(e + j) mod k/2] of its pod. One destination class per
     (pod, home edge). *)
-
-(** {1 Address arithmetic} *)
-
-val position : params -> Addr.t -> int * int * int
-(** [(pod, edge, index)] of a host address. *)
-
-val paths_between : params -> Addr.t -> Addr.t -> int

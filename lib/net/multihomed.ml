@@ -13,14 +13,7 @@ let validate p =
     invalid_arg "Multihomed: k must be even and >= 4";
   if p.oversub < 1 then invalid_arg "Multihomed: oversub must be >= 1"
 
-(* Not the routed path count: see [Topology.paths] and ROADMAP.md. *)
-let paths_between p a b =
-  let pa, _, _ = Fattree.position p a and pb, _, _ = Fattree.position p b in
-  let half = p.k / 2 in
-  if Addr.equal a b then 0 else if pa = pb then 2 * half else 2 * half * half
-
 let create ~sched p =
   validate p;
   Fattree.build ~sched p ~homes:2
     ~name:(Printf.sprintf "multihomed-k%d-oversub%d" p.k p.oversub)
-    ~path_count:(paths_between p)

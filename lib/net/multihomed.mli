@@ -7,9 +7,10 @@
     host uplink / edge downlink. Requires [k >= 4] so each pod has at
     least two edge switches.
 
-    Built by {!Fattree.build} with two homes. [Topology.path_count]
-    ([2 * k/2] within a pod, [2 * (k/2)^2] across) is not the routed
-    path count, {!Topology.paths}. *)
+    Built by {!Fattree.build} with two homes. A host reaches the
+    fabric over both NICs and an agg reaches a destination over both
+    its home edges, so {!Topology.paths} counts [4 * (k/2)^2] paths
+    across pods, four times the single-homed FatTree's. *)
 
 type params = Fattree.params = {
   k : int;

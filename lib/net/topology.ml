@@ -34,7 +34,6 @@ type t = {
   hosts : Host.t array;
   switches : Switch.t array;
   links : Link.t array;
-  path_count : Addr.t -> Addr.t -> int;
   walk : walk;
 }
 
@@ -189,7 +188,7 @@ module Builder = struct
   let to_host link h =
     Link.attach link ~peer:(-1 - Addr.to_int (Host.addr h)) (Host.receive h)
 
-  let finish b ~name ~hosts ~switches ~dests ~path_count =
+  let finish b ~name ~hosts ~switches ~dests =
     Array.iteri
       (fun i sw ->
         if Switch.id sw <> i then
@@ -202,7 +201,6 @@ module Builder = struct
       hosts;
       switches;
       links = links b;
-      path_count;
       walk =
         {
           dests;

@@ -1,10 +1,10 @@
 (** Assembled networks.
 
     A topology bundles the hosts, switches and links of a built network
-    with a path-count oracle (the number of equal-cost paths ECMP can
-    use between two hosts — the quantity MMPTCP's topology-aware
-    dup-ACK heuristic derives from FatTree addressing) and the route
-    walk behind {!paths} and {!path}.
+    with the route walk behind {!paths} and {!path}. {!paths} is the
+    simulator's one path count: the packet model's MMPTCP reads its
+    topology-aware dup-ACK threshold from it, and the flow models
+    spread flows over the paths it numbers.
 
     Routes are data: the switches' route tables ({!Switch}) and the
     hosts' NIC groups. Packets follow them one hop at a time; the flow
@@ -33,7 +33,6 @@ type t = {
   hosts : Host.t array;  (** [hosts.(i)] has address [i] *)
   switches : Switch.t array;  (** [switches.(i)] has id [i] *)
   links : Link.t array;  (** [links.(i)] has id [i] *)
-  path_count : Addr.t -> Addr.t -> int;
   walk : walk;
 }
 
@@ -101,7 +100,6 @@ module Builder : sig
     hosts:Host.t array ->
     switches:Switch.t array ->
     dests:Switch.dests ->
-    path_count:(Addr.t -> Addr.t -> int) ->
     t
   (** The topology over every link made so far. Every switch must have
       its table installed over [dests]. Raises [Invalid_argument]

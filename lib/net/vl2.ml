@@ -126,23 +126,8 @@ let create ~sched p =
                [| inter_down.(i).(a1); inter_down.(i).(a2) |])))
     inter;
 
-  let path_count a bb =
-    if Addr.equal a bb then 0
-    else begin
-      let ta = Addr.to_int a / p.hosts_per_tor
-      and tb = Addr.to_int bb / p.hosts_per_tor in
-      if ta = tb then 1
-      else begin
-        (* Up-agg choice x intermediate choice x down-agg choice, plus
-           one when the two ToRs share an agg. *)
-        let a1, a2 = aggs_of_tor p ta and b1, b2 = aggs_of_tor p tb in
-        let shared = List.exists (fun x -> x = b1 || x = b2) [ a1; a2 ] in
-        (4 * p.intermediates) + if shared then 1 else 0
-      end
-    end
-  in
   Builder.finish b
     ~name:(Printf.sprintf "vl2-a%d-i%d-t%d" p.aggs p.intermediates p.tors)
     ~hosts
     ~switches:(Array.concat [ tor; agg; inter ])
-    ~dests ~path_count
+    ~dests

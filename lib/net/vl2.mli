@@ -12,13 +12,10 @@
 
     The paper's §2 notes VL2's centralised directory can provide the
     path-count information MMPTCP's dup-ACK heuristic needs; here
-    [Topology.path_count] answers it with [4 * intermediates] between
-    distinct ToRs, plus one when they share an agg. That counts the
-    combinations of up-agg, intermediate and down-agg, not the routed
-    paths: an up-agg homed to the destination never bounces, so
-    {!Topology.paths} agrees only when the ToRs share no agg; it is
-    [2 * intermediates + 1] when they share one and 2 when they share
-    both. *)
+    {!Topology.paths} reads it off the route tables. Between distinct
+    ToRs it is [4 * intermediates] when they share no agg,
+    [2 * intermediates + 1] when they share one (that agg goes straight
+    down) and 2 when they share both. *)
 
 type params = {
   aggs : int;  (** aggregation switches, even, >= 4 *)

@@ -34,7 +34,13 @@ let pull t ~max =
 let assigned t = t.next_dsn
 let unassigned t = t.next_dsn < t.size
 
+(* Dev-profile invariant: bytes delivered never run past the bytes
+   [pull] has handed out. *)
 let deliver t ~dsn ~len =
+  if Sim_engine.Sanitizer_mode.on && dsn >= 0 && dsn + len > t.next_dsn then
+    failwith
+      (Printf.sprintf "Dataplane.deliver: bytes [%d, %d) past the %d pulled"
+         dsn (dsn + len) t.next_dsn);
   if dsn >= 0 && t.completed_at = None then begin
     ignore (Intervals.add t.received ~start:dsn ~stop:(dsn + len));
     if Intervals.total t.received >= t.size then begin

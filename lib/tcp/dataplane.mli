@@ -28,7 +28,9 @@ val unassigned : t -> bool
 
 val deliver : t -> dsn:int -> len:int -> unit
 (** Record received data (duplicates are fine); fires [on_complete]
-    exactly once when coverage reaches [size]. *)
+    exactly once when coverage reaches [size]. In the dev profile it
+    fails when [dsn + len] exceeds {!assigned}: no byte is delivered
+    before {!pull} has handed it out. *)
 
 val received_bytes : t -> int
 val is_complete : t -> bool

@@ -64,9 +64,7 @@ let start_flow_ext (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size
         ~on_complete:(fun _ -> on_complete ~switched:false)
         ~on_close ()
     | Flow_model.Mmptcp_proto strategy ->
-      let paths =
-        net.topo.Topology.path_count (Host.addr src) (Host.addr dst)
-      in
+      let paths = Topology.paths net.topo ~src:src_id ~dst:dst_id in
       Mmptcp_conn.flow
         (Mmptcp_conn.start ~src ~dst ~size ~rng:(Rng.split rng) ~strategy
            ~params ~paths

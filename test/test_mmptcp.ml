@@ -10,6 +10,7 @@ module Link = Sim_net.Link
 module Topology = Sim_net.Topology
 module Dumbbell = Sim_net.Dumbbell
 module Fattree = Sim_net.Fattree
+module Vl2 = Sim_net.Vl2
 module Strategy = Mmptcp.Strategy
 module Conn = Mmptcp.Mmptcp_conn
 module Flow = Sim_tcp.Flow
@@ -353,18 +354,32 @@ let test_mmptcp_random_loss_property =
       Scheduler.run ~until:(Time.of_sec 300.) sched;
       is_complete c && bytes_received c = 300_000)
 
+(* The topology-aware threshold is the routed path count, floored at
+   3: 4 paths across the FatTree's pods; on VL2 the ToRs of hosts 0
+   and 32 share both aggs, which leaves 2 paths. *)
 let test_mmptcp_on_fattree_with_paths () =
-  let sched = Scheduler.create () in
-  let net = Fattree.create ~sched (Fattree.default_params ~k:4 ~oversub:2 ()) in
-  let src = Topology.host net 0 and dst = Topology.host net 20 in
-  let paths = net.Topology.path_count (Host.addr src) (Host.addr dst) in
-  let c =
-    Conn.start ~src ~dst ~size:300_000 ~rng:(Rng.create ~seed:15) ~paths ()
-  in
-  Scheduler.run ~until:(Time.of_sec 20.) sched;
-  check_bool "complete" true (is_complete c);
-  check_int "threshold from fattree paths" (max 3 paths)
-    (Conn.current_dupack_threshold c)
+  List.iter
+    (fun (name, build, src, dst, threshold) ->
+      let sched = Scheduler.create () in
+      let net = build sched in
+      let paths = Topology.paths net ~src ~dst in
+      let c =
+        Conn.start ~src:(Topology.host net src) ~dst:(Topology.host net dst)
+          ~size:300_000 ~rng:(Rng.create ~seed:15) ~paths ()
+      in
+      Scheduler.run ~until:(Time.of_sec 20.) sched;
+      check_bool (name ^ " complete") true (is_complete c);
+      check_int (name ^ " threshold") threshold
+        (Conn.current_dupack_threshold c))
+    [
+      ( "fattree 0->20",
+        (fun sched ->
+          Fattree.create ~sched (Fattree.default_params ~k:4 ~oversub:2 ())),
+        0, 20, 4 );
+      ( "vl2 0->32",
+        (fun sched -> Vl2.create ~sched (Vl2.default_params ())),
+        0, 32, 3 );
+    ]
 
 let test_zero_size () =
   let sched, _net, src, dst = direct_rig () in

@@ -185,10 +185,16 @@ let test_dataplane_sequential_pull () =
   check_bool "nothing unassigned" false (Dataplane.unassigned p);
   check_int "assigned" 3_000 (Dataplane.assigned p)
 
+(* A plane whose [size] bytes are all pulled, so any of them may be
+   delivered. *)
+let pulled_plane ~size ~on_complete =
+  let p = Dataplane.create ~sched:(Scheduler.create ()) ~size ~on_complete in
+  ignore (Dataplane.pull p ~max:size);
+  p
+
 let test_dataplane_completion_once () =
-  let sched = Scheduler.create () in
   let fired = ref 0 in
-  let p = Dataplane.create ~sched ~size:1_000 ~on_complete:(fun () -> incr fired) in
+  let p = pulled_plane ~size:1_000 ~on_complete:(fun () -> incr fired) in
   Dataplane.deliver p ~dsn:0 ~len:500;
   check_int "not yet" 0 !fired;
   Dataplane.deliver p ~dsn:500 ~len:500;
@@ -198,21 +204,35 @@ let test_dataplane_completion_once () =
   check_bool "complete" true (Dataplane.is_complete p)
 
 let test_dataplane_duplicates_ignored () =
-  let sched = Scheduler.create () in
-  let p = Dataplane.create ~sched ~size:2_000 ~on_complete:(fun () -> ()) in
+  let p = pulled_plane ~size:2_000 ~on_complete:(fun () -> ()) in
   Dataplane.deliver p ~dsn:0 ~len:1000;
   Dataplane.deliver p ~dsn:0 ~len:1000;
   check_int "unique bytes only" 1000 (Dataplane.received_bytes p);
   check_bool "incomplete" false (Dataplane.is_complete p)
 
 let test_dataplane_out_of_order_delivery () =
-  let sched = Scheduler.create () in
   let done_ = ref false in
-  let p = Dataplane.create ~sched ~size:3_000 ~on_complete:(fun () -> done_ := true) in
+  let p = pulled_plane ~size:3_000 ~on_complete:(fun () -> done_ := true) in
   Dataplane.deliver p ~dsn:2_000 ~len:1_000;
   Dataplane.deliver p ~dsn:0 ~len:1_000;
   Dataplane.deliver p ~dsn:1_000 ~len:1_000;
   check_bool "completes out of order" true !done_
+
+(* Bytes delivered never exceed bytes sent: in the dev profile a
+   delivery past what [pull] has handed out fails. The release profile
+   compiles the check out, so there the test is vacuous. *)
+let test_dataplane_deliver_past_assigned () =
+  if Sim_engine.Sanitizer_mode.on then begin
+    let p =
+      Dataplane.create ~sched:(Scheduler.create ()) ~size:3_000
+        ~on_complete:(fun () -> ())
+    in
+    ignore (Dataplane.pull p ~max:1_400);
+    Dataplane.deliver p ~dsn:0 ~len:1_400;
+    Alcotest.check_raises "past assigned"
+      (Failure "Dataplane.deliver: bytes [1400, 2800) past the 1400 pulled")
+      (fun () -> Dataplane.deliver p ~dsn:1_400 ~len:1_400)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Reno on a synthetic window: a window literal and an RTT estimator
@@ -809,6 +829,8 @@ let () =
           Alcotest.test_case "completion once" `Quick test_dataplane_completion_once;
           Alcotest.test_case "duplicates" `Quick test_dataplane_duplicates_ignored;
           Alcotest.test_case "out of order" `Quick test_dataplane_out_of_order_delivery;
+          Alcotest.test_case "deliver past assigned" `Quick
+            test_dataplane_deliver_past_assigned;
         ] );
       ( "window",
         [

@@ -60,28 +60,25 @@ let test_fattree_oversub_counts () =
   let p8 = Fattree.default_params ~k:8 ~oversub:4 () in
   check_int "paper scale: 512 servers" 512 (Fattree.host_count p8)
 
-let test_fattree_position () =
-  let p = Fattree.default_params ~k:4 ~oversub:2 () in
-  (* hosts_per_edge = 4, hosts_per_pod = 8. *)
-  Alcotest.(check (triple int int int)) "host 0" (0, 0, 0)
-    (Fattree.position p (Addr.of_int 0));
-  Alcotest.(check (triple int int int)) "host 5" (0, 1, 1)
-    (Fattree.position p (Addr.of_int 5));
-  Alcotest.(check (triple int int int)) "host 13" (1, 1, 1)
-    (Fattree.position p (Addr.of_int 13))
+(* Routed path counts of a built FatTree. *)
+let fattree_paths ~k ~oversub =
+  let net =
+    Fattree.create ~sched:(Scheduler.create ())
+      (Fattree.default_params ~k ~oversub ())
+  in
+  fun src dst -> Topology.paths net ~src ~dst
 
 let test_fattree_path_count () =
-  let p = Fattree.default_params ~k:4 ~oversub:2 () in
-  let pc a b = Fattree.paths_between p (Addr.of_int a) (Addr.of_int b) in
+  (* hosts_per_edge = 4, hosts_per_pod = 8. *)
+  let pc = fattree_paths ~k:4 ~oversub:2 in
   check_int "same host" 0 (pc 3 3);
   check_int "same edge" 1 (pc 0 1);
   check_int "same pod" 2 (pc 0 5);
   check_int "cross pod" 4 (pc 0 13)
 
 let test_fattree_path_count_k8 () =
-  let p = Fattree.default_params ~k:8 ~oversub:1 () in
   (* hosts_per_edge = 4, hosts_per_pod = 16. *)
-  let pc a b = Fattree.paths_between p (Addr.of_int a) (Addr.of_int b) in
+  let pc = fattree_paths ~k:8 ~oversub:1 in
   check_int "same pod k8" 4 (pc 0 8);
   check_int "cross pod k8" 16 (pc 0 100)
 
@@ -174,9 +171,8 @@ let test_multihomed_more_paths () =
   let nf = Fattree.create ~sched pf in
   let sched2 = Scheduler.create () in
   let nm = Multihomed.create ~sched:sched2 pm in
-  let a = Addr.of_int 0 and b = Addr.of_int 13 in
   check_bool "multi-homing multiplies path diversity" true
-    (nm.Topology.path_count a b > nf.Topology.path_count a b)
+    (Topology.paths nm ~src:0 ~dst:13 > Topology.paths nf ~src:0 ~dst:13)
 
 (* ------------------------------------------------------------------ *)
 (* VL2 *)
@@ -195,11 +191,12 @@ let test_vl2_structure () =
 let test_vl2_path_count () =
   let sched = Scheduler.create () in
   let net = Vl2.create ~sched (Vl2.default_params ()) in
-  let pc a b = net.Topology.path_count (Addr.of_int a) (Addr.of_int b) in
+  let pc src dst = Topology.paths net ~src ~dst in
   check_int "same host" 0 (pc 0 0);
   check_int "same tor" 1 (pc 0 1);
-  (* Distinct ToRs, 4 intermediates, 2 up-aggs x 2 down-aggs: >= 16. *)
-  check_bool "cross tor rich" true (pc 0 32 >= 16)
+  (* ToRs 0 and 2 share no agg: 2 up-aggs x 4 intermediates x 2
+     down-aggs. *)
+  check_bool "cross tor rich" true (pc 0 8 >= 16)
 
 let prop_vl2_delivers =
   QCheck.Test.make ~name:"vl2 delivers between random pairs" ~count:40
@@ -417,41 +414,24 @@ let prop_multihomed_k6_routes_are_paths =
       Multihomed.create ~sched:(Scheduler.create ())
         (Multihomed.default_params ~k:6 ~oversub:1 ()))
 
-(* [path_count] feeds MMPTCP's dup-ACK threshold. It is the routed
-   path count on the FatTree and the reference topologies ... *)
-let test_path_count_is_paths () =
-  List.iter
-    (fun (name, net) ->
-      if not (List.mem name [ "vl2"; "multihomed-k4-2" ]) then begin
-        let n = Topology.host_count net in
-        for src = 0 to n - 1 do
-          for dst = 0 to n - 1 do
-            check_int name
-              (Topology.paths net ~src ~dst)
-              (net.Topology.path_count (Addr.of_int src) (Addr.of_int dst))
-          done
-        done
-      end)
-    (golden_topologies ())
-
-(* ... but not on VL2 or the dual-homed FatTree. Pinned as found, so
-   a change to either number is deliberate (see ROADMAP.md). *)
-let test_path_count_off_fattree () =
+(* The routed counts MMPTCP's dup-ACK threshold reads off VL2 and the
+   dual-homed FatTree, where they differ from the single-homed
+   FatTree's: a VL2 agg homed to the destination ToR goes straight
+   down, and a dual-homed host reaches two edges. *)
+let test_paths_off_fattree () =
   let vl2 = Vl2.create ~sched:(Scheduler.create ()) (Vl2.default_params ()) in
   let mh =
     Multihomed.create ~sched:(Scheduler.create ())
       (Multihomed.default_params ~k:4 ~oversub:2 ())
   in
   List.iter
-    (fun (name, net, src, dst, count, paths) ->
-      check_int (name ^ " path_count") count
-        (net.Topology.path_count (Addr.of_int src) (Addr.of_int dst));
-      check_int (name ^ " paths") paths (Topology.paths net ~src ~dst))
+    (fun (name, net, src, dst, paths) ->
+      check_int name paths (Topology.paths net ~src ~dst))
     [
-      ("vl2 0->4", vl2, 0, 4, 17, 9);
-      ("vl2 0->32", vl2, 0, 32, 17, 2);
-      ("multihomed 0->1", mh, 0, 1, 4, 2);
-      ("multihomed 0->9", mh, 0, 9, 8, 16);
+      ("vl2 0->4", vl2, 0, 4, 9);
+      ("vl2 0->32", vl2, 0, 32, 2);
+      ("multihomed 0->1", mh, 0, 1, 2);
+      ("multihomed 0->9", mh, 0, 9, 16);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -488,7 +468,6 @@ let () =
         [
           Alcotest.test_case "counts" `Quick test_fattree_counts;
           Alcotest.test_case "oversubscription" `Quick test_fattree_oversub_counts;
-          Alcotest.test_case "position" `Quick test_fattree_position;
           Alcotest.test_case "path count" `Quick test_fattree_path_count;
           Alcotest.test_case "path count k8" `Quick test_fattree_path_count_k8;
           Alcotest.test_case "invalid params" `Quick test_fattree_invalid;
@@ -529,8 +508,7 @@ let () =
           qt prop_vl2_routes_are_paths;
           qt prop_multihomed_routes_are_paths;
           qt prop_multihomed_k6_routes_are_paths;
-          Alcotest.test_case "path_count is paths" `Quick test_path_count_is_paths;
-          Alcotest.test_case "path_count off fattree" `Quick test_path_count_off_fattree;
+          Alcotest.test_case "paths off fattree" `Quick test_paths_off_fattree;
         ] );
       ( "layer-stats",
         [ Alcotest.test_case "loss accounting" `Quick test_layer_loss_rate_counts_drops ] );
