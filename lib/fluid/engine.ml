@@ -129,9 +129,10 @@ let request_flush t =
     Scheduler.Timer.schedule_after tm (Time.of_sec flush_interval)
 
 let on_flush_timer t =
-  let dirty = Alloc.pending_dirty t.alloc in
+  let active = Sim_obs.Metrics.active t.metrics in
+  let dirty = if active then Alloc.pending_dirty t.alloc else 0 in
   Alloc.flush t.alloc ~now:(now_s t);
-  if dirty > 0 && Sim_obs.Metrics.active t.metrics then
+  if dirty > 0 then
     Sim_obs.Metrics.emit t.metrics ~kind:"fluid_rebalance"
       ~info:
         [

@@ -179,6 +179,168 @@ let test_callback_per_owner () =
     [ ("b1", 3e6); ("a1", 9e6); ("b2", 0.); ("c1", 3e6) ]
 
 (* ------------------------------------------------------------------ *)
+(* Differential: [Alloc] against [Alloc_ref], the record-based
+   allocator it replaced, over random mutation histories. Removes
+   and adds are dense between flushes, so flow ids are freed and
+   handed out again many times per history. *)
+
+type op =
+  | Add of int * float * int list  (* owner, weight, path *)
+  | Remove of int  (* the (i mod added)-th flow added so far *)
+  | Set_avail of int * float  (* link, fraction of its capacity *)
+  | Flush
+  | Settle of int list  (* picks among the live flows *)
+
+let print_op = function
+  | Add (o, w, p) ->
+    Printf.sprintf "add(o=%d w=%.3f [%s])" o w
+      (String.concat "," (List.map string_of_int p))
+  | Remove i -> Printf.sprintf "remove %d" i
+  | Set_avail (li, x) -> Printf.sprintf "avail %d %.3f" li x
+  | Flush -> "flush"
+  | Settle l ->
+    Printf.sprintf "settle [%s]" (String.concat "," (List.map string_of_int l))
+
+let gen_history =
+  let open QCheck.Gen in
+  int_range 2 6 >>= fun nlinks ->
+  array_size (return nlinks) (float_range 1e6 1e8) >>= fun caps ->
+  let gen_path =
+    int_range 0 nlinks >>= fun len ->
+    shuffle_l (List.init nlinks Fun.id) >|= fun perm ->
+    List.filteri (fun i _ -> i < len) perm
+  in
+  let gen_op =
+    frequency
+      [
+        ( 4,
+          map3 (fun o w p -> Add (o, w, p)) (int_bound 3) (float_range 0.5 4.)
+            gen_path );
+        (4, map (fun i -> Remove i) nat);
+        ( 1,
+          map2
+            (fun li x -> Set_avail (li, x))
+            (int_bound (nlinks - 1))
+            (float_range 0. 1.2) );
+        (2, return Flush);
+        (1, map (fun l -> Settle l) (list_size (int_range 1 3) nat));
+      ]
+  in
+  list_size (int_range 1 120) gen_op >|= fun ops -> (caps, ops)
+
+let arb_history =
+  QCheck.make
+    ~print:(fun (caps, ops) ->
+      Printf.sprintf "caps=[%s] ops=[%s]"
+        (String.concat ";"
+           (Array.to_list (Array.map (Printf.sprintf "%.0f") caps)))
+        (String.concat "; " (List.map print_op ops)))
+    gen_history
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_differential =
+  QCheck.Test.make ~name:"alloc matches the record-based reference"
+    ~count:500 arb_history (fun (caps, ops) ->
+      let fired_new = ref [] and fired_ref = ref [] in
+      let removed = Hashtbl.create 16 in
+      let t =
+        Alloc.create ~caps
+          ~on_rate:(fun f ->
+            let i = Alloc.data f in
+            if Hashtbl.mem removed i then
+              QCheck.Test.fail_reportf "removed flow %d reached on_rate" i;
+            fired_new := i :: !fired_new)
+          ()
+      in
+      let r =
+        Alloc_ref.create ~caps
+          ~on_rate:(fun f -> fired_ref := Alloc_ref.data f :: !fired_ref)
+          ()
+      in
+      (* i-th added flow: (new handle, reference handle) *)
+      let flows = ref [||] in
+      let now = ref 0. in
+      let live () =
+        List.filter
+          (fun i -> not (Hashtbl.mem removed i))
+          (List.init (Array.length !flows) Fun.id)
+      in
+      let check step =
+        if !fired_new <> !fired_ref then
+          QCheck.Test.fail_reportf "step %d: on_rate sequence [%s] <> [%s]"
+            step
+            (String.concat "," (List.rev_map string_of_int !fired_new))
+            (String.concat "," (List.rev_map string_of_int !fired_ref));
+        Array.iteri
+          (fun i (f, g) ->
+            let want = if Hashtbl.mem removed i then 0. else Alloc_ref.rate g in
+            if not (same_float (Alloc.rate f) want) then
+              QCheck.Test.fail_reportf "step %d: flow %d rate %h <> %h" step i
+                (Alloc.rate f) want)
+          !flows;
+        Array.iteri
+          (fun li _ ->
+            if
+              not
+                (same_float (Alloc.link_alloc t ~link:li)
+                   (Alloc_ref.link_alloc r ~link:li))
+            then QCheck.Test.fail_reportf "step %d: link %d alloc differs" step li)
+          caps;
+        if
+          ( Alloc.pending_dirty t,
+            Alloc.live_flows t,
+            Alloc.waves_run t,
+            Alloc.heap_pops t )
+          <> ( Alloc_ref.pending_dirty r,
+               Alloc_ref.live_flows r,
+               Alloc_ref.waves_run r,
+               Alloc_ref.heap_pops r )
+        then QCheck.Test.fail_reportf "step %d: counters differ" step
+      in
+      List.iteri
+        (fun step op ->
+          now := !now +. 1e-3;
+          (match op with
+          | Add (owner, weight, path) ->
+            let path = Array.of_list path in
+            let i = Array.length !flows in
+            let f = Alloc.add t ~owner ~weight ~path ~data:i in
+            let g = Alloc_ref.add r ~owner ~weight ~path ~data:i in
+            flows := Array.append !flows [| (f, g) |]
+          | Remove k ->
+            let n = Array.length !flows in
+            if n > 0 then begin
+              let i = k mod n in
+              let f, g = !flows.(i) in
+              Hashtbl.replace removed i ();
+              Alloc.remove t ~now:!now f;
+              Alloc_ref.remove r ~now:!now g
+            end
+          | Set_avail (link, x) ->
+            Alloc.set_avail t ~link (x *. caps.(link));
+            Alloc_ref.set_avail r ~link (x *. caps.(link))
+          | Flush ->
+            Alloc.flush t ~now:!now;
+            Alloc_ref.flush r ~now:!now
+          | Settle picks -> (
+            match live () with
+            | [] -> ()
+            | alive ->
+              let alive = Array.of_list alive in
+              let picks =
+                Array.of_list
+                  (List.sort_uniq compare
+                     (List.map (fun k -> alive.(k mod Array.length alive)) picks))
+              in
+              Alloc.settle t ~now:!now (Array.map (fun i -> fst !flows.(i)) picks);
+              Alloc_ref.settle r ~now:!now
+                (Array.map (fun i -> snd !flows.(i)) picks)));
+          check step)
+        ops;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Engine: analytic FCT is monotone in flow size when uncontended. *)
 
 let run_alone size =
@@ -331,6 +493,7 @@ let () =
           qt prop_maxmin_bottleneck;
           Alcotest.test_case "on_rate once per owner" `Quick
             test_callback_per_owner;
+          qt prop_differential;
         ] );
       ( "engine",
         [
