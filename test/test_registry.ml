@@ -2,8 +2,9 @@
    using a synthetic experiment so they run in microseconds: jobs
    carry their labels, the clock prices every point, failures carry
    experiment + point attribution (Runner.Point_failed), --out is
-   created (parents included) before any point runs, and
-   Registry.select re-sorts any subset into canonical order. That
+   created (parents included) before any point runs,
+   Registry.select re-sorts any subset into canonical order, and a
+   point's minor words are exact whatever ran before it. That
    render input and sink rows are identical at any job count is
    checked in test_runner; the real experiments' stdout determinism
    is enforced end-to-end in CI (all --jobs 1 vs 4 diff). *)
@@ -78,6 +79,38 @@ let test_point_seconds () =
       Alcotest.(check string) "label" (Printf.sprintf "p%d" i) label;
       Alcotest.(check (float 1e-9)) "one tick" 1. sp.Sim_experiments.Prof.sp_wall_s)
     spans
+
+(* ------------------------------------------------------------------ *)
+(* Exact minor words (CI pins the prof artifact's minor_words column) *)
+
+module Prof = Sim_experiments.Prof
+
+(* [n] cons cells of 3 words each, alive until counted. *)
+let alloc_cells n = List.length (Sys.opaque_identity (List.init n Fun.id))
+
+let minor_words f =
+  (snd (Prof.measure ~clock:(fun () -> 0.) f)).Prof.sp_minor_words
+
+let test_prof_young_words () =
+  (* From an empty minor heap, 10k cells never reach a collection: a
+     count that only advances at collections reads 0 here. *)
+  Gc.minor ();
+  let w = minor_words (fun () -> alloc_cells 10_000) in
+  if w < 30_000. then
+    Alcotest.failf "measured %.0f minor words, want at least 30000" w
+
+let test_prof_words_history_free () =
+  (* The point spans 2.5 minor heaps; the other point leaves the heap
+     0.8 full, which shifts where the point's collections fall. *)
+  let heap = (Gc.get ()).Gc.minor_heap_size in
+  let point () = alloc_cells (heap * 5 / 6) in
+  let other () = alloc_cells (heap * 4 / 15) in
+  Gc.minor ();
+  let alone = minor_words point in
+  Gc.minor ();
+  ignore (Sys.opaque_identity (other ()));
+  let after = minor_words point in
+  Alcotest.(check (float 0.)) "same words after another point" alone after
 
 (* ------------------------------------------------------------------ *)
 (* Failure attribution (every point failure must name its experiment
@@ -197,6 +230,13 @@ let () =
         [
           Alcotest.test_case "attribution" `Quick
             test_point_failure_attribution;
+        ] );
+      ( "prof",
+        [
+          Alcotest.test_case "minor words count young blocks" `Quick
+            test_prof_young_words;
+          Alcotest.test_case "minor words independent of history" `Quick
+            test_prof_words_history_free;
         ] );
       ( "out",
         [
