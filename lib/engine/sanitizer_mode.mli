@@ -7,8 +7,8 @@
     [if Sanitizer_mode.on then ...], so a release build pays one
     immutable-bool branch per guarded operation and allocates nothing,
     while debug builds dynamically catch use-after-free, double-free
-    and pool leaks that the static D007 lint cannot prove. The
-    [bench/compare.exe] gate runs against release-profile binaries to
-    confirm the hot path is unaffected. *)
+    and pool leaks that the static D007 lint cannot prove.
+    [test/sanitizer_profile.ml] checks under [dune runtest] that [on]
+    is [false] exactly when the building profile is [release]. *)
 
 val on : bool

@@ -23,7 +23,8 @@ type t = {
 }
 
 val tiny : t
-(** Seconds-per-experiment smoke scale (CI and the bechamel suite). *)
+(** Seconds-per-experiment smoke scale ([--tiny]: CI and the pinned
+    [test/expected] outputs). *)
 
 val small : t
 val full : t

@@ -16,12 +16,17 @@
 # result line.
 #
 # gc.minor_words and gc.words_per_event are rounded to 4 significant
-# digits. OCaml 5.1's minor-word count around one Scenario.run moves
-# by a few words with what the process allocated before it, which
-# includes the executable's absolute path: the same tree checked out
-# at paths of 10, 15, 20 and 50 characters counted 17307908, 17307910,
-# 17307912 and 17307918 words on fattree-fluid. Rounded, the line
-# still moves with any change of 0.05% or more.
+# digits because perfbench/measure.ml reads them from Gc.quick_stat,
+# whose minor-word count in OCaml 5.1 advances only at minor
+# collections. The delta around one Scenario.run then depends on
+# where the minor heap stood when the run began, and so on what the
+# process allocated before it, which includes the executable's
+# absolute path: the same tree checked out at paths of 10, 15, 20 and
+# 50 characters counted 17307908, 17307910, 17307912 and 17307918
+# words on fattree-fluid. Rounded, the line still moves with any
+# change of 0.05% or more. Gc.minor_words () is exact (lib's
+# Prof.measure reads it), so the rounding can go once measure.ml
+# does too.
 #
 # CI diffs the output against
 # test/expected/perfbench-{packet,fluid,hybrid}.txt; a change that moves
