@@ -39,7 +39,6 @@ type cell = {
 }
 
 type t = {
-  mutable on : bool;
   mutable clock_ns : unit -> int;
   (* conn id -> index into [cells], -1 when unknown. Conn ids are the
      small dense ints drawn from [Sim_ctx.fresh_conn_id], so a direct
@@ -52,19 +51,14 @@ type t = {
 let no_clock () = 0
 
 let create () =
-  { on = false; clock_ns = no_clock; slot_of_conn = [||]; cells = [||]; n = 0 }
+  { clock_ns = no_clock; slot_of_conn = [||]; cells = [||]; n = 0 }
 
-let enable t ~clock_ns =
-  t.on <- true;
-  t.clock_ns <- clock_ns;
-  if Array.length t.slot_of_conn = 0 then t.slot_of_conn <- Array.make 1024 (-1)
-
-let active t = t.on
+let set_clock t ~clock_ns = t.clock_ns <- clock_ns
 
 let ensure_conn t conn =
   let len = Array.length t.slot_of_conn in
   if conn >= len then begin
-    let len' = max (conn + 1) (2 * len) in
+    let len' = max (max 1024 (conn + 1)) (2 * len) in
     let a = Array.make len' (-1) in
     Array.blit t.slot_of_conn 0 a 0 len;
     t.slot_of_conn <- a
@@ -75,102 +69,93 @@ let slot t conn =
   else t.slot_of_conn.(conn)
 
 let on_start t ~conn ~src ~dst ~size ~long =
-  if t.on then begin
-    ensure_conn t conn;
-    if t.slot_of_conn.(conn) < 0 then begin
-      let c =
-        {
-          c_conn = conn;
-          c_src = src;
-          c_dst = dst;
-          c_size = size;
-          c_long = long;
-          c_start_ns = t.clock_ns ();
-          c_handshake_ns = -1;
-          c_switch_ns = -1;
-          c_promote_ns = -1;
-          c_complete_ns = -1;
-          c_rtos = 0;
-          c_fast_rtxs = 0;
-          c_bytes = 0;
-        }
-      in
-      let cap = Array.length t.cells in
-      if t.n >= cap then begin
-        let a = Array.make (max 256 (2 * cap)) c in
-        Array.blit t.cells 0 a 0 t.n;
-        t.cells <- a
-      end;
-      t.cells.(t.n) <- c;
-      t.slot_of_conn.(conn) <- t.n;
-      t.n <- t.n + 1
-    end
+  ensure_conn t conn;
+  if t.slot_of_conn.(conn) < 0 then begin
+    let c =
+      {
+        c_conn = conn;
+        c_src = src;
+        c_dst = dst;
+        c_size = size;
+        c_long = long;
+        c_start_ns = t.clock_ns ();
+        c_handshake_ns = -1;
+        c_switch_ns = -1;
+        c_promote_ns = -1;
+        c_complete_ns = -1;
+        c_rtos = 0;
+        c_fast_rtxs = 0;
+        c_bytes = 0;
+      }
+    in
+    let cap = Array.length t.cells in
+    if t.n >= cap then begin
+      let a = Array.make (max 256 (2 * cap)) c in
+      Array.blit t.cells 0 a 0 t.n;
+      t.cells <- a
+    end;
+    t.cells.(t.n) <- c;
+    t.slot_of_conn.(conn) <- t.n;
+    t.n <- t.n + 1
   end
 
 let on_handshake t ~conn =
-  if t.on then
-    let s = slot t conn in
-    if s >= 0 then begin
-      let c = t.cells.(s) in
-      (* First wins: MPTCP subflows share the parent conn id and each
-         completes its own handshake; the flow is usable at the first. *)
-      if c.c_handshake_ns < 0 then c.c_handshake_ns <- t.clock_ns ()
-    end
+  let s = slot t conn in
+  if s >= 0 then begin
+    let c = t.cells.(s) in
+    (* First wins: MPTCP subflows share the parent conn id and each
+       completes its own handshake; the flow is usable at the first. *)
+    if c.c_handshake_ns < 0 then c.c_handshake_ns <- t.clock_ns ()
+  end
 
 let on_phase_switch t ~conn =
-  if t.on then
-    let s = slot t conn in
-    if s >= 0 then begin
-      let c = t.cells.(s) in
-      if c.c_switch_ns < 0 then c.c_switch_ns <- t.clock_ns ()
-    end
+  let s = slot t conn in
+  if s >= 0 then begin
+    let c = t.cells.(s) in
+    if c.c_switch_ns < 0 then c.c_switch_ns <- t.clock_ns ()
+  end
 
 let on_promote t ~conn ~cont =
-  if t.on then
-    let s = slot t conn in
-    if s >= 0 then begin
-      let c = t.cells.(s) in
-      if c.c_promote_ns < 0 then c.c_promote_ns <- t.clock_ns ();
-      (* The packet stage finishing its [handoff_bytes] fires the
-         transport's completion hook, but the flow continues in the
-         fluid engine — promotion supersedes that premature completion;
-         the aliased continuation will set the real one. *)
-      c.c_complete_ns <- -1;
-      ensure_conn t cont;
-      if t.slot_of_conn.(cont) < 0 then t.slot_of_conn.(cont) <- s
-    end
+  let s = slot t conn in
+  if s >= 0 then begin
+    let c = t.cells.(s) in
+    if c.c_promote_ns < 0 then c.c_promote_ns <- t.clock_ns ();
+    (* The packet stage finishing its [handoff_bytes] fires the
+       transport's completion hook, but the flow continues in the
+       fluid engine — promotion supersedes that premature completion;
+       the aliased continuation will set the real one. *)
+    c.c_complete_ns <- -1;
+    ensure_conn t cont;
+    if t.slot_of_conn.(cont) < 0 then t.slot_of_conn.(cont) <- s
+  end
 
 let on_rto t ~conn =
-  if t.on then
-    let s = slot t conn in
-    if s >= 0 then begin
-      let c = t.cells.(s) in
-      c.c_rtos <- c.c_rtos + 1
-    end
+  let s = slot t conn in
+  if s >= 0 then begin
+    let c = t.cells.(s) in
+    c.c_rtos <- c.c_rtos + 1
+  end
 
 let on_fast_rtx t ~conn =
-  if t.on then
-    let s = slot t conn in
-    if s >= 0 then begin
-      let c = t.cells.(s) in
-      c.c_fast_rtxs <- c.c_fast_rtxs + 1
-    end
+  let s = slot t conn in
+  if s >= 0 then begin
+    let c = t.cells.(s) in
+    c.c_fast_rtxs <- c.c_fast_rtxs + 1
+  end
 
 let on_complete t ~conn =
-  if t.on then
-    let s = slot t conn in
-    if s >= 0 then begin
-      let c = t.cells.(s) in
-      if c.c_complete_ns < 0 then c.c_complete_ns <- t.clock_ns ()
-    end
+  let s = slot t conn in
+  if s >= 0 then begin
+    let c = t.cells.(s) in
+    if c.c_complete_ns < 0 then c.c_complete_ns <- t.clock_ns ()
+  end
 
 let add_bytes t ~conn bytes =
-  if t.on then
-    let s = slot t conn in
-    if s >= 0 then begin
-      let c = t.cells.(s) in
-      c.c_bytes <- c.c_bytes + bytes
-    end
+  let s = slot t conn in
+  if s >= 0 then begin
+    let c = t.cells.(s) in
+    c.c_bytes <- c.c_bytes + bytes
+  end
 
 let count t = t.n
 

@@ -5,10 +5,9 @@
     lifecycle — arrival, handshake, MMPTCP phase switch, hybrid
     promotion, retransmit counts, bytes, completion — and freezes it
     into an immutable {!dump} at end of run. It is the only per-flow
-    record of a scenario: [Sim_workload.Scenario.run] enables it for
-    every run and derives each flow's result from the dump. A fresh
-    ledger is disabled, so transports driven outside a scenario (unit
-    tests, bench/micro) pay one branch per hook and allocate nothing.
+    record of a scenario: [Sim_workload.Scenario.run] sets its clock,
+    records every flow with {!on_start} and derives each flow's result
+    from the dump.
 
     All three flow models ([packet], [fluid], [hybrid]) drive the same
     hooks, keyed by transport connection id. MPTCP/MMPTCP subflows
@@ -19,7 +18,8 @@
     conn id as an {e alias} of the original record, so stage-2 events
     land on the same flow. Hooks for conn ids the ledger has never
     seen are dropped (e.g. background transfers started outside the
-    workload). *)
+    workload, or transports driven outside a scenario): one bounds
+    check, no allocation. *)
 
 type entry = {
   e_conn : int;  (** transport connection id (packet-stage id for hybrid) *)
@@ -44,18 +44,16 @@ type dump = entry array
 type t
 
 val create : unit -> t
-(** A fresh, disabled ledger: every hook is a no-op. *)
+(** A fresh, empty ledger whose clock reads 0. *)
 
-val enable : t -> clock_ns:(unit -> int) -> unit
-(** Turn the ledger on. [clock_ns] supplies virtual-time timestamps —
-    pass the owning scheduler's clock. Call before flows start. *)
-
-val active : t -> bool
+val set_clock : t -> clock_ns:(unit -> int) -> unit
+(** [clock_ns] supplies virtual-time timestamps — pass the owning
+    scheduler's clock. Call before flows start. *)
 
 (** {2 Lifecycle hooks}
 
-    Each is one branch when the ledger is disabled, and drops records
-    for conn ids without a prior {!on_start}. *)
+    Every hook but {!on_start} drops records for conn ids without a
+    prior {!on_start}. *)
 
 val on_start :
   t -> conn:int -> src:int -> dst:int -> size:int -> long:bool -> unit

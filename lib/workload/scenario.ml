@@ -55,10 +55,10 @@ let run (cfg : config) =
       Some p
     | None -> None
   in
-  (* The ledger is every flow's only record: always on, and the
-     results below are read off its dump. *)
+  (* The ledger is every flow's only record: the results below are
+     read off its dump. *)
   let ledger = Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched) in
-  Sim_obs.Flow_ledger.enable ledger ~clock_ns:(fun () ->
+  Sim_obs.Flow_ledger.set_clock ledger ~clock_ns:(fun () ->
       Time.to_ns (Scheduler.now sched));
   let rng = Rng.create ~seed:cfg.seed in
   let net = B.build ~sched cfg in

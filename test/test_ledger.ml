@@ -1,5 +1,6 @@
 (* Tests for the flow ledger: hook mechanics (first-wins, hybrid
-   aliasing, unknown-conn drops), disabled-hook inertness,
+   aliasing, unknown-conn drops), that hooks on unseen conns allocate
+   nothing,
    packet-vs-hybrid cross-model agreement, that publishing the dump
    never changes a scenario's results, and rendering determinism of
    the ledger sink. *)
@@ -15,10 +16,8 @@ let check_int = Alcotest.(check int)
 
 let test_mechanics () =
   let l = L.create () in
-  Alcotest.(check bool) "fresh ledger off" false (L.active l);
   let now = ref 100 in
-  L.enable l ~clock_ns:(fun () -> !now);
-  Alcotest.(check bool) "enabled" true (L.active l);
+  L.set_clock l ~clock_ns:(fun () -> !now);
   L.on_start l ~conn:7 ~src:1 ~dst:2 ~size:70_000 ~long:false;
   now := 200;
   L.on_start l ~conn:9 ~src:3 ~dst:4 ~size:1_000 ~long:true;
@@ -58,7 +57,7 @@ let test_mechanics () =
 let test_promote_alias () =
   let l = L.create () in
   let now = ref 10 in
-  L.enable l ~clock_ns:(fun () -> !now);
+  L.set_clock l ~clock_ns:(fun () -> !now);
   L.on_start l ~conn:1 ~src:0 ~dst:1 ~size:500_000 ~long:false;
   now := 20;
   L.on_handshake l ~conn:1;
@@ -85,14 +84,18 @@ let test_promote_alias () =
   check_int "fct spans both stages" 90 (Option.get (L.fct_ns e));
   check_int "both stages' bytes sum" 500_000 e.L.e_bytes
 
-(* Disabled hooks must be branch-only: no allocation, however many
-   fire. Slack of a few words absorbs the Gc.minor_words boxes the
-   measurement itself allocates. *)
-let test_disabled_inert () =
+(* Transports driven outside a scenario, and background transfers
+   inside one, report on conns that [on_start] never saw: those hooks
+   must allocate nothing, however many fire. Conns up to 1023 fall
+   inside the conn->slot map, the rest outside it. Slack of a few
+   words absorbs the Gc.minor_words boxes the measurement itself
+   allocates. *)
+let test_unseen_inert () =
   let l = L.create () in
+  L.set_clock l ~clock_ns:(fun () -> 5);
+  L.on_start l ~conn:0 ~src:0 ~dst:1 ~size:70_000 ~long:false;
   let w0 = Gc.minor_words () in
-  for i = 0 to 99_999 do
-    L.on_start l ~conn:i ~src:0 ~dst:1 ~size:70_000 ~long:false;
+  for i = 1 to 99_999 do
     L.on_handshake l ~conn:i;
     L.on_rto l ~conn:i;
     L.on_fast_rtx l ~conn:i;
@@ -103,8 +106,11 @@ let test_disabled_inert () =
   done;
   let dw = Gc.minor_words () -. w0 in
   if dw > 64. then
-    Alcotest.failf "disabled ledger allocated %.0f minor words" dw;
-  check_int "recorded nothing" 0 (L.count l)
+    Alcotest.failf "hooks on unseen conns allocated %.0f minor words" dw;
+  check_int "recorded only the started flow" 1 (L.count l);
+  let e = (L.dump l).(0) in
+  check_int "no handshake" (-1) e.L.e_handshake_ns;
+  check_int "no bytes" 0 e.L.e_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Scenario-level *)
@@ -227,8 +233,8 @@ let () =
         [
           Alcotest.test_case "lifecycle mechanics" `Quick test_mechanics;
           Alcotest.test_case "hybrid promotion alias" `Quick test_promote_alias;
-          Alcotest.test_case "disabled hooks allocate nothing" `Quick
-            test_disabled_inert;
+          Alcotest.test_case "unseen-conn hooks allocate nothing" `Quick
+            test_unseen_inert;
         ] );
       ( "scenario",
         [

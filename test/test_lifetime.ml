@@ -284,7 +284,7 @@ let packet_outcome ~until =
   in
   let sched = Scheduler.create () in
   let ledger = Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched) in
-  Flow_ledger.enable ledger ~clock_ns:(fun () ->
+  Flow_ledger.set_clock ledger ~clock_ns:(fun () ->
       Time.to_ns (Scheduler.now sched));
   let net = Model_packet.build ~sched cfg in
   let conn =
