@@ -14,6 +14,7 @@ module Registry = Sim_experiments.Registry
 module Runner = Sim_experiments.Runner
 module Scale = Sim_experiments.Scale
 module Sink = Sim_experiments.Sink
+module Prof = Sim_experiments.Prof
 
 let scale = { Scale.tiny with Scale.flows = 8; seed = 3 }
 
@@ -77,13 +78,11 @@ let test_point_seconds () =
   List.iteri
     (fun i (label, sp) ->
       Alcotest.(check string) "label" (Printf.sprintf "p%d" i) label;
-      Alcotest.(check (float 1e-9)) "one tick" 1. sp.Sim_experiments.Prof.sp_wall_s)
+      Alcotest.(check (float 1e-9)) "one tick" 1. sp.Prof.sp_wall_s)
     spans
 
 (* ------------------------------------------------------------------ *)
 (* Exact minor words (CI pins the prof artifact's minor_words column) *)
-
-module Prof = Sim_experiments.Prof
 
 (* [n] cons cells of 3 words each, alive until counted. *)
 let alloc_cells n = List.length (Sys.opaque_identity (List.init n Fun.id))
