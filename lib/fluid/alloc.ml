@@ -555,7 +555,8 @@ let run_wave t ~now ids n =
   done;
   (* Numerical corner: weight sums cancelled to ~0 with flows still
      unfrozen. Freeze the stragglers at their per-path bottleneck
-     share and stop. *)
+     share and stop. A flow with an empty path has no bottleneck and
+     keeps the unconstrained rate [add] gave it. *)
   if !unfrozen > 0 then
     for i = 0 to n - 1 do
       let id = ids.(i) in
@@ -568,7 +569,8 @@ let run_wave t ~now ids n =
             Float.min !share
               (Float.max 0. t.l_residual.(links.(2 * p)) /. Float.max w tiny)
         done;
-        f_newrate.(id) <- (if !share = infinity then 0. else w *. !share);
+        f_newrate.(id) <-
+          (if !share = infinity then unconstrained_rate else w *. !share);
         f_wave.(id) <- frozen;
         decr unfrozen
       end

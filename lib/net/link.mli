@@ -7,7 +7,27 @@
     while earlier packets are still propagating.
 
     The receive side is a closure installed with [attach]; topologies
-    wire it to the downstream switch or host. *)
+    wire it to the downstream switch or host.
+
+    {b Events.} A hop costs one scheduler event, the packet's arrival.
+    When a packet starts serialising, its arrival instant is already
+    fixed (end of serialisation + delay + jitter, clamped to keep the
+    link FIFO), so its rx event is armed right then. A second event,
+    the tx-done that starts the next packet, is armed for the end of
+    serialisation only while a packet waits in the queue: by the
+    [send] that finds the transmitter mid-packet, or by the start of
+    a packet that leaves others queued behind it. A [send] that finds
+    the transmitter free starts its packet at once. N packets spaced
+    wider than their serialisation cost N events; a burst of N sent
+    at one instant costs 2N - 1.
+
+    {b Ties.} Every start, drop, stats update, jitter draw and
+    arrival instant is the one a link with a tx-done per packet
+    would give. Only the order among events due at the same instant
+    differs: a packet's rx takes its place in that order when its
+    serialisation starts, not when it ends, and a send at exactly the
+    end of a serialisation finds the transmitter free at once when
+    no packet waits. *)
 
 type stats = {
   mutable tx_packets : int;

@@ -444,7 +444,8 @@ let run_wave t ~now flows n =
                 /. Float.max f.f_st.fs_weight tiny))
           f.f_path;
         f.f_st.fs_newrate <-
-          (if !share = infinity then 0. else f.f_st.fs_weight *. !share);
+          (if !share = infinity then unconstrained_rate
+           else f.f_st.fs_weight *. !share);
         f.f_frozen <- true;
         decr unfrozen
       end

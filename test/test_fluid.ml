@@ -178,6 +178,16 @@ let test_callback_per_owner () =
         (Alloc.rate (flow name)))
     [ ("b1", 3e6); ("a1", 9e6); ("b2", 0.); ("c1", 3e6) ]
 
+(* A flow with an empty path crosses no link: [add] gives it the
+   unconstrained rate, and a [settle] that includes it has no
+   bottleneck to lower it to. *)
+let test_empty_path_settle () =
+  let t = Alloc.create ~caps:[| 12e6 |] ~on_rate:(fun _ -> ()) () in
+  let f = Alloc.add t ~owner:0 ~weight:1. ~path:[||] ~data:() in
+  Alcotest.(check (float 0.)) "after add" 1e15 (Alloc.rate f);
+  Alloc.settle t ~now:0. [| f |];
+  Alcotest.(check (float 0.)) "after settle" 1e15 (Alloc.rate f)
+
 (* ------------------------------------------------------------------ *)
 (* Differential: [Alloc] against [Alloc_ref], the record-based
    allocator it replaced, over random mutation histories. Removes
@@ -493,6 +503,8 @@ let () =
           qt prop_maxmin_bottleneck;
           Alcotest.test_case "on_rate once per owner" `Quick
             test_callback_per_owner;
+          Alcotest.test_case "empty path stays unconstrained" `Quick
+            test_empty_path_settle;
           qt prop_differential;
         ] );
       ( "engine",

@@ -409,6 +409,232 @@ let test_link_requires_attach () =
   Alcotest.check_raises "unattached" (Failure "Link.send: no receiver attached")
     (fun () -> Link.send link (mk_pkt ()))
 
+(* Per-hop event cost. A packet that finds the transmitter free costs
+   one event, its rx; a tx-done fires only for a packet that waits
+   behind another. [Link_ref], the two-event link it replaced, fired a
+   tx-done for every packet. *)
+let test_link_events_spaced () =
+  let sched = Scheduler.create () in
+  let link = make_link sched in
+  Link.attach link ignore;
+  (* 80 us of serialisation every 200 us. *)
+  for i = 0 to 9 do
+    Scheduler.run ~until:(Time.of_us (200. *. float_of_int i)) sched;
+    Link.send link (mk_pkt ~len:960 ())
+  done;
+  Scheduler.run sched;
+  check_int "one event per packet" 10 (Scheduler.events_processed sched)
+
+let test_link_events_burst () =
+  let burst send =
+    for _ = 1 to 10 do
+      send (mk_pkt ~len:960 ())
+    done
+  in
+  let sched = Scheduler.create () in
+  let link = make_link ~cap:20 sched in
+  Link.attach link ignore;
+  burst (Link.send link);
+  Scheduler.run sched;
+  check_int "2N - 1 events" 19 (Scheduler.events_processed sched);
+  let sched = Scheduler.create () in
+  let queue = Pktqueue.create ~ctx ~capacity:20 ~layer:Layer.Core_layer () in
+  let ref_link =
+    Link_ref.create ~jitter:Time.zero ~sched ~rate_bps:100e6
+      ~delay:(Time.of_us 20.) ~queue ~id:0 ()
+  in
+  Link_ref.attach ref_link ignore;
+  burst (Link_ref.send ref_link);
+  Scheduler.run sched;
+  check_int "two-event link: 2N events" 20 (Scheduler.events_processed sched)
+
+let test_link_send_at_tx_end () =
+  let sched = Scheduler.create () in
+  let link = make_link sched in
+  let starts = ref [] and arrivals = ref [] in
+  Link.add_tap link (fun _ -> starts := Time.to_us (Scheduler.now sched) :: !starts);
+  Link.attach link (fun _ ->
+      arrivals := Time.to_us (Scheduler.now sched) :: !arrivals);
+  Link.send link (mk_pkt ~len:960 ());
+  Scheduler.run ~until:(Time.of_us 80.) sched;
+  Link.send link (mk_pkt ~len:960 ());
+  Scheduler.run sched;
+  Alcotest.(check (list (float 0.01))) "starts at once" [ 0.; 80. ]
+    (List.rev !starts);
+  Alcotest.(check (list (float 0.01))) "end + tx + delay" [ 100.; 180. ]
+    (List.rev !arrivals);
+  check_int "no tx-done" 2 (Scheduler.events_processed sched)
+
+(* Differential: [Link] against [Link_ref] on one link. A schedule of
+   sends and reserved-rate changes is planned on the reference: each
+   step comes at the same instant as the one before, at exactly the
+   end of the serialisation under way, or a random gap later. Sizes
+   are random and the queue small, so bursts overflow it. The schedule
+   is then played on each link by the driver between bounded runs, so
+   each step comes after the link's own events at its instant: a lone
+   link has no foreign ties. Both links must give the same deliveries,
+   starts and drops at the same instants, in the same order, and the
+   same stats. (A step armed as an event before the run would tie with
+   the link's: a send at exactly the end of a serialisation would then
+   find [Link]'s transmitter free but [Link_ref]'s tx-done still
+   pending, which is the tie order the one-event link moves.) *)
+type gap = Same | At_tx_end | After of int  (* ns *)
+type step = Send of int  (* payload bytes *) | Reserve of int  (* % of rate *)
+
+type link_case = {
+  rate : float;
+  delay_ns : int;
+  jittered : bool;
+  cap : int;
+  steps : (gap * step) list;
+}
+
+let print_link_case c =
+  Printf.sprintf "rate %g delay %d ns jitter %b cap %d: %s" c.rate c.delay_ns
+    c.jittered c.cap
+    (String.concat " "
+       (List.map
+          (fun (g, st) ->
+            (match g with
+            | Same -> "="
+            | At_tx_end -> "@end"
+            | After d -> Printf.sprintf "+%d" d)
+            ^
+            match st with
+            | Send n -> Printf.sprintf ":send%d" n
+            | Reserve r -> Printf.sprintf ":res%d%%" r)
+          c.steps))
+
+let gen_link_case =
+  QCheck.Gen.(
+    let gap =
+      frequency
+        [
+          (3, return Same);
+          (3, return At_tx_end);
+          (4, map (fun d -> After d) (int_range 1 30_000));
+        ]
+    in
+    let step =
+      frequency
+        [
+          (8, map (fun n -> Send n) (int_range 1 1460));
+          (1, map (fun r -> Reserve r) (oneofl [ 0; 30; 70; 100 ]));
+        ]
+    in
+    map
+      (fun ((rate, delay_ns), (jittered, cap), steps) ->
+        { rate; delay_ns; jittered; cap; steps })
+      (triple
+         (pair (oneofl [ 1e8; 1e9; 1e10 ]) (int_range 0 50_000))
+         (pair bool (int_range 1 6))
+         (list_size (int_range 1 60) (pair gap step))))
+
+(* One link of either kind behind the same four operations. *)
+type any_link = {
+  send : Packet.t -> unit;
+  reserve : float -> unit;
+  tap : (Packet.t -> unit) -> unit;
+  link_stats : unit -> int * int * int;
+}
+
+let build_link ~reference sched (c : link_case) ~deliver ~drop =
+  let queue = Pktqueue.create ~ctx ~capacity:c.cap ~layer:Layer.Core_layer () in
+  Pktqueue.add_drop_hook queue drop;
+  let jitter = if c.jittered then Time.of_us 5. else Time.zero in
+  let delay = Time.of_ns c.delay_ns in
+  if reference then begin
+    let l = Link_ref.create ~jitter ~sched ~rate_bps:c.rate ~delay ~queue ~id:7 () in
+    Link_ref.attach l deliver;
+    {
+      send = Link_ref.send l;
+      reserve = Link_ref.set_reserved_bps l;
+      tap = Link_ref.add_tap l;
+      link_stats =
+        (fun () ->
+          let s = Link_ref.stats l in
+          (s.tx_packets, s.tx_bytes, s.busy_ns));
+    }
+  end
+  else begin
+    let l = Link.create ~jitter ~sched ~rate_bps:c.rate ~delay ~queue ~id:7 () in
+    Link.attach l deliver;
+    {
+      send = Link.send l;
+      reserve = Link.set_reserved_bps l;
+      tap = Link.add_tap l;
+      link_stats =
+        (fun () ->
+          let s = Link.stats l in
+          (s.tx_packets, s.tx_bytes, s.busy_ns));
+    }
+  end
+
+let apply (l : any_link) c tag = function
+  | Send n -> l.send (mk_pkt ~seq:tag ~len:n ())
+  | Reserve r -> l.reserve (c.rate *. float_of_int r /. 100.)
+
+(* Absolute instants of [c.steps], read off the reference driven step
+   by step: a tap sees each start, and the stats' serialisation total
+   gives its end. *)
+let plan_link_case c =
+  let sched = Scheduler.create () in
+  let l = build_link ~reference:true sched c ~deliver:ignore ~drop:ignore in
+  let tx_end = ref 0 and busy = ref 0 in
+  l.tap (fun _ ->
+      let _, _, b = l.link_stats () in
+      tx_end := Time.to_ns (Scheduler.now sched) + b - !busy;
+      busy := b);
+  let now = ref 0 in
+  List.mapi
+    (fun tag (g, st) ->
+      (match g with
+      | Same -> ()
+      | At_tx_end -> now := max !now !tx_end
+      | After d -> now := !now + d);
+      Scheduler.run ~until:(Time.of_ns !now) sched;
+      apply l c tag st;
+      (!now, tag, st))
+    c.steps
+
+type link_log = {
+  rx : (int * int) list;  (* (ns, tag), newest first *)
+  starts : (int * int) list;
+  drops : (int * int) list;
+  final : int * int * int;
+}
+
+let play_link_case ~reference c plan =
+  let sched = Scheduler.create () in
+  let rx = ref [] and starts = ref [] and drops = ref [] in
+  let note r (p : Packet.t) =
+    r := (Time.to_ns (Scheduler.now sched), p.Packet.seq) :: !r
+  in
+  let l =
+    build_link ~reference sched c ~deliver:(note rx) ~drop:(note drops)
+  in
+  l.tap (note starts);
+  List.iter
+    (fun (at, tag, st) ->
+      Scheduler.run ~until:(Time.of_ns at) sched;
+      apply l c tag st)
+    plan;
+  Scheduler.run sched;
+  { rx = !rx; starts = !starts; drops = !drops; final = l.link_stats () }
+
+let prop_link_matches_reference =
+  QCheck.Test.make ~name:"link matches the two-event reference" ~count:300
+    (QCheck.make ~print:print_link_case gen_link_case)
+    (fun c ->
+      let plan = plan_link_case c in
+      let want = play_link_case ~reference:true c plan in
+      let got = play_link_case ~reference:false c plan in
+      if got <> want then
+        QCheck.Test.fail_reportf "differs: rx %b, starts %b, drops %b, stats %b"
+          (got.rx = want.rx) (got.starts = want.starts)
+          (got.drops = want.drops) (got.final = want.final);
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Host *)
 
@@ -530,6 +756,13 @@ let () =
           Alcotest.test_case "drop when full" `Quick test_link_drop_when_full;
           Alcotest.test_case "utilisation" `Quick test_link_utilisation;
           Alcotest.test_case "requires attach" `Quick test_link_requires_attach;
+          Alcotest.test_case "one event per spaced packet" `Quick
+            test_link_events_spaced;
+          Alcotest.test_case "2N - 1 events per burst" `Quick
+            test_link_events_burst;
+          Alcotest.test_case "send at tx end starts at once" `Quick
+            test_link_send_at_tx_end;
+          qt prop_link_matches_reference;
         ] );
       ( "host",
         [

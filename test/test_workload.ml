@@ -226,7 +226,11 @@ let test_protocol_names () =
    FatTree run under each packet path, recorded before a drained
    connection could close and before outcomes were read off the flow
    ledger — so rtos, fast retransmits and bytes are in the digest.
-   Neither change may move any simulated number. *)
+   Neither change may move any simulated number. One change has moved
+   it since, on purpose: a link hop became one event, its packet's rx
+   armed when serialisation starts rather than when it ends. That
+   reorders same-instant events, and MMPTCP's digest moved with the
+   ties (46 of its 211 flow lines); the other three did not. *)
 let outcome_digest cfg =
   let r = Scenario.run cfg in
   let b = Buffer.create 4096 in
@@ -260,7 +264,7 @@ let test_golden_packet_outcomes () =
     [
       ( "packet, MMPTCP", Scenario.Packet,
         Scenario.Mmptcp_proto Mmptcp.Strategy.default,
-        "a0fe81aebde0d44ece278c99fffd66e5" );
+        "79ce56917c95fad95ed6da5cf825a462" );
       ("packet, TCP", Scenario.Packet, Scenario.Tcp_proto,
        "9575bd0899725d6653c85cdf8dea9360");
       ( "packet, MPTCP-4 uncoupled", Scenario.Packet,
