@@ -470,9 +470,11 @@ let test_link_send_at_tx_end () =
    step comes at the same instant as the one before, at exactly the
    end of the serialisation under way, or a random gap later. Sizes
    are random and the queue small, so bursts overflow it. The schedule
-   is then played on each link by the driver between bounded runs, so
-   each step comes after the link's own events at its instant: a lone
-   link has no foreign ties. Both links must give the same deliveries,
+   is then played on each link by the driver: it runs the link's
+   events up to each new instant, then makes every step of that
+   instant back to back. Each step thus comes after the link's own
+   events at its instant, and no event runs between two steps of one
+   instant: a lone link has no foreign ties. Both links must give the same deliveries,
    starts and drops at the same instants, in the same order, and the
    same stats. (A step armed as an event before the run would tie with
    the link's: a send at exactly the end of a serialisation would then
@@ -570,6 +572,11 @@ let build_link ~reference sched (c : link_case) ~deliver ~drop =
     }
   end
 
+(* Run [sched] up to [at] ns unless it is there already. *)
+let advance sched at =
+  if at > Time.to_ns (Scheduler.now sched) then
+    Scheduler.run ~until:(Time.of_ns at) sched
+
 let apply (l : any_link) c tag = function
   | Send n -> l.send (mk_pkt ~seq:tag ~len:n ())
   | Reserve r -> l.reserve (c.rate *. float_of_int r /. 100.)
@@ -592,7 +599,7 @@ let plan_link_case c =
       | Same -> ()
       | At_tx_end -> now := max !now !tx_end
       | After d -> now := !now + d);
-      Scheduler.run ~until:(Time.of_ns !now) sched;
+      advance sched !now;
       apply l c tag st;
       (!now, tag, st))
     c.steps
@@ -616,7 +623,7 @@ let play_link_case ~reference c plan =
   l.tap (note starts);
   List.iter
     (fun (at, tag, st) ->
-      Scheduler.run ~until:(Time.of_ns at) sched;
+      advance sched at;
       apply l c tag st)
     plan;
   Scheduler.run sched;
