@@ -12,11 +12,9 @@ type t = {
   flow : Flow.t;
   sched : Scheduler.t;
   strategy : Strategy.t;
-  splan : Strategy.switch_plan;
   rng : Rng.t;
   mutable phase : phase;
   mutable switched_at : Time.t option;
-  mutable switch_timer : Scheduler.Timer.t option;  (* After_time deadline *)
   mutable dupack_threshold : int;
   dupack_cap : int;
   on_switch : t -> unit;
@@ -24,7 +22,8 @@ type t = {
 
 (* Phase switching: open the MPTCP subflows and starve the scatter
    flow of new data. Idempotent; a no-op once the transfer is complete
-   (an After_time deadline can outlive a fast flow). *)
+   (the scatter sender's RTO can fire after the receiver holds every
+   byte, when the last ACKs were lost). *)
 let trigger_switch t =
   let plane = Flow.plane t.flow in
   if t.phase = Packet_scatter && not (Dataplane.is_complete plane) then begin
@@ -44,7 +43,6 @@ let trigger_switch t =
           ("assigned", string_of_int (Dataplane.assigned plane));
         ]
       ();
-    Option.iter Scheduler.Timer.cancel t.switch_timer;
     let opened =
       Array.init t.strategy.Strategy.subflows (fun j ->
           Flow.add_subflow t.flow ~port:(30_000 + (conn * 131) + ((j + 1) * 7)))
@@ -60,11 +58,12 @@ let scatter_pull t ~max =
   | Multipath -> None
   | Packet_scatter -> (
     let plane = Flow.plane t.flow in
-    match t.splan.Strategy.switch_after_bytes with
-    | Some v when Dataplane.assigned plane >= v ->
+    match t.strategy.Strategy.switch with
+    | Strategy.Data_volume v when Dataplane.assigned plane >= v ->
       trigger_switch t;
       None
-    | Some _ | None -> Dataplane.pull plane ~max)
+    | Strategy.Data_volume _ | Strategy.Congestion_event | Strategy.Never ->
+      Dataplane.pull plane ~max)
 
 let initial_threshold strategy ~paths =
   match strategy with
@@ -87,7 +86,6 @@ let start ~src ~dst ~size ~rng ?(strategy = Strategy.default)
     | Strategy.Adaptive { cap; _ } -> cap
     | Strategy.Static _ | Strategy.Topology_aware -> dupack_threshold
   in
-  let splan = Strategy.plan strategy.Strategy.switch in
   let rec t =
     lazy
       {
@@ -97,11 +95,9 @@ let start ~src ~dst ~size ~rng ?(strategy = Strategy.default)
             ~on_close:(fun _ -> on_close (Lazy.force t));
         sched;
         strategy;
-        splan;
         rng;
         phase = Packet_scatter;
         switched_at = None;
-        switch_timer = None;
         dupack_threshold;
         dupack_cap;
         on_switch;
@@ -130,7 +126,9 @@ let start ~src ~dst ~size ~rng ?(strategy = Strategy.default)
      retransmitted packet takes a fresh random path. *)
   let scatter_port () = 1024 + Rng.int t.rng 60_000 in
   let on_first_congestion () =
-    if t.splan.Strategy.switch_on_congestion then trigger_switch t
+    match t.strategy.Strategy.switch with
+    | Strategy.Congestion_event -> trigger_switch t
+    | Strategy.Data_volume _ | Strategy.Never -> ()
   in
   let on_dsack () =
     match t.strategy.Strategy.dupack with
@@ -148,13 +146,6 @@ let start ~src ~dst ~size ~rng ?(strategy = Strategy.default)
           ~on_dsack ~on_first_congestion ())
   in
   Flow.complete_if_empty t.flow;
-  (match splan.Strategy.switch_after_time with
-  | Some deadline ->
-    let tm = Scheduler.Timer.create sched trigger_switch t in
-    t.switch_timer <- Some tm;
-    Flow.set_deadline t.flow tm;
-    Scheduler.Timer.schedule_after tm deadline
-  | None -> ());
   Tcp_tx.connect scatter;
   t
 

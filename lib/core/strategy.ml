@@ -6,7 +6,6 @@ type dupack_strategy =
 type switch_strategy =
   | Data_volume of int
   | Congestion_event
-  | After_time of Sim_engine.Sim_time.t
   | Never
 
 type t = {
@@ -18,51 +17,12 @@ type t = {
 let default =
   { subflows = 8; switch = Data_volume 100_000; dupack = Topology_aware }
 
-type switch_plan = {
-  switch_after_bytes : int option;
-  switch_after_time : Sim_engine.Sim_time.t option;
-  switch_on_congestion : bool;
-}
-
-let plan = function
-  | Data_volume v ->
-    {
-      switch_after_bytes = Some v;
-      switch_after_time = None;
-      switch_on_congestion = false;
-    }
-  | Congestion_event ->
-    {
-      switch_after_bytes = None;
-      switch_after_time = None;
-      switch_on_congestion = true;
-    }
-  | After_time d ->
-    {
-      switch_after_bytes = None;
-      switch_after_time = Some d;
-      switch_on_congestion = false;
-    }
-  | Never ->
-    {
-      switch_after_bytes = None;
-      switch_after_time = None;
-      switch_on_congestion = false;
-    }
-
 let switch_to_string = function
   | Data_volume v -> Printf.sprintf "data-volume(%dB)" v
   | Congestion_event -> "congestion-event"
-  | After_time d ->
-    Printf.sprintf "after-time(%.1fms)" (Sim_engine.Sim_time.to_ms d)
   | Never -> "never"
 
 let dupack_to_string = function
   | Static k -> Printf.sprintf "static(%d)" k
   | Topology_aware -> "topology-aware"
   | Adaptive { initial; cap } -> Printf.sprintf "adaptive(%d..%d)" initial cap
-
-let pp ppf t =
-  Format.fprintf ppf "subflows=%d switch=%s dupack=%s" t.subflows
-    (switch_to_string t.switch)
-    (dupack_to_string t.dupack)

@@ -33,11 +33,6 @@ type switch_strategy =
   | Congestion_event
       (** Paper strategy (2): switch at the first fast retransmit or
           RTO on the scatter flow. *)
-  | After_time of Sim_engine.Sim_time.t
-      (** Deadline-based: switch once the scatter phase has run this
-          long, whatever the byte count (driven by a re-armable
-          {!Sim_engine.Scheduler.Timer}). Complements [Data_volume]
-          when flow sizes are unknown a priori. *)
   | Never  (** Pure packet-scatter (the PS baseline from Raiciu et al.). *)
 
 type t = {
@@ -50,22 +45,5 @@ val default : t
 (** 8 subflows, [Data_volume 100_000] (just above the paper's 70 KB
     short flows), [Topology_aware]. *)
 
-(** A [switch_strategy] decomposed into its orthogonal triggers, so
-    code that acts on the triggers (the packet-level scatter source,
-    the fluid two-phase rate model) shares one interpretation of the
-    variants instead of duplicating the match. *)
-type switch_plan = {
-  switch_after_bytes : int option;
-      (** switch once this many bytes are handed to the scatter phase *)
-  switch_after_time : Sim_engine.Sim_time.t option;
-      (** switch at this deadline after the connection starts *)
-  switch_on_congestion : bool;
-      (** switch at the first fast retransmit or RTO *)
-}
-
-val plan : switch_strategy -> switch_plan
-(** [Never] yields a plan with no trigger set. *)
-
-val pp : Format.formatter -> t -> unit
 val switch_to_string : switch_strategy -> string
 val dupack_to_string : dupack_strategy -> string

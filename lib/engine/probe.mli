@@ -29,12 +29,10 @@ val create : ?conns:int list -> Scheduler.t -> interval:Sim_time.t -> t
 val start : t -> unit
 (** Arm the first tick at [now + interval]. Idempotent while armed. *)
 
-val stop : t -> unit
-(** Cancel the pending tick, leaving collected data intact. *)
-
 val ticks : t -> int
 (** Sampling ticks fired so far. *)
 
 val capture : t -> Sim_obs.Capture.t
 (** Immutable snapshot of everything collected (gauge samples,
-    histograms, events). Call after the run; implies {!stop}. *)
+    histograms, events). Call after the run: it cancels the pending
+    tick. *)

@@ -32,7 +32,6 @@ let[@inline] bits64 t =
   mix64 s
 
 let split t = of_state (bits64 t)
-let copy t = { hi = t.hi; lo = t.lo }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -48,8 +47,6 @@ let int_in t lo hi =
 let[@inline] float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
-
-let bool t = Int64.logand (bits64 t) 1L <> 0L
 
 let exponential t ~mean =
   if mean <= 0. then invalid_arg "Rng.exponential: mean must be positive";

@@ -14,8 +14,6 @@ val split : t -> t
 (** A new generator whose stream is independent of (and deterministic
     given) the parent's current state. *)
 
-val copy : t -> t
-
 (** {1 Draws} *)
 
 val int : t -> int -> int
@@ -27,8 +25,6 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean (for Poisson

@@ -29,6 +29,7 @@ let zero =
     sp_major_gcs = 0;
   }
 
+(* Field-wise sum, for the TOTAL row. *)
 let add a b =
   {
     sp_wall_s = a.sp_wall_s +. b.sp_wall_s;

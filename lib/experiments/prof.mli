@@ -28,10 +28,6 @@ type span = {
 
 val zero : span
 
-val add : span -> span -> span
-(** Field-wise sum — how the coordinator totals spans from many
-    points and worker processes. *)
-
 val measure : clock:(unit -> float) -> (unit -> 'a) -> 'a * span
 (** [measure ~clock f] runs [f] and prices it: wall time from [clock]
     (injected by the executable — library code must not read the

@@ -31,6 +31,7 @@ let fct_stats r =
     flows_with_rto = Scenario.shorts_with_rto r;
   }
 
+(* Mean long-flow goodput; 0 when there are no long flows. *)
 let long_mean_mbps r =
   let g = Scenario.long_goodput_mbps r in
   if Array.length g = 0 then 0. else Summary.mean g

@@ -16,9 +16,6 @@ val fct_stats : Sim_workload.Scenario.result -> fct_stats
 (** Short-flow statistics of a finished scenario run; the FCT fields
     are [nan] when no short completed. *)
 
-val long_mean_mbps : Sim_workload.Scenario.result -> float
-(** Mean long-flow goodput; 0 when there are no long flows. *)
-
 (** {2 Result tables}
 
     One row per scenario point. The columns below are the groups the

@@ -17,11 +17,10 @@
 
    Multipath: a connection carries several legs with allocator
    weights from {!Sim_tcp.Cong.Lia.fluid_weights} (coupled) or unit
-   weights (uncoupled). MMPTCP's two-phase shape reuses
-   {!Mmptcp.Strategy.plan}: the scatter legs are swapped for the
-   MPTCP legs when the byte or time trigger fires
-   ([switch_on_congestion] has no fluid analogue — congestion is
-   never a discrete event here — and behaves as [Never]).
+   weights (uncoupled). MMPTCP's two-phase shape: the scatter legs
+   are swapped for the MPTCP legs once [sw_after_bytes] are done
+   ([Congestion_event] has no fluid analogue — congestion is never a
+   discrete event here — and behaves as [Never]).
 
    Everything hangs off [t]; per-run timers only (D001/D002
    clean by construction). *)
@@ -31,10 +30,7 @@ module Scheduler = Sim_engine.Scheduler
 
 type leg_spec = { path : int array; weight : float; rtt_s : float }
 
-type switch_spec = {
-  sw_plan : Mmptcp.Strategy.switch_plan;
-  sw_legs : leg_spec array;
-}
+type switch_spec = { sw_after_bytes : int; sw_legs : leg_spec array }
 
 type state = Handshake | Running | Draining | Finished
 
@@ -64,7 +60,6 @@ type conn = {
   mutable c_legs : conn Alloc.flow array;
   c_st : cstate;
   mutable c_switch : switch_spec option;
-  mutable c_switched : bool;
   mutable c_timer : Scheduler.Timer.t option;
   mutable c_completed : Time.t option;
 }
@@ -78,7 +73,6 @@ and t = {
   iw : int;
   mutable flush_timer : Scheduler.Timer.t option;
   mutable active : int;
-  mutable started : int;
   mutable completed : int;
   mutable switched : int;
 }
@@ -153,22 +147,12 @@ let arm_at c time_s =
   in
   Scheduler.Timer.schedule_at (the_timer c) target
 
-let switch_bytes_trigger c =
-  if c.c_switched then None
-  else
-    match c.c_switch with
-    | Some { sw_plan = { Mmptcp.Strategy.switch_after_bytes = Some v; _ }; _ }
-      ->
-      Some (float_of_int v)
-    | Some _ | None -> None
-
-let switch_time_trigger c =
-  if c.c_switched then None
-  else
-    match c.c_switch with
-    | Some { sw_plan = { Mmptcp.Strategy.switch_after_time = Some d; _ }; _ } ->
-      Some (Time.to_sec c.c_started +. Time.to_sec d)
-    | Some _ | None -> None
+(* Bytes done (counting [done_bytes]) at which the pending switch
+   fires; infinity once switched or without one. *)
+let switch_after c =
+  match c.c_switch with
+  | Some sw -> float_of_int sw.sw_after_bytes
+  | None -> infinity
 
 let re_arm c ~now =
   match c.c_state with
@@ -178,13 +162,9 @@ let re_arm c ~now =
     if st.cs_rate > 0. then
       dl := Float.min !dl (now +. (st.cs_remaining /. st.cs_rate));
     dl := Float.min !dl st.cs_next_double;
-    (match switch_bytes_trigger c with
-    | Some v when st.cs_rate > 0. && st.cs_done < v ->
-      dl := Float.min !dl (now +. ((v -. st.cs_done) /. st.cs_rate))
-    | Some _ | None -> ());
-    (match switch_time_trigger c with
-    | Some at -> dl := Float.min !dl at
-    | None -> ());
+    let v = switch_after c in
+    if st.cs_rate > 0. && st.cs_done < v then
+      dl := Float.min !dl (now +. ((v -. st.cs_done) /. st.cs_rate));
     if !dl < infinity then arm_at c !dl
     else Scheduler.Timer.cancel (the_timer c)
   | Handshake | Draining | Finished -> ()
@@ -224,7 +204,6 @@ let do_switch c ~now =
   match c.c_switch with
   | None -> ()
   | Some { sw_legs; _ } ->
-    c.c_switched <- true;
     c.c_switch <- None;
     c.c_t.switched <- c.c_t.switched + 1;
     Sim_obs.Flow_ledger.on_phase_switch c.c_t.ledger ~conn:c.c_id;
@@ -259,10 +238,7 @@ let step c ~now =
   integrate c ~now;
   if c.c_st.cs_remaining <= byte_tol then enter_drain c ~now
   else begin
-    (match (switch_bytes_trigger c, switch_time_trigger c) with
-    | Some v, _ when c.c_st.cs_done +. 0.5 >= v -> do_switch c ~now
-    | _, Some at when now +. 1e-12 >= at -> do_switch c ~now
-    | _ -> ());
+    if c.c_st.cs_done +. 0.5 >= switch_after c then do_switch c ~now;
     if c.c_state = Running then begin
       let st = c.c_st in
       while now +. 1e-12 >= st.cs_next_double do
@@ -340,7 +316,6 @@ let make ~sched ~cap_bps ?(params = Sim_tcp.Tcp_params.default) () =
       iw = params.Sim_tcp.Tcp_params.initial_window;
       flush_timer = None;
       active = 0;
-      started = 0;
       completed = 0;
       switched = 0;
     }
@@ -404,14 +379,12 @@ let start t ?(done_bytes = 0) ?(slow_start = true) ?(handshake = true) ?switch
           cs_next_double = infinity;
         };
       c_switch = switch;
-      c_switched = false;
       c_timer = None;
       c_completed = None;
     }
   in
   c.c_timer <- Some (Scheduler.Timer.create t.sched on_timer c);
   t.active <- t.active + 1;
-  t.started <- t.started + 1;
   (let m = Sim_engine.Sim_ctx.metrics (Scheduler.ctx t.sched) in
    if Sim_obs.Metrics.want_conn m conn_id then begin
      let reg name units read =
@@ -452,6 +425,3 @@ let conn_bytes c =
     int_of_float (Float.max 0. (float_of_int c.c_size -. c.c_st.cs_remaining))
 
 let active t = t.active
-let started t = t.started
-let completed t = t.completed
-let switched t = t.switched

@@ -12,8 +12,8 @@
     arrays, {!Sim_net.Topology.path}) and RTTs and pass
     them as {!leg_spec}s. Multipath couples legs through weights from
     {!Sim_tcp.Cong.Lia.fluid_weights}; MMPTCP's scatter→multipath shape
-    reuses {!Mmptcp.Strategy.plan} ([switch_on_congestion] has no
-    fluid analogue and behaves as [Never]). *)
+    is a {!switch_spec} ([Congestion_event] has no fluid analogue and
+    behaves as [Never]). *)
 
 type t
 type conn
@@ -25,7 +25,8 @@ type leg_spec = {
 }
 
 type switch_spec = {
-  sw_plan : Mmptcp.Strategy.switch_plan;
+  sw_after_bytes : int;
+      (** switch once this many bytes are done ([Data_volume]) *)
   sw_legs : leg_spec array;  (** legs to swap in at the switch *)
 }
 
@@ -56,7 +57,7 @@ val start :
   unit ->
   conn
 (** Launch a transfer of [size] bytes. [done_bytes] (default 0) seeds
-    the byte counter consulted by [switch_after_bytes] — the hybrid
+    the byte counter consulted by [sw_after_bytes] — the hybrid
     model passes the packet-stage bytes here. [slow_start:false] and
     [handshake:false] start at full allocated rate immediately
     (hybrid stage 2: the connection is already established and open).
@@ -92,6 +93,3 @@ val conn_bytes : conn -> int
 (** {1 Engine counters} *)
 
 val active : t -> int
-val started : t -> int
-val completed : t -> int
-val switched : t -> int

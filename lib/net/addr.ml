@@ -6,5 +6,3 @@ let of_int i =
 
 let to_int t = t
 let equal = Int.equal
-let compare = Int.compare
-let hash t = t

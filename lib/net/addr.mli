@@ -13,5 +13,3 @@ val of_int : int -> t
 
 val to_int : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int

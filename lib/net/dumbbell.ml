@@ -20,8 +20,8 @@ let create ~sched ?(bottleneck_spec = Topology.default_link_spec) ~pairs () =
   let hosts = Array.init n (fun i -> Host.create ~sched ~addr:(Addr.of_int i)) in
   (* Two classes: the left hosts (0) and the right hosts (1). *)
   let dests = Switch.dests ~hosts:n ~size:pairs in
-  let sw_left = Switch.create ~id:0 ~layer:Layer.Edge_layer ~dests in
-  let sw_right = Switch.create ~id:1 ~layer:Layer.Edge_layer ~dests in
+  let sw_left = Switch.create ~id:0 ~dests in
+  let sw_right = Switch.create ~id:1 ~dests in
   let spec = Topology.default_link_spec in
   let down =
     Array.init n (fun i ->
@@ -43,52 +43,3 @@ let create ~sched ?(bottleneck_spec = Topology.default_link_spec) ~pairs () =
   Builder.finish b
     ~name:(Printf.sprintf "dumbbell-%d" pairs)
     ~hosts ~switches:[| sw_left; sw_right |] ~dests
-
-let parking_lot ~sched ?(spec = Topology.default_link_spec) ~hops () =
-  if hops < 1 then invalid_arg "Dumbbell.parking_lot: hops must be >= 1";
-  let b = Builder.create sched in
-  (* Switches s0 .. s_hops in a chain; host i attaches to switch i, so
-     the receiver (host [hops]) hangs off the last switch. One class
-     per switch: the host hanging off it. *)
-  let dests = Switch.dests ~hosts:(hops + 1) ~size:1 in
-  let switches =
-    Array.init (hops + 1) (fun i ->
-        Switch.create ~id:i ~layer:Layer.Edge_layer ~dests)
-  in
-  let hosts =
-    Array.init (hops + 1) (fun i -> Host.create ~sched ~addr:(Addr.of_int i))
-  in
-  let down =
-    Array.mapi
-      (fun i h ->
-        let up = Builder.make_link b ~spec ~layer:Layer.Host_layer in
-        Builder.to_switch up switches.(i);
-        Host.add_nic h up;
-        let down = Builder.make_link b ~spec ~layer:Layer.Edge_layer in
-        Builder.to_host down h;
-        down)
-      hosts
-  in
-  (* Chain links, both directions, tagged Core for easy inspection. *)
-  let fwd =
-    Array.init hops (fun i ->
-        let l = Builder.make_link b ~spec ~layer:Layer.Core_layer in
-        Builder.to_switch l switches.(i + 1);
-        l)
-  in
-  let bwd =
-    Array.init hops (fun i ->
-        let l = Builder.make_link b ~spec ~layer:Layer.Core_layer in
-        Builder.to_switch l switches.(i);
-        l)
-  in
-  Array.iteri
-    (fun si sw ->
-      Switch.set_table sw
-        (Array.init (hops + 1) (fun d ->
-             if d = si then Switch.Local [| down.(d) |]
-             else Switch.group sw [| (if d > si then fwd.(si) else bwd.(si - 1)) |])))
-    switches;
-  Builder.finish b
-    ~name:(Printf.sprintf "parking-lot-%d" hops)
-    ~hosts ~switches ~dests

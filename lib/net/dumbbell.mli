@@ -1,4 +1,6 @@
-(** Small reference topologies for unit tests and fairness experiments. *)
+(** Small reference topologies: one duplex link for unit tests, and a
+    dumbbell with one shared bottleneck ([ext-coexist],
+    [ext-fluid-xval]). *)
 
 val direct :
   sched:Sim_engine.Scheduler.t -> ?spec:Topology.link_spec -> unit -> Topology.t
@@ -15,14 +17,3 @@ val create :
     switch, one bottleneck link between the switches. The bottleneck's
     queues are tagged [Core_layer] so its statistics are separable from
     the access links ([Edge_layer]/[Host_layer]). *)
-
-val parking_lot :
-  sched:Sim_engine.Scheduler.t ->
-  ?spec:Topology.link_spec ->
-  hops:int ->
-  unit ->
-  Topology.t
-(** A chain of [hops+1] switches; host [2*i] talks across hop [i] to
-    host [2*i+1]... simplified: hosts 0..hops-1 send to host [hops]
-    attached to the last switch, traversing increasing numbers of
-    shared links. Used for multi-bottleneck CC tests. *)

@@ -37,14 +37,14 @@ let build ~sched p ~homes ~name =
   let dests = Switch.dests ~hosts:n_hosts ~size:hpe in
   (* Switch ids are globally unique so ECMP salts differ per switch. *)
   let next_sw = ref 0 in
-  let fresh_switch layer =
-    let sw = Switch.create ~id:!next_sw ~layer ~dests in
+  let fresh_switch () =
+    let sw = Switch.create ~id:!next_sw ~dests in
     incr next_sw;
     sw
   in
-  let edge = Array.init pods (fun _ -> Array.init half (fun _ -> fresh_switch Layer.Edge_layer)) in
-  let agg = Array.init pods (fun _ -> Array.init half (fun _ -> fresh_switch Layer.Agg_layer)) in
-  let core = Array.init (half * half) (fun _ -> fresh_switch Layer.Core_layer) in
+  let edge = Array.init pods (fun _ -> Array.init half (fun _ -> fresh_switch ())) in
+  let agg = Array.init pods (fun _ -> Array.init half (fun _ -> fresh_switch ())) in
+  let core = Array.init (half * half) (fun _ -> fresh_switch ()) in
 
   (* Host <-> edge links: NIC j of host h goes to edge (e + j) mod
      half of its pod, e being its home edge, and host_down.(h * homes

@@ -1,12 +1,9 @@
 type t = Host_layer | Edge_layer | Agg_layer | Core_layer
 
-let all = [ Host_layer; Edge_layer; Agg_layer; Core_layer ]
-
 let to_string = function
   | Host_layer -> "host"
   | Edge_layer -> "edge"
   | Agg_layer -> "agg"
   | Core_layer -> "core"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 let equal a b = a = b

@@ -7,7 +7,5 @@
 
 type t = Host_layer | Edge_layer | Agg_layer | Core_layer
 
-val all : t list
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -22,7 +22,6 @@ let max_sack_blocks = 3
 
 let syn_bit = 1
 let ack_bit = 2
-let fin_bit = 4
 let dup_bit = 16
 
 let data_bits = 0
@@ -64,7 +63,6 @@ let check_live t ~op =
 
 let syn t = check_live t ~op:"syn"; t.bits land syn_bit <> 0
 let ack t = check_live t ~op:"ack"; t.bits land ack_bit <> 0
-let fin t = check_live t ~op:"fin"; t.bits land fin_bit <> 0
 let dup_seen t = check_live t ~op:"dup_seen"; t.bits land dup_bit <> 0
 
 (* ------------------------------------------------------------------ *)

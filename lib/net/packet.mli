@@ -84,7 +84,6 @@ val ack_bits : dup_seen:bool -> int
 
 val syn : t -> bool
 val ack : t -> bool
-val fin : t -> bool
 val dup_seen : t -> bool
 
 val make :

@@ -65,7 +65,6 @@ let add_drop_hook t hook = t.drop_hooks <- t.drop_hooks @ [ hook ]
 let backlog_pkts t = t.len
 let backlog_bytes t = t.backlog_bytes
 let is_empty t = t.len = 0
-let capacity t = t.cap
 let layer t = t.lay
 let stats t = t.st
 

@@ -52,6 +52,5 @@ val take : t -> Packet.t
 val backlog_pkts : t -> int
 val backlog_bytes : t -> int
 val is_empty : t -> bool
-val capacity : t -> int
 val layer : t -> Layer.t
 val stats : t -> stats

@@ -13,15 +13,13 @@ let dests ~hosts ~size =
 
 type t = {
   id : int;
-  layer : Layer.t;
   dests : dests;
   mutable table : entry array;
 }
 
-let create ~id ~layer ~dests = { id; layer; dests; table = [||] }
+let create ~id ~dests = { id; dests; table = [||] }
 
 let id t = t.id
-let layer t = t.layer
 let group ?salt t links = Group { salt = Option.value salt ~default:t.id; links }
 
 let set_table t table =

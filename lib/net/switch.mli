@@ -27,12 +27,11 @@ val dests : hosts:int -> size:int -> dests
 
 type t
 
-val create : id:int -> layer:Layer.t -> dests:dests -> t
+val create : id:int -> dests:dests -> t
 (** A switch forwarding to the hosts [dests] describes, once its table
     is installed. *)
 
 val id : t -> int
-val layer : t -> Layer.t
 
 val group : ?salt:int -> t -> Link.t array -> entry
 (** A [Group] salted with [salt], by default the switch id. *)

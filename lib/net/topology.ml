@@ -167,7 +167,6 @@ module Builder = struct
   }
 
   let create sched = { sched; links_rev = []; next_id = 0 }
-  let sched b = b.sched
 
   let make_link b ~spec ~layer =
     let queue =

@@ -82,12 +82,9 @@ module Builder : sig
   type b
 
   val create : Sim_engine.Scheduler.t -> b
-  val sched : b -> Sim_engine.Scheduler.t
 
   val make_link : b -> spec:link_spec -> layer:Layer.t -> Link.t
   (** A fresh unattached link with a fresh id and its own queue. *)
-
-  val links : b -> Link.t array
 
   val to_switch : Link.t -> Switch.t -> unit
   (** Attach the link's receive side to a switch. *)

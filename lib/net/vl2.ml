@@ -39,14 +39,14 @@ let create ~sched p =
   (* One destination class per ToR. *)
   let dests = Switch.dests ~hosts:n_hosts ~size:p.hosts_per_tor in
   let next_sw = ref 0 in
-  let fresh_switch layer =
-    let sw = Switch.create ~id:!next_sw ~layer ~dests in
+  let fresh_switch () =
+    let sw = Switch.create ~id:!next_sw ~dests in
     incr next_sw;
     sw
   in
-  let tor = Array.init p.tors (fun _ -> fresh_switch Layer.Edge_layer) in
-  let agg = Array.init p.aggs (fun _ -> fresh_switch Layer.Agg_layer) in
-  let inter = Array.init p.intermediates (fun _ -> fresh_switch Layer.Core_layer) in
+  let tor = Array.init p.tors (fun _ -> fresh_switch ()) in
+  let agg = Array.init p.aggs (fun _ -> fresh_switch ()) in
+  let inter = Array.init p.intermediates (fun _ -> fresh_switch ()) in
 
   (* Host <-> ToR. *)
   let tor_down =

@@ -73,8 +73,6 @@ let note_component t component =
 
 let components t = List.rev t.components_rev
 
-let now_ns t = t.clock_ns ()
-
 let register t ~component ~id ~name ~units read =
   if t.on then begin
     note_component t component;

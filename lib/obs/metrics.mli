@@ -56,9 +56,6 @@ val want_conn : t -> int -> bool
 (** Whether connection-scoped instruments for [conn] should be
     registered: [active t] and [conn] passes the [conns] filter. *)
 
-val now_ns : t -> int
-(** The registry's clock ([0] before {!enable}). *)
-
 val conn_filter_matched : t -> bool
 (** Whether any {!want_conn} query (or conn-scoped {!emit}) matched
     while a [conns] filter was set. Lets callers detect a filter that

@@ -13,7 +13,6 @@ type t = {
   group : Cong.Lia.group option;  (* [Some] when coupled *)
   mutable txs : Tcp_tx.t array;  (* by subflow id *)
   mutable rxs : Tcp_rx.t array;
-  mutable deadline : Scheduler.Timer.t option;
   started_at : Time.t;
 }
 
@@ -25,14 +24,10 @@ let create ~src ~dst ~size ~params ~coupled ~on_complete ~on_close =
     lazy
       (let plane =
          Dataplane.create ~sched ~size ~on_complete:(fun () ->
-             let t = Lazy.force t in
-             (* A still-armed deadline must not outlive the transfer:
-                cancel takes it off the scheduler's heap. *)
-             Option.iter Scheduler.Timer.cancel t.deadline;
              Sim_obs.Flow_ledger.on_complete
                (Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched))
                ~conn;
-             on_complete t)
+             on_complete (Lazy.force t))
        in
        {
          conn;
@@ -44,7 +39,6 @@ let create ~src ~dst ~size ~params ~coupled ~on_complete ~on_close =
          group = (if coupled then Some (Cong.Lia.make_group ()) else None);
          txs = [||];
          rxs = [||];
-         deadline = None;
          started_at = Scheduler.now sched;
        })
   in
@@ -58,11 +52,7 @@ let create ~src ~dst ~size ~params ~coupled ~on_complete ~on_close =
       if i >= 0 && i < Array.length t.rxs then Tcp_rx.handle t.rxs.(i) pkt)
     ~timers_pending:(fun () ->
       Array.exists Tcp_tx.rto_pending t.txs
-      || Array.exists Tcp_rx.delack_pending t.rxs
-      ||
-      match t.deadline with
-      | Some tm -> Scheduler.Timer.is_pending tm
-      | None -> false)
+      || Array.exists Tcp_rx.delack_pending t.rxs)
     ~on_close:(fun () -> on_close t);
   t
 
@@ -91,8 +81,6 @@ let add_subflow t ~port = add_sender t (sender t ~port)
 (* A zero-byte transfer has nothing to wait for. *)
 let complete_if_empty t =
   if Dataplane.size t.plane = 0 then Dataplane.deliver t.plane ~dsn:0 ~len:0
-
-let set_deadline t tm = t.deadline <- Some tm
 
 let start ~src ~dst ~size ?(params = Tcp_params.default) ?dupack_threshold
     ?(on_complete = fun _ -> ()) ?(on_close = fun _ -> ()) () =
@@ -131,7 +119,6 @@ let start_mptcp ~src ~dst ~size ~subflows ?(params = Tcp_params.default)
   t
 
 let conn t = t.conn
-let size t = Dataplane.size t.plane
 let plane t = t.plane
 let completed_at t = Dataplane.completed_at t.plane
 
@@ -151,5 +138,4 @@ let sum_stats t f =
   Array.fold_left (fun acc tx -> acc + f (Tcp_tx.stats tx)) 0 t.txs
 
 let rto_events t = sum_stats t (fun s -> s.Tcp_tx.rto_events)
-let fast_rtx_events t = sum_stats t (fun s -> s.Tcp_tx.fast_rtx_events)
 let lia_alpha t = Option.map Cong.Lia.alpha t.group

@@ -32,8 +32,8 @@ val start :
     deferred starts).
 
     [on_close] fires once, when the flow can never act again: no
-    packet of it is alive and no RTO, delayed-ACK or deadline timer of
-    it is pending ({!Sim_net.Host.bind_conn}, which also unbinds it
+    packet of it is alive and no RTO or delayed-ACK timer of it is
+    pending ({!Sim_net.Host.bind_conn}, which also unbinds it
     from both hosts). Every reading below is final from then on; the
     record itself stays readable. *)
 
@@ -91,15 +91,9 @@ val complete_if_empty : t -> unit
 (** Completes a zero-byte flow. Call once, after the opening subflows
     are added and before they connect. *)
 
-val set_deadline : t -> Sim_engine.Scheduler.Timer.t -> unit
-(** Ties a connection-level timer (MMPTCP's switch deadline) to the
-    flow: the flow stays open while it is pending, and completion
-    cancels it. *)
-
 (** {1 Readings} *)
 
 val conn : t -> int
-val size : t -> int
 val plane : t -> Dataplane.t
 val completed_at : t -> Time.t option
 val fct : t -> Time.t option
@@ -116,7 +110,6 @@ val rx : t -> Tcp_rx.t
 (** Subflow 0's sender and receiver. *)
 
 val rto_events : t -> int
-val fast_rtx_events : t -> int
 (** Summed over subflows. *)
 
 val lia_alpha : t -> float option

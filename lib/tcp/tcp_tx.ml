@@ -511,9 +511,6 @@ let handle t pkt =
       fail t (Printf.sprintf "snd_una moved back (%d -> %d)" una t.snd_una)
   end
 
-let state t = t.state
 let cwnd t = t.win.Cong.cwnd
 let ssthresh t = t.win.Cong.ssthresh
-let srtt t = Rtt_estimator.srtt t.rtt
-let rto t = current_rto t
 let stats t = t.st

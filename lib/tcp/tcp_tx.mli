@@ -44,8 +44,6 @@ type stats = {
   mutable syn_sent : int;
 }
 
-type state = Closed | Syn_sent | Established | Failed
-
 type t
 
 val create :
@@ -78,12 +76,9 @@ val handle : t -> Sim_net.Packet.t -> unit
 
 (** {1 Introspection} *)
 
-val state : t -> state
 val cwnd : t -> float
 val ssthresh : t -> float
 val flight : t -> int
-val srtt : t -> Time.t option
-val rto : t -> Time.t
 val rto_pending : t -> bool
 (** Whether the retransmission timer is armed. *)
 

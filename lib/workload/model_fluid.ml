@@ -14,8 +14,9 @@
      leg, i.e. one fair share each.
    - MMPTCP: phase 1 spreads one aggregate share across min(paths, 8)
      scatter legs (weight 1/P each — packet scatter sprays a single
-     window, it does not multiply aggressiveness); the engine swaps in
-     LIA-weighted subflow legs when {!Mmptcp.Strategy.plan} says so. *)
+     window, it does not multiply aggressiveness); under [Data_volume]
+     the engine swaps in LIA-weighted subflow legs once that many bytes
+     are done. *)
 
 module Time = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler
@@ -115,21 +116,17 @@ let transport_plan (cfg : Flow_model.config) net ~rng ~src ~dst ~assume_switched
             let choice = if paths <= scatter_cap then i else Rng.int rng paths in
             leg choice ~weight:w)
       in
-      let plan = Mmptcp.Strategy.plan strategy.Mmptcp.Strategy.switch in
-      match
-        (plan.Mmptcp.Strategy.switch_after_bytes,
-         plan.Mmptcp.Strategy.switch_after_time)
-      with
-      | None, None ->
-        (* Never, or Congestion_event — loss has no fluid analogue. *)
-        (scatter, None)
-      | _ ->
+      match strategy.Mmptcp.Strategy.switch with
+      | Mmptcp.Strategy.Data_volume v ->
         ( scatter,
           Some
             {
-              Engine.sw_plan = plan;
+              Engine.sw_after_bytes = v;
               sw_legs = mptcp_legs ~subflows ~coupled:true;
             } )
+      | Mmptcp.Strategy.Congestion_event | Mmptcp.Strategy.Never ->
+        (* Loss has no fluid analogue. *)
+        (scatter, None)
     end
 
 let add_bytes net c =

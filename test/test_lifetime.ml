@@ -217,10 +217,10 @@ let test_delack_timer_keeps_bound () =
 
 (* The same instant in real transports: a one-segment window meets a
    delayed ACK, so no packet of the connection is alive while the
-   receiver's timer (and MMPTCP's [After_time] deadline) is pending.
-   The connection stays bound and completes. The sender's RTO is armed
-   at that instant too — in these transports a delayed ACK is always
-   pending alongside it — so the test above isolates the rule. *)
+   receiver's timer is pending. The connection stays bound and
+   completes. The sender's RTO is armed at that instant too — in these
+   transports a delayed ACK is always pending alongside it — so the
+   test above isolates the rule. *)
 let test_pending_timers_keep_transports_bound () =
   let params =
     { Tcp_params.default with Tcp_params.delayed_ack = 2; initial_window = 1 }
@@ -251,22 +251,15 @@ let test_pending_timers_keep_transports_bound () =
       ( Flow.conn f,
         (fun () -> Flow.is_complete f),
         fun () -> Tcp_rx.delack_pending (Flow.rx f) ));
-  (* Before completion and before the deadline, the After_time switch
-     timer is armed. *)
-  quiet_instant ~what:"mmptcp After_time" (fun ~src ~dst ~on_close ->
+  quiet_instant ~what:"mmptcp delayed ACK" (fun ~src ~dst ~on_close ->
       let c =
         Mmptcp_conn.start ~src ~dst ~size:3_000 ~rng:(Rng.create ~seed:4) ~params
-          ~strategy:
-            {
-              Strategy.default with
-              Strategy.switch = Strategy.After_time (Time.of_sec 1.);
-            }
           ~on_close ()
       in
       let f = Mmptcp_conn.flow c in
       ( Flow.conn f,
         (fun () -> Flow.is_complete f),
-        fun () -> Mmptcp_conn.switched_at c = None && not (Flow.is_complete f) ))
+        fun () -> Tcp_rx.delack_pending (Flow.rx f) ))
 
 (* A flow's outcome reaches the ledger from the connection itself:
    its bytes when it closes, or from [finish] if it is still open at

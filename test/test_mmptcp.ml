@@ -99,39 +99,6 @@ let test_switch_callback_and_volume_bound () =
      can have been received. *)
   check_bool "switched near threshold" true (!assigned_at_switch <= 160_000)
 
-let test_after_time_switches_at_deadline () =
-  (* Deadline-based switching rides the scheduler's re-armable Timer:
-     the switch must happen at the configured time even with no
-     congestion and no volume threshold crossed. *)
-  let sched, _net, src, dst = direct_rig () in
-  let c =
-    Conn.start ~src ~dst ~size:500_000 ~rng:(Rng.create ~seed:9)
-      ~strategy:
-        { default_strategy with Strategy.switch = Strategy.After_time (Time.of_ms 5.) }
-      ()
-  in
-  Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (is_complete c);
-  (match Conn.switched_at c with
-   | None -> Alcotest.fail "deadline switch did not happen"
-   | Some t ->
-     Alcotest.(check (float 0.2)) "switched at ~5ms" 5. (Time.to_ms t));
-  check_bool "multipath phase" true (Conn.phase c = Conn.Multipath)
-
-let test_after_time_short_flow_completes_first () =
-  (* A flow that finishes before the deadline must never switch; the
-     timer is cancelled when the connection completes. *)
-  let sched, _net, src, dst = direct_rig () in
-  let c =
-    Conn.start ~src ~dst ~size:70_000 ~rng:(Rng.create ~seed:10)
-      ~strategy:
-        { default_strategy with Strategy.switch = Strategy.After_time (Time.of_sec 5.) }
-      ()
-  in
-  Scheduler.run ~until:(Time.of_sec 10.) sched;
-  check_bool "complete" true (is_complete c);
-  check_bool "no switch before deadline" true (Conn.switched_at c = None)
-
 let test_never_strategy_stays_ps () =
   let sched, _net, src, dst = direct_rig () in
   let c =
@@ -402,10 +369,6 @@ let () =
           Alcotest.test_case "short stays PS" `Quick test_short_flow_stays_in_ps;
           Alcotest.test_case "long switches at volume" `Quick test_long_flow_switches_at_volume;
           Alcotest.test_case "switch callback" `Quick test_switch_callback_and_volume_bound;
-          Alcotest.test_case "after-time switches at deadline" `Quick
-            test_after_time_switches_at_deadline;
-          Alcotest.test_case "after-time, flow done first" `Quick
-            test_after_time_short_flow_completes_first;
           Alcotest.test_case "never strategy" `Quick test_never_strategy_stays_ps;
           Alcotest.test_case "congestion event switches" `Quick test_congestion_event_switches;
           Alcotest.test_case "no loss, no switch" `Quick test_congestion_event_no_loss_no_switch;

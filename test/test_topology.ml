@@ -229,7 +229,7 @@ let test_vl2_scatter_spreads_intermediates () =
   check_bool "several intermediate downlinks used" true (used >= 4)
 
 (* ------------------------------------------------------------------ *)
-(* Dumbbell / direct / parking lot *)
+(* Dumbbell / direct *)
 
 let test_direct_delivers () =
   let sched = Scheduler.create () in
@@ -250,18 +250,12 @@ let test_dumbbell_bottleneck_layer () =
   check_int "two core (bottleneck) links" 2
     (List.length (Topology.layer_links net Layer.Core_layer))
 
-let test_parking_lot_delivers () =
-  let sched = Scheduler.create () in
-  let net = Dumbbell.parking_lot ~sched ~hops:3 () in
-  check_bool "0 -> end" true (probe net ~src:0 ~dst:3);
-  let sched2 = Scheduler.create () in
-  let net2 = Dumbbell.parking_lot ~sched:sched2 ~hops:3 () in
-  check_bool "middle -> end" true (probe net2 ~src:1 ~dst:3)
-
 (* ------------------------------------------------------------------ *)
 (* Routing goldens. Both digests were recorded on the closure-routed
    builders that preceded the route tables; they pin that the tables
-   forward every packet, and enumerate every path, exactly as before. *)
+   forward every packet, and enumerate every path, exactly as before.
+   Both were recomputed without the parking lot on the code that still
+   built it, so they check the same lines for every other topology. *)
 
 let golden_topologies () =
   let sched () = Scheduler.create () in
@@ -276,7 +270,6 @@ let golden_topologies () =
        (Multihomed.default_params ~k:4 ~oversub:2 ()));
     ("direct", Dumbbell.direct ~sched:(sched ()) ());
     ("dumbbell-3", Dumbbell.create ~sched:(sched ()) ~pairs:3 ());
-    ("parking-lot-3", Dumbbell.parking_lot ~sched:(sched ()) ~hops:3 ());
   ]
 
 (* Hop sequences (link ids) of one packet per 5-tuple, each sent alone
@@ -328,7 +321,7 @@ let forwarding_digest nets =
   |> digest_of_lines
 
 let test_forwarding_golden () =
-  Alcotest.(check string) "forwarding digest" "41a19335f7fff7f6aa2bfc827f140ad6"
+  Alcotest.(check string) "forwarding digest" "5a8f62eb402e499d051330bdf85363b6"
     (forwarding_digest (golden_topologies ()))
 
 (* k/2 = 3 edges per pod: the first FatTrees where a dual-homed host's
@@ -374,7 +367,7 @@ let test_enumeration_golden () =
         done
       done)
     nets;
-  Alcotest.(check string) "enumeration digest" "b4725e42bd6e54bb782622deeb555de4"
+  Alcotest.(check string) "enumeration digest" "2809db0fdad301ca05c66eb6efdbbbfc"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* Every hop sequence packets between [src] and [dst] actually take,
@@ -498,7 +491,6 @@ let () =
           Alcotest.test_case "direct" `Quick test_direct_delivers;
           Alcotest.test_case "dumbbell both ways" `Quick test_dumbbell_delivers_both_ways;
           Alcotest.test_case "bottleneck tagging" `Quick test_dumbbell_bottleneck_layer;
-          Alcotest.test_case "parking lot" `Quick test_parking_lot_delivers;
         ] );
       ( "routing",
         [
