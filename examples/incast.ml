@@ -1,4 +1,4 @@
-(* Incast: many servers answer one aggregator at once - the classic
+(* An incast: many servers answer one aggregator at once - the classic
    burst that drives short TCP flows into retransmission timeouts.
    Compares TCP, MPTCP-8 and MMPTCP on the same synchronized burst.
 

@@ -43,8 +43,7 @@ val start :
     (callers get it from [Topology.paths]); it feeds the
     [Topology_aware] dup-ACK strategy. [rng] drives per-packet source
     ports. [on_close] fires once, when no packet of the connection is
-    alive and no RTO or delayed-ACK timer of it is pending (as
-    {!Sim_tcp.Flow.start}'s). *)
+    alive and no RTO of it is pending (as {!Sim_tcp.Flow.start}'s). *)
 
 val flow : t -> Sim_tcp.Flow.t
 (** The underlying connection: id, size, completion, bytes received

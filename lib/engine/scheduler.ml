@@ -231,8 +231,7 @@ module Timer = struct
   let is_pending tm = tm.entry.id >= 0
 
   (* Keeps the fire/state pair: that is the point of the abstraction
-     — one entry, one pair, reused across every re-arm of an RTO or
-     delayed-ACK timer. *)
+     — one entry, one pair, reused across every re-arm of an RTO. *)
   let cancel tm = if tm.entry.id >= 0 then remove tm.sched tm.entry
 
   let schedule_at tm time =

@@ -7,9 +7,9 @@
     scheduled.
 
     Two ways to schedule, neither allocating per event in steady
-    state: a re-armable {!Timer} (RTO, delayed ACK, deadlines) and a
-    pool of one-shot typed {!Event} cells (packets in flight,
-    arrivals).
+    state: a re-armable {!Timer} (RTO, link transmit-done, fluid
+    connection steps) and a pool of one-shot typed {!Event} cells
+    (packets in flight, arrivals).
 
     Each entry records its own heap index, so cancelling a timer
     removes it and re-arming a pending one re-keys it in place, both
@@ -89,7 +89,7 @@ end
     returns to the pool when it fires, so the pool's size is the
     high-water mark of simultaneously in-flight events (a link's pool
     holds about bandwidth-delay-product cells). Work that may need
-    cancelling (RTO, delayed ACK, deadlines) is a {!Timer}.
+    cancelling (an RTO, a fluid connection's next step) is a {!Timer}.
 
     Ownership contract (DESIGN.md §4j): scheduling a payload moves
     ownership into the pending event; the fire function receives it

@@ -39,7 +39,7 @@ type state = Handshake | Running | Draining | Finished
    float, and they change on every allocator rate callback. *)
 type cstate = {
   mutable cs_remaining : float;  (* bytes *)
-  mutable cs_done : float;  (* bytes, includes [done_bytes] offset *)
+  mutable cs_done : float;  (* bytes, includes the [resume_from] offset *)
   mutable cs_rate : float;  (* effective send rate, bytes/s *)
   mutable cs_alloc_bps : float;  (* aggregate allocation, bits/s *)
   mutable cs_last_t : float;  (* seconds of last integration *)
@@ -52,7 +52,6 @@ type conn = {
   c_t : t;
   c_size : int;  (* bytes this stage transfers *)
   c_rtt : float;  (* representative RTT: min over initial legs, s *)
-  c_slow_start : bool;
   c_on_complete : conn -> unit;
   c_started : Time.t;
   mutable c_state : state;
@@ -147,7 +146,7 @@ let arm_at c time_s =
   in
   Scheduler.Timer.schedule_at (the_timer c) target
 
-(* Bytes done (counting [done_bytes]) at which the pending switch
+(* Bytes done (counting [resume_from]) at which the pending switch
    fires; infinity once switched or without one. *)
 let switch_after c =
   match c.c_switch with
@@ -254,7 +253,9 @@ let step c ~now =
     end
   end
 
-let go_running c =
+(* A fresh connection leaves its handshake in slow start; a resumed
+   one is already open and sends at its full allocated rate. *)
+let go_running c ~resumed =
   let t = c.c_t in
   let now = now_s t in
   c.c_state <- Running;
@@ -262,7 +263,7 @@ let go_running c =
   Sim_obs.Flow_ledger.on_handshake t.ledger ~conn:c.c_id;
   add_legs c c.c_leg_specs;
   let st = c.c_st in
-  (if c.c_slow_start then begin
+  (if not resumed then begin
      st.cs_ss_cap <- float_of_int (t.iw * t.mss) /. c.c_rtt;
      st.cs_next_double <- now +. c.c_rtt
    end
@@ -283,7 +284,7 @@ let go_running c =
 let on_timer c =
   let now = now_s c.c_t in
   match c.c_state with
-  | Handshake -> go_running c
+  | Handshake -> go_running c ~resumed:false
   | Running ->
     refresh_rate c ~now;
     step c ~now
@@ -347,8 +348,7 @@ let make ~sched ~cap_bps ?(params = Sim_tcp.Tcp_params.default) () =
    end);
   t
 
-let start t ?(done_bytes = 0) ?(slow_start = true) ?(handshake = true) ?switch
-    ~legs ~size ~on_complete () =
+let start t ?resume_from ?switch ~legs ~size ~on_complete () =
   if Array.length legs = 0 then invalid_arg "Engine.start: no legs";
   let rtt =
     Array.fold_left (fun acc s -> Float.min acc s.rtt_s) infinity legs
@@ -362,7 +362,6 @@ let start t ?(done_bytes = 0) ?(slow_start = true) ?(handshake = true) ?switch
       c_t = t;
       c_size = size;
       c_rtt = rtt;
-      c_slow_start = slow_start;
       c_on_complete = on_complete;
       c_started = Scheduler.now t.sched;
       c_state = Handshake;
@@ -371,7 +370,7 @@ let start t ?(done_bytes = 0) ?(slow_start = true) ?(handshake = true) ?switch
       c_st =
         {
           cs_remaining = float_of_int size;
-          cs_done = float_of_int done_bytes;
+          cs_done = float_of_int (Option.value resume_from ~default:0);
           cs_rate = 0.;
           cs_alloc_bps = 0.;
           cs_last_t = now_s t;
@@ -398,7 +397,9 @@ let start t ?(done_bytes = 0) ?(slow_start = true) ?(handshake = true) ?switch
    end);
   (* Legs join the allocator only at [go_running]; registering them
      during the handshake would let it consume bandwidth. *)
-  if handshake then arm_at c (now_s t +. rtt) else go_running c;
+  (match resume_from with
+  | None -> arm_at c (now_s t +. rtt)
+  | Some _ -> go_running c ~resumed:true);
   c
 
 let flush t = Alloc.flush t.alloc ~now:(now_s t)

@@ -47,21 +47,20 @@ val make :
 
 val start :
   t ->
-  ?done_bytes:int ->
-  ?slow_start:bool ->
-  ?handshake:bool ->
+  ?resume_from:int ->
   ?switch:switch_spec ->
   legs:leg_spec array ->
   size:int ->
   on_complete:(conn -> unit) ->
   unit ->
   conn
-(** Launch a transfer of [size] bytes. [done_bytes] (default 0) seeds
-    the byte counter consulted by [sw_after_bytes] — the hybrid
-    model passes the packet-stage bytes here. [slow_start:false] and
-    [handshake:false] start at full allocated rate immediately
-    (hybrid stage 2: the connection is already established and open).
-    [on_complete] fires when the last byte lands. *)
+(** Launch a transfer of [size] bytes: a handshake of one RTT, then
+    slow start. [resume_from] continues a connection that has already
+    delivered that many bytes (hybrid stage 2, after the packet
+    stage): no handshake and no slow start, the transfer runs at its
+    full allocated rate at once, and the byte counter consulted by
+    [sw_after_bytes] starts from it. [on_complete] fires when the
+    last byte lands. *)
 
 val flush : t -> unit
 (** Drain pending allocator recomputation at the current virtual
@@ -87,7 +86,7 @@ val conn_fct : conn -> Sim_engine.Sim_time.t option
 val conn_is_complete : conn -> bool
 
 val conn_bytes : conn -> int
-(** Bytes delivered so far in this stage (excludes [done_bytes]);
+(** Bytes delivered so far in this stage (excludes [resume_from]);
     exactly the connection's size once it has completed. *)
 
 (** {1 Engine counters} *)

@@ -5,7 +5,6 @@ type link_spec = {
   rate_bps : float;
   delay : Time.t;
   queue_capacity : int;
-  jitter : Time.t;
 }
 
 let default_link_spec =
@@ -13,7 +12,6 @@ let default_link_spec =
     rate_bps = 100e6;
     delay = Time.of_us 20.;
     queue_capacity = 100;
-    jitter = Time.of_us 5.;
   }
 
 (* Route-walk state: the destinations' classes; per (switch,
@@ -174,8 +172,8 @@ module Builder = struct
         ~layer ()
     in
     let link =
-      Link.create ~jitter:spec.jitter ~sched:b.sched ~rate_bps:spec.rate_bps
-        ~delay:spec.delay ~queue ~id:b.next_id ()
+      Link.create ~sched:b.sched ~rate_bps:spec.rate_bps ~delay:spec.delay
+        ~queue ~id:b.next_id ()
     in
     b.next_id <- b.next_id + 1;
     b.links_rev <- link :: b.links_rev;

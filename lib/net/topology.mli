@@ -17,12 +17,13 @@ type link_spec = {
   rate_bps : float;
   delay : Time.t;
   queue_capacity : int;  (** packets *)
-  jitter : Time.t;  (** per-packet propagation jitter bound, see {!Link.create} *)
 }
+(** Every link built from a spec has {!Link.create}'s default
+    propagation jitter bound (5 us). *)
 
 val default_link_spec : link_spec
-(** 100 Mb/s, 20 us delay, 100-packet drop-tail queue, 5 us
-    propagation jitter — the base data-centre link. *)
+(** 100 Mb/s, 20 us delay, 100-packet drop-tail queue — the base
+    data-centre link. *)
 
 type walk
 (** The enumeration memo (see {!paths}). *)

@@ -50,9 +50,7 @@ let create ~src ~dst ~size ~params ~coupled ~on_complete ~on_close =
     ~rx:(fun pkt ->
       let i = pkt.Packet.subflow in
       if i >= 0 && i < Array.length t.rxs then Tcp_rx.handle t.rxs.(i) pkt)
-    ~timers_pending:(fun () ->
-      Array.exists Tcp_tx.rto_pending t.txs
-      || Array.exists Tcp_rx.delack_pending t.rxs)
+    ~timers_pending:(fun () -> Array.exists Tcp_tx.rto_pending t.txs)
     ~on_close:(fun () -> on_close t);
   t
 
@@ -60,8 +58,7 @@ let add_sender t make =
   let i = Array.length t.txs in
   let tx = make i in
   let rx =
-    Tcp_rx.create ~params:t.params ~host:t.dst ~peer:(Host.addr t.src)
-      ~conn:t.conn ~subflow:i
+    Tcp_rx.create ~host:t.dst ~peer:(Host.addr t.src) ~conn:t.conn ~subflow:i
       ~on_data:(fun ~dsn ~len -> Dataplane.deliver t.plane ~dsn ~len)
       ()
   in
@@ -69,12 +66,12 @@ let add_sender t make =
   t.rxs <- Array.append t.rxs [| rx |];
   tx
 
-let sender ?dupack_threshold t ~port i =
+let sender t ~port i =
   let cc = match t.group with Some g -> Cong.Lia g | None -> Cong.Reno in
   Tcp_tx.create ~host:t.src ~peer:(Host.addr t.dst) ~conn:t.conn ~subflow:i
     ~params:t.params
     ~src_port:(fun () -> port)
-    ~dst_port:5001 ~source:t.pull ~cc ?dupack_threshold ()
+    ~dst_port:5001 ~source:t.pull ~cc ()
 
 let add_subflow t ~port = add_sender t (sender t ~port)
 
@@ -82,14 +79,12 @@ let add_subflow t ~port = add_sender t (sender t ~port)
 let complete_if_empty t =
   if Dataplane.size t.plane = 0 then Dataplane.deliver t.plane ~dsn:0 ~len:0
 
-let start ~src ~dst ~size ?(params = Tcp_params.default) ?dupack_threshold
+let start ~src ~dst ~size ?(params = Tcp_params.default)
     ?(on_complete = fun _ -> ()) ?(on_close = fun _ -> ()) () =
   let t =
     create ~src ~dst ~size ~params ~coupled:false ~on_complete ~on_close
   in
-  let tx =
-    add_sender t (sender ?dupack_threshold t ~port:(10_000 + t.conn))
-  in
+  let tx = add_sender t (sender t ~port:(10_000 + t.conn)) in
   complete_if_empty t;
   Tcp_tx.connect tx;
   t
@@ -132,7 +127,6 @@ let bytes_received t = Dataplane.received_bytes t.plane
 let subflow_count t = Array.length t.txs
 let txs t = t.txs
 let tx t = t.txs.(0)
-let rx t = t.rxs.(0)
 
 let sum_stats t f =
   Array.fold_left (fun acc tx -> acc + f (Tcp_tx.stats tx)) 0 t.txs

@@ -21,7 +21,6 @@ val start :
   dst:Sim_net.Host.t ->
   size:int ->
   ?params:Tcp_params.t ->
-  ?dupack_threshold:(unit -> int) ->
   ?on_complete:(t -> unit) ->
   ?on_close:(t -> unit) ->
   unit ->
@@ -32,10 +31,10 @@ val start :
     deferred starts).
 
     [on_close] fires once, when the flow can never act again: no
-    packet of it is alive and no RTO or delayed-ACK timer of it is
-    pending ({!Sim_net.Host.bind_conn}, which also unbinds it
-    from both hosts). Every reading below is final from then on; the
-    record itself stays readable. *)
+    packet of it is alive and none of its senders has an RTO pending
+    (receivers hold no timer; {!Sim_net.Host.bind_conn}, which also
+    unbinds it from both hosts). Every reading below is final from
+    then on; the record itself stays readable. *)
 
 val start_mptcp :
   src:Sim_net.Host.t ->
@@ -106,8 +105,7 @@ val txs : t -> Tcp_tx.t array
 (** The senders, by subflow id. *)
 
 val tx : t -> Tcp_tx.t
-val rx : t -> Tcp_rx.t
-(** Subflow 0's sender and receiver. *)
+(** Subflow 0's sender. *)
 
 val rto_events : t -> int
 (** Summed over subflows. *)

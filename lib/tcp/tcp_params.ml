@@ -8,8 +8,6 @@ type t = {
   max_rto : Time.t;
   dupack_threshold : int;
   max_syn_retries : int;
-  delayed_ack : int;
-  delack_timeout : Time.t;
   sack : bool;
 }
 
@@ -22,7 +20,5 @@ let default =
     max_rto = Time.of_sec 60.;
     dupack_threshold = 3;
     max_syn_retries = 8;
-    delayed_ack = 1;
-    delack_timeout = Time.of_ms 40.;
     sack = false;
   }

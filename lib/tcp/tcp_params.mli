@@ -16,11 +16,6 @@ type t = {
   max_rto : Time.t;  (** RTO ceiling under exponential backoff *)
   dupack_threshold : int;  (** fast-retransmit threshold (static default) *)
   max_syn_retries : int;
-  delayed_ack : int;
-      (** ACK every Nth in-order segment; 1 (the default) disables
-          coalescing. Out-of-order and duplicate arrivals are always
-          acknowledged immediately (RFC 5681). *)
-  delack_timeout : Time.t;  (** flush deadline for a withheld ACK *)
   sack : bool;
       (** selective-acknowledgement loss recovery at the sender
           (receivers always advertise SACK blocks). Off by default: the

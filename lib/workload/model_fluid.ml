@@ -133,10 +133,9 @@ let add_bytes net c =
   Sim_obs.Flow_ledger.add_bytes net.ledger ~conn:(Engine.conn_id c)
     (Engine.conn_bytes c)
 
-let start_conn net ?done_bytes ?slow_start ?handshake ?switch ~legs ~size () =
+let start_conn net ?resume_from ?switch ~legs ~size () =
   let c =
-    Engine.start net.engine ?done_bytes ?slow_start ?handshake ?switch ~legs
-      ~size
+    Engine.start net.engine ?resume_from ?switch ~legs ~size
       ~on_complete:(fun c ->
         Hashtbl.remove net.conns (Engine.conn_id c);
         add_bytes net c)

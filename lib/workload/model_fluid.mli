@@ -11,9 +11,7 @@ val engine : net -> Sim_fluid.Engine.t
 
 val start_conn :
   net ->
-  ?done_bytes:int ->
-  ?slow_start:bool ->
-  ?handshake:bool ->
+  ?resume_from:int ->
   ?switch:Sim_fluid.Engine.switch_spec ->
   legs:Sim_fluid.Engine.leg_spec array ->
   size:int ->

@@ -124,16 +124,16 @@ let start_flow (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size =
           ~assume_switched:switched
       in
       let c =
-        Model_fluid.start_conn net.fnet ~done_bytes:stage1 ~slow_start:false
-          ~handshake:false ?switch ~legs ~size:(size - stage1) ()
+        Model_fluid.start_conn net.fnet ~resume_from:stage1 ?switch ~legs
+          ~size:(size - stage1) ()
       in
       (* The fluid continuation's conn id becomes an alias of the
          packet-stage ledger record, so stage-2 events — completion and
-         delivered bytes — land on the one flow entry.
-         [~handshake:false] runs [go_running] synchronously, but its
-         handshake hook hits an unaliased conn and is dropped — the
-         record keeps the packet-stage handshake timestamp, which is
-         the real one. *)
+         delivered bytes — land on the one flow entry. A resumed
+         connection starts running synchronously, before the alias
+         exists, so its handshake hook is dropped — the record keeps
+         the packet-stage handshake timestamp, which is the real
+         one. *)
       Sim_obs.Flow_ledger.on_promote ledger ~conn:!pkt_conn
         ~cont:(Engine.conn_id c);
       (let m = Sim_engine.Sim_ctx.metrics ctx in

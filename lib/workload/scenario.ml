@@ -65,21 +65,15 @@ let run (cfg : config) =
   let topo = B.topology net in
   let n = Sim_net.Topology.host_count topo in
   let tm = Traffic_matrix.create ~rng:(Rng.split rng) ~hosts:n cfg.tm in
-  (* Role assignment: shuffle, take the first fraction as long hosts.
-     Incast matrices constrain short senders to the fan-in set. *)
+  (* Role assignment: shuffle, take the first fraction as long hosts
+     and the rest as short hosts. *)
   let ids = Array.init n (fun i -> i) in
   Rng.shuffle rng ids;
   let long_count =
     int_of_float (Float.round (cfg.long_fraction *. float_of_int n))
   in
   let long_hosts = Array.sub ids 0 long_count in
-  let short_hosts =
-    match Traffic_matrix.incast_senders tm with
-    | [] -> Array.sub ids long_count (n - long_count)
-    | senders ->
-      Array.of_list
-        (List.filter (fun s -> not (Array.exists (( = ) s) long_hosts)) senders)
-  in
+  let short_hosts = Array.sub ids long_count (n - long_count) in
   (* One flow arrival. The destination is drawn from the traffic
      matrix at fire time, so it reflects matrix state in arrival order.
      The arrival is the model-agnostic ledger anchor: it knows the

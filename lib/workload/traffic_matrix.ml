@@ -5,15 +5,13 @@ type kind =
   | Random
   | Stride of int
   | Hotspot of { targets : int; fraction : float }
-  | Incast of { target : int; fanin : int }
 
 type impl =
   | Fixed of int array  (* partner per host *)
   | Uniform of Rng.t
   | Hot of { partner : int array; hot : int array; is_hot_sender : bool array; rng : Rng.t }
-  | In of { target : int; senders : int array }
 
-type t = { kind : kind; hosts : int; impl : impl }
+type t = { hosts : int; impl : impl }
 
 let create ~rng ~hosts kind =
   if hosts < 2 then invalid_arg "Traffic_matrix.create: need >= 2 hosts";
@@ -48,16 +46,8 @@ let create ~rng ~hosts kind =
           is_hot_sender;
           rng = Rng.split rng;
         }
-    | Incast { target; fanin } ->
-      if target < 0 || target >= hosts then
-        invalid_arg "Traffic_matrix.create: incast target out of range";
-      if fanin < 1 || fanin > hosts - 1 then
-        invalid_arg "Traffic_matrix.create: bad incast fan-in";
-      let others = Array.of_list (List.filter (fun i -> i <> target) (List.init hosts Fun.id)) in
-      Rng.shuffle rng others;
-      In { target; senders = Array.sub others 0 fanin }
   in
-  { kind; hosts; impl }
+  { hosts; impl }
 
 let dest t ~src =
   if src < 0 || src >= t.hosts then invalid_arg "Traffic_matrix.dest: bad src";
@@ -78,16 +68,6 @@ let dest t ~src =
       !d
     end
     else partner.(src)
-  | In { target; senders } ->
-    if Array.exists (fun s -> s = src) senders then target
-    else invalid_arg "Traffic_matrix.dest: host is not an incast sender"
-
-let kind t = t.kind
-
-let incast_senders t =
-  match t.impl with
-  | In { senders; _ } -> List.sort compare (Array.to_list senders)
-  | Fixed _ | Uniform _ | Hot _ -> []
 
 let kind_to_string = function
   | Permutation -> "permutation"
@@ -95,4 +75,3 @@ let kind_to_string = function
   | Stride s -> Printf.sprintf "stride(%d)" s
   | Hotspot { targets; fraction } ->
     Printf.sprintf "hotspot(%d targets, %.0f%%)" targets (fraction *. 100.)
-  | Incast { target; fanin } -> Printf.sprintf "incast(%d<-%d)" target fanin

@@ -11,22 +11,18 @@ type kind =
   | Hotspot of { targets : int; fraction : float }
       (** [fraction] of senders all pick partners among [targets]
           randomly-chosen hot hosts; the rest follow a permutation. *)
-  | Incast of { target : int; fanin : int }
-      (** [fanin] distinct senders all send to [target]. *)
 
 type t
 
 val create : rng:Sim_engine.Rng.t -> hosts:int -> kind -> t
+(** Raises [Invalid_argument] for a network of fewer than 2 hosts, a
+    stride that maps hosts to themselves, or a hotspot target count or
+    fraction out of range. *)
 
 val dest : t -> src:int -> int
-(** Destination for a new flow from [src]. [Permutation]/[Stride]
-    always answer the same host; [Random] redraws per call. Raises
-    [Invalid_argument] for a 1-host network or an [Incast] source
-    outside the fan-in set. *)
-
-val kind : t -> kind
-
-val incast_senders : t -> int list
-(** For [Incast]: the selected senders, in id order; [] otherwise. *)
+(** Destination for a new flow from [src], never [src] itself.
+    [Permutation]/[Stride] always answer the same host; [Random]
+    redraws per call. Raises [Invalid_argument] for a [src] outside
+    the network. *)
 
 val kind_to_string : kind -> string

@@ -10,8 +10,6 @@ module Host = Sim_net.Host
 module Topology = Sim_net.Topology
 module Dumbbell = Sim_net.Dumbbell
 module Fattree = Sim_net.Fattree
-module Tcp_params = Sim_tcp.Tcp_params
-module Tcp_rx = Sim_tcp.Tcp_rx
 module Flow = Sim_tcp.Flow
 module Mmptcp_conn = Mmptcp.Mmptcp_conn
 module Strategy = Mmptcp.Strategy
@@ -178,88 +176,81 @@ let test_first_hop_drop_not_closed () =
     [| (206_490_022, 1, 6); (606_408_970, 2, 6); (406_527_769, 1, 6) |];
   check_int "nothing unmatched" 0 (Host.unmatched src + Host.unmatched dst)
 
-(* The close rule itself, with only a delayed-ACK timer to keep the
-   connection: one data segment reaches a receiver that holds its ACK
-   for 40 ms. No packet is alive meanwhile, but the pending timer keeps
-   the connection bound; once the ACK it sends has been delivered, it
+(* The close rule itself, with only a timer to keep the connection:
+   one data segment reaches a handler that sends its reply from a
+   timer 40 ms out. No packet is alive meanwhile, but the pending timer
+   keeps the connection bound; once the reply has been delivered, it
    closes. *)
-let test_delack_timer_keeps_bound () =
+let test_pending_timer_keeps_bound () =
   let sched = Scheduler.create () in
   let net = Dumbbell.direct ~sched () in
   let src = Topology.host net 0 and dst = Topology.host net 1 in
   let conn = 9 and acks = ref 0 and closed = ref None in
-  let params = { Tcp_params.default with Tcp_params.delayed_ack = 2 } in
-  let rx =
-    Tcp_rx.create ~params ~host:dst ~peer:(Host.addr src) ~conn ~subflow:0
-      ~on_data:(fun ~dsn:_ ~len:_ -> ())
+  let segment ~from ~to_ ~len ~bits =
+    Packet.make ~ctx:(Scheduler.ctx sched) ~src:(Host.addr from)
+      ~dst:(Host.addr to_) ~conn ~subflow:0 ~src_port:1 ~dst_port:2 ~seq:0
+      ~ack_seq:0 ~len ~bits ~dsn:0
+  in
+  let reply =
+    Scheduler.Timer.create sched
+      (fun () ->
+        Host.send dst (segment ~from:dst ~to_:src ~len:0 ~bits:Packet.pure_ack_bits))
       ()
   in
   Host.bind_conn ~src ~dst ~conn
     ~tx:(fun _ -> incr acks)
-    ~rx:(Tcp_rx.handle rx)
-    ~timers_pending:(fun () -> Tcp_rx.delack_pending rx)
+    ~rx:(fun _ -> Scheduler.Timer.schedule_after reply (Time.of_ms 40.))
+    ~timers_pending:(fun () -> Scheduler.Timer.is_pending reply)
     ~on_close:(fun () -> closed := Some (Scheduler.now sched));
-  Host.send src
-    (Packet.make ~ctx:(Scheduler.ctx sched) ~src:(Host.addr src)
-       ~dst:(Host.addr dst) ~conn ~subflow:0 ~src_port:1 ~dst_port:2 ~seq:0
-       ~ack_seq:0 ~len:100 ~bits:Packet.data_bits ~dsn:0);
+  Host.send src (segment ~from:src ~to_:dst ~len:100 ~bits:Packet.data_bits);
   Scheduler.run ~until:(Time.of_ms 20.) sched;
-  check_int "segment delivered, ACK held" 0 (live_packets sched ~conn);
-  check_bool "delack pending" true (Tcp_rx.delack_pending rx);
+  check_int "segment delivered, reply held" 0 (live_packets sched ~conn);
+  check_bool "timer pending" true (Scheduler.Timer.is_pending reply);
   check_bool "still bound" true (bound src ~conn && bound dst ~conn);
   check_bool "not closed" true (!closed = None);
   Scheduler.run sched;
-  check_int "delayed ACK delivered" 1 !acks;
+  check_int "reply delivered" 1 !acks;
   (match !closed with
   | Some at -> check_bool "closed after the timer" true (Time.to_ms at >= 40.)
   | None -> Alcotest.fail "not closed");
   check_bool "unbound" false (bound src ~conn || bound dst ~conn)
 
-(* The same instant in real transports: a one-segment window meets a
-   delayed ACK, so no packet of the connection is alive while the
-   receiver's timer is pending. The connection stays bound and
-   completes. The sender's RTO is armed at that instant too — in these
-   transports a delayed ACK is always pending alongside it — so the
-   test above isolates the rule. *)
+(* The same instant in real transports: two filler flows fill a
+   one-packet NIC queue, so the transport under test loses its SYN at
+   the first hop. No packet of it is alive while its SYN's RTO is
+   pending; the connection stays bound, retransmits, completes and
+   closes once. *)
 let test_pending_timers_keep_transports_bound () =
-  let params =
-    { Tcp_params.default with Tcp_params.delayed_ack = 2; initial_window = 1 }
-  in
-  (* [start] returns the conn id, a completion test and whether the
-     timer under test is armed. *)
+  (* [start] returns the flow under test. *)
   let quiet_instant ~what start =
     let sched = Scheduler.create () in
-    let net = Dumbbell.direct ~sched () in
+    let spec = { Topology.default_link_spec with Topology.queue_capacity = 1 } in
+    let net = Dumbbell.direct ~sched ~spec () in
     let src = Topology.host net 0 and dst = Topology.host net 1 in
+    for _ = 1 to 2 do
+      ignore (Flow.start ~src ~dst ~size:3_000 ())
+    done;
     let closes = ref 0 in
-    let conn, complete, timer_pending =
-      start ~src ~dst ~on_close:(fun _ -> incr closes)
-    in
-    (* Handshake plus one segment take well under 1 ms at 100 Mb/s;
-       the held ACK leaves at 40 ms. *)
+    let f = start ~src ~dst ~on_close:(fun _ -> incr closes) in
+    let conn = Flow.conn f in
+    (* The fillers' transfers take well under 10 ms at 100 Mb/s; the
+       SYN's RTO fires at 200 ms. *)
     Scheduler.run ~until:(Time.of_ms 10.) sched;
     check_int (what ^ ": nothing alive") 0 (live_packets sched ~conn);
-    check_bool (what ^ ": timer pending") true (timer_pending ());
+    check_bool (what ^ ": timer pending") true
+      (Sim_tcp.Tcp_tx.rto_pending (Flow.tx f));
     check_bool (what ^ ": still bound") true (bound src ~conn && bound dst ~conn);
     check_int (what ^ ": not closed") 0 !closes;
     Scheduler.run sched;
-    check_bool (what ^ ": complete") true (complete ());
+    check_bool (what ^ ": complete") true (Flow.is_complete f);
     check_int (what ^ ": closed once") 1 !closes
   in
-  quiet_instant ~what:"tcp delayed ACK" (fun ~src ~dst ~on_close ->
-      let f = Flow.start ~src ~dst ~size:3_000 ~params ~on_close () in
-      ( Flow.conn f,
-        (fun () -> Flow.is_complete f),
-        fun () -> Tcp_rx.delack_pending (Flow.rx f) ));
-  quiet_instant ~what:"mmptcp delayed ACK" (fun ~src ~dst ~on_close ->
-      let c =
-        Mmptcp_conn.start ~src ~dst ~size:3_000 ~rng:(Rng.create ~seed:4) ~params
-          ~on_close ()
-      in
-      let f = Mmptcp_conn.flow c in
-      ( Flow.conn f,
-        (fun () -> Flow.is_complete f),
-        fun () -> Tcp_rx.delack_pending (Flow.rx f) ))
+  quiet_instant ~what:"tcp SYN loss" (fun ~src ~dst ~on_close ->
+      Flow.start ~src ~dst ~size:3_000 ~on_close ());
+  quiet_instant ~what:"mmptcp SYN loss" (fun ~src ~dst ~on_close ->
+      Mmptcp_conn.flow
+        (Mmptcp_conn.start ~src ~dst ~size:3_000 ~rng:(Rng.create ~seed:4)
+           ~on_close ()))
 
 (* A flow's outcome reaches the ledger from the connection itself:
    its bytes when it closes, or from [finish] if it is still open at
@@ -377,8 +368,8 @@ let () =
           Alcotest.test_case "zero-byte transfer" `Quick test_zero_byte_transfer;
           Alcotest.test_case "first-hop drop not closed" `Quick
             test_first_hop_drop_not_closed;
-          Alcotest.test_case "delack timer keeps bound" `Quick
-            test_delack_timer_keeps_bound;
+          Alcotest.test_case "pending timer keeps bound" `Quick
+            test_pending_timer_keeps_bound;
           Alcotest.test_case "pending timers keep transports bound" `Quick
             test_pending_timers_keep_transports_bound;
           Alcotest.test_case "live until close" `Quick test_live_until_close;

@@ -282,10 +282,8 @@ let make_rig ?spec ?data_filter () =
    | None -> ());
   { sched; src; dst }
 
-let run_flow ?(size = 70_000) ?params ?dupack_threshold ?until rig =
-  let f =
-    Flow.start ~src:rig.src ~dst:rig.dst ~size ?params ?dupack_threshold ()
-  in
+let run_flow ?(size = 70_000) ?params ?until rig =
+  let f = Flow.start ~src:rig.src ~dst:rig.dst ~size ?params () in
   let horizon = match until with Some u -> u | None -> Time.of_sec 30. in
   Scheduler.run ~until:horizon rig.sched;
   f
@@ -418,10 +416,8 @@ let test_high_dupack_threshold_forces_rto () =
     else true
   in
   let rig = make_rig ~data_filter:keep () in
-  let f =
-    Flow.start ~src:rig.src ~dst:rig.dst ~size:70_000
-      ~dupack_threshold:(fun () -> 1_000) ()
-  in
+  let params = { Tcp_params.default with Tcp_params.dupack_threshold = 1_000 } in
+  let f = Flow.start ~src:rig.src ~dst:rig.dst ~size:70_000 ~params () in
   Scheduler.run ~until:(Time.of_sec 30.) rig.sched;
   check_bool "complete" true (Flow.is_complete f);
   let st = Tcp_tx.stats (Flow.tx f) in
@@ -582,18 +578,23 @@ let test_receiver_reordering () =
   let net = Dumbbell.direct ~sched () in
   let src = Topology.host net 0 and dst = Topology.host net 1 in
   let acks = ref [] in
-  Host.bind src ~conn:43 (fun pkt -> acks := pkt.Packet.ack_seq :: !acks);
+  Host.bind src ~conn:43 (fun pkt ->
+      acks := (pkt.Packet.ack_seq, pkt.Packet.dst_port) :: !acks);
   let rx =
     Tcp_rx.create ~host:dst ~peer:(Host.addr src) ~conn:43 ~subflow:0
       ~on_data:(fun ~dsn:_ ~len:_ -> ())
       ()
   in
   Host.bind dst ~conn:43 (Tcp_rx.handle rx);
+  (* Each segment on its own source port, as MMPTCP's scatter sender
+     sends them: every ACK must come back on its segment's port. *)
+  let port seq = 1_000 + seq in
   let seg seq =
-    mk_seg ~src:(Host.addr src) ~dst:(Host.addr dst) ~conn:43 ~seq ~dsn:seq ()
+    mk_seg ~src:(Host.addr src) ~dst:(Host.addr dst) ~conn:43
+      ~src_port:(port seq) ~seq ~dsn:seq ()
   in
   (* Arrivals: 0, 200 (hole at 100), 100 (fills). Cumulative ACKs must
-     be 100, 100 (dup), 300. *)
+     be 100, 100 (dup, sent at once), 300: one per segment. *)
   Host.send src (seg 0);
   Scheduler.run sched;
   Host.send src (seg 200);
@@ -601,7 +602,10 @@ let test_receiver_reordering () =
   check_int "held back by hole" 2 (Tcp_rx.reorder_spans rx);
   Host.send src (seg 100);
   Scheduler.run sched;
-  Alcotest.(check (list int)) "cumulative acks" [ 100; 100; 300 ] (List.rev !acks);
+  Alcotest.(check (list (pair int int)))
+    "cumulative acks on each segment's port"
+    [ (100, port 0); (100, port 200); (300, port 100) ]
+    (List.rev !acks);
   check_int "rcv_nxt" 300 (Tcp_rx.rcv_nxt rx)
 
 (* ------------------------------------------------------------------ *)
@@ -703,81 +707,6 @@ let test_receiver_advertises_sack_blocks () =
     Alcotest.(check (list (pair int int))) "in-order ack has no blocks" [] first
   | [] -> Alcotest.fail "no acks"
 
-(* ------------------------------------------------------------------ *)
-(* Delayed ACKs *)
-
-let delack_params = { Tcp_params.default with Tcp_params.delayed_ack = 2 }
-
-let test_delack_halves_acks () =
-  let run params =
-    let rig = make_rig () in
-    let f = Flow.start ~src:rig.src ~dst:rig.dst ~size:70_000 ~params () in
-    Scheduler.run ~until:(Time.of_sec 10.) rig.sched;
-    check_bool "complete" true (Flow.is_complete f);
-    Tcp_rx.acks_sent (Flow.rx f)
-  in
-  let immediate = run Tcp_params.default in
-  let delayed = run delack_params in
-  check_bool
-    (Printf.sprintf "fewer acks when delayed (%d vs %d)" delayed immediate)
-    true
-    (delayed * 3 < immediate * 2)
-
-let test_delack_timer_flushes_single_segment () =
-  let sched = Scheduler.create () in
-  let net = Dumbbell.direct ~sched () in
-  let src = Topology.host net 0 and dst = Topology.host net 1 in
-  let ack_times = ref [] in
-  Host.bind src ~conn:46 (fun _ -> ack_times := Scheduler.now sched :: !ack_times);
-  let rx =
-    Tcp_rx.create ~params:delack_params ~host:dst ~peer:(Host.addr src)
-      ~conn:46 ~subflow:0
-      ~on_data:(fun ~dsn:_ ~len:_ -> ())
-      ()
-  in
-  Host.bind dst ~conn:46 (Tcp_rx.handle rx);
-  let seg =
-    mk_seg ~src:(Host.addr src) ~dst:(Host.addr dst) ~conn:46 ~dsn:0 ()
-  in
-  Host.send src seg;
-  Scheduler.run sched;
-  match !ack_times with
-  | [ t ] ->
-    (* Withheld until the ~40ms delack timer. *)
-    check_bool "flushed by timer" true (Time.to_ms t >= 40.)
-  | l -> Alcotest.fail (Printf.sprintf "expected 1 ack, got %d" (List.length l))
-
-let test_delack_out_of_order_still_immediate () =
-  let sched = Scheduler.create () in
-  let net = Dumbbell.direct ~sched () in
-  let src = Topology.host net 0 and dst = Topology.host net 1 in
-  let acks = ref 0 in
-  Host.bind src ~conn:47 (fun _ -> incr acks);
-  let rx =
-    Tcp_rx.create ~params:delack_params ~host:dst ~peer:(Host.addr src)
-      ~conn:47 ~subflow:0
-      ~on_data:(fun ~dsn:_ ~len:_ -> ())
-      ()
-  in
-  Host.bind dst ~conn:47 (Tcp_rx.handle rx);
-  let seg seq =
-    mk_seg ~src:(Host.addr src) ~dst:(Host.addr dst) ~conn:47 ~seq ~dsn:seq ()
-  in
-  (* A gap: the out-of-order segment must be ACKed instantly, well
-     before any delack timer. *)
-  Host.send src (seg 200);
-  Scheduler.run ~until:(Time.of_ms 10.) sched;
-  Alcotest.(check int) "immediate dup-ack path" 1 !acks
-
-let test_delack_flow_still_completes () =
-  let rig = make_rig () in
-  let f =
-    Flow.start ~src:rig.src ~dst:rig.dst ~size:200_000 ~params:delack_params ()
-  in
-  Scheduler.run ~until:(Time.of_sec 10.) rig.sched;
-  check_bool "complete" true (Flow.is_complete f);
-  check_int "all bytes" 200_000 (Flow.bytes_received f)
-
 let test_two_flows_share_link_fairly () =
   let sched = Scheduler.create () in
   let net = Dumbbell.create ~sched ~pairs:2 () in
@@ -875,13 +804,6 @@ let () =
           Alcotest.test_case "burst in one recovery" `Quick test_sack_recovers_burst_in_one_recovery;
           Alcotest.test_case "receiver advertises blocks" `Quick test_receiver_advertises_sack_blocks;
           qt test_sack_random_loss_property;
-        ] );
-      ( "delayed-ack",
-        [
-          Alcotest.test_case "halves acks" `Quick test_delack_halves_acks;
-          Alcotest.test_case "timer flushes" `Quick test_delack_timer_flushes_single_segment;
-          Alcotest.test_case "out of order immediate" `Quick test_delack_out_of_order_still_immediate;
-          Alcotest.test_case "flow completes" `Quick test_delack_flow_still_completes;
         ] );
       ( "fairness",
         [ Alcotest.test_case "two flows share" `Quick test_two_flows_share_link_fairly ] );

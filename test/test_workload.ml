@@ -71,31 +71,6 @@ let test_hotspot_senders_hit_targets () =
   check_bool "few distinct destinations" true (List.length hot <= 6);
   List.iter (fun (src, d) -> check_bool "no self" true (src <> d)) dests
 
-let test_incast () =
-  let tm =
-    Traffic_matrix.create ~rng:(Rng.create ~seed:7) ~hosts:20
-      (Traffic_matrix.Incast { target = 3; fanin = 8 })
-  in
-  let senders = Traffic_matrix.incast_senders tm in
-  check_int "fanin" 8 (List.length senders);
-  check_bool "target not a sender" true (not (List.mem 3 senders));
-  List.iter
-    (fun s -> check_int "sends to target" 3 (Traffic_matrix.dest tm ~src:s))
-    senders
-
-let test_incast_non_sender_rejected () =
-  let tm =
-    Traffic_matrix.create ~rng:(Rng.create ~seed:8) ~hosts:20
-      (Traffic_matrix.Incast { target = 3; fanin = 5 })
-  in
-  let senders = Traffic_matrix.incast_senders tm in
-  let non_sender =
-    List.find (fun i -> i <> 3 && not (List.mem i senders)) (List.init 20 Fun.id)
-  in
-  Alcotest.check_raises "non sender"
-    (Invalid_argument "Traffic_matrix.dest: host is not an incast sender")
-    (fun () -> ignore (Traffic_matrix.dest tm ~src:non_sender))
-
 let prop_permutation_all_sizes =
   QCheck.Test.make ~name:"permutation valid for any size" ~count:100
     QCheck.(pair small_int (int_range 2 100))
@@ -111,8 +86,9 @@ let prop_permutation_all_sizes =
 let test_kind_printing () =
   Alcotest.(check string) "permutation" "permutation"
     (Traffic_matrix.kind_to_string Traffic_matrix.Permutation);
-  Alcotest.(check string) "incast" "incast(3<-8)"
-    (Traffic_matrix.kind_to_string (Traffic_matrix.Incast { target = 3; fanin = 8 }))
+  Alcotest.(check string) "hotspot" "hotspot(2 targets, 25%)"
+    (Traffic_matrix.kind_to_string
+       (Traffic_matrix.Hotspot { targets = 2; fraction = 0.25 }))
 
 (* ------------------------------------------------------------------ *)
 (* Scenario runs (small but real) *)
@@ -333,8 +309,6 @@ let () =
           Alcotest.test_case "stride self rejected" `Quick test_stride_self_rejected;
           Alcotest.test_case "random never self" `Quick test_random_never_self;
           Alcotest.test_case "hotspot" `Quick test_hotspot_senders_hit_targets;
-          Alcotest.test_case "incast" `Quick test_incast;
-          Alcotest.test_case "incast non-sender" `Quick test_incast_non_sender_rejected;
           Alcotest.test_case "kind printing" `Quick test_kind_printing;
           qt prop_permutation_all_sizes;
         ] );
