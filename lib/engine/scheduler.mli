@@ -1,19 +1,22 @@
 (** Discrete-event scheduler.
 
-    The scheduler owns the virtual clock and one pending-event
-    structure: a binary min-heap of intrusive entries ordered by
-    [(time, seq)], where [seq] is consumed once per arm. Events
-    scheduled for the same instant fire in the order they were
-    scheduled.
+    The scheduler owns the virtual clock and two pending-event
+    structures, both binary min-heaps ordered by [(time, seq)], where
+    [seq] is consumed once per arm: one for one-shot {!Event} cells
+    and one for re-armable {!Timer}s. {!run} fires the lesser of the
+    two roots, so events scheduled for the same instant fire in the
+    order they were scheduled, whichever kind they are.
 
     Two ways to schedule, neither allocating per event in steady
-    state: a re-armable {!Timer} (RTO, link transmit-done, fluid
-    connection steps) and a pool of one-shot typed {!Event} cells
-    (packets in flight, arrivals).
+    state: a re-armable {!Timer} (RTO, fluid connection steps, probe
+    ticks) and a pool of one-shot typed {!Event} cells (packets in
+    flight, a link's tx-done, arrivals).
 
-    Each entry records its own heap index, so cancelling a timer
-    removes it and re-arming a pending one re-keys it in place, both
-    in O(log n); the heap never holds a cancelled event. *)
+    An event cell has a permanent id, so the event heap stores only
+    ints: arming or firing one stores no pointer but its payload.
+    Each pending timer records its own heap slot, so cancelling a
+    timer removes it and re-arming a pending one re-keys it in place,
+    both in O(log n); the heap never holds a cancelled event. *)
 
 type t
 
@@ -31,7 +34,8 @@ val ctx : t -> Sim_ctx.t
 val run : ?until:Sim_time.t -> t -> unit
 (** Drain the event queue. Stops when the queue is empty or when the
     next event lies strictly beyond [until]; the clock then advances
-    to [until] if that is later. *)
+    to [until] if that is later. In the dev profile it fails if a key
+    it fires is not strictly after the last one fired. *)
 
 val reserve : t -> int -> int
 (** [reserve t n] takes the next [n] scheduling sequence numbers and
@@ -53,7 +57,7 @@ val event_cells_allocated : t -> int
     faster than it fires. Exposed for the {!Probe} sampler. *)
 
 val event_cells_free : t -> int
-(** Event cells currently parked on pool freelists.
+(** Event cells currently parked on pool free stacks.
     [event_cells_allocated - event_cells_free] is the number of typed
     events armed right now. *)
 
@@ -83,13 +87,15 @@ end
 (** Pooled one-shot typed events.
 
     A pool is created once per scheduling site with a fixed fire
-    function; each [schedule_*] then fills a pooled cell (entry +
-    payload slot) and arms it, allocating nothing in steady state.
+    function; each [schedule_*] then fills a pooled cell's payload
+    slot and arms it, allocating nothing in steady state. A cell
+    keeps the id it was made with for the scheduler's lifetime.
     Events are fire-and-forget: nothing cancels one, and its cell
     returns to the pool when it fires, so the pool's size is the
-    high-water mark of simultaneously in-flight events (a link's pool
-    holds about bandwidth-delay-product cells). Work that may need
-    cancelling (an RTO, a fluid connection's next step) is a {!Timer}.
+    high-water mark of simultaneously in-flight events (a link's rx
+    pool holds about bandwidth-delay-product cells, its tx-done pool
+    one). Work that may need cancelling (an RTO, a fluid connection's
+    next step) is a {!Timer}.
 
     Ownership contract (DESIGN.md §4j): scheduling a payload moves
     ownership into the pending event; the fire function receives it
@@ -111,6 +117,9 @@ module Event : sig
       times. *)
 
   val schedule_after : 'a pool -> Sim_time.t -> 'a -> unit
+
+  val in_flight : 'a pool -> int
+  (** Cells of this pool armed now: made and not back in the pool. *)
 
   val schedule_at_reserved : 'a pool -> Sim_time.t -> seq:int -> 'a -> unit
   (** Arm a pooled cell with a seq taken earlier by {!reserve} instead

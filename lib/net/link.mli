@@ -21,6 +21,11 @@
     wider than their serialisation cost N events; a burst of N sent
     at one instant costs 2N - 1.
 
+    Both are one-shot {!Sim_engine.Scheduler.Event}s: nothing cancels
+    or moves either. The tx-done comes from a pool of its own, which
+    holds one cell, since at most one is pending; whether it is can
+    be read off the queue, so the link keeps no flag for it.
+
     {b Ties.} Every start, drop, stats update, jitter draw and
     arrival instant is the one a link with a tx-done per packet
     would give. Only the order among events due at the same instant

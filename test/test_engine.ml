@@ -180,6 +180,65 @@ let test_scheduler_reserved_rejects () =
   Scheduler.run s;
   check_bool "armed at the horizon instant" true !fired
 
+(* One-shot events and timers sit in two heaps; one instant holding
+   both fires them by seq alone. Reserved "r" holds seq 0 but is armed
+   last, by "z" at t=0. Timer "a" (seq 2) fires between "r" and the
+   one-shot "e" (seq 3), re-arms itself at the same instant and so
+   fires again after "f" (seq 4). A merge of the two roots by time
+   alone would fire "e" before "a"; the dev profile's run-order check
+   fails on that. *)
+let test_scheduler_two_heaps_one_instant () =
+  let s = Scheduler.create () in
+  let p = actions s in
+  let log = ref [] in
+  let note tag () = log := tag :: !log in
+  let ms1 = Time.of_ms 1. in
+  let r = Scheduler.reserve s 1 in
+  at p Time.zero (fun () ->
+      note "z" ();
+      Scheduler.Event.schedule_at_reserved p ms1 ~seq:r (note "r"));
+  let rearmed = ref false in
+  let rec fire_a tm =
+    note "a" ();
+    if not !rearmed then begin
+      rearmed := true;
+      Scheduler.Timer.schedule_at (Lazy.force tm) ms1
+    end
+  and a = lazy (Scheduler.Timer.create s fire_a a) in
+  Scheduler.Timer.schedule_at (Lazy.force a) ms1;
+  at p ms1 (note "e");
+  at p ms1 (note "f");
+  Scheduler.run s;
+  Alcotest.(check (list string)) "one instant fires by seq"
+    [ "z"; "r"; "a"; "e"; "f"; "a" ] (List.rev !log);
+  check_int "six fired" 6 (Scheduler.events_processed s)
+
+(* [run ~until] stops at the first root beyond the horizon, whichever
+   heap holds it, and fires the other root when it is due. *)
+let test_scheduler_until_between_roots () =
+  let case ~event_first =
+    let s = Scheduler.create () in
+    let p = actions s in
+    let log = ref [] in
+    let tm = Scheduler.Timer.create s (fun () -> log := "timer" :: !log) () in
+    let early, late = if event_first then (1., 3.) else (3., 1.) in
+    at p (Time.of_ms early) (fun () -> log := "event" :: !log);
+    Scheduler.Timer.schedule_at tm (Time.of_ms late);
+    Scheduler.run ~until:(Time.of_ms 2.) s;
+    let first = if event_first then "event" else "timer" in
+    let second = if event_first then "timer" else "event" in
+    Alcotest.(check (list string)) (first ^ " due before the horizon")
+      [ first ] !log;
+    Alcotest.(check (float 1e-6)) "clock at horizon" 2.
+      (Time.to_ms (Scheduler.now s));
+    check_int "one pending" 1 (Scheduler.pending_events s);
+    Scheduler.run s;
+    Alcotest.(check (list string)) (second ^ " fires on resume")
+      [ first; second ] (List.rev !log)
+  in
+  case ~event_first:true;
+  case ~event_first:false
+
 (* Reference for the scheduler property: pending events in a map
    sorted by (time, seq), fired by repeatedly taking the least key.
    [arm] consumes one seq per call, like every scheduler arm;
@@ -274,103 +333,145 @@ type timer_op = Rearm_earlier | Rearm_later | Cancel_timer
      armed later with its reserved seq: by an event due strictly
      before it, so members go in in random order, or, when chained, by
      the firing of the member before it, at the same time or later
-     (how a short host's next arrival is armed). *)
+     (how a short host's next arrival is armed).
+   Event cells and Timers sit in two heaps, so ties between their keys
+   test the merge of the two roots. *)
+let model_input =
+  QCheck.(
+    triple
+      (list (int_bound 5_000_000))
+      (list
+         (triple (int_range 2 5_000_000) (int_bound 4_999_999)
+            (oneofl [ Rearm_earlier; Rearm_later; Cancel_timer ])))
+      (small_list
+         (pair small_nat
+            (small_list
+               (triple (int_range 1 5_000_000) (int_bound 4_999_999) bool)))))
+
+let matches_model ?(quantize = Fun.id) ?echo (trace, timers, blocks) =
+  let s = Scheduler.create () in
+  let p = actions s in
+  let m = Model.create () in
+  let log = ref [] in
+  let note l = log := (Time.to_ns (Scheduler.now s), l) :: !log in
+  (* [f] runs at [time] on the scheduler, [g] at [time] in the model. *)
+  let act time f g =
+    at p (Time.of_ns time) f;
+    Model.arm m time (Model.Do g)
+  in
+  let n = List.length trace and n_timers = List.length timers in
+  let next_label = ref (n + n_timers) in
+  let reserve_block members =
+    let members = Array.of_list members in
+    let k = Array.length members in
+    let first = Scheduler.reserve s k in
+    if Model.reserve m k <> first then failwith "reserve: seq differs";
+    let label = Array.init k (fun j -> !next_label + j) in
+    next_label := !next_label + k;
+    let chained j =
+      let _, _, c = members.(j) in
+      j > 0 && c
+    in
+    let time = Array.make k 0 in
+    Array.iteri
+      (fun j (t_ns, _, _) ->
+        time.(j) <- (if chained j then max t_ns time.(j - 1) else t_ns))
+      members;
+    let rec arm_s j =
+      Scheduler.Event.schedule_at_reserved p (Time.of_ns time.(j))
+        ~seq:(first + j) (fun () ->
+          note label.(j);
+          if j + 1 < k && chained (j + 1) then arm_s (j + 1))
+    in
+    let rec arm_m j =
+      Model.arm_seq m time.(j) (first + j)
+        (Model.Do
+           (fun () ->
+             Model.note m label.(j);
+             if j + 1 < k && chained (j + 1) then arm_m (j + 1)))
+    in
+    Array.iteri
+      (fun j (_, act_at, _) ->
+        if not (chained j) then
+          act (quantize (act_at mod time.(j))) (fun () -> arm_s j)
+            (fun () -> arm_m j))
+      members
+  in
+  let reserve_at i =
+    List.iter
+      (fun (pos, members) -> if pos mod (n + 1) = i then reserve_block members)
+      blocks
+  in
+  List.iteri
+    (fun i t_ns ->
+      reserve_at i;
+      match echo with
+      | None ->
+        at p (Time.of_ns t_ns) (fun () -> note i);
+        Model.arm m t_ns (Model.Fire i)
+      | Some d ->
+        (* Firing also arms a one-shot [d] later, whose seq is after
+           that of every timer re-armed so far. *)
+        let e = -1 - i in
+        act t_ns
+          (fun () ->
+            note i;
+            at p (Time.of_ns (t_ns + d)) (fun () -> note e))
+          (fun () ->
+            Model.note m i;
+            Model.arm m (t_ns + d) (Model.Fire e)))
+    trace;
+  reserve_at n;
+  List.iteri
+    (fun j (t_ns, act_at, op) ->
+      let l = n + j in
+      let tm = Scheduler.Timer.create s note l in
+      Scheduler.Timer.schedule_at tm (Time.of_ns t_ns);
+      Model.arm m t_ns (Model.Fire l);
+      let act_ns = quantize (act_at mod t_ns) in
+      match op with
+      | Cancel_timer ->
+        act act_ns
+          (fun () -> Scheduler.Timer.cancel tm)
+          (fun () -> Model.unarm m l)
+      | Rearm_earlier | Rearm_later ->
+        let t' =
+          quantize
+            (if op = Rearm_earlier then act_ns + ((t_ns - act_ns) / 2)
+             else t_ns + 1 + act_ns)
+        in
+        act act_ns
+          (fun () -> Scheduler.Timer.schedule_at tm (Time.of_ns t'))
+          (fun () -> Model.arm m t' (Model.Fire l)))
+    timers;
+  Scheduler.run s;
+  Model.run m;
+  List.rev !log = List.rev m.log
+
 let prop_scheduler_matches_model =
   QCheck.Test.make ~name:"scheduler matches sorted-list model" ~count:200
-    QCheck.(
-      triple
-        (list (int_bound 5_000_000))
-        (list
-           (triple (int_range 2 5_000_000) (int_bound 4_999_999)
-              (oneofl [ Rearm_earlier; Rearm_later; Cancel_timer ])))
-        (small_list
-           (pair small_nat
-              (small_list
-                 (triple (int_range 1 5_000_000) (int_bound 4_999_999) bool)))))
-    (fun (trace, timers, blocks) ->
-      let s = Scheduler.create () in
-      let p = actions s in
-      let m = Model.create () in
-      let log = ref [] in
-      let note l = log := (Time.to_ns (Scheduler.now s), l) :: !log in
-      (* [f] runs at [time] on the scheduler, [g] at [time] in the model. *)
-      let act time f g =
-        at p (Time.of_ns time) f;
-        Model.arm m time (Model.Do g)
-      in
-      let n = List.length trace and n_timers = List.length timers in
-      let next_label = ref (n + n_timers) in
-      let reserve_block members =
-        let members = Array.of_list members in
-        let k = Array.length members in
-        let first = Scheduler.reserve s k in
-        if Model.reserve m k <> first then failwith "reserve: seq differs";
-        let label = Array.init k (fun j -> !next_label + j) in
-        next_label := !next_label + k;
-        let chained j =
-          let _, _, c = members.(j) in
-          j > 0 && c
-        in
-        let time = Array.make k 0 in
-        Array.iteri
-          (fun j (t_ns, _, _) ->
-            time.(j) <- (if chained j then max t_ns time.(j - 1) else t_ns))
-          members;
-        let rec arm_s j =
-          Scheduler.Event.schedule_at_reserved p (Time.of_ns time.(j))
-            ~seq:(first + j) (fun () ->
-              note label.(j);
-              if j + 1 < k && chained (j + 1) then arm_s (j + 1))
-        in
-        let rec arm_m j =
-          Model.arm_seq m time.(j) (first + j)
-            (Model.Do
-               (fun () ->
-                 Model.note m label.(j);
-                 if j + 1 < k && chained (j + 1) then arm_m (j + 1)))
-        in
-        Array.iteri
-          (fun j (_, act_at, _) ->
-            if not (chained j) then
-              act (act_at mod time.(j)) (fun () -> arm_s j) (fun () -> arm_m j))
-          members
-      in
-      let reserve_at i =
-        List.iter
-          (fun (pos, members) -> if pos mod (n + 1) = i then reserve_block members)
-          blocks
-      in
-      List.iteri
-        (fun i t_ns ->
-          reserve_at i;
-          at p (Time.of_ns t_ns) (fun () -> note i);
-          Model.arm m t_ns (Model.Fire i))
-        trace;
-      reserve_at n;
-      List.iteri
-        (fun j (t_ns, act_at, op) ->
-          let l = n + j in
-          let tm = Scheduler.Timer.create s note l in
-          Scheduler.Timer.schedule_at tm (Time.of_ns t_ns);
-          Model.arm m t_ns (Model.Fire l);
-          let act_ns = act_at mod t_ns in
-          match op with
-          | Cancel_timer ->
-            act act_ns
-              (fun () -> Scheduler.Timer.cancel tm)
-              (fun () -> Model.unarm m l)
-          | Rearm_earlier | Rearm_later ->
-            let t' =
-              if op = Rearm_earlier then act_ns + ((t_ns - act_ns) / 2)
-              else t_ns + 1 + act_ns
-            in
-            act act_ns
-              (fun () -> Scheduler.Timer.schedule_at tm (Time.of_ns t'))
-              (fun () -> Model.arm m t' (Model.Fire l)))
-        timers;
-      Scheduler.run s;
-      Model.run m;
-      List.rev !log = List.rev m.log)
+    model_input matches_model
+
+(* The same traces with every due time snapped to one of eight
+   instants and every derived time (an action, a re-arm) rounded down
+   to a multiple of their spacing, so most keys of one-shot events,
+   timers and reserved members tie on time and fire by seq alone.
+   Each one-shot of the trace also arms an echo one step after it
+   fires, so a re-armed timer often ties with an event armed after
+   it, which the merge of the two roots must fire second. *)
+let prop_scheduler_matches_model_ties =
+  let step = 625_000 in
+  let snap t = step * (1 + (t mod 8)) in
+  QCheck.Test.make ~name:"scheduler matches sorted-list model, tie-heavy"
+    ~count:200 model_input (fun (trace, timers, blocks) ->
+      matches_model
+        ~quantize:(fun t -> t - (t mod step)) ~echo:step
+        ( List.map snap trace,
+          List.map (fun (t, a, op) -> (snap t, a, op)) timers,
+          List.map
+            (fun (pos, members) ->
+              (pos, List.map (fun (t, a, c) -> (snap t, a, c)) members))
+            blocks ))
 
 (* Thousands of timers against the model, one due instant at a time.
    3 000 timers armed up front grow the heap arrays from 64 slots six
@@ -744,7 +845,12 @@ let () =
             test_scheduler_reserved_order;
           Alcotest.test_case "reserved seqs: bad arms rejected" `Quick
             test_scheduler_reserved_rejects;
+          Alcotest.test_case "two heaps: one instant fires by seq" `Quick
+            test_scheduler_two_heaps_one_instant;
+          Alcotest.test_case "run until between the two roots" `Quick
+            test_scheduler_until_between_roots;
           qt prop_scheduler_matches_model;
+          qt prop_scheduler_matches_model_ties;
           Alcotest.test_case "stress: growth, cancels, id reuse" `Quick
             test_scheduler_stress;
           Alcotest.test_case "fired and cancelled timers pin nothing" `Quick
