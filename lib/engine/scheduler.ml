@@ -407,8 +407,8 @@ module Event = struct
 
   (* The pool's arrays start empty and double from one cell, so a pool
      that never has two events in flight (a link's tx-done) holds one.
-     Each array takes its filler from the cell being made, so no dummy
-     payload is ever needed. *)
+     The payload array takes its filler from the payload being stored,
+     so no dummy payload is ever needed. *)
   let pool sched ~fire =
     { p_sched = sched; p_fire = fire; p_payload = [||]; p_count = 0;
       p_free = [||]; p_free_count = 0 }
