@@ -5,7 +5,7 @@ type t = {
   sched : Scheduler.t;
   size : int;
   mutable next_dsn : int;
-  received : Intervals.t;
+  mutable received : int;  (* bytes delivered; each at most once *)
   mutable completed_at : Time.t option;
   on_complete : unit -> unit;
 }
@@ -16,7 +16,7 @@ let create ~sched ~size ~on_complete =
     sched;
     size;
     next_dsn = 0;
-    received = Intervals.create ();
+    received = 0;
     completed_at = None;
     on_complete;
   }
@@ -42,14 +42,14 @@ let deliver t ~dsn ~len =
       (Printf.sprintf "Dataplane.deliver: bytes [%d, %d) past the %d pulled"
          dsn (dsn + len) t.next_dsn);
   if dsn >= 0 && t.completed_at = None then begin
-    ignore (Intervals.add t.received ~start:dsn ~stop:(dsn + len));
-    if Intervals.total t.received >= t.size then begin
+    t.received <- t.received + len;
+    if t.received >= t.size then begin
       t.completed_at <- Some (Scheduler.now t.sched);
       t.on_complete ()
     end
   end
 
-let received_bytes t = Intervals.total t.received
+let received_bytes t = t.received
 let is_complete t = t.completed_at <> None
 let completed_at t = t.completed_at
 let size t = t.size

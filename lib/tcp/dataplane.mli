@@ -3,8 +3,13 @@
     One side allocates data-sequence ranges to subflows on demand (the
     transmission opportunity *is* the scheduler: whichever subflow has
     congestion-window space pulls the next chunk); the other side
-    tracks data-level coverage to detect completion — the paper's
-    flow-completion definition (all bytes received, any subflow). *)
+    counts delivered bytes to detect completion — the paper's
+    flow-completion definition (all bytes received, any subflow).
+
+    Each range [pull] hands out lives on one subflow segment for its
+    whole life (a retransmission resends the same segment), so the
+    subflow receiver ({!Tcp_rx}) dedupes it and delivers it here
+    once. *)
 
 module Time = Sim_engine.Sim_time
 
@@ -27,8 +32,9 @@ val unassigned : t -> bool
 (** {1 Receiver side} *)
 
 val deliver : t -> dsn:int -> len:int -> unit
-(** Record received data (duplicates are fine); fires [on_complete]
-    exactly once when coverage reaches [size]. In the dev profile it
+(** Record [len] newly received bytes. The caller delivers each byte at
+    most once: duplicates would count twice. Fires [on_complete]
+    exactly once when the count reaches [size]. In the dev profile it
     fails when [dsn + len] exceeds {!assigned}: no byte is delivered
     before {!pull} has handed it out. *)
 

@@ -6,22 +6,18 @@
    front of the list: the overwhelmingly common add — an in-order
    segment extending the merged prefix — then mutates [hi] in place
    instead of rebuilding a cons + tuple per segment (the receive path
-   does one add per data segment at subflow level and the multipath
-   layer a second at data level, so this was a per-segment allocation,
-   twice). [rest] holds the spans strictly after the head; the set is
-   empty iff [hi <= lo], and [rest] is non-empty only when a head
-   exists (the head is always the first span). *)
+   does one add per data segment, so this was a per-segment
+   allocation). [rest] holds the spans strictly after the head; the
+   set is empty iff [hi <= lo], and [rest] is non-empty only when a
+   head exists (the head is always the first span). *)
 
 type t = {
   mutable lo : int;  (* head span [lo, hi); empty set iff hi <= lo *)
   mutable hi : int;
   mutable rest : (int * int) list;  (* spans after the head; sorted, disjoint, non-adjacent *)
-  mutable total : int;
 }
 
-let create () = { lo = 0; hi = 0; rest = []; total = 0 }
-
-let total t = t.total
+let create () = { lo = 0; hi = 0; rest = [] }
 
 let has_head t = t.hi > t.lo
 
@@ -56,7 +52,6 @@ let add_slow t ~start ~stop =
   let spans, covered = go [] start stop 0 (to_spans t) in
   let added = stop - start - covered in
   set_spans t spans;
-  t.total <- t.total + added;
   added
 
 let add t ~start ~stop =
@@ -66,7 +61,6 @@ let add t ~start ~stop =
     (* First span: becomes the head. *)
     t.lo <- start;
     t.hi <- stop;
-    t.total <- t.total + (stop - start);
     stop - start
   end
   else if t.lo <= start && start <= t.hi then
@@ -79,7 +73,6 @@ let add t ~start ~stop =
       | _ ->
         let added = stop - t.hi in
         t.hi <- stop;
-        t.total <- t.total + added;
         added
     end
   else add_slow t ~start ~stop
@@ -97,11 +90,6 @@ let contiguous_from t x =
   if not (has_head t) || x < t.lo then x
   else if x < t.hi then t.hi (* non-adjacency: coverage stops at the head's end *)
   else contiguous_in x t.rest
-
-let is_covered t ~start ~stop =
-  if stop <= start then true
-  else if has_head t && t.lo <= start && stop <= t.hi then true
-  else List.exists (fun (s, e) -> s <= start && stop <= e) t.rest
 
 let span_count t = (if has_head t then 1 else 0) + List.length t.rest
 

@@ -1,8 +1,8 @@
 (** Sets of disjoint half-open byte ranges.
 
-    Used by receivers to track out-of-order arrivals and by multipath
-    connections to track data-level coverage. Ranges are normalised:
-    disjoint, non-adjacent, sorted. *)
+    Used by subflow receivers to track out-of-order arrivals and to
+    tell new bytes from duplicates. Ranges are normalised: disjoint,
+    non-adjacent, sorted. *)
 
 type t
 
@@ -12,14 +12,10 @@ val add : t -> start:int -> stop:int -> int
 (** Insert [\[start, stop)]; returns the number of bytes that were not
     already covered. Raises [Invalid_argument] if [stop < start]. *)
 
-val total : t -> int
-(** Total covered bytes. *)
-
 val contiguous_from : t -> int -> int
 (** [contiguous_from t x] is the largest [y >= x] with [\[x, y)] fully
     covered ([x] itself if [x] is uncovered). *)
 
-val is_covered : t -> start:int -> stop:int -> bool
 val span_count : t -> int
 
 val fill_above : t -> above:int -> max_blocks:int -> dst:int array -> int

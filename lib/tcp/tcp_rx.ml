@@ -50,12 +50,21 @@ let handle t pkt =
     (* Passive open (or duplicate SYN): always answer. *)
     reply t pkt ~bits:Packet.syn_ack_bits
   else if pkt.Packet.len > 0 then begin
-    let start = pkt.Packet.seq in
-    let added = Intervals.add t.received ~start ~stop:(start + pkt.Packet.len) in
+    let start = pkt.Packet.seq and len = pkt.Packet.len in
+    let added = Intervals.add t.received ~start ~stop:(start + len) in
+    (* Dev-profile invariant: a retransmission resends its segment's
+       exact range, so an arrival is wholly new or wholly a duplicate.
+       The data level counts [on_data]'s bytes without deduping them
+       again, which is correct only while this holds. *)
+    if Sim_engine.Sanitizer_mode.on && added <> 0 && added <> len then
+      failwith
+        (Printf.sprintf
+           "Tcp_rx: conn %d subflow %d: segment [%d, %d) is %d bytes new"
+           t.conn t.subflow start (start + len) added);
     t.rcv_nxt <- Intervals.contiguous_from t.received 0;
     let dup = added = 0 in
-    if dup then t.dup_segments <- t.dup_segments + 1;
-    t.on_data ~dsn:pkt.Packet.dsn ~len:pkt.Packet.len;
+    if dup then t.dup_segments <- t.dup_segments + 1
+    else t.on_data ~dsn:pkt.Packet.dsn ~len;
     reply t pkt ~bits:(Packet.ack_bits ~dup_seen:dup)
   end
 

@@ -20,9 +20,11 @@ val create :
   on_data:(dsn:int -> len:int -> unit) ->
   unit ->
   t
-(** [on_data] fires for every data arrival (duplicates included) with
-    the segment's data-level sequence; connection-level logic dedupes
-    via its own interval set. *)
+(** [on_data] fires once per segment, on the arrival that first brings
+    its bytes, with the segment's data-level sequence. Duplicates are
+    acknowledged but not passed on, so the data level can count bytes
+    without deduping them again. In the dev profile [handle] fails on
+    an arrival that is partly new and partly a duplicate. *)
 
 val handle : t -> Sim_net.Packet.t -> unit
 val rcv_nxt : t -> int
