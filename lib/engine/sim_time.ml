@@ -46,8 +46,8 @@ let ( < ) : t -> t -> bool = Stdlib.( < )
 let ( <= ) : t -> t -> bool = Stdlib.( <= )
 let ( > ) : t -> t -> bool = Stdlib.( > )
 let ( >= ) : t -> t -> bool = Stdlib.( >= )
-let min : t -> t -> t = Stdlib.min
-let max : t -> t -> t = Stdlib.max
+let min = Int.min
+let max = Int.max
 
 let to_string t =
   let ns = float_of_int t in

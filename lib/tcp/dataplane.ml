@@ -25,7 +25,7 @@ let pull t ~max =
   if max <= 0 then invalid_arg "Dataplane.pull: max must be positive";
   if t.next_dsn >= t.size then None
   else begin
-    let len = min max (t.size - t.next_dsn) in
+    let len = Int.min max (t.size - t.next_dsn) in
     let dsn = t.next_dsn in
     t.next_dsn <- t.next_dsn + len;
     Some (dsn, len)

@@ -45,8 +45,8 @@ let add_slow t ~start ~stop =
       else if rs > e then (List.rev_append acc ((s, e) :: (rs, re) :: rest), covered)
       else begin
         (* Overlap or adjacency: merge, and count the overlap. *)
-        let overlap = max 0 (min e re - max s rs) in
-        go acc (min s rs) (max e re) (covered + overlap) rest
+        let overlap = Int.max 0 (Int.min e re - Int.max s rs) in
+        go acc (Int.min s rs) (Int.max e re) (covered + overlap) rest
       end
   in
   let spans, covered = go [] start stop 0 (to_spans t) in

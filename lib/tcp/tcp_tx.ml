@@ -75,7 +75,7 @@ let flight t = t.snd_nxt - t.snd_una
 let current_rto t =
   let base = Rtt_estimator.rto t.rtt in
   let backed =
-    Time.scale base (Float.of_int (1 lsl min t.backoff 16))
+    Time.scale base (Float.of_int (1 lsl Int.min t.backoff 16))
   in
   Time.min backed t.params.Tcp_params.max_rto
 
