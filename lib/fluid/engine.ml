@@ -418,11 +418,14 @@ let conn_fct c =
 
 (* Completion ends the transfer when at most [byte_tol] is left, so a
    finished stage can carry a sub-byte float residue that truncation
-   would report as one byte missing. *)
+   would report as one byte missing. A running conn is integrated only
+   at rate events, so it is first brought forward to now: a long flow
+   read at the horizon counts the bytes sent since its last one. *)
 let conn_bytes c =
   match c.c_state with
   | Finished -> c.c_size
   | Handshake | Running | Draining ->
+    integrate c ~now:(now_s c.c_t);
     int_of_float (Float.max 0. (float_of_int c.c_size -. c.c_st.cs_remaining))
 
 let active t = t.active

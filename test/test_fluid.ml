@@ -403,6 +403,31 @@ let test_completed_bytes_exact () =
         (Engine.conn_bytes conn))
     [ 70_000; 197_409 ]
 
+(* A long flow still running when the run stops reports every byte
+   sent up to then, not up to its last rate event. Resumed, it skips
+   the handshake and slow start, so alone on a 100 Mb/s link it sends
+   12.5 MB/s from the first instant. *)
+let test_running_bytes_at_horizon () =
+  List.iter
+    (fun secs ->
+      let sched = Scheduler.create () in
+      let eng = Engine.make ~sched ~cap_bps:[| 1e8 |] () in
+      let legs = [| { Engine.path = [| 0 |]; weight = 1.; rtt_s = 1e-4 } |] in
+      let conn =
+        Engine.start eng ~resume_from:0 ~legs ~size:1_000_000_000
+          ~on_complete:(fun _ -> ())
+          ()
+      in
+      Scheduler.run ~until:(Time.of_sec secs) sched;
+      check_bool "still running" false (Engine.conn_is_complete conn);
+      let want = 1e8 /. 8. *. secs in
+      let got = float_of_int (Engine.conn_bytes conn) in
+      check_bool
+        (Printf.sprintf "%.0f bytes at %g s, want %.0f" got secs want)
+        true
+        (Float.abs (got -. want) <= 1.))
+    [ 0.5; 1.; 3. ]
+
 (* ------------------------------------------------------------------ *)
 (* Golden cross-check: tiny dumbbell, fluid within 10% of packet on
    mean short-flow FCT (the ext-fluid-xval gate, pinned in-tree). *)
@@ -514,6 +539,8 @@ let () =
             test_fct_above_serialisation;
           Alcotest.test_case "completed bytes exact" `Quick
             test_completed_bytes_exact;
+          Alcotest.test_case "running bytes at the horizon" `Quick
+            test_running_bytes_at_horizon;
           Alcotest.test_case "scenario bytes exact (tiny fattree)" `Quick
             test_scenario_bytes_exact;
         ] );
