@@ -419,8 +419,7 @@ let conn_fct c =
 (* Completion ends the transfer when at most [byte_tol] is left, so a
    finished stage can carry a sub-byte float residue that truncation
    would report as one byte missing. A running conn is integrated only
-   at rate events, so it is first brought forward to now: a long flow
-   read at the horizon counts the bytes sent since its last one. *)
+   at rate events, so it is first brought forward to now. *)
 let conn_bytes c =
   match c.c_state with
   | Finished -> c.c_size

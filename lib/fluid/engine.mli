@@ -86,9 +86,8 @@ val conn_fct : conn -> Sim_engine.Sim_time.t option
 val conn_is_complete : conn -> bool
 
 val conn_bytes : conn -> int
-(** Bytes delivered so far in this stage (excludes [resume_from]), up
-    to the current virtual time; exactly the connection's size once it
-    has completed. *)
+(** Bytes delivered up to now in this stage (excludes [resume_from]);
+    exactly the connection's size once it has completed. *)
 
 (** {1 Engine counters} *)
 

@@ -3,13 +3,9 @@
     One side allocates data-sequence ranges to subflows on demand (the
     transmission opportunity *is* the scheduler: whichever subflow has
     congestion-window space pulls the next chunk); the other side
-    counts delivered bytes to detect completion — the paper's
-    flow-completion definition (all bytes received, any subflow).
-
-    Each range [pull] hands out lives on one subflow segment for its
-    whole life (a retransmission resends the same segment), so the
-    subflow receiver ({!Tcp_rx}) dedupes it and delivers it here
-    once. *)
+    counts the bytes the subflow receivers hand it, each once, to
+    detect completion — the paper's flow-completion definition (all
+    bytes received, any subflow). *)
 
 module Time = Sim_engine.Sim_time
 
@@ -32,11 +28,10 @@ val unassigned : t -> bool
 (** {1 Receiver side} *)
 
 val deliver : t -> dsn:int -> len:int -> unit
-(** Record [len] newly received bytes. The caller delivers each byte at
-    most once: duplicates would count twice. Fires [on_complete]
-    exactly once when the count reaches [size]. In the dev profile it
-    fails when [dsn + len] exceeds {!assigned}: no byte is delivered
-    before {!pull} has handed it out. *)
+(** Record [len] new bytes (the caller passes each byte once); fires
+    [on_complete] exactly once when the count reaches [size]. In the
+    dev profile it fails when [dsn + len] exceeds {!assigned}: no byte
+    is delivered before {!pull} has handed it out. *)
 
 val received_bytes : t -> int
 val is_complete : t -> bool

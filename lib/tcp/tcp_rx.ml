@@ -52,10 +52,8 @@ let handle t pkt =
   else if pkt.Packet.len > 0 then begin
     let start = pkt.Packet.seq and len = pkt.Packet.len in
     let added = Intervals.add t.received ~start ~stop:(start + len) in
-    (* Dev-profile invariant: a retransmission resends its segment's
-       exact range, so an arrival is wholly new or wholly a duplicate.
-       The data level counts [on_data]'s bytes without deduping them
-       again, which is correct only while this holds. *)
+    (* Dev-profile invariant: an arrival is wholly new or wholly a
+       duplicate, which the data level's byte count relies on. *)
     if Sim_engine.Sanitizer_mode.on && added <> 0 && added <> len then
       failwith
         (Printf.sprintf

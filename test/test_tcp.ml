@@ -537,7 +537,8 @@ let test_random_loss_delivery =
 
 let test_receiver_dup_seen_flag () =
   (* Deliver the same segment twice through a raw receiver and check
-     the DSACK-style signal on the second ACK. *)
+     the DSACK-style signal on the second ACK. The data level gets the
+     segment once: the subflow receiver is the only dedupe. *)
   let sched = Scheduler.create () in
   let net = Dumbbell.direct ~sched () in
   let src = Topology.host net 0 and dst = Topology.host net 1 in
@@ -545,9 +546,13 @@ let test_receiver_dup_seen_flag () =
      pool once the host handler finishes, so it must not be retained. *)
   let acks = ref [] in
   Host.bind src ~conn:42 (fun pkt -> acks := Packet.dup_seen pkt :: !acks);
+  let p = pulled_plane ~size:2_000 ~on_complete:(fun () -> ()) in
+  let calls = ref 0 in
   let rx =
     Tcp_rx.create ~host:dst ~peer:(Host.addr src) ~conn:42 ~subflow:0
-      ~on_data:(fun ~dsn:_ ~len:_ -> ())
+      ~on_data:(fun ~dsn ~len ->
+        incr calls;
+        Dataplane.deliver p ~dsn ~len)
       ()
   in
   Host.bind dst ~conn:42 (Tcp_rx.handle rx);
@@ -563,7 +568,9 @@ let test_receiver_dup_seen_flag () =
   | [ first; second ] ->
     check_bool "first ack clean" false first;
     check_bool "second ack flags duplicate" true second;
-    check_int "rx dup count" 1 (Tcp_rx.dup_segments rx)
+    check_int "rx dup count" 1 (Tcp_rx.dup_segments rx);
+    check_int "on_data once" 1 !calls;
+    check_int "unique bytes only" 1000 (Dataplane.received_bytes p)
   | _ -> Alcotest.fail "expected exactly two ACKs"
 
 let test_receiver_reordering () =
@@ -600,37 +607,6 @@ let test_receiver_reordering () =
     [ (100, port 0); (100, port 200); (300, port 100) ]
     (List.rev !acks);
   check_int "rcv_nxt" 300 (Tcp_rx.rcv_nxt rx)
-
-(* A segment arriving twice is acknowledged twice but handed to the
-   data level once: the subflow receiver is the only dedupe. *)
-let test_receiver_duplicate_delivered_once () =
-  let sched = Scheduler.create () in
-  let net = Dumbbell.direct ~sched () in
-  let src = Topology.host net 0 and dst = Topology.host net 1 in
-  let acks = ref [] in
-  Host.bind src ~conn:46 (fun pkt -> acks := Packet.dup_seen pkt :: !acks);
-  let p = pulled_plane ~size:2_000 ~on_complete:(fun () -> ()) in
-  let calls = ref 0 in
-  let rx =
-    Tcp_rx.create ~host:dst ~peer:(Host.addr src) ~conn:46 ~subflow:0
-      ~on_data:(fun ~dsn ~len ->
-        incr calls;
-        Dataplane.deliver p ~dsn ~len)
-      ()
-  in
-  Host.bind dst ~conn:46 (Tcp_rx.handle rx);
-  for _ = 1 to 2 do
-    Host.send src
-      (mk_seg ~src:(Host.addr src) ~dst:(Host.addr dst) ~conn:46 ~len:1000
-         ~dsn:0 ());
-    Scheduler.run sched
-  done;
-  check_int "on_data once" 1 !calls;
-  check_int "rx dup count" 1 (Tcp_rx.dup_segments rx);
-  Alcotest.(check (list bool)) "second ack flags duplicate" [ false; true ]
-    (List.rev !acks);
-  check_int "unique bytes only" 1000 (Dataplane.received_bytes p);
-  check_bool "incomplete" false (Dataplane.is_complete p)
 
 (* Random arrival histories, reordered and duplicated, of segments
    spread over several subflows, played through one receiver per
@@ -915,8 +891,6 @@ let () =
         [
           Alcotest.test_case "dup_seen flag" `Quick test_receiver_dup_seen_flag;
           Alcotest.test_case "reordering" `Quick test_receiver_reordering;
-          Alcotest.test_case "duplicate delivered once" `Quick
-            test_receiver_duplicate_delivered_once;
           qt prop_receivers_deliver_each_byte_once;
           Alcotest.test_case "partial overlap fails" `Quick
             test_receiver_partial_overlap_fails;
