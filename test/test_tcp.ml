@@ -654,7 +654,8 @@ let prop_receivers_deliver_each_byte_once =
               ())
       in
       Host.bind src ~conn ignore;
-      Host.bind dst ~conn (fun pkt -> Tcp_rx.handle rxs.(pkt.Packet.subflow) pkt);
+      Host.bind dst ~conn (fun pkt ->
+          Tcp_rx.handle rxs.(pkt.Packet.subflow) pkt);
       let n = Array.length segs in
       let history =
         List.map (fun k -> k mod n) picks @ List.init n (fun k -> n - 1 - k)
@@ -669,7 +670,8 @@ let prop_receivers_deliver_each_byte_once =
             (mk_seg ~src:(Host.addr src) ~dst:(Host.addr dst) ~conn
                ~subflow:sf ~seq:ssn ~len ~dsn ());
           Scheduler.run sched;
-          covered := !covered + Intervals.add reference ~start:dsn ~stop:(dsn + len);
+          covered :=
+            !covered + Intervals.add reference ~start:dsn ~stop:(dsn + len);
           if !covered = size && !ref_completed = None then
             ref_completed := Some !arrival;
           Dataplane.received_bytes p = !covered)
