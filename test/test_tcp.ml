@@ -203,6 +203,35 @@ let test_dataplane_completion_once () =
   check_int "idempotent" 1 !fired;
   check_bool "complete" true (Dataplane.is_complete p)
 
+(* A segment arriving twice is acknowledged twice but handed to the
+   plane once: the subflow receiver is the only dedupe, and the plane
+   counts the segment's bytes once. *)
+let test_dataplane_duplicates () =
+  let sched = Scheduler.create () in
+  let net = Dumbbell.direct ~sched () in
+  let src = Topology.host net 0 and dst = Topology.host net 1 in
+  Host.bind src ~conn:46 ignore;
+  let p = pulled_plane ~size:2_000 ~on_complete:(fun () -> ()) in
+  let calls = ref 0 in
+  let rx =
+    Tcp_rx.create ~host:dst ~peer:(Host.addr src) ~conn:46 ~subflow:0
+      ~on_data:(fun ~dsn ~len ->
+        incr calls;
+        Dataplane.deliver p ~dsn ~len)
+      ()
+  in
+  Host.bind dst ~conn:46 (Tcp_rx.handle rx);
+  for _ = 1 to 2 do
+    Host.send src
+      (mk_seg ~src:(Host.addr src) ~dst:(Host.addr dst) ~conn:46 ~len:1000
+         ~dsn:0 ());
+    Scheduler.run sched
+  done;
+  check_int "on_data once" 1 !calls;
+  check_int "rx dup count" 1 (Tcp_rx.dup_segments rx);
+  check_int "unique bytes only" 1000 (Dataplane.received_bytes p);
+  check_bool "incomplete" false (Dataplane.is_complete p)
+
 let test_dataplane_out_of_order_delivery () =
   let done_ = ref false in
   let p = pulled_plane ~size:3_000 ~on_complete:(fun () -> done_ := true) in
@@ -537,8 +566,7 @@ let test_random_loss_delivery =
 
 let test_receiver_dup_seen_flag () =
   (* Deliver the same segment twice through a raw receiver and check
-     the DSACK-style signal on the second ACK. The data level gets the
-     segment once: the subflow receiver is the only dedupe. *)
+     the DSACK-style signal on the second ACK. *)
   let sched = Scheduler.create () in
   let net = Dumbbell.direct ~sched () in
   let src = Topology.host net 0 and dst = Topology.host net 1 in
@@ -546,13 +574,9 @@ let test_receiver_dup_seen_flag () =
      pool once the host handler finishes, so it must not be retained. *)
   let acks = ref [] in
   Host.bind src ~conn:42 (fun pkt -> acks := Packet.dup_seen pkt :: !acks);
-  let p = pulled_plane ~size:2_000 ~on_complete:(fun () -> ()) in
-  let calls = ref 0 in
   let rx =
     Tcp_rx.create ~host:dst ~peer:(Host.addr src) ~conn:42 ~subflow:0
-      ~on_data:(fun ~dsn ~len ->
-        incr calls;
-        Dataplane.deliver p ~dsn ~len)
+      ~on_data:(fun ~dsn:_ ~len:_ -> ())
       ()
   in
   Host.bind dst ~conn:42 (Tcp_rx.handle rx);
@@ -568,9 +592,7 @@ let test_receiver_dup_seen_flag () =
   | [ first; second ] ->
     check_bool "first ack clean" false first;
     check_bool "second ack flags duplicate" true second;
-    check_int "rx dup count" 1 (Tcp_rx.dup_segments rx);
-    check_int "on_data once" 1 !calls;
-    check_int "unique bytes only" 1000 (Dataplane.received_bytes p)
+    check_int "rx dup count" 1 (Tcp_rx.dup_segments rx)
   | _ -> Alcotest.fail "expected exactly two ACKs"
 
 let test_receiver_reordering () =
@@ -853,6 +875,7 @@ let () =
         [
           Alcotest.test_case "sequential pull" `Quick test_dataplane_sequential_pull;
           Alcotest.test_case "completion once" `Quick test_dataplane_completion_once;
+          Alcotest.test_case "duplicates" `Quick test_dataplane_duplicates;
           Alcotest.test_case "out of order" `Quick test_dataplane_out_of_order_delivery;
           Alcotest.test_case "deliver past assigned" `Quick
             test_dataplane_deliver_past_assigned;
