@@ -116,6 +116,17 @@ let ctx t = t.ctx
 let[@inline] before (tm : int) (sq : int) tm' sq' =
   tm < tm' || (tm = tm' && sq < sq')
 
+(* [before] for slots [a] and [b] of a heap, as 0 or 1. The sift-downs
+   add it to the left child's index to pick the earlier child: the
+   comparisons combine with [lor]/[land] rather than [||]/[&&], so
+   ocamlopt computes the pick with [setcc] instead of a conditional
+   jump, which a random heap mispredicts at about every other level.
+   The order is [before]'s exactly, so the pops are the same. *)
+let[@inline] earlier (time : int array) (seq : int array) a b =
+  let ta = time.(a) and tb = time.(b) in
+  Bool.to_int (ta < tb)
+  lor (Bool.to_int (ta = tb) land Bool.to_int (seq.(a) < seq.(b)))
+
 let extend a n n' fill =
   let b = Array.make n' fill in
   Array.blit a 0 b 0 n;
@@ -156,11 +167,7 @@ let ev_pop t =
     let i = ref 0 and l = ref 1 in
     while !l < n do
       let c = !l in
-      let c =
-        if c + 1 < n && before time.(c + 1) seq.(c + 1) time.(c) seq.(c) then
-          c + 1
-        else c
-      in
+      let c = if c + 1 < n then c + earlier time seq (c + 1) c else c in
       time.(!i) <- time.(c);
       seq.(!i) <- seq.(c);
       cids.(!i) <- cids.(c);
@@ -242,11 +249,7 @@ let tm_sift_down t i tm sq id =
   let l = ref ((2 * !i) + 1) in
   while !l < n do
     let c = !l in
-    let c =
-      if c + 1 < n && before time.(c + 1) seq.(c + 1) time.(c) seq.(c) then
-        c + 1
-      else c
-    in
+    let c = if c + 1 < n then c + earlier time seq (c + 1) c else c in
     place t !i time.(c) seq.(c) t.tm_ids.(c);
     i := c;
     l := (2 * c) + 1

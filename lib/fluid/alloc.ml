@@ -369,6 +369,17 @@ let[@inline] link_level t li =
    locals, so float keys never box. The heap's keys are unique up to
    identical entries, so any correct heap pops the same sequence. *)
 
+(* Entry [a] orders before entry [b] in [heap_sift_up]'s order, as 0
+   or 1. [heap_pop] adds it to the left child's index to pick the
+   smaller child. [lor]/[land], not [||]/[&&]: ocamlopt then computes
+   the pick with [cmpltsd]/[setcc] instead of a conditional jump, which
+   a random heap mispredicts at about every other level (DESIGN.md
+   §4e). *)
+let[@inline] earlier (lvls : float array) (lis : int array) a b =
+  let la = lvls.(a) and lb = lvls.(b) in
+  Bool.to_int (la < lb)
+  lor (Bool.to_int (la = lb) land Bool.to_int (lis.(a) < lis.(b)))
+
 (* Sift the entry stored at slot [i] up to its place. *)
 let heap_sift_up t i =
   let lvls = t.h_lvl and lis = t.h_li in
@@ -417,10 +428,7 @@ let heap_pop t =
   let c = ref 1 in
   while !c < n do
     let r = !c + 1 in
-    if
-      r < n
-      && (lvls.(r) < lvls.(!c) || (lvls.(r) = lvls.(!c) && lis.(r) < lis.(!c)))
-    then c := r;
+    if r < n then c := !c + earlier lvls lis r !c;
     lvls.(!i) <- lvls.(!c);
     lis.(!i) <- lis.(!c);
     i := !c;

@@ -90,19 +90,31 @@ let aggregate_bps c =
 
 let effective_rate st = Float.min (st.cs_alloc_bps /. 8.) st.cs_ss_cap
 
+(* Bytes a Running conn has sent between [cs_last_t] and [now]. *)
+let[@inline] sent_since st ~now =
+  Float.min (st.cs_rate *. (now -. st.cs_last_t)) st.cs_remaining
+
 let integrate c ~now =
   let st = c.c_st in
   if now > st.cs_last_t then begin
     (match c.c_state with
     | Running ->
-      let sent =
-        Float.min (st.cs_rate *. (now -. st.cs_last_t)) st.cs_remaining
-      in
+      let sent = sent_since st ~now in
       st.cs_remaining <- st.cs_remaining -. sent;
       st.cs_done <- st.cs_done +. sent
     | Handshake | Draining | Finished -> ());
     st.cs_last_t <- now
   end
+
+(* The bytes [integrate] would leave at the current time, without
+   writing them: a gauge that integrated would split the float sum at
+   every sample and move the results. *)
+let remaining_now c =
+  let st = c.c_st in
+  let now = now_s c.c_t in
+  match c.c_state with
+  | Running when now > st.cs_last_t -> st.cs_remaining -. sent_since st ~now
+  | Handshake | Running | Draining | Finished -> st.cs_remaining
 
 let the_timer c = match c.c_timer with Some tm -> tm | None -> assert false
 
@@ -392,7 +404,7 @@ let start t ?resume_from ?switch ~legs ~size ~on_complete () =
          ~name ~units read
      in
      reg "rate_mbps" "Mb/s" (fun () -> c.c_st.cs_rate *. 8. /. 1e6);
-     reg "remaining_bytes" "bytes" (fun () -> c.c_st.cs_remaining);
+     reg "remaining_bytes" "bytes" (fun () -> remaining_now c);
      reg "legs" "legs" (fun () -> float_of_int (Array.length c.c_legs))
    end);
   (* Legs join the allocator only at [go_running]; registering them

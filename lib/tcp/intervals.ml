@@ -79,7 +79,7 @@ let add t ~start ~stop =
 
 (* A top-level function, not a local closure over [x]: this runs once
    per data segment. *)
-let rec contiguous_in x = function
+let rec contiguous_in (x : int) = function
   | [] -> x
   | (s, e) :: rest ->
     if s <= x && x < e then e

@@ -211,10 +211,12 @@ let print_op = function
   | Settle l ->
     Printf.sprintf "settle [%s]" (String.concat "," (List.map string_of_int l))
 
-let gen_history =
+(* Histories over [nlinks] links with capacities from [gen_cap] and
+   flow weights from [gen_weight]. *)
+let gen_history ~nlinks ~gen_cap ~gen_weight =
   let open QCheck.Gen in
-  int_range 2 6 >>= fun nlinks ->
-  array_size (return nlinks) (float_range 1e6 1e8) >>= fun caps ->
+  nlinks >>= fun nlinks ->
+  array_size (return nlinks) gen_cap >>= fun caps ->
   let gen_path =
     int_range 0 nlinks >>= fun len ->
     shuffle_l (List.init nlinks Fun.id) >|= fun perm ->
@@ -224,8 +226,7 @@ let gen_history =
     frequency
       [
         ( 4,
-          map3 (fun o w p -> Add (o, w, p)) (int_bound 3) (float_range 0.5 4.)
-            gen_path );
+          map3 (fun o w p -> Add (o, w, p)) (int_bound 3) gen_weight gen_path );
         (4, map (fun i -> Remove i) nat);
         ( 1,
           map2
@@ -238,20 +239,19 @@ let gen_history =
   in
   list_size (int_range 1 120) gen_op >|= fun ops -> (caps, ops)
 
-let arb_history =
+let arb_history gen =
   QCheck.make
     ~print:(fun (caps, ops) ->
       Printf.sprintf "caps=[%s] ops=[%s]"
         (String.concat ";"
            (Array.to_list (Array.map (Printf.sprintf "%.0f") caps)))
         (String.concat "; " (List.map print_op ops)))
-    gen_history
+    gen
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let prop_differential =
-  QCheck.Test.make ~name:"alloc matches the record-based reference"
-    ~count:500 arb_history (fun (caps, ops) ->
+let differential ~name gen =
+  QCheck.Test.make ~name ~count:500 (arb_history gen) (fun (caps, ops) ->
       let fired_new = ref [] and fired_ref = ref [] in
       let removed = Hashtbl.create 16 in
       let t =
@@ -350,6 +350,24 @@ let prop_differential =
         ops;
       true)
 
+(* Continuous capacities and weights: bottleneck levels never tie. *)
+let prop_differential =
+  differential ~name:"alloc matches the record-based reference"
+    (gen_history
+       ~nlinks:(QCheck.Gen.int_range 2 6)
+       ~gen_cap:(QCheck.Gen.float_range 1e6 1e8)
+       ~gen_weight:(QCheck.Gen.float_range 0.5 4.))
+
+(* Two capacities and three weights over many links: equal levels are
+   common, so the pops depend on the heap's link-id tie-break, and the
+   heap is deep enough for the hole to walk several levels. *)
+let prop_differential_ties =
+  differential ~name:"alloc matches the reference under ties"
+    (gen_history
+       ~nlinks:(QCheck.Gen.int_range 6 24)
+       ~gen_cap:(QCheck.Gen.oneofl [ 1e7; 1e8 ])
+       ~gen_weight:(QCheck.Gen.oneofl [ 0.5; 1.; 2. ]))
+
 (* ------------------------------------------------------------------ *)
 (* Engine: analytic FCT is monotone in flow size when uncontended. *)
 
@@ -427,6 +445,64 @@ let test_running_bytes_at_horizon () =
         true
         (Float.abs (got -. want) <= 1.))
     [ 0.5; 1.; 3. ]
+
+(* Two flows share a link, the second joining at 0.1 s, so the first
+   runs at two rates. With [probe], the first flow's remaining_bytes is
+   sampled every 5 ms. Returns both FCTs (ns) and those samples. *)
+let shared_link_run ~probe =
+  let sched = Scheduler.create () in
+  let p =
+    if probe then Some (Sim_engine.Probe.create sched ~interval:(Time.of_ms 5.))
+    else None
+  in
+  let eng = Engine.make ~sched ~cap_bps:[| 1e8 |] () in
+  let legs = [| { Engine.path = [| 0 |]; weight = 1.; rtt_s = 1e-4 } |] in
+  let start size = Engine.start eng ~legs ~size ~on_complete:(fun _ -> ()) () in
+  let long = start 5_000_000 in
+  let short = ref None in
+  Scheduler.Event.schedule_at
+    (Scheduler.Event.pool sched ~fire:(fun f -> f ()))
+    (Time.of_ms 100.)
+    (fun () -> short := Some (start 1_000_000));
+  Option.iter Sim_engine.Probe.start p;
+  Scheduler.run ~until:(Time.of_sec 2.) sched;
+  let fct c =
+    match Engine.conn_fct c with
+    | Some t -> Time.to_ns t
+    | None -> Alcotest.fail "flow never completed"
+  in
+  let samples =
+    match p with
+    | None -> []
+    | Some p ->
+      let cap = Sim_engine.Probe.capture p in
+      let id = Printf.sprintf "c%d" (Engine.conn_id long) in
+      Array.to_list cap.Sim_obs.Capture.samples
+      |> List.filter_map (fun (_, i, v) ->
+             let g = cap.Sim_obs.Capture.gauges.(i) in
+             if g.Sim_obs.Metrics.id = id && g.name = "remaining_bytes" then
+               Some v
+             else None)
+  in
+  ((fct long, fct (Option.get !short)), samples)
+
+(* The gauge reads a running conn's bytes as of each sample, not as of
+   its last rate change, and reading it moves nothing. *)
+let test_probe_remaining_bytes () =
+  let bare, _ = shared_link_run ~probe:false in
+  let probed, samples = shared_link_run ~probe:true in
+  check_bool "same FCTs probed and unprobed" true (bare = probed);
+  let running = List.filter (fun v -> v > 0. && v < 5e6) samples in
+  check_bool
+    (Printf.sprintf "%d samples while running" (List.length running))
+    true
+    (List.length running >= 50);
+  ignore
+    (List.fold_left
+       (fun prev v ->
+         check_bool (Printf.sprintf "%.0f < %.0f" v prev) true (v < prev);
+         v)
+       infinity running)
 
 (* ------------------------------------------------------------------ *)
 (* Golden cross-check: tiny dumbbell, fluid within 10% of packet on
@@ -531,6 +607,7 @@ let () =
           Alcotest.test_case "empty path stays unconstrained" `Quick
             test_empty_path_settle;
           qt prop_differential;
+          qt prop_differential_ties;
         ] );
       ( "engine",
         [
@@ -543,6 +620,8 @@ let () =
             test_running_bytes_at_horizon;
           Alcotest.test_case "scenario bytes exact (tiny fattree)" `Quick
             test_scenario_bytes_exact;
+          Alcotest.test_case "probed remaining bytes fall while running"
+            `Quick test_probe_remaining_bytes;
         ] );
       ( "golden",
         [

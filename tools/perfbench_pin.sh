@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Print the deterministic lines of one perfbench workload at seed 1.
+# Print the deterministic lines of one perfbench workload at one seed
+# (default 1).
 #
 # Usage, from the root of a checkout:
 #
 #     tools/perfbench_pin.sh fattree-packet > test/expected/perfbench-packet.txt
+#     tools/perfbench_pin.sh fattree-packet 97 > test/expected/perfbench-packet-s97.txt
 #
-# Runs `perfbench/run.py --seed 1 --seconds 0 --trace 1` (two untraced
+# Runs `perfbench/run.py --seed SEED --seconds 0 --trace 1` (two untraced
 # and two traced simulations of the seed's first input) and keeps only
 # the lines that repeat exactly from run to run and host to host: work
 # counters, simulated outputs and the correctness tallies. Host-time
@@ -29,16 +31,18 @@
 # does too.
 #
 # CI diffs the output against
-# test/expected/perfbench-{packet,fluid,hybrid}.txt; a change that moves
-# a pinned counter regenerates the file with this script.
+# test/expected/perfbench-{packet,fluid,hybrid}.txt (seed 1) and
+# test/expected/perfbench-{packet,fluid,hybrid}-s97.txt (the held-out
+# seed 97); a change that moves a pinned counter regenerates the file
+# with this script.
 set -euo pipefail
 
-if [ $# -ne 1 ]; then
-  echo "usage: $0 fattree-packet|fattree-fluid|fattree-hybrid" >&2
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+  echo "usage: $0 fattree-packet|fattree-fluid|fattree-hybrid [SEED]" >&2
   exit 2
 fi
 
-python3 perfbench/run.py --workload "$1" --seed 1 --seconds 0 --trace 1 \
+python3 perfbench/run.py --workload "$1" --seed "${2:-1}" --seconds 0 --trace 1 \
   | awk '
 function sig4(v,  e) {
   if (v == 0) return "0"
