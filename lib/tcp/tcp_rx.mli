@@ -1,9 +1,10 @@
 (** TCP receiver endpoint (one subflow).
 
-    Answers SYNs with SYN-ACKs, buffers out-of-order data, and
-    acknowledges every data arrival at once with a cumulative ACK
-    carrying up to three SACK blocks, sent on the ports of the segment
-    it answers. Duplicate data arrivals set the [dup_seen] flag on the
+    Answers SYNs with SYN-ACKs and acknowledges every data arrival at
+    once with a cumulative ACK, sent on the ports of the segment it
+    answers. Reassembly keeps [rcv_nxt] and the sorted list of spans
+    received above it; the ACK's SACK blocks are the lowest three of
+    those spans. Duplicate data arrivals set the [dup_seen] flag on the
     ACK (a DSACK stand-in that adaptive dup-ACK-threshold senders can
     exploit, cf. RR-TCP). A receiver holds no timer.
 
@@ -24,10 +25,9 @@ val create :
     its bytes, with the segment's data-level sequence. Duplicates are
     acknowledged but not passed on, so the data level can count bytes
     without deduping them again. In the dev profile [handle] fails on
-    an arrival that is partly new and partly a duplicate. *)
+    an arrival that is partly new and partly a duplicate, and when the
+    spans above [rcv_nxt] are not sorted, disjoint and non-adjacent. *)
 
 val handle : t -> Sim_net.Packet.t -> unit
 val rcv_nxt : t -> int
 val dup_segments : t -> int
-val reorder_spans : t -> int
-(** Current number of disjoint out-of-order blocks (diagnostic). *)

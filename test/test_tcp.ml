@@ -1,6 +1,6 @@
-(* TCP stack tests: interval sets, RTT estimation, the data plane, and full
-   sender/receiver behaviour over an instrumented two-host link with
-   deterministic loss injection. *)
+(* TCP stack tests: RTT estimation, the data plane, scripted receiver
+   exchanges, and full sender/receiver behaviour over an instrumented
+   two-host link with deterministic loss injection. *)
 
 module Time = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler
@@ -11,7 +11,6 @@ module Pktqueue = Sim_net.Pktqueue
 module Topology = Sim_net.Topology
 module Dumbbell = Sim_net.Dumbbell
 module Cong = Sim_tcp.Cong
-module Intervals = Sim_tcp.Intervals
 module Rtt_estimator = Sim_tcp.Rtt_estimator
 module Tcp_params = Sim_tcp.Tcp_params
 module Tcp_tx = Sim_tcp.Tcp_tx
@@ -33,97 +32,6 @@ let mk_seg ?(conn = 0) ?(subflow = 0) ?(src_port = 1) ?(dst_port = 2)
     ?(dsn = -1) ~src ~dst () =
   Packet.make ~ctx ~src ~dst ~conn ~subflow ~src_port ~dst_port ~seq ~ack_seq
     ~len ~bits ~dsn
-
-(* ------------------------------------------------------------------ *)
-(* Intervals *)
-
-let test_intervals_basic () =
-  let t = Intervals.create () in
-  let a = Intervals.add t ~start:0 ~stop:10 in
-  check_int "add fresh" 10 a;
-  let b = Intervals.add t ~start:0 ~stop:10 in
-  check_int "duplicate" 0 b;
-  let c = Intervals.add t ~start:10 ~stop:15 in
-  check_int "extend" 5 c;
-  check_int "total" 15 (a + b + c);
-  check_int "contiguous" 15 (Intervals.contiguous_from t 0)
-
-let test_intervals_gap_and_fill () =
-  let t = Intervals.create () in
-  ignore (Intervals.add t ~start:0 ~stop:10);
-  ignore (Intervals.add t ~start:20 ~stop:30);
-  check_int "two spans" 2 (Intervals.span_count t);
-  check_int "stops at gap" 10 (Intervals.contiguous_from t 0);
-  check_int "fill merges" 10 (Intervals.add t ~start:10 ~stop:20);
-  check_int "one span" 1 (Intervals.span_count t);
-  check_int "contiguous to end" 30 (Intervals.contiguous_from t 0)
-
-let test_intervals_partial_overlap () =
-  let t = Intervals.create () in
-  let a = Intervals.add t ~start:5 ~stop:15 in
-  let b = Intervals.add t ~start:0 ~stop:10 in
-  check_int "left overlap adds left part" 5 b;
-  let c = Intervals.add t ~start:10 ~stop:20 in
-  check_int "right overlap adds right part" 5 c;
-  check_int "total" 20 (a + b + c)
-
-let test_intervals_covering_add () =
-  let t = Intervals.create () in
-  ignore (Intervals.add t ~start:10 ~stop:20);
-  ignore (Intervals.add t ~start:30 ~stop:40);
-  check_int "covers both plus gaps" 30 (Intervals.add t ~start:0 ~stop:50);
-  check_int "single span" 1 (Intervals.span_count t)
-
-let test_intervals_bad_range () =
-  let t = Intervals.create () in
-  Alcotest.check_raises "stop < start" (Invalid_argument "Intervals.add: stop < start")
-    (fun () -> ignore (Intervals.add t ~start:5 ~stop:4))
-
-(* Reference model: a bool array. The set's coverage is the running
-   sum of what [add] reports. *)
-let prop_intervals_match_reference =
-  QCheck.Test.make ~name:"intervals match boolean-array reference" ~count:300
-    QCheck.(list (pair (int_bound 80) (int_bound 20)))
-    (fun ranges ->
-      let t = Intervals.create () in
-      let reference = Array.make 101 false in
-      let total = ref 0 in
-      List.for_all
-        (fun (start, width) ->
-          let stop = start + width in
-          let expected = ref 0 in
-          for i = start to stop - 1 do
-            if not reference.(i) then begin
-              incr expected;
-              reference.(i) <- true
-            end
-          done;
-          let added = Intervals.add t ~start ~stop in
-          total := !total + added;
-          let total_ref =
-            Array.fold_left (fun a b -> if b then a + 1 else a) 0 reference
-          in
-          added = !expected && !total = total_ref)
-        ranges)
-
-let prop_intervals_contiguous_matches_reference =
-  QCheck.Test.make ~name:"contiguous_from matches reference" ~count:300
-    QCheck.(pair (list (pair (int_bound 50) (int_bound 10))) (int_bound 60))
-    (fun (ranges, x) ->
-      let t = Intervals.create () in
-      let reference = Array.make 72 false in
-      List.iter
-        (fun (start, width) ->
-          ignore (Intervals.add t ~start ~stop:(start + width));
-          for i = start to start + width - 1 do
-            reference.(i) <- true
-          done)
-        ranges;
-      let y = ref x in
-      while !y < 71 && reference.(!y) do
-        incr y
-      done;
-      Intervals.contiguous_from t x = !y)
 
 (* ------------------------------------------------------------------ *)
 (* RTT estimator *)
@@ -599,9 +507,10 @@ let test_receiver_reordering () =
   let sched = Scheduler.create () in
   let net = Dumbbell.direct ~sched () in
   let src = Topology.host net 0 and dst = Topology.host net 1 in
-  let acks = ref [] in
+  let acks = ref [] and sacks = ref [] in
   Host.bind src ~conn:43 (fun pkt ->
-      acks := (pkt.Packet.ack_seq, pkt.Packet.dst_port) :: !acks);
+      acks := (pkt.Packet.ack_seq, pkt.Packet.dst_port) :: !acks;
+      sacks := Packet.sack_blocks pkt);
   let rx =
     Tcp_rx.create ~host:dst ~peer:(Host.addr src) ~conn:43 ~subflow:0
       ~on_data:(fun ~dsn:_ ~len:_ -> ())
@@ -621,7 +530,8 @@ let test_receiver_reordering () =
   Scheduler.run sched;
   Host.send src (seg 200);
   Scheduler.run sched;
-  check_int "held back by hole" 2 (Tcp_rx.reorder_spans rx);
+  Alcotest.(check (list (pair int int)))
+    "held back by hole" [ (200, 300) ] !sacks;
   Host.send src (seg 100);
   Scheduler.run sched;
   Alcotest.(check (list (pair int int)))
@@ -630,12 +540,172 @@ let test_receiver_reordering () =
     (List.rev !acks);
   check_int "rcv_nxt" 300 (Tcp_rx.rcv_nxt rx)
 
+(* The bool-array reference of the receiver properties: [mark cov s e]
+   covers bytes [s, e) and returns how many were not covered yet. *)
+let mark cov s e =
+  let fresh = ref 0 in
+  for i = s to e - 1 do
+    if not cov.(i) then begin
+      incr fresh;
+      cov.(i) <- true
+    end
+  done;
+  !fresh
+
+(* A scripted peer for one receiver: each step is an arrival [(seq,
+   len)] and the one reply it must draw, as (cumulative ACK, SACK
+   blocks, DUP bit). *)
+let play_receiver_script steps =
+  let sched = Scheduler.create () in
+  let net = Dumbbell.direct ~sched () in
+  let src = Topology.host net 0 and dst = Topology.host net 1 in
+  let replies = ref [] in
+  Host.bind src ~conn:49 (fun pkt ->
+      replies :=
+        (pkt.Packet.ack_seq, Packet.sack_blocks pkt, Packet.dup_seen pkt)
+        :: !replies);
+  let rx =
+    Tcp_rx.create ~host:dst ~peer:(Host.addr src) ~conn:49 ~subflow:0
+      ~on_data:(fun ~dsn:_ ~len:_ -> ())
+      ()
+  in
+  Host.bind dst ~conn:49 (Tcp_rx.handle rx);
+  List.iter
+    (fun ((seq, len), reply) ->
+      replies := [];
+      Host.send src
+        (mk_seg ~src:(Host.addr src) ~dst:(Host.addr dst) ~conn:49 ~seq ~len
+           ~dsn:seq ());
+      Scheduler.run sched;
+      Alcotest.(check (list (triple int (list (pair int int)) bool)))
+        (Printf.sprintf "reply to [%d, %d)" seq (seq + len))
+        [ reply ] !replies)
+    steps
+
+let seg100 seq = (seq, 100)
+
+let test_script_first_arrival_out_of_order () =
+  play_receiver_script
+    [
+      (seg100 100, (0, [ (100, 200) ], false));
+      (seg100 0, (200, [], false));
+    ]
+
+let test_script_four_holes () =
+  (* Four out-of-order spans: only the lowest three are sent, and the
+     fourth shows once the lowest is absorbed. *)
+  play_receiver_script
+    [
+      (seg100 100, (0, [ (100, 200) ], false));
+      (seg100 300, (0, [ (100, 200); (300, 400) ], false));
+      (seg100 500, (0, [ (100, 200); (300, 400); (500, 600) ], false));
+      (seg100 700, (0, [ (100, 200); (300, 400); (500, 600) ], false));
+      (seg100 0, (200, [ (300, 400); (500, 600); (700, 800) ], false));
+    ]
+
+let test_script_fill_absorbs_two_spans () =
+  (* A whole segment that fills the hole above the cumulative ACK can
+     reach only the span right after it, so the two spans are joined
+     first, by the segment between them, and one fill then absorbs
+     both. *)
+  play_receiver_script
+    [
+      (seg100 0, (100, [], false));
+      (seg100 200, (100, [ (200, 300) ], false));
+      ((400, 200), (100, [ (200, 300); (400, 600) ], false));
+      (seg100 300, (100, [ (200, 600) ], false));
+      (seg100 100, (600, [], false));
+    ]
+
+let test_script_duplicate_in_span () =
+  play_receiver_script
+    [
+      (seg100 0, (100, [], false));
+      (seg100 200, (100, [ (200, 300) ], false));
+      (seg100 300, (100, [ (200, 400) ], false));
+      (seg100 300, (100, [ (200, 400) ], true));
+      (seg100 200, (100, [ (200, 400) ], true));
+      (seg100 100, (400, [], false));
+    ]
+
+let test_script_duplicate_below_rcv_nxt () =
+  play_receiver_script
+    [
+      (seg100 0, (100, [], false));
+      (seg100 100, (200, [], false));
+      (seg100 0, (200, [], true));
+      (seg100 300, (200, [ (300, 400) ], false));
+      (seg100 100, (200, [ (300, 400) ], true));
+    ]
+
+(* Random whole-segment histories, reordered and duplicated, through
+   one receiver, against a bool array of the bytes received. After
+   every arrival: [on_data] fired (and the DUP bit is clear) iff the
+   segment was new, [rcv_nxt] is the first uncovered byte, and the
+   ACK's SACK blocks are the first three maximal covered runs above
+   it. *)
+let prop_receiver_matches_reference =
+  QCheck.Test.make ~name:"receiver matches bool-array reference" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 1 16) (int_range 1 300))
+        (list (int_bound 40)))
+    (fun (lens, picks) ->
+      let sched = Scheduler.create () in
+      let net = Dumbbell.direct ~sched () in
+      let src = Topology.host net 0 and dst = Topology.host net 1 in
+      let conn = 50 in
+      let reply = ref (-1, [], false) and fired = ref false in
+      Host.bind src ~conn (fun pkt ->
+          reply :=
+            (pkt.Packet.ack_seq, Packet.sack_blocks pkt, Packet.dup_seen pkt));
+      let rx =
+        Tcp_rx.create ~host:dst ~peer:(Host.addr src) ~conn ~subflow:0
+          ~on_data:(fun ~dsn:_ ~len:_ -> fired := true)
+          ()
+      in
+      Host.bind dst ~conn (Tcp_rx.handle rx);
+      let segs = Array.of_list lens in
+      let n = Array.length segs in
+      let starts = Array.make (n + 1) 0 in
+      Array.iteri (fun i len -> starts.(i + 1) <- starts.(i) + len) segs;
+      let cov = Array.make starts.(n) false in
+      let rec uncovered i =
+        if i < starts.(n) && cov.(i) then uncovered (i + 1) else i
+      in
+      (* The maximal covered runs from [i] on, at most [k] of them. *)
+      let rec runs i k =
+        if k = 0 || i >= starts.(n) then []
+        else if not cov.(i) then runs (i + 1) k
+        else
+          let j = ref i in
+          while !j < starts.(n) && cov.(!j) do
+            incr j
+          done;
+          (i, !j) :: runs !j (k - 1)
+      in
+      List.for_all
+        (fun pick ->
+          let k = pick mod n in
+          let seq = starts.(k) and len = segs.(k) in
+          fired := false;
+          Host.send src
+            (mk_seg ~src:(Host.addr src) ~dst:(Host.addr dst) ~conn ~seq ~len
+               ~dsn:seq ());
+          Scheduler.run sched;
+          let fresh = mark cov seq (seq + len) > 0 in
+          let nxt = uncovered 0 in
+          !fired = fresh
+          && Tcp_rx.rcv_nxt rx = nxt
+          && !reply = (nxt, runs nxt Packet.max_sack_blocks, not fresh))
+        picks)
+
 (* Random arrival histories, reordered and duplicated, of segments
    spread over several subflows, played through one receiver per
    subflow into one plane. Each segment is a chunk [Dataplane.pull]
    handed out, at the next sequence number of its subflow, as the
-   sender lays them out. A test-side interval set over the delivered
-   data-sequence ranges is the reference: after every arrival the
+   sender lays them out. A bool array over the delivered
+   data-sequence bytes is the reference: after every arrival the
    plane's byte count equals its coverage, and the plane completes on
    the arrival that completes the reference. The history ends with
    every segment once, in reverse order, so most cases complete. *)
@@ -682,7 +752,7 @@ let prop_receivers_deliver_each_byte_once =
       let history =
         List.map (fun k -> k mod n) picks @ List.init n (fun k -> n - 1 - k)
       in
-      let reference = Intervals.create () in
+      let reference = Array.make size false in
       let covered = ref 0 and ref_completed = ref None in
       List.for_all
         (fun k ->
@@ -693,7 +763,7 @@ let prop_receivers_deliver_each_byte_once =
                ~subflow:sf ~seq:ssn ~len ~dsn ());
           Scheduler.run sched;
           covered :=
-            !covered + Intervals.add reference ~start:dsn ~stop:(dsn + len);
+            !covered + mark reference dsn (dsn + len);
           if !covered = size && !ref_completed = None then
             ref_completed := Some !arrival;
           Dataplane.received_bytes p = !covered)
@@ -854,16 +924,6 @@ let qt = QCheck_alcotest.to_alcotest
 let () =
   Alcotest.run "sim_tcp"
     [
-      ( "intervals",
-        [
-          Alcotest.test_case "basic" `Quick test_intervals_basic;
-          Alcotest.test_case "gap and fill" `Quick test_intervals_gap_and_fill;
-          Alcotest.test_case "partial overlap" `Quick test_intervals_partial_overlap;
-          Alcotest.test_case "covering add" `Quick test_intervals_covering_add;
-          Alcotest.test_case "bad range" `Quick test_intervals_bad_range;
-          qt prop_intervals_match_reference;
-          qt prop_intervals_contiguous_matches_reference;
-        ] );
       ( "rtt",
         [
           Alcotest.test_case "first sample" `Quick test_rtt_first_sample;
@@ -916,6 +976,16 @@ let () =
         [
           Alcotest.test_case "dup_seen flag" `Quick test_receiver_dup_seen_flag;
           Alcotest.test_case "reordering" `Quick test_receiver_reordering;
+          Alcotest.test_case "script: first arrival out of order" `Quick
+            test_script_first_arrival_out_of_order;
+          Alcotest.test_case "script: four holes" `Quick test_script_four_holes;
+          Alcotest.test_case "script: fill absorbs two joined spans" `Quick
+            test_script_fill_absorbs_two_spans;
+          Alcotest.test_case "script: duplicate in span" `Quick
+            test_script_duplicate_in_span;
+          Alcotest.test_case "script: duplicate below rcv_nxt" `Quick
+            test_script_duplicate_below_rcv_nxt;
+          qt prop_receiver_matches_reference;
           qt prop_receivers_deliver_each_byte_once;
           Alcotest.test_case "partial overlap fails" `Quick
             test_receiver_partial_overlap_fails;
