@@ -640,12 +640,13 @@ let test_script_duplicate_below_rcv_nxt () =
 
 (* Random whole-segment histories, reordered and duplicated, through
    one receiver, against a bool array of the bytes received. After
-   every arrival: [on_data] fired (and the DUP bit is clear) iff the
-   segment was new, [rcv_nxt] is the first uncovered byte, and the
-   ACK's SACK blocks are the first three maximal covered runs above
-   it. *)
-let prop_receiver_matches_reference =
-  QCheck.Test.make ~name:"receiver matches bool-array reference" ~count:300
+   every arrival [ok] is asked about it, given whether [on_data] fired,
+   whether the segment was new by the reference, the reference's first
+   uncovered byte, the receiver's [rcv_nxt], the reply (cumulative
+   ACK, SACK blocks, DUP bit) and [runs i k], the first [k] maximal
+   covered runs from byte [i]. *)
+let receiver_reference_prop ~name ok =
+  QCheck.Test.make ~name ~count:300
     QCheck.(
       pair
         (list_of_size Gen.(int_range 1 16) (int_range 1 300))
@@ -673,7 +674,6 @@ let prop_receiver_matches_reference =
       let rec uncovered i =
         if i < starts.(n) && cov.(i) then uncovered (i + 1) else i
       in
-      (* The maximal covered runs from [i] on, at most [k] of them. *)
       let rec runs i k =
         if k = 0 || i >= starts.(n) then []
         else if not cov.(i) then runs (i + 1) k
@@ -694,11 +694,26 @@ let prop_receiver_matches_reference =
                ~dsn:seq ());
           Scheduler.run sched;
           let fresh = mark cov seq (seq + len) > 0 in
-          let nxt = uncovered 0 in
-          !fired = fresh
-          && Tcp_rx.rcv_nxt rx = nxt
-          && !reply = (nxt, runs nxt Packet.max_sack_blocks, not fresh))
+          ok ~fired:!fired ~fresh ~nxt:(uncovered 0)
+            ~rcv_nxt:(Tcp_rx.rcv_nxt rx) ~reply:!reply ~runs)
         picks)
+
+(* The receiver's intervals of received bytes: [on_data] fires and the
+   DUP bit is clear iff the segment was new, and the ACK's SACK blocks
+   are the first three maximal covered runs above the first uncovered
+   byte. *)
+let prop_intervals_match_reference =
+  receiver_reference_prop ~name:"intervals match boolean-array reference"
+    (fun ~fired ~fresh ~nxt ~rcv_nxt:_ ~reply:(_, sacks, dup) ~runs ->
+      fired = fresh && dup = not fresh
+      && sacks = runs nxt Packet.max_sack_blocks)
+
+(* The contiguous prefix: [rcv_nxt] and the cumulative ACK are the
+   first uncovered byte. *)
+let prop_intervals_contiguous_matches_reference =
+  receiver_reference_prop ~name:"contiguous_from matches reference"
+    (fun ~fired:_ ~fresh:_ ~nxt ~rcv_nxt ~reply:(ack, _, _) ~runs:_ ->
+      rcv_nxt = nxt && ack = nxt)
 
 (* Random arrival histories, reordered and duplicated, of segments
    spread over several subflows, played through one receiver per
@@ -972,6 +987,11 @@ let () =
           Alcotest.test_case "tail loss rto" `Quick test_cwnd_trace_tail_rto;
           Alcotest.test_case "sack burst loss" `Quick test_cwnd_trace_sack_burst;
         ] );
+      ( "intervals",
+        [
+          qt prop_intervals_match_reference;
+          qt prop_intervals_contiguous_matches_reference;
+        ] );
       ( "receiver",
         [
           Alcotest.test_case "dup_seen flag" `Quick test_receiver_dup_seen_flag;
@@ -985,7 +1005,6 @@ let () =
             test_script_duplicate_in_span;
           Alcotest.test_case "script: duplicate below rcv_nxt" `Quick
             test_script_duplicate_below_rcv_nxt;
-          qt prop_receiver_matches_reference;
           qt prop_receivers_deliver_each_byte_once;
           Alcotest.test_case "partial overlap fails" `Quick
             test_receiver_partial_overlap_fails;
