@@ -25,8 +25,7 @@ type t = {
    (the scatter sender's RTO can fire after the receiver holds every
    byte, when the last ACKs were lost). *)
 let trigger_switch t =
-  let plane = Flow.plane t.flow in
-  if t.phase = Packet_scatter && not (Dataplane.is_complete plane) then begin
+  if t.phase = Packet_scatter && not (Flow.is_complete t.flow) then begin
     let conn = Flow.conn t.flow in
     t.phase <- Multipath;
     t.switched_at <- Some (Scheduler.now t.sched);
@@ -40,7 +39,7 @@ let trigger_switch t =
         [
           ("to", "multipath");
           ("subflows", string_of_int t.strategy.Strategy.subflows);
-          ("assigned", string_of_int (Dataplane.assigned plane));
+          ("assigned", string_of_int (Dataplane.assigned (Flow.plane t.flow)));
         ]
       ();
     let opened =
@@ -55,13 +54,13 @@ let trigger_switch t =
    nothing after it (its window then drains). *)
 let scatter_pull t ~max =
   match t.phase with
-  | Multipath -> None
+  | Multipath -> 0
   | Packet_scatter -> (
     let plane = Flow.plane t.flow in
     match t.strategy.Strategy.switch with
     | Strategy.Data_volume v when Dataplane.assigned plane >= v ->
       trigger_switch t;
-      None
+      0
     | Strategy.Data_volume _ | Strategy.Congestion_event | Strategy.Never ->
       Dataplane.pull plane ~max)
 

@@ -11,7 +11,6 @@ type t = {
   mutable ack_seq : int;
   mutable len : int;
   mutable bits : int;
-  mutable dsn : int;
   mutable sack_count : int;
   sack : int array;
   mutable gen : int;
@@ -114,7 +113,6 @@ let pool_of ctx =
         ack_seq = 0;
         len = 0;
         bits = 0;
-        dsn = -1;
         sack_count = 0;
         sack = [||];
         gen = 0;
@@ -166,7 +164,7 @@ let track_free p conn =
   end
 
 let make ~ctx ~src ~dst ~conn ~subflow ~src_port ~dst_port ~seq ~ack_seq ~len
-    ~bits ~dsn =
+    ~bits =
   let uid = Sim_engine.Sim_ctx.fresh_packet_uid ctx in
   let p = pool_of ctx in
   track_make p conn;
@@ -184,7 +182,6 @@ let make ~ctx ~src ~dst ~conn ~subflow ~src_port ~dst_port ~seq ~ack_seq ~len
       ack_seq;
       len;
       bits;
-      dsn;
       sack_count = 0;
       sack = Array.make (2 * max_sack_blocks) 0;
       gen = 1;
@@ -214,7 +211,6 @@ let make ~ctx ~src ~dst ~conn ~subflow ~src_port ~dst_port ~seq ~ack_seq ~len
     t.ack_seq <- ack_seq;
     t.len <- len;
     t.bits <- bits;
-    t.dsn <- dsn;
     t.sack_count <- 0;
     t
   end
@@ -224,7 +220,7 @@ let copy ~ctx t =
   let d =
     make ~ctx ~src:t.src ~dst:t.dst ~conn:t.conn ~subflow:t.subflow
       ~src_port:t.src_port ~dst_port:t.dst_port ~seq:t.seq ~ack_seq:t.ack_seq
-      ~len:t.len ~bits:t.bits ~dsn:t.dsn
+      ~len:t.len ~bits:t.bits
   in
   d.sack_count <- t.sack_count;
   Array.blit t.sack 0 d.sack 0 (2 * t.sack_count);
@@ -251,7 +247,6 @@ let free ~ctx t =
     t.ack_seq <- poison;
     t.len <- poison;
     t.size <- poison;
-    t.dsn <- poison;
     t.conn <- poison;
     t.subflow <- poison;
     t.sack_count <- 0;

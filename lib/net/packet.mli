@@ -3,7 +3,9 @@
     Every packet carries a TCP segment, flattened into one mutable
     record: the standard 5-tuple fields plus the simulation-level
     connection id (which stands in for full connection demultiplexing
-    state at the hosts) and an optional MPTCP data-sequence mapping.
+    state at the hosts) and the subflow index. Sequence numbers are
+    subflow-level only: the MPTCP data level counts bytes, so a
+    segment carries no data-sequence mapping.
 
     Packets are pooled per simulation. {!make} reuses a record freed
     earlier in the same {!Sim_engine.Sim_ctx.t} when one is available,
@@ -41,8 +43,6 @@ type t = {
       (** cumulative acknowledgement (valid when the ack bit is set) *)
   mutable len : int;  (** payload bytes *)
   mutable bits : int;  (** header booleans, see the [*_bit] masks *)
-  mutable dsn : int;
-      (** MPTCP data-level sequence of the payload; -1 when absent *)
   mutable sack_count : int;  (** live SACK blocks in [sack] *)
   sack : int array;
       (** selective-acknowledgement blocks above the cumulative ACK,
@@ -98,7 +98,6 @@ val make :
   ack_seq:int ->
   len:int ->
   bits:int ->
-  dsn:int ->
   t
 (** Builds a packet; [size] is [header_bytes + len] and [sack_count] is
     0. The record comes from [ctx]'s pool when one is free, otherwise

@@ -1,55 +1,31 @@
-module Time = Sim_engine.Sim_time
-module Scheduler = Sim_engine.Scheduler
-
 type t = {
-  sched : Scheduler.t;
   size : int;
-  mutable next_dsn : int;
+  mutable assigned : int;
   mutable received : int;  (* bytes delivered; each at most once *)
-  mutable completed_at : Time.t option;
-  on_complete : unit -> unit;
 }
 
-let create ~sched ~size ~on_complete =
+let create ~size =
   if size < 0 then invalid_arg "Dataplane.create: negative size";
-  {
-    sched;
-    size;
-    next_dsn = 0;
-    received = 0;
-    completed_at = None;
-    on_complete;
-  }
+  { size; assigned = 0; received = 0 }
 
 let pull t ~max =
   if max <= 0 then invalid_arg "Dataplane.pull: max must be positive";
-  if t.next_dsn >= t.size then None
-  else begin
-    let len = Int.min max (t.size - t.next_dsn) in
-    let dsn = t.next_dsn in
-    t.next_dsn <- t.next_dsn + len;
-    Some (dsn, len)
-  end
+  let len = Int.min max (t.size - t.assigned) in
+  t.assigned <- t.assigned + len;
+  len
 
-let assigned t = t.next_dsn
-let unassigned t = t.next_dsn < t.size
+let assigned t = t.assigned
 
 (* Dev-profile invariant: bytes delivered never run past the bytes
-   [pull] has handed out. *)
-let deliver t ~dsn ~len =
-  if Sim_engine.Sanitizer_mode.on && dsn >= 0 && dsn + len > t.next_dsn then
+   [pull] has handed out, so no byte is counted twice. *)
+let deliver t len =
+  let before = t.received in
+  if Sim_engine.Sanitizer_mode.on && before + len > t.assigned then
     failwith
-      (Printf.sprintf "Dataplane.deliver: bytes [%d, %d) past the %d pulled"
-         dsn (dsn + len) t.next_dsn);
-  if dsn >= 0 && t.completed_at = None then begin
-    t.received <- t.received + len;
-    if t.received >= t.size then begin
-      t.completed_at <- Some (Scheduler.now t.sched);
-      t.on_complete ()
-    end
-  end
+      (Printf.sprintf "Dataplane.deliver: %d + %d bytes, past the %d pulled"
+         before len t.assigned);
+  t.received <- before + len;
+  before < t.size && t.received >= t.size
 
 let received_bytes t = t.received
-let is_complete t = t.completed_at <> None
-let completed_at t = t.completed_at
 let size t = t.size

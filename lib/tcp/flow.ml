@@ -14,35 +14,31 @@ type t = {
   mutable txs : Tcp_tx.t array;  (* by subflow id *)
   mutable rxs : Tcp_rx.t array;
   started_at : Time.t;
+  mutable completed_at : Time.t option;
+  on_complete : t -> unit;
 }
 
 let create ~src ~dst ~size ~params ~coupled ~on_complete ~on_close =
   if size < 0 then invalid_arg "Flow.create: negative size";
   let sched = Host.sched src in
   let conn = Conn_id.fresh (Scheduler.ctx sched) in
-  let rec t =
-    lazy
-      (let plane =
-         Dataplane.create ~sched ~size ~on_complete:(fun () ->
-             Sim_obs.Flow_ledger.on_complete
-               (Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched))
-               ~conn;
-             on_complete (Lazy.force t))
-       in
-       {
-         conn;
-         src;
-         dst;
-         params;
-         plane;
-         pull = Dataplane.pull plane;
-         group = (if coupled then Some (Cong.Lia.make_group ()) else None);
-         txs = [||];
-         rxs = [||];
-         started_at = Scheduler.now sched;
-       })
+  let plane = Dataplane.create ~size in
+  let t =
+    {
+      conn;
+      src;
+      dst;
+      params;
+      plane;
+      pull = Dataplane.pull plane;
+      group = (if coupled then Some (Cong.Lia.make_group ()) else None);
+      txs = [||];
+      rxs = [||];
+      started_at = Scheduler.now sched;
+      completed_at = None;
+      on_complete;
+    }
   in
-  let t = Lazy.force t in
   Host.bind_conn ~src ~dst ~conn
     ~tx:(fun pkt ->
       let i = pkt.Packet.subflow in
@@ -54,12 +50,21 @@ let create ~src ~dst ~size ~params ~coupled ~on_complete ~on_close =
     ~on_close:(fun () -> on_close t);
   t
 
+(* The receiver holds all [size] bytes: stamp, record, report. *)
+let complete t =
+  let sched = Host.sched t.src in
+  t.completed_at <- Some (Scheduler.now sched);
+  Sim_obs.Flow_ledger.on_complete
+    (Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched))
+    ~conn:t.conn;
+  t.on_complete t
+
 let add_sender t make =
   let i = Array.length t.txs in
   let tx = make i in
   let rx =
     Tcp_rx.create ~host:t.dst ~peer:(Host.addr t.src) ~conn:t.conn ~subflow:i
-      ~on_data:(fun ~dsn ~len -> Dataplane.deliver t.plane ~dsn ~len)
+      ~on_data:(fun len -> if Dataplane.deliver t.plane len then complete t)
       ()
   in
   t.txs <- Array.append t.txs [| tx |];
@@ -76,8 +81,7 @@ let sender t ~port i =
 let add_subflow t ~port = add_sender t (sender t ~port)
 
 (* A zero-byte transfer has nothing to wait for. *)
-let complete_if_empty t =
-  if Dataplane.size t.plane = 0 then Dataplane.deliver t.plane ~dsn:0 ~len:0
+let complete_if_empty t = if Dataplane.size t.plane = 0 then complete t
 
 let start ~src ~dst ~size ?(params = Tcp_params.default)
     ?(on_complete = fun _ -> ()) ?(on_close = fun _ -> ()) () =
@@ -115,14 +119,14 @@ let start_mptcp ~src ~dst ~size ~subflows ?(params = Tcp_params.default)
 
 let conn t = t.conn
 let plane t = t.plane
-let completed_at t = Dataplane.completed_at t.plane
+let completed_at t = t.completed_at
 
 let fct t =
   match completed_at t with
   | None -> None
   | Some c -> Some (Time.diff c t.started_at)
 
-let is_complete t = Dataplane.is_complete t.plane
+let is_complete t = t.completed_at <> None
 let bytes_received t = Dataplane.received_bytes t.plane
 let subflow_count t = Array.length t.txs
 let txs t = t.txs

@@ -1,15 +1,16 @@
 (** A unidirectional packet-level transport connection between two
     hosts: plain TCP, MPTCP, and the base MMPTCP builds on.
 
-    A flow owns its connection id, a {!Dataplane} (the byte stream:
-    data-level chunks handed to subflows on demand, and data-level
-    coverage at the receiver), and its subflows: a {!Tcp_tx} on the
-    source host and a {!Tcp_rx} on the destination host each. It binds
-    the connection id in both hosts' demultiplexers, routes each packet
-    to its subflow, and reports completion when the receiver holds all
-    [size] bytes over any subflows (the paper's flow-completion-time
-    definition). TCP is a flow with one subflow; MPTCP one with
-    [subflows]; MMPTCP ([Mmptcp.Mmptcp_conn]) opens its packet-scatter
+    A flow owns its connection id, a {!Dataplane} (the byte counts:
+    chunk lengths handed to subflows on demand, and bytes delivered at
+    the receiver), and its subflows: a {!Tcp_tx} on the source host and
+    a {!Tcp_rx} on the destination host each. It binds the connection
+    id in both hosts' demultiplexers, routes each packet to its
+    subflow, and completes when the receiver holds all [size] bytes
+    over any subflows (the paper's flow-completion-time definition):
+    it stamps {!completed_at}, records the completion in the flow
+    ledger and calls [on_complete]. TCP is a flow with one subflow;
+    MPTCP one with [subflows]; MMPTCP ([Mmptcp.Mmptcp_conn]) opens its packet-scatter
     subflow first and its multipath subflows at the phase switch. *)
 
 module Time = Sim_engine.Sim_time

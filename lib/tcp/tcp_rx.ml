@@ -12,12 +12,11 @@ type t = {
   mutable ooo : (int * int) list;
       (* [start, stop) spans received above [rcv_nxt]: sorted, disjoint
          and non-adjacent, so the first one starts past [rcv_nxt] *)
-  on_data : dsn:int -> len:int -> unit;
-  mutable dup_segments : int;
+  on_data : int -> unit;
 }
 
 let create ~host ~peer ~conn ~subflow ~on_data () =
-  { host; peer; conn; subflow; rcv_nxt = 0; ooo = []; on_data; dup_segments = 0 }
+  { host; peer; conn; subflow; rcv_nxt = 0; ooo = []; on_data }
 
 (* Bytes of [s, e) that [spans] cover. *)
 let rec overlap s e = function
@@ -64,7 +63,7 @@ let reply t pkt ~bits =
       ~ctx:(Scheduler.ctx (Host.sched t.host))
       ~src:(Host.addr t.host) ~dst:t.peer ~conn:t.conn ~subflow:t.subflow
       ~src_port:pkt.Packet.dst_port ~dst_port:pkt.Packet.src_port ~seq:0
-      ~ack_seq:t.rcv_nxt ~len:0 ~bits ~dsn:(-1)
+      ~ack_seq:t.rcv_nxt ~len:0 ~bits
   in
   (* SACK blocks: the lowest out-of-order spans, in ascending order,
      written straight into the packet's scratch array. *)
@@ -89,14 +88,13 @@ let handle t pkt =
            "Tcp_rx: conn %d subflow %d: segment [%d, %d) is %d bytes new"
            t.conn t.subflow start stop added);
     let dup = added = 0 in
-    if dup then t.dup_segments <- t.dup_segments + 1
-    else begin
+    if not dup then begin
       if start <= t.rcv_nxt then begin
         t.rcv_nxt <- stop;
         advance t
       end
       else t.ooo <- insert start stop t.ooo;
-      t.on_data ~dsn:pkt.Packet.dsn ~len
+      t.on_data len
     end;
     if Sim_engine.Sanitizer_mode.on && not (normal t.rcv_nxt t.ooo) then
       failwith
@@ -108,4 +106,3 @@ let handle t pkt =
   end
 
 let rcv_nxt t = t.rcv_nxt
-let dup_segments t = t.dup_segments

@@ -18,16 +18,15 @@ val create :
   peer:Sim_net.Addr.t ->
   conn:int ->
   subflow:int ->
-  on_data:(dsn:int -> len:int -> unit) ->
+  on_data:(int -> unit) ->
   unit ->
   t
 (** [on_data] fires once per segment, on the arrival that first brings
-    its bytes, with the segment's data-level sequence. Duplicates are
-    acknowledged but not passed on, so the data level can count bytes
-    without deduping them again. In the dev profile [handle] fails on
+    its bytes, with the segment's length. Duplicates are acknowledged
+    but not passed on, so the data level can count bytes without
+    deduping them again. In the dev profile [handle] fails on
     an arrival that is partly new and partly a duplicate, and when the
     spans above [rcv_nxt] are not sorted, disjoint and non-adjacent. *)
 
 val handle : t -> Sim_net.Packet.t -> unit
 val rcv_nxt : t -> int
-val dup_segments : t -> int

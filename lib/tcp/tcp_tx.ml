@@ -4,7 +4,7 @@ module Packet = Sim_net.Packet
 module Host = Sim_net.Host
 module Addr = Sim_net.Addr
 
-type source = max:int -> (int * int) option
+type source = max:int -> int
 
 type stats = {
   mutable segments_sent : int;
@@ -24,7 +24,6 @@ type recovery = Normal | Fast_recovery | Rto_recovery
 type seg = {
   ssn : int;
   len : int;
-  dsn : int;
   mutable sent_at : Time.t;
   mutable rtx : int;
   mutable sacked : bool;
@@ -222,15 +221,14 @@ let emit_segment t seg =
     (Packet.make ~ctx:(Scheduler.ctx t.sched) ~src:(Host.addr t.host)
        ~dst:t.peer ~conn:t.conn ~subflow:t.subflow ~src_port:(t.src_port ())
        ~dst_port:t.dst_port ~seq:seg.ssn ~ack_seq:0 ~len:seg.len
-       ~bits:Packet.data_bits ~dsn:seg.dsn)
+       ~bits:Packet.data_bits)
 
 let send_syn t =
   t.st.syn_sent <- t.st.syn_sent + 1;
   Host.send t.host
     (Packet.make ~ctx:(Scheduler.ctx t.sched) ~src:(Host.addr t.host)
        ~dst:t.peer ~conn:t.conn ~subflow:t.subflow ~src_port:(t.src_port ())
-       ~dst_port:t.dst_port ~seq:0 ~ack_seq:0 ~len:0 ~bits:Packet.syn_bits
-       ~dsn:(-1))
+       ~dst_port:t.dst_port ~seq:0 ~ack_seq:0 ~len:0 ~bits:Packet.syn_bits)
 
 let first_congestion t =
   if not t.congestion_seen then begin
@@ -362,16 +360,15 @@ let try_send t =
     let continue = ref true in
     while !continue do
       if float_of_int (flight t) >= send_allowance t then continue := false
-      else
-        match t.source ~max:(mss t) with
-        | None -> continue := false
-        | Some (dsn, len) ->
+      else begin
+        let len = t.source ~max:(mss t) in
+        if len = 0 then continue := false
+        else begin
           assert (len > 0 && len <= mss t);
           let seg =
             {
               ssn = t.snd_nxt;
               len;
-              dsn;
               sent_at = Scheduler.now t.sched;
               rtx = 0;
               sacked = false;
@@ -382,6 +379,8 @@ let try_send t =
           t.snd_nxt <- t.snd_nxt + len;
           emit_segment t seg;
           if not (rto_pending t) then arm_rto t
+        end
+      end
     done
   end
 

@@ -1,13 +1,13 @@
 (** TCP sender endpoint (one subflow).
 
     A NewReno sender over an abstract data source: a pull function
-    that hands the sender its next data-level chunk. Every subflow of a
-    {!Flow} pulls from the connection's {!Dataplane} and carries the
-    DSN mapping in its segments (a single-subflow TCP flow's DSNs equal
-    its sequence numbers). MMPTCP's packet-scatter subflow wraps that
-    pull with its phase logic, randomises the source port per
-    transmitted packet (via [src_port]) and uses a topology-derived
-    dup-ACK threshold (via [dupack_threshold]).
+    that hands the sender the length of its next chunk. Every subflow
+    of a {!Flow} pulls from the connection's {!Dataplane}; its segments
+    carry their subflow sequence only, since the data level just counts
+    bytes. MMPTCP's packet-scatter subflow wraps that pull with its
+    phase logic, randomises the source port per transmitted packet (via
+    [src_port]) and uses a topology-derived dup-ACK threshold (via
+    [dupack_threshold]).
 
     Loss recovery: fast retransmit / NewReno fast recovery with partial
     ACKs, and RTO with exponential backoff followed by ACK-clocked
@@ -26,10 +26,10 @@ module Time = Sim_engine.Sim_time
 
 (** {1 Data sources} *)
 
-type source = max:int -> (int * int) option
-(** [source ~max] allocates the next chunk to this subflow as
-    [(dsn, len)] with [0 < len <= max], or [None] when nothing is
-    available right now. *)
+type source = max:int -> int
+(** [source ~max] allocates the next chunk to this subflow and returns
+    its length, at most [max]; 0 when nothing is available right
+    now. *)
 
 (** {1 Sender} *)
 

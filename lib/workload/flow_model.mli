@@ -66,7 +66,7 @@ type obs_cfg = {
   pin : unit;
       (** no switch: keeps [{ obs with ... }] updates that name the
           other three fields free of warning 23 (useless [with]) until
-          perfbench/measure.ml stops using one — see ROADMAP item 1(e) *)
+          perfbench/measure.ml stops using one — see ROADMAP item 3 *)
 }
 
 val default_obs : obs_cfg

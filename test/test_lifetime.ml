@@ -189,7 +189,7 @@ let test_pending_timer_keeps_bound () =
   let segment ~from ~to_ ~len ~bits =
     Packet.make ~ctx:(Scheduler.ctx sched) ~src:(Host.addr from)
       ~dst:(Host.addr to_) ~conn ~subflow:0 ~src_port:1 ~dst_port:2 ~seq:0
-      ~ack_seq:0 ~len ~bits ~dsn:0
+      ~ack_seq:0 ~len ~bits
   in
   let reply =
     Scheduler.Timer.create sched

@@ -21,7 +21,7 @@ let mk_pkt ?(src = 0) ?(dst = 1) ?(conn = 1) ?(subflow = 0) ?(src_port = 1000)
     ?(dst_port = 2000) ?(seq = 0) ?(ack_seq = 0) ?(len = 1000)
     ?(bits = Packet.data_bits) () =
   Packet.make ~ctx ~src:(Addr.of_int src) ~dst:(Addr.of_int dst) ~conn ~subflow
-    ~src_port ~dst_port ~seq ~ack_seq ~len ~bits ~dsn:(-1)
+    ~src_port ~dst_port ~seq ~ack_seq ~len ~bits
 
 (* ------------------------------------------------------------------ *)
 (* Packet *)
@@ -112,7 +112,7 @@ let test_pool_live_total () =
   let mk conn =
     Packet.make ~ctx ~src:(Addr.of_int 0) ~dst:(Addr.of_int 1) ~conn
       ~subflow:0 ~src_port:1 ~dst_port:2 ~seq:0 ~ack_seq:0 ~len:0
-      ~bits:Packet.data_bits ~dsn:(-1)
+      ~bits:Packet.data_bits
   in
   check_int "starts balanced" 0 (Packet.live_total ~ctx);
   let a = mk 1 in

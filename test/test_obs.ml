@@ -171,8 +171,7 @@ let test_histogram_through_registry () =
 let mk_pkt ctx ~conn =
   Sim_net.Packet.make ~ctx ~src:(Sim_net.Addr.of_int 0)
     ~dst:(Sim_net.Addr.of_int 1) ~conn ~subflow:0 ~src_port:1000
-    ~dst_port:2000 ~seq:0 ~ack_seq:0 ~len:1000
-    ~bits:Sim_net.Packet.data_bits ~dsn:(-1)
+    ~dst_port:2000 ~seq:0 ~ack_seq:0 ~len:1000 ~bits:Sim_net.Packet.data_bits
 
 let test_drop_hooks_run_in_install_order () =
   let ctx = Sim_engine.Sim_ctx.create () in

@@ -21,7 +21,7 @@ let ctx = Sim_engine.Sim_ctx.create ()
 (* Raw data packet for forwarding probes. *)
 let mk_pkt ?(conn = 1) ?(src_port = 1234) ?(len = 100) ~src ~dst () =
   Packet.make ~ctx ~src ~dst ~conn ~subflow:0 ~src_port ~dst_port:80 ~seq:0
-    ~ack_seq:0 ~len ~bits:Packet.data_bits ~dsn:(-1)
+    ~ack_seq:0 ~len ~bits:Packet.data_bits
 
 let probe ?(conn = 999) ?(sport = 1234) net ~src ~dst =
   (* Send one raw data packet from host [src] to host [dst]; return
@@ -293,7 +293,7 @@ let forwarding_trace net tuples =
       Host.send s
         (Packet.make ~ctx ~src:(Host.addr s) ~dst:(Host.addr d) ~conn:7
            ~subflow:0 ~src_port:sport ~dst_port:dport ~seq:0 ~ack_seq:0
-           ~len:100 ~bits:Packet.data_bits ~dsn:(-1));
+           ~len:100 ~bits:Packet.data_bits);
       Scheduler.run sched;
       ((src, dst, sport, dport), List.rev !hops))
     tuples
