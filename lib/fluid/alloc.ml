@@ -29,8 +29,13 @@
    Representation: flows are dense int ids, and per-flow state lives
    in arrays indexed by id: weight, committed rate and the
    water-filling new rate in float arrays, owner and one wave stamp in
-   int arrays, path links interleaved with their slot back-indices in
-   one int array per id, and clean/dirty/dead in a byte string. Link
+   int arrays, and clean/dirty/dead in a byte string. Path links,
+   interleaved with their slot back-indices, live in one flat int
+   array of fixed-stride rows: flow [id]'s row starts at [id * stride]
+   and holds [2 * f_len.(id)] ints. The stride is twice the longest
+   path added so far; a longer path widens it and copies every row
+   once. So a flow costs no heap block of its own beyond its handle,
+   and a removed id's row is reused in place. Link
    member lists hold ids, so a member scan reads two int arrays
    instead of chasing a record per member, and queue stores are plain
    int stores without a write barrier. Per-link state is parallel
@@ -75,8 +80,12 @@ and 'a t = {
      ripple after a flush's wave, "processed this flush?". *)
   mutable f_wave : int array;
   (* path link ids interleaved with the flow's slot in each link's
-     member array: [| l0; s0; l1; s1; ... |] *)
-  mutable f_links : int array array;
+     member array, one row of [stride] ints per id:
+     [| ...; l0; s0; l1; s1; ...; (unused) |], the row of [id] at
+     [id * stride], its first [2 * f_len.(id)] ints in use *)
+  mutable f_path : int array;
+  mutable f_len : int array;  (* path length in links, 0 once removed *)
+  mutable stride : int;  (* twice the longest path added so far *)
   mutable f_state : Bytes.t;  (* [clean], [dirty] or [dead] *)
   mutable next_id : int;  (* ids below this have been handed out *)
   (* ids of removed flows: [free.(0 .. free_n - 1)] are reusable,
@@ -157,7 +166,9 @@ let create ~caps ~on_rate () =
     f_rate = [||];
     f_newrate = [||];
     f_wave = [||];
-    f_links = [||];
+    f_path = [||];
+    f_len = [||];
+    stride = 0;
     f_state = Bytes.empty;
     next_id = 0;
     free = [||];
@@ -244,15 +255,13 @@ let remove_member t ~link_idx ~slot =
     let members = t.l_members.(link_idx) in
     let moved = members.(last) in
     members.(slot) <- moved;
-    let links = t.f_links.(moved) in
-    let j = ref 0 in
-    while
-      !j < Array.length links
-      && not (links.(!j) = link_idx && links.(!j + 1) = last)
-    do
+    let path = t.f_path in
+    let j = ref (moved * t.stride) in
+    let stop = !j + (2 * t.f_len.(moved)) in
+    while !j < stop && not (path.(!j) = link_idx && path.(!j + 1) = last) do
       j := !j + 2
     done;
-    if !j < Array.length links then links.(!j + 1) <- slot
+    if !j < stop then path.(!j + 1) <- slot
   end;
   t.l_n.(link_idx) <- last
 
@@ -271,10 +280,22 @@ let grow_ids t h =
   t.f_rate <- extend t.f_rate 0.;
   t.f_newrate <- extend t.f_newrate 0.;
   t.f_wave <- extend t.f_wave 0;
-  t.f_links <- extend t.f_links [||];
+  t.f_len <- extend t.f_len 0;
+  let path = Array.make (cap * t.stride) 0 in
+  Array.blit t.f_path 0 path 0 (n * t.stride);
+  t.f_path <- path;
   let state = Bytes.make cap dead in
   Bytes.blit t.f_state 0 state 0 n;
   t.f_state <- state
+
+(* Widen every row to [stride] ints, copying the rows in use. *)
+let restride t stride =
+  let path = Array.make (Array.length t.f_owner * stride) 0 in
+  for id = 0 to t.next_id - 1 do
+    Array.blit t.f_path (id * t.stride) path (id * stride) (2 * t.f_len.(id))
+  done;
+  t.f_path <- path;
+  t.stride <- stride
 
 let fresh_id t h =
   if t.free_n > 0 then begin
@@ -309,15 +330,16 @@ let add t ~owner ~weight ~path ~data =
   t.f_wave.(id) <- 0;
   Bytes.set t.f_state id clean;
   let len = Array.length path in
-  let links = Array.make (2 * len) 0 in
-  t.f_links.(id) <- links;
+  if 2 * len > t.stride then restride t (2 * len);
+  t.f_len.(id) <- len;
   if len = 0 then t.f_rate.(id) <- unconstrained_rate
   else begin
     t.s_live <- t.s_live + 1;
+    let base = id * t.stride in
     for j = 0 to len - 1 do
       let li = path.(j) in
-      links.(2 * j) <- li;
-      links.((2 * j) + 1) <- push_member t li id;
+      t.f_path.(base + (2 * j)) <- li;
+      t.f_path.(base + (2 * j) + 1) <- push_member t li id;
       mark_members_dirty t li
     done;
     mark_dirty t id
@@ -330,18 +352,18 @@ let remove t ~now f =
     f.id <- -1;
     if Bytes.get t.f_state id = dirty then t.d_live <- t.d_live - 1;
     Bytes.set t.f_state id dead;
-    let links = t.f_links.(id) in
-    if Array.length links > 0 then t.s_live <- t.s_live - 1;
-    let rate = t.f_rate.(id) in
-    for j = 0 to (Array.length links / 2) - 1 do
-      let li = links.(2 * j) in
-      remove_member t ~link_idx:li ~slot:links.((2 * j) + 1);
+    let len = t.f_len.(id) in
+    if len > 0 then t.s_live <- t.s_live - 1;
+    let rate = t.f_rate.(id) and base = id * t.stride in
+    for j = 0 to len - 1 do
+      let li = t.f_path.(base + (2 * j)) in
+      remove_member t ~link_idx:li ~slot:t.f_path.(base + (2 * j) + 1);
       advance_integral t li ~now;
       t.l_alloc.(li) <- t.l_alloc.(li) -. rate;
       mark_members_dirty t li
     done;
     t.f_rate.(id) <- 0.;
-    t.f_links.(id) <- [||];
+    t.f_len.(id) <- 0;
     if t.free_top = Array.length t.free then t.free <- grown t.free;
     t.free.(t.free_top) <- id;
     t.free_top <- t.free_top + 1
@@ -491,12 +513,15 @@ let run_wave t ~now ids n =
   t.s_waves <- t.s_waves + 1;
   t.wave <- t.wave + 1;
   let wave = t.wave and frozen = -t.wave in
-  (* No flow is added during a wave, so the per-id arrays stay put. *)
+  (* No flow is added during a wave, so the per-id arrays and the
+     stride stay put. *)
   let f_wave = t.f_wave
   and f_weight = t.f_weight
   and f_rate = t.f_rate
   and f_newrate = t.f_newrate
-  and f_links = t.f_links in
+  and f_path = t.f_path
+  and f_len = t.f_len
+  and stride = t.stride in
   for i = 0 to n - 1 do
     let id = ids.(i) in
     f_wave.(id) <- wave;
@@ -513,10 +538,10 @@ let run_wave t ~now ids n =
   t.t_n <- 0;
   for i = 0 to n - 1 do
     let id = ids.(i) in
-    let links = f_links.(id) in
+    let base = id * stride in
     let rate = f_rate.(id) and w = f_weight.(id) in
-    for j = 0 to (Array.length links / 2) - 1 do
-      let li = links.(2 * j) in
+    for j = 0 to f_len.(id) - 1 do
+      let li = f_path.(base + (2 * j)) in
       if not t.l_touched.(li) then begin
         touch_link t li;
         t.l_residual.(li) <- t.l_avail.(li) -. t.l_alloc.(li);
@@ -551,9 +576,9 @@ let run_wave t ~now ids n =
           let w = f_weight.(id) in
           let nr = w *. lvl in
           f_newrate.(id) <- nr;
-          let links = f_links.(id) in
-          for p = 0 to (Array.length links / 2) - 1 do
-            let li' = links.(2 * p) in
+          let base = id * stride in
+          for p = 0 to f_len.(id) - 1 do
+            let li' = f_path.(base + (2 * p)) in
             t.l_residual.(li') <- t.l_residual.(li') -. nr;
             t.l_wsum.(li') <- t.l_wsum.(li') -. w
           done
@@ -570,12 +595,13 @@ let run_wave t ~now ids n =
       let id = ids.(i) in
       if f_wave.(id) = wave then begin
         let w = f_weight.(id) in
-        let links = f_links.(id) in
+        let base = id * stride in
         let share = ref infinity in
-        for p = 0 to (Array.length links / 2) - 1 do
+        for p = 0 to f_len.(id) - 1 do
           share :=
             Float.min !share
-              (Float.max 0. t.l_residual.(links.(2 * p)) /. Float.max w tiny)
+              (Float.max 0. t.l_residual.(f_path.(base + (2 * p)))
+              /. Float.max w tiny)
         done;
         f_newrate.(id) <-
           (if !share = infinity then unconstrained_rate else w *. !share);
@@ -592,9 +618,9 @@ let run_wave t ~now ids n =
     let nr = f_newrate.(id) and old = f_rate.(id) in
     if Float.abs (nr -. old) > eps *. Float.max 1. (Float.max nr old)
     then begin
-      let links = f_links.(id) in
-      for p = 0 to (Array.length links / 2) - 1 do
-        let li = links.(2 * p) in
+      let base = id * stride in
+      for p = 0 to f_len.(id) - 1 do
+        let li = f_path.(base + (2 * p)) in
         advance_integral t li ~now;
         t.l_alloc.(li) <- t.l_alloc.(li) -. old +. nr;
         t.l_dalloc.(li) <- t.l_dalloc.(li) -. old +. nr
@@ -627,10 +653,11 @@ let check_ids t =
   let live = ref 0 in
   for id = 0 to t.next_id - 1 do
     if Bytes.get t.f_state id <> dead then begin
-      let links = t.f_links.(id) in
-      if Array.length links > 0 then incr live;
-      for p = 0 to (Array.length links / 2) - 1 do
-        let li = links.(2 * p) and s = links.((2 * p) + 1) in
+      let len = t.f_len.(id) and base = id * t.stride in
+      if len > 0 then incr live;
+      for p = 0 to len - 1 do
+        let li = t.f_path.(base + (2 * p))
+        and s = t.f_path.(base + (2 * p) + 1) in
         if s >= t.l_n.(li) || t.l_members.(li).(s) <> id then
           fail "flow id %d: slot %d of link %d holds another flow" id s li
       done
@@ -678,9 +705,10 @@ let flush t ~now =
     let processed = -t.wave in
     t.t_n <- 0;
     for i = c0 to t.c_n - 1 do
-      let links = t.f_links.(t.c_arr.(i)) in
-      for j = 0 to (Array.length links / 2) - 1 do
-        touch_link t links.(2 * j)
+      let id = t.c_arr.(i) in
+      let base = id * t.stride in
+      for j = 0 to t.f_len.(id) - 1 do
+        touch_link t t.f_path.(base + (2 * j))
       done
     done;
     for i = 0 to t.t_n - 1 do

@@ -20,7 +20,9 @@
    weights (uncoupled). MMPTCP's two-phase shape: the scatter legs
    are swapped for the MPTCP legs once [sw_after_bytes] are done
    ([Congestion_event] has no fluid analogue — congestion is never a
-   discrete event here — and behaves as [Never]).
+   discrete event here — and behaves as [Never]). The MPTCP legs are
+   built only then, by [sw_legs]: a short flow that never switches
+   never pays for them.
 
    Everything hangs off [t]; per-run timers only (D001/D002
    clean by construction). *)
@@ -30,7 +32,7 @@ module Scheduler = Sim_engine.Scheduler
 
 type leg_spec = { path : int array; weight : float; rtt_s : float }
 
-type switch_spec = { sw_after_bytes : int; sw_legs : leg_spec array }
+type switch_spec = { sw_after_bytes : int; sw_legs : unit -> leg_spec array }
 
 type state = Handshake | Running | Draining | Finished
 
@@ -55,7 +57,7 @@ type conn = {
   c_on_complete : conn -> unit;
   c_started : Time.t;
   mutable c_state : state;
-  mutable c_leg_specs : leg_spec array;  (* pending until Running *)
+  mutable c_leg_specs : leg_spec array;  (* pending until Running, then [||] *)
   mutable c_legs : conn Alloc.flow array;
   c_st : cstate;
   mutable c_switch : switch_spec option;
@@ -219,8 +221,7 @@ let do_switch c ~now =
     c.c_t.switched <- c.c_t.switched + 1;
     Sim_obs.Flow_ledger.on_phase_switch c.c_t.ledger ~conn:c.c_id;
     remove_legs c ~now;
-    c.c_leg_specs <- sw_legs;
-    add_legs c sw_legs;
+    add_legs c (sw_legs ());
     emit_switch c;
     Alloc.settle c.c_t.alloc ~now c.c_legs;
     request_flush c.c_t;
@@ -274,6 +275,7 @@ let go_running c ~resumed =
   c.c_st.cs_last_t <- now;
   Sim_obs.Flow_ledger.on_handshake t.ledger ~conn:c.c_id;
   add_legs c c.c_leg_specs;
+  c.c_leg_specs <- [||];
   let st = c.c_st in
   (if not resumed then begin
      st.cs_ss_cap <- float_of_int (t.iw * t.mss) /. c.c_rtt;

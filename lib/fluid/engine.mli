@@ -27,7 +27,11 @@ type leg_spec = {
 type switch_spec = {
   sw_after_bytes : int;
       (** switch once this many bytes are done ([Data_volume]) *)
-  sw_legs : leg_spec array;  (** legs to swap in at the switch *)
+  sw_legs : unit -> leg_spec array;
+      (** builds the legs to swap in, called once, at the switch. A
+          connection that completes first never calls it, so a caller
+          draws any random choices up front and defers only the pure
+          work (paths, RTTs, weights) to the call. *)
 }
 
 val make :

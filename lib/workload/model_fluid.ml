@@ -16,7 +16,8 @@
      scatter legs (weight 1/P each — packet scatter sprays a single
      window, it does not multiply aggressiveness); under [Data_volume]
      the engine swaps in LIA-weighted subflow legs once that many bytes
-     are done. *)
+     are done. Their paths are drawn with the scatter legs but built
+     only at the switch, which a short flow never reaches. *)
 
 module Time = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler
@@ -69,6 +70,13 @@ let path_time net ~bytes path =
 let ack_bytes = 40
 let scatter_cap = 8
 
+(* [legs] with LIA-equilibrium weights over their RTTs. *)
+let lia_weighted legs =
+  let rtts = Array.map (fun l -> l.Engine.rtt_s) legs in
+  Array.map2
+    (fun l weight -> { l with Engine.weight })
+    legs (Sim_tcp.Cong.Lia.fluid_weights ~rtts)
+
 (* Legs (and the optional scatter->multipath switch) for one transfer
    of [cfg.protocol] between [src] and [dst]. [assume_switched] makes
    MMPTCP start directly in its multipath phase — the hybrid model
@@ -90,13 +98,7 @@ let transport_plan (cfg : Flow_model.config) net ~rng ~src ~dst ~assume_switched
   in
   let mptcp_legs ~subflows ~coupled =
     let legs = Array.init subflows (fun _ -> leg (Rng.int rng paths) ~weight:1.) in
-    if not coupled then legs
-    else begin
-      let rtts = Array.map (fun l -> l.Engine.rtt_s) legs in
-      Array.map2
-        (fun l weight -> { l with Engine.weight })
-        legs (Sim_tcp.Cong.Lia.fluid_weights ~rtts)
-    end
+    if coupled then lia_weighted legs else legs
   in
   match cfg.Flow_model.protocol with
   | Flow_model.Tcp_proto ->
@@ -118,12 +120,13 @@ let transport_plan (cfg : Flow_model.config) net ~rng ~src ~dst ~assume_switched
       in
       match strategy.Mmptcp.Strategy.switch with
       | Mmptcp.Strategy.Data_volume v ->
-        ( scatter,
-          Some
-            {
-              Engine.sw_after_bytes = v;
-              sw_legs = mptcp_legs ~subflows ~coupled:true;
-            } )
+        (* The subflows' choices are drawn now, in the RNG order of an
+           eager build; their legs are built only if the switch fires. *)
+        let choices = Array.init subflows (fun _ -> Rng.int rng paths) in
+        let sw_legs () =
+          lia_weighted (Array.map (fun choice -> leg choice ~weight:1.) choices)
+        in
+        (scatter, Some { Engine.sw_after_bytes = v; sw_legs })
       | Mmptcp.Strategy.Congestion_event | Mmptcp.Strategy.Never ->
         (* Loss has no fluid analogue. *)
         (scatter, None)

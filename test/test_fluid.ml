@@ -12,6 +12,10 @@ module Scheduler = Sim_engine.Scheduler
 module Alloc = Sim_fluid.Alloc
 module Engine = Sim_fluid.Engine
 module Scenario = Sim_workload.Scenario
+module Flow_model = Sim_workload.Flow_model
+module Model_fluid = Sim_workload.Model_fluid
+module Rng = Sim_engine.Rng
+module Topology = Sim_net.Topology
 
 let check_bool = Alcotest.(check bool)
 
@@ -250,8 +254,8 @@ let arb_history gen =
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let differential ~name gen =
-  QCheck.Test.make ~name ~count:500 (arb_history gen) (fun (caps, ops) ->
+let differential ~name ?(count = 500) gen =
+  QCheck.Test.make ~name ~count (arb_history gen) (fun (caps, ops) ->
       let fired_new = ref [] and fired_ref = ref [] in
       let removed = Hashtbl.create 16 in
       let t =
@@ -367,6 +371,46 @@ let prop_differential_ties =
        ~nlinks:(QCheck.Gen.int_range 6 24)
        ~gen_cap:(QCheck.Gen.oneofl [ 1e7; 1e8 ])
        ~gen_weight:(QCheck.Gen.oneofl [ 0.5; 1.; 2. ]))
+
+(* The allocator keeps every flow's path in one flat array of rows,
+   [id * stride] apart, and widens the stride when a path longer than
+   any before arrives. This history always widens it after an id was
+   freed: flow 4 takes flow 1's id (freed at the flush after its
+   remove) and is the first 3-link flow, and flow 5 the first 4-link
+   one, which takes flow 2's. The removes after each widening move
+   the widened flows down the member arrays of their links, so the
+   back-indices in their copied rows are patched and read again. *)
+let prop_restride_after_reuse =
+  let caps = [| 1e7; 2.5e7; 4e7; 3e7; 5e7 |] in
+  let ops =
+    [
+      Add (0, 1., [ 0 ]);
+      Add (1, 1.5, [ 0; 1 ]);
+      Add (2, 0.75, [ 1 ]);
+      Add (0, 2., [ 2; 3 ]);
+      Flush;
+      Remove 1;
+      Flush;
+      Add (1, 1.25, [ 1; 0; 2 ]);
+      Flush;
+      Remove 0;
+      Remove 2;
+      Flush;
+      Add (2, 0.5, [ 3; 4; 0; 1 ]);
+      Settle [ 0; 1 ];
+      Flush;
+      Remove 3;
+      Flush;
+      Remove 4;
+      Set_avail (1, 0.5);
+      Flush;
+      Remove 5;
+      Flush;
+    ]
+  in
+  differential ~name:"restride after id reuse matches the reference"
+    ~count:1
+    (QCheck.Gen.return (caps, ops))
 
 (* ------------------------------------------------------------------ *)
 (* Engine: analytic FCT is monotone in flow size when uncontended. *)
@@ -504,6 +548,66 @@ let test_probe_remaining_bytes () =
          v)
        infinity running)
 
+(* MMPTCP's subflow legs are built only at the switch, from choices
+   [transport_plan] draws with the scatter legs. Between hosts 0 and
+   15 of a k=4 FatTree there are 4 paths, no more than the scatter
+   cap, so scatter draws nothing and the plan draws exactly the
+   [subflows] choices: a twin generator that draws as many ints
+   yields those choices and stays in step. Building the legs, once
+   or twice, draws nothing and gives equal legs, on the paths of the
+   drawn choices, weighted by LIA over their RTTs. *)
+let test_switch_legs_built_late () =
+  let cfg =
+    {
+      Flow_model.default_config with
+      Flow_model.model = Flow_model.Fluid;
+      topo =
+        Flow_model.Fattree_topo (Flow_model.paper_fattree ~k:4 ~oversub:2 ());
+      protocol = Flow_model.Mmptcp_proto Mmptcp.Strategy.default;
+    }
+  in
+  let net = Model_fluid.build ~sched:(Scheduler.create ()) cfg in
+  let topo = Model_fluid.topology net in
+  let src = 0 and dst = 15 in
+  let paths = Topology.paths topo ~src ~dst in
+  Alcotest.(check int) "paths" 4 paths;
+  let rng = Rng.create ~seed:11 and twin = Rng.create ~seed:11 in
+  let scatter, switch =
+    Model_fluid.transport_plan cfg net ~rng ~src ~dst ~assume_switched:false
+  in
+  Alcotest.(check int) "scatter legs" paths (Array.length scatter);
+  let sw =
+    match switch with
+    | Some sw -> sw
+    | None -> Alcotest.fail "no switch under Data_volume"
+  in
+  let subflows = Mmptcp.Strategy.default.Mmptcp.Strategy.subflows in
+  let choices = Array.init subflows (fun _ -> Rng.int twin paths) in
+  let in_step what =
+    Alcotest.(check int) what (Rng.int twin 1_000_000) (Rng.int rng 1_000_000)
+  in
+  in_step "draws of the plan";
+  let legs = sw.Engine.sw_legs () in
+  let again = sw.Engine.sw_legs () in
+  in_step "draws of the built legs";
+  check_bool "built twice, equal" true (legs = again);
+  Alcotest.(check int) "subflow legs" subflows (Array.length legs);
+  Array.iteri
+    (fun i (l : Engine.leg_spec) ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "path of leg %d" i)
+        (Topology.path topo ~src ~dst ~choice:choices.(i))
+        l.path)
+    legs;
+  let weights =
+    Sim_tcp.Cong.Lia.fluid_weights
+      ~rtts:(Array.map (fun (l : Engine.leg_spec) -> l.rtt_s) legs)
+  in
+  check_bool "LIA weights of the legs' RTTs" true
+    (Array.for_all2
+       (fun w (l : Engine.leg_spec) -> same_float w l.weight)
+       weights legs)
+
 (* ------------------------------------------------------------------ *)
 (* Golden cross-check: tiny dumbbell, fluid within 10% of packet on
    mean short-flow FCT (the ext-fluid-xval gate, pinned in-tree). *)
@@ -608,6 +712,7 @@ let () =
             test_empty_path_settle;
           qt prop_differential;
           qt prop_differential_ties;
+          qt prop_restride_after_reuse;
         ] );
       ( "engine",
         [
@@ -622,6 +727,8 @@ let () =
             test_scenario_bytes_exact;
           Alcotest.test_case "probed remaining bytes fall while running"
             `Quick test_probe_remaining_bytes;
+          Alcotest.test_case "MMPTCP switch legs built at the switch" `Quick
+            test_switch_legs_built_late;
         ] );
       ( "golden",
         [
