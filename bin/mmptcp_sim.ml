@@ -153,7 +153,10 @@ let scale_term =
              (fun s -> sim_time_of_ns (s *. 1e9) <> None)
              ~want:"at least 1ns and under 2^62ns")
           Scale.small.Scale.horizon_s
-      & info [ "horizon" ] ~doc:"Simulated seconds before the hard stop.")
+      & info [ "horizon" ]
+          ~doc:
+            "Cap on simulated seconds. A run ends sooner, once every short \
+             flow has arrived and closed.")
   in
   let full =
     Arg.(

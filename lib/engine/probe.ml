@@ -5,13 +5,21 @@ type t = {
   timer : Scheduler.Timer.t;
   mutable armed : bool;
   mutable ticks : int;
+  mutable last_ns : int;  (* instant of the last sample, -1 before one *)
 }
 
+let sample t =
+  let now_ns = Sim_time.to_ns (Scheduler.now t.sched) in
+  Sim_obs.Series.sample t.series ~now_ns;
+  t.last_ns <- now_ns
+
 let tick t =
-  Sim_obs.Series.sample t.series
-    ~now_ns:(Sim_time.to_ns (Scheduler.now t.sched));
+  sample t;
   t.ticks <- t.ticks + 1;
   if t.armed then Scheduler.Timer.schedule_after t.timer t.interval
+
+let sample_end t =
+  if t.last_ns <> Sim_time.to_ns (Scheduler.now t.sched) then sample t
 
 let create ?conns sched ~interval =
   if Sim_time.to_ns interval <= 0 then
@@ -40,7 +48,7 @@ let create ?conns sched ~interval =
   let timer = Scheduler.Timer.create sched tick_cell cell in
   let t =
     { sched; series = Sim_obs.Series.create m; interval; timer; armed = false;
-      ticks = 0 }
+      ticks = 0; last_ns = -1 }
   in
   cell := Some t;
   t

@@ -32,6 +32,12 @@ val start : t -> unit
 val ticks : t -> int
 (** Sampling ticks fired so far. *)
 
+val sample_end : t -> unit
+(** Take one sample at the current instant, unless a tick already
+    landed there. For a run that ends before its horizon: without it,
+    a probe whose next tick lies beyond the end would hold no sample
+    of the run's last state. Not counted in {!ticks}. *)
+
 val capture : t -> Sim_obs.Capture.t
 (** Immutable snapshot of everything collected (gauge samples,
     histograms, events). Call after the run: it cancels the pending

@@ -63,6 +63,7 @@ type t = {
   mutable next_seq : int;
   mutable fired_seq : int;  (* seq of the last event fired at [now], or -1 *)
   mutable processed : int;
+  mutable bound : int;  (* ns: the last instant [run] may fire; see [stop] *)
   ctx : Sim_ctx.t;
 }
 
@@ -106,6 +107,7 @@ let create () =
     next_seq = 0;
     fired_seq = -1;
     processed = 0;
+    bound = max_int;
     ctx = Sim_ctx.create ();
   }
 
@@ -341,6 +343,7 @@ let[@inline] advance t tm sq =
 
 let run ?until t =
   let horizon = match until with Some u -> Sim_time.to_ns u | None -> max_int in
+  t.bound <- horizon;
   let continue = ref true in
   while !continue do
     if
@@ -349,7 +352,7 @@ let run ?until t =
          || before t.ev_time.(0) t.ev_seq.(0) t.tm_time.(0) t.tm_seq.(0))
     then begin
       let tm = t.ev_time.(0) in
-      if tm > horizon then continue := false
+      if tm > t.bound then continue := false
       else begin
         let cid = t.ev_cid.(0) in
         advance t tm t.ev_seq.(0);
@@ -360,7 +363,7 @@ let run ?until t =
     end
     else if t.tm_size > 0 then begin
       let tm = t.tm_time.(0) in
-      if tm > horizon then continue := false
+      if tm > t.bound then continue := false
       else begin
         let e = t.reg.(t.tm_ids.(0)) in
         advance t tm t.tm_seq.(0);
@@ -373,12 +376,16 @@ let run ?until t =
   done;
   (* When the queue drained (or only holds events beyond the horizon)
      advance the clock to the horizon, so repeated bounded runs make
-     progress. *)
+     progress. A run that [stop] cut short ends where it stopped. *)
+  let stopped = t.bound < horizon in
+  t.bound <- max_int;
   match until with
-  | Some u when Sim_time.(u > t.now) ->
+  | Some u when Sim_time.(u > t.now) && not stopped ->
     t.now <- u;
     t.fired_seq <- -1
   | Some _ | None -> ()
+
+let stop t = t.bound <- Int.min t.bound (Sim_time.to_ns t.now)
 
 let pending_events t = t.ev_size + t.tm_size
 let events_processed t = t.processed

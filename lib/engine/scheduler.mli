@@ -37,6 +37,12 @@ val run : ?until:Sim_time.t -> t -> unit
     to [until] if that is later. In the dev profile it fails if a key
     it fires is not strictly after the last one fired. *)
 
+val stop : t -> unit
+(** Lower the running {!run}'s bound to the current instant: the
+    events still due at this instant fire, nothing later does, and
+    [run] returns with the clock left here rather than moved to
+    [until]. Outside a [run] it does nothing. *)
+
 val reserve : t -> int -> int
 (** [reserve t n] takes the next [n] scheduling sequence numbers and
     returns the first. They are used later, one per

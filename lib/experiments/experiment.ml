@@ -14,13 +14,15 @@ type ('p, 'r) spec = {
   render : Scale.t -> ('p * 'r) list -> Sink.table list;
   capture : 'r -> Sim_obs.Capture.t option;
   ledger : 'r -> Sim_obs.Flow_ledger.dump option;
+  ending : 'r -> (Sim_engine.Sim_time.t * Sim_workload.Scenario.ending) option;
 }
 
 type t = E : ('p, 'r) spec -> t
 
-let make ~name ~doc ~points ~point_label ~run_point ~render =
+let make ~name ~doc ~points ~point_label ~run_point ~render
+    ?(ending = fun _ -> None) () =
   E { name; doc; points; point_label; run_point; render;
-      capture = (fun _ -> None); ledger = (fun _ -> None) }
+      capture = (fun _ -> None); ledger = (fun _ -> None); ending }
 
 let scenario ~name ~doc ~points ~point_label ~config ~render =
   let module Scenario = Sim_workload.Scenario in
@@ -28,7 +30,8 @@ let scenario ~name ~doc ~points ~point_label ~config ~render =
       run_point = (fun scale p -> Scenario.run (config scale p));
       render;
       capture = (fun r -> r.Scenario.obs);
-      ledger = (fun r -> r.Scenario.ledger) }
+      ledger = (fun r -> r.Scenario.ledger);
+      ending = (fun r -> Some (r.Scenario.duration, r.Scenario.ending)) }
 
 let name (E s) = s.name
 let doc (E s) = s.doc
@@ -50,12 +53,14 @@ type instance = {
   i_jobs : job list;
   i_finish : unit -> Sink.artifact list;
   i_point_spans : unit -> (string * Prof.span) list;
+  i_point_ends : unit -> (float * string) option list;
 }
 
 let instance_name i = i.i_name
 let instance_jobs i = i.i_jobs
 let finish i = i.i_finish ()
 let point_spans i = i.i_point_spans ()
+let point_ends i = i.i_point_ends ()
 
 let instantiate ?(clock = fun () -> 0.) (E s) scale =
   let points = Array.of_list (s.points scale) in
@@ -121,4 +126,12 @@ let instantiate ?(clock = fun () -> 0.) (E s) scale =
         @ Ledger_sink.artifacts ~experiment:s.name ledgers);
     i_point_spans =
       (fun () -> Array.to_list (Array.mapi (fun i l -> (l, spans.(i))) labels));
+    i_point_ends =
+      (fun () ->
+        Array.to_list results
+        |> List.map (fun r ->
+               Option.bind r s.ending
+               |> Option.map (fun (t, why) ->
+                      ( Sim_engine.Sim_time.to_sec t,
+                        Sim_workload.Scenario.ending_name why ))));
   }

@@ -38,6 +38,9 @@ type ('p, 'r) spec = {
       (** extract the flow-ledger dump from a point result, if the
           result type carries one ([Scenario.result.ledger]); rendered
           by {!Ledger_sink} into per-flow lifecycle artifacts *)
+  ending : 'r -> (Sim_engine.Sim_time.t * Sim_workload.Scenario.ending) option;
+      (** the simulated instant a point's run ended and why
+          ([Scenario.result.duration] and [ending]), for the manifest *)
 }
 
 type t = E : ('p, 'r) spec -> t  (** packed: point/result types are internal *)
@@ -49,9 +52,11 @@ val make :
   point_label:('p -> string) ->
   run_point:(Scale.t -> 'p -> 'r) ->
   render:(Scale.t -> ('p * 'r) list -> Sink.table list) ->
+  ?ending:('r -> (Sim_engine.Sim_time.t * Sim_workload.Scenario.ending) option) ->
+  unit ->
   t
 (** An experiment whose results carry no probe capture or flow
-    ledger. *)
+    ledger. [ending] defaults to none known. *)
 
 val scenario :
   name:string ->
@@ -116,6 +121,12 @@ val finish : instance -> Sink.artifact list
     artifacts extracted via [capture], and any flow-ledger artifacts
     extracted via [ledger]. Must be called after every job of the instance has
     run — [Invalid_argument] otherwise. *)
+
+val point_ends : instance -> (float * string) option list
+(** Per point, in [points] order: the simulated instant its run ended,
+    in seconds, and {!Sim_workload.Scenario.ending_name} of why, when
+    the experiment knows them; meaningful only after the jobs were
+    accepted. *)
 
 val point_spans : instance -> (string * Prof.span) list
 (** Per-point (label, profiling span) in [points] order — wall time

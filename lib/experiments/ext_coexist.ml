@@ -14,6 +14,8 @@ let jain_index xs =
 
 let names = [ "tcp"; "mptcp-8"; "mmptcp" ]
 
+let duration = 20.
+
 (* One three-flow bottleneck simulation; the per-protocol goodputs are
    the whole result. *)
 let run_bottleneck scale =
@@ -22,7 +24,6 @@ let run_bottleneck scale =
     Dumbbell.create ~sched
       ~bottleneck_spec:Sim_workload.Scenario.paper_link_spec ~pairs:3 ()
   in
-  let duration = 20. in
   let size = 1_000_000_000 in
   (* Pair 0: TCP, pair 1: MPTCP-8, pair 2: MMPTCP. *)
   let tcp_flow =
@@ -79,3 +80,6 @@ let experiment =
     ~point_label:(fun () -> "bottleneck")
     ~run_point:(fun scale () -> run_bottleneck scale)
     ~render
+    ~ending:(fun _ ->
+      Some (Time.of_sec duration, Sim_workload.Scenario.Horizon))
+    ()

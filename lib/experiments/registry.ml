@@ -119,9 +119,11 @@ let run ?clock ?out ?git ?(prof = false) ~jobs scale experiments =
             e_artifacts =
               List.concat_map (fun a -> Sink.write_artifact ~dir a) arts;
             e_points =
-              List.map
-                (fun (label, sp) -> (label, sp.Prof.sp_wall_s))
-                (Experiment.point_spans inst);
+              List.map2
+                (fun (p_label, sp) p_end ->
+                  { Sink.p_label; p_seconds = sp.Prof.sp_wall_s; p_end })
+                (Experiment.point_spans inst)
+                (Experiment.point_ends inst);
           })
         artifacts
     in

@@ -12,9 +12,9 @@ type t = {
   obs : Scenario.obs_cfg;
 }
 
-(* Horizons: short-flow arrivals span well under a second at these
-   rates; the rest of the horizon is tail budget for RTO-backoff
-   stragglers. *)
+(* Horizons are caps: a run ends once its last short flow has closed
+   (Scenario.run), which at these rates is well before the horizon.
+   The slack covers RTO-backoff stragglers. *)
 let tiny =
   { k = 4; oversub = 2; flows = 40; rate = 50.; seed = 3; horizon_s = 2.;
     model = Scenario.Packet; obs = Scenario.default_obs }

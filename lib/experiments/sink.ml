@@ -155,10 +155,16 @@ let write_artifact ~dir = function
 (* ------------------------------------------------------------------ *)
 (* Manifest *)
 
+type point_entry = {
+  p_label : string;
+  p_seconds : float;
+  p_end : (float * string) option;
+}
+
 type experiment_entry = {
   e_name : string;
   e_artifacts : string list;
-  e_points : (string * float) list;
+  e_points : point_entry list;
 }
 
 let manifest_string ~scale ~jobs ~git ~total_seconds entries =
@@ -191,14 +197,21 @@ let manifest_string ~scale ~jobs ~git ~total_seconds entries =
       add
         (Printf.sprintf ",\n      \"seconds\": %s"
            (json_float
-              (List.fold_left (fun a (_, s) -> a +. s) 0. e.e_points)));
+              (List.fold_left (fun a p -> a +. p.p_seconds) 0. e.e_points)));
       add ",\n      \"points\": [";
       List.iteri
-        (fun j (label, secs) ->
+        (fun j p ->
           if j > 0 then add ", ";
           add
-            (Printf.sprintf "{\"label\": %s, \"seconds\": %s}"
-               (json_escape label) (json_float secs)))
+            (Printf.sprintf "{\"label\": %s, \"seconds\": %s"
+               (json_escape p.p_label) (json_float p.p_seconds));
+          (match p.p_end with
+          | Some (sim_end_s, why) ->
+            add
+              (Printf.sprintf ", \"sim_end_s\": %s, \"end\": %s"
+                 (json_float sim_end_s) (json_escape why))
+          | None -> ());
+          add "}")
         e.e_points;
       add "],\n      \"artifacts\": [";
       add (String.concat ", " (List.map json_escape e.e_artifacts));

@@ -93,11 +93,19 @@ val write_artifact : dir:string -> artifact -> string list
 
 (** {2 Run manifest} *)
 
+type point_entry = {
+  p_label : string;
+  p_seconds : float;  (** host seconds where the point ran *)
+  p_end : (float * string) option;
+      (** the simulated instant the point's run ended, in seconds, and
+          why (["shorts-closed"] or ["horizon"]); written as
+          [sim_end_s] and [end] when known *)
+}
+
 type experiment_entry = {
   e_name : string;
   e_artifacts : string list;  (** basenames under the out dir *)
-  e_points : (string * float) list;
-      (** per-point (label, seconds where the point ran) *)
+  e_points : point_entry list;
 }
 
 val manifest_string :

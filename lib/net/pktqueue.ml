@@ -20,19 +20,19 @@ type t = {
   ctx : Sim_engine.Sim_ctx.t;
   cap : int;
   lay : Layer.t;
-  qname : string;
   mutable backlog_bytes : int;
   (* Installation order; every hook sees every dropped packet. *)
   mutable drop_hooks : (Packet.t -> unit) list;
   st : stats;
-  m : Sim_obs.Metrics.t option;  (* [Some] only when the registry is on *)
+  m : (Sim_obs.Metrics.t * string) option;
+      (* the registry and this queue's name in it, [Some] only when the
+         registry is on: nothing else reads the name *)
 }
 
 let create ~ctx ~capacity ~layer () =
   if capacity <= 0 then invalid_arg "Pktqueue.create: capacity must be positive";
   let queue_id = Sim_engine.Sim_ctx.fresh_queue_id ctx in
   let metrics = Sim_engine.Sim_ctx.metrics ctx in
-  let qname = Printf.sprintf "q%d.%s" queue_id (Layer.to_string layer) in
   let t =
     {
       ring = [||];
@@ -41,15 +41,19 @@ let create ~ctx ~capacity ~layer () =
       ctx;
       cap = capacity;
       lay = layer;
-      qname;
       backlog_bytes = 0;
       drop_hooks = [];
       st = { enqueued = 0; dropped = 0; bytes_enqueued = 0; max_backlog = 0 };
-      m = (if Sim_obs.Metrics.active metrics then Some metrics else None);
+      m =
+        (if Sim_obs.Metrics.active metrics then
+           Some
+             ( metrics,
+               Printf.sprintf "q%d.%s" queue_id (Layer.to_string layer) )
+         else None);
     }
   in
   (match t.m with
-   | Some m ->
+   | Some (m, qname) ->
      let reg name units read =
        Sim_obs.Metrics.register m ~component:"pktqueue" ~id:qname ~name ~units
          read
@@ -84,12 +88,12 @@ let enqueue t pkt =
   if t.len >= t.cap then begin
     t.st.dropped <- t.st.dropped + 1;
     (match t.m with
-     | Some m ->
+     | Some (m, qname) ->
        Sim_obs.Metrics.emit m ~kind:"queue_drop"
          ~conn:pkt.Packet.conn
          ~subflow:pkt.Packet.subflow
          ~info:
-           [ ("queue", t.qname); ("size", string_of_int pkt.Packet.size) ]
+           [ ("queue", qname); ("size", string_of_int pkt.Packet.size) ]
          ()
      | None -> ());
     List.iter (fun f -> f pkt) t.drop_hooks;

@@ -149,13 +149,16 @@ and follow t ~dst c l choice len =
       end
       else take t ~dst c links 0 choice (len + 1)
 
-let path t ~src ~dst ~choice =
-  if src = dst then [||]
+let walk t ~src ~dst ~choice =
+  if src = dst then 0
   else begin
     prepare t;
     let c = t.walk.dests.Switch.cls.(dst) in
-    Array.sub t.walk.buf 0 (take t ~dst c (Host.nics t.hosts.(src)) 0 choice 0)
+    take t ~dst c (Host.nics t.hosts.(src)) 0 choice 0
   end
+
+let walk_buffer t = t.walk.buf
+let path t ~src ~dst ~choice = Array.sub t.walk.buf 0 (walk t ~src ~dst ~choice)
 
 module Builder = struct
   type b = {

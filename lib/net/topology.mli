@@ -77,6 +77,13 @@ val path : t -> src:int -> dst:int -> choice:int -> int array
     source NIC first, the destination's down-link last. A fresh array;
     empty when [src = dst]. *)
 
+val walk : t -> src:int -> dst:int -> choice:int -> int
+(** {!path} without the copy: writes the path's link ids into
+    {!walk_buffer} from index 0 and returns its length. The buffer
+    holds them until the next [walk] or [path] on [t]. *)
+
+val walk_buffer : t -> int array
+
 (** {1 Building blocks for topology constructors} *)
 
 module Builder : sig

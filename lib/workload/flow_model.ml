@@ -137,6 +137,7 @@ module type BACKEND = sig
     src_id:int ->
     dst_id:int ->
     size:int ->
+    on_close:(unit -> unit) ->
     int
 
   val finish : net -> net_stats

@@ -82,7 +82,8 @@ type config = {
   short_size : int;  (** bytes per short flow (paper: 70 KB) *)
   short_flows : int;  (** total short flows to schedule *)
   short_rate : float;  (** Poisson arrival rate per short host, flows/s *)
-  horizon : Time.t;  (** hard stop *)
+  horizon : Time.t;
+      (** cap: a run ends sooner, once every short flow has closed *)
   params : Sim_tcp.Tcp_params.t;
   obs : obs_cfg;
 }
@@ -121,9 +122,12 @@ val build_topology :
     virtual time and returns its connection id, the flow's key in the
     ledger; fct, retransmit counts and delivered bytes reach the
     ledger through its hooks, each transport stage adding its bytes
-    once, when its connection closes. [finish] is called once, after
-    the horizon: it adds the bytes of every stage still open, then
-    reads the network aggregates. *)
+    once, when its connection closes. [on_close] fires once, when the
+    whole transfer is closed: a packet connection once no packet and
+    no timer of it is left, a fluid one at completion, and a hybrid
+    one once both of its stages are. [finish] is called once, after
+    the run: it adds the bytes of every stage still open, then reads
+    the network aggregates. *)
 module type BACKEND = sig
   type net
 
@@ -137,6 +141,7 @@ module type BACKEND = sig
     src_id:int ->
     dst_id:int ->
     size:int ->
+    on_close:(unit -> unit) ->
     int
 
   val finish : net -> net_stats

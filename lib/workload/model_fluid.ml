@@ -56,16 +56,19 @@ let build ~sched (cfg : Flow_model.config) =
 let topology net = net.topo
 let engine net = net.engine
 
-(* One-way traversal time of [path] for a [bytes]-long frame:
-   store-and-forward serialisation plus propagation at every hop. *)
-let path_time net ~bytes path =
-  Array.fold_left
-    (fun acc li ->
-      let l = net.topo.Topology.links.(li) in
-      acc
+(* One-way traversal time of the path in [links.(0 .. len - 1)] for a
+   [bytes]-long frame: store-and-forward serialisation plus
+   propagation at every hop. *)
+let path_time net ~bytes links len =
+  let t = ref 0. in
+  for i = 0 to len - 1 do
+    let l = net.topo.Topology.links.(links.(i)) in
+    t :=
+      !t
       +. Time.to_sec (Link.delay l)
-      +. (float_of_int (bytes * 8) /. Link.rate_bps l))
-    0. path
+      +. (float_of_int (bytes * 8) /. Link.rate_bps l)
+  done;
+  !t
 
 let ack_bytes = 40
 let scatter_cap = 8
@@ -91,9 +94,12 @@ let transport_plan (cfg : Flow_model.config) net ~rng ~src ~dst ~assume_switched
   let leg choice ~weight =
     let path = Topology.path net.topo ~src ~dst ~choice in
     let rev =
-      Topology.path net.topo ~src:dst ~dst:src ~choice:(choice mod rev_paths)
+      Topology.walk net.topo ~src:dst ~dst:src ~choice:(choice mod rev_paths)
     in
-    let rtt_s = path_time net ~bytes:data path +. path_time net ~bytes:ack_bytes rev in
+    let rtt_s =
+      path_time net ~bytes:data path (Array.length path)
+      +. path_time net ~bytes:ack_bytes (Topology.walk_buffer net.topo) rev
+    in
     { Engine.path; weight; rtt_s }
   in
   let mptcp_legs ~subflows ~coupled =
@@ -136,22 +142,24 @@ let add_bytes net c =
   Sim_obs.Flow_ledger.add_bytes net.ledger ~conn:(Engine.conn_id c)
     (Engine.conn_bytes c)
 
-let start_conn net ?resume_from ?switch ~legs ~size () =
+let start_conn net ?resume_from ?switch ~legs ~size ~on_close () =
   let c =
     Engine.start net.engine ?resume_from ?switch ~legs ~size
       ~on_complete:(fun c ->
         Hashtbl.remove net.conns (Engine.conn_id c);
-        add_bytes net c)
+        add_bytes net c;
+        on_close ())
       ()
   in
   Hashtbl.replace net.conns (Engine.conn_id c) c;
   c
 
-let start_flow (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size =
+let start_flow (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size
+    ~on_close =
   let legs, switch =
     transport_plan cfg net ~rng ~src:src_id ~dst:dst_id ~assume_switched:false
   in
-  Engine.conn_id (start_conn net ?switch ~legs ~size ())
+  Engine.conn_id (start_conn net ?switch ~legs ~size ~on_close ())
 
 let finish net =
   Hashtbl.iter (fun _ c -> add_bytes net c) net.conns;

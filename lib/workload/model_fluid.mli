@@ -15,11 +15,13 @@ val start_conn :
   ?switch:Sim_fluid.Engine.switch_spec ->
   legs:Sim_fluid.Engine.leg_spec array ->
   size:int ->
+  on_close:(unit -> unit) ->
   unit ->
   Sim_fluid.Engine.conn
 (** {!Sim_fluid.Engine.start} on this model's engine, with the
     transfer's delivered bytes added to the ledger once: at
-    completion, or from [finish] if it is still open then. The
+    completion, or from [finish] if it is still open then.
+    [on_close] fires at completion, after the bytes are added. The
     hybrid model starts its fluid continuations here. *)
 
 val transport_plan :

@@ -107,12 +107,20 @@ let ensure_sampling net =
 
 let topology net = Model_fluid.topology net.fnet
 
-let start_flow (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size =
+let start_flow (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size
+    ~on_close =
   if size <= net.handoff then
     (* Whole flow fits the packet stage: run it there, untouched. *)
-    Model_packet.start_flow cfg net.pnet ~rng ~src_id ~dst_id ~size
+    Model_packet.start_flow cfg net.pnet ~rng ~src_id ~dst_id ~size ~on_close
   else begin
     let stage1 = net.handoff in
+    (* The flow is closed once both stages are: the packet stage's
+       connection, and the fluid continuation it starts. *)
+    let open_stages = ref 2 in
+    let stage_closed () =
+      decr open_stages;
+      if !open_stages = 0 then on_close ()
+    in
     let ctx = Scheduler.ctx (topology net).Topology.sched in
     let ledger = Sim_engine.Sim_ctx.ledger ctx in
     (* Set once start_flow_ext returns, read when the packet stage
@@ -125,7 +133,7 @@ let start_flow (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size =
       in
       let c =
         Model_fluid.start_conn net.fnet ~resume_from:stage1 ?switch ~legs
-          ~size:(size - stage1) ()
+          ~size:(size - stage1) ~on_close:stage_closed ()
       in
       (* The fluid continuation's conn id becomes an alias of the
          packet-stage ledger record, so stage-2 events — completion and
@@ -151,7 +159,8 @@ let start_flow (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size =
     in
     pkt_conn :=
       Model_packet.start_flow_ext cfg net.pnet ~rng ~src_id ~dst_id ~size:stage1
-        ~on_complete:(fun ~switched -> promote ~switched);
+        ~on_complete:(fun ~switched -> promote ~switched)
+        ~on_close:stage_closed;
     !pkt_conn
   end
 

@@ -39,20 +39,21 @@ let track net f =
   Hashtbl.replace net.conns conn f;
   conn
 
-let close net f =
+let close net on_close f =
   let conn = Flow.conn f in
   Hashtbl.remove net.conns conn;
-  Flow_ledger.add_bytes net.ledger ~conn (Flow.bytes_received f)
+  Flow_ledger.add_bytes net.ledger ~conn (Flow.bytes_received f);
+  on_close ()
 
 (* [on_complete] additionally reports whether an MMPTCP connection had
    already switched to its multipath phase when it finished — the
    hybrid model resumes the fluid stage in the matching phase. *)
 let start_flow_ext (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size
-    ~on_complete =
+    ~on_complete ~on_close =
   let src = Topology.host net.topo src_id
   and dst = Topology.host net.topo dst_id in
   let params = cfg.Flow_model.params in
-  let on_close = close net in
+  let on_close = close net on_close in
   track net
     (match cfg.Flow_model.protocol with
     | Flow_model.Tcp_proto ->
@@ -74,9 +75,10 @@ let start_flow_ext (cfg : Flow_model.config) net ~rng ~src_id ~dst_id ~size
            ~on_close:(fun c -> on_close (Mmptcp_conn.flow c))
            ()))
 
-let start_flow cfg net ~rng ~src_id ~dst_id ~size =
+let start_flow cfg net ~rng ~src_id ~dst_id ~size ~on_close =
   start_flow_ext cfg net ~rng ~src_id ~dst_id ~size
     ~on_complete:(fun ~switched:_ -> ())
+    ~on_close
 
 let finish net =
   Hashtbl.iter

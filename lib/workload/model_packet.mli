@@ -16,6 +16,7 @@ val start_flow_ext :
   dst_id:int ->
   size:int ->
   on_complete:(switched:bool -> unit) ->
+  on_close:(unit -> unit) ->
   int
 (** [start_flow] plus a completion hook — the hybrid model's handoff
     point. [switched] reports whether an MMPTCP connection finished in

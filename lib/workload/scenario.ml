@@ -19,6 +19,12 @@ type flow_result = {
   bytes_received : int;
 }
 
+type ending = Shorts_closed | Horizon
+
+let ending_name = function
+  | Shorts_closed -> "shorts-closed"
+  | Horizon -> "horizon"
+
 type result = {
   config : config;
   shorts : flow_result array;
@@ -26,6 +32,7 @@ type result = {
   net : net_stats;
   events : int;
   duration : Time.t;
+  ending : ending;
   obs : Sim_obs.Capture.t option;
   ledger : Sim_obs.Flow_ledger.dump option;
 }
@@ -79,16 +86,30 @@ let run (cfg : config) =
      The arrival is the model-agnostic ledger anchor: it knows the
      flow's full size (the hybrid model's packet stage only sees its
      handoff slice) and runs before any transport event can fire. *)
-  let start src ~size ~long =
+  let start src ~size ~long ~on_close =
     let dst = Traffic_matrix.dest tm ~src in
-    let conn = B.start_flow cfg net ~rng ~src_id:src ~dst_id:dst ~size in
+    let conn =
+      B.start_flow cfg net ~rng ~src_id:src ~dst_id:dst ~size ~on_close
+    in
     Sim_obs.Flow_ledger.on_start ledger ~conn ~src ~dst ~size ~long
+  in
+  (* The run ends once every budgeted short has arrived and closed
+     (DESIGN.md §4m): nothing the results report about the shorts can
+     change after that. [open_shorts] counts the arrived shorts not
+     yet closed; a short cannot close before its arrival counts it. *)
+  let arrived = ref 0 and open_shorts = ref 0 and shorts_closed = ref false in
+  let short_closed () =
+    decr open_shorts;
+    if !open_shorts = 0 && !arrived = cfg.short_flows then begin
+      shorts_closed := true;
+      Scheduler.stop sched
+    end
   in
   (* Long background flows start near t=0 with a little jitter so their
      slow starts do not synchronise. The payload is the host. *)
   let longs =
     Scheduler.Event.pool sched ~fire:(fun h ->
-        start h ~size:cfg.long_size ~long:true)
+        start h ~size:cfg.long_size ~long:true ~on_close:ignore)
   in
   Array.iter
     (fun h ->
@@ -137,12 +158,18 @@ let run (cfg : config) =
     lazy
       (Scheduler.Event.pool sched ~fire:(fun k ->
            arm_next k;
-           start short_hosts.(k) ~size:cfg.short_size ~long:false))
+           incr arrived;
+           incr open_shorts;
+           start short_hosts.(k) ~size:cfg.short_size ~long:false
+             ~on_close:short_closed))
   in
   for k = 0 to num_short - 1 do
     arm_next k
   done;
   Scheduler.run ~until:cfg.horizon sched;
+  (* A probe's next tick may lie past an early end: sample the state
+     the run ended in. *)
+  if !shorts_closed then Option.iter Sim_engine.Probe.sample_end probe;
   (* Lifetime invariant (dev profile): a connection is closed only once
      it can never act again, so no packet may reach one. A packet for
      an unbound connection id means one was closed too early. The
@@ -194,6 +221,18 @@ let run (cfg : config) =
                (if e.e_complete_ns >= 0 then "completed" else "unfinished")
                (model_name cfg.model)))
       dump;
+  (* Closing invariant (dev profile): a run that ended on the last
+     close holds no unfinished short. *)
+  if Sim_engine.Sanitizer_mode.on && !shorts_closed then
+    Array.iter
+      (fun (e : Sim_obs.Flow_ledger.entry) ->
+        if (not e.e_long) && e.e_complete_ns < 0 then
+          failwith
+            (Printf.sprintf
+               "Scenario.run: conn %d closed unfinished, yet ended the run \
+                under --model %s"
+               e.e_conn (model_name cfg.model)))
+      dump;
   (* Dump entries are in arrival order, which is start order, so the
      ids number each class by start time. *)
   let flows long =
@@ -221,6 +260,7 @@ let run (cfg : config) =
     net = net_stats;
     events = Scheduler.events_processed sched;
     duration = Scheduler.now sched;
+    ending = (if !shorts_closed then Shorts_closed else Horizon);
     obs = Option.map Sim_engine.Probe.capture probe;
     ledger = (if cfg.obs.ledger then Some dump else None);
   }

@@ -33,13 +33,27 @@ type flow_result = {
   bytes_received : int;
 }
 
+(** Why a run ended. *)
+type ending =
+  | Shorts_closed
+      (** every budgeted short had arrived and closed before the
+          horizon *)
+  | Horizon  (** the horizon came first, or there were no shorts *)
+
+val ending_name : ending -> string
+(** ["shorts-closed"] or ["horizon"], as the run manifest writes it. *)
+
 type result = {
   config : config;
   shorts : flow_result array;  (** sorted by start time *)
   longs : flow_result array;
   net : net_stats;
   events : int;
-  duration : Time.t;  (** simulated time actually elapsed *)
+  duration : Time.t;
+      (** the instant the run ended: when its last short closed, or
+          the horizon. Network and long-flow figures cover [0,
+          duration]. *)
+  ending : ending;
   obs : Sim_obs.Capture.t option;
       (** probe capture, when [config.obs.probe_interval] was set *)
   ledger : Sim_obs.Flow_ledger.dump option;
@@ -49,13 +63,21 @@ type result = {
 }
 
 val run : config -> result
-(** Raises [Failure] when [config.obs.probe_conns] names only
+(** Simulate until every budgeted short flow has arrived and closed
+    (no packet and no timer of it left; a fluid stage closes at
+    completion), with [config.horizon] as a cap. A config without
+    short flows, or whose arrivals run past the horizon, runs to the
+    horizon. A run that ends early gives its probe one last sample at
+    the end instant.
+
+    Raises [Failure] when [config.obs.probe_conns] names only
     connections that never existed under the selected model — the
     message lists the components the model actually registered. In
     the dev profile it also raises [Failure] when a packet reached a
-    closed connection, or when a flow broke byte conservation
-    (delivered more than its size, or completed without delivering
-    all of it). *)
+    closed connection, when a flow broke byte conservation (delivered
+    more than its size, or completed without delivering all of it),
+    or when a run that ended on its last close holds an unfinished
+    short. *)
 
 (** {1 Result accessors} *)
 

@@ -86,6 +86,35 @@ let test_scheduler_until () =
   Scheduler.run s;
   check_int "rest fire on resume" 10 !count
 
+(* [stop] ends the run at the current instant: the rest of that
+   instant fires, events of both heaps, and nothing later does; the
+   clock stays at the stop instead of moving to [until]. A later [run]
+   resumes where it stopped. *)
+let test_scheduler_stop () =
+  let s = Scheduler.create () in
+  let p = actions s in
+  let log = ref [] in
+  let note tag () = log := tag :: !log in
+  let tm = Scheduler.Timer.create s (note "timer") () in
+  at p (Time.of_ms 1.) (note "early");
+  at p (Time.of_ms 2.) (fun () ->
+      note "stop" ();
+      Scheduler.stop s);
+  at p (Time.of_ms 2.) (note "same instant");
+  Scheduler.Timer.schedule_at tm (Time.of_ms 2.);
+  at p (Time.of_ms 3.) (note "later");
+  Scheduler.run ~until:(Time.of_ms 10.) s;
+  Alcotest.(check (list string)) "the stop instant fires, nothing later"
+    [ "early"; "stop"; "same instant"; "timer" ] (List.rev !log);
+  Alcotest.(check (float 1e-6)) "clock at the stop" 2.
+    (Time.to_ms (Scheduler.now s));
+  check_int "later event pending" 1 (Scheduler.pending_events s);
+  Scheduler.run ~until:(Time.of_ms 10.) s;
+  Alcotest.(check (list string)) "a new run resumes"
+    [ "early"; "stop"; "same instant"; "timer"; "later" ] (List.rev !log);
+  Alcotest.(check (float 1e-6)) "clock at the horizon" 10.
+    (Time.to_ms (Scheduler.now s))
+
 let test_scheduler_nested_scheduling () =
   let s = Scheduler.create () in
   let p = actions s in
@@ -835,6 +864,8 @@ let () =
           Alcotest.test_case "order and clock" `Quick test_scheduler_order_and_clock;
           Alcotest.test_case "same-time fifo" `Quick test_scheduler_same_time_fifo;
           Alcotest.test_case "run until" `Quick test_scheduler_until;
+          Alcotest.test_case "stop at the current instant" `Quick
+            test_scheduler_stop;
           Alcotest.test_case "nested scheduling" `Quick test_scheduler_nested_scheduling;
           Alcotest.test_case "past rejected" `Quick test_scheduler_past_rejected;
           Alcotest.test_case "counters" `Quick test_scheduler_counts;

@@ -81,6 +81,7 @@ let test_fct_stats_all_incomplete () =
       net = { Scenario.ns_core_loss = 0.; ns_agg_loss = 0.; ns_core_utilisation = 0. };
       events = 0;
       duration = Time.of_sec 1.;
+      ending = Scenario.Horizon;
       obs = None;
       ledger = None;
     }

@@ -271,25 +271,28 @@ let packet_outcome ~until =
   Flow_ledger.set_clock ledger ~clock_ns:(fun () ->
       Time.to_ns (Scheduler.now sched));
   let net = Model_packet.build ~sched cfg in
+  let closes = ref 0 in
   let conn =
     Model_packet.start_flow cfg net ~rng:(Rng.create ~seed:1) ~src_id:0
-      ~dst_id:13 ~size:2_000_000
+      ~dst_id:13 ~size:2_000_000 ~on_close:(fun () -> incr closes)
   in
   Flow_ledger.on_start ledger ~conn ~src:0 ~dst:13 ~size:2_000_000 ~long:true;
   Scheduler.run ?until sched;
   let src = Topology.host (Model_packet.topology net) 0 in
   let bound_at_horizon = bound src ~conn in
   ignore (Model_packet.finish net);
-  ((Flow_ledger.dump ledger).(0), bound_at_horizon)
+  ((Flow_ledger.dump ledger).(0), bound_at_horizon, !closes)
 
 let test_live_until_close () =
-  let e, bound = packet_outcome ~until:(Some (Time.of_ms 40.)) in
+  let e, bound, closes = packet_outcome ~until:(Some (Time.of_ms 40.)) in
   check_bool "cut: in flight at the horizon" true (Flow_ledger.fct_ns e = None);
   check_bool "cut: bound at the horizon" true bound;
+  check_int "cut: not closed" 0 closes;
   check_bool "cut: bytes are partial" true
     (0 < e.Flow_ledger.e_bytes && e.Flow_ledger.e_bytes < 2_000_000);
-  let e, bound = packet_outcome ~until:None in
+  let e, bound, closes = packet_outcome ~until:None in
   check_bool "drained: closed" false bound;
+  check_int "drained: on_close once" 1 closes;
   check_int "drained: final bytes" 2_000_000 e.Flow_ledger.e_bytes;
   check_bool "drained: final fct" true (Flow_ledger.fct_ns e <> None)
 

@@ -37,6 +37,7 @@ let synthetic ~log ?(boom = fun _ -> false) () =
             ]
           pairs;
       ])
+    ()
 
 let run_jobs inst =
   List.iter

@@ -43,6 +43,7 @@ let mini_suite =
               [ Sink.column "x" Sink.int fst; Sink.column "x_squared" Sink.int snd ]
             pairs;
         ])
+      ()
   in
   let negations =
     Experiment.make ~name:"negations" ~doc:"negations of small ints"
@@ -52,6 +53,7 @@ let mini_suite =
       ~render:(fun _ pairs ->
         List.iter (fun (p, r) -> Printf.printf "-%d = %d\n" p r) pairs;
         [ Sink.table ~name:"negations" ~columns:[ Sink.column "neg" Sink.int snd ] pairs ])
+      ()
   in
   [ squares; negations ]
 
@@ -65,7 +67,8 @@ let fig1a_sweep ~log =
       ~run_point:(fun _ (_, cfg) -> Scenario.run cfg)
       ~render:(fun _ pairs ->
         log := List.map snd pairs;
-        []);
+        [])
+      ();
   ]
 
 (* Three probed packet simulations: each point's capture crosses the
@@ -110,7 +113,8 @@ let synthetic ~log =
             ~columns:
               [ Sink.column "point" Sink.int fst; Sink.column "result" Sink.int snd ]
             pairs;
-        ]);
+        ])
+      ();
   ]
 
 let failing_suite =
@@ -120,7 +124,8 @@ let failing_suite =
       ~point_label:string_of_int
       ~run_point:(fun _ i ->
         if i = 1 then failwith "synthetic point failure" else i)
-      ~render:(fun _ _ -> []);
+      ~render:(fun _ _ -> [])
+      ();
   ]
 
 (* A Scenario.result is plain data (it crosses the worker pipe), so

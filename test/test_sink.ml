@@ -96,7 +96,15 @@ let manifest_entries =
     {
       Sink.e_name = "fig1a";
       e_artifacts = [ "fig1a.csv"; "fig1a.json" ];
-      e_points = [ ("subflows=1", 0.25); ("subflows=2", 0.5) ];
+      e_points =
+        [
+          {
+            Sink.p_label = "subflows=1";
+            p_seconds = 0.25;
+            p_end = Some (0.5, "shorts-closed");
+          };
+          { Sink.p_label = "subflows=2"; p_seconds = 0.5; p_end = None };
+        ];
     };
     { Sink.e_name = "ext-coexist"; e_artifacts = []; e_points = [] };
   ]
@@ -114,7 +122,10 @@ let test_manifest () =
   check_has "total" m "\"total_seconds\": 1.5";
   (* Per-experiment seconds is the sum of its point durations. *)
   check_has "summed seconds" m "\"seconds\": 0.75";
-  check_has "point timing" m "{\"label\": \"subflows=1\", \"seconds\": 0.25}";
+  check_has "point timing and end" m
+    "{\"label\": \"subflows=1\", \"seconds\": 0.25, \"sim_end_s\": 0.5, \
+     \"end\": \"shorts-closed\"}";
+  check_has "no end when unknown" m "{\"label\": \"subflows=2\", \"seconds\": 0.5}";
   check_has "empty experiment" m "\"ext-coexist\""
 
 let test_manifest_no_git () =

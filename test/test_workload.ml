@@ -189,6 +189,136 @@ let test_scenario_long_goodput_positive () =
   check_bool "some longs" true (Array.length g > 0);
   Array.iter (fun m -> check_bool "positive goodput" true (m > 0.)) g
 
+(* How a run ends. A run stops once every budgeted short has arrived
+   and closed, with the horizon as a cap. *)
+let models =
+  [
+    ("packet", Scenario.Packet);
+    ("fluid", Scenario.Fluid);
+    ("hybrid", Scenario.Hybrid { handoff_bytes = 10_000 });
+  ]
+
+let ending_config model =
+  {
+    (small_config (Scenario.Mmptcp_proto Mmptcp.Strategy.default)) with
+    Scenario.model;
+    topo = Scenario.Fattree_topo (Scenario.paper_fattree ~k:4 ~oversub:2 ());
+  }
+
+let last_completion (r : Scenario.result) =
+  Array.fold_left
+    (fun acc (f : Scenario.flow_result) ->
+      match f.fct with
+      | Some fct -> Time.max acc (Time.add f.start fct)
+      | None -> acc)
+    Time.zero r.shorts
+
+let test_ends_on_last_close () =
+  List.iter
+    (fun (what, model) ->
+      let cfg = ending_config model in
+      let r = Scenario.run cfg in
+      check_bool (what ^ ": ended on the last close") true
+        (r.Scenario.ending = Scenario.Shorts_closed);
+      check_bool (what ^ ": before the horizon") true
+        Time.(r.Scenario.duration < cfg.Scenario.horizon);
+      check_int (what ^ ": every short arrived") cfg.Scenario.short_flows
+        (Array.length r.Scenario.shorts);
+      check_int (what ^ ": every short complete") 0 (Scenario.incomplete_shorts r);
+      check_bool (what ^ ": not before the last completion") true
+        Time.(last_completion r <= r.Scenario.duration))
+    models
+
+let test_zero_shorts_reach_horizon () =
+  List.iter
+    (fun (what, model) ->
+      let cfg =
+        { (ending_config model) with Scenario.short_flows = 0;
+          horizon = Time.of_ms 200. }
+      in
+      let r = Scenario.run cfg in
+      check_bool (what ^ ": ended at the horizon") true
+        (r.Scenario.ending = Scenario.Horizon);
+      Alcotest.(check int64) (what ^ ": clock at the horizon")
+        (Int64.of_int (Time.to_ns cfg.Scenario.horizon))
+        (Int64.of_int (Time.to_ns r.Scenario.duration)))
+    models
+
+(* A probe whose only tick lies at the horizon still samples a run
+   that ends before it: once, at the end instant, with the scheduler's
+   gauges read there. *)
+let test_probe_closing_sample () =
+  let cfg = ending_config Scenario.Packet in
+  let cfg =
+    {
+      cfg with
+      Scenario.obs =
+        {
+          Scenario.default_obs with
+          Scenario.probe_interval = Some cfg.Scenario.horizon;
+          probe_conns = Some [];
+        };
+    }
+  in
+  let r = Scenario.run cfg in
+  check_bool "ended early" true (r.Scenario.ending = Scenario.Shorts_closed);
+  let cap = Option.get r.Scenario.obs in
+  let end_ns = Time.to_ns r.Scenario.duration in
+  let cells = ref [] in
+  Array.iter
+    (fun (t_ns, i, v) ->
+      check_int "sampled at the end instant" end_ns t_ns;
+      if cap.Sim_obs.Capture.gauges.(i).Sim_obs.Metrics.name = "event_cells" then
+        cells := v :: !cells)
+    cap.Sim_obs.Capture.samples;
+  match !cells with
+  | [ v ] -> check_bool "event_cells nonzero" true (v > 0.)
+  | l -> Alcotest.failf "want one event_cells sample, got %d" (List.length l)
+
+(* A promoted hybrid short is closed only once both of its stages
+   are: the packet stage's connection (unbound from both hosts) and
+   the fluid continuation (complete). *)
+let test_hybrid_short_holds_run () =
+  let module Host = Sim_net.Host in
+  let module Topology = Sim_net.Topology in
+  let module Flow_ledger = Sim_obs.Flow_ledger in
+  let cfg = ending_config (Scenario.Hybrid { handoff_bytes = 10_000 }) in
+  let sched = Sim_engine.Scheduler.create () in
+  let ledger = Sim_engine.Sim_ctx.ledger (Sim_engine.Scheduler.ctx sched) in
+  Flow_ledger.set_clock ledger ~clock_ns:(fun () ->
+      Time.to_ns (Sim_engine.Scheduler.now sched));
+  let net = Sim_workload.Model_hybrid.build ~sched cfg in
+  let topo = Sim_workload.Model_hybrid.topology net in
+  let bound host ~conn =
+    match Host.bind host ~conn ignore with
+    | () ->
+      Host.unbind host ~conn;
+      false
+    | exception Invalid_argument _ -> true
+  in
+  let conn = ref (-1) and closes = ref [] in
+  let on_close () =
+    let e = (Flow_ledger.dump ledger).(0) in
+    closes :=
+      ( bound (Topology.host topo 0) ~conn:!conn,
+        bound (Topology.host topo 13) ~conn:!conn,
+        e.Flow_ledger.e_promote_ns >= 0,
+        e.Flow_ledger.e_complete_ns >= 0 )
+      :: !closes
+  in
+  conn :=
+    Sim_workload.Model_hybrid.start_flow cfg net ~rng:(Rng.create ~seed:1)
+      ~src_id:0 ~dst_id:13 ~size:70_000 ~on_close;
+  Flow_ledger.on_start ledger ~conn:!conn ~src:0 ~dst:13 ~size:70_000 ~long:false;
+  Sim_engine.Scheduler.run ~until:(Time.of_sec 1.) sched;
+  match !closes with
+  | [ (src_bound, dst_bound, promoted, complete) ] ->
+    check_bool "promoted" true promoted;
+    check_bool "packet stage unbound at source" false src_bound;
+    check_bool "packet stage unbound at destination" false dst_bound;
+    check_bool "fluid stage complete" true complete
+  | l -> Alcotest.failf "want one close, got %d" (List.length l)
+
 let test_protocol_names () =
   Alcotest.(check string) "tcp" "tcp" (Scenario.protocol_name Scenario.Tcp_proto);
   Alcotest.(check string) "mptcp" "mptcp-8"
@@ -198,34 +328,41 @@ let test_protocol_names () =
        (Scenario.protocol_name (Scenario.Mmptcp_proto Mmptcp.Strategy.default))
      > 6)
 
-(* Cross-commit golden: an MD5 over every flow's outcome in a tiny
+(* Cross-commit golden: MD5s over every flow's outcome in a tiny
    FatTree run under each packet path, recorded before a drained
    connection could close and before outcomes were read off the flow
    ledger — so rtos, fast retransmits and bytes are in the digest.
-   Neither change may move any simulated number. One change has moved
-   it since, on purpose: a link hop became one event, its packet's rx
-   armed when serialisation starts rather than when it ends. That
-   reorders same-instant events, and MMPTCP's digest moved with the
-   ties (46 of its 211 flow lines); the other three did not. Hybrid's
-   moved once more: its long flows finish in the fluid engine, whose
-   running conns now report their bytes up to the horizon rather than
-   up to their last rate event. *)
-let outcome_digest cfg =
+   Neither change may move any simulated number. Short and long flows
+   are digested apart. Changes that have moved a digest, on purpose:
+   - A link hop became one event, its packet's rx armed when
+     serialisation starts rather than when it ends. That reorders
+     same-instant events, and MMPTCP's digest moved with the ties (46
+     of its 211 flow lines); the other three did not.
+   - Hybrid's long flows finish in the fluid engine, whose running
+     conns now report their bytes up to the horizon rather than up to
+     their last rate event.
+   - A run ends once its last short has closed. The short rows did not
+     move; the long flows' bytes are now read at that instant, so the
+     long digests of the three runs that end before the 1 s horizon
+     moved (MPTCP-4 uncoupled runs to it). *)
+let outcome_digests cfg =
   let r = Scenario.run cfg in
-  let b = Buffer.create 4096 in
-  let flow (f : Scenario.flow_result) =
-    Printf.bprintf b "%d %d %d %d %d %d %d %d\n" f.src f.dst f.flow_size
-      (Time.to_ns f.start)
-      (match f.fct with Some t -> Time.to_ns t | None -> -1)
-      f.rtos f.fast_rtxs f.bytes_received
+  let digest flows =
+    let b = Buffer.create 4096 in
+    Array.iter
+      (fun (f : Scenario.flow_result) ->
+        Printf.bprintf b "%d %d %d %d %d %d %d %d\n" f.src f.dst f.flow_size
+          (Time.to_ns f.start)
+          (match f.fct with Some t -> Time.to_ns t | None -> -1)
+          f.rtos f.fast_rtxs f.bytes_received)
+      flows;
+    Digest.to_hex (Digest.string (Buffer.contents b))
   in
-  Array.iter flow r.shorts;
-  Array.iter flow r.longs;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  (digest r.shorts, digest r.longs)
 
 let test_golden_packet_outcomes () =
   List.iter
-    (fun (what, model, protocol, want) ->
+    (fun (what, model, protocol, shorts, longs) ->
       let cfg =
         {
           Scenario.default_config with
@@ -239,19 +376,21 @@ let test_golden_packet_outcomes () =
           horizon = Time.of_sec 1.;
         }
       in
-      Alcotest.(check string) what want (outcome_digest cfg))
+      let s, l = outcome_digests cfg in
+      Alcotest.(check string) (what ^ ": shorts") shorts s;
+      Alcotest.(check string) (what ^ ": longs") longs l)
     [
       ( "packet, MMPTCP", Scenario.Packet,
         Scenario.Mmptcp_proto Mmptcp.Strategy.default,
-        "79ce56917c95fad95ed6da5cf825a462" );
+        "33c0e755246ae709ab3aeb50eeaebad8", "91cf967b777c7aa4f91ba608e72268bf" );
       ("packet, TCP", Scenario.Packet, Scenario.Tcp_proto,
-       "9575bd0899725d6653c85cdf8dea9360");
+       "61e1352ef320d44481fc3e91b66d44f8", "f02961b224c6593c79e05c64e93f7b3c");
       ( "packet, MPTCP-4 uncoupled", Scenario.Packet,
         Scenario.Mptcp_proto { subflows = 4; coupled = false },
-        "c3780b0de88bf715552a98f07ef9e463" );
+        "02f07ba2d2cbfa061a4f51e2b72887cc", "e9d48225b9e548c449477a6d84146d5f" );
       ( "hybrid, MPTCP-8", Scenario.Hybrid { handoff_bytes = 10_000 },
         Scenario.Mptcp_proto { subflows = 8; coupled = true },
-        "b6ed4061d01f25a7613e0da09cf53b6e" );
+        "90fba471d11c6817cb06d57f5c533846", "2641891b68907d708ca9ae6ed7179b4b" );
     ]
 
 (* Cross-commit golden for same-instant arrivals. At 2e9 flows/s per
@@ -328,6 +467,15 @@ let () =
           Alcotest.test_case "flow metadata" `Slow test_scenario_flow_sizes;
           Alcotest.test_case "long goodput" `Slow test_scenario_long_goodput_positive;
           Alcotest.test_case "protocol names" `Quick test_protocol_names;
+        ] );
+      ( "ending",
+        [
+          Alcotest.test_case "ends on the last close" `Slow test_ends_on_last_close;
+          Alcotest.test_case "zero shorts reach the horizon" `Slow
+            test_zero_shorts_reach_horizon;
+          Alcotest.test_case "probe closing sample" `Slow test_probe_closing_sample;
+          Alcotest.test_case "hybrid short closes after both stages" `Quick
+            test_hybrid_short_holds_run;
         ] );
       ( "golden",
         [
