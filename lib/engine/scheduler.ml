@@ -416,7 +416,7 @@ module Event = struct
   type nonrec 'a pool = 'a pool
 
   (* The pool's arrays start empty and double from one cell, so a pool
-     that never has two events in flight (a link's tx-done) holds one.
+     that never has two events in flight (a link's arrival) holds one.
      The payload array takes its filler from the payload being stored,
      so no dummy payload is ever needed. *)
   let pool sched ~fire =

@@ -9,8 +9,8 @@
 
     Two ways to schedule, neither allocating per event in steady
     state: a re-armable {!Timer} (RTO, fluid connection steps, probe
-    ticks) and a pool of one-shot typed {!Event} cells (packets in
-    flight, a link's tx-done, arrivals).
+    ticks) and a pool of one-shot typed {!Event} cells (a link's next
+    arrival, flow arrivals).
 
     An event cell has a permanent id, so the event heap stores only
     ints: arming or firing one stores no pointer but its payload.
@@ -98,10 +98,10 @@ end
     keeps the id it was made with for the scheduler's lifetime.
     Events are fire-and-forget: nothing cancels one, and its cell
     returns to the pool when it fires, so the pool's size is the
-    high-water mark of simultaneously in-flight events (a link's rx
-    pool holds about bandwidth-delay-product cells, its tx-done pool
-    one). Work that may need cancelling (an RTO, a fluid connection's
-    next step) is a {!Timer}.
+    high-water mark of simultaneously in-flight events (a link's pool
+    holds one cell: only its oldest packet's arrival is ever pending).
+    Work that may need cancelling (an RTO, a fluid connection's next
+    step) is a {!Timer}.
 
     Ownership contract (DESIGN.md §4j): scheduling a payload moves
     ownership into the pending event; the fire function receives it

@@ -7,6 +7,15 @@ type stats = {
   mutable busy_ns : int;
 }
 
+(* The packets the link accepted and has not delivered, oldest first,
+   in a ring: [len] of them from [pkts.(head)], wrapping at the
+   ring's length. The first [timed] have started serialising, and
+   [rx.(i)] is the arrival instant (ns) of the one in slot [i]; the
+   rest wait behind the transmitter and make up the queue's backlog.
+   The ring starts empty, takes its first arrays (filled with the
+   first packet) at the first send and doubles when full. Slots
+   outside the live span keep stale pointers to pool-owned packets,
+   which the pool pins for the simulation's life anyway. *)
 type t = {
   sched : Scheduler.t;
   rate_bps : float;
@@ -17,24 +26,19 @@ type t = {
   id : int;
   mutable deliver : (Packet.t -> unit) option;
   mutable peer : int;
-  mutable taps : (Packet.t -> unit) list;
-  (* When the packet last started leaves the transmitter: the
-     transmitter is free from this instant on. There is no busy flag
-     beside it: every link of every model builds this record, so a
-     field costs a word per link even where no packet ever flows. *)
+  mutable taps : (Time.t -> Packet.t -> unit) list;
+  mutable pkts : Packet.t array;
+  mutable rx : int array;
+  mutable head : int;
+  mutable len : int;
+  mutable timed : int;
+  (* When the last timed packet leaves the transmitter: the next
+     waiting packet starts then. *)
   mutable tx_end : Time.t;
   mutable last_delivery : Time.t;
-  (* [tx_pool]'s one event, the tx-done, carries the link to
-     [tx_done] at [tx_end] to start the next packet; it is pending
-     exactly while a packet waits in [queue], so the queue tells
-     whether it is. [rx_pool] holds one cell per packet propagating on
-     the wire (D007/§4j: scheduling moves ownership into the pending
-     event; the fire function receives it back). Option-wrapped only
-     because its fire function needs [t]: it is installed in
-     [create], immediately after the record exists, and never
-     changes. *)
-  tx_pool : t Scheduler.Event.pool;
-  mutable rx_pool : Packet.t Scheduler.Event.pool option;
+  (* One cell: the arrival of the oldest packet, pending exactly while
+     a timed packet is undelivered. Its payload is the link. *)
+  pool : t Scheduler.Event.pool;
   (* Capacity claimed by a coexisting fluid allocation (hybrid model):
      packet serialisation slows to the residual rate. 0 outside hybrid
      runs, in which case tx_time is bit-identical to the historic
@@ -61,57 +65,35 @@ let tx_time t ~bytes =
 
 (* A recursive walk rather than [List.iter] with a closure over [pkt]:
    this runs on every hop. *)
-let rec run_taps pkt = function
+let rec run_taps start pkt = function
   | [] -> ()
   | tap :: rest ->
-    tap pkt;
-    run_taps pkt rest
+    tap start pkt;
+    run_taps start pkt rest
 
-let the_pool = function Some p -> p | None -> assert false
+let[@inline] slot t i =
+  let j = t.head + i in
+  let n = Array.length t.pkts in
+  if j >= n then j - n else j
 
-(* Receiver-side fire: a packet has propagated across the wire. *)
-let deliver_pkt t pkt =
-  match t.deliver with
-  | Some f -> f pkt
-  | None ->
-    (* Unreachable: [send] refuses traffic until [attach]. *)
-    failwith "Link.send: no receiver attached"
-
-(* Dev-profile invariant, after [send] and after a tx-done: one
-   tx-done is pending while a packet waits in the queue, and none
-   otherwise. Without one the queue would stall silently; [send]
-   reads the queue to tell whether one is pending. *)
-let check_armed t what =
-  if Sim_engine.Sanitizer_mode.on then begin
-    let pending = Scheduler.Event.in_flight t.tx_pool in
-    if pending <> (if Pktqueue.is_empty t.queue then 0 else 1) then
-      failwith
-        (Printf.sprintf "Link %d: %s left %d packets queued with %d tx-dones \
-                         pending" t.id what (Pktqueue.backlog_pkts t.queue)
-           pending)
-  end
-
-(* Start serialising the head of the (non-empty) queue. The packet's
-   arrival is fixed from here on, so its rx event is armed at once:
-   propagation gets a small random jitter (switch pipelines and NICs
-   are not perfectly deterministic; without this, exact ACK-clocking
-   produces drop-tail lockout artifacts), clamped so the link stays
-   FIFO. The tx-done is armed for the end of serialisation only when
-   another packet waits behind this one. *)
-let pump t =
-  let now = Scheduler.now t.sched in
-  if Sim_engine.Sanitizer_mode.on && Time.(now < t.tx_end) then
-    failwith
-      (Printf.sprintf "Link %d: serialisation starts at %d ns, before the \
-                       previous one ends at %d ns" t.id (Time.to_ns now)
-         (Time.to_ns t.tx_end));
-  let pkt = Pktqueue.take t.queue in
-  let tx = tx_time t ~bytes:pkt.Packet.size in
+(* Time the oldest waiting packet, whose serialisation starts at
+   [start]: its serialisation at the rate in effect now, the stats,
+   the taps and its arrival instant. Propagation gets a small random
+   jitter (switch pipelines and NICs are not perfectly deterministic;
+   without this, exact ACK-clocking produces drop-tail lockout
+   artifacts), clamped so the link stays FIFO. The first timed packet
+   arms the link's arrival event. *)
+let time_next t start =
+  let i = slot t t.timed in
+  let pkt = t.pkts.(i) in
+  let size = pkt.Packet.size in
+  let tx = tx_time t ~bytes:size in
+  Pktqueue.release t.queue ~bytes:size;
   t.st.tx_packets <- t.st.tx_packets + 1;
-  t.st.tx_bytes <- t.st.tx_bytes + pkt.Packet.size;
+  t.st.tx_bytes <- t.st.tx_bytes + size;
   t.st.busy_ns <- t.st.busy_ns + Time.to_ns tx;
-  run_taps pkt t.taps;
-  let tx_end = Time.add now tx in
+  run_taps start pkt t.taps;
+  let tx_end = Time.add start tx in
   t.tx_end <- tx_end;
   let extra =
     if Time.is_zero t.jitter then Time.zero
@@ -122,14 +104,67 @@ let pump t =
   let target = Time.add (Time.add tx_end t.delay) extra in
   let when_ = Time.max target t.last_delivery in
   t.last_delivery <- when_;
-  Scheduler.Event.schedule_at (the_pool t.rx_pool) when_ pkt;
-  if not (Pktqueue.is_empty t.queue) then
-    Scheduler.Event.schedule_at t.tx_pool tx_end t
+  t.rx.(i) <- Time.to_ns when_;
+  t.timed <- t.timed + 1;
+  if t.timed = 1 then Scheduler.Event.schedule_at t.pool when_ t
 
-(* Transmitter-side fire: serialisation done while a packet waits. *)
-let tx_done t =
-  pump t;
-  check_armed t "tx-done"
+(* Time, in FIFO order, every waiting packet whose serialisation has
+   started by [now]. A waiting packet starts when the one before it
+   leaves the transmitter: it waits only because that one was still
+   serialising when it was accepted. *)
+let catch_up_to t now =
+  while t.timed < t.len && Time.(t.tx_end <= now) do
+    time_next t t.tx_end
+  done
+
+(* Dev-profile invariants, after every operation: one arrival is
+   pending exactly while a timed packet is undelivered, and no
+   waiting packet's start is at or before now. *)
+let check t what =
+  if Sim_engine.Sanitizer_mode.on then begin
+    let pending = Scheduler.Event.in_flight t.pool in
+    if pending <> (if t.timed > 0 then 1 else 0) then
+      failwith
+        (Printf.sprintf "Link %d: %s left %d timed packets with %d arrivals \
+                         pending" t.id what t.timed pending);
+    let now = Scheduler.now t.sched in
+    if t.timed < t.len && Time.(t.tx_end <= now) then
+      failwith
+        (Printf.sprintf "Link %d: %s left a packet waiting that starts at %d \
+                         ns, not after now (%d ns)" t.id what
+           (Time.to_ns t.tx_end) (Time.to_ns now))
+  end
+
+let catch_up t =
+  catch_up_to t (Scheduler.now t.sched);
+  check t "catch-up"
+
+(* The oldest packet arrives. Catching up first times the next one,
+   whose start has passed: it left the transmitter before this one
+   could arrive. Its arrival is armed before this one is delivered. *)
+let arrive t =
+  let now = Scheduler.now t.sched in
+  catch_up_to t now;
+  let pkt = t.pkts.(t.head) in
+  let h = t.head + 1 in
+  t.head <- (if h = Array.length t.pkts then 0 else h);
+  t.len <- t.len - 1;
+  t.timed <- t.timed - 1;
+  if t.timed > 0 then begin
+    let next = t.rx.(t.head) in
+    (* Arrivals on a link never go back in time. *)
+    if Sim_engine.Sanitizer_mode.on && next < Time.to_ns now then
+      failwith
+        (Printf.sprintf "Link %d: next arrival at %d ns is before now (%d ns)"
+           t.id next (Time.to_ns now));
+    Scheduler.Event.schedule_at t.pool (Time.of_ns next) t
+  end;
+  check t "arrival";
+  match t.deliver with
+  | Some f -> f pkt
+  | None ->
+    (* Unreachable: [send] refuses traffic until [attach]. *)
+    failwith "Link.send: no receiver attached"
 
 let create ?(jitter = Time.of_us 5.) ~sched ~rate_bps ~delay ~queue ~id () =
   if rate_bps <= 0. then invalid_arg "Link.create: rate must be positive";
@@ -146,40 +181,67 @@ let create ?(jitter = Time.of_us 5.) ~sched ~rate_bps ~delay ~queue ~id () =
       deliver = None;
       peer = min_int;
       taps = [];
+      pkts = [||];
+      rx = [||];
+      head = 0;
+      len = 0;
+      timed = 0;
       tx_end = Time.zero;
       last_delivery = Time.zero;
-      tx_pool = Scheduler.Event.pool sched ~fire:tx_done;
-      rx_pool = None;
+      pool = Scheduler.Event.pool sched ~fire:arrive;
       reserved_bps = 0.;
       st = { tx_packets = 0; tx_bytes = 0; busy_ns = 0 };
     }
   in
-  t.rx_pool <- Some (Scheduler.Event.pool sched ~fire:(fun pkt -> deliver_pkt t pkt));
+  if Pktqueue.metered queue then Pktqueue.set_sync queue (fun () -> catch_up t);
   t
 
-(* An accepted packet starts at once when the transmitter is free.
-   Otherwise a pending tx-done will start it; the first packet to wait
-   behind the one on the transmitter arms that tx-done. A tx-done is
-   pending exactly while a packet waits, so the packet just accepted
-   is alone in the queue exactly when none is. *)
+(* Room for one more packet: copy the live span, oldest first, into
+   rings twice as long. *)
+let grow t pkt =
+  let n = Array.length t.pkts in
+  let n' = if n = 0 then 8 else 2 * n in
+  let pkts = Array.make n' pkt and rx = Array.make n' 0 in
+  for i = 0 to t.len - 1 do
+    let j = slot t i in
+    pkts.(i) <- t.pkts.(j);
+    rx.(i) <- t.rx.(j)
+  done;
+  t.pkts <- pkts;
+  t.rx <- rx;
+  t.head <- 0
+
+(* An accepted packet joins the FIFO. It starts at once when the
+   transmitter is free, and the catch-up before the admission has
+   timed every packet that could start before it; otherwise it waits
+   for the packet before it to leave the transmitter. *)
 let send t pkt =
   if t.deliver = None then failwith "Link.send: no receiver attached";
-  if Pktqueue.enqueue t.queue pkt && Pktqueue.backlog_pkts t.queue = 1 then begin
-    if Time.(Scheduler.now t.sched >= t.tx_end) then pump t
-    else Scheduler.Event.schedule_at t.tx_pool t.tx_end t
+  let now = Scheduler.now t.sched in
+  catch_up_to t now;
+  if Pktqueue.admit t.queue pkt then begin
+    if t.len = Array.length t.pkts then grow t pkt;
+    t.pkts.(slot t t.len) <- pkt;
+    t.len <- t.len + 1;
+    if Time.(t.tx_end <= now) then time_next t now
   end;
-  check_armed t "send"
+  check t "send"
 
 let id t = t.id
 let peer t = t.peer
 let queue t = t.queue
 let rate_bps t = t.rate_bps
 let delay t = t.delay
-let stats t = t.st
+
+let stats t =
+  catch_up t;
+  t.st
 
 let set_reserved_bps t bps =
+  catch_up t;
   t.reserved_bps <- Float.max 0. (Float.min bps t.rate_bps)
 
-let utilisation t ~now =
-  let n = Time.to_ns now in
+let utilisation t =
+  catch_up t;
+  let n = Time.to_ns (Scheduler.now t.sched) in
   if n = 0 then 0. else float_of_int t.st.busy_ns /. float_of_int n

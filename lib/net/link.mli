@@ -9,30 +9,32 @@
     The receive side is a closure installed with [attach]; topologies
     wire it to the downstream switch or host.
 
-    {b Events.} A hop costs one scheduler event, the packet's arrival.
-    When a packet starts serialising, its arrival instant is already
-    fixed (end of serialisation + delay + jitter, clamped to keep the
-    link FIFO), so its rx event is armed right then. A second event,
-    the tx-done that starts the next packet, is armed for the end of
-    serialisation only while a packet waits in the queue: by the
-    [send] that finds the transmitter mid-packet, or by the start of
-    a packet that leaves others queued behind it. A [send] that finds
-    the transmitter free starts its packet at once. N packets spaced
-    wider than their serialisation cost N events; a burst of N sent
-    at one instant costs 2N - 1.
-
-    Both are one-shot {!Sim_engine.Scheduler.Event}s: nothing cancels
-    or moves either. The tx-done comes from a pool of its own, which
-    holds one cell, since at most one is pending; whether it is can
-    be read off the queue, so the link keeps no flag for it.
+    {b One pending event per link.} The link holds every packet it
+    accepted and has not delivered, in one FIFO: first the timed
+    packets, whose serialisation has started and whose arrival instant
+    (end of serialisation + delay + jitter, clamped to keep the link
+    FIFO) is fixed, then the waiting ones, which are the queue's
+    backlog. Exactly one scheduler event is pending while a timed
+    packet is undelivered: the arrival of the oldest. A waiting packet
+    starts when the one before it leaves the transmitter, and no
+    event marks that instant. The link times it then or later, at its
+    next catch-up ({!catch_up}), which every operation here runs
+    first: a send, an arrival, a reservation change, a stats or
+    utilisation read, and the queue's depth gauges. The catch-up times
+    in FIFO order every waiting packet whose start is at or before
+    now, at the rate in effect (a reservation change catches up
+    first), with its jitter draw, stats and taps. An arrival delivers
+    the oldest packet and arms the next one's, which is timed by then,
+    since its start has passed. N packets cost N events, spaced or in
+    a burst.
 
     {b Ties.} Every start, drop, stats update, jitter draw and
     arrival instant is the one a link with a tx-done per packet
     would give. Only the order among events due at the same instant
-    differs: a packet's rx takes its place in that order when its
-    serialisation starts, not when it ends, and a send at exactly the
-    end of a serialisation finds the transmitter free at once when
-    no packet waits. *)
+    differs: a packet's arrival takes its place in that order when
+    the packet before it arrives (or, on an idle link, when it is
+    sent), and work at exactly the end of a serialisation finds the
+    next packet started. *)
 
 type stats = {
   mutable tx_packets : int;
@@ -67,13 +69,21 @@ val attach : ?peer:int -> t -> (Packet.t -> unit) -> unit
 
 val peer : t -> int
 
-val add_tap : t -> (Packet.t -> unit) -> unit
-(** Register a passive observer called for every packet as it starts
-    transmitting (flow monitors, packet sniffers). Taps never affect
+val add_tap : t -> (Sim_engine.Sim_time.t -> Packet.t -> unit) -> unit
+(** Register a passive observer called for every packet with the
+    instant its serialisation starts (flow monitors, packet sniffers).
+    It is called when the link times the packet, at its next
+    catch-up, which can be later than the start. Taps never affect
     forwarding. *)
 
 val send : t -> Packet.t -> unit
 (** Enqueue a packet for transmission (drop-tail on overflow). *)
+
+val catch_up : t -> unit
+(** Time every waiting packet whose serialisation has started by the
+    scheduler's clock. Every other operation of this module does it
+    first; call it before reading the queue's backlog
+    ({!Pktqueue.backlog_pkts}) directly. Idempotent at one instant. *)
 
 val id : t -> int
 val queue : t -> Pktqueue.t
@@ -88,5 +98,6 @@ val set_reserved_bps : t -> float -> unit
     always drains. Clamped to [\[0, rate_bps\]]; 0 (the initial value)
     restores exact nominal-rate timing. *)
 
-val utilisation : t -> now:Sim_engine.Sim_time.t -> float
-(** Fraction of wall-clock time the transmitter has been busy. *)
+val utilisation : t -> float
+(** Fraction of the time up to the scheduler's clock that the
+    transmitter has been busy. *)

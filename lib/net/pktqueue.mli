@@ -1,9 +1,13 @@
-(** Drop-tail FIFO packet queue.
+(** Drop-tail admission for a link's transmit queue.
 
     One queue sits in front of every link transmitter. Capacity is
     counted in packets (matching ns-3's default [DropTailQueue]
     configuration used in the paper's era): a packet that arrives to a
-    full queue is dropped, any other is appended. *)
+    full queue is dropped, any other is accepted. The queue stores no
+    packet: the link keeps every packet it accepted, in FIFO order,
+    until it delivers it ({!Link}). The queue counts the backlog, the
+    accepted packets whose serialisation the link has not yet timed,
+    and keeps the drop hooks, the stats and the metrics. *)
 
 type stats = {
   mutable enqueued : int;  (** packets accepted *)
@@ -23,8 +27,15 @@ val create :
 (** [capacity] in packets. [ctx] is the owning simulation's identifier
     state: it numbers the queue, which names its metrics. *)
 
-val enqueue : t -> Packet.t -> bool
-(** [false] if the packet was dropped. *)
+val admit : t -> Packet.t -> bool
+(** Accept the packet into the backlog, or drop it when the backlog
+    is at capacity: [false] if it was dropped, freed after the drop
+    hooks. *)
+
+val release : t -> bytes:int -> unit
+(** A packet of [bytes] wire bytes left the backlog: its
+    serialisation has started. Raises [Invalid_argument] on an empty
+    backlog. *)
 
 val add_drop_hook : t -> (Packet.t -> unit) -> unit
 (** Register an observer called for every dropped packet. Multiple
@@ -45,12 +56,18 @@ val add_drop_hook : t -> (Packet.t -> unit) -> unit
     turns a violation into [Invalid_argument]; simlint rule D007
     rejects it statically. *)
 
-val take : t -> Packet.t
-(** Remove and return the oldest packet. Raises [Invalid_argument] on
-    an empty queue: test {!is_empty} first. *)
-
 val backlog_pkts : t -> int
 val backlog_bytes : t -> int
-val is_empty : t -> bool
+(** The backlog as of the owning link's last catch-up
+    ({!Link.catch_up}); the depth gauges catch up first. *)
+
+val metered : t -> bool
+(** Whether the metrics registry was on when the queue was made: its
+    depth gauges exist. *)
+
+val set_sync : t -> (unit -> unit) -> unit
+(** Install what the depth gauges run before they read the backlog:
+    the owning link's catch-up. *)
+
 val layer : t -> Layer.t
 val stats : t -> stats

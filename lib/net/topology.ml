@@ -57,9 +57,8 @@ let layer_utilisation t layer =
   match links with
   | [] -> 0.
   | _ ->
-    let now = Scheduler.now t.sched in
     let sum =
-      List.fold_left (fun acc l -> acc +. Link.utilisation l ~now) 0. links
+      List.fold_left (fun acc l -> acc +. Link.utilisation l) 0. links
     in
     sum /. float_of_int (List.length links)
 

@@ -2,11 +2,13 @@
    two-event link that [Sim_net.Link] replaced. Every hop fires a
    tx-done event when serialisation ends; that event draws the
    jitter, arms the packet's rx event and starts the next packet. The
-   one-event link arms the rx when serialisation starts and a tx-done
-   only while a packet waits, so on a lone link it must give the same
-   deliveries, drops, stats and tap calls at the same instants. Keep
+   link with one pending event times each packet when its
+   serialisation starts, so on a lone link it must give the same
+   deliveries, drops, stats and tap starts at the same instants. Keep
    this file as it is: it is the behaviour being preserved, not code
-   to optimise. *)
+   to optimise. Its one change since: [Pktqueue] now only admits and
+   counts, so the waiting packets sit in a queue of the reference's
+   own. *)
 
 module Packet = Sim_net.Packet
 module Pktqueue = Sim_net.Pktqueue
@@ -26,10 +28,11 @@ type t = {
   jitter : Time.t;
   jitter_rng : Sim_engine.Rng.t;
   queue : Pktqueue.t;
+  waiting : Packet.t Queue.t;
   id : int;
   mutable deliver : (Packet.t -> unit) option;
   mutable peer : int;
-  mutable taps : (Packet.t -> unit) list;
+  mutable taps : (Time.t -> Packet.t -> unit) list;
   mutable busy : bool;
   mutable last_delivery : Time.t;
   (* Typed event pools carrying the in-flight Packet.t (D007/§4j:
@@ -67,11 +70,11 @@ let tx_time t ~bytes =
 
 (* A recursive walk rather than [List.iter] with a closure over [pkt]:
    this runs on every hop. *)
-let rec run_taps pkt = function
+let rec run_taps start pkt = function
   | [] -> ()
   | tap :: rest ->
-    tap pkt;
-    run_taps pkt rest
+    tap start pkt;
+    run_taps start pkt rest
 
 let the_pool = function Some p -> p | None -> assert false
 
@@ -102,15 +105,16 @@ let rec tx_done t pkt =
   pump t
 
 and pump t =
-  if Pktqueue.is_empty t.queue then t.busy <- false
+  if Queue.is_empty t.waiting then t.busy <- false
   else begin
-    let pkt = Pktqueue.take t.queue in
+    let pkt = Queue.pop t.waiting in
+    Pktqueue.release t.queue ~bytes:pkt.Packet.size;
     t.busy <- true;
     let tx = tx_time t ~bytes:pkt.Packet.size in
     t.st.tx_packets <- t.st.tx_packets + 1;
     t.st.tx_bytes <- t.st.tx_bytes + pkt.Packet.size;
     t.st.busy_ns <- t.st.busy_ns + Time.to_ns tx;
-    run_taps pkt t.taps;
+    run_taps (Scheduler.now t.sched) pkt t.taps;
     Scheduler.Event.schedule_after (the_pool t.tx_pool) tx pkt
   end
 
@@ -125,6 +129,7 @@ let create ?(jitter = Time.of_us 5.) ~sched ~rate_bps ~delay ~queue ~id () =
       (* Seeded from the link id: runs stay bit-for-bit reproducible. *)
       jitter_rng = Sim_engine.Rng.create ~seed:(0x11CC + id);
       queue;
+      waiting = Queue.create ();
       id;
       deliver = None;
       peer = min_int;
@@ -143,7 +148,8 @@ let create ?(jitter = Time.of_us 5.) ~sched ~rate_bps ~delay ~queue ~id () =
 
 let send t pkt =
   if t.deliver = None then failwith "Link.send: no receiver attached";
-  let accepted = Pktqueue.enqueue t.queue pkt in
+  let accepted = Pktqueue.admit t.queue pkt in
+  if accepted then Queue.push pkt t.waiting;
   if accepted && not t.busy then pump t
 
 let id t = t.id

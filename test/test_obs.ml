@@ -181,8 +181,8 @@ let test_drop_hooks_run_in_install_order () =
   let log = ref [] in
   Pktqueue.add_drop_hook q (fun _ -> log := "first" :: !log);
   Pktqueue.add_drop_hook q (fun _ -> log := "second" :: !log);
-  check_bool "accepted" true (Pktqueue.enqueue q (mk_pkt ctx ~conn:1));
-  check_bool "dropped" false (Pktqueue.enqueue q (mk_pkt ctx ~conn:1));
+  check_bool "accepted" true (Pktqueue.admit q (mk_pkt ctx ~conn:1));
+  check_bool "dropped" false (Pktqueue.admit q (mk_pkt ctx ~conn:1));
   Alcotest.(check (list string))
     "both hooks, installation order" [ "first"; "second" ]
     (List.rev !log)
@@ -192,8 +192,8 @@ let test_queue_gauges_and_drop_events () =
   let m = Sim_engine.Sim_ctx.metrics ctx in
   Metrics.enable m ~clock_ns:(fun () -> 123) ();
   let q = Pktqueue.create ~ctx ~capacity:1 ~layer:Layer.Edge_layer () in
-  ignore (Pktqueue.enqueue q (mk_pkt ctx ~conn:4));
-  ignore (Pktqueue.enqueue q (mk_pkt ctx ~conn:4));
+  ignore (Pktqueue.admit q (mk_pkt ctx ~conn:4));
+  ignore (Pktqueue.admit q (mk_pkt ctx ~conn:4));
   let read name =
     Array.to_list (Metrics.gauges m)
     |> List.find_map (fun ((g : Metrics.meta), r) ->

@@ -280,7 +280,7 @@ let forwarding_trace net tuples =
   let hops = ref [] and n = ref 0 in
   Array.iter
     (fun l ->
-      Sim_net.Link.add_tap l (fun _ ->
+      Sim_net.Link.add_tap l (fun _ _ ->
           incr n;
           if !n > 64 then failwith "routing loop";
           hops := Sim_net.Link.id l :: !hops))

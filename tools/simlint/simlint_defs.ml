@@ -58,8 +58,8 @@ let finding_at ~rule ~msg (loc : Location.t) =
    Everything else goes through the allowlist file so exceptions stay
    visible in review. D007's scope is the data plane that legitimately
    owns packets between [make] and [free]: the pool itself
-   (packet.ml), the queue a packet waits in (pktqueue.ml) and the link
-   whose in-flight closures carry it across the wire (link.ml). *)
+   (packet.ml), the queue that admits or drops a packet (pktqueue.ml)
+   and the link that holds it from acceptance to delivery (link.ml). *)
 let exempt file rule =
   let base = Filename.basename file in
   match rule with
